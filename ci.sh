@@ -93,6 +93,21 @@ if [[ "${1:-}" != "--quick" ]]; then
     cargo test -q -p aasd-tensor
     cargo test -q -p aasd --test int8_equivalence
 
+    echo "==> tile gate: multi-row kernel bitwise ≡ row-by-row vecmat on every tier, as the release build compiles it"
+    # The register-tiled matmul must give every row the bits of the vecmat
+    # kernel, on every tier, or verify stops reproducing decode. The suite
+    # drives each supported tier through the explicit-backend entry; it runs
+    # optimized (the code the benchmark measures — tier-1 above already ran
+    # it unoptimized) with the process-global tier pinned to scalar, to sse2
+    # and left to the host's best, which also moves the Linear-level and
+    # naive-reference checks across tiers.
+    AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor tile_
+    AASD_KERNEL=scalar cargo test -q --release -p aasd-nn linear_
+    AASD_KERNEL=sse2 cargo test -q --release -p aasd-tensor tile_
+    AASD_KERNEL=sse2 cargo test -q --release -p aasd-nn linear_
+    cargo test -q --release -p aasd-tensor tile_
+    cargo test -q --release -p aasd-nn linear_
+
     echo "==> workload gate: aasd-data streams bit-identical on both kernel tiers"
     # The synthetic workloads must be pure scalar arithmetic: the golden
     # stream fingerprints in tests/workload_determinism.rs have to match on
@@ -112,6 +127,14 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> perf snapshot smoke (every bench section; decode-step + pipeline-throughput regressions vs latest BENCH_PR*.json are hard failures)"
     cargo run --release -q -p aasd-bench --bin perf_snapshot -- /tmp/bench_smoke.json --smoke
+
+    echo "==> benchmark gate: aasd-e2e builds, streams are correct and the exact counts repeat"
+    # A kernel or session change that moves one token or one specdec.* count
+    # fails here: every stream is checked against the autoregressive
+    # reference and --check-counts compares tokens and specdec.blocks /
+    # drafted / accepted between two from-scratch rounds.
+    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload solo-decode --seed 1 --seconds 3 --check-counts
 
     echo "==> cargo fmt --check"
     cargo fmt --check

@@ -1,15 +1,88 @@
-//! Matmul kernel comparison: naive reference vs cache-blocked vs
-//! thread-parallel, across square sizes. Run with
-//! `cargo bench -p aasd-bench --bench matmul`.
+//! Matmul kernels. Run with `cargo bench -p aasd-bench --bench matmul`.
+//!
+//! 1. **The rows curve** (ROADMAP 1(b), L2-resident end): cost(rows) /
+//!    cost(1) of one `Linear` projection at the four real weight shapes
+//!    (Sim7B / Sim13B × `dim×dim`, `dim×ff_hidden`). Speculative decoding
+//!    pays when a γ+1-row verify costs about one 1-row decode step; this is
+//!    that ratio, kernel only. rows = 1 is `vecmat_into`, rows > 1 the tiled
+//!    `matmul_blocked_into` — the split `Linear::forward_rows_into` makes.
+//! 2. Naive reference vs the tiled kernel vs its thread-parallel form on
+//!    square sizes.
 
 use aasd_bench::{bench, report};
 use aasd_tensor::{
-    hardware_threads, matmul_blocked_into, matmul_naive_into, matmul_parallel_into, Rng,
+    backend, hardware_threads, matmul_blocked_into, matmul_naive_into, matmul_parallel_into,
+    vecmat_into, Rng,
 };
+use std::hint::black_box;
+use std::time::Instant;
 
-fn main() {
+const ROWS: [usize; 7] = [1, 2, 4, 6, 8, 16, 32];
+
+/// Minimum and coefficient of variation (std / mean) of the per-call time in
+/// microseconds, over `samples` timed batches of `inner` calls (after two
+/// untimed batches). The machine's noise is one-sided, so the minimum is the
+/// figure to compare; the CoV says how much to trust it.
+fn min_cov_us(samples: usize, inner: usize, mut f: impl FnMut()) -> (f64, f64) {
+    let mut times = Vec::with_capacity(samples);
+    for s in 0..samples + 2 {
+        let t = Instant::now();
+        for _ in 0..inner {
+            f();
+        }
+        if s >= 2 {
+            times.push(t.elapsed().as_nanos() as f64 / 1e3 / inner as f64);
+        }
+    }
+    let mean = times.iter().sum::<f64>() / times.len() as f64;
+    let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
+    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+    (min, var.sqrt() / mean)
+}
+
+fn rows_curve() {
     println!(
-        "matmul kernels (f32, square N³), {} hardware thread(s)\n",
+        "rows curve: cost(rows)/cost(1), min of 31 batches (CoV), backend {}\n",
+        backend().name()
+    );
+    for (name, k, n) in [
+        ("Sim7B  dim×dim       128×128", 128usize, 128usize),
+        ("Sim7B  dim×ff_hidden 128×256", 128, 256),
+        ("Sim13B dim×dim       192×192", 192, 192),
+        ("Sim13B dim×ff_hidden 192×384", 192, 384),
+    ] {
+        let max_rows = ROWS[ROWS.len() - 1];
+        let mut rng = Rng::new((k * n) as u64);
+        let w: Vec<f32> = (0..k * n).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let x: Vec<f32> = (0..max_rows * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        let mut y = vec![0.0f32; max_rows * n];
+        println!("{name}");
+        let mut one = 0.0;
+        for m in ROWS {
+            let (us, cov) = min_cov_us(31, 16, || {
+                if m == 1 {
+                    vecmat_into(&mut y[..n], &x[..k], &w, k, n);
+                } else {
+                    matmul_blocked_into(&mut y[..m * n], &x[..m * k], &w, m, k, n);
+                }
+                black_box(&mut y);
+            });
+            if m == 1 {
+                one = us;
+            }
+            println!(
+                "  rows {m:>2}: {us:>8.2} us (CoV {cov:.3})  x{:>5.2} of rows 1  {:>5.2} MAC/ns",
+                us / one,
+                (m * k * n) as f64 / (us * 1e3)
+            );
+        }
+        println!();
+    }
+}
+
+fn square_sizes() {
+    println!(
+        "square N³: naive vs tiled vs parallel, {} hardware thread(s)\n",
         hardware_threads()
     );
     for n in [64usize, 128, 256] {
@@ -22,21 +95,26 @@ fn main() {
         let naive = bench(&format!("matmul/naive/{n}"), || {
             matmul_naive_into(&mut c, &a, &b, n, n, n)
         });
-        let blocked = bench(&format!("matmul/blocked/{n}"), || {
+        let tiled = bench(&format!("matmul/tiled/{n}"), || {
             matmul_blocked_into(&mut c, &a, &b, n, n, n)
         });
         let parallel = bench(&format!("matmul/parallel/{n}"), || {
             matmul_parallel_into(&mut c, &a, &b, n, n, n)
         });
 
-        for r in [&naive, &blocked, &parallel] {
+        for r in [&naive, &tiled, &parallel] {
             report(r);
             println!("{:<44} {:>10.2} GFLOP/s", "", flops / r.median_ns);
         }
         println!(
-            "  speedup blocked vs naive: {:.2}x   parallel vs naive: {:.2}x\n",
-            naive.median_ns / blocked.median_ns,
+            "  speedup tiled vs naive: {:.2}x   parallel vs naive: {:.2}x\n",
+            naive.median_ns / tiled.median_ns,
             naive.median_ns / parallel.median_ns
         );
     }
+}
+
+fn main() {
+    rows_curve();
+    square_sizes();
 }

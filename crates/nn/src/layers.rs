@@ -13,7 +13,7 @@ use aasd_tensor::{
 
 /// Bias-free linear layer. The weight is stored `[in, out]` so a batch of
 /// row vectors multiplies it directly (`x: [t, in]` → `x·W: [t, out]`) with
-/// unit-stride access in the blocked matmul kernel.
+/// unit-stride access in the matmul kernels.
 ///
 /// Under [`KernelPolicy::Int8`] the layer additionally carries a
 /// [`QuantLinear`] shadow of the weight; only the fused `_ws` forwards
@@ -48,9 +48,13 @@ impl Linear {
 
     /// `out = x·W` for `rows` row-vectors of `fan_in` floats, no
     /// allocation. `rows == 1` (single-token decode) takes the unrolled
-    /// [`vecmat_into`] fast path; larger blocks use the cache-blocked
-    /// kernel. Both accumulate over the input dimension in the same order,
-    /// so the two paths agree bit-for-bit.
+    /// [`vecmat_into`] kernel, which is faster than a one-row tile; larger
+    /// blocks use the register-tiled kernel, where up to six rows share
+    /// every weight load. Both compute each output as `acc = acc + x[kk]·
+    /// W[kk, j]` for `kk = 0, 1, 2, …` (multiply-then-add, nothing skipped;
+    /// see `aasd_tensor::matmul`), so a row gets the same bits whichever
+    /// path and whatever block it is part of — a verify pass reproduces the
+    /// decode steps it replaces.
     pub fn forward_rows_into(&self, x: &[f32], rows: usize, out: &mut [f32]) {
         let (k, n) = (self.w.rows, self.w.cols);
         if rows == 1 {
@@ -237,6 +241,40 @@ mod tests {
                 assert!((a - (r + p)).abs() < 1e-5);
             }
         }
+    }
+
+    /// Regression (t = 1 / t > 1 disagreement): the multi-row kernel used
+    /// to skip zero activations, `vecmat` never did. A zero activation
+    /// against an inf weight (0·inf = NaN) and a `-0.0` residual
+    /// (-0.0 + 0·w = +0.0) must come out of both `Linear` paths with the
+    /// same bits.
+    #[test]
+    fn linear_rows1_equals_rows_many_on_zero_times_inf_and_negative_zero() {
+        let (rows, k, n) = (3usize, 6usize, 20usize);
+        let mut rng = Rng::new(0x1F);
+        let mut lin = Linear::new(&mut rng, k, n);
+        lin.w.data.iter_mut().for_each(|w| *w = w.abs() + 0.1);
+        lin.w.data[2 * n + 5] = f32::INFINITY;
+        let mut x = Tensor::randn(&mut rng, rows, k, 1.0).data;
+        x[2] = 0.0; // row 0 meets the inf weight with a zero
+        x[k..2 * k].fill(0.0); // row 1 is all zeros
+
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut many = vec![0.0f32; rows * n];
+        lin.forward_rows_into(&x, rows, &mut many);
+        let mut many_acc = vec![-0.0f32; rows * n];
+        lin.forward_rows_acc(&x, rows, &mut many_acc);
+        for r in 0..rows {
+            let (xr, cols) = (&x[r * k..(r + 1) * k], r * n..(r + 1) * n);
+            let mut one = vec![0.0f32; n];
+            lin.forward_rows_into(xr, 1, &mut one);
+            assert_eq!(bits(&one), bits(&many[cols.clone()]), "into, row {r}");
+            let mut one_acc = vec![-0.0f32; n];
+            lin.forward_rows_acc(xr, 1, &mut one_acc);
+            assert_eq!(bits(&one_acc), bits(&many_acc[cols]), "acc, row {r}");
+        }
+        assert!(many[5].is_nan(), "0·inf must reach the output");
+        assert_eq!(many_acc[n].to_bits(), 0, "-0.0 + 0·w is +0.0");
     }
 
     #[test]

@@ -45,7 +45,9 @@ pub struct StepReport {
 /// * `t_cache.len() == t_off + out.len() − 1` and likewise for the draft —
 ///   **except after the final block**, which skips the rollback exactly as
 ///   the one-shot loop does (the session is finished; the caches are about
-///   to be reset or restored anyway).
+///   to be reset or restored anyway), and except that the draft cache is
+///   one row short while `unfed` holds the last proposal of a fully
+///   accepted block (the next draft forward feeds it first).
 #[derive(Debug, Clone)]
 pub struct SpecSession {
     pending: u32,
@@ -56,6 +58,11 @@ pub struct SpecSession {
     t_off: usize,
     d_off: usize,
     done: bool,
+    /// The last proposal of a fully accepted block: committed, but not yet
+    /// in the draft cache. Feeding it only matters when the whole block is
+    /// accepted, so the forward is deferred until that is known and then
+    /// rides along with the next block's first draft forward.
+    unfed: Option<u32>,
     /// Optional per-session γ controller; when set, γ is re-picked from the
     /// running acceptance estimate at the start of every block.
     adaptive: Option<AdaptiveGamma>,
@@ -101,6 +108,7 @@ impl SpecSession {
             t_off: t_cache.len(),
             d_off: d_cache.len(),
             done: budget == 0,
+            unfed: None,
             adaptive: None,
         };
         if !s.done {
@@ -148,6 +156,27 @@ impl SpecSession {
         (self.out, self.stats)
     }
 
+    /// Feed the pending token to the draft — preceded, in the same forward,
+    /// by the proposal a fully accepted block left un-fed — and leave the
+    /// logits after the pending token in `d_logits[..vocab]`. The two-row
+    /// forward is bitwise two one-row forwards (the kernel contract).
+    fn feed_pending_to_draft(
+        &mut self,
+        draft: &Decoder,
+        d_cache: &mut KvCache,
+        ws: &mut Workspace,
+        d_logits: &mut [f32],
+    ) {
+        let vocab = draft.cfg.vocab;
+        match self.unfed.take() {
+            Some(last) => {
+                draft.forward_infer_ws(&[last, self.pending], d_cache, ws, d_logits);
+                d_logits.copy_within(vocab.., 0);
+            }
+            None => draft.forward_infer_ws(&[self.pending], d_cache, ws, &mut d_logits[..vocab]),
+        }
+    }
+
     /// Execute **one** speculative block: draft up to γ proposals, verify
     /// them (plus the pending token) in a single batched target pass, commit
     /// the accepted prefix. Falls back to one plain decode step when budget
@@ -170,7 +199,8 @@ impl SpecSession {
         let before = self.out.len();
         let (t_vocab, d_vocab) = (target.cfg.vocab, draft.cfg.vocab);
         let t_base = t_cache.len();
-        let d_base = d_cache.len();
+        // The draft frontier, counting a still un-fed last proposal.
+        let d_base = d_cache.len() + usize::from(self.unfed.is_some());
         debug_assert_eq!(t_base, self.t_off + self.out.len() - 1);
         debug_assert_eq!(d_base, self.d_off + self.out.len() - 1);
         // The block feeds g+1 tokens (pending + g proposals) to both caches
@@ -200,8 +230,8 @@ impl SpecSession {
             self.stats.generated += 1;
             if self.out.len() < self.budget {
                 // Keep the caches in lockstep for the next block.
-                let mut dl = ws.take(d_vocab);
-                draft.forward_infer_ws(&[self.pending], d_cache, ws, &mut dl);
+                let mut dl = ws.take(2 * d_vocab);
+                self.feed_pending_to_draft(draft, d_cache, ws, &mut dl);
                 ws.give(dl);
             } else {
                 self.done = true;
@@ -213,17 +243,17 @@ impl SpecSession {
             };
         }
 
-        // Draft phase: feed pending, then each proposal, so the draft cache
-        // covers any accepted prefix (g+1 single-token forwards).
-        let mut d_logits = ws.take(d_vocab);
+        // Draft phase: feed pending, then every proposal but the last (g
+        // single-token forwards). The last proposal's row is only needed
+        // if the whole block is accepted; see `unfed`.
+        let mut d_logits = ws.take(2 * d_vocab);
         let mut proposals = [0u32; MAX_GAMMA];
-        let mut feed = self.pending;
-        for p in proposals.iter_mut().take(g) {
-            draft.forward_infer_ws(&[feed], d_cache, ws, &mut d_logits);
-            feed = argmax(&d_logits) as u32;
-            *p = feed;
+        self.feed_pending_to_draft(draft, d_cache, ws, &mut d_logits);
+        proposals[0] = argmax(&d_logits[..d_vocab]) as u32;
+        for i in 1..g {
+            draft.forward_infer_ws(&[proposals[i - 1]], d_cache, ws, &mut d_logits[..d_vocab]);
+            proposals[i] = argmax(&d_logits[..d_vocab]) as u32;
         }
-        draft.forward_infer_ws(&[feed], d_cache, ws, &mut d_logits);
         ws.give(d_logits);
         let proposals = &proposals[..g];
 
@@ -275,7 +305,11 @@ impl SpecSession {
         // Roll both caches back to the committed frontier; the new pending
         // token is fed as part of the NEXT block's verify pass.
         t_cache.truncate(t_base + 1 + accepted);
-        d_cache.truncate(d_base + 1 + accepted);
+        if accepted == g {
+            self.unfed = Some(proposals[g - 1]);
+        } else {
+            d_cache.truncate(d_base + 1 + accepted);
+        }
         self.pending = next;
         StepReport {
             committed: self.out.len() - before,
@@ -415,6 +449,35 @@ mod tests {
         assert_eq!(out2, want2);
         assert_eq!(got_stats1, stats1);
         assert_eq!(got_stats2, stats2);
+    }
+
+    /// A self-draft session accepts every block whole, so every block but
+    /// the last leaves its final proposal un-fed (draft cache one row short
+    /// of the target's) and the next block — including the one-token
+    /// `g == 0` tail — feeds it first. Streams stay the AR stream for every
+    /// budget around the block boundaries.
+    #[test]
+    fn fully_accepted_blocks_defer_the_last_draft_feed() {
+        let target = tiny(60);
+        let mut ws = Workspace::new();
+        let p = [2u32, 8, 5];
+        for gamma in [1usize, 3, 5] {
+            for budget in 2..=15 {
+                let want = autoregressive_greedy_with_budget(&target, &p, budget);
+                let (mut tc, pending) = prefill(&target, &p, &mut ws);
+                let (mut dc, _) = prefill(&target, &p, &mut ws);
+                let mut s = SpecSession::new(&target, &target, &tc, &dc, pending, budget, gamma);
+                while !s
+                    .step_block(&target, &target, &mut tc, &mut dc, &mut ws)
+                    .done
+                {
+                    assert_eq!(dc.len() + 1, tc.len(), "γ={gamma} budget={budget}");
+                }
+                let (out, stats) = s.into_parts();
+                assert_eq!(out, want, "γ={gamma} budget={budget}");
+                assert_eq!(stats.accepted, stats.drafted, "γ={gamma} budget={budget}");
+            }
+        }
     }
 
     /// StepReport totals must reconcile with the emitted token count, and a

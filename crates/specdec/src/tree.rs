@@ -14,8 +14,11 @@
 //! root-to-leaf path scores bit-identically to feeding that path linearly
 //! (pinned in `aasd-nn`). At branching factor 1 the tree degenerates to
 //! the linear chain and the whole session is **byte-identical** to
-//! [`SpecSession`](crate::SpecSession): same draft feeds, same verify
-//! rows, same cache states (the path gather is an identity), same stream.
+//! [`SpecSession`](crate::SpecSession): same proposals, same verify rows,
+//! same target cache states (the path gather is an identity), same stream
+//! and counters. (`SpecSession` defers the draft feed of a block's last
+//! proposal until the block turns out fully accepted, which changes when
+//! that draft row is computed, never its value.)
 //!
 //! Where the draft branches is decided by a **modality-aware acceptance
 //! calibrator** ([`AcceptanceCalibrator`]): a logistic head over the

@@ -3,14 +3,14 @@
 //! Everything upstream (transformer blocks, the speculative-decoding engine,
 //! the benches) is built on the kernels in this crate:
 //!
-//! * [`matmul`] — naive reference, cache-blocked, and thread-parallel
-//!   matrix multiply (all three kept and property-tested for equivalence;
-//!   the benches in `aasd-bench` track the gap between them), plus the
-//!   4-way-unrolled [`vecmat_into`] t = 1 decode fast path;
+//! * [`matmul`] — the register-tiled multi-row kernel, its thread-parallel
+//!   form and the naive reference they are property-tested against, plus
+//!   the 4-way-unrolled [`vecmat_into`] t = 1 decode fast path (bitwise
+//!   equal to any row of the multi-row kernel);
 //! * [`ops`] — fused softmax, argmax, SiLU, axpy/dot primitives;
 //! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernel tiers behind
 //!   the hot-path primitives (`AASD_KERNEL` overridable, bitwise-stable
-//!   vecmat across tiers);
+//!   vecmat and matmul across tiers);
 //! * [`quant`] — int8 per-row absmax weight quantization and the exact
 //!   i32-accumulating `vecmat_q8` kernels;
 //! * [`rng`] — deterministic SplitMix64 RNG (std-only `rand` stand-in);
@@ -90,8 +90,8 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` using the blocked (or, for large problems, parallel)
-    /// kernel.
+    /// `self · other` using the tiled (or, for large problems, its
+    /// thread-parallel) kernel.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Tensor::zeros(self.rows, other.cols);

@@ -1,25 +1,29 @@
 //! Dense f32 matrix-multiply kernels: `C = A·B` with `A: m×k`, `B: k×n`,
 //! `C: m×n`, all row-major.
 //!
-//! Three implementations are kept on purpose:
-//!
 //! * [`matmul_naive_into`] — the textbook triple loop. It is the semantic
-//!   reference every other kernel is property-tested against, and the
-//!   baseline every bench compares to. Never "optimize" it.
-//! * [`matmul_blocked_into`] — cache-blocked i/k tiling with a contiguous
-//!   `axpy`-style inner loop that the compiler auto-vectorizes. This is the
-//!   default single-threaded kernel.
-//! * [`matmul_parallel_into`] — the blocked kernel with the rows of `C`
+//!   reference the kernels are property-tested against. Never "optimize" it.
+//! * [`matmul_blocked_into`] / [`matmul_blocked_acc_into`] — the multi-row
+//!   kernel: a register tile of `C` (up to 6 rows × two SIMD vectors) stays
+//!   in registers for the whole `k` loop, every `B` vector is loaded once
+//!   per tile and shared by all its rows, `A` values are broadcast (see
+//!   `simd::matmul_tile`). This is what verify, prefill, the vision tower
+//!   and training run on.
+//! * [`matmul_parallel_into`] — the same kernel with the rows of `C`
 //!   partitioned across `std::thread::scope` threads (one per available
-//!   core). On a 1-core host it degenerates to the blocked kernel without
+//!   core). On a 1-core host it degenerates to the serial kernel without
 //!   spawning.
-
-/// Rows-of-A block size: keeps a tile of `C` rows hot while a `K`-panel of
-/// `B` streams through.
-const BLOCK_I: usize = 32;
-/// K-panel size: `BLOCK_K` rows of `B` (`BLOCK_K × n` floats) are re-read for
-/// every row of the `I` block, so the panel must fit comfortably in L1/L2.
-const BLOCK_K: usize = 64;
+//! * [`vecmat_into`] / [`vecmat_acc_into`] — the `m == 1` decode kernel.
+//!
+//! **k-order contract.** Every kernel but the naive one computes each
+//! output element as `acc = acc + a[i,kk]·b[kk,j]` for `kk = 0, 1, 2, …`
+//! in that order, starting from `+0.0` (`_into`) or from the value already
+//! in `C` (`_acc`): one multiply, one add, never fused, never reassociated,
+//! no term skipped. The tile shape, the SIMD width and the split of rows
+//! across tiles or threads only decide *which* elements are computed
+//! together, so a row of a multi-row product is bit-identical to
+//! [`vecmat_into`] on that row, on every [`crate::Backend`] — the property
+//! that lets a speculative verify pass reproduce single-token decoding.
 
 #[inline]
 fn check_dims(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
@@ -43,55 +47,18 @@ pub fn matmul_naive_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize
     }
 }
 
-/// Cache-blocked kernel. The inner loop is `c_row += a[i,kk] * b_row`, a
-/// contiguous fused multiply-add over `n` floats, which auto-vectorizes and
-/// reads both operands with unit stride.
+/// The multi-row kernel: `C = A·B` on the register-tiled micro-kernel (see
+/// the module docs for the tile and the k-order contract).
 pub fn matmul_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    check_dims(a, b, c, m, k, n);
     c.fill(0.0);
-    matmul_blocked_rows(c, a, b, 0, m, k, n);
+    matmul_blocked_acc_into(c, a, b, m, k, n);
 }
 
-/// Accumulating blocked kernel: `C += A·B`. Same loop nest as
-/// [`matmul_blocked_into`] minus the initial zero-fill, so a residual
-/// stream can serve directly as the output (the residual-add is folded into
-/// the matmul instead of being a separate pass).
+/// Accumulating form: `C += A·B`, so a residual stream can serve directly
+/// as the output (the residual-add is folded into the matmul instead of
+/// being a separate pass).
 pub fn matmul_blocked_acc_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    check_dims(a, b, c, m, k, n);
-    matmul_blocked_rows(c, a, b, 0, m, k, n);
-}
-
-/// Blocked kernel over a row range `[row0, row1)` of `C`/`A`. `c` is the
-/// slice for exactly those rows (i.e. `c.len() == (row1-row0)*n`). Factored
-/// out so the parallel kernel can hand each thread a disjoint row band.
-fn matmul_blocked_rows(
-    c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    row0: usize,
-    row1: usize,
-    k: usize,
-    n: usize,
-) {
-    let bk = crate::simd::backend();
-    for i0 in (row0..row1).step_by(BLOCK_I) {
-        let i1 = (i0 + BLOCK_I).min(row1);
-        for k0 in (0..k).step_by(BLOCK_K) {
-            let k1 = (k0 + BLOCK_K).min(k);
-            for i in i0..i1 {
-                let c_row = &mut c[(i - row0) * n..(i - row0 + 1) * n];
-                let a_row = &a[i * k..(i + 1) * k];
-                for kk in k0..k1 {
-                    let aik = a_row[kk];
-                    if aik == 0.0 {
-                        continue;
-                    }
-                    let b_row = &b[kk * n..kk * n + n];
-                    crate::simd::axpy_with(bk, c_row, aik, b_row);
-                }
-            }
-        }
-    }
+    crate::simd::matmul_acc_with(crate::simd::backend(), c, a, b, m, k, n);
 }
 
 /// Resolve the worker-thread count from an optional `AASD_THREADS`-style
@@ -122,9 +89,9 @@ pub fn hardware_threads() -> usize {
     })
 }
 
-/// Blocked kernel with the rows of `C` split across scoped threads. Falls
-/// back to the single-threaded blocked kernel when one thread suffices or
-/// the matrix is too small for spawn overhead to pay off.
+/// The multi-row kernel with the rows of `C` split across scoped threads.
+/// Falls back to the serial kernel when one thread suffices or the matrix
+/// is too small for spawn overhead to pay off.
 pub fn matmul_parallel_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
     let threads = hardware_threads().min(m);
@@ -134,16 +101,12 @@ pub fn matmul_parallel_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: us
         return;
     }
     c.fill(0.0);
+    let bk = crate::simd::backend();
     let rows_per = m.div_ceil(threads);
     std::thread::scope(|scope| {
-        let mut rest = c;
-        let mut row0 = 0usize;
-        while row0 < m {
-            let row1 = (row0 + rows_per).min(m);
-            let (band, tail) = rest.split_at_mut((row1 - row0) * n);
-            rest = tail;
-            scope.spawn(move || matmul_blocked_rows(band, a, b, row0, row1, k, n));
-            row0 = row1;
+        for (c_band, a_band) in c.chunks_mut(rows_per * n).zip(a.chunks(rows_per * k)) {
+            let rows = a_band.len() / k;
+            scope.spawn(move || crate::simd::matmul_acc_with(bk, c_band, a_band, b, rows, k, n));
         }
     });
 }
@@ -170,9 +133,9 @@ pub fn matvec_into(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
 /// is a 4-way-unrolled axpy sweep (SIMD-dispatched across the output
 /// dimension; see [`crate::simd`]): four weight rows stream per pass,
 /// quartering the load/store traffic on `y` that dominates this
-/// memory-bound shape. Accumulation order over `kk` is identical to the
-/// blocked kernel's on every backend, so t = 1 and t > 1 paths agree
-/// bit-for-bit.
+/// memory-bound shape. Accumulation order over `kk` is the multi-row
+/// kernel's (the module's k-order contract) on every backend, so t = 1 and
+/// t > 1 paths agree bit-for-bit.
 pub fn vecmat_into(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
     y.fill(0.0);
     vecmat_acc_into(y, x, w, k, n);
@@ -229,16 +192,17 @@ mod tests {
         }
     }
 
-    /// Shapes straddling the block boundaries (the off-by-one minefield).
+    /// Shapes straddling the tile boundaries (6 rows × 8 or 16 columns) —
+    /// the off-by-one minefield.
     #[test]
-    fn block_boundary_shapes() {
+    fn tile_boundary_shapes() {
         let mut rng = Rng::new(99);
         for &(m, k, n) in &[
             (1, 1, 1),
-            (BLOCK_I, BLOCK_K, 8),
-            (BLOCK_I + 1, BLOCK_K + 1, 7),
-            (BLOCK_I - 1, BLOCK_K - 1, 9),
-            (2 * BLOCK_I + 3, 2 * BLOCK_K + 5, 33),
+            (6, 64, 16),
+            (7, 65, 17),
+            (5, 63, 15),
+            (67, 133, 33),
             (1, 130, 65),
             (65, 1, 130),
         ] {

@@ -7,23 +7,32 @@
 //! reports. Benches and tests can switch at runtime with [`set_backend`]
 //! to race every path inside one process.
 //!
-//! Determinism contract: the f32 `vecmat` kernels vectorize across the
-//! *output* dimension and keep the scalar kernel's per-element accumulation
-//! order over `k` (multiply-then-add, never FMA), so every backend produces
-//! bit-identical vecmat results — switching backends cannot move a logit
-//! relative to the scalar reference, and the t = 1 / t > 1 Linear paths
-//! keep agreeing bit-for-bit. Reductions ([`dot_with`], [`sum_squares_with`])
-//! and transcendentals ([`softmax_row_with`], [`silu_mul_with`], which use a
-//! lane-parallel polynomial `exp`) are only approximately equal *across*
-//! backends — but every call in one process uses the same backend, which is
-//! the property spec≡AR losslessness rests on.
+//! Determinism contract: the f32 `vecmat` kernels and the multi-row tile
+//! (`matmul_tile`) vectorize across the *output* dimension and give every
+//! output element the scalar kernel's sequence over `k` — `acc = acc +
+//! a·b` for `k = 0, 1, 2, …`, multiply-then-add, never FMA, no term skipped
+//! — so every backend produces bit-identical vecmat and matmul results, and
+//! a row of a multi-row product is bit-identical to the vecmat of that row:
+//! switching backends cannot move a logit relative to the scalar reference,
+//! and the t = 1 / t > 1 Linear paths agree bit-for-bit. The tile is one
+//! generic source compiled plainly (scalar and sse2 tiers: 6 rows × 8
+//! columns) and under `avx2` (6 × 16); its shape changes which elements
+//! share a register, never an element's arithmetic.
+//!
+//! Reductions ([`dot_with`], [`sum_squares_with`]) and transcendentals
+//! ([`softmax_row_with`], [`silu_mul_with`], which use a lane-parallel
+//! polynomial `exp`) are only approximately equal *across* backends — but
+//! every call in one process uses the same backend, which is the property
+//! spec≡AR losslessness rests on.
 //!
 //! The int8 kernel ([`dot_i8_with`]) accumulates in `i32`, which is exact
 //! and associative, so scalar / SSE2 / AVX2 agree **exactly**.
 //!
 //! The SSE2 tier accelerates the bandwidth-bound kernels (`vecmat`, `dot`,
-//! `axpy`, `sum_squares`, `dot_i8`); its transcendental kernels (`softmax`,
-//! `silu_mul`) and `argmax` route to the scalar implementations.
+//! `axpy`, `sum_squares`, `dot_i8`); its multi-row matmul is the scalar
+//! tier's (the plain build of the tile already uses the x86_64 baseline's
+//! SSE2), and its transcendental kernels (`softmax`, `silu_mul`) and
+//! `argmax` route to the scalar implementations.
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -213,6 +222,148 @@ pub fn vecmat_acc_into_with(bk: Backend, y: &mut [f32], x: &[f32], w: &[f32], k:
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { vecmat_acc_avx2(y, x, w, k, n) },
         _ => vecmat_acc_scalar(y, x, w, k, n),
+    }
+}
+
+/// `C += A·B` (`A: m×k`, `B: k×n`, `C: m×n`, row-major) through an explicit
+/// backend: the multi-row kernel behind [`crate::matmul_blocked_into`].
+/// Every row is bit-identical to [`vecmat_acc_into_with`] on that row, on
+/// every backend (see module docs).
+pub(crate) fn matmul_acc_with(
+    bk: Backend,
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "A must be m×k");
+    assert_eq!(b.len(), k * n, "B must be k×n");
+    assert_eq!(c.len(), m * n, "C must be m×n");
+    match bk {
+        // SAFETY: callers pass a tier the host supports — `backend()` yields
+        // no other, and the tests filter `Backend::ALL` on `is_supported`.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { matmul_acc_avx2(c, a, b, m, k, n) },
+        // Two 4-lane vectors per row on the x86_64 baseline: six rows fill
+        // 12 of the 16 xmm registers.
+        _ => matmul_acc_tiled::<8>(c, a, b, m, k, n),
+    }
+}
+
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn matmul_acc_avx2(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    matmul_acc_tiled::<16>(c, a, b, m, k, n)
+}
+
+/// Rows of `C` per register tile: with `NR` = two vectors, 6 rows keep 12
+/// accumulators live and leave registers for the two shared `B` vectors and
+/// the broadcast `A` value out of 16.
+const TILE_ROWS: usize = 6;
+
+/// The tiled loop nest, generic over the tile width so one source serves
+/// every tier (`#[inline(always)]`: it is compiled with the caller's target
+/// features). Column strips are the outer loop, so a strip of `B`
+/// (`k × NR` floats) stays in L1 while every row tile passes over it.
+#[inline(always)]
+fn matmul_acc_tiled<const NR: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let n_full = n - n % NR;
+    for j0 in (0..n_full).step_by(NR) {
+        // The literal width lets the full-strip copy of the tile drop its
+        // partial-width loads.
+        matmul_strip::<NR>(c, a, b, m, k, n, j0, NR);
+    }
+    if n_full < n {
+        matmul_strip::<NR>(c, a, b, m, k, n, n_full, n - n_full);
+    }
+}
+
+/// One `w`-column strip of `C` (`w ≤ NR`), row tile by row tile.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_strip<const NR: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    j0: usize,
+    w: usize,
+) {
+    // Rows split evenly over the fewest tiles (7 → 4 + 3, not 6 + 1): a
+    // one- or two-row tile has too few independent accumulators to hide the
+    // add latency.
+    let mut tiles = m.div_ceil(TILE_ROWS);
+    let mut i0 = 0;
+    while i0 < m {
+        let mr = (m - i0).div_ceil(tiles);
+        let c_t = &mut c[i0 * n..(i0 + mr) * n];
+        let a_t = &a[i0 * k..(i0 + mr) * k];
+        match mr {
+            1 => matmul_tile::<1, NR>(c_t, a_t, b, k, n, j0, w),
+            2 => matmul_tile::<2, NR>(c_t, a_t, b, k, n, j0, w),
+            3 => matmul_tile::<3, NR>(c_t, a_t, b, k, n, j0, w),
+            4 => matmul_tile::<4, NR>(c_t, a_t, b, k, n, j0, w),
+            5 => matmul_tile::<5, NR>(c_t, a_t, b, k, n, j0, w),
+            _ => matmul_tile::<TILE_ROWS, NR>(c_t, a_t, b, k, n, j0, w),
+        }
+        i0 += mr;
+        tiles -= 1;
+    }
+}
+
+/// The micro-kernel: an `MR × w` tile of `C` (columns `j0..j0+w` of the `MR`
+/// rows in `c`/`a`) lives in `acc` for the whole `k` loop; each step loads
+/// one `B` vector, shared by all `MR` rows, and broadcasts one `A` value per
+/// row. Every element accumulates `acc = acc + a·b` for `kk = 0, 1, 2, …`
+/// — multiply-then-add, never fused, no data-dependent skip — which is the
+/// vecmat kernels' per-element sequence. Lanes `w..NR` of a partial strip
+/// multiply zeros and are never stored.
+#[inline(always)]
+fn matmul_tile<const MR: usize, const NR: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    k: usize,
+    n: usize,
+    j0: usize,
+    w: usize,
+) {
+    assert_eq!(a.len(), MR * k);
+    assert_eq!(b.len(), k * n);
+    assert!(j0 + w <= n && w <= NR);
+    let mut acc = [[0.0f32; NR]; MR];
+    for (r, acc_r) in acc.iter_mut().enumerate() {
+        acc_r[..w].copy_from_slice(&c[r * n + j0..][..w]);
+    }
+    for kk in 0..k {
+        let mut bv = [0.0f32; NR];
+        // SAFETY: kk < k and j0 + w <= n (asserted above), so the range ends
+        // at or before k·n = b.len().
+        bv[..w].copy_from_slice(unsafe { b.get_unchecked(kk * n + j0..kk * n + j0 + w) });
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            // SAFETY: r < MR and kk < k, so r·k + kk < MR·k = a.len()
+            // (asserted above).
+            let av = unsafe { *a.get_unchecked(r * k + kk) };
+            for (cv, bj) in acc_r.iter_mut().zip(bv) {
+                *cv += av * bj;
+            }
+        }
+    }
+    for (r, acc_r) in acc.iter().enumerate() {
+        c[r * n + j0..][..w].copy_from_slice(&acc_r[..w]);
     }
 }
 
@@ -1585,6 +1736,70 @@ mod tests {
                         "vecmat {} diverged at k={k} n={n}",
                         bk.name()
                     );
+                }
+            }
+        }
+    }
+
+    /// The multi-row kernel contract, exhaustively: on every supported tier
+    /// (through the explicit-backend entry, not the process-global one), for
+    /// every row count 1..=33 and shapes covering k tails, n below / off / on
+    /// the tile width and the Sim7B / Sim13B projections, the tiled kernel
+    /// is **bitwise** the row-by-row vecmat of that tier — `_into` and `_acc`
+    /// forms — and every tier is bitwise the scalar tier. (The three larger
+    /// Sim shapes take the row counts the decoder runs plus the tile-split
+    /// edges instead of all 33: a debug build spends 50 ns per MAC here.)
+    #[test]
+    fn tile_bitwise_equals_rowwise_vecmat_on_every_tier() {
+        const MAX_M: usize = 33;
+        let mut rng = Rng::new(0x711E);
+        let mut random =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let mut shapes = vec![(128, 128), (128, 256), (192, 192), (192, 384), (27, 48)];
+        for k in [1, 3, 4, 5, 67] {
+            for n in [1, 5, 7, 8, 9, 15, 16, 17, 31, 33] {
+                shapes.push((k, n));
+            }
+        }
+        for (k, n) in shapes {
+            let (a, b, c0) = (random(MAX_M * k), random(k * n), random(MAX_M * n));
+            let ms: Vec<usize> = if k * n <= 128 * 128 {
+                (1..=MAX_M).collect()
+            } else {
+                vec![2, 4, 6, 7, 13, 32, 33]
+            };
+            for acc in [false, true] {
+                let start = |m: usize| {
+                    if acc {
+                        c0[..m * n].to_vec()
+                    } else {
+                        vec![0.0; m * n]
+                    }
+                };
+                // Rows of a product do not depend on m, so the first m rows
+                // of the 33-row reference serve every m.
+                let rowwise = |bk: Backend| {
+                    let mut want = start(MAX_M);
+                    for (y, x) in want.chunks_mut(n).zip(a.chunks(k)) {
+                        vecmat_acc_into_with(bk, y, x, &b, k, n);
+                    }
+                    bits(&want)
+                };
+                let scalar = rowwise(Backend::Scalar);
+                for bk in supported() {
+                    let want = rowwise(bk);
+                    assert_eq!(want, scalar, "{} != scalar at k={k} n={n}", bk.name());
+                    for &m in &ms {
+                        let mut c = start(m);
+                        matmul_acc_with(bk, &mut c, &a[..m * k], &b, m, k, n);
+                        assert_eq!(
+                            bits(&c),
+                            want[..m * n],
+                            "{} tiled != vecmat rows at m={m} k={k} n={n} acc={acc}",
+                            bk.name()
+                        );
+                    }
                 }
             }
         }
