@@ -91,7 +91,7 @@ use aasd_mm::{
     seed_draft_prefix, Ablation, HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
 };
 use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvCache, KvPool};
-use aasd_serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
+use aasd_serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Speculation, Status};
 use aasd_specdec::{
     autoregressive_greedy, autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws,
     verify_greedy, verify_greedy_sequential, AcceptanceCalibrator, AdaptiveGamma, SpecSession,
@@ -1115,7 +1115,7 @@ fn main() {
         let prompts: Vec<Vec<u32>> = vec![e2e_prompt.clone(); n_req];
         let reference =
             autoregressive_greedy_with_budget_ws(&e2e_target, &e2e_prompt, serve_budget, &mut ws);
-        let run = |async_pipeline: bool, workers: usize| -> (f64, f64, f64, u64) {
+        let run = |speculation: Speculation, workers: usize| -> (f64, f64, f64, u64) {
             let engine = Engine::new(
                 EngineModel::Text {
                     target: Arc::clone(&serve_target),
@@ -1125,7 +1125,7 @@ fn main() {
                     slots: clients,
                     workers,
                     max_queue: n_req,
-                    async_pipeline,
+                    speculation,
                     ..EngineConfig::default()
                 },
             );
@@ -1153,7 +1153,7 @@ fn main() {
                 assert_eq!(
                     tokens, reference,
                     "pipeline stream != fused loop \
-                     (async={async_pipeline}, workers={workers}, clients={clients}, req {i})"
+                     ({speculation:?}, workers={workers}, clients={clients}, req {i})"
                 );
                 tokens_total += tokens.len();
                 ttfts.push(handle.ttft_ms().expect("first token recorded"));
@@ -1168,10 +1168,10 @@ fn main() {
         };
         // Determinism sweep (streams asserted inside `run`).
         for workers in [2usize, 4] {
-            let _ = run(true, workers);
+            let _ = run(Speculation::Pipelined, workers);
         }
-        let (async_tps, async_p50, async_p95, rollbacks) = run(true, 1);
-        let (sync_tps, sync_p50, sync_p95, _) = run(false, 1);
+        let (async_tps, async_p50, async_p95, rollbacks) = run(Speculation::Pipelined, 1);
+        let (sync_tps, sync_p50, sync_p95, _) = run(Speculation::Chain, 1);
         let speedup = async_tps / sync_tps;
         println!(
             "async pipeline   clients={clients:<2}  {async_tps:>8.1} tok/s  \

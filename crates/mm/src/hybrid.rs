@@ -133,14 +133,33 @@ pub fn mm_autoregressive_ws(
     autoregressive_greedy_seeded_ws(&model.lm, &mut cache, pending, budget, ws)
 }
 
-/// Fused multimodal speculative decoding over the hybrid cache.
-///
-/// Target side: vision prefix (positions `0..n_img`) then the text prompt.
-/// Draft side: the ablation-selected vision prefix, then (unless
-/// `drop_text_kv`) a text prefill. The two caches then advance in lockstep
-/// through [`speculative_greedy_seeded_ws`], which tolerates their length
-/// asymmetry. Token-identical to [`mm_autoregressive_ws`] by greedy
-/// verification, for every ablation.
+/// The prefill both hybrid-cache loops share. Target side: vision prefix
+/// (positions `0..n_img`) then the text prompt. Draft side: the
+/// ablation-selected vision prefix, then (unless `drop_text_kv`) a text
+/// prefill. Returns `(t_cache, d_cache, pending)`.
+fn prefill_hybrid(
+    model: &LlavaSim,
+    draft: &Decoder,
+    projector: Option<&KvProjector>,
+    ablation: Ablation,
+    image: &Image,
+    prompt: &[u32],
+    ws: &mut Workspace,
+) -> (KvCache, KvCache, u32) {
+    let mut t_cache = model.lm.new_cache();
+    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
+    let mut d_cache = draft.new_cache();
+    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
+    if !ablation.drop_text_kv {
+        draft.prefill_ws(prompt, &mut d_cache, ws);
+    }
+    (t_cache, d_cache, pending)
+}
+
+/// Fused multimodal speculative decoding over the hybrid cache: the two
+/// caches advance in lockstep through [`speculative_greedy_seeded_ws`],
+/// which tolerates their length asymmetry. Token-identical to
+/// [`mm_autoregressive_ws`] by greedy verification, for every ablation.
 #[allow(clippy::too_many_arguments)]
 pub fn mm_speculative_ws(
     model: &LlavaSim,
@@ -153,17 +172,8 @@ pub fn mm_speculative_ws(
     gamma: usize,
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
-        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-    }
-
+    let (mut t_cache, mut d_cache, pending) =
+        prefill_hybrid(model, draft, projector, ablation, image, prompt, ws);
     speculative_greedy_seeded_ws(
         &model.lm,
         draft,
@@ -197,17 +207,8 @@ pub fn mm_speculative_tree_ws(
     tree: TreeConfig,
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
-        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-    }
-
+    let (mut t_cache, mut d_cache, pending) =
+        prefill_hybrid(model, draft, projector, ablation, image, prompt, ws);
     speculative_tree_seeded_ws(
         &model.lm,
         draft,

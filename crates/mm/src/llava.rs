@@ -6,7 +6,7 @@
 
 use crate::vision::{Connector, Image, VisionConfig, VisionEncoder};
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
-use aasd_tensor::{argmax, Rng, Tensor, Workspace};
+use aasd_tensor::{Rng, Tensor, Workspace};
 
 /// Hyperparameters for a full LlavaSim model.
 #[derive(Debug, Clone)]
@@ -199,12 +199,7 @@ impl LlavaSim {
     pub fn prefill_text_ws(&self, prompt: &[u32], cache: &mut KvCache, ws: &mut Workspace) -> u32 {
         assert!(!prompt.is_empty(), "empty prompt");
         assert_eq!(cache.len(), self.n_img(), "text must start at n_img");
-        let vocab = self.cfg.lm.vocab;
-        let mut logits = ws.take(prompt.len() * vocab);
-        self.lm.forward_infer_ws(prompt, cache, ws, &mut logits);
-        let pending = argmax(&logits[(prompt.len() - 1) * vocab..]) as u32;
-        ws.give(logits);
-        pending
+        self.lm.prefill_ws(prompt, cache, ws)
     }
 
     /// Total parameter count across vision, connector, and LM.
@@ -216,6 +211,7 @@ impl LlavaSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aasd_tensor::argmax;
 
     #[test]
     fn encode_image_lands_in_lm_space() {

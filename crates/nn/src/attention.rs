@@ -18,6 +18,58 @@ use crate::rope::Rope;
 use aasd_tensor::simd::{attn_mix_with, attn_scores_with, softmax_row_with};
 use aasd_tensor::{axpy, dot, softmax_row, Op, Rng, Tensor, Workspace};
 
+/// The rows of one fused forward read as a **flattened token tree**
+/// appended after the cached prefix (ancestors precede descendants in flat
+/// order). RoPE uses `pos0 + depths[i]` — the position the row would occupy
+/// if its root path were fed linearly — so sibling branches share positions
+/// and a committed path needs no re-encode.
+pub struct TreeRows<'a> {
+    /// Depth of row `i` below the prefix.
+    pub depths: &'a [usize],
+    /// Ancestor bitmask of row `i` over the tree rows: bit `j` set ⇔ row
+    /// `j` is on row `i`'s root path, self included.
+    pub vis: &'a [u64],
+    /// Cache positions `0..vis_boundary` are the vision prefix whose
+    /// attention mass is measured; 0 skips the measurement.
+    pub vis_boundary: usize,
+    /// Per row, accumulates each layer's mean-over-heads attention mass on
+    /// the vision prefix — the modality signal the acceptance calibrator
+    /// consumes.
+    pub vis_mass: &'a mut [f32],
+}
+
+/// Call `f(first_row, len)` for every maximal run of positions a query may
+/// attend to within the cache chunk covering positions
+/// `start..start + filled`. `mask: None` is the chain: the whole chunk, no
+/// per-position test. With a tree row's ancestor mask, a position is
+/// visible iff it is prefix (`< pos0`) or one of the row's ancestors.
+#[inline]
+fn visible_runs(
+    mask: Option<u64>,
+    pos0: usize,
+    start: usize,
+    filled: usize,
+    mut f: impl FnMut(usize, usize),
+) {
+    let Some(mask) = mask else {
+        return f(0, filled);
+    };
+    let visible = |p: usize| p < pos0 || (mask >> (p - pos0)) & 1 == 1;
+    let mut r = 0usize;
+    while r < filled {
+        if !visible(start + r) {
+            r += 1;
+            continue;
+        }
+        let mut e = r + 1;
+        while e < filled && visible(start + e) {
+            e += 1;
+        }
+        f(r, e - r);
+        r = e;
+    }
+}
+
 #[derive(Debug, Clone)]
 pub struct Attention {
     pub wq: Linear,
@@ -96,8 +148,25 @@ impl Attention {
     /// (`resid += attn(norm_x)·Wo`), so steady-state decode touches the
     /// allocator zero times. `norm_x` is the already-normed block `[t, dim]`.
     ///
+    /// With `tree: None` the `t` rows are a chain at positions `pos0 + i`,
+    /// each attending causally over everything cached so far. With
+    /// `Some(rows)` they are a **flattened token tree** (see [`TreeRows`]):
+    /// row `i` is rotated to `pos0 + depths[i]` and attends over the prefix
+    /// plus its own ancestors only.
+    ///
+    /// Both cases are ONE kernel sweep over contiguous runs of *visible*
+    /// cache positions, with the scores packed densely before the softmax.
+    /// `attn_scores_with` computes an independent dot per position and
+    /// `attn_mix_with` accumulates element-wise in strict position order on
+    /// every dispatch tier, so splitting the sweep — at cache-block
+    /// boundaries or around masked positions — is bit-identical to one call
+    /// over the compacted sequence: paging costs nothing numerically, each
+    /// root-to-leaf path scores exactly as a linear feed of that path, and
+    /// a full-visibility chain makes the same kernel calls as `None`.
+    ///
     /// The score scratch is sized to the cache **capacity**, not the current
     /// context, so the workspace sees an identical request size every step.
+    #[allow(clippy::too_many_arguments)]
     pub fn forward_infer_ws(
         &self,
         norm_x: &[f32],
@@ -106,11 +175,18 @@ impl Attention {
         mut cache: KvLayerMut<'_>,
         ws: &mut Workspace,
         resid: &mut [f32],
+        mut tree: Option<&mut TreeRows<'_>>,
     ) {
         let dim = self.n_heads * self.head_dim;
         debug_assert_eq!(norm_x.len(), t * dim);
         debug_assert_eq!(resid.len(), t * dim);
         let pos0 = cache.len();
+        if let Some(rows) = &tree {
+            debug_assert_eq!(rows.depths.len(), t);
+            debug_assert_eq!(rows.vis.len(), t);
+            debug_assert!(t <= 64, "tree wider than the visibility mask");
+            debug_assert!(rows.vis_boundary <= pos0, "vision prefix must be cached");
+        }
         // Resolve the SIMD backend once per call instead of per score row.
         let bk = aasd_tensor::backend();
 
@@ -122,134 +198,11 @@ impl Attention {
         self.wk.forward_rows_into_ws(norm_x, t, ws, &mut k);
         self.wv.forward_rows_into_ws(norm_x, t, ws, &mut v);
         for i in 0..t {
+            let pos = pos0 + tree.as_ref().map_or(i, |rows| rows.depths[i]);
             for h in 0..self.n_heads {
                 let hs = h * self.head_dim..(h + 1) * self.head_dim;
-                rope.apply(&mut q[i * dim..][hs.clone()], pos0 + i);
-                rope.apply(&mut k[i * dim..][hs], pos0 + i);
-            }
-        }
-        for i in 0..t {
-            cache.append(&k[i * dim..(i + 1) * dim], &v[i * dim..(i + 1) * dim]);
-        }
-        ws.prof.end(span, Op::Qkv);
-
-        let scale = self.scale();
-        let mut ctx = ws.take(t * dim);
-        let mut scores = ws.take(cache.capacity());
-        // One batched-kernel call per head **per cache block** instead of one
-        // `dot`/`axpy` call per cached position. `attn_scores_with` computes
-        // each position's score as an independent dot and `attn_mix_with`
-        // accumulates element-wise in strict position order on every dispatch
-        // tier, so splitting the position sweep at block boundaries is
-        // bit-identical to one contiguous call — the paged cache costs
-        // nothing numerically (a standalone cache is one block anyway).
-        for i in 0..t {
-            let ctx_len = pos0 + i + 1; // causal: positions 0..=pos0+i
-            for h in 0..self.n_heads {
-                let hs = h * self.head_dim..(h + 1) * self.head_dim;
-                let q_head = &q[i * dim..][hs.clone()];
-                let span = ws.prof.begin();
-                let scores = &mut scores[..ctx_len];
-                for (start, keys, _values) in cache.chunks(ctx_len) {
-                    let filled = keys.len() / dim;
-                    attn_scores_with(
-                        bk,
-                        &mut scores[start..start + filled],
-                        q_head,
-                        &keys[hs.start..],
-                        dim,
-                        scale,
-                    );
-                }
-                softmax_row_with(bk, scores);
-                ws.prof.end(span, Op::AttnScore);
-                let span = ws.prof.begin();
-                let out_head = &mut ctx[i * dim..][hs.clone()];
-                for (start, _keys, values) in cache.chunks(ctx_len) {
-                    let filled = values.len() / dim;
-                    attn_mix_with(
-                        bk,
-                        out_head,
-                        &scores[start..start + filled],
-                        &values[hs.start..],
-                        dim,
-                    );
-                }
-                ws.prof.end(span, Op::AttnMix);
-            }
-        }
-
-        let span = ws.prof.begin();
-        self.wo.forward_rows_acc_ws(&ctx, t, ws, resid);
-        ws.prof.end(span, Op::OProj);
-
-        ws.give(q);
-        ws.give(k);
-        ws.give(v);
-        ws.give(ctx);
-        ws.give(scores);
-    }
-
-    /// Tree-attention verify path: the `t` rows of `norm_x` are a
-    /// **flattened token tree** appended after the cached prefix, where row
-    /// `i` sits at depth `depths[i]` below the prefix and `vis[i]` is its
-    /// ancestor bitmask over the tree rows (bit `j` set ⇔ row `j` is on
-    /// row `i`'s root path, self included; ancestors precede descendants in
-    /// flat order). RoPE uses `pos0 + depths[i]` — the position the row
-    /// would occupy if its root path were fed linearly — so sibling
-    /// branches share positions and a committed path needs no re-encode.
-    ///
-    /// Numerically this is the SAME kernel sweep as
-    /// [`Attention::forward_infer_ws`], restricted to contiguous runs of
-    /// *visible* positions (the whole prefix + the ancestor rows), with the
-    /// scores packed densely before the softmax. Because `attn_scores_with`
-    /// computes an independent dot per position and `attn_mix_with`
-    /// accumulates element-wise in position order, masking by skipping
-    /// positions is bit-identical to attending over the compacted sequence
-    /// — so each root-to-leaf path scores exactly as a linear feed of that
-    /// path, and a full-visibility chain (branching factor 1) makes the
-    /// identical kernel calls as the linear path, bit for bit.
-    ///
-    /// `vis_mass[i]` accumulates this layer's mean-over-heads attention
-    /// mass on positions `0..vis_boundary` (the vision prefix) for row `i`
-    /// — the modality signal the acceptance calibrator consumes. Pass
-    /// `vis_boundary = 0` to skip the measurement.
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_infer_tree_ws(
-        &self,
-        norm_x: &[f32],
-        t: usize,
-        rope: &Rope,
-        mut cache: KvLayerMut<'_>,
-        ws: &mut Workspace,
-        resid: &mut [f32],
-        depths: &[usize],
-        vis: &[u64],
-        vis_boundary: usize,
-        vis_mass: &mut [f32],
-    ) {
-        let dim = self.n_heads * self.head_dim;
-        debug_assert_eq!(norm_x.len(), t * dim);
-        debug_assert_eq!(resid.len(), t * dim);
-        debug_assert_eq!(depths.len(), t);
-        debug_assert_eq!(vis.len(), t);
-        debug_assert!(t <= 64, "tree wider than the visibility mask");
-        let pos0 = cache.len();
-        debug_assert!(vis_boundary <= pos0, "vision prefix must be cached");
-        let bk = aasd_tensor::backend();
-
-        let span = ws.prof.begin();
-        let mut q = ws.take(t * dim);
-        let mut k = ws.take(t * dim);
-        let mut v = ws.take(t * dim);
-        self.wq.forward_rows_into_ws(norm_x, t, ws, &mut q);
-        self.wk.forward_rows_into_ws(norm_x, t, ws, &mut k);
-        self.wv.forward_rows_into_ws(norm_x, t, ws, &mut v);
-        for i in 0..t {
-            for h in 0..self.n_heads {
-                let hs = h * self.head_dim..(h + 1) * self.head_dim;
-                rope.apply(&mut q[i * dim..][hs.clone()], pos0 + depths[i]);
-                rope.apply(&mut k[i * dim..][hs], pos0 + depths[i]);
+                rope.apply(&mut q[i * dim..][hs.clone()], pos);
+                rope.apply(&mut k[i * dim..][hs], pos);
             }
         }
         for i in 0..t {
@@ -261,71 +214,51 @@ impl Attention {
         let mut ctx = ws.take(t * dim);
         let mut scores = ws.take(cache.capacity());
         for i in 0..t {
-            let ctx_len = pos0 + i + 1; // later flat rows are never visible
-            let vm = vis[i];
-            debug_assert!(vm & (1 << i) != 0, "row must see itself");
-            // A cached position is visible iff it is prefix or an ancestor.
-            let visible = |p: usize| p < pos0 || (vm >> (p - pos0)) & 1 == 1;
+            let ctx_len = pos0 + i + 1; // later rows are never visible
+            let mask = tree.as_ref().map(|rows| rows.vis[i]);
+            debug_assert!(
+                mask.is_none_or(|m| m & (1 << i) != 0),
+                "row must see itself"
+            );
             for h in 0..self.n_heads {
                 let hs = h * self.head_dim..(h + 1) * self.head_dim;
                 let q_head = &q[i * dim..][hs.clone()];
                 let span = ws.prof.begin();
                 let mut n_vis = 0usize;
                 for (start, keys, _values) in cache.chunks(ctx_len) {
-                    let filled = keys.len() / dim;
-                    let mut r = 0usize;
-                    while r < filled {
-                        if !visible(start + r) {
-                            r += 1;
-                            continue;
-                        }
-                        let mut e = r + 1;
-                        while e < filled && visible(start + e) {
-                            e += 1;
-                        }
+                    visible_runs(mask, pos0, start, keys.len() / dim, |r, len| {
                         attn_scores_with(
                             bk,
-                            &mut scores[n_vis..n_vis + (e - r)],
+                            &mut scores[n_vis..n_vis + len],
                             q_head,
                             &keys[r * dim + hs.start..],
                             dim,
                             scale,
                         );
-                        n_vis += e - r;
-                        r = e;
-                    }
+                        n_vis += len;
+                    });
                 }
                 softmax_row_with(bk, &mut scores[..n_vis]);
                 ws.prof.end(span, Op::AttnScore);
-                if vis_boundary > 0 {
+                if let Some(rows) = tree.as_deref_mut().filter(|rows| rows.vis_boundary > 0) {
                     // Prefix positions are always visible and pack first.
-                    vis_mass[i] += scores[..vis_boundary].iter().sum::<f32>() / self.n_heads as f32;
+                    rows.vis_mass[i] +=
+                        scores[..rows.vis_boundary].iter().sum::<f32>() / self.n_heads as f32;
                 }
                 let span = ws.prof.begin();
                 let out_head = &mut ctx[i * dim..][hs.clone()];
                 let mut w_at = 0usize;
                 for (start, _keys, values) in cache.chunks(ctx_len) {
-                    let filled = values.len() / dim;
-                    let mut r = 0usize;
-                    while r < filled {
-                        if !visible(start + r) {
-                            r += 1;
-                            continue;
-                        }
-                        let mut e = r + 1;
-                        while e < filled && visible(start + e) {
-                            e += 1;
-                        }
+                    visible_runs(mask, pos0, start, values.len() / dim, |r, len| {
                         attn_mix_with(
                             bk,
                             out_head,
-                            &scores[w_at..w_at + (e - r)],
+                            &scores[w_at..w_at + len],
                             &values[r * dim + hs.start..],
                             dim,
                         );
-                        w_at += e - r;
-                        r = e;
-                    }
+                        w_at += len;
+                    });
                 }
                 ws.prof.end(span, Op::AttnMix);
             }
@@ -469,6 +402,7 @@ mod tests {
                     cache_b.layer_mut(0),
                     &mut ws,
                     &mut got,
+                    None,
                 );
                 assert!(
                     max_abs_diff(&got, &want) < 1e-4,
@@ -481,10 +415,26 @@ mod tests {
         // Steady state: decoding one token at a time must not grow the pool.
         let mut cache = KvCache::new(1, 64, dim);
         let mut resid = vec![0.0f32; dim];
-        attn.forward_infer_ws(x.row(0), 1, &rope, cache.layer_mut(0), &mut ws, &mut resid);
+        attn.forward_infer_ws(
+            x.row(0),
+            1,
+            &rope,
+            cache.layer_mut(0),
+            &mut ws,
+            &mut resid,
+            None,
+        );
         let after_warmup = ws.fresh_allocs();
         for i in 1..t {
-            attn.forward_infer_ws(x.row(i), 1, &rope, cache.layer_mut(0), &mut ws, &mut resid);
+            attn.forward_infer_ws(
+                x.row(i),
+                1,
+                &rope,
+                cache.layer_mut(0),
+                &mut ws,
+                &mut resid,
+                None,
+            );
         }
         assert_eq!(ws.fresh_allocs(), after_warmup, "steady state allocated");
     }
@@ -528,26 +478,30 @@ mod tests {
         let mut tree = pool.try_lease(64).unwrap();
         for c in [&mut lin, &mut tree] {
             let mut r = vec![0.0f32; 9 * dim];
-            attn.forward_infer_ws(&prefix.data, 9, &rope, c.layer_mut(0), &mut ws, &mut r);
+            attn.forward_infer_ws(
+                &prefix.data,
+                9,
+                &rope,
+                c.layer_mut(0),
+                &mut ws,
+                &mut r,
+                None,
+            );
         }
         let mut a = vec![0.0f32; t * dim];
         let mut b = vec![0.0f32; t * dim];
-        attn.forward_infer_ws(&x.data, t, &rope, lin.layer_mut(0), &mut ws, &mut a);
+        attn.forward_infer_ws(&x.data, t, &rope, lin.layer_mut(0), &mut ws, &mut a, None);
         let depths: Vec<usize> = (0..t).collect();
         let vis: Vec<u64> = (0..t).map(|i| (1u64 << (i + 1)) - 1).collect();
         let mut mass = vec![0.0f32; t];
-        attn.forward_infer_tree_ws(
-            &x.data,
-            t,
-            &rope,
-            tree.layer_mut(0),
-            &mut ws,
-            &mut b,
-            &depths,
-            &vis,
-            4,
-            &mut mass,
-        );
+        let mut rows = TreeRows {
+            depths: &depths,
+            vis: &vis,
+            vis_boundary: 4,
+            vis_mass: &mut mass,
+        };
+        let tree_lm = tree.layer_mut(0);
+        attn.forward_infer_ws(&x.data, t, &rope, tree_lm, &mut ws, &mut b, Some(&mut rows));
         let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
         let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ab, bb, "chain tree attention must equal linear bitwise");
@@ -584,8 +538,24 @@ mod tests {
         for i in 0..t {
             let mut a = vec![0.0f32; dim];
             let mut b = vec![0.0f32; dim];
-            attn.forward_infer_ws(x.row(i), 1, &rope, contiguous.layer_mut(0), &mut ws, &mut a);
-            attn.forward_infer_ws(x.row(i), 1, &rope, paged.layer_mut(0), &mut ws, &mut b);
+            attn.forward_infer_ws(
+                x.row(i),
+                1,
+                &rope,
+                contiguous.layer_mut(0),
+                &mut ws,
+                &mut a,
+                None,
+            );
+            attn.forward_infer_ws(
+                x.row(i),
+                1,
+                &rope,
+                paged.layer_mut(0),
+                &mut ws,
+                &mut b,
+                None,
+            );
             let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
             let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
             assert_eq!(ab, bb, "paged attention diverged at step {i}");

@@ -3,7 +3,7 @@
 //! inference path (`forward_infer`) and a stateless full-sequence reference
 //! (`forward_full`).
 
-use crate::attention::Attention;
+use crate::attention::{Attention, TreeRows};
 use crate::cache::{KvCache, KvLayerMut};
 use crate::layers::{Embedding, Linear, RmsNorm};
 use crate::quant::KernelPolicy;
@@ -152,7 +152,8 @@ impl DecoderBlock {
 
     /// Fused workspace path: one normed-scratch buffer serves both
     /// sub-layers and each sub-layer accumulates into `x` directly, so the
-    /// residual stream is never copied.
+    /// residual stream is never copied. `tree` goes to the attention
+    /// sub-layer only (norms and MLP are per-row and position-free).
     pub fn forward_infer_ws(
         &self,
         x: &mut [f32],
@@ -160,6 +161,7 @@ impl DecoderBlock {
         rope: &Rope,
         cache: KvLayerMut<'_>,
         ws: &mut Workspace,
+        tree: Option<&mut TreeRows<'_>>,
     ) {
         let dim = self.attn_norm.gain.len();
         let mut h = ws.take(t * dim);
@@ -167,51 +169,7 @@ impl DecoderBlock {
         let span = ws.prof.begin();
         self.attn_norm.forward_into(x, t, &mut h);
         ws.prof.end(span, Op::RmsNorm);
-        self.attn.forward_infer_ws(&h, t, rope, cache, ws, x);
-
-        let span = ws.prof.begin();
-        self.mlp_norm.forward_into(x, t, &mut h);
-        ws.prof.end(span, Op::RmsNorm);
-        self.mlp.forward_ws(&h, t, ws, x);
-
-        ws.give(h);
-    }
-
-    /// Tree-verify variant of [`DecoderBlock::forward_infer_ws`]: identical
-    /// structure, with the attention sub-layer routed through
-    /// [`Attention::forward_infer_tree_ws`] (norms and MLP are per-row and
-    /// position-free, so they need no tree awareness).
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward_infer_tree_ws(
-        &self,
-        x: &mut [f32],
-        t: usize,
-        rope: &Rope,
-        cache: KvLayerMut<'_>,
-        ws: &mut Workspace,
-        depths: &[usize],
-        vis: &[u64],
-        vis_boundary: usize,
-        vis_mass: &mut [f32],
-    ) {
-        let dim = self.attn_norm.gain.len();
-        let mut h = ws.take(t * dim);
-
-        let span = ws.prof.begin();
-        self.attn_norm.forward_into(x, t, &mut h);
-        ws.prof.end(span, Op::RmsNorm);
-        self.attn.forward_infer_tree_ws(
-            &h,
-            t,
-            rope,
-            cache,
-            ws,
-            x,
-            depths,
-            vis,
-            vis_boundary,
-            vis_mass,
-        );
+        self.attn.forward_infer_ws(&h, t, rope, cache, ws, x, tree);
 
         let span = ws.prof.begin();
         self.mlp_norm.forward_into(x, t, &mut h);
@@ -321,94 +279,69 @@ impl Decoder {
         ws: &mut Workspace,
         logits: &mut [f32],
     ) {
-        let t = tokens.len();
-        assert!(!tokens.is_empty(), "empty token block");
-        assert!(
-            cache.len() + t <= self.cfg.max_seq.min(cache.capacity()),
-            "sequence exceeds cache capacity = {}",
-            self.cfg.max_seq.min(cache.capacity())
-        );
-        assert_eq!(logits.len(), t * self.cfg.vocab);
-
-        let mut x = ws.take(t * self.cfg.dim);
-        let span = ws.prof.begin();
-        self.embed.forward_into(tokens, &mut x);
-        ws.prof.end(span, Op::Embed);
-
-        self.infer_tail_ws(x, t, cache, ws, logits);
+        self.infer_tokens_ws(tokens, cache, ws, logits, None);
     }
 
-    /// Tree-verify forward: `tokens` is a **flattened token tree** (row `i`
-    /// at depth `depths[i]`, ancestor bitmask `vis[i]`, self bit included)
-    /// appended after the cached prefix; logits row `i` is the next-token
-    /// distribution conditioned on exactly `i`'s root path. Every row of an
-    /// entire speculation tree is scored in this ONE weight pass — commit
-    /// the accepted root-to-leaf path with [`KvCache::gather_tail`].
+    /// Prefill on the fused path: feed `prompt` and return the greedy next
+    /// token (the argmax of the last logits row) — the first *pending*
+    /// token of a decode session over `cache`.
+    pub fn prefill_ws(&self, prompt: &[u32], cache: &mut KvCache, ws: &mut Workspace) -> u32 {
+        let vocab = self.cfg.vocab;
+        let mut logits = ws.take(prompt.len() * vocab);
+        self.forward_infer_ws(prompt, cache, ws, &mut logits);
+        let next = argmax(&logits[(prompt.len() - 1) * vocab..]) as u32;
+        ws.give(logits);
+        next
+    }
+
+    /// Tree-verify forward: `tokens` is a **flattened token tree** described
+    /// by `rows` (row `i` at depth `depths[i]`, ancestor bitmask `vis[i]`,
+    /// self bit included) appended after the cached prefix; logits row `i`
+    /// is the next-token distribution conditioned on exactly `i`'s root
+    /// path. Every row of an entire speculation tree is scored in this ONE
+    /// weight pass — commit the accepted root-to-leaf path with
+    /// [`KvCache::gather_tail`].
     ///
-    /// `vis_mass[i]` receives row `i`'s attention mass on cache positions
-    /// `0..vis_boundary` (the vision prefix), averaged over heads and
-    /// layers — the modality feature the acceptance calibrator consumes
-    /// (pass `vis_boundary = 0` to skip). A chain (`depths[i] == i`, full
-    /// visibility) reproduces [`Decoder::forward_infer_ws`] bit for bit.
-    #[allow(clippy::too_many_arguments)]
+    /// `rows.vis_mass[i]` receives row `i`'s attention mass on cache
+    /// positions `0..vis_boundary` (the vision prefix), averaged over heads
+    /// and layers. A chain (`depths[i] == i`, full visibility) reproduces
+    /// [`Decoder::forward_infer_ws`] bit for bit.
     pub fn forward_infer_tree_ws(
         &self,
         tokens: &[u32],
-        depths: &[usize],
-        vis: &[u64],
-        vis_boundary: usize,
         cache: &mut KvCache,
         ws: &mut Workspace,
         logits: &mut [f32],
-        vis_mass: &mut [f32],
+        mut rows: TreeRows<'_>,
     ) {
         let t = tokens.len();
-        assert!(!tokens.is_empty(), "empty token tree");
-        assert_eq!(depths.len(), t);
-        assert_eq!(vis.len(), t);
-        assert_eq!(vis_mass.len(), t);
-        assert!(
-            cache.len() + t <= self.cfg.max_seq.min(cache.capacity()),
-            "tree exceeds cache capacity = {}",
-            self.cfg.max_seq.min(cache.capacity())
-        );
-        assert_eq!(logits.len(), t * self.cfg.vocab);
+        assert_eq!(rows.depths.len(), t);
+        assert_eq!(rows.vis.len(), t);
+        assert_eq!(rows.vis_mass.len(), t);
+        rows.vis_mass.fill(0.0);
+        self.infer_tokens_ws(tokens, cache, ws, logits, Some(&mut rows));
+        let inv_layers = 1.0 / self.blocks.len() as f32;
+        for m in rows.vis_mass.iter_mut() {
+            *m *= inv_layers;
+        }
+    }
 
+    /// Embed `tokens`, then the shared tail.
+    fn infer_tokens_ws(
+        &self,
+        tokens: &[u32],
+        cache: &mut KvCache,
+        ws: &mut Workspace,
+        logits: &mut [f32],
+        tree: Option<&mut TreeRows<'_>>,
+    ) {
+        let t = tokens.len();
+        assert!(!tokens.is_empty(), "empty token block");
         let mut x = ws.take(t * self.cfg.dim);
         let span = ws.prof.begin();
         self.embed.forward_into(tokens, &mut x);
         ws.prof.end(span, Op::Embed);
-
-        vis_mass.fill(0.0);
-        for (l, block) in self.blocks.iter().enumerate() {
-            block.forward_infer_tree_ws(
-                &mut x,
-                t,
-                &self.rope,
-                cache.layer_mut(l),
-                ws,
-                depths,
-                vis,
-                vis_boundary,
-                vis_mass,
-            );
-        }
-        let inv_layers = 1.0 / self.blocks.len() as f32;
-        for m in vis_mass.iter_mut() {
-            *m *= inv_layers;
-        }
-
-        let mut xn = ws.take(t * self.cfg.dim);
-        let span = ws.prof.begin();
-        self.final_norm.forward_into(&x, t, &mut xn);
-        ws.prof.end(span, Op::RmsNorm);
-
-        let span = ws.prof.begin();
-        self.lm_head.forward_rows_into_ws(&xn, t, ws, logits);
-        ws.prof.end(span, Op::LmHead);
-
-        ws.give(x);
-        ws.give(xn);
+        self.infer_tail_ws(x, t, cache, ws, logits, tree);
     }
 
     /// Fused forward over **pre-computed embedding rows** instead of token
@@ -427,20 +360,14 @@ impl Decoder {
     ) {
         assert!(t > 0, "empty embedding block");
         assert_eq!(x.len(), t * self.cfg.dim);
-        assert!(
-            cache.len() + t <= self.cfg.max_seq.min(cache.capacity()),
-            "sequence exceeds cache capacity = {}",
-            self.cfg.max_seq.min(cache.capacity())
-        );
-        assert_eq!(logits.len(), t * self.cfg.vocab);
         let mut buf = ws.take(t * self.cfg.dim);
         buf.copy_from_slice(x);
-        self.infer_tail_ws(buf, t, cache, ws, logits);
+        self.infer_tail_ws(buf, t, cache, ws, logits, None);
     }
 
-    /// Shared post-embedding body of the fused forwards: blocks → final
-    /// norm → LM head. Takes ownership of the pooled `[t, dim]` activation
-    /// buffer and returns it to the pool.
+    /// Shared post-embedding body of the fused forwards: capacity checks →
+    /// blocks → final norm → LM head. Takes ownership of the pooled
+    /// `[t, dim]` activation buffer and returns it to the pool.
     fn infer_tail_ws(
         &self,
         mut x: Vec<f32>,
@@ -448,9 +375,17 @@ impl Decoder {
         cache: &mut KvCache,
         ws: &mut Workspace,
         logits: &mut [f32],
+        mut tree: Option<&mut TreeRows<'_>>,
     ) {
+        assert!(
+            cache.len() + t <= self.cfg.max_seq.min(cache.capacity()),
+            "sequence exceeds cache capacity = {}",
+            self.cfg.max_seq.min(cache.capacity())
+        );
+        assert_eq!(logits.len(), t * self.cfg.vocab);
         for (l, block) in self.blocks.iter().enumerate() {
-            block.forward_infer_ws(&mut x, t, &self.rope, cache.layer_mut(l), ws);
+            let tree = tree.as_deref_mut();
+            block.forward_infer_ws(&mut x, t, &self.rope, cache.layer_mut(l), ws, tree);
         }
 
         let mut xn = ws.take(t * self.cfg.dim);
@@ -878,9 +813,13 @@ mod tests {
         let depths: Vec<usize> = (0..t).collect();
         let vis: Vec<u64> = (0..t).map(|i| (1u64 << (i + 1)) - 1).collect();
         let mut mass = vec![0.0f32; t];
-        model.forward_infer_tree_ws(
-            &chain, &depths, &vis, 0, &mut tree, &mut ws, &mut lb, &mut mass,
-        );
+        let rows = TreeRows {
+            depths: &depths,
+            vis: &vis,
+            vis_boundary: 0,
+            vis_mass: &mut mass,
+        };
+        model.forward_infer_tree_ws(&chain, &mut tree, &mut ws, &mut lb, rows);
         let ab: Vec<u32> = la.iter().map(|v| v.to_bits()).collect();
         let bb: Vec<u32> = lb.iter().map(|v| v.to_bits()).collect();
         assert_eq!(ab, bb, "chain tree logits must equal linear bitwise");
@@ -928,16 +867,13 @@ mod tests {
         let base = tree_cache.len();
         let mut tl = vec![0.0f32; 6 * vocab];
         let mut mass = vec![0.0f32; 6];
-        model.forward_infer_tree_ws(
-            &toks,
-            &depths,
-            &vis,
-            3,
-            &mut tree_cache,
-            &mut ws,
-            &mut tl,
-            &mut mass,
-        );
+        let rows = TreeRows {
+            depths: &depths,
+            vis: &vis,
+            vis_boundary: 3,
+            vis_mass: &mut mass,
+        };
+        model.forward_infer_tree_ws(&toks, &mut tree_cache, &mut ws, &mut tl, rows);
         assert!(
             mass.iter().all(|&m| m > 0.0 && m < 1.0),
             "bad mass {mass:?}"
@@ -967,9 +903,13 @@ mod tests {
                 model.forward_infer_ws(&prefix, &mut c, &mut ws, &mut scratch);
                 let mut l2 = vec![0.0f32; 6 * vocab];
                 let mut m2 = vec![0.0f32; 6];
-                model.forward_infer_tree_ws(
-                    &toks, &depths, &vis, 3, &mut c, &mut ws, &mut l2, &mut m2,
-                );
+                let rows = TreeRows {
+                    depths: &depths,
+                    vis: &vis,
+                    vis_boundary: 3,
+                    vis_mass: &mut m2,
+                };
+                model.forward_infer_tree_ws(&toks, &mut c, &mut ws, &mut l2, rows);
                 c
             };
             committed.gather_tail(base, &path);

@@ -28,10 +28,13 @@
 //!   produce bit-identical session state, so caching can never change a
 //!   token stream, only its latency.
 //! * **Scheduler** — [`Engine::tick`] refills free slots from the queue,
-//!   then advances every active session one speculative block (or one AR
-//!   token), round-robin across `cfg.workers` scoped threads. Sessions own
-//!   their leases and scratch, so worker count changes interleaving but
-//!   never tokens (pinned by the root determinism test).
+//!   then advances every active session one step: prefill on its first
+//!   turn, afterwards one speculative block (or one AR token). Every slot
+//!   sits behind its own lock and holds one session of whichever kind
+//!   `cfg.speculation` names ([`Speculation`]), so there is one admission
+//!   path, one publish-and-account step and one completion path for all of
+//!   them. Sessions own their leases and scratch, so worker count changes
+//!   interleaving but never tokens (pinned by the root determinism test).
 //! * **Adaptive γ** — with `cfg.adaptive_gamma`, every speculative session
 //!   carries an [`AdaptiveGamma`] controller that re-picks its depth each
 //!   block from its own running acceptance rate. Greedy verification is
@@ -50,21 +53,25 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
-use aasd_nn::{Decoder, KernelPolicy, KvCache, KvPool};
+use aasd_nn::{Decoder, KvCache, KvPool};
 use aasd_specdec::{
-    AcceptanceCalibrator, AdaptiveGamma, ArSession, DraftAhead, DraftStep, SpecSession, SpscRing,
-    TreeConfig, TreeSession, VerifyHalf, CONFIDENCE_STOP, MAX_GAMMA,
+    AcceptanceCalibrator, AdaptiveGamma, ArSession, Session, SpecSession, StepReport, TreeConfig,
+    TreeSession, VerifyHalf, MAX_GAMMA,
 };
-use aasd_tensor::{argmax, Rng, Tensor, Workspace};
+use aasd_tensor::{Rng, Tensor, Workspace};
 
 use crate::metrics::Metrics;
+use crate::pipelined::{DraftLink, Pipelined};
 use crate::request::{DecodeMode, Request, RequestHandle, RequestId, Status};
 
-/// Upper bound on waiting for a draft thread to acknowledge `stop` before
-/// detaching it. `notify_draft` bumps the park generation, so a parked
-/// draft wakes immediately and real joins complete in microseconds; the
-/// bound only guards against a wedged thread.
+/// Upper bound on waiting for a pipelined session's draft thread to
+/// acknowledge `stop` before detaching it; it only guards against a wedged
+/// thread (see [`Pipelined::stop`]).
 const DRAFT_JOIN_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// Terminal request handles the engine keeps pollable by id; older ids
+/// answer as unknown. Non-terminal handles are always kept.
+const RETAINED_FINISHED: usize = 1024;
 
 /// The model bundle an engine serves. One engine serves one family; the
 /// text and multimodal paths differ only in prefill and draft-cache
@@ -94,18 +101,13 @@ impl EngineModel {
     }
 
     fn draft(&self) -> &Decoder {
-        match self {
-            EngineModel::Text { draft, .. } | EngineModel::Multimodal { draft, .. } => draft,
-        }
+        self.draft_arc()
     }
 
-    /// Owning handle to the draft model, for threads that outlive a
-    /// borrow (the pipeline's per-session draft workers).
-    fn draft_arc(&self) -> Arc<Decoder> {
+    /// The owning handle, for the pipelined sessions' draft threads.
+    fn draft_arc(&self) -> &Arc<Decoder> {
         match self {
-            EngineModel::Text { draft, .. } | EngineModel::Multimodal { draft, .. } => {
-                Arc::clone(draft)
-            }
+            EngineModel::Text { draft, .. } | EngineModel::Multimodal { draft, .. } => draft,
         }
     }
 
@@ -138,6 +140,26 @@ impl EngineModel {
     }
 }
 
+/// How speculative requests are decoded. Every variant is lossless — a
+/// served stream equals the autoregressive reference — so the choice moves
+/// throughput, TTFT and the per-block statistics only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Speculation {
+    /// γ-token chain per block ([`SpecSession`]) — the property-tested
+    /// reference and the shape the paper uses.
+    #[default]
+    Chain,
+    /// Token tree per block ([`TreeSession`]): branching factor 2 behind
+    /// the neutral acceptance calibrator, scored in one tree-attention
+    /// target pass, longest accepted root-to-leaf path committed.
+    Tree,
+    /// Asynchronous draft/target pipeline: every speculative session gets
+    /// a dedicated draft thread free-running ahead through a lock-free
+    /// SPSC ring while `workers` free-running target threads verify and
+    /// commit ([`VerifyHalf`]) with no per-tick barrier.
+    Pipelined,
+}
+
 /// Scheduler/admission knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -145,19 +167,14 @@ pub struct EngineConfig {
     /// longer scales with this alone — sessions lease KV blocks from the
     /// shared pools, so many short requests fit where few long ones would.
     pub slots: usize,
-    /// Worker threads a tick fans sessions across (`std::thread::scope`).
-    /// 1 steps every session inline with zero spawn overhead.
+    /// Target-side threads: a tick fans its sessions across this many
+    /// scoped threads (1 steps every session inline with zero spawn
+    /// overhead); under [`Speculation::Pipelined`] it is the number of
+    /// free-running scheduler loops instead.
     pub workers: usize,
     /// Admission cap: a submit that would push the queue past this is
     /// rejected with [`Rejection::Busy`].
     pub max_queue: usize,
-    /// Kernel family the **target** model's fused decode path must be
-    /// running (the draft may differ — policies are per model). The engine
-    /// holds its models behind `Arc`, so the policy is applied by the model
-    /// owner before construction; [`Engine::new`] asserts the model matches
-    /// this declaration so a config typo cannot silently serve the wrong
-    /// kernels.
-    pub kernel_policy: KernelPolicy,
     /// Positions per KV block in both pools.
     pub block_size: usize,
     /// Target-pool arena size in blocks; 0 = auto (`slots` full-length
@@ -174,24 +191,8 @@ pub struct EngineConfig {
     /// session but stops being a fixed depth. Off by default so existing
     /// deployments keep byte-identical performance profiles.
     pub adaptive_gamma: bool,
-    /// Run the asynchronous draft/target pipeline instead of the
-    /// round-robin tick scheduler: every speculative session gets a
-    /// dedicated draft thread that free-runs ahead through a lock-free
-    /// SPSC ring while `workers` target threads verify and commit
-    /// ([`Engine::run_pipeline`]). Commit authority stays with the verify
-    /// leg, so served streams are byte-identical to the synchronous path;
-    /// only throughput, TTFT, and the per-block statistics change. Off by
-    /// default — the tick scheduler remains the reference.
-    pub async_pipeline: bool,
-    /// Serve speculative requests with **tree-structured** speculation
-    /// ([`TreeSession`]): the draft grows a token tree (branching factor 2,
-    /// neutral acceptance calibrator), the target scores it in one
-    /// tree-attention pass, and the longest accepted root-to-leaf path is
-    /// committed. Lossless — served streams still equal the AR reference —
-    /// but the per-block statistics change, so it is off by default (the
-    /// linear session stays the property-tested reference). Sync scheduler
-    /// only; incompatible with `async_pipeline`.
-    pub tree_speculation: bool,
+    /// What a speculative request runs as; the chain by default.
+    pub speculation: Speculation,
 }
 
 impl Default for EngineConfig {
@@ -200,14 +201,12 @@ impl Default for EngineConfig {
             slots: 4,
             workers: 1,
             max_queue: 64,
-            kernel_policy: KernelPolicy::F32,
             block_size: 16,
             t_pool_blocks: 0,
             d_pool_blocks: 0,
             vision_cache_entries: 8,
             adaptive_gamma: false,
-            async_pipeline: false,
-            tree_speculation: false,
+            speculation: Speculation::Chain,
         }
     }
 }
@@ -236,9 +235,29 @@ enum Phase {
     /// Admitted but not yet prefilled; prefill happens on the slot's first
     /// scheduling turn so TTFT honestly includes queue wait + prefill.
     Prefill(Request),
-    Spec(SpecSession),
-    Tree(TreeSession),
-    Ar(ArSession),
+    /// Stepped inline by the scheduler: AR, chain or tree.
+    Inline(Session),
+    /// Verify half stepped by the scheduler, draft on its own thread.
+    Pipelined(Pipelined),
+}
+
+impl Phase {
+    /// Tokens the session has committed so far.
+    fn tokens(&self) -> &[u32] {
+        match self {
+            Phase::Prefill(_) => &[],
+            Phase::Inline(s) => s.tokens(),
+            Phase::Pipelined(p) => p.verify.tokens(),
+        }
+    }
+
+    fn is_done(&self) -> bool {
+        match self {
+            Phase::Prefill(_) => false,
+            Phase::Inline(s) => s.is_done(),
+            Phase::Pipelined(p) => p.verify.is_done(),
+        }
+    }
 }
 
 /// How the session's vision prefix gets into its target cache.
@@ -261,136 +280,17 @@ struct Active {
     /// session's output).
     published: usize,
     t_cache: KvCache,
-    /// Present for speculative sessions only.
+    /// Present for speculative sessions only; a pipelined session moves it
+    /// into its draft thread, whose exit releases it.
     d_cache: Option<KvCache>,
     vision: VisionPlan,
 }
 
-/// One scheduler slot: scratch allocated once; the KV leases travel with
-/// the [`Active`] session, not the slot.
+/// One scheduler slot behind its own lock: scratch allocated once; the KV
+/// leases travel with the [`Active`] session, not the slot.
 struct Slot {
     ws: Workspace,
     active: Option<Active>,
-}
-
-/// Wake-up channel for the async pipeline: target workers park here when
-/// a full sweep makes no progress; submits, draft production, and session
-/// completion all notify.
-struct PipeSignal {
-    lock: Mutex<()>,
-    cv: Condvar,
-}
-
-impl PipeSignal {
-    fn new() -> Self {
-        Self {
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn notify(&self) {
-        let _g = self.lock.lock().unwrap();
-        self.cv.notify_all();
-    }
-
-    fn wait(&self, timeout: Duration) {
-        let g = self.lock.lock().unwrap();
-        let _ = self.cv.wait_timeout(g, timeout).unwrap();
-    }
-}
-
-/// Everything a session's draft thread shares with the verify side: the
-/// token ring plus control plane. The verify leg owns `depth_cap` (it
-/// re-publishes its depth hint each block) and `stop`; the draft thread
-/// owns `exited`.
-struct DraftLink {
-    ring: SpscRing,
-    stop: AtomicBool,
-    depth_cap: AtomicUsize,
-    exited: AtomicBool,
-    /// True while the draft is parked at the depth cap / KV capacity —
-    /// it cannot deepen the chain, so the verify leg should consume
-    /// whatever depth the ring holds instead of waiting for more.
-    stalled: AtomicBool,
-    /// Park point for the draft thread, an eventcount: the draft samples
-    /// the generation before re-checking its condition (a `step` call)
-    /// and sleeps only if no notify landed in between, so wakeups cannot
-    /// be lost and the sleep needs **no timeout** — a parked draft costs
-    /// zero context switches until verify pops, rolls back, or stops it.
-    park: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl DraftLink {
-    fn new(depth_cap: usize) -> Self {
-        Self {
-            ring: SpscRing::new(MAX_GAMMA),
-            stop: AtomicBool::new(false),
-            depth_cap: AtomicUsize::new(depth_cap),
-            exited: AtomicBool::new(false),
-            stalled: AtomicBool::new(false),
-            park: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    fn notify_draft(&self) {
-        *self.park.lock().unwrap() += 1;
-        self.cv.notify_all();
-    }
-
-    /// Generation to sample before checking whether to park.
-    fn park_generation(&self) -> u64 {
-        *self.park.lock().unwrap()
-    }
-
-    /// Sleep until the generation moves past `seen` (i.e. a notify that
-    /// the sampled condition check could not have observed).
-    fn park_until_notified(&self, seen: u64) {
-        let mut gen = self.park.lock().unwrap();
-        while *gen == seen && !self.stop.load(Ordering::Acquire) {
-            gen = self.cv.wait(gen).unwrap();
-        }
-    }
-}
-
-/// The decode state machine an async slot is driving. Speculative
-/// sessions with ≥ 3 tokens of budget carry a live draft thread; smaller
-/// budgets never need a proposal (pending commit + at most one plain
-/// decode), so none is spawned.
-enum AsyncPhase {
-    Prefill(Request),
-    Spec {
-        verify: VerifyHalf,
-        link: Arc<DraftLink>,
-        draft_join: Option<std::thread::JoinHandle<()>>,
-    },
-    Ar(ArSession),
-}
-
-/// An admitted request in the async pipeline. The target lease stays
-/// here; the draft lease moves into the draft thread when one is spawned
-/// (and is released by that thread's exit).
-struct AsyncActive {
-    handle: Arc<RequestHandle>,
-    phase: AsyncPhase,
-    published: usize,
-    t_cache: KvCache,
-    /// Draft lease between admission and draft-thread spawn (and for the
-    /// no-thread budgets, until completion).
-    d_cache: Option<KvCache>,
-    vision: VisionPlan,
-    /// Idle-stall edge detector: counts transitions, not poll iterations.
-    was_idle: bool,
-}
-
-/// One async pipeline slot: a mutex instead of the sync scheduler's
-/// whole-vector lock, so free-running workers claim sessions
-/// independently (`try_lock` skips slots another worker is stepping).
-struct AsyncSlot {
-    ws: Workspace,
-    active: Option<AsyncActive>,
 }
 
 /// A request waiting for blocks: no leases held while queued.
@@ -402,11 +302,23 @@ struct Queued {
 struct QueueState {
     queue: VecDeque<Queued>,
     next_id: RequestId,
-    /// Every admitted request's handle, kept for the engine's lifetime so
-    /// clients can poll by id after completion (the handle is a few dozen
-    /// bytes plus the token vector; an engine serving a bounded bench run
-    /// never accumulates enough to matter).
+    /// Handles by id so wire-protocol clients can poll: every non-terminal
+    /// request plus the [`RETAINED_FINISHED`] most recently finished ones.
     handles: HashMap<RequestId, Arc<RequestHandle>>,
+    /// Ids in the order they reached a terminal state, oldest first.
+    finished: VecDeque<RequestId>,
+}
+
+impl QueueState {
+    /// Record that `id` reached a terminal state and forget the oldest
+    /// finished handle once more than [`RETAINED_FINISHED`] are held.
+    fn retire(&mut self, id: RequestId) {
+        self.finished.push_back(id);
+        if self.finished.len() > RETAINED_FINISHED {
+            let oldest = self.finished.pop_front().expect("len checked above");
+            self.handles.remove(&oldest);
+        }
+    }
 }
 
 /// One cached image: the target's vision-prefix blocks (shared CoW into
@@ -482,16 +394,15 @@ pub struct Engine {
     d_pool: KvPool,
     vision_cache: Mutex<VisionCache>,
     qstate: Mutex<QueueState>,
-    /// Held for the whole of a tick; submit/poll/cancel never take it.
-    slots: Mutex<Vec<Slot>>,
-    work_cv: Condvar,
-    /// Async-pipeline slots (`cfg.async_pipeline`); per-slot locks so
-    /// free-running workers step disjoint sessions without a global lock.
-    pslots: Vec<Mutex<AsyncSlot>>,
-    /// Occupied async slots; admission bumps it under the qstate lock so
-    /// the until-idle exit check cannot race a queue→slot transfer.
-    pipe_active: AtomicUsize,
-    pipe_signal: Arc<PipeSignal>,
+    /// Per-slot locks: a scheduler thread holds one only while stepping
+    /// that session; submit/poll/cancel never take any.
+    slots: Vec<Mutex<Slot>>,
+    /// Occupied slots; admission bumps it under the qstate lock so the
+    /// until-idle exit check cannot race a queue→slot transfer.
+    active: AtomicUsize,
+    /// Wakes an idle scheduler (paired with the qstate lock): submits, a
+    /// pipelined draft reaching its depth, and session completion notify.
+    work_cv: Arc<Condvar>,
 }
 
 impl Engine {
@@ -499,15 +410,6 @@ impl Engine {
         assert!(cfg.slots >= 1, "engine needs at least one slot");
         assert!(cfg.workers >= 1, "engine needs at least one worker");
         assert!(cfg.block_size >= 1, "block_size must be >= 1");
-        assert!(
-            !(cfg.tree_speculation && cfg.async_pipeline),
-            "tree_speculation runs on the sync scheduler only"
-        );
-        assert_eq!(
-            model.target_lm().kernel_policy(),
-            cfg.kernel_policy,
-            "target model kernel policy does not match the engine config"
-        );
         let bs = cfg.block_size;
         let vision_blocks = if matches!(model, EngineModel::Multimodal { .. }) {
             cfg.vision_cache_entries * model.n_img().div_ceil(bs).max(1)
@@ -530,14 +432,8 @@ impl Engine {
         let t_pool = KvPool::new(target.cfg.n_layers, target.cfg.dim, bs, t_blocks);
         let d_pool = KvPool::new(draft.cfg.n_layers, draft.cfg.dim, bs, d_blocks);
         let slots = (0..cfg.slots)
-            .map(|_| Slot {
-                ws: Workspace::new(),
-                active: None,
-            })
-            .collect();
-        let pslots = (0..cfg.slots)
             .map(|_| {
-                Mutex::new(AsyncSlot {
+                Mutex::new(Slot {
                     ws: Workspace::new(),
                     active: None,
                 })
@@ -554,30 +450,27 @@ impl Engine {
                 queue: VecDeque::new(),
                 next_id: 1,
                 handles: HashMap::new(),
+                finished: VecDeque::new(),
             }),
-            slots: Mutex::new(slots),
-            work_cv: Condvar::new(),
-            pslots,
-            pipe_active: AtomicUsize::new(0),
-            pipe_signal: Arc::new(PipeSignal::new()),
+            slots,
+            active: AtomicUsize::new(0),
+            work_cv: Arc::new(Condvar::new()),
         });
+        engine.publish_pool_gauges();
         engine
-            .metrics
+    }
+
+    fn publish_pool_gauges(&self) {
+        self.metrics
             .kv_free_blocks_target
-            .set(engine.t_pool.free_blocks() as u64);
-        engine
-            .metrics
+            .set(self.t_pool.free_blocks() as u64);
+        self.metrics
             .kv_free_blocks_draft
-            .set(engine.d_pool.free_blocks() as u64);
-        engine
+            .set(self.d_pool.free_blocks() as u64);
     }
 
     pub fn metrics(&self) -> &Arc<Metrics> {
         &self.metrics
-    }
-
-    pub fn config(&self) -> &EngineConfig {
-        &self.cfg
     }
 
     /// Validate + admit a request. Returns the handle clients poll.
@@ -603,45 +496,29 @@ impl Engine {
         self.metrics.queue_depth.set(q.queue.len() as u64);
         drop(q);
         self.work_cv.notify_all();
-        self.pipe_signal.notify();
         Ok(handle)
     }
 
     /// Size the leases a request needs; assumes the request validated.
     fn lease_plan(&self, req: &Request) -> LeasePlan {
-        let target = self.model.target_lm();
-        let draft = self.model.draft();
         let t_prefix = self.model.n_img() + req.prompt.len();
-        match req.mode {
-            DecodeMode::Autoregressive => {
-                let budget = req.max_new.min(target.cfg.max_seq + 1 - t_prefix);
-                LeasePlan {
-                    t_prefix,
-                    d_prefix: 0,
-                    budget,
-                    t_capacity: t_prefix + budget - 1,
-                    d_capacity: None,
-                }
-            }
-            DecodeMode::Speculative { .. } => {
-                let drop_text = match &self.model {
-                    EngineModel::Text { .. } => false,
-                    EngineModel::Multimodal { ablation, .. } => ablation.drop_text_kv,
-                };
-                let d_prefix =
-                    self.model.d_vision_prefix() + if drop_text { 0 } else { req.prompt.len() };
-                let budget = req
-                    .max_new
-                    .min(target.cfg.max_seq + 1 - t_prefix)
-                    .min(draft.cfg.max_seq + 1 - d_prefix);
-                LeasePlan {
-                    t_prefix,
-                    d_prefix,
-                    budget,
-                    t_capacity: t_prefix + budget - 1,
-                    d_capacity: Some(d_prefix + budget - 1),
-                }
-            }
+        let mut budget = req
+            .max_new
+            .min(self.model.target_lm().cfg.max_seq + 1 - t_prefix);
+        let d_prefix = matches!(req.mode, DecodeMode::Speculative { .. }).then(|| {
+            let drop_text = matches!(&self.model,
+                EngineModel::Multimodal { ablation, .. } if ablation.drop_text_kv);
+            self.model.d_vision_prefix() + if drop_text { 0 } else { req.prompt.len() }
+        });
+        if let Some(d_prefix) = d_prefix {
+            budget = budget.min(self.model.draft().cfg.max_seq + 1 - d_prefix);
+        }
+        LeasePlan {
+            t_prefix,
+            d_prefix: d_prefix.unwrap_or(0),
+            budget,
+            t_capacity: t_prefix + budget - 1,
+            d_capacity: d_prefix.map(|d| d + budget - 1),
         }
     }
 
@@ -661,32 +538,25 @@ impl Engine {
         if let Some(&t) = req.prompt.iter().find(|&&t| t >= vocab) {
             return Err(format!("prompt token {t} outside vocab {vocab}"));
         }
+        match (&self.model, req.image_seed) {
+            (EngineModel::Text { .. }, Some(_)) => {
+                return Err("image_seed on a text-only engine".into());
+            }
+            (EngineModel::Multimodal { .. }, None) => {
+                return Err("multimodal engine requires image_seed".into());
+            }
+            _ => {}
+        }
         // The committed prefix the prompt occupies in each cache; every
         // request must leave at least one token of decode room. The draft
         // bound stays conservative (full n_img prefix) so admission does
         // not depend on the ablation switches.
-        let (t_prefix, d_prefix) = match &self.model {
-            EngineModel::Text { .. } => {
-                if req.image_seed.is_some() {
-                    return Err("image_seed on a text-only engine".into());
-                }
-                (req.prompt.len(), req.prompt.len())
-            }
-            EngineModel::Multimodal { model, .. } => {
-                if req.image_seed.is_none() {
-                    return Err("multimodal engine requires image_seed".into());
-                }
-                (
-                    model.n_img() + req.prompt.len(),
-                    model.n_img() + req.prompt.len(),
-                )
-            }
-        };
-        if t_prefix > self.model.target_lm().cfg.max_seq {
+        let prefix = self.model.n_img() + req.prompt.len();
+        if prefix > self.model.target_lm().cfg.max_seq {
             return Err("prompt exceeds target context window".into());
         }
         if matches!(req.mode, DecodeMode::Speculative { .. })
-            && d_prefix > self.model.draft().cfg.max_seq
+            && prefix > self.model.draft().cfg.max_seq
         {
             return Err("prompt exceeds draft context window".into());
         }
@@ -733,141 +603,219 @@ impl Engine {
         true
     }
 
-    /// One scheduling round; returns true if any session advanced (work was
-    /// done). Not re-entrant — the slots mutex serializes concurrent ticks.
+    /// One scheduling round: refill free slots from the queue, then step
+    /// every occupied slot once, fanned over `cfg.workers` scoped threads.
+    /// Returns true if any session advanced. Under
+    /// [`Speculation::Pipelined`] the calling thread is one of `workers`
+    /// free-running loops, so it sweeps alone and skips slots another loop
+    /// is stepping.
     pub fn tick(&self) -> bool {
-        let mut slots = self.slots.lock().unwrap();
-        self.refill(&mut slots);
-        let active = slots.iter().filter(|s| s.active.is_some()).count();
-        self.metrics.active_sessions.set(active as u64);
+        self.refill();
+        let active = self.active.load(Ordering::Acquire);
         if active == 0 {
             return false;
         }
-        self.metrics.scheduler_ticks.inc();
-        let workers = self.cfg.workers.min(active);
-        if workers <= 1 {
-            for slot in slots.iter_mut() {
-                self.step_slot(slot);
+        let cursor = AtomicUsize::new(0);
+        let progressed = AtomicBool::new(false);
+        let sweep = || {
+            let mut wakes: Vec<Arc<DraftLink>> = Vec::new();
+            while let Some(slot) = self.slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                let Ok(mut slot) = slot.try_lock() else {
+                    continue;
+                };
+                if self.step_slot(&mut slot, &mut wakes) {
+                    progressed.store(true, Ordering::Relaxed);
+                }
             }
+            if !wakes.is_empty() {
+                // Draft wakeups deferred out of the sweep: waking a draft
+                // mid-sweep invites it to preempt the next session's
+                // target pass (and trash its cache working set) on a
+                // single-core host. Notify here, then yield once so every
+                // woken draft refills its ring before the next sweep.
+                for link in wakes {
+                    link.notify_draft();
+                }
+                std::thread::yield_now();
+            }
+        };
+        let fan_out = match self.cfg.speculation {
+            Speculation::Pipelined => 1,
+            _ => self.cfg.workers.min(active),
+        };
+        if fan_out <= 1 {
+            sweep();
         } else {
-            // Round-robin the occupied slots across scoped workers. Shards
-            // own disjoint &mut Slot sets; the models/metrics are shared
-            // read-only/atomic, so this is data-race-free by construction.
-            let mut shards: Vec<Vec<&mut Slot>> = (0..workers).map(|_| Vec::new()).collect();
-            for (i, slot) in slots.iter_mut().filter(|s| s.active.is_some()).enumerate() {
-                shards[i % workers].push(slot);
-            }
+            // The cursor hands each occupied slot to exactly one worker;
+            // models and metrics are shared read-only/atomic.
             std::thread::scope(|scope| {
-                for shard in shards {
-                    scope.spawn(move || {
-                        for slot in shard {
-                            self.step_slot(slot);
-                        }
-                    });
+                for _ in 0..fan_out {
+                    scope.spawn(sweep);
                 }
             });
         }
-        true
+        let progressed = progressed.into_inner();
+        if progressed {
+            self.metrics.scheduler_ticks.inc();
+        }
+        progressed
     }
 
-    /// Drive the engine until queue and slots are empty (synchronous mode,
-    /// used by benches and tests; the server runs [`Engine::tick`] on a
-    /// scheduler thread instead). With `cfg.async_pipeline` this runs the
-    /// free-running pipeline to completion instead.
+    /// Drive the engine until queue and slots are empty (used by benches
+    /// and tests).
     pub fn run_until_idle(&self) {
-        if self.cfg.async_pipeline {
-            self.run_pipeline(None);
-        } else {
-            while self.tick() || !self.qstate.lock().unwrap().queue.is_empty() {}
+        self.run(None);
+    }
+
+    /// Serve until `stop` is raised, then shut down: everything queued or
+    /// running finishes `Cancelled` so waiting clients unblock with a
+    /// terminal status, and every pipelined draft thread is joined under a
+    /// bounded timeout — no session can leak a parked thread or a KV lease.
+    pub fn serve(&self, stop: &AtomicBool) {
+        self.run(Some(stop));
+        self.cancel_all();
+        let deadline = Instant::now() + DRAFT_JOIN_TIMEOUT;
+        for slot in &self.slots {
+            let mut slot = slot.lock().expect("slot lock poisoned");
+            if slot.active.is_some() {
+                self.finish(&mut slot.active, Status::Cancelled, deadline);
+            }
         }
     }
 
-    /// Park until work arrives or the timeout elapses (scheduler-thread
-    /// idle wait).
-    pub fn wait_for_work(&self, timeout: std::time::Duration) {
-        let q = self.qstate.lock().unwrap();
-        if q.queue.is_empty() {
-            let _ = self.work_cv.wait_timeout(q, timeout).unwrap();
+    /// The scheduler: tick until idle (`stop: None`) or until the flag is
+    /// raised. One loop on the calling thread, except that
+    /// [`Speculation::Pipelined`] runs `cfg.workers` of them free-running —
+    /// no per-tick barrier — each claiming whichever sessions the others
+    /// are not stepping.
+    fn run(&self, stop: Option<&AtomicBool>) {
+        let loops = match self.cfg.speculation {
+            Speculation::Pipelined => self.cfg.workers,
+            _ => 1,
+        };
+        if loops == 1 {
+            return self.scheduler_loop(stop);
+        }
+        std::thread::scope(|scope| {
+            for _ in 0..loops {
+                scope.spawn(|| self.scheduler_loop(stop));
+            }
+        });
+    }
+
+    fn scheduler_loop(&self, stop: Option<&AtomicBool>) {
+        let mut idle_ticks = 0u32;
+        while !stop.is_some_and(|flag| flag.load(Ordering::Acquire)) {
+            if self.tick() {
+                idle_ticks = 0;
+                continue;
+            }
+            // The queue→slot transfer happens entirely under the qstate
+            // lock (pop + `active` bump), so this check cannot observe a
+            // request in neither place.
+            let q = self.qstate.lock().expect("queue lock poisoned");
+            let drained = q.queue.is_empty() && self.active.load(Ordering::Acquire) == 0;
+            if drained && stop.is_none() {
+                return;
+            }
+            idle_ticks += 1;
+            if idle_ticks <= 2 && !drained {
+                // An idle tick with sessions in flight usually means the
+                // draft rings are mid-refill. Yielding hands the core
+                // straight to the runnable draft threads (they only need
+                // tens of µs per chain), where a timed park would add
+                // wakeup latency to every block on a single-core host.
+                drop(q);
+                std::thread::yield_now();
+            } else {
+                let _ = self
+                    .work_cv
+                    .wait_timeout(q, Duration::from_millis(1))
+                    .expect("queue lock poisoned");
+            }
         }
     }
 
-    /// Cancel everything queued or running (server shutdown drain). Queued
-    /// requests are finished `Cancelled` **immediately** — they hold no
-    /// leases and will never get a scheduling turn once the server stops
+    /// Cancel everything queued or running (shutdown, or a bench giving up).
+    /// Queued requests are finished `Cancelled` **immediately** — they hold
+    /// no leases and will never get a scheduling turn once the server stops
     /// ticking — so the queue-depth gauge drops to 0 here rather than
     /// lingering at its pre-shutdown value. Running sessions stop at their
-    /// next block boundary as before.
+    /// next block boundary.
     pub fn cancel_all(&self) {
         {
-            let mut q = self.qstate.lock().unwrap();
+            let mut q = self.qstate.lock().expect("queue lock poisoned");
             while let Some(qd) = q.queue.pop_front() {
                 qd.handle.cancel();
-                qd.handle.finish(Status::Cancelled, None);
-                self.metrics.requests_cancelled.inc();
+                self.finish_queued(&mut q, &qd.handle);
             }
             self.metrics.queue_depth.set(0);
         }
-        let slots = self.slots.lock().unwrap();
-        for slot in slots.iter() {
-            if let Some(a) = &slot.active {
-                a.handle.cancel();
-            }
-        }
-        drop(slots);
-        for slot in &self.pslots {
-            if let Some(a) = &slot.lock().unwrap().active {
+        for slot in &self.slots {
+            if let Some(a) = &slot.lock().expect("slot lock poisoned").active {
                 a.handle.cancel();
             }
         }
     }
 
-    /// Move queued requests into free slots (FIFO), dropping cancelled
-    /// entries. Called at the top of every tick, so a slot freed by a
-    /// completion in round N is serving the next queued request in round
-    /// N+1 — no slot ever idles while the queue is non-empty *and* the
-    /// pools can cover its lease. When they cannot, the head waits —
-    /// skipping ahead would break the FIFO order that makes served streams
-    /// independent of worker count.
-    fn refill(&self, slots: &mut [Slot]) {
-        let mut q = self.qstate.lock().unwrap();
-        'slots: for slot in slots.iter_mut().filter(|s| s.active.is_none()) {
-            let next = loop {
-                match q.queue.pop_front() {
-                    Some(qd) if qd.handle.is_cancel_requested() => {
-                        qd.handle.finish(Status::Cancelled, None);
-                        self.metrics.requests_cancelled.inc();
-                    }
-                    other => break other,
-                }
-            };
-            let Some(queued) = next else { break };
-            match self.admit(&queued.req) {
-                Some((t_cache, d_cache, vision)) => {
-                    queued.handle.mark_running();
-                    slot.active = Some(Active {
-                        handle: queued.handle,
-                        phase: Phase::Prefill(queued.req),
-                        published: 0,
-                        t_cache,
-                        d_cache,
-                        vision,
-                    });
-                }
-                None => {
-                    // Not enough free blocks even after eviction: the head
-                    // waits for a running session to finish.
-                    q.queue.push_front(queued);
-                    break 'slots;
-                }
+    /// A request cancelled before it ever held a slot.
+    fn finish_queued(&self, q: &mut QueueState, handle: &RequestHandle) {
+        handle.finish(Status::Cancelled, None);
+        self.metrics.requests_cancelled.inc();
+        q.retire(handle.id);
+    }
+
+    /// Move queued requests into free slots (FIFO), after sweeping
+    /// cancel-requested entries out of the **whole** queue — a cancelled
+    /// request stops counting against `max_queue` and reaches its terminal
+    /// state at the next tick even when every slot is busy. Runs at the top
+    /// of every tick, so a slot freed by a completion in round N is serving
+    /// the next queued request in round N+1 — no slot ever idles while the
+    /// queue is non-empty *and* the pools can cover its lease. When they
+    /// cannot, the head waits — skipping ahead would break the FIFO order
+    /// that makes served streams independent of worker count.
+    fn refill(&self) {
+        let mut q = self.qstate.lock().expect("queue lock poisoned");
+        let mut i = 0;
+        while i < q.queue.len() {
+            if q.queue[i].handle.is_cancel_requested() {
+                let qd = q.queue.remove(i).expect("index checked above");
+                self.finish_queued(&mut q, &qd.handle);
+            } else {
+                i += 1;
             }
+        }
+        for slot in &self.slots {
+            let Some(head) = q.queue.front() else { break };
+            // A slot another scheduler loop is stepping is occupied.
+            let Ok(mut slot) = slot.try_lock() else {
+                continue;
+            };
+            if slot.active.is_some() {
+                continue;
+            }
+            // Not enough free blocks even after eviction: the head waits
+            // for a running session to finish.
+            let Some((t_cache, d_cache, vision)) = self.admit(&head.req) else {
+                break;
+            };
+            let Queued { handle, req } = q.queue.pop_front().expect("head peeked above");
+            handle.mark_running();
+            slot.active = Some(Active {
+                handle,
+                phase: Phase::Prefill(req),
+                published: 0,
+                t_cache,
+                d_cache,
+                vision,
+            });
+            self.active.fetch_add(1, Ordering::Release);
         }
         self.metrics.queue_depth.set(q.queue.len() as u64);
         self.metrics
-            .kv_free_blocks_target
-            .set(self.t_pool.free_blocks() as u64);
-        self.metrics
-            .kv_free_blocks_draft
-            .set(self.d_pool.free_blocks() as u64);
+            .active_sessions
+            .set(self.active.load(Ordering::Relaxed) as u64);
+        self.publish_pool_gauges();
     }
 
     /// Try to lease everything `req` needs. On success the caches are live
@@ -875,84 +823,66 @@ impl Engine {
     /// the caller leaves the request queued.
     fn admit(&self, req: &Request) -> Option<(KvCache, Option<KvCache>, VisionPlan)> {
         let plan = self.lease_plan(req);
-        match &self.model {
-            EngineModel::Text { .. } => {
-                let t_cache = self.t_pool.try_lease(plan.t_capacity)?;
-                let d_cache = match plan.d_capacity {
-                    Some(dc) => Some(self.d_pool.try_lease(dc)?),
-                    None => None,
+        let with_draft = |t: KvCache| match plan.d_capacity {
+            Some(dc) => self.d_pool.try_lease(dc).map(|d| (t, Some(d))),
+            None => Some((t, None)),
+        };
+        let EngineModel::Multimodal { model, .. } = &self.model else {
+            let t_cache = self.t_pool.try_lease(plan.t_capacity);
+            let (t_cache, d_cache) = t_cache.and_then(with_draft)?;
+            return Some((t_cache, d_cache, VisionPlan::None));
+        };
+        let seed = req.image_seed.expect("validated at submit");
+        let image = Image::synthetic(
+            &mut Rng::new(seed),
+            model.cfg.vision.n_patches,
+            model.cfg.vision.patch_dim,
+        );
+        let hash = image.content_hash();
+        // Eviction loop: each failed lease attempt frees the coldest cached
+        // prefix and retries, until the cache is empty — at which point the
+        // pool is genuinely full.
+        loop {
+            let mut vc = self.vision_cache.lock().unwrap();
+            let hit = vc.entries.contains_key(&hash);
+            let t_cache = if hit {
+                vc.clock += 1;
+                let clock = vc.clock;
+                let entry = vc.entries.get_mut(&hash).unwrap();
+                entry.last_used = clock;
+                self.t_pool
+                    .try_lease_with_prefix(&entry.t_prefix, plan.t_capacity)
+            } else {
+                self.t_pool.try_lease(plan.t_capacity)
+            };
+            if let Some((t_cache, d_cache)) = t_cache.and_then(with_draft) {
+                let vision = if hit {
+                    self.metrics.vision_cache_hits.inc();
+                    VisionPlan::Hit { hash }
+                } else {
+                    self.metrics.vision_cache_misses.inc();
+                    VisionPlan::Miss { image, hash }
                 };
-                Some((t_cache, d_cache, VisionPlan::None))
+                return Some((t_cache, d_cache, vision));
             }
-            EngineModel::Multimodal { model, .. } => {
-                let seed = req.image_seed.expect("validated at submit");
-                let image = Image::synthetic(
-                    &mut Rng::new(seed),
-                    model.cfg.vision.n_patches,
-                    model.cfg.vision.patch_dim,
-                );
-                let hash = image.content_hash();
-                // Eviction loop: each failed lease attempt frees the
-                // coldest cached prefix and retries, until the cache is
-                // empty — at which point the pool is genuinely full.
-                loop {
-                    let mut vc = self.vision_cache.lock().unwrap();
-                    let hit = vc.entries.contains_key(&hash);
-                    let t_cache = if hit {
-                        vc.clock += 1;
-                        let clock = vc.clock;
-                        let entry = vc.entries.get_mut(&hash).unwrap();
-                        entry.last_used = clock;
-                        self.t_pool
-                            .try_lease_with_prefix(&entry.t_prefix, plan.t_capacity)
-                    } else {
-                        self.t_pool.try_lease(plan.t_capacity)
-                    };
-                    let leases = t_cache.and_then(|t| match plan.d_capacity {
-                        Some(dc) => self.d_pool.try_lease(dc).map(|d| (t, Some(d))),
-                        None => Some((t, None)),
-                    });
-                    if let Some((t_cache, d_cache)) = leases {
-                        if hit {
-                            self.metrics.vision_cache_hits.inc();
-                        } else {
-                            self.metrics.vision_cache_misses.inc();
-                        }
-                        let vision = if hit {
-                            VisionPlan::Hit { hash }
-                        } else {
-                            VisionPlan::Miss { image, hash }
-                        };
-                        return Some((t_cache, d_cache, vision));
-                    }
-                    if !vc.evict_coldest(Some(hash)) {
-                        return None;
-                    }
-                }
+            if !vc.evict_coldest(Some(hash)) {
+                return None;
             }
         }
     }
 
-    /// Advance one slot by one unit of work: prefill on the session's first
-    /// turn, afterwards one speculative block (or one AR token).
-    fn step_slot(&self, slot: &mut Slot) {
+    /// Advance one slot by one unit of work — prefill on the session's first
+    /// turn, afterwards one speculative block (or one AR token) — then
+    /// publish what it committed. Returns whether anything advanced (only a
+    /// pipelined session waiting on its draft does not).
+    fn step_slot(&self, slot: &mut Slot, wakes: &mut Vec<Arc<DraftLink>>) -> bool {
         let Slot { ws, active: cell } = slot;
         let Some(active) = cell.as_mut() else {
-            return;
+            return false;
         };
         if active.handle.is_cancel_requested() {
-            let stats = match &active.phase {
-                Phase::Spec(s) => Some(s.stats().clone()),
-                Phase::Tree(s) => Some(s.stats().clone()),
-                _ => None,
-            };
-            if let Some(s) = &stats {
-                self.metrics.merge_spec_stats(s);
-            }
-            active.handle.finish(Status::Cancelled, stats);
-            self.metrics.requests_cancelled.inc();
-            *cell = None; // drops the leases
-            return;
+            self.finish(cell, Status::Cancelled, Instant::now() + DRAFT_JOIN_TIMEOUT);
+            return true;
         }
         let started = Instant::now();
         let Active {
@@ -963,112 +893,54 @@ impl Engine {
             d_cache,
             vision,
         } = active;
-        match phase {
+        let target = self.model.target_lm();
+        let report = match phase {
             Phase::Prefill(req) => {
-                let req = req.clone();
-                *phase = self.prefill(&req, t_cache, d_cache, vision, ws);
-                // Publish the prefill-decided first token (TTFT = queue
-                // wait + prefill).
-                let (tokens_now, done) = match &*phase {
-                    Phase::Spec(s) => {
-                        handle.push_tokens(s.tokens());
-                        (s.tokens().len(), s.is_done())
-                    }
-                    Phase::Tree(s) => {
-                        handle.push_tokens(s.tokens());
-                        (s.tokens().len(), s.is_done())
-                    }
-                    Phase::Ar(s) => {
-                        handle.push_tokens(s.tokens());
-                        (s.tokens().len(), s.is_done())
-                    }
-                    Phase::Prefill(_) => unreachable!(),
-                };
-                debug_assert_eq!(tokens_now, 1);
-                *published = tokens_now;
-                self.metrics.tokens_generated.add(tokens_now as u64);
+                *phase = self.prefill(req, t_cache, d_cache, vision, ws);
+                None
+            }
+            Phase::Inline(session) => {
+                let draft = d_cache.as_mut().map(|d| (self.model.draft(), d));
+                Some(session.step(target, t_cache, draft, ws))
+            }
+            Phase::Pipelined(session) => {
+                match session.step(target, t_cache, ws, &self.metrics, wakes) {
+                    Some(report) => Some(report),
+                    None => return false,
+                }
+            }
+        };
+        let block_ms = started.elapsed().as_secs_f64() * 1e3;
+        let new = &phase.tokens()[*published..];
+        handle.push_tokens(new);
+        *published += new.len();
+        self.metrics.tokens_generated.add(new.len() as u64);
+        match report {
+            // Prefill decided (and just published) the first token: TTFT =
+            // queue wait + prefill.
+            None => {
+                debug_assert_eq!(new.len(), 1);
                 if let Some(ttft) = handle.ttft_ms() {
                     self.metrics.ttft_ms.record_ms(ttft);
                 }
-                if done {
-                    self.finish_slot(cell);
-                }
             }
-            Phase::Spec(session) => {
-                let report = session.step_block(
-                    self.model.target_lm(),
-                    self.model.draft(),
-                    t_cache,
-                    d_cache.as_mut().expect("spec session without draft lease"),
-                    ws,
-                );
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
+            Some(StepReport { committed, .. }) => {
+                debug_assert_eq!(new.len(), committed);
                 self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[*published..];
-                    debug_assert_eq!(new.len(), report.committed);
-                    handle.push_tokens(new);
-                    *published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    for _ in 0..report.committed {
-                        self.metrics
-                            .token_ms
-                            .record_ms(block_ms / report.committed as f64);
-                    }
-                }
-                if report.done {
-                    self.finish_slot(cell);
-                }
-            }
-            Phase::Tree(session) => {
-                let report = session.step_block(
-                    self.model.target_lm(),
-                    self.model.draft(),
-                    t_cache,
-                    d_cache.as_mut().expect("tree session without draft lease"),
-                    ws,
-                );
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[*published..];
-                    debug_assert_eq!(new.len(), report.committed);
-                    handle.push_tokens(new);
-                    *published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    for _ in 0..report.committed {
-                        self.metrics
-                            .token_ms
-                            .record_ms(block_ms / report.committed as f64);
-                    }
-                }
-                if report.done {
-                    self.finish_slot(cell);
-                }
-            }
-            Phase::Ar(session) => {
-                let report = session.step(self.model.target_lm(), t_cache, ws);
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[*published..];
-                    handle.push_tokens(new);
-                    *published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    self.metrics.token_ms.record_ms(block_ms);
-                }
-                if report.done {
-                    self.finish_slot(cell);
+                for _ in 0..committed {
+                    self.metrics.token_ms.record_ms(block_ms / committed as f64);
                 }
             }
         }
+        if phase.is_done() {
+            self.finish(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
+        }
+        true
     }
 
     /// Target-side prefill for `req` → the pending (first decided) token.
     /// On a vision-cache hit the target lease already carries the `n_img`
-    /// prefix, so only the text leg runs. Shared verbatim by the sync
-    /// scheduler and the async pipeline — prefill is what makes streams
-    /// identical between them, so there is exactly one implementation.
+    /// prefix, so only the text leg runs.
     fn prefill_target(
         &self,
         req: &Request,
@@ -1077,15 +949,10 @@ impl Engine {
         ws: &mut Workspace,
     ) -> u32 {
         let target = self.model.target_lm();
-        let pending = match (&self.model, vision) {
+        match (&self.model, vision) {
             (EngineModel::Text { .. }, _) => {
                 debug_assert!(t_cache.is_empty());
-                let vocab = target.cfg.vocab;
-                let mut logits = ws.take(req.prompt.len() * vocab);
-                target.forward_infer_ws(&req.prompt, t_cache, ws, &mut logits);
-                let pending = argmax(&logits[(req.prompt.len() - 1) * vocab..]) as u32;
-                ws.give(logits);
-                pending
+                target.prefill_ws(&req.prompt, t_cache, ws)
             }
             (EngineModel::Multimodal { model, .. }, VisionPlan::Miss { image, hash }) => {
                 debug_assert!(t_cache.is_empty());
@@ -1100,24 +967,14 @@ impl Engine {
             (EngineModel::Multimodal { .. }, VisionPlan::None) => {
                 unreachable!("multimodal admission always sets a vision plan")
             }
-        };
-
-        // The lease was sized from the request alone; the actual prefill
-        // must land exactly on that plan or the capacity/budget identity
-        // (and with it stream-equivalence to the one-shot loops) breaks.
-        debug_assert_eq!(
-            t_cache.len(),
-            self.lease_plan(req).t_prefix,
-            "t prefix != plan"
-        );
-        pending
+        }
     }
 
     /// Draft-side prefill for a speculative `req`: text prompt, preceded
     /// in the multimodal case by the ablation-selected vision prefix
     /// (hybrid cache, same seeding as `mm_speculative_ws`). A vision-
     /// cache hit appends the cached projected rows instead of re-running
-    /// the projector. Also shared by both schedulers.
+    /// the projector.
     fn seed_draft_caches(
         &self,
         req: &Request,
@@ -1126,48 +983,32 @@ impl Engine {
         vision: &VisionPlan,
         ws: &mut Workspace,
     ) {
-        let draft = self.model.draft();
-        match (&self.model, vision) {
-            (EngineModel::Text { .. }, _) => {
-                let mut d_logits = ws.take(req.prompt.len() * draft.cfg.vocab);
-                draft.forward_infer_ws(&req.prompt, d_cache, ws, &mut d_logits);
-                ws.give(d_logits);
+        if let EngineModel::Multimodal {
+            model,
+            projector,
+            ablation,
+            ..
+        } = &self.model
+        {
+            let seeded_from_cache = match vision {
+                VisionPlan::Hit { hash } => self.seed_draft_from_cache(*hash, d_cache),
+                _ => false,
+            };
+            if !seeded_from_cache {
+                seed_draft_prefix(model, Some(projector), *ablation, t_cache, d_cache);
             }
-            (
-                EngineModel::Multimodal {
-                    model,
-                    projector,
-                    ablation,
-                    ..
-                },
-                plan,
-            ) => {
-                let seeded_from_cache = match plan {
-                    VisionPlan::Hit { hash } => self.seed_draft_from_cache(*hash, d_cache),
-                    _ => false,
-                };
-                if !seeded_from_cache {
-                    seed_draft_prefix(model, Some(projector), *ablation, t_cache, d_cache);
-                }
-                if let VisionPlan::Miss { hash, .. } = plan {
-                    self.populate_vision_cache(*hash, t_cache, Some(d_cache));
-                }
-                if !ablation.drop_text_kv {
-                    let mut d_logits = ws.take(req.prompt.len() * draft.cfg.vocab);
-                    draft.forward_infer_ws(&req.prompt, d_cache, ws, &mut d_logits);
-                    ws.give(d_logits);
-                }
+            if let VisionPlan::Miss { hash, .. } = vision {
+                self.populate_vision_cache(*hash, t_cache, Some(d_cache));
+            }
+            if ablation.drop_text_kv {
+                return;
             }
         }
-        debug_assert_eq!(
-            d_cache.len(),
-            self.lease_plan(req).d_prefix,
-            "d prefix != plan"
-        );
+        self.model.draft().prefill_ws(&req.prompt, d_cache, ws);
     }
 
     /// Prefill the session's leased caches for `req` and build its decode
-    /// session (sync scheduler).
+    /// session.
     fn prefill(
         &self,
         req: &Request,
@@ -1178,51 +1019,74 @@ impl Engine {
     ) -> Phase {
         let target = self.model.target_lm();
         let draft = self.model.draft();
+        // The leases were sized from the request alone; the actual prefill
+        // must land exactly on that plan or the capacity/budget identity
+        // (and with it stream-equivalence to the one-shot loops) breaks.
+        let LeasePlan {
+            t_prefix,
+            d_prefix,
+            budget,
+            ..
+        } = self.lease_plan(req);
         let pending = self.prefill_target(req, t_cache, vision, ws);
-        let plan = self.lease_plan(req);
-        match req.mode {
-            DecodeMode::Autoregressive => {
-                let budget = req.max_new.min(target.cfg.max_seq + 1 - t_cache.len());
-                debug_assert_eq!(budget, plan.budget);
-                Phase::Ar(ArSession::new(target, t_cache, pending, budget))
-            }
-            DecodeMode::Speculative { gamma } => {
-                let d_cache = d_cache.as_mut().expect("spec admission leases a draft");
-                self.seed_draft_caches(req, t_cache, d_cache, vision, ws);
-                let budget = req
-                    .max_new
-                    .min(target.cfg.max_seq + 1 - t_cache.len())
-                    .min(draft.cfg.max_seq + 1 - d_cache.len());
-                debug_assert_eq!(budget, plan.budget);
-                if self.cfg.tree_speculation {
-                    let tree_cfg = TreeConfig {
-                        calibrator: Some(AcceptanceCalibrator::neutral()),
-                        ..TreeConfig::default()
-                    };
-                    let mut session = TreeSession::new(
-                        target,
-                        draft,
-                        t_cache,
-                        d_cache,
-                        pending,
-                        budget,
-                        gamma,
-                        tree_cfg,
-                        self.model.n_img(),
-                    );
-                    if self.cfg.adaptive_gamma {
-                        let ratio = draft.n_params() as f64 / target.n_params() as f64;
-                        session.enable_adaptive_gamma(AdaptiveGamma::new(ratio));
-                    }
-                    return Phase::Tree(session);
-                }
+        debug_assert_eq!(t_cache.len(), t_prefix, "t prefix != plan");
+        let DecodeMode::Speculative { gamma } = req.mode else {
+            return Phase::Inline(Session::Ar(ArSession::new(
+                target, t_cache, pending, budget,
+            )));
+        };
+        let d_lease = d_cache.as_mut().expect("spec admission leases a draft");
+        self.seed_draft_caches(req, t_cache, d_lease, vision, ws);
+        debug_assert_eq!(d_lease.len(), d_prefix, "d prefix != plan");
+        let adaptive = self
+            .cfg
+            .adaptive_gamma
+            .then(|| AdaptiveGamma::new(draft.n_params() as f64 / target.n_params() as f64));
+        match self.cfg.speculation {
+            Speculation::Chain => {
                 let mut session =
-                    SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);
-                if self.cfg.adaptive_gamma {
-                    let ratio = draft.n_params() as f64 / target.n_params() as f64;
-                    session.enable_adaptive_gamma(AdaptiveGamma::new(ratio));
+                    SpecSession::new(target, draft, t_cache, d_lease, pending, budget, gamma);
+                if let Some(controller) = adaptive {
+                    session.enable_adaptive_gamma(controller);
                 }
-                Phase::Spec(session)
+                Phase::Inline(Session::Spec(session))
+            }
+            Speculation::Tree => {
+                let tree_cfg = TreeConfig {
+                    calibrator: Some(AcceptanceCalibrator::neutral()),
+                    ..TreeConfig::default()
+                };
+                let mut session = TreeSession::new(
+                    target,
+                    draft,
+                    t_cache,
+                    d_lease,
+                    pending,
+                    budget,
+                    gamma,
+                    tree_cfg,
+                    self.model.n_img(),
+                );
+                if let Some(controller) = adaptive {
+                    session.enable_adaptive_gamma(controller);
+                }
+                Phase::Inline(Session::Tree(session))
+            }
+            Speculation::Pipelined => {
+                let mut verify =
+                    VerifyHalf::new(target, t_cache, d_lease.len(), pending, budget, gamma);
+                if let Some(controller) = adaptive {
+                    verify.enable_adaptive_gamma(controller);
+                }
+                Phase::Pipelined(Pipelined::start(
+                    verify,
+                    d_cache,
+                    pending,
+                    budget,
+                    Arc::clone(self.model.draft_arc()),
+                    Arc::clone(&self.metrics),
+                    Arc::clone(&self.work_cv),
+                ))
             }
         }
     }
@@ -1309,511 +1173,65 @@ impl Engine {
         true
     }
 
-    /// Completion bookkeeping; dropping the [`Active`] releases its leases,
-    /// and the freed slot is refilled on the next tick.
-    fn finish_slot(&self, cell: &mut Option<Active>) {
-        let active = cell.take().expect("finishing an empty slot");
-        let stats = match active.phase {
-            Phase::Spec(session) => {
-                let (_, stats) = session.into_parts();
-                self.metrics.merge_spec_stats(&stats);
-                Some(stats)
-            }
-            Phase::Tree(session) => {
-                let (_, stats) = session.into_parts();
-                self.metrics.merge_spec_stats(&stats);
-                Some(stats)
-            }
-            _ => None,
+    /// Completion bookkeeping for a slot's session: release its leases,
+    /// stop a pipelined draft leg (bounded by `join_deadline`), merge the
+    /// stats, finish the handle. The freed slot is refilled on the next
+    /// tick.
+    fn finish(&self, cell: &mut Option<Active>, status: Status, join_deadline: Instant) {
+        // The leases drop with the rest of `Active`, right here — before
+        // the slot is counted free below.
+        let Active { handle, phase, .. } = cell.take().expect("finishing an empty slot");
+        let stats = match phase {
+            Phase::Prefill(_) => None,
+            Phase::Inline(session) => session.stats().cloned(),
+            Phase::Pipelined(session) => Some(session.stop(join_deadline)),
         };
-        active.handle.finish(Status::Done, stats);
-        self.metrics.requests_completed.inc();
-    }
-
-    // ------------------------------------------------------------------
-    // Asynchronous draft/target pipeline (`cfg.async_pipeline`)
-    // ------------------------------------------------------------------
-
-    /// Free-running async scheduler: spawns `cfg.workers` scoped target
-    /// workers that admit, prefill, verify, and complete sessions
-    /// continuously — no per-tick barrier — while each speculative
-    /// session's dedicated draft thread speculates ahead through its SPSC
-    /// ring. With `stop: None` the call returns once queue and slots are
-    /// drained (bench/test mode); with a stop flag it runs until the flag
-    /// is raised (server mode), leaving in-flight sessions for
-    /// [`Engine::drain_pipeline`].
-    ///
-    /// Streams are byte-identical to the synchronous scheduler at any
-    /// worker count: the verify leg alone commits tokens, and every
-    /// commit is the target model's own argmax (see `aasd-specdec`'s
-    /// `pipeline` module for the argument).
-    pub fn run_pipeline(&self, stop: Option<&AtomicBool>) {
-        assert!(
-            self.cfg.async_pipeline,
-            "run_pipeline requires cfg.async_pipeline"
-        );
-        if self.cfg.workers == 1 {
-            // No point paying a scoped spawn for the single-worker case.
-            self.pipeline_worker(stop);
-            return;
+        if let Some(stats) = &stats {
+            self.metrics.merge_spec_stats(stats);
         }
-        std::thread::scope(|scope| {
-            for _ in 0..self.cfg.workers {
-                scope.spawn(|| self.pipeline_worker(stop));
-            }
-        });
-    }
-
-    /// One target worker: sweep the slots, stepping whichever sessions
-    /// are not already being stepped by another worker (per-slot
-    /// `try_lock` — sessions are never stepped concurrently, workers just
-    /// claim different ones). Parks briefly when a sweep makes no
-    /// progress.
-    fn pipeline_worker(&self, stop: Option<&AtomicBool>) {
-        let mut idle_sweeps = 0u32;
-        let mut wakes: Vec<Arc<DraftLink>> = Vec::new();
-        loop {
-            if let Some(flag) = stop {
-                if flag.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            let mut progressed = self.pipeline_refill();
-            for slot in &self.pslots {
-                if let Ok(mut guard) = slot.try_lock() {
-                    progressed |= self.pipeline_step(&mut guard, &mut wakes);
-                }
-            }
-            if !wakes.is_empty() {
-                // Draft wakeups deferred out of the sweep: waking a draft
-                // mid-sweep invites it to preempt the next session's
-                // target pass (and trash its cache working set) on a
-                // single-core host. Notify here, then yield once so every
-                // woken draft refills its ring before the next sweep.
-                for link in wakes.drain(..) {
-                    link.notify_draft();
-                }
-                std::thread::yield_now();
-            }
-            if progressed {
-                idle_sweeps = 0;
-                self.metrics.scheduler_ticks.inc();
-            } else {
-                if stop.is_none() {
-                    // Until-idle exit: the queue→slot transfer happens
-                    // entirely under the qstate lock (pop + pipe_active
-                    // bump), so this check cannot observe a request in
-                    // neither place.
-                    let q = self.qstate.lock().unwrap();
-                    if q.queue.is_empty() && self.pipe_active.load(Ordering::Acquire) == 0 {
-                        return;
-                    }
-                    drop(q);
-                }
-                idle_sweeps += 1;
-                if idle_sweeps <= 2 {
-                    // An idle sweep usually means the rings are mid-refill.
-                    // Yielding hands the core straight to the runnable
-                    // draft threads (they only need tens of µs per chain),
-                    // where a timed park would add wakeup latency to every
-                    // block on a single-core host.
-                    std::thread::yield_now();
-                } else {
-                    self.pipe_signal.wait(Duration::from_millis(1));
-                }
-            }
+        handle.finish(status, stats);
+        match status {
+            Status::Done => self.metrics.requests_completed.inc(),
+            _ => self.metrics.requests_cancelled.inc(),
         }
-    }
-
-    /// Admit queued requests into vacant async slots (FIFO with
-    /// head-of-line blocking, exactly like the sync `refill`).
-    fn pipeline_refill(&self) -> bool {
-        let mut q = self.qstate.lock().unwrap();
-        let mut admitted = false;
-        'slots: for slot in &self.pslots {
-            let Ok(mut guard) = slot.try_lock() else {
-                continue;
-            };
-            if guard.active.is_some() {
-                continue;
-            }
-            let next = loop {
-                match q.queue.pop_front() {
-                    Some(qd) if qd.handle.is_cancel_requested() => {
-                        qd.handle.finish(Status::Cancelled, None);
-                        self.metrics.requests_cancelled.inc();
-                    }
-                    other => break other,
-                }
-            };
-            let Some(queued) = next else { break };
-            match self.admit(&queued.req) {
-                Some((t_cache, d_cache, vision)) => {
-                    queued.handle.mark_running();
-                    guard.active = Some(AsyncActive {
-                        handle: queued.handle,
-                        phase: AsyncPhase::Prefill(queued.req),
-                        published: 0,
-                        t_cache,
-                        d_cache,
-                        vision,
-                        was_idle: false,
-                    });
-                    self.pipe_active.fetch_add(1, Ordering::Release);
-                    admitted = true;
-                }
-                None => {
-                    // Not enough free blocks: the head waits (FIFO).
-                    q.queue.push_front(queued);
-                    break 'slots;
-                }
-            }
-        }
-        self.metrics.queue_depth.set(q.queue.len() as u64);
-        self.metrics
-            .active_sessions
-            .set(self.pipe_active.load(Ordering::Relaxed) as u64);
-        self.metrics
-            .kv_free_blocks_target
-            .set(self.t_pool.free_blocks() as u64);
-        self.metrics
-            .kv_free_blocks_draft
-            .set(self.d_pool.free_blocks() as u64);
-        admitted
-    }
-
-    /// Advance one async slot. Prefill on the first turn (spawning the
-    /// session's draft thread); afterwards one verify step against
-    /// whatever the draft has queued. Returns whether anything advanced.
-    fn pipeline_step(&self, slot: &mut AsyncSlot, wakes: &mut Vec<Arc<DraftLink>>) -> bool {
-        let AsyncSlot { ws, active: cell } = slot;
-        let Some(active) = cell.as_mut() else {
-            return false;
-        };
-        if active.handle.is_cancel_requested() {
-            self.finish_async(cell, Status::Cancelled, Instant::now() + DRAFT_JOIN_TIMEOUT);
-            return true;
-        }
-        let started = Instant::now();
-
-        let req = match &active.phase {
-            AsyncPhase::Prefill(req) => Some(req.clone()),
-            _ => None,
-        };
-        if let Some(req) = req {
-            let target = self.model.target_lm();
-            let draft = self.model.draft();
-            let pending = self.prefill_target(&req, &mut active.t_cache, &active.vision, ws);
-            match req.mode {
-                DecodeMode::Autoregressive => {
-                    let budget = req
-                        .max_new
-                        .min(target.cfg.max_seq + 1 - active.t_cache.len());
-                    active.phase =
-                        AsyncPhase::Ar(ArSession::new(target, &active.t_cache, pending, budget));
-                }
-                DecodeMode::Speculative { gamma } => {
-                    let d_cache = active
-                        .d_cache
-                        .as_mut()
-                        .expect("spec admission leases a draft");
-                    self.seed_draft_caches(&req, &mut active.t_cache, d_cache, &active.vision, ws);
-                    let budget = req
-                        .max_new
-                        .min(target.cfg.max_seq + 1 - active.t_cache.len())
-                        .min(draft.cfg.max_seq + 1 - d_cache.len());
-                    let mut verify = VerifyHalf::new(
-                        target,
-                        &active.t_cache,
-                        d_cache.len(),
-                        pending,
-                        budget,
-                        gamma,
-                    );
-                    if self.cfg.adaptive_gamma {
-                        let ratio = draft.n_params() as f64 / target.n_params() as f64;
-                        verify.enable_adaptive_gamma(AdaptiveGamma::new(ratio));
-                    }
-                    let link = Arc::new(DraftLink::new(verify.depth_hint()));
-                    // Budgets ≤ 2 never consume a proposal (the pending
-                    // commit plus at most one plain decode), so they get
-                    // no draft thread; the unused lease drops at finish.
-                    let draft_join = if budget >= 3 {
-                        let d_lease = active.d_cache.take().expect("checked above");
-                        Some(self.spawn_draft(d_lease, pending, Arc::clone(&link)))
-                    } else {
-                        None
-                    };
-                    active.phase = AsyncPhase::Spec {
-                        verify,
-                        link,
-                        draft_join,
-                    };
-                }
-            }
-            // Publish the prefill-decided first token (TTFT = queue wait
-            // + prefill, matching the sync scheduler).
-            let (tokens_now, done) = match &active.phase {
-                AsyncPhase::Spec { verify, .. } => {
-                    active.handle.push_tokens(verify.tokens());
-                    (verify.tokens().len(), verify.is_done())
-                }
-                AsyncPhase::Ar(s) => {
-                    active.handle.push_tokens(s.tokens());
-                    (s.tokens().len(), s.is_done())
-                }
-                AsyncPhase::Prefill(_) => unreachable!(),
-            };
-            debug_assert_eq!(tokens_now, 1);
-            active.published = tokens_now;
-            self.metrics.tokens_generated.add(tokens_now as u64);
-            if let Some(ttft) = active.handle.ttft_ms() {
-                self.metrics.ttft_ms.record_ms(ttft);
-            }
-            if done {
-                self.finish_async(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
-            }
-            return true;
-        }
-
-        match &mut active.phase {
-            AsyncPhase::Spec {
-                verify,
-                link,
-                draft_join,
-            } => {
-                // Depth gate: a verify pass costs one full target weight
-                // sweep however shallow the chain, so hold off until the
-                // ring carries a full `ready_depth()` chain — unless the
-                // draft cannot deepen it (parked at its KV frontier,
-                // stopped, or never spawned), where waiting would idle
-                // forever.
-                let draft_blocked = draft_join.is_none()
-                    || link.stalled.load(Ordering::Acquire)
-                    || link.exited.load(Ordering::Acquire);
-                if !draft_blocked && link.ring.len() < verify.ready_depth() {
-                    if !active.was_idle {
-                        active.was_idle = true;
-                        self.metrics.verify_idle_stalls.inc();
-                    }
-                    return false;
-                }
-                let report = verify.try_step_block(
-                    self.model.target_lm(),
-                    &mut active.t_cache,
-                    &link.ring,
-                    ws,
-                );
-                // Re-publish the depth budget every block so AdaptiveGamma
-                // keeps bounding the in-flight speculation.
-                link.depth_cap.store(verify.depth_hint(), Ordering::Relaxed);
-                if report.rolled_back {
-                    self.metrics.draft_rollbacks.inc();
-                }
-                if report.progressed || report.rolled_back {
-                    // Any consumed ring token (pops, an expect-resolution,
-                    // a rollback) can be what a parked draft is waiting
-                    // on — and parks are untimed, so a missed wake here is
-                    // a livelock, not a latency blip. Wake unconditionally
-                    // on progress.
-                    wakes.push(Arc::clone(link));
-                }
-                if report.depth > 0 {
-                    self.metrics
-                        .speculation_depth
-                        .record_ms(report.depth as f64);
-                }
-                if !report.progressed {
-                    if !active.was_idle {
-                        active.was_idle = true;
-                        self.metrics.verify_idle_stalls.inc();
-                    }
-                    return false;
-                }
-                active.was_idle = false;
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &verify.tokens()[active.published..];
-                    debug_assert_eq!(new.len(), report.committed);
-                    active.handle.push_tokens(new);
-                    active.published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    for _ in 0..report.committed {
-                        self.metrics
-                            .token_ms
-                            .record_ms(block_ms / report.committed as f64);
-                    }
-                }
-                if report.done {
-                    self.finish_async(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
-                }
-                true
-            }
-            AsyncPhase::Ar(session) => {
-                let report = session.step(self.model.target_lm(), &mut active.t_cache, ws);
-                let block_ms = started.elapsed().as_secs_f64() * 1e3;
-                self.metrics.block_ms.record_ms(block_ms);
-                if report.committed > 0 {
-                    let new = &session.tokens()[active.published..];
-                    active.handle.push_tokens(new);
-                    active.published += report.committed;
-                    self.metrics.tokens_generated.add(report.committed as u64);
-                    self.metrics.token_ms.record_ms(block_ms);
-                }
-                if report.done {
-                    self.finish_async(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
-                }
-                true
-            }
-            AsyncPhase::Prefill(_) => unreachable!("handled above"),
-        }
-    }
-
-    /// Spawn a session's dedicated draft worker. It owns the draft lease
-    /// (returned to the pool when the thread exits), free-runs the
-    /// speculation chain up to the published depth cap, and honors
-    /// rollbacks before anything else.
-    fn spawn_draft(
-        &self,
-        mut d_cache: KvCache,
-        pending: u32,
-        link: Arc<DraftLink>,
-    ) -> std::thread::JoinHandle<()> {
-        let draft = self.model.draft_arc();
-        let metrics = Arc::clone(&self.metrics);
-        let signal = Arc::clone(&self.pipe_signal);
-        std::thread::Builder::new()
-            .name("aasd-draft".into())
-            .spawn(move || {
-                let mut ws = Workspace::new();
-                let mut ahead = DraftAhead::new(&mut d_cache, pending);
-                ahead.set_confidence_threshold(CONFIDENCE_STOP);
-                let mut stalled = false;
-                while !link.stop.load(Ordering::Acquire) {
-                    // Eventcount order matters: sample the generation
-                    // BEFORE the condition check inside `step`, so a
-                    // notify racing the check bumps the generation and the
-                    // park below returns immediately instead of sleeping
-                    // through it.
-                    let gen = link.park_generation();
-                    let cap = link.depth_cap.load(Ordering::Relaxed);
-                    match ahead.step(&draft, &mut d_cache, &link.ring, cap, &mut ws) {
-                        DraftStep::Produced | DraftStep::RolledBack => {
-                            if stalled {
-                                stalled = false;
-                                link.stalled.store(false, Ordering::Release);
-                            }
-                        }
-                        DraftStep::AtDepthCap
-                        | DraftStep::AtCapacity
-                        | DraftStep::LowConfidence => {
-                            if !stalled {
-                                stalled = true;
-                                link.stalled.store(true, Ordering::Release);
-                                metrics.ring_full_stalls.inc();
-                                // The chain is as deep as it should get —
-                                // full depth, lease frontier, or a
-                                // below-threshold token: wake the verify
-                                // side. Notifying here — not per token —
-                                // means verify wakes to a chain worth a
-                                // whole target pass.
-                                signal.notify();
-                            }
-                            // Parked, not spinning and not polling: a
-                            // parked draft burns zero cycles and causes
-                            // zero preemptions until verify pops, rolls
-                            // back, or stops the session.
-                            link.park_until_notified(gen);
-                        }
-                    }
-                }
-                link.exited.store(true, Ordering::Release);
-                // `d_cache` drops here: the draft lease returns to the pool.
-            })
-            .expect("failed to spawn draft worker")
-    }
-
-    /// Stop a session's draft thread and join it, bounded by `deadline`.
-    /// `notify_draft` bumps the park generation so a parked draft wakes
-    /// immediately; if the bound is ever exceeded the handle is dropped
-    /// (the thread detaches and exits on its next stop check) instead of
-    /// wedging shutdown.
-    fn stop_draft(link: &DraftLink, join: Option<std::thread::JoinHandle<()>>, deadline: Instant) {
-        let Some(handle) = join else { return };
-        link.stop.store(true, Ordering::Release);
-        link.notify_draft();
-        while !link.exited.load(Ordering::Acquire) {
-            if Instant::now() >= deadline {
-                return; // detach rather than block shutdown
-            }
-            std::thread::yield_now();
-        }
-        let _ = handle.join();
-    }
-
-    /// Async completion bookkeeping: stop the draft leg, merge stats,
-    /// finish the handle, release the slot.
-    fn finish_async(&self, cell: &mut Option<AsyncActive>, status: Status, join_deadline: Instant) {
-        let active = cell.take().expect("finishing an empty slot");
-        let stats = match active.phase {
-            AsyncPhase::Spec {
-                verify,
-                link,
-                draft_join,
-            } => {
-                Self::stop_draft(&link, draft_join, join_deadline);
-                let (_, stats) = verify.into_parts();
-                self.metrics.merge_spec_stats(&stats);
-                Some(stats)
-            }
-            _ => None,
-        };
-        active.handle.finish(status, stats);
-        if status == Status::Done {
-            self.metrics.requests_completed.inc();
-        } else {
-            self.metrics.requests_cancelled.inc();
-        }
-        self.pipe_active.fetch_sub(1, Ordering::Release);
-        // A slot freed: wake parked workers so refill runs promptly.
-        self.pipe_signal.notify();
-    }
-
-    /// Finish every in-flight async session after [`Engine::run_pipeline`]
-    /// returned with its stop flag raised (server shutdown): each
-    /// session's draft thread is stopped and joined under the shared
-    /// `timeout`, the handle finished `Cancelled` — so a session caught
-    /// mid-speculation can never leak a parked thread or a KV lease.
-    pub fn drain_pipeline(&self, timeout: Duration) {
-        let deadline = Instant::now() + timeout;
-        for slot in &self.pslots {
-            let mut guard = slot.lock().unwrap();
-            if guard.active.is_some() {
-                self.finish_async(&mut guard.active, Status::Cancelled, deadline);
-            }
-        }
+        self.qstate
+            .lock()
+            .expect("queue lock poisoned")
+            .retire(handle.id);
+        self.active.fetch_sub(1, Ordering::Release);
+        // A slot freed: wake an idle scheduler so refill runs promptly.
+        self.work_cv.notify_all();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aasd_nn::DecoderConfig;
-    use aasd_specdec::{autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws};
+    use aasd_mm::{mm_autoregressive_ws, mm_speculative_ws};
+    use aasd_nn::{DecoderConfig, KernelPolicy};
+    use aasd_specdec::{
+        autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws, SpecStats,
+    };
+
+    fn text_models() -> (Arc<Decoder>, Arc<Decoder>) {
+        (
+            Arc::new(Decoder::new(DecoderConfig::tiny(40), 10)),
+            Arc::new(Decoder::new(DecoderConfig::tiny(40), 20)),
+        )
+    }
+
+    fn text_engine_cfg(cfg: EngineConfig) -> Arc<Engine> {
+        let (target, draft) = text_models();
+        Engine::new(EngineModel::Text { target, draft }, cfg)
+    }
 
     fn text_engine(slots: usize, workers: usize, max_queue: usize) -> Arc<Engine> {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        Engine::new(
-            EngineModel::Text { target, draft },
-            EngineConfig {
-                slots,
-                workers,
-                max_queue,
-                ..EngineConfig::default()
-            },
-        )
+        text_engine_cfg(EngineConfig {
+            slots,
+            workers,
+            max_queue,
+            ..EngineConfig::default()
+        })
     }
 
     fn spec_req(prompt: Vec<u32>, max_new: usize, gamma: usize) -> Request {
@@ -1825,30 +1243,150 @@ mod tests {
         }
     }
 
-    /// A served speculative completion must equal the one-shot fused loop
-    /// on the same models — losslessness survives scheduling.
-    #[test]
-    fn served_completion_matches_one_shot_loop() {
-        let engine = text_engine(2, 1, 8);
-        let target = Decoder::new(DecoderConfig::tiny(40), 10);
-        let draft = Decoder::new(DecoderConfig::tiny(40), 20);
+    /// One cell of the engine losslessness matrix. Each served stream —
+    /// speculative at several budgets (1 and 2 never reach a proposal, and
+    /// get no draft thread when pipelined) and one autoregressive — must
+    /// equal the AR reference; speculative stats must account for exactly
+    /// the tokens served; every request must complete and every lease
+    /// return to its pool. The chain at fixed γ must also reproduce the
+    /// one-shot fused loop's `SpecStats` (same γ choices).
+    fn lossless_cell(
+        speculation: Speculation,
+        multimodal: bool,
+        adaptive_gamma: bool,
+        workers: usize,
+    ) {
+        let prompts: [&[u32]; 5] = [&[3, 7, 1, 9], &[5, 2], &[8, 8, 8], &[3, 11, 25, 7], &[6]];
+        let budgets = [24usize, 20, 21, 1, 2];
+        let (gamma, image_seed) = (4usize, 5u64);
         let mut ws = Workspace::new();
-        let prompt = vec![3u32, 7, 1, 9];
-        let (want, want_stats) =
-            speculative_greedy_with_budget_ws(&target, &draft, &prompt, 24, 4, &mut ws);
-
-        let h = engine.submit(spec_req(prompt, 24, 4)).unwrap();
+        let cell =
+            format!("{speculation:?} mm={multimodal} adaptive={adaptive_gamma} workers={workers}");
+        let cfg = EngineConfig {
+            slots: 2,
+            workers,
+            adaptive_gamma,
+            speculation,
+            ..EngineConfig::default()
+        };
+        // (AR reference, one-shot chain stats) per request.
+        let mut want: Vec<(Vec<u32>, SpecStats)> = Vec::new();
+        let engine = if multimodal {
+            let (engine, model, draft, projector) = mm_engine(cfg);
+            let vision = &model.cfg.vision;
+            let img = Image::synthetic(
+                &mut Rng::new(image_seed),
+                vision.n_patches,
+                vision.patch_dim,
+            );
+            for (p, &b) in prompts.iter().zip(&budgets) {
+                let ar = mm_autoregressive_ws(&model, &img, p, b, &mut ws);
+                let (spec, stats) = mm_speculative_ws(
+                    &model,
+                    &draft,
+                    Some(&projector),
+                    Ablation::projector(),
+                    &img,
+                    p,
+                    b,
+                    gamma,
+                    &mut ws,
+                );
+                assert_eq!(spec, ar, "{cell}: one-shot loop is lossy");
+                want.push((ar, stats));
+            }
+            // Text-engine-only request shape rejected.
+            assert!(matches!(
+                engine.submit(spec_req(vec![1], 4, 2)),
+                Err(Rejection::Invalid(_))
+            ));
+            engine
+        } else {
+            let (target, draft) = text_models();
+            for (p, &b) in prompts.iter().zip(&budgets) {
+                let ar = autoregressive_greedy_with_budget_ws(&target, p, b, &mut ws);
+                let (spec, stats) =
+                    speculative_greedy_with_budget_ws(&target, &draft, p, b, gamma, &mut ws);
+                assert_eq!(spec, ar, "{cell}: one-shot loop is lossy");
+                want.push((ar, stats));
+            }
+            text_engine_cfg(cfg)
+        };
+        let submit = |p: &[u32], max_new: usize, mode: DecodeMode| {
+            let image_seed = multimodal.then_some(image_seed);
+            engine
+                .submit(Request {
+                    prompt: p.to_vec(),
+                    max_new,
+                    mode,
+                    image_seed,
+                })
+                .unwrap()
+        };
+        let spec: Vec<_> = prompts
+            .iter()
+            .zip(&budgets)
+            .map(|(p, &b)| submit(p, b, DecodeMode::Speculative { gamma }))
+            .collect();
+        let ar = submit(prompts[0], budgets[0], DecodeMode::Autoregressive);
         engine.run_until_idle();
-        let (status, tokens) = h.snapshot();
-        assert_eq!(status, Status::Done);
-        assert_eq!(tokens, want);
-        assert_eq!(h.stats().unwrap(), want_stats);
-        assert_eq!(engine.metrics().requests_completed.get(), 1);
-        assert_eq!(engine.metrics().tokens_generated.get(), 24);
-        assert!(h.ttft_ms().is_some());
+
+        assert_eq!(ar.snapshot(), (Status::Done, want[0].0.clone()), "{cell}");
+        assert_eq!(ar.stats(), None, "{cell}: AR carries no spec stats");
+        for (h, (tokens, one_shot)) in spec.iter().zip(&want) {
+            assert_eq!(h.snapshot(), (Status::Done, tokens.clone()), "{cell}");
+            assert!(h.ttft_ms().is_some(), "{cell}");
+            let stats = h.stats().expect("spec request carries stats");
+            assert_eq!(stats.generated, tokens.len(), "{cell}");
+            assert!(stats.accepted <= stats.drafted, "{cell}");
+            if speculation == Speculation::Chain && !adaptive_gamma {
+                assert_eq!(&stats, one_shot, "{cell}");
+            }
+        }
+        let m = engine.metrics();
+        let served = budgets.iter().sum::<usize>() + budgets[0];
+        assert_eq!(m.requests_completed.get(), 6, "{cell}");
+        assert_eq!(m.tokens_generated.get(), served as u64, "{cell}");
+        assert_eq!(m.queue_depth.get(), 0, "{cell}");
+        if speculation == Speculation::Pipelined {
+            // The pipeline actually speculated.
+            assert!(m.speculation_depth.count() > 0, "{cell}");
+        }
+        // Every lease (draft threads' included) is back.
+        engine.vision_cache.lock().unwrap().entries.clear();
+        let (t_pool, d_pool) = (&engine.t_pool, &engine.d_pool);
+        assert_eq!(t_pool.free_blocks(), t_pool.total_blocks(), "{cell}");
+        assert_eq!(d_pool.free_blocks(), d_pool.total_blocks(), "{cell}");
     }
 
-    /// An engine declared `Int8` serves a quantized target and its spec
+    /// The engine losslessness matrix: {chain, tree, pipelined} × {text,
+    /// multimodal} × {fixed γ, adaptive γ}, each row at workers {1, 2}.
+    macro_rules! lossless_matrix {
+        ($($name:ident: $speculation:ident, mm $mm:literal, adaptive $adaptive:literal;)*) => {$(
+            #[test]
+            fn $name() {
+                for workers in [1, 2] {
+                    lossless_cell(Speculation::$speculation, $mm, $adaptive, workers);
+                }
+            }
+        )*};
+    }
+    lossless_matrix! {
+        lossless_chain_text_fixed: Chain, mm false, adaptive false;
+        lossless_chain_text_adaptive: Chain, mm false, adaptive true;
+        lossless_chain_mm_fixed: Chain, mm true, adaptive false;
+        lossless_chain_mm_adaptive: Chain, mm true, adaptive true;
+        lossless_tree_text_fixed: Tree, mm false, adaptive false;
+        lossless_tree_text_adaptive: Tree, mm false, adaptive true;
+        lossless_tree_mm_fixed: Tree, mm true, adaptive false;
+        lossless_tree_mm_adaptive: Tree, mm true, adaptive true;
+        lossless_pipelined_text_fixed: Pipelined, mm false, adaptive false;
+        lossless_pipelined_text_adaptive: Pipelined, mm false, adaptive true;
+        lossless_pipelined_mm_fixed: Pipelined, mm true, adaptive false;
+        lossless_pipelined_mm_adaptive: Pipelined, mm true, adaptive true;
+    }
+
+    /// An engine handed an `Int8` target serves it quantized and its spec
     /// completions equal the one-shot fused loop on the same quantized
     /// models — losslessness survives scheduling under either kernel family.
     #[test]
@@ -1861,51 +1399,12 @@ mod tests {
                 target: Arc::new(target.clone()),
                 draft: Arc::new(draft.clone()),
             },
-            EngineConfig {
-                kernel_policy: KernelPolicy::Int8,
-                ..EngineConfig::default()
-            },
+            EngineConfig::default(),
         );
         let mut ws = Workspace::new();
         let prompt = vec![3u32, 7, 1, 9];
         let (want, _) = speculative_greedy_with_budget_ws(&target, &draft, &prompt, 20, 4, &mut ws);
         let h = engine.submit(spec_req(prompt, 20, 4)).unwrap();
-        engine.run_until_idle();
-        assert_eq!(h.snapshot(), (Status::Done, want));
-    }
-
-    /// A config that declares a kernel family the model is not actually
-    /// running must be refused at construction.
-    #[test]
-    #[should_panic(expected = "kernel policy")]
-    fn engine_rejects_mismatched_kernel_policy() {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        Engine::new(
-            EngineModel::Text { target, draft },
-            EngineConfig {
-                kernel_policy: KernelPolicy::Int8,
-                ..EngineConfig::default()
-            },
-        );
-    }
-
-    /// AR sessions served through the engine match the fused AR loop.
-    #[test]
-    fn served_ar_matches_one_shot_loop() {
-        let engine = text_engine(1, 1, 8);
-        let target = Decoder::new(DecoderConfig::tiny(40), 10);
-        let mut ws = Workspace::new();
-        let prompt = vec![5u32, 2, 8];
-        let want = autoregressive_greedy_with_budget_ws(&target, &prompt, 15, &mut ws);
-        let h = engine
-            .submit(Request {
-                prompt,
-                max_new: 15,
-                mode: DecodeMode::Autoregressive,
-                image_seed: None,
-            })
-            .unwrap();
         engine.run_until_idle();
         assert_eq!(h.snapshot(), (Status::Done, want));
     }
@@ -2025,14 +1524,11 @@ mod tests {
             .submit(spec_req(vec![5, 2, 4, 6], budget, 3))
             .unwrap();
         engine.tick();
-        {
-            let slots = engine.slots.lock().unwrap();
-            assert_eq!(
-                slots.iter().filter(|s| s.active.is_some()).count(),
-                1,
-                "second session must wait for blocks"
-            );
-        }
+        assert_eq!(
+            engine.active.load(Ordering::Acquire),
+            1,
+            "second session must wait for blocks"
+        );
         engine.run_until_idle();
         for (h, prompt) in [(&h1, vec![3u32, 7, 1, 9]), (&h2, vec![5u32, 2, 4, 6])] {
             let (want, _) =
@@ -2078,35 +1574,6 @@ mod tests {
             assert_eq!(h.snapshot().0, Status::Cancelled);
         }
         assert_eq!(engine.metrics().requests_cancelled.get(), 3);
-    }
-
-    /// Adaptive γ must not change a single served token — only the stats.
-    #[test]
-    fn adaptive_gamma_engine_is_lossless() {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        let engine = Engine::new(
-            EngineModel::Text {
-                target: Arc::clone(&target),
-                draft: Arc::clone(&draft),
-            },
-            EngineConfig {
-                adaptive_gamma: true,
-                ..EngineConfig::default()
-            },
-        );
-        let mut ws = Workspace::new();
-        for (i, prompt) in [vec![3u32, 7, 1, 9], vec![5, 2], vec![8, 8, 8]]
-            .into_iter()
-            .enumerate()
-        {
-            let budget = 20 + i;
-            let (want, _) =
-                speculative_greedy_with_budget_ws(&target, &draft, &prompt, budget, 4, &mut ws);
-            let h = engine.submit(spec_req(prompt, budget, 4)).unwrap();
-            engine.run_until_idle();
-            assert_eq!(h.snapshot(), (Status::Done, want), "request {i}");
-        }
     }
 
     /// Cancelling a running request stops it at a block boundary, keeps the
@@ -2156,6 +1623,77 @@ mod tests {
         assert!(h2.ttft_ms().is_none());
     }
 
+    /// A cancelled request must leave the queue at the next tick wherever it
+    /// sits and whether or not a slot is free: it stops counting against
+    /// `max_queue`, the depth gauge drops, its waiter unblocks, and the
+    /// requests around it keep their FIFO order.
+    #[test]
+    fn cancelled_queued_request_is_reaped_with_all_slots_busy() {
+        let engine = text_engine(1, 1, 3);
+        let long = engine.submit(spec_req(vec![3, 7, 1, 9], 60, 3)).unwrap();
+        engine.tick(); // `long` now holds the only slot
+        let first = engine.submit(spec_req(vec![1, 2], 6, 3)).unwrap();
+        let second = engine.submit(spec_req(vec![4, 5], 6, 3)).unwrap();
+        let third = engine.submit(spec_req(vec![6, 7], 6, 3)).unwrap();
+        assert_eq!(engine.metrics().queue_depth.get(), 3);
+        assert_eq!(
+            engine.submit(spec_req(vec![8], 6, 3)).unwrap_err(),
+            Rejection::Busy
+        );
+
+        assert!(engine.cancel(second.id));
+        engine.tick();
+        assert_eq!(long.snapshot().0, Status::Running);
+        assert_eq!(second.snapshot().0, Status::Cancelled);
+        assert_eq!(engine.metrics().queue_depth.get(), 2);
+        assert_eq!(engine.metrics().requests_cancelled.get(), 1);
+        // The freed queue room is usable at once.
+        let fourth = engine.submit(spec_req(vec![8], 6, 3)).unwrap();
+
+        // The survivors are admitted in submission order.
+        let mut started = Vec::new();
+        while engine.tick() {
+            for h in [&first, &third, &fourth] {
+                if h.snapshot().0 != Status::Queued && !started.contains(&h.id) {
+                    started.push(h.id);
+                }
+            }
+        }
+        assert_eq!(started, [first.id, third.id, fourth.id]);
+        assert_eq!(engine.metrics().requests_completed.get(), 4);
+        assert!(second.snapshot().1.is_empty());
+    }
+
+    /// The id → handle map must stay bounded over the engine's life: every
+    /// live request plus the `RETAINED_FINISHED` most recent terminal ones.
+    #[test]
+    fn finished_handles_are_bounded() {
+        let engine = text_engine(4, 1, 64);
+        let extra = 40;
+        let mut ids = Vec::new();
+        while ids.len() < RETAINED_FINISHED + extra {
+            for _ in 0..64 {
+                ids.push(engine.submit(spec_req(vec![1, 2], 1, 3)).unwrap().id);
+            }
+            engine.run_until_idle();
+        }
+        let live = engine.submit(spec_req(vec![3], 1, 3)).unwrap();
+        let held = engine.qstate.lock().unwrap().handles.len();
+        assert_eq!(
+            held,
+            RETAINED_FINISHED + 1,
+            "finished handles + the live one"
+        );
+        assert!(engine.poll(live.id).is_some(), "live requests always poll");
+        let newest = *ids.last().unwrap();
+        assert_eq!(engine.poll(newest).map(|(s, _)| s), Some(Status::Done));
+        assert!(
+            engine.poll(ids[0]).is_none(),
+            "oldest finished id is forgotten"
+        );
+        assert!(!engine.cancel(ids[0]));
+    }
+
     /// Slot reuse: many sequential requests through one slot must all be
     /// lossless (reused pool blocks behave like fresh ones) and the
     /// workspace pool must stop growing after warmup.
@@ -2173,25 +1711,25 @@ mod tests {
             engine.run_until_idle();
             assert_eq!(h.snapshot(), (Status::Done, want), "round {round}");
         }
-        let slots = engine.slots.lock().unwrap();
-        assert!(slots[0].active.is_none(), "slot should be idle after drain");
+        let slot = engine.slots[0].lock().unwrap();
+        assert!(slot.active.is_none(), "slot should be idle after drain");
         assert_eq!(engine.metrics.requests_completed.get(), 3);
         assert_eq!(engine.t_pool.free_blocks(), engine.t_pool.total_blocks());
     }
 
     fn mm_engine(
-        vision_cache_entries: usize,
+        cfg: EngineConfig,
     ) -> (Arc<Engine>, Arc<LlavaSim>, Arc<Decoder>, Arc<KvProjector>) {
         use aasd_mm::{draft_for, LlavaSimConfig};
-        let cfg = LlavaSimConfig::tiny(40, 96);
-        let model = Arc::new(LlavaSim::new(cfg.clone(), 0xB0));
-        let draft = Arc::new(draft_for(&cfg, 0xB1));
+        let sim = LlavaSimConfig::tiny(40, 96);
+        let model = Arc::new(LlavaSim::new(sim.clone(), 0xB0));
+        let draft = Arc::new(draft_for(&sim, 0xB1));
         let projector = Arc::new(KvProjector::new(
             0xB2,
             draft.cfg.n_layers,
-            cfg.lm.n_layers,
-            cfg.n_img(),
-            cfg.k_slots(),
+            sim.lm.n_layers,
+            sim.n_img(),
+            sim.k_slots(),
         ));
         let engine = Engine::new(
             EngineModel::Multimodal {
@@ -2200,69 +1738,18 @@ mod tests {
                 projector: Arc::clone(&projector),
                 ablation: Ablation::projector(),
             },
-            EngineConfig {
-                slots: 2,
-                workers: 1,
-                max_queue: 8,
-                vision_cache_entries,
-                ..EngineConfig::default()
-            },
+            cfg,
         );
         (engine, model, draft, projector)
     }
 
-    /// Multimodal engine: served hybrid-cache sessions match
-    /// `mm_speculative_ws` / `mm_autoregressive_ws` exactly.
-    #[test]
-    fn multimodal_engine_is_lossless() {
-        use aasd_mm::{mm_autoregressive_ws, mm_speculative_ws};
-        let (engine, model, draft, projector) = mm_engine(8);
-        let cfg = &model.cfg;
-        let mut ws = Workspace::new();
-        let prompt = vec![3u32, 11, 25, 7];
-        let seed = 5u64;
-        let img = Image::synthetic(
-            &mut Rng::new(seed),
-            cfg.vision.n_patches,
-            cfg.vision.patch_dim,
-        );
-        let (want_spec, _) = mm_speculative_ws(
-            &model,
-            &draft,
-            Some(&projector),
-            Ablation::projector(),
-            &img,
-            &prompt,
-            20,
-            3,
-            &mut ws,
-        );
-        let want_ar = mm_autoregressive_ws(&model, &img, &prompt, 20, &mut ws);
-
-        let hs = engine
-            .submit(Request {
-                prompt: prompt.clone(),
-                max_new: 20,
-                mode: DecodeMode::Speculative { gamma: 3 },
-                image_seed: Some(seed),
-            })
-            .unwrap();
-        let ha = engine
-            .submit(Request {
-                prompt,
-                max_new: 20,
-                mode: DecodeMode::Autoregressive,
-                image_seed: Some(seed),
-            })
-            .unwrap();
-        engine.run_until_idle();
-        assert_eq!(hs.snapshot(), (Status::Done, want_spec));
-        assert_eq!(ha.snapshot(), (Status::Done, want_ar));
-        // Text-engine-only request shape rejected on mm engine.
-        assert!(matches!(
-            engine.submit(spec_req(vec![1], 4, 2)),
-            Err(Rejection::Invalid(_))
-        ));
+    fn mm_cfg(vision_cache_entries: usize) -> EngineConfig {
+        EngineConfig {
+            slots: 2,
+            max_queue: 8,
+            vision_cache_entries,
+            ..EngineConfig::default()
+        }
     }
 
     /// The vision cache: a repeated image is a hit that skips the vision
@@ -2272,7 +1759,7 @@ mod tests {
     #[test]
     fn vision_cache_hit_is_bit_identical_to_miss() {
         use aasd_mm::mm_speculative_ws;
-        let (engine, model, draft, projector) = mm_engine(4);
+        let (engine, model, draft, projector) = mm_engine(mm_cfg(4));
         let cfg = &model.cfg;
         let mut ws = Workspace::new();
         let prompt = vec![3u32, 11, 25, 7];
@@ -2320,7 +1807,7 @@ mod tests {
         assert_eq!(engine.metrics().vision_cache_hits.get(), 2);
 
         // Same burst with the cache disabled: identical streams, no hits.
-        let (engine0, ..) = mm_engine(0);
+        let (engine0, ..) = mm_engine(mm_cfg(0));
         for (&seed, w) in [5u64, 5, 9, 5].iter().zip(&want) {
             let h = engine0
                 .submit(Request {
@@ -2334,94 +1821,6 @@ mod tests {
             assert_eq!(h.snapshot(), (Status::Done, w.clone()));
         }
         assert_eq!(engine0.metrics().vision_cache_hits.get(), 0);
-    }
-
-    /// `tree_speculation` serves byte-identical streams to the linear
-    /// engine (losslessness survives the tree scheduler path) on both the
-    /// text and multimodal engines, and reports spec-shaped stats.
-    #[test]
-    fn tree_engine_serves_losslessly() {
-        // Text engine: tree stream == linear engine stream == fused loop.
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        let tree_engine = Engine::new(
-            EngineModel::Text {
-                target: Arc::clone(&target),
-                draft: Arc::clone(&draft),
-            },
-            EngineConfig {
-                slots: 2,
-                tree_speculation: true,
-                ..EngineConfig::default()
-            },
-        );
-        let mut ws = Workspace::new();
-        let prompt = vec![3u32, 7, 1, 9];
-        let (want, _) = speculative_greedy_with_budget_ws(&target, &draft, &prompt, 24, 4, &mut ws);
-        let h = tree_engine.submit(spec_req(prompt, 24, 4)).unwrap();
-        tree_engine.run_until_idle();
-        let (status, tokens) = h.snapshot();
-        assert_eq!((status, tokens), (Status::Done, want));
-        let stats = h.stats().unwrap();
-        assert_eq!(stats.generated, 24);
-        assert!(stats.accepted <= stats.drafted);
-
-        // Multimodal engine: tree stream == the AR reference.
-        use aasd_mm::{draft_for, mm_autoregressive_ws, LlavaSimConfig};
-        let cfg = LlavaSimConfig::tiny(40, 96);
-        let model = Arc::new(LlavaSim::new(cfg.clone(), 0xB0));
-        let mm_draft = Arc::new(draft_for(&cfg, 0xB1));
-        let projector = Arc::new(KvProjector::new(
-            0xB2,
-            mm_draft.cfg.n_layers,
-            cfg.lm.n_layers,
-            cfg.n_img(),
-            cfg.k_slots(),
-        ));
-        let mm_tree = Engine::new(
-            EngineModel::Multimodal {
-                model: Arc::clone(&model),
-                draft: mm_draft,
-                projector,
-                ablation: Ablation::projector(),
-            },
-            EngineConfig {
-                slots: 2,
-                tree_speculation: true,
-                adaptive_gamma: true,
-                ..EngineConfig::default()
-            },
-        );
-        let prompt = vec![3u32, 11, 25, 7];
-        let img = Image::synthetic(&mut Rng::new(5), cfg.vision.n_patches, cfg.vision.patch_dim);
-        let want_mm = mm_autoregressive_ws(&model, &img, &prompt, 20, &mut ws);
-        let h = mm_tree
-            .submit(Request {
-                prompt,
-                max_new: 20,
-                mode: DecodeMode::Speculative { gamma: 3 },
-                image_seed: Some(5),
-            })
-            .unwrap();
-        mm_tree.run_until_idle();
-        assert_eq!(h.snapshot(), (Status::Done, want_mm));
-    }
-
-    /// Tree speculation has no async-pipeline implementation; the config
-    /// combination must be refused at construction, not fail silently.
-    #[test]
-    #[should_panic(expected = "sync scheduler")]
-    fn tree_engine_rejects_async_pipeline() {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        Engine::new(
-            EngineModel::Text { target, draft },
-            EngineConfig {
-                tree_speculation: true,
-                async_pipeline: true,
-                ..EngineConfig::default()
-            },
-        );
     }
 
     /// Eviction under block pressure must skip entries whose prefix blocks
@@ -2480,145 +1879,14 @@ mod tests {
         );
     }
 
-    // ------------------------------------------------------------------
-    // Async pipeline (`cfg.async_pipeline`)
-    // ------------------------------------------------------------------
-
     fn async_text_engine(slots: usize, workers: usize, max_queue: usize) -> Arc<Engine> {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        Engine::new(
-            EngineModel::Text { target, draft },
-            EngineConfig {
-                slots,
-                workers,
-                max_queue,
-                async_pipeline: true,
-                ..EngineConfig::default()
-            },
-        )
-    }
-
-    /// The async pipeline must stream byte-identically to the fused loop
-    /// (and hence to the sync scheduler) for every request, at 1, 2, and 4
-    /// target workers — the interleaving of draft and verify threads can
-    /// shift *which* blocks speculation lands in, never a committed token.
-    #[test]
-    fn async_pipeline_streams_match_fused_loop_at_any_worker_count() {
-        let target = Decoder::new(DecoderConfig::tiny(40), 10);
-        let draft = Decoder::new(DecoderConfig::tiny(40), 20);
-        let mut ws = Workspace::new();
-        let prompts: Vec<Vec<u32>> = (0..5)
-            .map(|i| vec![1 + i as u32, 7, (i * 3 % 11) as u32])
-            .collect();
-        let want: Vec<Vec<u32>> = prompts
-            .iter()
-            .map(|p| {
-                speculative_greedy_with_budget_ws(
-                    &target,
-                    &draft,
-                    p,
-                    12 + p[0] as usize,
-                    3,
-                    &mut ws,
-                )
-                .0
-            })
-            .collect();
-        for workers in [1usize, 2, 4] {
-            let engine = async_text_engine(2, workers, 16);
-            let handles: Vec<_> = prompts
-                .iter()
-                .map(|p| {
-                    engine
-                        .submit(spec_req(p.clone(), 12 + p[0] as usize, 3))
-                        .unwrap()
-                })
-                .collect();
-            engine.run_until_idle();
-            for ((h, w), p) in handles.iter().zip(&want).zip(&prompts) {
-                let (status, tokens) = h.snapshot();
-                assert_eq!(status, Status::Done, "workers={workers} prompt={p:?}");
-                assert_eq!(&tokens, w, "workers={workers} prompt={p:?} diverged");
-            }
-            assert_eq!(engine.metrics().requests_completed.get(), 5);
-            // Every lease (draft threads included) returned to the pools.
-            assert_eq!(engine.t_pool.free_blocks(), engine.t_pool.total_blocks());
-            assert_eq!(engine.d_pool.free_blocks(), engine.d_pool.total_blocks());
-            // The pipeline actually speculated (depth histogram populated).
-            assert!(engine.metrics().speculation_depth.count() > 0);
-        }
-    }
-
-    /// AR requests flow through the async scheduler too, matching the
-    /// fused AR loop.
-    #[test]
-    fn async_pipeline_serves_ar() {
-        let engine = async_text_engine(1, 1, 8);
-        let target = Decoder::new(DecoderConfig::tiny(40), 10);
-        let mut ws = Workspace::new();
-        let prompt = vec![5u32, 2, 8];
-        let want = autoregressive_greedy_with_budget_ws(&target, &prompt, 15, &mut ws);
-        let h = engine
-            .submit(Request {
-                prompt,
-                max_new: 15,
-                mode: DecodeMode::Autoregressive,
-                image_seed: None,
-            })
-            .unwrap();
-        engine.run_until_idle();
-        assert_eq!(h.snapshot(), (Status::Done, want));
-    }
-
-    /// Degenerate budgets (1 and 2 committed tokens) never spawn a draft
-    /// thread yet still complete losslessly.
-    #[test]
-    fn async_pipeline_degenerate_budgets() {
-        let engine = async_text_engine(1, 1, 8);
-        let target = Decoder::new(DecoderConfig::tiny(40), 10);
-        let draft = Decoder::new(DecoderConfig::tiny(40), 20);
-        let mut ws = Workspace::new();
-        for max_new in [1usize, 2] {
-            let prompt = vec![3u32, 7, 1, 9];
-            let (want, _) =
-                speculative_greedy_with_budget_ws(&target, &draft, &prompt, max_new, 4, &mut ws);
-            let h = engine.submit(spec_req(prompt, max_new, 4)).unwrap();
-            engine.run_until_idle();
-            assert_eq!(h.snapshot(), (Status::Done, want), "max_new={max_new}");
-        }
-        assert_eq!(engine.d_pool.free_blocks(), engine.d_pool.total_blocks());
-    }
-
-    /// Adaptive γ under the async pipeline: the depth cap breathes with
-    /// the acceptance rate but no committed token may move.
-    #[test]
-    fn async_pipeline_adaptive_gamma_is_lossless() {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        let engine = Engine::new(
-            EngineModel::Text {
-                target: Arc::clone(&target),
-                draft: Arc::clone(&draft),
-            },
-            EngineConfig {
-                adaptive_gamma: true,
-                async_pipeline: true,
-                ..EngineConfig::default()
-            },
-        );
-        let mut ws = Workspace::new();
-        for (i, prompt) in [vec![3u32, 7, 1, 9], vec![5, 2], vec![8, 8, 8]]
-            .into_iter()
-            .enumerate()
-        {
-            let budget = 20 + i;
-            let (want, _) =
-                speculative_greedy_with_budget_ws(&target, &draft, &prompt, budget, 4, &mut ws);
-            let h = engine.submit(spec_req(prompt, budget, 4)).unwrap();
-            engine.run_until_idle();
-            assert_eq!(h.snapshot(), (Status::Done, want), "request {i}");
-        }
+        text_engine_cfg(EngineConfig {
+            slots,
+            workers,
+            max_queue,
+            speculation: Speculation::Pipelined,
+            ..EngineConfig::default()
+        })
     }
 
     /// Cancelling a running async session stops the draft thread, keeps
@@ -2659,104 +1927,32 @@ mod tests {
         assert_eq!(h2.snapshot(), (Status::Done, want2));
     }
 
-    /// `drain_pipeline` after a stopped `run_pipeline` finishes in-flight
-    /// sessions with a terminal status and joins their draft threads —
-    /// the server's SHUTDOWN path in miniature.
+    /// `serve` returning after its stop flag was raised has finished every
+    /// in-flight session with a terminal status and joined their draft
+    /// threads — the server's SHUTDOWN path in miniature.
     #[test]
     fn async_pipeline_drain_finishes_in_flight_sessions() {
         let engine = async_text_engine(2, 1, 8);
         let stop = AtomicBool::new(false);
         let h = engine.submit(spec_req(vec![3, 7, 1, 9], 60, 3)).unwrap();
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
+        let raised = std::thread::scope(|scope| {
+            let raiser = scope.spawn(|| {
                 while h.snapshot().1.len() < 2 {
                     std::thread::yield_now();
                 }
                 stop.store(true, Ordering::Release);
+                Instant::now()
             });
-            engine.run_pipeline(Some(&stop));
+            engine.serve(&stop);
+            raiser.join().expect("raiser thread panicked")
         });
-        let drained = Instant::now();
-        engine.cancel_all();
-        engine.drain_pipeline(Duration::from_secs(5));
         assert!(
-            drained.elapsed() < Duration::from_secs(5),
+            raised.elapsed() < DRAFT_JOIN_TIMEOUT,
             "drain must not exhaust its bound"
         );
         assert_eq!(h.snapshot().0, Status::Cancelled);
         assert_eq!(engine.t_pool.free_blocks(), engine.t_pool.total_blocks());
         assert_eq!(engine.d_pool.free_blocks(), engine.d_pool.total_blocks());
-        assert_eq!(engine.pipe_active.load(Ordering::Acquire), 0);
-    }
-
-    /// Multimodal requests through the async pipeline: hybrid-cache
-    /// speculation with a free-running draft still matches
-    /// `mm_speculative_ws` exactly.
-    #[test]
-    fn async_pipeline_multimodal_is_lossless() {
-        use aasd_mm::{draft_for, mm_speculative_ws, LlavaSimConfig};
-        let cfg = LlavaSimConfig::tiny(40, 96);
-        let model = Arc::new(LlavaSim::new(cfg.clone(), 0xB0));
-        let draft = Arc::new(draft_for(&cfg, 0xB1));
-        let projector = Arc::new(KvProjector::new(
-            0xB2,
-            draft.cfg.n_layers,
-            cfg.lm.n_layers,
-            cfg.n_img(),
-            cfg.k_slots(),
-        ));
-        let engine = Engine::new(
-            EngineModel::Multimodal {
-                model: Arc::clone(&model),
-                draft: Arc::clone(&draft),
-                projector: Arc::clone(&projector),
-                ablation: Ablation::projector(),
-            },
-            EngineConfig {
-                slots: 2,
-                workers: 2,
-                max_queue: 8,
-                vision_cache_entries: 4,
-                async_pipeline: true,
-                ..EngineConfig::default()
-            },
-        );
-        let mut ws = Workspace::new();
-        let prompt = vec![3u32, 11, 25, 7];
-        let mut handles = Vec::new();
-        let mut want = Vec::new();
-        for seed in [5u64, 9, 5] {
-            let img = Image::synthetic(
-                &mut Rng::new(seed),
-                cfg.vision.n_patches,
-                cfg.vision.patch_dim,
-            );
-            let (w, _) = mm_speculative_ws(
-                &model,
-                &draft,
-                Some(&projector),
-                Ablation::projector(),
-                &img,
-                &prompt,
-                18,
-                3,
-                &mut ws,
-            );
-            want.push(w);
-            handles.push(
-                engine
-                    .submit(Request {
-                        prompt: prompt.clone(),
-                        max_new: 18,
-                        mode: DecodeMode::Speculative { gamma: 3 },
-                        image_seed: Some(seed),
-                    })
-                    .unwrap(),
-            );
-        }
-        engine.run_until_idle();
-        for (h, w) in handles.iter().zip(&want) {
-            assert_eq!(h.snapshot(), (Status::Done, w.clone()));
-        }
+        assert_eq!(engine.active.load(Ordering::Acquire), 0);
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The server owns two background threads:
 //!
-//! * the **scheduler thread**, which calls [`Engine::tick`] in a loop
-//!   (parking on the engine's condvar when idle), and
+//! * the **scheduler thread**, which runs [`Engine::serve`] — whichever
+//!   scheduler the engine's config names, then the shutdown drain — and
 //! * the **accept thread**, which spawns a short-lived handler per
 //!   connection.
 //!
@@ -46,27 +46,7 @@ impl Server {
         let sched_stop = Arc::clone(&stop);
         let sched_thread = std::thread::Builder::new()
             .name("aasd-sched".into())
-            .spawn(move || {
-                if sched_engine.config().async_pipeline {
-                    // Free-running pipeline: blocks until the stop flag is
-                    // raised, then cancels what's left and joins every
-                    // session's draft thread under a bounded timeout so
-                    // shutdown can never leak a parked thread.
-                    sched_engine.run_pipeline(Some(&sched_stop));
-                    sched_engine.cancel_all();
-                    sched_engine.drain_pipeline(Duration::from_secs(5));
-                    return;
-                }
-                while !sched_stop.load(Ordering::Acquire) {
-                    if !sched_engine.tick() {
-                        sched_engine.wait_for_work(Duration::from_millis(5));
-                    }
-                }
-                // Drain: finish nothing new, cancel what's left so waiting
-                // clients unblock with a terminal status.
-                sched_engine.cancel_all();
-                sched_engine.run_until_idle();
-            })?;
+            .spawn(move || sched_engine.serve(&sched_stop))?;
 
         let accept_engine = Arc::clone(&engine);
         let accept_stop = Arc::clone(&stop);

@@ -9,12 +9,9 @@
 //! loop [`speculative_greedy`] is lossless: its output is token-identical
 //! to [`autoregressive_greedy`] on the same target (the root integration
 //! tests assert this), because every committed token is argmax under the
-//! target's own logits.
+//! target's own logits. Greedy acceptance is the one-hot special case of
+//! Leviathan rejection sampling (accept `x'~q` w.p. `min(1, p/q)`).
 //!
-//! Greedy acceptance is the one-hot special case of Leviathan rejection
-//! sampling; the stochastic version (accept `x'~q` w.p. `min(1, p/q)`)
-//! arrives with the training stack in a later PR.
-
 //! Two generations of the loop coexist:
 //!
 //! * [`speculative_greedy`] / [`autoregressive_greedy`] — the allocating
@@ -28,7 +25,9 @@
 //!   *n+1*'s batched pass instead of paying its own single-token resync
 //!   forward. That removes one full target pass per block, which on a CPU
 //!   clock is the difference between speculative decoding losing and
-//!   winning at realistic acceptance rates.
+//!   winning at realistic acceptance rates. These are [`Session::run`] over
+//!   the resumable sessions of [`session`], [`tree`] and [`pipeline`],
+//!   which share one private loop-state core.
 //!
 //! Kernel policy rides on the models, not the loops: a `Decoder` switched
 //! to `aasd_nn::KernelPolicy::Int8` runs its fused forwards on the int8
@@ -39,6 +38,7 @@
 //! different policies (`tests/int8_equivalence.rs` pins both properties).
 
 pub mod adaptive;
+mod core;
 pub mod cost;
 pub mod metrics;
 pub mod pipeline;
@@ -51,7 +51,7 @@ pub use cost::{fp16_bytes, DeviceClock};
 pub use metrics::SpecStats;
 pub use pipeline::{DraftAhead, DraftStep, VerifyHalf, VerifyReport, CONFIDENCE_STOP};
 pub use ring::{Rollback, SpscRing};
-pub use session::{ArSession, SpecSession, StepReport};
+pub use session::{ArSession, Session, SpecSession, StepReport};
 pub use tree::{
     speculative_tree_seeded_ws, AcceptanceCalibrator, AcceptanceExample, TreeConfig, TreeSession,
     CALIBRATOR_FEATURES,
@@ -385,12 +385,8 @@ pub fn autoregressive_greedy_with_budget_ws(
         budget <= target.cfg.max_seq + 1 - prompt.len(),
         "budget exceeds context window"
     );
-    let vocab = target.cfg.vocab;
     let mut cache = target.new_cache();
-    let mut prefill = ws.take(prompt.len() * vocab);
-    target.forward_infer_ws(prompt, &mut cache, ws, &mut prefill);
-    let pending = argmax(&prefill[(prompt.len() - 1) * vocab..]) as u32;
-    ws.give(prefill);
+    let pending = target.prefill_ws(prompt, &mut cache, ws);
     autoregressive_greedy_seeded_ws(target, &mut cache, pending, budget, ws)
 }
 
@@ -410,16 +406,8 @@ pub fn autoregressive_greedy_seeded_ws(
     budget: usize,
     ws: &mut Workspace,
 ) -> Vec<u32> {
-    // All committed tokens except the final one are fed back through the
-    // cache, so the true feasible budget is the remaining room plus one
-    // (asserted by [`ArSession::new`]). One-shot driver over the resumable
-    // [`ArSession`] — the scheduler steps the same state machine block by
-    // block, so serving inherits this loop's semantics verbatim.
-    let mut session = ArSession::new(target, cache, pending, budget);
-    while !session.is_done() {
-        session.step(target, cache, ws);
-    }
-    session.into_tokens()
+    let session = ArSession::new(target, cache, pending, budget);
+    Session::Ar(session).run(target, cache, None, ws).0
 }
 
 /// The fused speculative loop: zero-allocation forwards plus the
@@ -464,19 +452,12 @@ pub fn speculative_greedy_with_budget_ws(
     if budget == 0 {
         return (Vec::new(), SpecStats::default());
     }
-    let (t_vocab, d_vocab) = (target.cfg.vocab, draft.cfg.vocab);
-
     let mut t_cache = target.new_cache();
     let mut d_cache = draft.new_cache();
     // Prefill both models; the first output token is already decided by the
     // target's prompt logits, so it starts life as the pending token.
-    let mut prefill = ws.take(prompt.len() * t_vocab);
-    target.forward_infer_ws(prompt, &mut t_cache, ws, &mut prefill);
-    let pending = argmax(&prefill[(prompt.len() - 1) * t_vocab..]) as u32;
-    ws.give(prefill);
-    let mut d_prefill = ws.take(prompt.len() * d_vocab);
-    draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_prefill);
-    ws.give(d_prefill);
+    let pending = target.prefill_ws(prompt, &mut t_cache, ws);
+    draft.prefill_ws(prompt, &mut d_cache, ws);
 
     speculative_greedy_seeded_ws(
         target,
@@ -517,18 +498,8 @@ pub fn speculative_greedy_seeded_ws(
     gamma: usize,
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
-    // One-shot driver over the resumable [`SpecSession`] state machine —
-    // the loop body (draft γ, batched verify with the pending-token fold,
-    // commit, rollback) lives in [`SpecSession::step_block`] so the serving
-    // scheduler can interleave many sessions at block granularity while
-    // every invariant test on THIS function keeps pinning that body.
-    let mut session = SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);
-    while !session.is_done() {
-        session.step_block(target, draft, t_cache, d_cache, ws);
-    }
-    let (out, stats) = session.into_parts();
-    debug_assert_eq!(stats.generated, out.len());
-    (out, stats)
+    let session = SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);
+    Session::Spec(session).run(target, t_cache, Some((draft, d_cache)), ws)
 }
 
 #[cfg(test)]

@@ -48,9 +48,9 @@
 //! short. The gate only changes *which* tokens get drafted — the verify
 //! leg alone commits, so streams are byte-identical with it on or off.
 
-use crate::adaptive::AdaptiveGamma;
-use crate::metrics::SpecStats;
+use crate::core::{core_accessors, Core};
 use crate::ring::SpscRing;
+use crate::session::StepReport;
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache, KvCheckpoint};
 use aasd_tensor::{argmax, Workspace};
@@ -224,29 +224,11 @@ pub struct VerifyReport {
     pub depth: usize,
 }
 
-impl VerifyReport {
-    fn idle() -> Self {
-        Self {
-            committed: 0,
-            done: false,
-            progressed: false,
-            rolled_back: false,
-            depth: 0,
-        }
-    }
-}
-
 /// Consumer half: batches ring tokens into target verify passes and holds
 /// **sole commit authority** for the session's output stream.
 #[derive(Debug)]
 pub struct VerifyHalf {
-    pending: u32,
-    budget: usize,
-    gamma: usize,
-    out: Vec<u32>,
-    stats: SpecStats,
-    t_off: usize,
-    done: bool,
+    core: Core,
     /// Draft-cache length where the current speculation chain began.
     frontier: usize,
     /// Chain tokens since `frontier` confirmed to match the target chain.
@@ -254,8 +236,9 @@ pub struct VerifyHalf {
     /// After a fully-accepted block: the target's bonus token, which the
     /// next popped chain token must equal for the chain to stay live.
     expect: Option<u32>,
-    adaptive: Option<AdaptiveGamma>,
 }
+
+core_accessors!(VerifyHalf);
 
 impl VerifyHalf {
     /// Start the verify half from pre-seeded caches (same cache contract
@@ -280,10 +263,6 @@ impl VerifyHalf {
         budget: usize,
         gamma: usize,
     ) -> Self {
-        assert!(
-            (1..MAX_GAMMA).contains(&gamma),
-            "gamma must be in 1..{MAX_GAMMA}"
-        );
         if budget > 0 {
             assert_eq!(
                 target.cfg.max_seq.min(t_cache.capacity()),
@@ -291,42 +270,11 @@ impl VerifyHalf {
                 "async verify requires a budget-collapsed target lease"
             );
         }
-        let mut s = Self {
-            pending,
-            budget,
-            gamma,
-            out: Vec::with_capacity(budget),
-            stats: SpecStats::default(),
-            t_off: t_cache.len(),
-            done: budget == 0,
+        Self {
+            core: Core::new(target, t_cache, pending, budget, gamma),
             frontier: d_frontier,
             confirmed: 0,
             expect: None,
-            adaptive: None,
-        };
-        if !s.done {
-            s.out.push(pending);
-            s.stats.generated += 1;
-            s.stats.prefill_tokens += 1;
-            s.done = s.out.len() == s.budget;
-        }
-        s
-    }
-
-    /// Attach a per-session γ controller (see
-    /// [`SpecSession::enable_adaptive_gamma`](crate::SpecSession::enable_adaptive_gamma)).
-    pub fn enable_adaptive_gamma(&mut self, controller: AdaptiveGamma) {
-        self.adaptive = Some(controller);
-    }
-
-    /// The γ underlying the current depth hint (diagnostics). An adaptive
-    /// controller's proposal is bounded by the remaining budget, so a
-    /// cold-start prior can never hint a depth past the collapsed lease.
-    #[inline]
-    pub fn gamma(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => a.gamma_capped(self.budget.saturating_sub(self.out.len() + 1)),
-            None => self.gamma,
         }
     }
 
@@ -334,6 +282,12 @@ impl VerifyHalf {
     /// [`DEPTH_FACTOR`]·γ, clamped to the ring's token range.
     pub fn depth_hint(&self) -> usize {
         (self.gamma() * DEPTH_FACTOR).clamp(1, MAX_GAMMA)
+    }
+
+    /// Proposals one verify pass may carry: the block (pending + proposals)
+    /// must fit `MAX_GAMMA` rows and its commit the remaining budget.
+    fn block_cap(&self) -> usize {
+        (MAX_GAMMA - 1).min(self.core.remaining().saturating_sub(1))
     }
 
     /// Ring occupancy at which a verify pass is worth paying for: a full
@@ -346,32 +300,20 @@ impl VerifyHalf {
     /// (parked at its KV frontier, or already stopped); waiting then
     /// would idle forever.
     pub fn ready_depth(&self) -> usize {
-        if self.done || self.budget - self.out.len() <= 1 {
-            return 0;
+        match self.block_cap() {
+            0 => 0,
+            cap => self.depth_hint().min(cap) + usize::from(self.expect.is_some()),
         }
-        let g_cap = (MAX_GAMMA - 1).min(self.budget - self.out.len() - 1);
-        self.depth_hint().min(g_cap) + usize::from(self.expect.is_some())
     }
 
-    /// Tokens emitted so far (monotone; committed tokens never change).
-    #[inline]
-    pub fn tokens(&self) -> &[u32] {
-        &self.out
-    }
-
-    #[inline]
-    pub fn stats(&self) -> &SpecStats {
-        &self.stats
-    }
-
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Consume the session, yielding the stream and its counters.
-    pub fn into_parts(self) -> (Vec<u32>, SpecStats) {
-        (self.out, self.stats)
+    /// Start a new speculation chain `past` confirmed-or-accepted tokens
+    /// beyond the current one's start: tell the draft to restore its KV to
+    /// just before the first dead token and resume from `resume`.
+    fn roll_back(&mut self, ring: &SpscRing, past: usize, resume: u32) {
+        self.frontier += 1 + self.confirmed + past;
+        self.confirmed = 0;
+        self.expect = None;
+        ring.request_rollback(self.frontier, resume);
     }
 
     /// Run **one** verify step against whatever the draft has queued:
@@ -391,34 +333,28 @@ impl VerifyHalf {
         ring: &SpscRing,
         ws: &mut Workspace,
     ) -> VerifyReport {
-        if self.done {
-            return VerifyReport {
-                done: true,
-                ..VerifyReport::idle()
-            };
+        let before = self.core.tokens().len();
+        let report = |core: &Core, progressed: bool, rolled_back: bool, depth: usize| {
+            let StepReport { committed, done } = core.report(before);
+            VerifyReport {
+                committed,
+                done,
+                progressed,
+                rolled_back,
+                depth,
+            }
+        };
+        if self.core.is_done() {
+            return report(&self.core, false, false, 0);
         }
-        let vocab = target.cfg.vocab;
         let t_base = t_cache.len();
-        debug_assert_eq!(t_base, self.t_off + self.out.len() - 1);
-        let remaining = self.budget - self.out.len();
-        if remaining == 1 {
+        debug_assert_eq!(t_base, self.core.t_base());
+        let g_cap = self.block_cap();
+        if g_cap == 0 {
             // Final token: plain decode, chain state irrelevant (the
             // draft worker is about to be stopped, not resynced).
-            let mut logits = ws.take(vocab);
-            target.forward_infer_ws(&[self.pending], t_cache, ws, &mut logits);
-            let next = argmax(&logits) as u32;
-            ws.give(logits);
-            self.out.push(next);
-            self.stats.blocks += 1;
-            self.stats.generated += 1;
-            self.done = true;
-            return VerifyReport {
-                committed: 1,
-                done: true,
-                progressed: true,
-                rolled_back: false,
-                depth: 0,
-            };
+            self.core.plain_decode(target, t_cache, ws);
+            return report(&self.core, true, false, 0);
         }
 
         // An outstanding bonus-token check gates the chain: the draft's
@@ -427,123 +363,58 @@ impl VerifyHalf {
         let mut resolved_expect = false;
         if let Some(expected) = self.expect {
             let Some(tok) = ring.pop() else {
-                return VerifyReport::idle();
+                return report(&self.core, false, false, 0);
             };
-            if tok == expected {
-                self.confirmed += 1;
-                self.expect = None;
-                resolved_expect = true;
-            } else {
-                ring.request_rollback(self.frontier + 1 + self.confirmed, expected);
-                self.frontier += 1 + self.confirmed;
-                self.confirmed = 0;
-                self.expect = None;
-                return VerifyReport {
-                    committed: 0,
-                    done: false,
-                    progressed: true,
-                    rolled_back: true,
-                    depth: 0,
-                };
+            if tok != expected {
+                self.roll_back(ring, 0, expected);
+                return report(&self.core, true, true, 0);
             }
+            self.confirmed += 1;
+            self.expect = None;
+            resolved_expect = true;
         }
 
-        // Gather whatever the draft has in flight, bounded so the verify
-        // block (pending + proposals) fits MAX_GAMMA rows and the commit
-        // can never exceed the remaining budget.
-        let g_cap = (MAX_GAMMA - 1).min(remaining - 1);
+        // Gather whatever the draft has in flight.
         let mut proposals = [0u32; MAX_GAMMA];
         let mut k = 0;
         while k < g_cap {
-            match ring.pop() {
-                Some(tok) => {
-                    proposals[k] = tok;
-                    k += 1;
-                }
-                None => break,
-            }
+            let Some(tok) = ring.pop() else { break };
+            proposals[k] = tok;
+            k += 1;
         }
         if k == 0 {
             // Nothing to verify yet; resolving an expect above still
             // counts as progress (chain state advanced).
-            return VerifyReport {
-                progressed: resolved_expect,
-                ..VerifyReport::idle()
-            };
+            return report(&self.core, resolved_expect, false, 0);
         }
         let proposals = &proposals[..k];
 
-        // One (k+1)-row target pass scores pending + all k proposals.
-        let mut v_logits = ws.take((k + 1) * vocab);
-        let mut block = [0u32; MAX_GAMMA];
-        block[0] = self.pending;
-        block[1..=k].copy_from_slice(proposals);
-        target.forward_infer_ws(&block[..=k], t_cache, ws, &mut v_logits);
-
-        let mut accepted = 0;
-        while accepted < k {
-            let pred = argmax(&v_logits[accepted * vocab..(accepted + 1) * vocab]) as u32;
-            if pred != proposals[accepted] {
-                break;
+        let (accepted, next) = self.core.verify_chain(target, t_cache, proposals, ws);
+        self.core
+            .commit(&proposals[..accepted], next, k, (k, accepted));
+        let rolled_back = accepted < k && !self.core.is_done();
+        if !self.core.is_done() {
+            t_cache.truncate(t_base + 1 + accepted);
+            if rolled_back {
+                // proposals[accepted] is chain token
+                // s_{confirmed+accepted+1}: resume from the target's
+                // correction.
+                self.roll_back(ring, accepted, next);
+            } else {
+                // Full accept: the chain is still live; the draft's next
+                // token must match `next` for it to stay that way.
+                self.confirmed += k;
+                self.expect = Some(next);
             }
-            accepted += 1;
         }
-        let next = argmax(&v_logits[accepted * vocab..(accepted + 1) * vocab]) as u32;
-        ws.give(v_logits);
-
-        self.stats.blocks += 1;
-        self.stats.drafted += k;
-        self.stats.accepted += accepted;
-        if let Some(ctl) = &mut self.adaptive {
-            ctl.observe(k, accepted);
-        }
-        // k ≤ remaining − 1 ⇒ accepted + 1 ≤ remaining: no clamp needed,
-        // unlike the sync loop (invariant: stats.generated == out.len()).
-        let commit = accepted + 1;
-        self.stats.generated += commit;
-        self.out.extend_from_slice(&proposals[..accepted]);
-        self.out.push(next);
-        if self.out.len() >= self.budget {
-            // Final block: skip the truncate, exactly like the sync loop.
-            self.done = true;
-            return VerifyReport {
-                committed: commit,
-                done: true,
-                progressed: true,
-                rolled_back: false,
-                depth: k,
-            };
-        }
-        t_cache.truncate(t_base + 1 + accepted);
-        self.pending = next;
-        let rolled_back = accepted < k;
-        if rolled_back {
-            // proposals[accepted] is chain token s_{confirmed+accepted+1};
-            // restore the draft to just before it and resume from the
-            // target's correction.
-            ring.request_rollback(self.frontier + 1 + self.confirmed + accepted, next);
-            self.frontier += 1 + self.confirmed + accepted;
-            self.confirmed = 0;
-        } else {
-            // Full accept: the chain is still live; the draft's next
-            // token must match `next` for it to stay that way.
-            self.confirmed += k;
-            self.expect = Some(next);
-        }
-        VerifyReport {
-            committed: commit,
-            done: false,
-            progressed: true,
-            rolled_back,
-            depth: k,
-        }
+        report(&self.core, true, rolled_back, k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speculative_greedy_with_budget_ws;
+    use crate::{speculative_greedy_with_budget_ws, AdaptiveGamma, SpecStats};
     use aasd_nn::{DecoderConfig, KvPool};
     use aasd_tensor::Rng;
 
@@ -735,7 +606,14 @@ mod tests {
         let len_before = t_cache.len();
         let stats_before = verify.stats().clone();
         let r = verify.try_step_block(&target, &mut t_cache, &ring, &mut ws);
-        assert_eq!(r, VerifyReport::idle());
+        let idle = VerifyReport {
+            committed: 0,
+            done: false,
+            progressed: false,
+            rolled_back: false,
+            depth: 0,
+        };
+        assert_eq!(r, idle);
         assert_eq!(t_cache.len(), len_before);
         assert_eq!(*verify.stats(), stats_before);
     }

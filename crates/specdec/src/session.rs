@@ -1,33 +1,32 @@
 //! Resumable, block-granular decode sessions.
 //!
-//! The fused loops in the crate root run one request to completion inside a
-//! single function call — fine for a `main`-style harness, useless for a
-//! scheduler that must interleave many requests. [`SpecSession`] and
-//! [`ArSession`] factor the **body** of those loops into an explicit state
-//! machine: one [`SpecSession::step_block`] call executes exactly one
-//! draft-then-verify block (or one plain decode step when there is no room
-//! to speculate), then returns control to the caller. A scheduler can run
-//! block A of session 1, then block A of session 2, then block B of
-//! session 1 — continuous batching at block granularity — and every session
-//! still produces output token-identical to the one-shot loop, because the
-//! one-shot loops themselves are now thin drivers over these sessions
-//! (`speculative_greedy_seeded_ws` = `SpecSession::new` + `step_block` until
-//! done). Every existing losslessness/boundary/τ test therefore pins this
-//! refactor.
+//! A `main`-style harness can run one request to completion inside a single
+//! function call; a scheduler that must interleave many requests cannot.
+//! [`SpecSession`], [`TreeSession`](crate::TreeSession) and [`ArSession`]
+//! are the loop **body** as an explicit state machine: one step call
+//! executes exactly one draft-then-verify block (or one plain decode step
+//! when there is no room to speculate), then returns control to the caller.
+//! A scheduler can run block A of session 1, then block A of session 2,
+//! then block B of session 1 — continuous batching at block granularity —
+//! and every session still produces output token-identical to the one-shot
+//! loop, because the one-shot loops in the crate root are [`Session::run`]
+//! over these same sessions. Every losslessness/boundary/τ test on those
+//! loops therefore pins the sessions.
 //!
 //! Sessions do **not** own the model or the caches; they own only the loop
-//! state (pending token, emitted tokens, counters). The caller supplies the
-//! same `target`/`draft`/`t_cache`/`d_cache`/`ws` on every step — in the
-//! server each session slot owns its caches and workspace, while the models
-//! are shared read-only across worker threads.
+//! state (pending token, emitted tokens, counters — the shared [`Core`]).
+//! The caller supplies the same `target`/`draft`/`t_cache`/`d_cache`/`ws`
+//! on every step — in the server each session slot owns its caches and
+//! workspace, while the models are shared read-only across worker threads.
 
-use crate::adaptive::AdaptiveGamma;
+use crate::core::{assert_budget_fits, core_accessors, Core};
 use crate::metrics::SpecStats;
+use crate::tree::TreeSession;
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache};
 use aasd_tensor::{argmax, Workspace};
 
-/// What one [`SpecSession::step_block`] / [`ArSession::step`] call did.
+/// What one session step did.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StepReport {
     /// Tokens newly committed to the output by this call.
@@ -37,45 +36,42 @@ pub struct StepReport {
     pub done: bool,
 }
 
-/// Resumable fused speculative decoding: the seeded pending-token-fold loop
-/// (`speculative_greedy_seeded_ws`) cut at block boundaries.
+/// Positions a cache can still take beyond the pending token: the tighter
+/// of the model's context window and the cache lease, minus the `base`
+/// positions held and the pending token's own row. The session
+/// constructors' budget asserts guarantee `base + 1 ≤` the bound while the
+/// session is not done, so this cannot underflow.
+pub(crate) fn room(model: &Decoder, cache: &KvCache, base: usize) -> usize {
+    model.cfg.max_seq.min(cache.capacity()) - base - 1
+}
+
+/// Resumable fused speculative decoding over a γ-token **chain** with the
+/// pending-token fold: the correction/bonus token of block *n* is scored
+/// inside block *n+1*'s batched verify pass instead of paying its own
+/// single-token resync forward.
 ///
-/// Invariants between steps (identical to the one-shot loop's):
-/// * `out` ends with the pending token;
-/// * `t_cache.len() == t_off + out.len() − 1` and likewise for the draft —
-///   **except after the final block**, which skips the rollback exactly as
-///   the one-shot loop does (the session is finished; the caches are about
-///   to be reset or restored anyway), and except that the draft cache is
-///   one row short while `unfed` holds the last proposal of a fully
-///   accepted block (the next draft forward feeds it first).
+/// On top of the [`Core`] invariants, the draft cache holds
+/// `d_off + tokens().len() − 1` positions between steps — except that it is
+/// one row short while `unfed` holds the last proposal of a fully accepted
+/// block (the next draft forward feeds it first).
 #[derive(Debug, Clone)]
 pub struct SpecSession {
-    pending: u32,
-    budget: usize,
-    gamma: usize,
-    out: Vec<u32>,
-    stats: SpecStats,
-    t_off: usize,
+    core: Core,
     d_off: usize,
-    done: bool,
     /// The last proposal of a fully accepted block: committed, but not yet
     /// in the draft cache. Feeding it only matters when the whole block is
     /// accepted, so the forward is deferred until that is known and then
     /// rides along with the next block's first draft forward.
     unfed: Option<u32>,
-    /// Optional per-session γ controller; when set, γ is re-picked from the
-    /// running acceptance estimate at the start of every block.
-    adaptive: Option<AdaptiveGamma>,
 }
 
+core_accessors!(SpecSession);
+
 impl SpecSession {
-    /// Start a session from pre-seeded caches (see
-    /// `speculative_greedy_seeded_ws` for the cache contract). `pending` is
-    /// the first target-decided token not yet fed to either cache; it is
-    /// committed immediately (it was decided by prefill, so it lands in
-    /// `SpecStats::prefill_tokens`), which is what makes time-to-first-token
-    /// in a server equal to queue wait + prefill, not queue wait + prefill +
-    /// first block.
+    /// Start a session from pre-seeded caches whose lengths may differ
+    /// (see `speculative_greedy_seeded_ws` for the cache contract).
+    /// `pending` is the first target-decided token not yet fed to either
+    /// cache; it is committed immediately.
     pub fn new(
         target: &Decoder,
         draft: &Decoder,
@@ -85,83 +81,21 @@ impl SpecSession {
         budget: usize,
         gamma: usize,
     ) -> Self {
-        assert!(
-            (1..MAX_GAMMA).contains(&gamma),
-            "gamma must be in 1..{MAX_GAMMA}"
-        );
-        // Leased caches may be smaller than the model's context window —
-        // the binding bound is whichever is tighter.
-        assert!(
-            t_cache.len() + budget <= target.cfg.max_seq.min(t_cache.capacity()) + 1,
-            "budget exceeds target context window / lease capacity"
-        );
-        assert!(
-            d_cache.len() + budget <= draft.cfg.max_seq.min(d_cache.capacity()) + 1,
-            "budget exceeds draft context window / lease capacity"
-        );
-        let mut s = Self {
-            pending,
-            budget,
-            gamma,
-            out: Vec::with_capacity(budget),
-            stats: SpecStats::default(),
-            t_off: t_cache.len(),
+        assert_budget_fits("draft", draft, d_cache, budget);
+        Self {
+            core: Core::new(target, t_cache, pending, budget, gamma),
             d_off: d_cache.len(),
-            done: budget == 0,
             unfed: None,
-            adaptive: None,
-        };
-        if !s.done {
-            s.out.push(pending);
-            s.stats.generated += 1;
-            s.stats.prefill_tokens += 1;
-            s.done = s.out.len() == s.budget;
         }
-        s
     }
 
-    /// Attach an [`AdaptiveGamma`] controller: from the next block on, γ is
-    /// chosen per block from the session's own running acceptance rate
-    /// instead of staying fixed. Greedy speculative decoding is lossless
-    /// under **any** γ schedule, so this changes speed only, never tokens.
-    pub fn enable_adaptive_gamma(&mut self, controller: AdaptiveGamma) {
-        self.adaptive = Some(controller);
-    }
-
-    /// The γ the next block will use (diagnostics).
-    #[inline]
-    pub fn gamma(&self) -> usize {
-        self.adaptive.as_ref().map_or(self.gamma, |a| a.gamma())
-    }
-
-    /// Tokens emitted so far (monotone; committed tokens never change).
-    #[inline]
-    pub fn tokens(&self) -> &[u32] {
-        &self.out
-    }
-
-    /// Counters so far; final once [`SpecSession::is_done`].
-    #[inline]
-    pub fn stats(&self) -> &SpecStats {
-        &self.stats
-    }
-
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    /// Consume the session, yielding exactly what the one-shot loop returns.
-    pub fn into_parts(self) -> (Vec<u32>, SpecStats) {
-        (self.out, self.stats)
-    }
-
-    /// Feed the pending token to the draft — preceded, in the same forward,
-    /// by the proposal a fully accepted block left un-fed — and leave the
-    /// logits after the pending token in `d_logits[..vocab]`. The two-row
+    /// Feed `tok` (the pending token) to the draft — preceded, in the same
+    /// forward, by the proposal a fully accepted block left un-fed — and
+    /// leave the logits after `tok` in `d_logits[..vocab]`. The two-row
     /// forward is bitwise two one-row forwards (the kernel contract).
-    fn feed_pending_to_draft(
+    fn feed_draft(
         &mut self,
+        tok: u32,
         draft: &Decoder,
         d_cache: &mut KvCache,
         ws: &mut Workspace,
@@ -170,10 +104,10 @@ impl SpecSession {
         let vocab = draft.cfg.vocab;
         match self.unfed.take() {
             Some(last) => {
-                draft.forward_infer_ws(&[last, self.pending], d_cache, ws, d_logits);
+                draft.forward_infer_ws(&[last, tok], d_cache, ws, d_logits);
                 d_logits.copy_within(vocab.., 0);
             }
-            None => draft.forward_infer_ws(&[self.pending], d_cache, ws, &mut d_logits[..vocab]),
+            None => draft.forward_infer_ws(&[tok], d_cache, ws, &mut d_logits[..vocab]),
         }
     }
 
@@ -190,57 +124,30 @@ impl SpecSession {
         d_cache: &mut KvCache,
         ws: &mut Workspace,
     ) -> StepReport {
-        if self.done {
-            return StepReport {
-                committed: 0,
-                done: true,
-            };
+        let before = self.core.tokens().len();
+        if self.core.is_done() {
+            return self.core.report(before);
         }
-        let before = self.out.len();
-        let (t_vocab, d_vocab) = (target.cfg.vocab, draft.cfg.vocab);
+        let d_vocab = draft.cfg.vocab;
         let t_base = t_cache.len();
         // The draft frontier, counting a still un-fed last proposal.
         let d_base = d_cache.len() + usize::from(self.unfed.is_some());
-        debug_assert_eq!(t_base, self.t_off + self.out.len() - 1);
-        debug_assert_eq!(d_base, self.d_off + self.out.len() - 1);
-        // The block feeds g+1 tokens (pending + g proposals) to both caches
-        // and commits at most g+1 new tokens; each model bounds g by its own
-        // remaining room — the tighter of its context window and its cache
-        // lease. `done == false` guarantees budget − out.len() ≥ 1, and the
-        // constructor's budget asserts guarantee base + 1 ≤ the bound, so
-        // the subtractions cannot underflow.
-        let t_room = target.cfg.max_seq.min(t_cache.capacity()) - t_base - 1;
-        let d_room = draft.cfg.max_seq.min(d_cache.capacity()) - d_base - 1;
-        let room = t_room.min(d_room);
-        if let Some(ctl) = &self.adaptive {
-            // Bound the controller's proposal by what the lease and budget
-            // can still hold, so a cold-start prior can never ask for a
-            // depth the collapsed lease lacks room for.
-            self.gamma = ctl.gamma_capped(room.min(self.budget - self.out.len() - 1));
-        }
-        let g = self.gamma.min(self.budget - self.out.len() - 1).min(room);
+        debug_assert_eq!(t_base, self.core.t_base());
+        debug_assert_eq!(d_base, self.d_off + before - 1);
+        // The block feeds g+1 tokens (pending + g proposals) to both caches;
+        // each model bounds g by its own remaining room.
+        let room = room(target, t_cache, t_base).min(room(draft, d_cache, d_base));
+        let g = self.core.block_depth(room);
+        let fed = self.core.pending;
         if g == 0 {
-            // One token of budget or context left: plain fused decode step.
-            let mut logits = ws.take(t_vocab);
-            target.forward_infer_ws(&[self.pending], t_cache, ws, &mut logits);
-            let next = argmax(&logits) as u32;
-            ws.give(logits);
-            self.out.push(next);
-            self.stats.blocks += 1;
-            self.stats.generated += 1;
-            if self.out.len() < self.budget {
+            self.core.plain_decode(target, t_cache, ws);
+            if !self.core.is_done() {
                 // Keep the caches in lockstep for the next block.
-                let mut dl = ws.take(2 * d_vocab);
-                self.feed_pending_to_draft(draft, d_cache, ws, &mut dl);
-                ws.give(dl);
-            } else {
-                self.done = true;
+                let mut d_logits = ws.take(2 * d_vocab);
+                self.feed_draft(fed, draft, d_cache, ws, &mut d_logits);
+                ws.give(d_logits);
             }
-            self.pending = next;
-            return StepReport {
-                committed: self.out.len() - before,
-                done: self.done,
-            };
+            return self.core.report(before);
         }
 
         // Draft phase: feed pending, then every proposal but the last (g
@@ -248,7 +155,7 @@ impl SpecSession {
         // if the whole block is accepted; see `unfed`.
         let mut d_logits = ws.take(2 * d_vocab);
         let mut proposals = [0u32; MAX_GAMMA];
-        self.feed_pending_to_draft(draft, d_cache, ws, &mut d_logits);
+        self.feed_draft(fed, draft, d_cache, ws, &mut d_logits);
         proposals[0] = argmax(&d_logits[..d_vocab]) as u32;
         for i in 1..g {
             draft.forward_infer_ws(&[proposals[i - 1]], d_cache, ws, &mut d_logits[..d_vocab]);
@@ -257,78 +164,31 @@ impl SpecSession {
         ws.give(d_logits);
         let proposals = &proposals[..g];
 
-        // Verify phase: ONE (g+1)-token target pass scores the pending token
-        // and all g proposals. Row i predicts the token after position
-        // t_base+i, i.e. proposals[i] for i < g, bonus for i = g.
-        let mut v_logits = ws.take((g + 1) * t_vocab);
-        // Build the verify block on the stack (no allocation); γ < MAX_GAMMA
-        // is enforced by the constructor.
-        let mut block = [0u32; MAX_GAMMA];
-        block[0] = self.pending;
-        block[1..=g].copy_from_slice(proposals);
-        target.forward_infer_ws(&block[..=g], t_cache, ws, &mut v_logits);
-
-        let mut accepted = 0;
-        while accepted < g {
-            let pred = argmax(&v_logits[accepted * t_vocab..(accepted + 1) * t_vocab]) as u32;
-            if pred != proposals[accepted] {
-                break;
+        let (accepted, next) = self.core.verify_chain(target, t_cache, proposals, ws);
+        self.core
+            .commit(&proposals[..accepted], next, g, (g, accepted));
+        if !self.core.is_done() {
+            // Roll both caches back to the committed frontier; the new
+            // pending token is fed as part of the NEXT block's verify pass.
+            t_cache.truncate(t_base + 1 + accepted);
+            if accepted == g {
+                self.unfed = Some(proposals[g - 1]);
+            } else {
+                d_cache.truncate(d_base + 1 + accepted);
             }
-            accepted += 1;
         }
-        let next = argmax(&v_logits[accepted * t_vocab..(accepted + 1) * t_vocab]) as u32;
-        ws.give(v_logits);
-
-        self.stats.blocks += 1;
-        self.stats.drafted += g;
-        self.stats.accepted += accepted;
-        if let Some(ctl) = &mut self.adaptive {
-            ctl.observe(g, accepted);
-        }
-        // Commit the accepted prefix plus the new pending token, clamped to
-        // the remaining budget (invariant: stats.generated == out.len()).
-        let commit = (accepted + 1).min(self.budget - self.out.len());
-        self.stats.generated += commit;
-        self.out
-            .extend_from_slice(&proposals[..commit.min(accepted)]);
-        if commit > accepted {
-            self.out.push(next);
-        }
-        if self.out.len() >= self.budget {
-            // Final block: skip the rollback, exactly like the one-shot loop.
-            self.done = true;
-            return StepReport {
-                committed: self.out.len() - before,
-                done: true,
-            };
-        }
-        // Roll both caches back to the committed frontier; the new pending
-        // token is fed as part of the NEXT block's verify pass.
-        t_cache.truncate(t_base + 1 + accepted);
-        if accepted == g {
-            self.unfed = Some(proposals[g - 1]);
-        } else {
-            d_cache.truncate(d_base + 1 + accepted);
-        }
-        self.pending = next;
-        StepReport {
-            committed: self.out.len() - before,
-            done: false,
-        }
+        self.core.report(before)
     }
 }
 
-/// Resumable fused autoregressive decoding: the seeded greedy loop
-/// (`autoregressive_greedy_seeded_ws`) cut at single-token granularity, so
-/// a scheduler can interleave AR sessions exactly like speculative ones
-/// (one "block" = one token). This is the serving baseline speculative
-/// scheduling is benchmarked against.
+/// Resumable fused autoregressive decoding: the speculative loop with no
+/// draft — every step is the [`Core`]'s plain decode step — so a scheduler
+/// can interleave AR sessions exactly like speculative ones (one "block" =
+/// one token). This is the serving baseline speculative scheduling is
+/// benchmarked against.
 #[derive(Debug, Clone)]
 pub struct ArSession {
-    pending: u32,
-    budget: usize,
-    out: Vec<u32>,
-    done: bool,
+    core: Core,
 }
 
 impl ArSession {
@@ -336,35 +196,24 @@ impl ArSession {
     /// token not yet fed back (committed immediately, mirroring
     /// [`SpecSession::new`]).
     pub fn new(target: &Decoder, cache: &KvCache, pending: u32, budget: usize) -> Self {
-        assert!(
-            cache.len() + budget <= target.cfg.max_seq.min(cache.capacity()) + 1,
-            "budget exceeds context window / lease capacity"
-        );
-        let mut s = Self {
-            pending,
-            budget,
-            out: Vec::with_capacity(budget),
-            done: budget == 0,
-        };
-        if !s.done {
-            s.out.push(pending);
-            s.done = s.out.len() == s.budget;
+        // γ is never read: an AR session takes no speculative block.
+        Self {
+            core: Core::new(target, cache, pending, budget, 1),
         }
-        s
     }
 
     #[inline]
     pub fn tokens(&self) -> &[u32] {
-        &self.out
+        self.core.tokens()
     }
 
     #[inline]
     pub fn is_done(&self) -> bool {
-        self.done
+        self.core.is_done()
     }
 
     pub fn into_tokens(self) -> Vec<u32> {
-        self.out
+        self.core.into_parts().0
     }
 
     /// Decode one token: feed the pending token, commit its argmax.
@@ -374,22 +223,89 @@ impl ArSession {
         cache: &mut KvCache,
         ws: &mut Workspace,
     ) -> StepReport {
-        if self.done {
-            return StepReport {
-                committed: 0,
-                done: true,
-            };
+        let before = self.core.tokens().len();
+        if !self.core.is_done() {
+            self.core.plain_decode(target, cache, ws);
         }
-        let mut logits = ws.take(target.cfg.vocab);
-        target.forward_infer_ws(&[self.pending], cache, ws, &mut logits);
-        let next = argmax(&logits) as u32;
-        ws.give(logits);
-        self.out.push(next);
-        self.pending = next;
-        self.done = self.out.len() == self.budget;
-        StepReport {
-            committed: 1,
-            done: self.done,
+        self.core.report(before)
+    }
+}
+
+/// Any inline-stepped decode session — what the one-shot loops run to
+/// completion and what a scheduler slot advances one step at a time.
+#[derive(Debug, Clone)]
+pub enum Session {
+    Ar(ArSession),
+    Spec(SpecSession),
+    Tree(TreeSession),
+}
+
+impl Session {
+    fn core(&self) -> &Core {
+        match self {
+            Session::Ar(s) => &s.core,
+            Session::Spec(s) => &s.core,
+            Session::Tree(s) => s.core(),
+        }
+    }
+
+    /// Tokens emitted so far.
+    pub fn tokens(&self) -> &[u32] {
+        self.core().tokens()
+    }
+
+    pub fn is_done(&self) -> bool {
+        self.core().is_done()
+    }
+
+    /// Speculation counters so far; `None` for an autoregressive session.
+    pub fn stats(&self) -> Option<&SpecStats> {
+        match self {
+            Session::Ar(_) => None,
+            _ => Some(self.core().stats()),
+        }
+    }
+
+    /// One step: a speculative block, or one token for `Ar`. `draft` is the
+    /// draft model with the session's draft cache; speculative sessions
+    /// require it, `Ar` ignores it.
+    pub fn step(
+        &mut self,
+        target: &Decoder,
+        t_cache: &mut KvCache,
+        draft: Option<(&Decoder, &mut KvCache)>,
+        ws: &mut Workspace,
+    ) -> StepReport {
+        let spec = || draft.expect("speculative session without a draft cache");
+        match self {
+            Session::Ar(s) => s.step(target, t_cache, ws),
+            Session::Spec(s) => {
+                let (draft, d_cache) = spec();
+                s.step_block(target, draft, t_cache, d_cache, ws)
+            }
+            Session::Tree(s) => {
+                let (draft, d_cache) = spec();
+                s.step_block(target, draft, t_cache, d_cache, ws)
+            }
+        }
+    }
+
+    /// Step until the budget is emitted — the body of every one-shot loop.
+    pub fn run(
+        mut self,
+        target: &Decoder,
+        t_cache: &mut KvCache,
+        mut draft: Option<(&Decoder, &mut KvCache)>,
+        ws: &mut Workspace,
+    ) -> (Vec<u32>, SpecStats) {
+        while !self.is_done() {
+            let draft = draft.as_mut().map(|(d, c)| (*d, &mut **c));
+            self.step(target, t_cache, draft, ws);
+        }
+        match self {
+            Session::Ar(s) => s.core.into_parts(),
+            Session::Spec(s) => s.into_parts(),
+            Session::Tree(s) => s.into_parts(),
         }
     }
 }

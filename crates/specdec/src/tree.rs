@@ -31,11 +31,11 @@
 //! with the `aasd-train` stack on examples the session collects
 //! ([`TreeSession::enable_example_collection`]).
 
-use crate::adaptive::AdaptiveGamma;
+use crate::core::{assert_budget_fits, core_accessors, Core};
 use crate::metrics::SpecStats;
-use crate::session::StepReport;
+use crate::session::{room, Session, StepReport};
 use crate::MAX_GAMMA;
-use aasd_nn::{Decoder, KvCache};
+use aasd_nn::{Decoder, KvCache, TreeRows};
 use aasd_tensor::{argmax, softmax_row, Workspace};
 
 /// Feature vector width of the acceptance calibrator.
@@ -145,10 +145,8 @@ impl TreeConfig {
     pub fn linear() -> Self {
         Self {
             branch_factor: 1,
-            max_depth: 0,
             prob_floor: 0.0,
-            calibrator: None,
-            branch_threshold: 0.5,
+            ..Self::default()
         }
     }
 }
@@ -254,16 +252,9 @@ fn expand(
 /// [`SpecSession`]: crate::SpecSession
 #[derive(Debug, Clone)]
 pub struct TreeSession {
-    pending: u32,
-    budget: usize,
-    gamma: usize,
+    core: Core,
     cfg: TreeConfig,
-    out: Vec<u32>,
-    stats: SpecStats,
-    t_off: usize,
     d_off: usize,
-    done: bool,
-    adaptive: Option<AdaptiveGamma>,
     /// Target-cache prefix length treated as the vision prefix when
     /// measuring visual-attention mass (0 ⇒ text-only, no measurement).
     vis_boundary: usize,
@@ -273,6 +264,8 @@ pub struct TreeSession {
     collect: bool,
     examples: Vec<AcceptanceExample>,
 }
+
+core_accessors!(TreeSession);
 
 impl TreeSession {
     /// Start a tree session from pre-seeded caches; cache/budget contract
@@ -291,52 +284,25 @@ impl TreeSession {
         cfg: TreeConfig,
         vis_boundary: usize,
     ) -> Self {
-        assert!(
-            (1..MAX_GAMMA).contains(&gamma),
-            "gamma must be in 1..{MAX_GAMMA}"
-        );
         assert!(cfg.branch_factor >= 1, "branch factor must be at least 1");
-        assert!(
-            t_cache.len() + budget <= target.cfg.max_seq.min(t_cache.capacity()) + 1,
-            "budget exceeds target context window / lease capacity"
-        );
-        assert!(
-            d_cache.len() + budget <= draft.cfg.max_seq.min(d_cache.capacity()) + 1,
-            "budget exceeds draft context window / lease capacity"
-        );
+        assert_budget_fits("draft", draft, d_cache, budget);
         assert!(
             vis_boundary <= t_cache.len(),
             "vision boundary beyond the prefilled target cache"
         );
-        let mut s = Self {
-            pending,
-            budget,
-            gamma,
+        Self {
+            core: Core::new(target, t_cache, pending, budget, gamma),
             cfg,
-            out: Vec::with_capacity(budget),
-            stats: SpecStats::default(),
-            t_off: t_cache.len(),
             d_off: d_cache.len(),
-            done: budget == 0,
-            adaptive: None,
             vis_boundary,
             vis_mass: 0.0,
             collect: false,
             examples: Vec::new(),
-        };
-        if !s.done {
-            s.out.push(pending);
-            s.stats.generated += 1;
-            s.stats.prefill_tokens += 1;
-            s.done = s.out.len() == s.budget;
         }
-        s
     }
 
-    /// Attach a per-session γ controller; the proposal is bounded by the
-    /// remaining lease/budget via [`AdaptiveGamma::gamma_capped`].
-    pub fn enable_adaptive_gamma(&mut self, controller: AdaptiveGamma) {
-        self.adaptive = Some(controller);
+    pub(crate) fn core(&self) -> &Core {
+        &self.core
     }
 
     /// Record one [`AcceptanceExample`] per target-adjudicated candidate
@@ -351,35 +317,10 @@ impl TreeSession {
         std::mem::take(&mut self.examples)
     }
 
-    /// The γ (tree depth budget) the next block will use (diagnostics).
-    #[inline]
-    pub fn gamma(&self) -> usize {
-        self.adaptive.as_ref().map_or(self.gamma, |a| a.gamma())
-    }
-
     /// The running visual-attention-mass feature (diagnostics).
     #[inline]
     pub fn visual_mass(&self) -> f32 {
         self.vis_mass
-    }
-
-    #[inline]
-    pub fn tokens(&self) -> &[u32] {
-        &self.out
-    }
-
-    #[inline]
-    pub fn stats(&self) -> &SpecStats {
-        &self.stats
-    }
-
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.done
-    }
-
-    pub fn into_parts(self) -> (Vec<u32>, SpecStats) {
-        (self.out, self.stats)
     }
 
     /// Execute **one** tree block: DFS-draft a token tree (node budget
@@ -397,48 +338,28 @@ impl TreeSession {
         d_cache: &mut KvCache,
         ws: &mut Workspace,
     ) -> StepReport {
-        if self.done {
-            return StepReport {
-                committed: 0,
-                done: true,
-            };
+        let before = self.core.tokens().len();
+        if self.core.is_done() {
+            return self.core.report(before);
         }
-        let before = self.out.len();
         let (t_vocab, d_vocab) = (target.cfg.vocab, draft.cfg.vocab);
         let t_base = t_cache.len();
         let d_base = d_cache.len();
-        debug_assert_eq!(t_base, self.t_off + self.out.len() - 1);
-        debug_assert_eq!(d_base, self.d_off + self.out.len() - 1);
+        debug_assert_eq!(t_base, self.core.t_base());
+        debug_assert_eq!(d_base, self.d_off + before - 1);
         // Same room arithmetic as the linear session: the tree feeds at
         // most g+1 rows to the target and runs the draft at most g deep.
-        let t_room = target.cfg.max_seq.min(t_cache.capacity()) - t_base - 1;
-        let d_room = draft.cfg.max_seq.min(d_cache.capacity()) - d_base - 1;
-        let room = t_room.min(d_room);
-        if let Some(ctl) = &self.adaptive {
-            self.gamma = ctl.gamma_capped(room.min(self.budget - self.out.len() - 1));
-        }
-        let g = self.gamma.min(self.budget - self.out.len() - 1).min(room);
+        let room = room(target, t_cache, t_base).min(room(draft, d_cache, d_base));
+        let g = self.core.block_depth(room);
+        let fed = self.core.pending;
         if g == 0 {
-            // One token of budget or context left: plain fused decode step.
-            let mut logits = ws.take(t_vocab);
-            target.forward_infer_ws(&[self.pending], t_cache, ws, &mut logits);
-            let next = argmax(&logits) as u32;
-            ws.give(logits);
-            self.out.push(next);
-            self.stats.blocks += 1;
-            self.stats.generated += 1;
-            if self.out.len() < self.budget {
+            self.core.plain_decode(target, t_cache, ws);
+            if !self.core.is_done() {
                 let mut dl = ws.take(d_vocab);
-                draft.forward_infer_ws(&[self.pending], d_cache, ws, &mut dl);
+                draft.forward_infer_ws(&[fed], d_cache, ws, &mut dl);
                 ws.give(dl);
-            } else {
-                self.done = true;
             }
-            self.pending = next;
-            return StepReport {
-                committed: self.out.len() - before,
-                done: self.done,
-            };
+            return self.core.report(before);
         }
 
         // Draft phase: grow the tree. Depth ≤ min(cfg.max_depth, g), node
@@ -457,7 +378,7 @@ impl TreeSession {
             tops: [1.0; MAX_GAMMA],
             n: 1,
         };
-        nodes.toks[0] = self.pending;
+        nodes.toks[0] = fed;
         expand(
             &mut nodes,
             0,
@@ -484,35 +405,35 @@ impl TreeSession {
         let mut mass = [0.0f32; MAX_GAMMA];
         target.forward_infer_tree_ws(
             &nodes.toks[..n],
-            &nodes.depths[..n],
-            &vis[..n],
-            self.vis_boundary,
             t_cache,
             ws,
             &mut v_logits,
-            &mut mass[..n],
+            TreeRows {
+                depths: &nodes.depths[..n],
+                vis: &vis[..n],
+                vis_boundary: self.vis_boundary,
+                vis_mass: &mut mass[..n],
+            },
         );
 
         // Accept walk: from the root, follow the child matching the
         // target's argmax (greedy drafting makes children distinct, so at
         // most one matches). The exit prediction is the correction token
         // on mismatch and the free bonus token at a leaf — uniformly.
+        // `path` are the accepted rows, `path_toks` their tokens (root =
+        // the pending token).
         let mut path = [0usize; MAX_GAMMA];
+        let mut path_toks = [fed; MAX_GAMMA];
         let mut plen = 1usize;
         let mut cur = 0usize;
         let next = loop {
             let pred = argmax(&v_logits[cur * t_vocab..(cur + 1) * t_vocab]) as u32;
-            let mut hit = usize::MAX;
-            for c in cur + 1..n {
-                if nodes.parents[c] == cur && nodes.toks[c] == pred {
-                    hit = c;
-                    break;
-                }
-            }
-            if hit == usize::MAX {
+            let hit = (cur + 1..n).find(|&c| nodes.parents[c] == cur && nodes.toks[c] == pred);
+            let Some(hit) = hit else {
                 break pred;
-            }
+            };
             path[plen] = hit;
+            path_toks[plen] = pred;
             plen += 1;
             cur = hit;
         };
@@ -544,50 +465,27 @@ impl TreeSession {
             self.vis_mass = 0.7 * self.vis_mass + 0.3 * mean;
         }
 
-        self.stats.blocks += 1;
-        self.stats.drafted += n - 1;
-        self.stats.accepted += accepted;
-        if let Some(ctl) = &mut self.adaptive {
-            // Chain-equivalent observation: the greedy chain ran the full
-            // depth budget; `accepted` of it survived.
-            ctl.observe(depth_eff, accepted.min(depth_eff));
+        // Chain-equivalent observation for the γ controller: the greedy
+        // chain ran the full depth budget; `accepted` of it survived.
+        self.core.commit(
+            &path_toks[1..plen],
+            next,
+            n - 1,
+            (depth_eff, accepted.min(depth_eff)),
+        );
+        if !self.core.is_done() {
+            // Commit the accepted path: compact its rows down over the
+            // rejected siblings (an identity copy at branching factor 1)
+            // and resync the draft with one batched refeed — bit-identical
+            // to the sequential feeds, so the next block starts from
+            // exactly the state the linear session would hold. (The final
+            // block skips this, as the linear session skips its rollback.)
+            t_cache.gather_tail(t_base, &path[..plen]);
+            let mut dl = ws.take(plen * d_vocab);
+            draft.forward_infer_ws(&path_toks[..plen], d_cache, ws, &mut dl);
+            ws.give(dl);
         }
-        let commit = (accepted + 1).min(self.budget - self.out.len());
-        self.stats.generated += commit;
-        for &p in path.iter().take(commit.min(accepted) + 1).skip(1) {
-            self.out.push(nodes.toks[p]);
-        }
-        if commit > accepted {
-            self.out.push(next);
-        }
-        if self.out.len() >= self.budget {
-            // Final block: skip the compaction, exactly like the linear
-            // session skips its rollback.
-            self.done = true;
-            return StepReport {
-                committed: self.out.len() - before,
-                done: true,
-            };
-        }
-        // Commit the accepted path: compact its rows down over the
-        // rejected siblings (an identity copy at branching factor 1) and
-        // resync the draft with one batched refeed — bit-identical to the
-        // sequential feeds, so the next block starts from exactly the
-        // state the linear session would hold.
-        t_cache.gather_tail(t_base, &path[..plen]);
-        let mut refeed = [0u32; MAX_GAMMA];
-        refeed[0] = self.pending;
-        for k in 1..plen {
-            refeed[k] = nodes.toks[path[k]];
-        }
-        let mut dl = ws.take(plen * d_vocab);
-        draft.forward_infer_ws(&refeed[..plen], d_cache, ws, &mut dl);
-        ws.give(dl);
-        self.pending = next;
-        StepReport {
-            committed: self.out.len() - before,
-            done: false,
-        }
+        self.core.report(before)
     }
 }
 
@@ -606,7 +504,7 @@ pub fn speculative_tree_seeded_ws(
     vis_boundary: usize,
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
-    let mut session = TreeSession::new(
+    let session = TreeSession::new(
         target,
         draft,
         t_cache,
@@ -617,16 +515,13 @@ pub fn speculative_tree_seeded_ws(
         cfg,
         vis_boundary,
     );
-    while !session.is_done() {
-        session.step_block(target, draft, t_cache, d_cache, ws);
-    }
-    session.into_parts()
+    Session::Tree(session).run(target, t_cache, Some((draft, d_cache)), ws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{autoregressive_greedy_with_budget, speculative_greedy_seeded_ws};
+    use crate::{autoregressive_greedy_with_budget, speculative_greedy_seeded_ws, AdaptiveGamma};
     use aasd_nn::DecoderConfig;
     use aasd_tensor::Rng;
 

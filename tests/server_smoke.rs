@@ -6,15 +6,15 @@
 use std::sync::Arc;
 
 use aasd::nn::{Decoder, DecoderConfig};
-use aasd::serve::{Client, Engine, EngineConfig, EngineModel, Server};
+use aasd::serve::{Client, Engine, EngineConfig, EngineModel, Server, Speculation};
 use aasd::specdec::speculative_greedy_with_budget_ws;
 use aasd::tensor::Workspace;
 
 fn start_server() -> Server {
-    start_server_cfg(false)
+    start_server_cfg(Speculation::Chain)
 }
 
-fn start_server_cfg(async_pipeline: bool) -> Server {
+fn start_server_cfg(speculation: Speculation) -> Server {
     let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
     let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
     let engine = Engine::new(
@@ -23,7 +23,7 @@ fn start_server_cfg(async_pipeline: bool) -> Server {
             slots: 2,
             workers: 1,
             max_queue: 16,
-            async_pipeline,
+            speculation,
             ..EngineConfig::default()
         },
     );
@@ -246,7 +246,7 @@ fn shutdown_drains_in_flight_requests() {
 /// than leaked parked on their rings.
 #[test]
 fn async_server_shutdown_joins_draft_workers() {
-    let server = start_server_cfg(true);
+    let server = start_server_cfg(Speculation::Pipelined);
     let addr = server.addr();
 
     // Warm-up: one completed request proves the async sched thread serves

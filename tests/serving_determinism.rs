@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use aasd::mm::{draft_for, Ablation, Image, KvProjector, LlavaSim, LlavaSimConfig};
 use aasd::nn::{Decoder, DecoderConfig};
-use aasd::serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
+use aasd::serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Speculation, Status};
 use aasd::specdec::speculative_greedy_with_budget_ws;
 use aasd::tensor::{Rng, Workspace};
 
@@ -37,12 +37,12 @@ fn workload(n: usize) -> Vec<Request> {
 }
 
 fn run_text_engine(workers: usize, reqs: &[Request]) -> Vec<(Status, Vec<u32>)> {
-    run_text_engine_cfg(workers, false, reqs)
+    run_text_engine_cfg(workers, Speculation::Chain, reqs)
 }
 
 fn run_text_engine_cfg(
     workers: usize,
-    async_pipeline: bool,
+    speculation: Speculation,
     reqs: &[Request],
 ) -> Vec<(Status, Vec<u32>)> {
     let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
@@ -53,7 +53,7 @@ fn run_text_engine_cfg(
             slots: 3,
             workers,
             max_queue: 64,
-            async_pipeline,
+            speculation,
             ..EngineConfig::default()
         },
     );
@@ -103,36 +103,16 @@ fn rerun_is_reproducible() {
     assert_eq!(run_text_engine(2, &reqs), run_text_engine(2, &reqs));
 }
 
-/// Tree-structured speculation on the sync scheduler is held to the same
-/// bar: worker-count independent, reproducible, and stream-identical to
+/// Tree-structured speculation is held to the same bar: worker-count independent, reproducible, and stream-identical to
 /// the linear engine — losslessness means tree and chain commit the same
-/// tokens, so flipping `tree_speculation` must be invisible in the output.
+/// tokens, so `Speculation::Tree` must be invisible in the output.
 #[test]
 fn tree_speculation_streams_match_linear_at_any_worker_count() {
-    let run_tree = |workers: usize, reqs: &[Request]| {
-        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-        let engine = Engine::new(
-            EngineModel::Text { target, draft },
-            EngineConfig {
-                slots: 3,
-                workers,
-                max_queue: 64,
-                tree_speculation: true,
-                ..EngineConfig::default()
-            },
-        );
-        let handles: Vec<_> = reqs
-            .iter()
-            .map(|r| engine.submit(r.clone()).expect("admitted"))
-            .collect();
-        engine.run_until_idle();
-        handles.iter().map(|h| h.snapshot()).collect::<Vec<_>>()
-    };
     let reqs = workload(10);
+    let run_tree = |workers| run_text_engine_cfg(workers, Speculation::Tree, &reqs);
     let linear = run_text_engine(1, &reqs);
     for workers in [1usize, 4] {
-        let tree = run_tree(workers, &reqs);
+        let tree = run_tree(workers);
         assert_eq!(linear.len(), tree.len());
         for (i, (l, t)) in linear.iter().zip(&tree).enumerate() {
             assert_eq!(t.0, Status::Done, "tree request {i} not done");
@@ -142,7 +122,7 @@ fn tree_speculation_streams_match_linear_at_any_worker_count() {
             );
         }
     }
-    assert_eq!(run_tree(2, &reqs), run_tree(2, &reqs), "tree rerun drifted");
+    assert_eq!(run_tree(2), run_tree(2), "tree rerun drifted");
 }
 
 /// The async draft/target pipeline is held to the same bar: at 1, 2, and
@@ -156,7 +136,7 @@ fn async_pipeline_streams_match_sync_at_any_worker_count() {
     let reqs = workload(10);
     let sync = run_text_engine(1, &reqs);
     for workers in [1usize, 2, 4] {
-        let async_run = run_text_engine_cfg(workers, true, &reqs);
+        let async_run = run_text_engine_cfg(workers, Speculation::Pipelined, &reqs);
         assert_eq!(sync.len(), async_run.len());
         for (i, (s, a)) in sync.iter().zip(&async_run).enumerate() {
             assert_eq!(a.0, Status::Done, "async request {i} not done");
@@ -190,8 +170,8 @@ fn async_pipeline_streams_match_sync_at_any_worker_count() {
 #[test]
 fn async_rerun_reproduces_streams() {
     let reqs = workload(6);
-    let a = run_text_engine_cfg(2, true, &reqs);
-    let b = run_text_engine_cfg(2, true, &reqs);
+    let a = run_text_engine_cfg(2, Speculation::Pipelined, &reqs);
+    let b = run_text_engine_cfg(2, Speculation::Pipelined, &reqs);
     assert_eq!(a, b);
 }
 
@@ -218,7 +198,7 @@ fn multimodal_streams_are_worker_independent() {
             image_seed: Some(100 + i),
         })
         .collect();
-    let run = |workers: usize, async_pipeline: bool| {
+    let run = |workers: usize, speculation: Speculation| {
         let engine = Engine::new(
             EngineModel::Multimodal {
                 model: Arc::clone(&model),
@@ -230,7 +210,7 @@ fn multimodal_streams_are_worker_independent() {
                 slots: 2,
                 workers,
                 max_queue: 16,
-                async_pipeline,
+                speculation,
                 ..EngineConfig::default()
             },
         );
@@ -241,12 +221,12 @@ fn multimodal_streams_are_worker_independent() {
         engine.run_until_idle();
         handles.iter().map(|h| h.snapshot()).collect::<Vec<_>>()
     };
-    let one = run(1, false);
-    let four = run(4, false);
+    let one = run(1, Speculation::Chain);
+    let four = run(4, Speculation::Chain);
     assert_eq!(one, four);
     // The async pipeline serves the same multimodal streams.
-    assert_eq!(one, run(1, true));
-    assert_eq!(one, run(4, true));
+    assert_eq!(one, run(1, Speculation::Pipelined));
+    assert_eq!(one, run(4, Speculation::Pipelined));
     let mut ws = Workspace::new();
     for (req, (status, tokens)) in reqs.iter().zip(&one) {
         assert_eq!(*status, Status::Done);

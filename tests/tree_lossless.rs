@@ -155,12 +155,14 @@ fn tree_streams_are_identical_across_kernel_tiers() {
     assert_eq!(scalar, best, "tree decode diverged across kernel tiers");
 }
 
-/// The serving engine's tree mode (sync scheduler, `tree_speculation`)
+/// The serving engine's tree mode (`Speculation::Tree`)
 /// serves the same streams as the fused linear loop — losslessness means
 /// tree and chain agree on every committed token.
 #[test]
 fn engine_tree_mode_reproduces_fused_streams() {
-    use aasd::serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
+    use aasd::serve::{
+        DecodeMode, Engine, EngineConfig, EngineModel, Request, Speculation, Status,
+    };
     use aasd::specdec::speculative_greedy_with_budget_ws;
     use std::sync::Arc;
 
@@ -186,7 +188,7 @@ fn engine_tree_mode_reproduces_fused_streams() {
                 slots: 2,
                 workers,
                 max_queue: 16,
-                tree_speculation: true,
+                speculation: Speculation::Tree,
                 ..EngineConfig::default()
             },
         );
