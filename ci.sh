@@ -54,13 +54,11 @@ if [[ "${1:-}" != "--quick" ]]; then
     # kernel, on every tier, or verify stops reproducing decode. The suite
     # drives each supported tier through the explicit-backend entry; it runs
     # optimized (the code the benchmark measures — tier-1 above already ran
-    # it unoptimized) with the process-global tier pinned to scalar, to sse2
-    # and left to the host's best, which also moves the Linear-level and
+    # it unoptimized) with the process-global tier pinned to scalar and left
+    # to the host's best, which also moves the Linear-level and
     # naive-reference checks across tiers.
     AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor tile_
     AASD_KERNEL=scalar cargo test -q --release -p aasd-nn linear_
-    AASD_KERNEL=sse2 cargo test -q --release -p aasd-tensor tile_
-    AASD_KERNEL=sse2 cargo test -q --release -p aasd-nn linear_
     cargo test -q --release -p aasd-tensor tile_
     cargo test -q --release -p aasd-nn linear_
 
@@ -73,7 +71,11 @@ if [[ "${1:-}" != "--quick" ]]; then
     #   cargo run --release -p aasd-bench --bin table1
     cargo run --release -q -p aasd-bench --bin table1 -- /tmp/table1_smoke.json --smoke
 
-    echo "==> perf snapshot smoke (every bench section; decode-step + pipeline-throughput regressions vs latest BENCH_PR*.json are hard failures)"
+    echo "==> perf snapshot smoke (every bench section executes; its in-run assertions hold)"
+    # A smoke, not a perf gate: the binary asserts what does not depend on
+    # the clock (every stream lossless, bf=1 tree ≡ chain, best tree τ > best
+    # chain τ, adaptive γ ≥ 0.98 × best fixed γ) and compares no fresh time
+    # with a committed one. The regression gate is the benchmark gate below.
     cargo run --release -q -p aasd-bench --bin perf_snapshot -- /tmp/bench_smoke.json --smoke
 
     echo "==> benchmark gate: aasd-e2e builds, streams are correct and the exact counts repeat"

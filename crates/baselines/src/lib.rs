@@ -31,7 +31,7 @@ use aasd_mm::{
     TdAlignConfig, VisionConfig,
 };
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
-use aasd_specdec::{autoregressive_greedy_seeded_ws, speculative_greedy_seeded_ws, SpecStats};
+use aasd_specdec::{ArSession, Session, SpecSession, SpecStats};
 use aasd_tensor::Workspace;
 use aasd_train::{
     prefill_prompt_ws, rollout_inputs, train_loop, Adam, Example, LossSpec, Optimizer, Schedule,
@@ -411,8 +411,8 @@ pub fn eval_system(
         let mut t_cache = target.lm.new_cache();
         let pending = target.prefill_ws(&sample.image, &sample.prompt, &mut t_cache, &mut ws);
         let t0 = Instant::now();
-        let ar =
-            autoregressive_greedy_seeded_ws(&target.lm, &mut t_cache, pending, budget, &mut ws);
+        let session = ArSession::new(&target.lm, &t_cache, pending, budget);
+        let (ar, _) = Session::Ar(session).run(&target.lm, &mut t_cache, None, &mut ws);
         cell.ar_decode_ns += t0.elapsed().as_nanos();
 
         // Speculative run from an identical prefill.
@@ -420,14 +420,14 @@ pub fn eval_system(
         let pending = target.prefill_ws(&sample.image, &sample.prompt, &mut t_cache, &mut ws);
         let mut d_cache = system.seed_cache(target, &t_cache, sample, &mut ws);
         let t0 = Instant::now();
-        let (spec, stats) = speculative_greedy_seeded_ws(
+        let draft = system.draft_lm();
+        let session = SpecSession::new(
+            &target.lm, draft, &t_cache, &d_cache, pending, budget, gamma,
+        );
+        let (spec, stats) = Session::Spec(session).run(
             &target.lm,
-            system.draft_lm(),
             &mut t_cache,
-            &mut d_cache,
-            pending,
-            budget,
-            gamma,
+            Some((draft, &mut d_cache)),
             &mut ws,
         );
         cell.spec_decode_ns += t0.elapsed().as_nanos();

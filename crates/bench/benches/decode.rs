@@ -25,17 +25,12 @@ fn main() {
         // Pre-fill a cache to `ctx`; O(1) truncate rolls each sample back
         // so the timed region is purely the forward pass.
         let mut cache = model.new_cache();
-        model.forward_infer(&prompt, &mut cache);
+        model.prefill_ws(&prompt, &mut cache, &mut ws);
         let fused = bench(&format!("decode_step/fused/ctx_{ctx}"), || {
             cache.truncate(ctx);
             model.forward_infer_ws(&[7], &mut cache, &mut ws, &mut logits);
         });
         report(&fused);
-        let alloc = bench(&format!("decode_step/alloc/ctx_{ctx}"), || {
-            cache.truncate(ctx);
-            model.forward_infer(&[7], &mut cache)
-        });
-        report(&alloc);
     }
 
     println!();
@@ -43,7 +38,7 @@ fn main() {
         let prompt: Vec<u32> = (0..plen).map(|_| rng.below(vocab) as u32).collect();
         let r = bench(&format!("prefill/len_{plen}"), || {
             let mut c = model.new_cache();
-            model.forward_infer(&prompt, &mut c)
+            model.prefill_ws(&prompt, &mut c, &mut ws)
         });
         report(&r);
     }

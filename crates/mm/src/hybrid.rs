@@ -1,17 +1,14 @@
 //! The hybrid-cache speculative decode path: multimodal target prefill,
-//! draft-cache seeding per ablation switch, then the seeded fused
-//! speculative loop from `aasd-specdec`. Because verification is greedy,
-//! every ablation is **lossless** — the switches only move α/τ, never the
-//! output tokens.
+//! draft-cache seeding per ablation switch, then an `aasd-specdec` session
+//! run to completion over the seeded caches. Because verification is
+//! greedy, every ablation is **lossless** — the switches only move α/τ,
+//! never the output tokens.
 
 use crate::llava::{LlavaSim, LlavaSimConfig};
 use crate::projector::{seed_raw_vision, KvProjector};
 use crate::vision::Image;
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
-use aasd_specdec::{
-    autoregressive_greedy_seeded_ws, speculative_greedy_seeded_ws, speculative_tree_seeded_ws,
-    SpecStats, TreeConfig,
-};
+use aasd_specdec::{ArSession, Session, SpecSession, SpecStats, TreeConfig, TreeSession};
 use aasd_tensor::Workspace;
 
 /// What the draft's cache is seeded with before the speculative loop.
@@ -118,9 +115,9 @@ pub fn seed_draft_prefix(
     }
 }
 
-/// Fused multimodal autoregressive decoding: vision+text prefill, then the
-/// seeded greedy loop. The token-level ground truth every speculative
-/// configuration must reproduce.
+/// Fused multimodal autoregressive decoding: vision+text prefill, then an
+/// [`ArSession`] run to completion. The token-level ground truth every
+/// speculative configuration must reproduce.
 pub fn mm_autoregressive_ws(
     model: &LlavaSim,
     image: &Image,
@@ -130,7 +127,8 @@ pub fn mm_autoregressive_ws(
 ) -> Vec<u32> {
     let mut cache = model.lm.new_cache();
     let pending = model.prefill_ws(image, prompt, &mut cache, ws);
-    autoregressive_greedy_seeded_ws(&model.lm, &mut cache, pending, budget, ws)
+    let session = ArSession::new(&model.lm, &cache, pending, budget);
+    Session::Ar(session).run(&model.lm, &mut cache, None, ws).0
 }
 
 /// The prefill both hybrid-cache loops share. Target side: vision prefix
@@ -157,9 +155,9 @@ fn prefill_hybrid(
 }
 
 /// Fused multimodal speculative decoding over the hybrid cache: the two
-/// caches advance in lockstep through [`speculative_greedy_seeded_ws`],
-/// which tolerates their length asymmetry. Token-identical to
-/// [`mm_autoregressive_ws`] by greedy verification, for every ablation.
+/// caches advance in lockstep through a [`SpecSession`], which tolerates
+/// their length asymmetry. Token-identical to [`mm_autoregressive_ws`] by
+/// greedy verification, for every ablation.
 #[allow(clippy::too_many_arguments)]
 pub fn mm_speculative_ws(
     model: &LlavaSim,
@@ -174,24 +172,17 @@ pub fn mm_speculative_ws(
 ) -> (Vec<u32>, SpecStats) {
     let (mut t_cache, mut d_cache, pending) =
         prefill_hybrid(model, draft, projector, ablation, image, prompt, ws);
-    speculative_greedy_seeded_ws(
-        &model.lm,
-        draft,
-        &mut t_cache,
-        &mut d_cache,
-        pending,
-        budget,
-        gamma,
-        ws,
-    )
+    let lm = &model.lm;
+    let session = SpecSession::new(lm, draft, &t_cache, &d_cache, pending, budget, gamma);
+    Session::Spec(session).run(lm, &mut t_cache, Some((draft, &mut d_cache)), ws)
 }
 
 /// [`mm_speculative_ws`] with **tree-structured** speculation: identical
 /// prefill and hybrid-cache seeding, but the block loop drafts a token tree
-/// and verifies it in one tree-attention target pass
-/// ([`speculative_tree_seeded_ws`]). The target's vision prefix length is
-/// passed as the visual-attention boundary, so the session's acceptance
-/// calibrator sees a live modality feature. Lossless for every ablation and
+/// and verifies it in one tree-attention target pass ([`TreeSession`]). The
+/// target's vision prefix length is passed as the visual-attention
+/// boundary, so the session's acceptance calibrator sees a live modality
+/// feature. Lossless for every ablation and
 /// tree shape; byte-identical to [`mm_speculative_ws`] at branching
 /// factor 1.
 #[allow(clippy::too_many_arguments)]
@@ -209,18 +200,11 @@ pub fn mm_speculative_tree_ws(
 ) -> (Vec<u32>, SpecStats) {
     let (mut t_cache, mut d_cache, pending) =
         prefill_hybrid(model, draft, projector, ablation, image, prompt, ws);
-    speculative_tree_seeded_ws(
-        &model.lm,
-        draft,
-        &mut t_cache,
-        &mut d_cache,
-        pending,
-        budget,
-        gamma,
-        tree,
-        model.n_img(),
-        ws,
-    )
+    let (lm, n_img) = (&model.lm, model.n_img());
+    let session = TreeSession::new(
+        lm, draft, &t_cache, &d_cache, pending, budget, gamma, tree, n_img,
+    );
+    Session::Tree(session).run(lm, &mut t_cache, Some((draft, &mut d_cache)), ws)
 }
 
 #[cfg(test)]

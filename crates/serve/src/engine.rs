@@ -44,8 +44,7 @@
 //! machine a slot steps ([`SpecSession`]) is the *same* one the one-shot
 //! fused loops drive, and its lease is sized so the capacity bound is
 //! exactly the budget bound — a served completion is token-identical to a
-//! single-request `speculative_greedy_seeded_ws` run with the same models
-//! and prompt.
+//! single-request `Session::run` with the same models and prompt.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};

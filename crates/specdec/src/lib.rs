@@ -2,40 +2,35 @@
 //!
 //! Speculative decoding (Leviathan et al. 2023; Gagrani et al. 2024 for the
 //! MLLM setting) lets a cheap *draft* model propose γ tokens which the
-//! expensive *target* model then scores in **one** batched forward pass —
-//! the perf heart of this crate is [`verify_greedy`], which does exactly
-//! that over the target's KV cache, against the reference
-//! [`verify_greedy_sequential`] that pays γ separate forwards. The greedy
-//! loop [`speculative_greedy`] is lossless: its output is token-identical
-//! to [`autoregressive_greedy`] on the same target (the root integration
-//! tests assert this), because every committed token is argmax under the
-//! target's own logits. Greedy acceptance is the one-hot special case of
-//! Leviathan rejection sampling (accept `x'~q` w.p. `min(1, p/q)`).
+//! expensive *target* model then scores in **one** batched forward pass
+//! over its KV cache. The greedy loop is lossless: its output is
+//! token-identical to autoregressive decoding on the same target, because
+//! every committed token is argmax under the target's own logits. Greedy
+//! acceptance is the one-hot special case of Leviathan rejection sampling
+//! (accept `x'~q` w.p. `min(1, p/q)`).
 //!
-//! Two generations of the loop coexist:
-//!
-//! * [`speculative_greedy`] / [`autoregressive_greedy`] — the allocating
-//!   reference loops, kept unchanged as the semantic oracle (every
-//!   invariant test pins them);
-//! * [`speculative_greedy_with_budget_ws`] /
-//!   [`autoregressive_greedy_with_budget_ws`] — the fused perf loops: all
-//!   forwards run on the zero-allocation `forward_infer_ws` path, and the
-//!   speculative loop **folds the pending token into the verify block** —
-//!   the correction/bonus token of block *n* is scored inside block
-//!   *n+1*'s batched pass instead of paying its own single-token resync
-//!   forward. That removes one full target pass per block, which on a CPU
-//!   clock is the difference between speculative decoding losing and
-//!   winning at realistic acceptance rates. These are [`Session::run`] over
-//!   the resumable sessions of [`session`], [`tree`] and [`pipeline`],
-//!   which share one private loop-state core.
+//! There is one loop: the resumable sessions of [`session`], [`tree`] and
+//! [`pipeline`], which share one private loop-state core and run every
+//! forward on the zero-allocation `forward_infer_ws` path. A speculative
+//! session **folds the pending token into the verify block** — the
+//! correction/bonus token of block *n* is scored inside block *n+1*'s
+//! batched pass instead of paying its own single-token resync forward,
+//! which on a CPU clock is the difference between speculative decoding
+//! losing and winning at realistic acceptance rates. [`Session::run`] steps
+//! a session to completion from caches the caller has prefilled (text, or
+//! vision prefix ∥ text in `aasd-mm`); the two prompt-level one-shots below
+//! are prefill + `Session::run`. The token oracle every losslessness test
+//! compares against is the [`ArSession`] stream — the same core with no
+//! draft — and the forward oracle under it is `Decoder::forward_full`
+//! (`tests/fused_equivalence.rs`).
 //!
 //! Kernel policy rides on the models, not the loops: a `Decoder` switched
 //! to `aasd_nn::KernelPolicy::Int8` runs its fused forwards on the int8
-//! kernels inside every session and loop here with no API change. The
-//! quantized forward is bit-identical between single-token decode and
-//! batched verify (per-row kernels), so losslessness (spec ≡ AR on the
-//! same target) holds under either policy — and draft and target may run
-//! different policies (`tests/int8_equivalence.rs` pins both properties).
+//! kernels inside every session here with no API change. The quantized
+//! forward is bit-identical between single-token decode and batched verify
+//! (per-row kernels), so losslessness (spec ≡ AR on the same target) holds
+//! under either policy — and draft and target may run different policies
+//! (`tests/int8_equivalence.rs` pins both properties).
 
 pub mod adaptive;
 mod core;
@@ -53,274 +48,20 @@ pub use pipeline::{DraftAhead, DraftStep, VerifyHalf, VerifyReport, CONFIDENCE_S
 pub use ring::{Rollback, SpscRing};
 pub use session::{ArSession, Session, SpecSession, StepReport};
 pub use tree::{
-    speculative_tree_seeded_ws, AcceptanceCalibrator, AcceptanceExample, TreeConfig, TreeSession,
-    CALIBRATOR_FEATURES,
+    AcceptanceCalibrator, AcceptanceExample, TreeConfig, TreeSession, CALIBRATOR_FEATURES,
 };
 
-use aasd_nn::{Decoder, KvCache};
-use aasd_tensor::{argmax, Tensor, Workspace};
+use aasd_nn::Decoder;
+use aasd_tensor::Workspace;
 
-/// Exclusive upper bound on γ, shared by **both** loop generations. The
-/// fused loop builds its verify block in a `[u32; MAX_GAMMA]` stack buffer,
-/// and the reference loop enforces the same bound so the two paths accept
-/// and reject identical γ values (regression-tested below). Any realistic
-/// speculative depth is far below this.
+/// Exclusive upper bound on γ: every session builds its verify block in a
+/// `[u32; MAX_GAMMA]` stack buffer. Any realistic speculative depth is far
+/// below this.
 pub const MAX_GAMMA: usize = 64;
 
-/// Result of verifying one γ-token draft block against the target.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifyOutcome {
-    /// Length of the accepted draft prefix (`0..=γ`).
-    pub accepted: usize,
-    /// The target-sanctioned token that follows the accepted prefix: the
-    /// correction token on first mismatch, or the bonus token when the
-    /// whole block is accepted.
-    pub next_token: u32,
-}
-
-/// Batched greedy verify: score all `draft` tokens in a single target
-/// forward pass over `cache`.
-///
-/// On entry `cache` holds the committed context (length `L`) and
-/// `frontier_logits` is the target's next-token distribution at position
-/// `L` (produced when the last committed token was fed). On exit the cache
-/// is rolled back to `L + accepted` — rejected speculative KV entries are
-/// discarded in O(1).
-pub fn verify_greedy(
-    target: &Decoder,
-    cache: &mut KvCache,
-    frontier_logits: &[f32],
-    draft: &[u32],
-) -> VerifyOutcome {
-    assert!(!draft.is_empty(), "empty draft block");
-    let base = cache.len();
-    // ONE forward for all γ tokens: 1 weight pass instead of γ.
-    let logits = target.forward_infer(draft, cache);
-
-    // Target prediction for draft[i]: frontier for i = 0, else row i-1.
-    let mut accepted = 0;
-    while accepted < draft.len() {
-        let pred = if accepted == 0 {
-            argmax(frontier_logits) as u32
-        } else {
-            argmax(logits.row(accepted - 1)) as u32
-        };
-        if pred != draft[accepted] {
-            cache.truncate(base + accepted);
-            return VerifyOutcome {
-                accepted,
-                next_token: pred,
-            };
-        }
-        accepted += 1;
-    }
-    // Fully accepted: the last logits row is a free bonus token.
-    let bonus = argmax(logits.row(draft.len() - 1)) as u32;
-    cache.truncate(base + accepted);
-    VerifyOutcome {
-        accepted,
-        next_token: bonus,
-    }
-}
-
-/// Reference verify: same semantics as [`verify_greedy`] but paying γ
-/// sequential single-token forwards. Kept for the equivalence property test
-/// and as the baseline the `verify` bench measures the batched win against.
-pub fn verify_greedy_sequential(
-    target: &Decoder,
-    cache: &mut KvCache,
-    frontier_logits: &[f32],
-    draft: &[u32],
-) -> VerifyOutcome {
-    assert!(!draft.is_empty(), "empty draft block");
-    let base = cache.len();
-    let mut pred = argmax(frontier_logits) as u32;
-    for (i, &d) in draft.iter().enumerate() {
-        if pred != d {
-            cache.truncate(base + i);
-            return VerifyOutcome {
-                accepted: i,
-                next_token: pred,
-            };
-        }
-        let logits = target.forward_infer(&[d], cache);
-        pred = argmax(logits.row(0)) as u32;
-    }
-    cache.truncate(base + draft.len());
-    VerifyOutcome {
-        accepted: draft.len(),
-        next_token: pred,
-    }
-}
-
-/// Greedy autoregressive reference decoder: `max_new` tokens, one target
-/// forward each. This is both the correctness oracle for losslessness tests
-/// and the walltime baseline speculative decoding is measured against.
-pub fn autoregressive_greedy(target: &Decoder, prompt: &[u32], max_new: usize) -> Vec<u32> {
-    let budget = decode_budget(target, prompt.len(), max_new);
-    autoregressive_greedy_with_budget(target, prompt, budget)
-}
-
-/// [`autoregressive_greedy`] with an explicit token budget instead of a
-/// `max_new` cap. The true feasible budget is `max_seq − prompt + 1` — one
-/// more than [`decode_budget`] hands out — because the final token is
-/// emitted without ever being fed back through the cache. Exposing it lets
-/// callers (and the g = 0 regression tests) drive decoding flush against
-/// the context boundary.
-pub fn autoregressive_greedy_with_budget(
-    target: &Decoder,
-    prompt: &[u32],
-    budget: usize,
-) -> Vec<u32> {
-    assert!(!prompt.is_empty(), "empty prompt");
-    assert!(
-        budget <= target.cfg.max_seq + 1 - prompt.len(),
-        "budget exceeds context window"
-    );
-    let mut cache = target.new_cache();
-    let mut logits = target.forward_infer(prompt, &mut cache);
-    let mut out = Vec::with_capacity(budget);
-    while out.len() < budget {
-        let tok = Decoder::greedy_from_logits(&logits);
-        out.push(tok);
-        if out.len() == budget {
-            break;
-        }
-        logits = target.forward_infer(&[tok], &mut cache);
-    }
-    out
-}
-
-/// How many new tokens fit under the model's `max_seq` for this prompt,
-/// conservatively: every emitted token except the last could be fed back,
-/// so this stays one short of the true feasible budget (see
-/// [`autoregressive_greedy_with_budget`]).
-fn decode_budget(model: &Decoder, prompt_len: usize, max_new: usize) -> usize {
-    max_new.min(model.cfg.max_seq.saturating_sub(prompt_len))
-}
-
-/// The greedy draft-then-verify loop.
-///
-/// Per block: the draft proposes up to `gamma` tokens autoregressively on
-/// its own cache; [`verify_greedy`] scores them in one batched target pass;
-/// the accepted prefix plus the correction/bonus token are committed; both
-/// caches are rolled back to the committed frontier. Returns the generated
-/// tokens (identical to [`autoregressive_greedy`] on the same target) and
-/// the run's [`SpecStats`].
-pub fn speculative_greedy(
-    target: &Decoder,
-    draft: &Decoder,
-    prompt: &[u32],
-    max_new: usize,
-    gamma: usize,
-) -> (Vec<u32>, SpecStats) {
-    // Respect both models' context windows.
-    let budget = decode_budget(target, prompt.len(), max_new).min(decode_budget(
-        draft,
-        prompt.len(),
-        max_new,
-    ));
-    speculative_greedy_with_budget(target, draft, prompt, budget, gamma)
-}
-
-/// [`speculative_greedy`] with an explicit token budget (see
-/// [`autoregressive_greedy_with_budget`] for why the feasible budget is one
-/// more than [`decode_budget`] grants). At the extended budget the loop can
-/// reach a committed frontier with zero context room left to speculate, so
-/// this entry point is what exercises the g = 0 plain-decode fallback.
-pub fn speculative_greedy_with_budget(
-    target: &Decoder,
-    draft: &Decoder,
-    prompt: &[u32],
-    budget: usize,
-    gamma: usize,
-) -> (Vec<u32>, SpecStats) {
-    assert!(!prompt.is_empty(), "empty prompt");
-    assert!(
-        (1..MAX_GAMMA).contains(&gamma),
-        "gamma must be in 1..{MAX_GAMMA}"
-    );
-    assert!(
-        budget <= target.cfg.max_seq.min(draft.cfg.max_seq) + 1 - prompt.len(),
-        "budget exceeds context window"
-    );
-
-    let mut stats = SpecStats::default();
-    let mut out: Vec<u32> = Vec::with_capacity(budget);
-
-    let mut t_cache = target.new_cache();
-    let mut frontier = last_row(target.forward_infer(prompt, &mut t_cache));
-    let mut d_cache = draft.new_cache();
-    let mut d_frontier = last_row(draft.forward_infer(prompt, &mut d_cache));
-
-    while out.len() < budget {
-        let committed = t_cache.len();
-        debug_assert_eq!(committed, d_cache.len());
-        // Cap the block by the remaining token budget and by context room
-        // for the speculative extension (+1 for the commit of next_token).
-        let room = target
-            .cfg
-            .max_seq
-            .min(draft.cfg.max_seq)
-            .saturating_sub(committed + 1);
-        let g = gamma.min(budget - out.len()).min(room);
-        if g == 0 {
-            // No room to speculate: fall back to one plain decode step.
-            // Both caches must advance, or the committed frontiers diverge
-            // and the next block verifies against a stale draft context.
-            let tok = argmax(&frontier) as u32;
-            out.push(tok);
-            if out.len() < budget {
-                frontier = last_row(target.forward_infer(&[tok], &mut t_cache));
-                d_frontier = last_row(draft.forward_infer(&[tok], &mut d_cache));
-            }
-            stats.blocks += 1;
-            stats.generated += 1;
-            continue;
-        }
-
-        // Draft proposes g tokens greedily on its own cache.
-        let mut proposals = Vec::with_capacity(g);
-        for _ in 0..g {
-            let tok = argmax(&d_frontier) as u32;
-            proposals.push(tok);
-            d_frontier = last_row(draft.forward_infer(&[tok], &mut d_cache));
-        }
-
-        // One batched target pass scores the whole block.
-        let outcome = verify_greedy(target, &mut t_cache, &frontier, &proposals);
-
-        stats.blocks += 1;
-        stats.drafted += g;
-        // α measures draft/target alignment, so `accepted` counts every
-        // agreement, even one the budget then truncates away.
-        stats.accepted += outcome.accepted;
-        // `generated` counts tokens actually committed to the output: the
-        // final block is clamped to the remaining budget so the bonus/
-        // correction token is never over-counted past it. Invariant:
-        // stats.generated == out.len() at every exit.
-        let commit = (outcome.accepted + 1).min(budget - out.len());
-        stats.generated += commit;
-        out.extend_from_slice(&proposals[..commit.min(outcome.accepted)]);
-        if commit > outcome.accepted {
-            out.push(outcome.next_token);
-        }
-
-        // Re-sync both caches to the committed frontier and feed the
-        // correction/bonus token to obtain the next frontier logits.
-        if out.len() >= budget {
-            break;
-        }
-        frontier = last_row(target.forward_infer(&[outcome.next_token], &mut t_cache));
-        d_cache.truncate(committed + outcome.accepted);
-        d_frontier = last_row(draft.forward_infer(&[outcome.next_token], &mut d_cache));
-    }
-    debug_assert_eq!(stats.generated, out.len());
-    (out, stats)
-}
-
-/// Empirical acceptance-rate harness: run [`speculative_greedy`] over a set
-/// of prompts and merge the per-run [`SpecStats`] into dataset-level
+/// Empirical acceptance-rate harness: run
+/// [`speculative_greedy_with_budget_ws`] over a set of prompts, `budget`
+/// tokens each, and merge the per-run [`SpecStats`] into dataset-level
 /// counters. `stats.acceptance_rate()` on the result is the α that the
 /// training stack's distillation is meant to raise.
 ///
@@ -332,11 +73,11 @@ pub fn measure_acceptance(
     target: &Decoder,
     draft: &Decoder,
     prompts: &[Vec<u32>],
-    max_new: usize,
+    budget: usize,
     gamma: usize,
 ) -> SpecStats {
     let groups = [("all", prompts)];
-    measure_acceptance_grouped(target, draft, &groups, max_new, gamma)
+    measure_acceptance_grouped(target, draft, &groups, budget, gamma)
         .pop()
         .expect("one group in, one group out")
         .1
@@ -350,15 +91,17 @@ pub fn measure_acceptance_grouped<'a>(
     target: &Decoder,
     draft: &Decoder,
     groups: &[(&'a str, &[Vec<u32>])],
-    max_new: usize,
+    budget: usize,
     gamma: usize,
 ) -> Vec<(&'a str, SpecStats)> {
+    let mut ws = Workspace::new();
     groups
         .iter()
         .map(|(name, prompts)| {
             let mut total = SpecStats::default();
             for p in *prompts {
-                let (_, stats) = speculative_greedy(target, draft, p, max_new, gamma);
+                let (_, stats) =
+                    speculative_greedy_with_budget_ws(target, draft, p, budget, gamma, &mut ws);
                 total.merge(&stats);
             }
             (*name, total)
@@ -366,14 +109,12 @@ pub fn measure_acceptance_grouped<'a>(
         .collect()
 }
 
-fn last_row(logits: Tensor) -> Vec<f32> {
-    logits.row(logits.rows - 1).to_vec()
-}
-
-/// Greedy autoregressive decoding on the fused zero-allocation path: same
-/// output as [`autoregressive_greedy_with_budget`], but every forward runs
-/// through [`Decoder::forward_infer_ws`] with scratch drawn from `ws`. This
-/// is the honest walltime baseline for the fused speculative loop.
+/// Greedy autoregressive decoding of `budget` tokens from a text prompt:
+/// prefill, then an [`ArSession`] run to completion. The feasible budget is
+/// `max_seq + 1 − prompt.len()`: the final token is emitted without ever
+/// being fed back through the cache. This stream is the token oracle the
+/// losslessness tests compare against and the walltime baseline
+/// speculative decoding is measured against.
 pub fn autoregressive_greedy_with_budget_ws(
     target: &Decoder,
     prompt: &[u32],
@@ -387,50 +128,16 @@ pub fn autoregressive_greedy_with_budget_ws(
     );
     let mut cache = target.new_cache();
     let pending = target.prefill_ws(prompt, &mut cache, ws);
-    autoregressive_greedy_seeded_ws(target, &mut cache, pending, budget, ws)
+    let session = ArSession::new(target, &cache, pending, budget);
+    Session::Ar(session).run(target, &mut cache, None, ws).0
 }
 
-/// Continue fused greedy decoding from a **pre-seeded cache**: `cache`
-/// already holds an arbitrary committed context (text prompt, or a vision
-/// prefix ∥ text prompt in the multimodal path) and `pending` is the first
-/// target-decided token that has not yet been fed back. Emits `budget`
-/// tokens starting with `pending`.
-///
-/// This is the autoregressive half of the seeded-loop API that lets
-/// `aasd-mm` run LlavaSim prefill (vision embeddings through the decoder,
-/// then text) and hand the frontier to the same loop the text path uses.
-pub fn autoregressive_greedy_seeded_ws(
-    target: &Decoder,
-    cache: &mut KvCache,
-    pending: u32,
-    budget: usize,
-    ws: &mut Workspace,
-) -> Vec<u32> {
-    let session = ArSession::new(target, cache, pending, budget);
-    Session::Ar(session).run(target, cache, None, ws).0
-}
-
-/// The fused speculative loop: zero-allocation forwards plus the
-/// **pending-token fold**.
-///
-/// The reference loop pays, per block, one batched verify pass *and* one
-/// single-token resync pass to feed the correction/bonus token back through
-/// the target. Here that token stays *pending* — emitted to the output but
-/// not yet fed to either cache — and the next block verifies
-/// `[pending, p₁..p_g]` in a single `(g+1)`-token pass. Loop invariant:
-/// `out` ends with the pending token and both caches hold exactly
-/// `prompt.len() + out.len() − 1` positions.
-///
-/// Per-block cost drops from `verify(γ) + step(1)` to `verify(γ+1)`; at the
-/// measured cost model (verify slope ≈ 0.4× a full step per token) that
-/// roughly halves the per-block overhead, moving the break-even acceptance
-/// rate from α ≈ 0.85 down to α ≈ 0.55 at γ = 2–3.
-///
-/// Output is token-identical to [`autoregressive_greedy_with_budget`]
-/// (greedy/lossless). Stats follow the same conventions as the reference
-/// loop: the first token (determined by the prompt prefill alone) is
-/// recorded in `SpecStats::prefill_tokens` and excluded from
-/// `block_efficiency()`, so τ ≤ γ+1 holds on both loops.
+/// Greedy speculative decoding of `budget` tokens from a text prompt:
+/// prefill both models, then a [`SpecSession`] run to completion.
+/// Token-identical to [`autoregressive_greedy_with_budget_ws`]. The first
+/// token is decided by the prompt prefill alone, so it is recorded in
+/// `SpecStats::prefill_tokens` and excluded from `block_efficiency()`,
+/// keeping τ ≤ γ + 1.
 pub fn speculative_greedy_with_budget_ws(
     target: &Decoder,
     draft: &Decoder,
@@ -441,72 +148,23 @@ pub fn speculative_greedy_with_budget_ws(
 ) -> (Vec<u32>, SpecStats) {
     assert!(!prompt.is_empty(), "empty prompt");
     assert!(
-        (1..MAX_GAMMA).contains(&gamma),
-        "gamma must be in 1..{MAX_GAMMA}"
-    );
-    let min_max_seq = target.cfg.max_seq.min(draft.cfg.max_seq);
-    assert!(
-        budget <= min_max_seq + 1 - prompt.len(),
+        budget <= target.cfg.max_seq.min(draft.cfg.max_seq) + 1 - prompt.len(),
         "budget exceeds context window"
     );
-    if budget == 0 {
-        return (Vec::new(), SpecStats::default());
-    }
     let mut t_cache = target.new_cache();
     let mut d_cache = draft.new_cache();
-    // Prefill both models; the first output token is already decided by the
-    // target's prompt logits, so it starts life as the pending token.
     let pending = target.prefill_ws(prompt, &mut t_cache, ws);
     draft.prefill_ws(prompt, &mut d_cache, ws);
-
-    speculative_greedy_seeded_ws(
-        target,
-        draft,
-        &mut t_cache,
-        &mut d_cache,
-        pending,
-        budget,
-        gamma,
-        ws,
-    )
-}
-
-/// The seeded core of the fused speculative loop: continue from
-/// **pre-seeded caches** whose lengths may differ.
-///
-/// This is the AASD entry point: `t_cache` holds the target's committed
-/// context (e.g. vision prefix ∥ text prompt) and `d_cache` holds the
-/// draft's — which in the hybrid-cache path is `[projected vision KV ∥
-/// text KV]` and therefore *shorter* than the target's. `pending` is the
-/// first target-decided token not yet fed to either cache. The loop only
-/// requires that both caches advance in lockstep **from here on**: per
-/// block both receive the same `pending + proposals` tokens and are rolled
-/// back by the same amount on rejection.
-///
-/// Emits `budget` tokens starting with `pending`, token-identical to
-/// [`autoregressive_greedy_seeded_ws`] from the same target cache state.
-/// `pending` is counted in `SpecStats::prefill_tokens` (it was decided by
-/// prefill, not by a verify block), keeping τ ≤ γ+1.
-#[allow(clippy::too_many_arguments)]
-pub fn speculative_greedy_seeded_ws(
-    target: &Decoder,
-    draft: &Decoder,
-    t_cache: &mut KvCache,
-    d_cache: &mut KvCache,
-    pending: u32,
-    budget: usize,
-    gamma: usize,
-    ws: &mut Workspace,
-) -> (Vec<u32>, SpecStats) {
-    let session = SpecSession::new(target, draft, t_cache, d_cache, pending, budget, gamma);
-    Session::Spec(session).run(target, t_cache, Some((draft, d_cache)), ws)
+    let session = SpecSession::new(target, draft, &t_cache, &d_cache, pending, budget, gamma);
+    Session::Spec(session).run(target, &mut t_cache, Some((draft, &mut d_cache)), ws)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::core::Core;
     use aasd_nn::DecoderConfig;
-    use aasd_tensor::Rng;
+    use aasd_tensor::{argmax, Rng};
 
     fn tiny(seed: u64) -> Decoder {
         Decoder::new(DecoderConfig::tiny(40), seed)
@@ -516,111 +174,185 @@ mod tests {
         (0..len).map(|_| rng.below(vocab) as u32).collect()
     }
 
+    /// Greedy decoding by stateless full-sequence recompute: the forward
+    /// oracle (`Decoder::forward_full`) turned into a token stream, sharing
+    /// no cache, workspace or session code with the loops under test.
+    fn greedy_by_forward_full(target: &Decoder, prompt: &[u32], budget: usize) -> Vec<u32> {
+        let mut seq = prompt.to_vec();
+        for _ in 0..budget {
+            seq.push(Decoder::greedy_from_logits(&target.forward_full(&seq)));
+        }
+        seq.split_off(prompt.len())
+    }
+
     /// When the draft IS the target, every draft token must be accepted.
     #[test]
     fn self_draft_accepts_everything() {
         let model = tiny(1);
-        let (out, stats) = speculative_greedy(&model, &model, &[3, 7, 1], 20, 5);
-        assert_eq!(out.len(), 20);
+        let mut ws = Workspace::new();
+        // The prefill token, then exactly three full blocks of γ+1.
+        let (out, stats) =
+            speculative_greedy_with_budget_ws(&model, &model, &[3, 7, 1], 19, 5, &mut ws);
+        assert_eq!(out.len(), 19);
         assert_eq!(stats.accepted, stats.drafted);
         assert!((stats.acceptance_rate() - 1.0).abs() < 1e-9);
-        // Full acceptance means every block commits γ+1 tokens.
-        assert!(stats.block_efficiency() > 5.0 - 1e-9);
+        // Full acceptance means every full block commits γ+1 tokens.
+        assert!(stats.block_efficiency() > 6.0 - 1e-9);
     }
 
-    /// Batched verify must agree exactly with the sequential reference —
-    /// outcome and resulting cache state — across random drafts.
+    /// The batched chain verify must agree exactly with feeding the same
+    /// tokens one row at a time — accepted prefix, next token and the KV
+    /// rows left behind — across random (not model-drafted) blocks, so the
+    /// first mismatch lands at every position.
     #[test]
     fn batched_verify_equals_sequential() {
         let target = tiny(2);
+        let vocab = target.cfg.vocab;
         let mut rng = Rng::new(0xBEEF);
+        let mut ws = Workspace::new();
         for _case in 0..20 {
             let p_len = 1 + rng.below(10);
             let p = prompt(&mut rng, p_len, 40);
             let block_len = 1 + rng.below(6);
-            let draft_block = prompt(&mut rng, block_len, 40);
+            let mut block = prompt(&mut rng, block_len, 40);
 
             let mut c1 = target.new_cache();
-            let f1 = target.forward_infer(&p, &mut c1);
-            let f1 = f1.row(f1.rows - 1).to_vec();
-            let o1 = verify_greedy(&target, &mut c1, &f1, &draft_block);
-
+            let pending = target.prefill_ws(&p, &mut c1, &mut ws);
+            // Sequential reference: feed pending, then each proposal the
+            // target agrees with, one single-row forward at a time.
             let mut c2 = target.new_cache();
-            let f2 = target.forward_infer(&p, &mut c2);
-            let f2 = f2.row(f2.rows - 1).to_vec();
-            let o2 = verify_greedy_sequential(&target, &mut c2, &f2, &draft_block);
+            target.prefill_ws(&p, &mut c2, &mut ws);
+            let mut logits = vec![0.0f32; vocab];
+            let mut step = |tok: u32, cache: &mut aasd_nn::KvCache| {
+                target.forward_infer_ws(&[tok], cache, &mut ws, &mut logits);
+                argmax(&logits) as u32
+            };
+            let mut pred = step(pending, &mut c2);
+            // Make the first proposal right on half the cases so the walk
+            // gets past position 0.
+            if rng.below(2) == 0 {
+                block[0] = pred;
+            }
+            let mut want_accepted = 0;
+            for &d in &block {
+                if pred != d {
+                    break;
+                }
+                pred = step(d, &mut c2);
+                want_accepted += 1;
+            }
 
-            assert_eq!(o1, o2);
+            let core = Core::new(&target, &c1, pending, block.len() + 1, block.len());
+            let (accepted, next) = core.verify_chain(&target, &mut c1, &block, &mut ws);
+            assert_eq!((accepted, next), (want_accepted, pred));
+            assert_eq!(c1.len(), p.len() + 1 + block.len());
+            c1.truncate(p.len() + 1 + accepted);
             assert_eq!(c1.len(), c2.len());
-            assert_eq!(c1.len(), p.len() + o1.accepted);
+            for l in 0..target.cfg.n_layers {
+                for pos in 0..c1.len() {
+                    assert_eq!(c1.layer(l).key(pos), c2.layer(l).key(pos));
+                    assert_eq!(c1.layer(l).value(pos), c2.layer(l).value(pos));
+                }
+            }
         }
     }
 
-    /// Losslessness: speculative output is token-identical to the
-    /// autoregressive reference for mismatched draft/target pairs, across
-    /// seeds, γ values, and generation lengths.
+    /// Losslessness against the independent oracle: the speculative stream
+    /// is the greedy stream of `forward_full`, for mismatched draft/target
+    /// pairs across seeds, γ values and prompts.
     #[test]
     fn speculative_is_lossless_greedy() {
         let mut rng = Rng::new(0x1055);
+        let mut ws = Workspace::new();
         for (t_seed, d_seed) in [(10, 20), (11, 21), (12, 22)] {
             let target = tiny(t_seed);
             let draft = tiny(d_seed);
             for gamma in [1, 2, 5] {
                 let p = prompt(&mut rng, 4, 40);
-                let max_new = 30;
-                let reference = autoregressive_greedy(&target, &p, max_new);
-                let (spec, stats) = speculative_greedy(&target, &draft, &p, max_new, gamma);
+                let budget = 30;
+                let reference = greedy_by_forward_full(&target, &p, budget);
+                let (spec, stats) =
+                    speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws);
                 assert_eq!(
                     spec, reference,
                     "lossless violated: seeds=({t_seed},{d_seed}) γ={gamma}"
                 );
-                // The final block is clamped to the budget, so the
-                // committed-token counter matches the output exactly.
                 assert_eq!(stats.generated, spec.len());
                 assert!(stats.acceptance_rate() <= 1.0);
             }
         }
     }
 
-    /// The loop must respect max_seq: a prompt near the context limit still
-    /// terminates and stays within budget.
+    /// The one-shots respect `max_seq`: the largest admissible budget
+    /// (`max_seq + 1 − prompt`) runs flush to the frontier, one more is
+    /// refused.
     #[test]
     fn respects_context_window() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
         let target = tiny(5);
         let draft = tiny(6);
         let max_seq = target.cfg.max_seq;
         let mut rng = Rng::new(3);
+        let mut ws = Workspace::new();
         let p = prompt(&mut rng, max_seq - 6, 40);
-        let reference = autoregressive_greedy(&target, &p, 100);
-        assert_eq!(reference.len(), 6);
-        let (out, _) = speculative_greedy(&target, &draft, &p, 100, 5);
+        let reference = autoregressive_greedy_with_budget_ws(&target, &p, 7, &mut ws);
+        assert_eq!(reference.len(), 7);
+        let (out, _) = speculative_greedy_with_budget_ws(&target, &draft, &p, 7, 5, &mut ws);
         assert_eq!(out, reference);
+        let over_ar = catch_unwind(AssertUnwindSafe(|| {
+            autoregressive_greedy_with_budget_ws(&target, &p, 8, &mut Workspace::new())
+        }));
+        let over_spec = catch_unwind(AssertUnwindSafe(|| {
+            speculative_greedy_with_budget_ws(&target, &draft, &p, 8, 5, &mut Workspace::new())
+        }));
+        assert!(over_ar.is_err() && over_spec.is_err());
     }
 
-    /// At the extended budget (`max_seq − prompt + 1`) the committed
-    /// frontier runs out of speculation room mid-generation, forcing the
-    /// g = 0 plain-decode fallback *with the loop still continuing*. The
-    /// fallback must advance the draft cache in lockstep with the target —
-    /// before the fix it only advanced the target, and the lockstep
-    /// `debug_assert_eq!(committed, d_cache.len())` fires on the next pass.
+    /// At the extended budget (`max_seq − prompt + 1`) a run that reaches
+    /// its last token with no room left takes the g = 0 plain-decode step.
+    /// Stepped by hand: after every step but the last the target cache
+    /// holds every emitted token but the pending one and the draft cache
+    /// is level with it (or one deferred row short) — the frontiers never
+    /// diverge — and a last step that drafts nothing emits one token.
     #[test]
     fn no_room_fallback_keeps_caches_in_lockstep() {
         let target = tiny(40);
         let draft = tiny(41);
         let max_seq = target.cfg.max_seq;
         let mut rng = Rng::new(7);
+        let mut ws = Workspace::new();
+        let mut plain_tails = 0;
         for prompt_len in [max_seq - 1, max_seq - 6] {
             let p = prompt(&mut rng, prompt_len, 40);
             let budget = max_seq + 1 - prompt_len;
-            let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+            let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
             assert_eq!(reference.len(), budget);
-            let (out, stats) = speculative_greedy_with_budget(&target, &draft, &p, budget, 5);
+            let mut tc = target.new_cache();
+            let mut dc = draft.new_cache();
+            let pending = target.prefill_ws(&p, &mut tc, &mut ws);
+            draft.prefill_ws(&p, &mut dc, &mut ws);
+            let mut s = SpecSession::new(&target, &draft, &tc, &dc, pending, budget, 5);
+            loop {
+                let drafted = s.stats().drafted;
+                let r = s.step_block(&target, &draft, &mut tc, &mut dc, &mut ws);
+                if r.done {
+                    if s.stats().drafted == drafted {
+                        assert_eq!(r.committed, 1, "a plain decode step emits one token");
+                        plain_tails += 1;
+                    }
+                    break;
+                }
+                assert_eq!(tc.len(), prompt_len + s.tokens().len() - 1);
+                assert!(tc.len() - dc.len() <= 1, "draft frontier fell behind");
+            }
+            let (out, stats) = s.into_parts();
             assert_eq!(
                 out, reference,
                 "lossless violated at prompt_len {prompt_len}"
             );
             assert_eq!(stats.generated, out.len());
         }
+        assert!(plain_tails >= 1, "the g = 0 step never ran");
     }
 
     /// A draft block whose bonus token would overshoot the budget must be
@@ -631,10 +363,18 @@ mod tests {
         // budget deliberately not a multiple of γ+1 so the last block
         // truncates mid-commit.
         let model = tiny(50);
-        for (max_new, gamma) in [(7, 3), (9, 5), (11, 2)] {
-            let (out, stats) = speculative_greedy(&model, &model, &[2, 9, 4], max_new, gamma);
-            assert_eq!(out.len(), max_new);
-            assert_eq!(stats.generated, max_new);
+        let mut ws = Workspace::new();
+        for (budget, gamma) in [(7, 3), (9, 5), (11, 2)] {
+            let (out, stats) = speculative_greedy_with_budget_ws(
+                &model,
+                &model,
+                &[2, 9, 4],
+                budget,
+                gamma,
+                &mut ws,
+            );
+            assert_eq!(out.len(), budget);
+            assert_eq!(stats.generated, budget);
             assert!(stats.block_efficiency() <= (gamma + 1) as f64 + 1e-12);
         }
     }
@@ -684,14 +424,18 @@ mod tests {
     fn gamma_one_still_lossless() {
         let target = tiny(30);
         let draft = tiny(31);
-        let reference = autoregressive_greedy(&target, &[1, 2], 15);
-        let (out, stats) = speculative_greedy(&target, &draft, &[1, 2], 15, 1);
+        let mut ws = Workspace::new();
+        let reference = autoregressive_greedy_with_budget_ws(&target, &[1, 2], 15, &mut ws);
+        let (out, stats) =
+            speculative_greedy_with_budget_ws(&target, &draft, &[1, 2], 15, 1, &mut ws);
         assert_eq!(out, reference);
-        assert!(stats.blocks >= 8, "γ=1 commits at most 2 tokens per block");
+        // The first token comes from prefill; γ=1 then commits at most 2
+        // tokens per block.
+        assert!(stats.blocks >= 7, "γ=1 commits at most 2 tokens per block");
     }
 
-    /// The fused autoregressive loop must be token-identical to the
-    /// allocating reference (both paths argmax the same logits chain).
+    /// The token oracle against the forward oracle: the `ArSession` stream
+    /// is the greedy stream of stateless `forward_full` recompute.
     #[test]
     fn fused_autoregressive_matches_reference() {
         let target = tiny(70);
@@ -701,7 +445,7 @@ mod tests {
             let p_len = 1 + rng.below(8);
             let p = prompt(&mut rng, p_len, 40);
             let budget = 20;
-            let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+            let reference = greedy_by_forward_full(&target, &p, budget);
             let got = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
             assert_eq!(got, reference);
         }
@@ -719,7 +463,7 @@ mod tests {
             for gamma in [1, 2, 5] {
                 let p = prompt(&mut rng, 4, 40);
                 let budget = 30;
-                let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+                let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
                 let (spec, stats) =
                     speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws);
                 assert_eq!(
@@ -736,8 +480,8 @@ mod tests {
         }
     }
 
-    /// Boundary prompts force the fused loop's g = 0 fallback; output must
-    /// still match the reference and the caches must stay in lockstep.
+    /// Boundary prompts run the one-shot flush to the context frontier;
+    /// output must still match the reference.
     #[test]
     fn fused_loop_handles_context_boundary() {
         let target = tiny(40);
@@ -748,7 +492,7 @@ mod tests {
         for prompt_len in [max_seq - 1, max_seq - 6] {
             let p = prompt(&mut rng, prompt_len, 40);
             let budget = max_seq + 1 - prompt_len;
-            let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+            let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
             let (out, stats) =
                 speculative_greedy_with_budget_ws(&target, &draft, &p, budget, 5, &mut ws);
             assert_eq!(out, reference, "boundary prompt_len {prompt_len}");
@@ -756,39 +500,44 @@ mod tests {
         }
     }
 
-    /// Both loop generations must agree on which γ values they accept:
-    /// γ = 0 and γ = MAX_GAMMA panic on both, γ = 1 and γ = MAX_GAMMA − 1
-    /// run on both. Before the unification the reference loop accepted any
-    /// γ ≥ 1 while the fused loop required γ < 64.
+    /// The chain and tree loops must agree on which γ values they accept:
+    /// γ = 0 and γ ≥ MAX_GAMMA panic on both, γ = 1 and γ = MAX_GAMMA − 1
+    /// run on both.
     #[test]
     fn gamma_validation_agrees_between_loops() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let target = tiny(80);
         let draft = tiny(81);
         let p = [1u32, 2, 3];
-        let run_ref = |gamma: usize| {
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                speculative_greedy_with_budget(&target, &draft, &p, 4, gamma)
-            }));
-            r.is_ok()
-        };
-        let run_fused = |gamma: usize| {
-            let r = catch_unwind(AssertUnwindSafe(|| {
+        let run_chain = |gamma: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
                 let mut ws = Workspace::new();
                 speculative_greedy_with_budget_ws(&target, &draft, &p, 4, gamma, &mut ws)
-            }));
-            r.is_ok()
+            }))
+            .is_ok()
+        };
+        let run_tree = |gamma: usize| {
+            catch_unwind(AssertUnwindSafe(|| {
+                let mut ws = Workspace::new();
+                let (mut tc, mut dc) = (target.new_cache(), draft.new_cache());
+                let pending = target.prefill_ws(&p, &mut tc, &mut ws);
+                draft.prefill_ws(&p, &mut dc, &mut ws);
+                let cfg = TreeConfig::default();
+                let s = TreeSession::new(&target, &draft, &tc, &dc, pending, 4, gamma, cfg, 0);
+                Session::Tree(s).run(&target, &mut tc, Some((&draft, &mut dc)), &mut ws)
+            }))
+            .is_ok()
         };
         for gamma in [0, 1, MAX_GAMMA - 1, MAX_GAMMA, MAX_GAMMA + 5] {
             let expect = (1..MAX_GAMMA).contains(&gamma);
-            assert_eq!(run_ref(gamma), expect, "reference loop at γ={gamma}");
-            assert_eq!(run_fused(gamma), expect, "fused loop at γ={gamma}");
+            assert_eq!(run_chain(gamma), expect, "chain loop at γ={gamma}");
+            assert_eq!(run_tree(gamma), expect, "tree loop at γ={gamma}");
         }
     }
 
-    /// With the pending token recorded as a prefill token, the fused loop's
-    /// τ obeys the same γ+1 bound as the reference loop — before the fix a
-    /// fully-accepting run reported τ = (N·(γ+1) + 1)/N > γ+1.
+    /// With the pending token recorded as a prefill token, τ obeys the γ+1
+    /// bound — before the fix a fully-accepting run reported
+    /// τ = (N·(γ+1) + 1)/N > γ+1.
     #[test]
     fn fused_block_efficiency_is_bounded_by_gamma_plus_one() {
         let model = tiny(90);
@@ -815,8 +564,8 @@ mod tests {
         }
     }
 
-    /// Seeded entry points must reproduce the prompt-based loops when the
-    /// caches are seeded with exactly the prompt (the degenerate prefix).
+    /// `Session::run` over caches seeded by hand with exactly the prompt
+    /// (the degenerate prefix) must reproduce the prompt-level one-shots.
     #[test]
     fn seeded_loops_match_prompt_loops() {
         let target = tiny(91);
@@ -824,40 +573,29 @@ mod tests {
         let mut ws = Workspace::new();
         let p = [7u32, 3, 5, 1];
         let budget = 20;
-        let want_ar = autoregressive_greedy_with_budget(&target, &p, budget);
+        let want_ar = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
         let (want_spec, want_stats) =
             speculative_greedy_with_budget_ws(&target, &draft, &p, budget, 4, &mut ws);
 
-        // Seed caches by hand, then call the seeded functions directly.
         let mut t_cache = target.new_cache();
-        let logits = target.forward_infer(&p, &mut t_cache);
-        let pending = Decoder::greedy_from_logits(&logits);
-        let got_ar =
-            autoregressive_greedy_seeded_ws(&target, &mut t_cache, pending, budget, &mut ws);
+        let pending = target.prefill_ws(&p, &mut t_cache, &mut ws);
+        let ar = ArSession::new(&target, &t_cache, pending, budget);
+        let (got_ar, _) = Session::Ar(ar).run(&target, &mut t_cache, None, &mut ws);
         assert_eq!(got_ar, want_ar);
 
         let mut t_cache = target.new_cache();
-        let logits = target.forward_infer(&p, &mut t_cache);
-        let pending = Decoder::greedy_from_logits(&logits);
+        let pending = target.prefill_ws(&p, &mut t_cache, &mut ws);
         let mut d_cache = draft.new_cache();
-        draft.forward_infer(&p, &mut d_cache);
-        let (got_spec, got_stats) = speculative_greedy_seeded_ws(
-            &target,
-            &draft,
-            &mut t_cache,
-            &mut d_cache,
-            pending,
-            budget,
-            4,
-            &mut ws,
-        );
+        draft.prefill_ws(&p, &mut d_cache, &mut ws);
+        let spec = SpecSession::new(&target, &draft, &t_cache, &d_cache, pending, budget, 4);
+        let (got_spec, got_stats) =
+            Session::Spec(spec).run(&target, &mut t_cache, Some((&draft, &mut d_cache)), &mut ws);
         assert_eq!(got_spec, want_spec);
         assert_eq!(got_stats, want_stats);
     }
 
-    /// The fold halves per-block target passes: for the same run, the fused
-    /// loop must use strictly fewer target forwards than the reference
-    /// (blocks + resyncs) once more than one block executes.
+    /// A second identical run must be served entirely from the workspace
+    /// pool the first one grew.
     #[test]
     fn fused_loop_reaches_steady_state_allocations() {
         let target = tiny(10);

@@ -17,11 +17,9 @@ pub struct SpecStats {
     /// length at every loop exit.
     pub generated: usize,
     /// Tokens decided by the prompt prefill alone and committed without a
-    /// verify block. The reference loop folds that token into its first
-    /// block (so this stays 0); the fused loop emits it up front as the
-    /// initial *pending* token (so this is 1 for any non-empty run). Kept
-    /// separate so [`SpecStats::block_efficiency`] means the same thing on
-    /// both loops.
+    /// verify block: a session emits its initial *pending* token up front,
+    /// so this is 1 for any non-empty run. Kept separate so
+    /// [`SpecStats::block_efficiency`] counts verify-pass tokens only.
     pub prefill_tokens: usize,
 }
 
@@ -37,10 +35,10 @@ impl SpecStats {
 
     /// Block efficiency τ: average tokens committed **per target verify
     /// pass**, excluding prefill-decided tokens that never went through a
-    /// verify block (≥ 1 whenever a full block ran; upper-bounded by γ+1 on
-    /// both the reference and the fused loop — the fused loop's pending
-    /// resync token is excluded via [`SpecStats::prefill_tokens`] rather
-    /// than inflating τ past the bound).
+    /// verify block (≥ 1 whenever a full block ran; upper-bounded by γ+1 —
+    /// the initial pending token is excluded via
+    /// [`SpecStats::prefill_tokens`] rather than inflating τ past the
+    /// bound).
     pub fn block_efficiency(&self) -> f64 {
         if self.blocks == 0 {
             0.0
@@ -53,7 +51,7 @@ impl SpecStats {
     /// and for the serving scheduler, which merges every finished session's
     /// stats into one registry).
     ///
-    /// τ convention for seeded/fused loops: each such run commits its first
+    /// τ convention: each run commits its first
     /// token straight from prefill and records it in
     /// [`SpecStats::prefill_tokens`] (1 per run), so
     /// [`SpecStats::block_efficiency`] computes

@@ -9,9 +9,8 @@
 //! A scheduler can run block A of session 1, then block A of session 2,
 //! then block B of session 1 — continuous batching at block granularity —
 //! and every session still produces output token-identical to the one-shot
-//! loop, because the one-shot loops in the crate root are [`Session::run`]
-//! over these same sessions. Every losslessness/boundary/τ test on those
-//! loops therefore pins the sessions.
+//! loop, because the one-shot loops are [`Session::run`] over these same
+//! sessions.
 //!
 //! Sessions do **not** own the model or the caches; they own only the loop
 //! state (pending token, emitted tokens, counters — the shared [`Core`]).
@@ -68,10 +67,15 @@ pub struct SpecSession {
 core_accessors!(SpecSession);
 
 impl SpecSession {
-    /// Start a session from pre-seeded caches whose lengths may differ
-    /// (see `speculative_greedy_seeded_ws` for the cache contract).
-    /// `pending` is the first target-decided token not yet fed to either
-    /// cache; it is committed immediately.
+    /// Start a session from **pre-seeded caches whose lengths may differ**:
+    /// `t_cache` holds the target's committed context (e.g. vision prefix ∥
+    /// text prompt) and `d_cache` the draft's — which in the hybrid-cache
+    /// path is `[projected vision KV ∥ text KV]` and therefore *shorter*
+    /// than the target's. The session only requires that both caches
+    /// advance in lockstep **from here on**: per block both receive the
+    /// same `pending + proposals` tokens and are rolled back by the same
+    /// amount on rejection. `pending` is the first target-decided token not
+    /// yet fed to either cache; it is committed immediately.
     pub fn new(
         target: &Decoder,
         draft: &Decoder,
@@ -313,7 +317,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{autoregressive_greedy_with_budget, speculative_greedy_with_budget_ws};
+    use crate::{autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws};
     use aasd_nn::DecoderConfig;
     use aasd_tensor::Rng;
 
@@ -379,7 +383,7 @@ mod tests {
         let p = [2u32, 8, 5];
         for gamma in [1usize, 3, 5] {
             for budget in 2..=15 {
-                let want = autoregressive_greedy_with_budget(&target, &p, budget);
+                let want = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
                 let (mut tc, pending) = prefill(&target, &p, &mut ws);
                 let (mut dc, _) = prefill(&target, &p, &mut ws);
                 let mut s = SpecSession::new(&target, &target, &tc, &dc, pending, budget, gamma);
@@ -427,14 +431,14 @@ mod tests {
         );
     }
 
-    /// The AR session stepped to completion equals the reference loop.
+    /// The AR session stepped by hand equals the one-shot loop.
     #[test]
     fn ar_session_matches_reference() {
         let target = tiny(40);
         let mut ws = Workspace::new();
         let p = [4u32, 4, 2];
         let budget = 12;
-        let want = autoregressive_greedy_with_budget(&target, &p, budget);
+        let want = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
         let (mut cache, pending) = prefill(&target, &p, &mut ws);
         let mut s = ArSession::new(&target, &cache, pending, budget);
         while !s.is_done() {

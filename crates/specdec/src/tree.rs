@@ -32,8 +32,7 @@
 //! ([`TreeSession::enable_example_collection`]).
 
 use crate::core::{assert_budget_fits, core_accessors, Core};
-use crate::metrics::SpecStats;
-use crate::session::{room, Session, StepReport};
+use crate::session::{room, StepReport};
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache, TreeRows};
 use aasd_tensor::{argmax, softmax_row, Workspace};
@@ -489,39 +488,12 @@ impl TreeSession {
     }
 }
 
-/// One-shot driver over [`TreeSession`], mirroring
-/// `speculative_greedy_seeded_ws` (same cache contract and return shape).
-#[allow(clippy::too_many_arguments)]
-pub fn speculative_tree_seeded_ws(
-    target: &Decoder,
-    draft: &Decoder,
-    t_cache: &mut KvCache,
-    d_cache: &mut KvCache,
-    pending: u32,
-    budget: usize,
-    gamma: usize,
-    cfg: TreeConfig,
-    vis_boundary: usize,
-    ws: &mut Workspace,
-) -> (Vec<u32>, SpecStats) {
-    let session = TreeSession::new(
-        target,
-        draft,
-        t_cache,
-        d_cache,
-        pending,
-        budget,
-        gamma,
-        cfg,
-        vis_boundary,
-    );
-    Session::Tree(session).run(target, t_cache, Some((draft, d_cache)), ws)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{autoregressive_greedy_with_budget, speculative_greedy_seeded_ws, AdaptiveGamma};
+    use crate::metrics::SpecStats;
+    use crate::session::{Session, SpecSession};
+    use crate::{autoregressive_greedy_with_budget_ws, AdaptiveGamma};
     use aasd_nn::DecoderConfig;
     use aasd_tensor::Rng;
 
@@ -539,6 +511,23 @@ mod tests {
         (cache, pending)
     }
 
+    /// A text-only tree session run to completion over prefilled caches.
+    #[allow(clippy::too_many_arguments)]
+    fn run_tree(
+        target: &Decoder,
+        draft: &Decoder,
+        tc: &mut KvCache,
+        dc: &mut KvCache,
+        pending: u32,
+        budget: usize,
+        gamma: usize,
+        cfg: TreeConfig,
+        ws: &mut Workspace,
+    ) -> (Vec<u32>, SpecStats) {
+        let s = TreeSession::new(target, draft, tc, dc, pending, budget, gamma, cfg, 0);
+        Session::Tree(s).run(target, tc, Some((draft, dc)), ws)
+    }
+
     /// Every tree shape is lossless: output ≡ the AR chain, for branching
     /// factors 1..4, shallow and full depth, with and without the
     /// calibrator, across γ — on an adversarial (independent) draft.
@@ -553,7 +542,7 @@ mod tests {
                 .map(|_| rng.below(40) as u32)
                 .collect();
             let budget = 22;
-            let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+            let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
             for bf in [1usize, 2, 3] {
                 for max_depth in [0usize, 3] {
                     for cal in [None, Some(AcceptanceCalibrator::neutral())] {
@@ -566,8 +555,8 @@ mod tests {
                         };
                         let (mut tc, pending) = prefill(&target, &p, &mut ws);
                         let (mut dc, _) = prefill(&draft, &p, &mut ws);
-                        let (out, stats) = speculative_tree_seeded_ws(
-                            &target, &draft, &mut tc, &mut dc, pending, budget, 5, cfg, 0, &mut ws,
+                        let (out, stats) = run_tree(
+                            &target, &draft, &mut tc, &mut dc, pending, budget, 5, cfg, &mut ws,
                         );
                         assert_eq!(
                             out, reference,
@@ -594,13 +583,13 @@ mod tests {
             let budget = 19;
             let (mut tc_l, pending) = prefill(&target, &p, &mut ws);
             let (mut dc_l, _) = prefill(&draft, &p, &mut ws);
-            let (want, want_stats) = speculative_greedy_seeded_ws(
-                &target, &draft, &mut tc_l, &mut dc_l, pending, budget, gamma, &mut ws,
-            );
+            let lin = SpecSession::new(&target, &draft, &tc_l, &dc_l, pending, budget, gamma);
+            let (want, want_stats) =
+                Session::Spec(lin).run(&target, &mut tc_l, Some((&draft, &mut dc_l)), &mut ws);
             let (mut tc_t, pending_t) = prefill(&target, &p, &mut ws);
             let (mut dc_t, _) = prefill(&draft, &p, &mut ws);
             assert_eq!(pending, pending_t);
-            let (got, got_stats) = speculative_tree_seeded_ws(
+            let (got, got_stats) = run_tree(
                 &target,
                 &draft,
                 &mut tc_t,
@@ -609,7 +598,6 @@ mod tests {
                 budget,
                 gamma,
                 TreeConfig::linear(),
-                0,
                 &mut ws,
             );
             assert_eq!(got, want, "γ={gamma} stream diverged");
@@ -633,10 +621,10 @@ mod tests {
         let mut ws = Workspace::new();
         let p = [2u32, 9, 33, 1];
         let budget = 21;
-        let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+        let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
         let (mut tc, pending) = prefill(&target, &p, &mut ws);
         let (mut dc, _) = prefill(&target, &p, &mut ws);
-        let (out, stats) = speculative_tree_seeded_ws(
+        let (out, stats) = run_tree(
             &target,
             &target,
             &mut tc,
@@ -651,7 +639,6 @@ mod tests {
                 calibrator: None,
                 branch_threshold: 0.5,
             },
-            0,
             &mut ws,
         );
         assert_eq!(out, reference);
@@ -671,7 +658,7 @@ mod tests {
         let mut ws = Workspace::new();
         let p = [1u32, 8, 3, 20, 5];
         let budget = 24;
-        let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+        let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
         let (mut tc, pending) = prefill(&target, &p, &mut ws);
         let (mut dc, _) = prefill(&draft, &p, &mut ws);
         let mut s = TreeSession::new(

@@ -8,9 +8,10 @@
 //!   the 4-way-unrolled [`vecmat_into`] t = 1 decode fast path (bitwise
 //!   equal to any row of the multi-row kernel);
 //! * [`ops`] — fused softmax, argmax, SiLU, axpy/dot primitives;
-//! * [`simd`] — runtime-dispatched AVX2/SSE2/scalar kernel tiers behind
-//!   the hot-path primitives (`AASD_KERNEL` overridable, bitwise-stable
-//!   vecmat and matmul across tiers);
+//! * [`simd`] — the runtime-dispatched AVX2 and scalar kernel tiers behind
+//!   the hot-path primitives (`AASD_KERNEL=scalar|avx2` overrides, any
+//!   other value is a hard error; bitwise-stable vecmat and matmul across
+//!   tiers);
 //! * [`quant`] — int8 per-row absmax weight quantization and the exact
 //!   i32-accumulating `vecmat_q8` kernels;
 //! * [`rng`] — deterministic SplitMix64 RNG (std-only `rand` stand-in);

@@ -1,23 +1,23 @@
-//! Runtime-dispatched SIMD kernels (AVX2 / SSE2 / scalar) for the decode
-//! hot path.
+//! Runtime-dispatched SIMD kernels (AVX2 / scalar) for the decode hot path.
 //!
 //! One [`Backend`] is selected process-wide the first time [`backend`] is
-//! queried: from the `AASD_KERNEL` env var (`scalar` | `sse2` | `avx2`)
-//! when set and supported on the host, otherwise the best path the CPU
-//! reports. Benches and tests can switch at runtime with [`set_backend`]
-//! to race every path inside one process.
+//! queried: the `AASD_KERNEL` env var (`scalar` | `avx2`) when set, otherwise
+//! the best path the CPU reports. A value that names no tier, or a tier the
+//! host cannot run, is a hard error (a panic on that first query) — a typo
+//! must not run one tier under another's label. Benches and tests can switch
+//! at runtime with [`set_backend`] to race both paths inside one process.
 //!
 //! Determinism contract: the f32 `vecmat` kernels and the multi-row tile
 //! (`matmul_tile`) vectorize across the *output* dimension and give every
 //! output element the scalar kernel's sequence over `k` — `acc = acc +
 //! a·b` for `k = 0, 1, 2, …`, multiply-then-add, never FMA, no term skipped
-//! — so every backend produces bit-identical vecmat and matmul results, and
+//! — so both backends produce bit-identical vecmat and matmul results, and
 //! a row of a multi-row product is bit-identical to the vecmat of that row:
 //! switching backends cannot move a logit relative to the scalar reference,
 //! and the t = 1 / t > 1 Linear paths agree bit-for-bit. The tile is one
-//! generic source compiled plainly (scalar and sse2 tiers: 6 rows × 8
-//! columns) and under `avx2` (6 × 16); its shape changes which elements
-//! share a register, never an element's arithmetic.
+//! generic source compiled plainly (scalar tier: 6 rows × 8 columns) and
+//! under `avx2` (6 × 16); its shape changes which elements share a register,
+//! never an element's arithmetic.
 //!
 //! Reductions ([`dot_with`], [`sum_squares_with`]) and transcendentals
 //! ([`softmax_row_with`], [`silu_mul_with`], which use a lane-parallel
@@ -26,13 +26,12 @@
 //! spec≡AR losslessness rests on.
 //!
 //! The int8 kernel ([`dot_i8_with`]) accumulates in `i32`, which is exact
-//! and associative, so scalar / SSE2 / AVX2 agree **exactly**.
+//! and associative, so scalar and AVX2 agree **exactly**.
 //!
-//! The SSE2 tier accelerates the bandwidth-bound kernels (`vecmat`, `dot`,
-//! `axpy`, `sum_squares`, `dot_i8`); its multi-row matmul is the scalar
-//! tier's (the plain build of the tile already uses the x86_64 baseline's
-//! SSE2), and its transcendental kernels (`softmax`, `silu_mul`) and
-//! `argmax` route to the scalar implementations.
+//! There is no hand-written 128-bit tier: rustc already vectorises the
+//! scalar kernels with the x86_64 baseline's 4-lane instructions, and a tier
+//! of 4-lane intrinsics measured within run-to-run noise of them
+//! (EXPERIMENTS.md § PR 20).
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
@@ -43,21 +42,18 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Backend {
     /// Portable scalar reference (always supported).
     Scalar,
-    /// 4-lane `__m128` kernels (x86_64 baseline).
-    Sse2,
     /// 8-lane `__m256` kernels (runtime-detected).
     Avx2,
 }
 
 impl Backend {
     /// Every tier, slowest first.
-    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Sse2, Backend::Avx2];
+    pub const ALL: [Backend; 2] = [Backend::Scalar, Backend::Avx2];
 
     /// Stable lowercase name (also the accepted `AASD_KERNEL` values).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
-            Backend::Sse2 => "sse2",
             Backend::Avx2 => "avx2",
         }
     }
@@ -66,7 +62,6 @@ impl Backend {
     pub fn from_name(name: &str) -> Option<Backend> {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
-            "sse2" => Some(Backend::Sse2),
             "avx2" => Some(Backend::Avx2),
             _ => None,
         }
@@ -76,7 +71,6 @@ impl Backend {
     pub fn is_supported(self) -> bool {
         match self {
             Backend::Scalar => true,
-            Backend::Sse2 => cfg!(target_arch = "x86_64"),
             Backend::Avx2 => {
                 #[cfg(target_arch = "x86_64")]
                 {
@@ -93,16 +87,14 @@ impl Backend {
     fn code(self) -> u8 {
         match self {
             Backend::Scalar => 1,
-            Backend::Sse2 => 2,
-            Backend::Avx2 => 3,
+            Backend::Avx2 => 2,
         }
     }
 
     fn from_code(code: u8) -> Option<Backend> {
         match code {
             1 => Some(Backend::Scalar),
-            2 => Some(Backend::Sse2),
-            3 => Some(Backend::Avx2),
+            2 => Some(Backend::Avx2),
             _ => None,
         }
     }
@@ -115,48 +107,52 @@ static ACTIVE: AtomicU8 = AtomicU8::new(0);
 pub fn best_supported() -> Backend {
     if Backend::Avx2.is_supported() {
         Backend::Avx2
-    } else if Backend::Sse2.is_supported() {
-        Backend::Sse2
     } else {
         Backend::Scalar
     }
 }
 
-fn initial_backend() -> Backend {
-    match std::env::var("AASD_KERNEL") {
-        Ok(raw) => match Backend::from_name(&raw) {
-            Some(b) if b.is_supported() => b,
-            Some(b) => {
-                eprintln!(
-                    "AASD_KERNEL={}: backend not supported on this host; using {}",
-                    b.name(),
-                    best_supported().name()
-                );
-                best_supported()
-            }
-            None => {
-                eprintln!(
-                    "AASD_KERNEL={raw}: unknown backend (expected scalar|sse2|avx2); using {}",
-                    best_supported().name()
-                );
-                best_supported()
-            }
-        },
-        Err(_) => best_supported(),
+/// The backend an `AASD_KERNEL` value selects: the host's best when unset,
+/// the named tier when it exists and the host supports it, an error
+/// otherwise. Pure so the rule is unit-testable despite the process-wide
+/// selection cached behind [`backend`].
+fn backend_from_env(raw: Option<&str>) -> Result<Backend, String> {
+    let Some(raw) = raw else {
+        return Ok(best_supported());
+    };
+    match Backend::from_name(raw) {
+        Some(b) if b.is_supported() => Ok(b),
+        Some(b) => Err(format!(
+            "AASD_KERNEL={}: backend not supported on this host",
+            b.name()
+        )),
+        None => Err(format!(
+            "AASD_KERNEL={raw}: unknown backend (expected scalar|avx2)"
+        )),
     }
 }
 
 /// The process-wide active backend (selected once, lazily; see module docs).
+///
+/// # Panics
+/// On the first query when `AASD_KERNEL` is set to anything but a supported
+/// tier's name.
 #[inline]
 pub fn backend() -> Backend {
     match Backend::from_code(ACTIVE.load(Ordering::Relaxed)) {
         Some(b) => b,
-        None => {
-            let b = initial_backend();
-            ACTIVE.store(b.code(), Ordering::Relaxed);
-            b
-        }
+        None => select_backend(),
     }
+}
+
+/// First-use selection, out of line so the hot callers of [`backend`]
+/// inline only the load.
+#[cold]
+fn select_backend() -> Backend {
+    let raw = std::env::var("AASD_KERNEL").ok();
+    let b = backend_from_env(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
+    ACTIVE.store(b.code(), Ordering::Relaxed);
+    b
 }
 
 /// Override the active backend so benches can race paths in one process.
@@ -217,8 +213,6 @@ pub fn vecmat_acc_into_with(bk: Backend, y: &mut [f32], x: &[f32], w: &[f32], k:
     assert_eq!(w.len(), k * n, "W must be k×n");
     assert_eq!(y.len(), n, "y must have n entries");
     match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { vecmat_acc_sse2(y, x, w, k, n) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { vecmat_acc_avx2(y, x, w, k, n) },
         _ => vecmat_acc_scalar(y, x, w, k, n),
@@ -373,8 +367,6 @@ pub fn dot_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
     debug_assert_eq!(a.len(), b.len());
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { dot_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { dot_avx2(a, b) },
         _ => dot_scalar(a, b),
     }
@@ -386,8 +378,6 @@ pub fn axpy_with(bk: Backend, y: &mut [f32], s: f32, x: &[f32]) {
     debug_assert_eq!(y.len(), x.len());
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { axpy_sse2(y, s, x) },
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { axpy_avx2(y, s, x) },
         _ => axpy_scalar(y, s, x),
     }
@@ -397,8 +387,6 @@ pub fn axpy_with(bk: Backend, y: &mut [f32], s: f32, x: &[f32]) {
 #[inline]
 pub fn sum_squares_with(bk: Backend, x: &[f32]) -> f32 {
     match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { sum_squares_sse2(x) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { sum_squares_avx2(x) },
         _ => sum_squares_scalar(x),
@@ -517,73 +505,12 @@ unsafe fn vecmat_acc_avx2(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usiz
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn vecmat_acc_sse2(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
-    let yp = y.as_mut_ptr();
-    let mut kk = 0usize;
-    while kk + 4 <= k {
-        let (a0, a1, a2, a3) = (x[kk], x[kk + 1], x[kk + 2], x[kk + 3]);
-        let w0 = w[kk * n..].as_ptr();
-        let w1 = w0.add(n);
-        let w2 = w1.add(n);
-        let w3 = w2.add(n);
-        let va0 = _mm_set1_ps(a0);
-        let va1 = _mm_set1_ps(a1);
-        let va2 = _mm_set1_ps(a2);
-        let va3 = _mm_set1_ps(a3);
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let mut acc = _mm_loadu_ps(yp.add(j));
-            acc = _mm_add_ps(acc, _mm_mul_ps(va0, _mm_loadu_ps(w0.add(j))));
-            acc = _mm_add_ps(acc, _mm_mul_ps(va1, _mm_loadu_ps(w1.add(j))));
-            acc = _mm_add_ps(acc, _mm_mul_ps(va2, _mm_loadu_ps(w2.add(j))));
-            acc = _mm_add_ps(acc, _mm_mul_ps(va3, _mm_loadu_ps(w3.add(j))));
-            _mm_storeu_ps(yp.add(j), acc);
-            j += 4;
-        }
-        while j < n {
-            *yp.add(j) =
-                *yp.add(j) + a0 * *w0.add(j) + a1 * *w1.add(j) + a2 * *w2.add(j) + a3 * *w3.add(j);
-            j += 1;
-        }
-        kk += 4;
-    }
-    while kk < k {
-        let a = x[kk];
-        let va = _mm_set1_ps(a);
-        let wr = w[kk * n..].as_ptr();
-        let mut j = 0usize;
-        while j + 4 <= n {
-            let acc = _mm_add_ps(
-                _mm_loadu_ps(yp.add(j)),
-                _mm_mul_ps(va, _mm_loadu_ps(wr.add(j))),
-            );
-            _mm_storeu_ps(yp.add(j), acc);
-            j += 4;
-        }
-        while j < n {
-            *yp.add(j) += a * *wr.add(j);
-            j += 1;
-        }
-        kk += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn hsum256_ps(v: __m256) -> f32 {
     let lo = _mm256_castps256_ps128(v);
     let hi = _mm256_extractf128_ps(v, 1);
     let s = _mm_add_ps(lo, hi);
     let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    _mm_cvtss_f32(s)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn hsum128_ps(v: __m128) -> f32 {
-    let s = _mm_add_ps(v, _mm_movehl_ps(v, v));
     let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
     _mm_cvtss_f32(s)
 }
@@ -603,28 +530,6 @@ unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
         i += 8;
     }
     let mut s = hsum256_ps(acc);
-    while i < n {
-        s += a[i] * b[i];
-        i += 1;
-    }
-    s
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn dot_sse2(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm_setzero_ps();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        acc = _mm_add_ps(
-            acc,
-            _mm_mul_ps(_mm_loadu_ps(ap.add(i)), _mm_loadu_ps(bp.add(i))),
-        );
-        i += 4;
-    }
-    let mut s = hsum128_ps(acc);
     while i < n {
         s += a[i] * b[i];
         i += 1;
@@ -655,28 +560,6 @@ unsafe fn axpy_avx2(y: &mut [f32], s: f32, x: &[f32]) {
 }
 
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn axpy_sse2(y: &mut [f32], s: f32, x: &[f32]) {
-    let n = y.len();
-    let yp = y.as_mut_ptr();
-    let xp = x.as_ptr();
-    let vs = _mm_set1_ps(s);
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let acc = _mm_add_ps(
-            _mm_loadu_ps(yp.add(i)),
-            _mm_mul_ps(vs, _mm_loadu_ps(xp.add(i))),
-        );
-        _mm_storeu_ps(yp.add(i), acc);
-        i += 4;
-    }
-    while i < n {
-        *yp.add(i) += s * *xp.add(i);
-        i += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn sum_squares_avx2(x: &[f32]) -> f32 {
     let n = x.len();
@@ -689,26 +572,6 @@ unsafe fn sum_squares_avx2(x: &[f32]) -> f32 {
         i += 8;
     }
     let mut s = hsum256_ps(acc);
-    while i < n {
-        s += x[i] * x[i];
-        i += 1;
-    }
-    s
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn sum_squares_sse2(x: &[f32]) -> f32 {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let mut acc = _mm_setzero_ps();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        let v = _mm_loadu_ps(xp.add(i));
-        acc = _mm_add_ps(acc, _mm_mul_ps(v, v));
-        i += 4;
-    }
-    let mut s = hsum128_ps(acc);
     while i < n {
         s += x[i] * x[i];
         i += 1;
@@ -755,8 +618,6 @@ pub fn attn_scores_with(
     }
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { attn_scores_sse2(scores, q, keys, stride, scale) },
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { attn_scores_avx2(scores, q, keys, stride, scale) },
         _ => {
             for (j, s) in scores.iter_mut().enumerate() {
@@ -779,8 +640,6 @@ pub fn attn_mix_with(bk: Backend, out: &mut [f32], weights: &[f32], values: &[f3
         );
     }
     match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { attn_mix_sse2(out, weights, values, stride) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { attn_mix_avx2(out, weights, values, stride) },
         _ => {
@@ -866,56 +725,6 @@ unsafe fn attn_scores_avx2(scores: &mut [f32], q: &[f32], keys: &[f32], stride: 
     }
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn attn_scores_sse2(scores: &mut [f32], q: &[f32], keys: &[f32], stride: usize, scale: f32) {
-    let d = q.len();
-    let qp = q.as_ptr();
-    let kp = keys.as_ptr();
-    let l = scores.len();
-    let mut j = 0usize;
-    while j + 4 <= l {
-        let k0 = kp.add(j * stride);
-        let k1 = kp.add((j + 1) * stride);
-        let k2 = kp.add((j + 2) * stride);
-        let k3 = kp.add((j + 3) * stride);
-        let mut acc0 = _mm_setzero_ps();
-        let mut acc1 = _mm_setzero_ps();
-        let mut acc2 = _mm_setzero_ps();
-        let mut acc3 = _mm_setzero_ps();
-        let mut i = 0usize;
-        while i + 4 <= d {
-            let vq = _mm_loadu_ps(qp.add(i));
-            acc0 = _mm_add_ps(acc0, _mm_mul_ps(vq, _mm_loadu_ps(k0.add(i))));
-            acc1 = _mm_add_ps(acc1, _mm_mul_ps(vq, _mm_loadu_ps(k1.add(i))));
-            acc2 = _mm_add_ps(acc2, _mm_mul_ps(vq, _mm_loadu_ps(k2.add(i))));
-            acc3 = _mm_add_ps(acc3, _mm_mul_ps(vq, _mm_loadu_ps(k3.add(i))));
-            i += 4;
-        }
-        let mut s0 = hsum128_ps(acc0);
-        let mut s1 = hsum128_ps(acc1);
-        let mut s2 = hsum128_ps(acc2);
-        let mut s3 = hsum128_ps(acc3);
-        while i < d {
-            let qv = *qp.add(i);
-            s0 += qv * *k0.add(i);
-            s1 += qv * *k1.add(i);
-            s2 += qv * *k2.add(i);
-            s3 += qv * *k3.add(i);
-            i += 1;
-        }
-        scores[j] = s0 * scale;
-        scores[j + 1] = s1 * scale;
-        scores[j + 2] = s2 * scale;
-        scores[j + 3] = s3 * scale;
-        j += 4;
-    }
-    while j < l {
-        scores[j] = dot_sse2(q, std::slice::from_raw_parts(kp.add(j * stride), d)) * scale;
-        j += 1;
-    }
-}
-
 /// Output held in up to eight ymm accumulators across the whole position
 /// loop: one load and one store of `out` per 64-lane chunk instead of one
 /// read-modify-write sweep per position. A single f32 mul-then-add has the
@@ -989,51 +798,6 @@ unsafe fn attn_mix_avx2(out: &mut [f32], weights: &[f32], values: &[f32], stride
         }
         _mm256_storeu_ps(op.add(e), acc);
         e += 8;
-    }
-    while e < d {
-        let mut acc = *op.add(e);
-        for (j, &w) in weights.iter().enumerate() {
-            acc += w * *vp.add(j * stride + e);
-        }
-        *op.add(e) = acc;
-        e += 1;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn attn_mix_sse2(out: &mut [f32], weights: &[f32], values: &[f32], stride: usize) {
-    let d = out.len();
-    let op = out.as_mut_ptr();
-    let vp = values.as_ptr();
-    let mut e = 0usize;
-    while e + 16 <= d {
-        let mut a0 = _mm_loadu_ps(op.add(e));
-        let mut a1 = _mm_loadu_ps(op.add(e + 4));
-        let mut a2 = _mm_loadu_ps(op.add(e + 8));
-        let mut a3 = _mm_loadu_ps(op.add(e + 12));
-        for (j, &w) in weights.iter().enumerate() {
-            let vw = _mm_set1_ps(w);
-            let row = vp.add(j * stride + e);
-            a0 = _mm_add_ps(a0, _mm_mul_ps(vw, _mm_loadu_ps(row)));
-            a1 = _mm_add_ps(a1, _mm_mul_ps(vw, _mm_loadu_ps(row.add(4))));
-            a2 = _mm_add_ps(a2, _mm_mul_ps(vw, _mm_loadu_ps(row.add(8))));
-            a3 = _mm_add_ps(a3, _mm_mul_ps(vw, _mm_loadu_ps(row.add(12))));
-        }
-        _mm_storeu_ps(op.add(e), a0);
-        _mm_storeu_ps(op.add(e + 4), a1);
-        _mm_storeu_ps(op.add(e + 8), a2);
-        _mm_storeu_ps(op.add(e + 12), a3);
-        e += 16;
-    }
-    while e + 4 <= d {
-        let mut acc = _mm_loadu_ps(op.add(e));
-        for (j, &w) in weights.iter().enumerate() {
-            let vw = _mm_set1_ps(w);
-            acc = _mm_add_ps(acc, _mm_mul_ps(vw, _mm_loadu_ps(vp.add(j * stride + e))));
-        }
-        _mm_storeu_ps(op.add(e), acc);
-        e += 4;
     }
     while e < d {
         let mut acc = *op.add(e);
@@ -1419,8 +1183,6 @@ pub fn dot_i8_with(bk: Backend, a: &[i8], b: &[i8]) -> i32 {
     debug_assert_eq!(a.len(), b.len());
     match bk {
         #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { dot_i8_sse2(a, b) },
-        #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { dot_i8_avx2(a, b) },
         _ => dot_i8_scalar(a, b),
     }
@@ -1446,8 +1208,6 @@ pub fn vecmat_q8_acc_kernel(
     assert_eq!(scales.len(), n, "one scale per output row");
     assert_eq!(qs.len(), n * k, "codes must be n_out rows of k_in");
     match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Sse2 => unsafe { vecmat_q8_acc_sse2(y, qx, sx, qs, scales, k) },
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { vecmat_q8_acc_avx2(y, qx, sx, qs, scales, k) },
         _ => {
@@ -1533,73 +1293,6 @@ unsafe fn hsum256_epi32(v: __m256i) -> i32 {
     _mm_cvtsi128_si32(s)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn vecmat_q8_acc_sse2(
-    y: &mut [f32],
-    qx: &[i8],
-    sx: f32,
-    qs: &[i8],
-    scales: &[f32],
-    k: usize,
-) {
-    let n = y.len();
-    let xp = qx.as_ptr();
-    let wp = qs.as_ptr();
-    let mut r = 0usize;
-    while r + 2 <= n {
-        let w0 = wp.add(r * k);
-        let w1 = wp.add((r + 1) * k);
-        let mut a0 = _mm_setzero_si128();
-        let mut a1 = _mm_setzero_si128();
-        let mut i = 0usize;
-        while i + 16 <= k {
-            let vx = _mm_loadu_si128(xp.add(i) as *const __m128i);
-            let x_lo = _mm_srai_epi16(_mm_unpacklo_epi8(vx, vx), 8);
-            let x_hi = _mm_srai_epi16(_mm_unpackhi_epi8(vx, vx), 8);
-            let v0 = _mm_loadu_si128(w0.add(i) as *const __m128i);
-            let v1 = _mm_loadu_si128(w1.add(i) as *const __m128i);
-            a0 = _mm_add_epi32(
-                a0,
-                _mm_madd_epi16(x_lo, _mm_srai_epi16(_mm_unpacklo_epi8(v0, v0), 8)),
-            );
-            a0 = _mm_add_epi32(
-                a0,
-                _mm_madd_epi16(x_hi, _mm_srai_epi16(_mm_unpackhi_epi8(v0, v0), 8)),
-            );
-            a1 = _mm_add_epi32(
-                a1,
-                _mm_madd_epi16(x_lo, _mm_srai_epi16(_mm_unpacklo_epi8(v1, v1), 8)),
-            );
-            a1 = _mm_add_epi32(
-                a1,
-                _mm_madd_epi16(x_hi, _mm_srai_epi16(_mm_unpackhi_epi8(v1, v1), 8)),
-            );
-            i += 16;
-        }
-        let s0 = _mm_add_epi32(a0, _mm_shuffle_epi32(a0, 0b0000_1110));
-        let s0 = _mm_add_epi32(s0, _mm_shuffle_epi32(s0, 0b0000_0001));
-        let s1 = _mm_add_epi32(a1, _mm_shuffle_epi32(a1, 0b0000_1110));
-        let s1 = _mm_add_epi32(s1, _mm_shuffle_epi32(s1, 0b0000_0001));
-        let mut t0 = _mm_cvtsi128_si32(s0);
-        let mut t1 = _mm_cvtsi128_si32(s1);
-        while i < k {
-            let xv = *xp.add(i) as i32;
-            t0 += xv * *w0.add(i) as i32;
-            t1 += xv * *w1.add(i) as i32;
-            i += 1;
-        }
-        y[r] += t0 as f32 * (sx * scales[r]);
-        y[r + 1] += t1 as f32 * (sx * scales[r + 1]);
-        r += 2;
-    }
-    while r < n {
-        let acc = dot_i8_sse2(qx, std::slice::from_raw_parts(wp.add(r * k), k));
-        y[r] += acc as f32 * (sx * scales[r]);
-        r += 1;
-    }
-}
-
 fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {
     let mut acc = 0i32;
     for (av, bv) in a.iter().zip(b.iter()) {
@@ -1628,37 +1321,6 @@ unsafe fn dot_i8_avx2(a: &[i8], b: &[i8]) -> i32 {
     let hi = _mm256_extracti128_si256(acc, 1);
     let s = _mm_add_epi32(lo, hi);
     let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0000_1110));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0000_0001));
-    let mut total = _mm_cvtsi128_si32(s);
-    while i < n {
-        total += a[i] as i32 * b[i] as i32;
-        i += 1;
-    }
-    total
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "sse2")]
-unsafe fn dot_i8_sse2(a: &[i8], b: &[i8]) -> i32 {
-    let n = a.len();
-    let ap = a.as_ptr();
-    let bp = b.as_ptr();
-    let mut acc = _mm_setzero_si128();
-    let mut i = 0usize;
-    while i + 16 <= n {
-        let va = _mm_loadu_si128(ap.add(i) as *const __m128i);
-        let vb = _mm_loadu_si128(bp.add(i) as *const __m128i);
-        // Sign-extend i8 → i16 with the unpack-with-self + arithmetic-shift
-        // trick (SSE2 has no cvtepi8_epi16).
-        let a_lo = _mm_srai_epi16(_mm_unpacklo_epi8(va, va), 8);
-        let a_hi = _mm_srai_epi16(_mm_unpackhi_epi8(va, va), 8);
-        let b_lo = _mm_srai_epi16(_mm_unpacklo_epi8(vb, vb), 8);
-        let b_hi = _mm_srai_epi16(_mm_unpackhi_epi8(vb, vb), 8);
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(a_lo, b_lo));
-        acc = _mm_add_epi32(acc, _mm_madd_epi16(a_hi, b_hi));
-        i += 16;
-    }
-    let s = _mm_add_epi32(acc, _mm_shuffle_epi32(acc, 0b0000_1110));
     let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0000_0001));
     let mut total = _mm_cvtsi128_si32(s);
     while i < n {
@@ -1697,6 +1359,26 @@ mod tests {
         assert_eq!(Backend::from_name(" avx2 "), Some(Backend::Avx2));
         assert_eq!(Backend::from_name("avx512"), None);
         assert_eq!(Backend::from_name(""), None);
+    }
+
+    /// `AASD_KERNEL` fails closed: unset picks the host's best tier, a
+    /// supported tier's name (any case, padded) picks that tier, and every
+    /// other value — the retired `sse2` included — is an error, never a
+    /// silent fall-through to another tier.
+    #[test]
+    fn backend_from_env_fails_closed() {
+        assert_eq!(backend_from_env(None), Ok(best_supported()));
+        assert_eq!(backend_from_env(Some("scalar")), Ok(Backend::Scalar));
+        let avx2 = backend_from_env(Some("AVX2 "));
+        if Backend::Avx2.is_supported() {
+            assert_eq!(avx2, Ok(Backend::Avx2));
+        } else {
+            assert!(avx2.unwrap_err().contains("not supported"));
+        }
+        for bad in ["sse2", "scalr", "", "avx2,scalar"] {
+            let err = backend_from_env(Some(bad)).unwrap_err();
+            assert!(err.contains("unknown backend"), "{bad:?}: {err}");
+        }
     }
 
     #[test]

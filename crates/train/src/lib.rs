@@ -32,7 +32,7 @@ pub use schedule::Schedule;
 
 use aasd_autograd::{Tape, VarId};
 use aasd_nn::{Decoder, KvCache};
-use aasd_specdec::autoregressive_greedy_seeded_ws;
+use aasd_specdec::{ArSession, Session};
 use aasd_tensor::{argmax, softmax_rows, Rng, Tensor, Workspace};
 
 /// What loss to attach to the `[t, vocab]` logits node of one example.
@@ -188,10 +188,11 @@ pub fn rollout_inputs(
     max_len: usize,
     ws: &mut Workspace,
 ) -> Vec<u32> {
-    // The seeded loop feeds back all but the final committed token, so the
+    // The session feeds back all but the final committed token, so the
     // feasible budget is the remaining room plus one (`ArSession` asserts).
     let room = teacher.cfg.max_seq.min(cache.capacity()) + 1 - cache.len();
-    let gen = autoregressive_greedy_seeded_ws(teacher, cache, pending, gen_len.min(room), ws);
+    let session = ArSession::new(teacher, cache, pending, gen_len.min(room));
+    let (gen, _) = Session::Ar(session).run(teacher, cache, None, ws);
     let mut inputs = prompt.to_vec();
     inputs.extend_from_slice(&gen);
     inputs.truncate(max_len);

@@ -10,8 +10,8 @@ use aasd::mm::{
 };
 use aasd::nn::{Decoder, DecoderConfig};
 use aasd::specdec::{
-    autoregressive_greedy_seeded_ws, autoregressive_greedy_with_budget,
-    speculative_greedy_seeded_ws, speculative_greedy_with_budget_ws,
+    autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws, ArSession, Session,
+    SpecSession,
 };
 use aasd::tensor::{Rng, Workspace};
 
@@ -31,7 +31,7 @@ fn prompt_one_below_max_seq_forces_plain_decode_blocks() {
     let p = prompt(&mut rng, cfg.max_seq - 1, 32);
     let budget = 2; // max_seq + 1 - prompt_len
     let mut ws = Workspace::new();
-    let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+    let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
     let (out, stats) = speculative_greedy_with_budget_ws(&target, &draft, &p, budget, 5, &mut ws);
     assert_eq!(out, reference);
     assert_eq!(stats.drafted, 0, "no room to draft at the boundary");
@@ -53,7 +53,7 @@ fn rollback_at_cache_frontier_is_lossless() {
     for gamma in [2usize, 3, 5] {
         let p = prompt(&mut rng, 6, 32);
         let budget = cfg.max_seq + 1 - p.len(); // run to the very frontier
-        let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+        let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
         let (out, stats) =
             speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws);
         assert_eq!(out, reference, "γ={gamma}");
@@ -118,8 +118,8 @@ fn hybrid_cache_boundary_sweep_is_lossless() {
     }
 }
 
-/// The seeded-loop budget contract itself: a budget one past the feasible
-/// frontier must panic (for both seeded loops), and the maximal budget must
+/// The session budget contract itself: a budget one past the feasible
+/// frontier must panic (for both session kinds), and the maximal budget must
 /// not.
 #[test]
 fn seeded_loop_budget_contract_at_the_frontier() {
@@ -132,23 +132,21 @@ fn seeded_loop_budget_contract_at_the_frontier() {
     let run_ar = |budget: usize| {
         let mut ws = Workspace::new();
         let mut cache = target.new_cache();
-        target.forward_infer(&p, &mut cache);
-        autoregressive_greedy_seeded_ws(&target, &mut cache, 7, budget, &mut ws)
+        target.prefill_ws(&p, &mut cache, &mut ws);
+        let s = ArSession::new(&target, &cache, 7, budget);
+        Session::Ar(s).run(&target, &mut cache, None, &mut ws).0
     };
     let run_spec = |budget: usize| {
         let mut ws = Workspace::new();
         let mut t_cache = target.new_cache();
         let mut d_cache = target.new_cache();
-        target.forward_infer(&p, &mut t_cache);
-        target.forward_infer(&p, &mut d_cache);
-        speculative_greedy_seeded_ws(
-            &target,
+        target.prefill_ws(&p, &mut t_cache, &mut ws);
+        target.prefill_ws(&p, &mut d_cache, &mut ws);
+        let s = SpecSession::new(&target, &target, &t_cache, &d_cache, 7, budget, 2);
+        Session::Spec(s).run(
             &target,
             &mut t_cache,
-            &mut d_cache,
-            7,
-            budget,
-            2,
+            Some((&target, &mut d_cache)),
             &mut ws,
         )
     };
@@ -187,7 +185,7 @@ fn async_rollback_at_lease_capacity_frontier_leaks_nothing() {
     let mut rng = Rng::new(2);
     let p = prompt(&mut rng, 6, 32);
     let budget = cfg.max_seq + 1 - p.len(); // run to the very frontier
-    let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+    let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
 
     // Engine-shaped budget-collapsed leases: capacity = prefix + budget − 1.
     let t_pool = KvPool::new(cfg.n_layers, cfg.dim, 16, 10);

@@ -1,14 +1,27 @@
-//! Property-style sweep over the speculative decoding loop: across random
-//! target/draft pairs, γ values, budgets, and prompts (including prompts
-//! flush against the context window), every [`SpecStats`] invariant must
-//! hold and the output must stay lossless.
+//! The session table: every behaviour the speculative loop promises, for
+//! each inline session kind — the chain [`SpecSession`], the token tree at
+//! branching factor 1 (the degenerate chain) and at branching factor 2 —
+//! against the [`ArSession`] stream. Random target/draft pairs, γ values,
+//! budgets and prompts (including prompts flush against the context
+//! window); every [`SpecStats`] invariant must hold and the output must
+//! stay lossless.
 
-use aasd::nn::{Decoder, DecoderConfig};
+use aasd::nn::{Decoder, DecoderConfig, KvCache};
 use aasd::specdec::{
-    autoregressive_greedy_with_budget, speculative_greedy_with_budget,
-    speculative_greedy_with_budget_ws, SpecStats,
+    autoregressive_greedy_with_budget_ws, Session, SpecSession, SpecStats, TreeConfig, TreeSession,
+    MAX_GAMMA,
 };
 use aasd::tensor::{Rng, Workspace};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+/// An inline speculative session kind; `Tree` carries its branching factor.
+#[derive(Debug, Clone, Copy)]
+enum Kind {
+    Spec,
+    Tree(usize),
+}
+
+const KINDS: [Kind; 3] = [Kind::Spec, Kind::Tree(1), Kind::Tree(2)];
 
 fn model(seed: u64) -> Decoder {
     Decoder::new(DecoderConfig::tiny(32), seed)
@@ -18,6 +31,53 @@ fn random_prompt(rng: &mut Rng, len: usize, vocab: usize) -> Vec<u32> {
     (0..len).map(|_| rng.below(vocab) as u32).collect()
 }
 
+/// Prefill both caches on `prompt` and open a session of `kind` over them.
+fn start(
+    kind: Kind,
+    target: &Decoder,
+    draft: &Decoder,
+    prompt: &[u32],
+    budget: usize,
+    gamma: usize,
+    ws: &mut Workspace,
+) -> (Session, KvCache, KvCache) {
+    let mut tc = target.new_cache();
+    let mut dc = draft.new_cache();
+    let pending = target.prefill_ws(prompt, &mut tc, ws);
+    draft.prefill_ws(prompt, &mut dc, ws);
+    let session = match kind {
+        Kind::Spec => Session::Spec(SpecSession::new(
+            target, draft, &tc, &dc, pending, budget, gamma,
+        )),
+        Kind::Tree(branch_factor) => {
+            let cfg = TreeConfig {
+                branch_factor,
+                ..TreeConfig::default()
+            };
+            Session::Tree(TreeSession::new(
+                target, draft, &tc, &dc, pending, budget, gamma, cfg, 0,
+            ))
+        }
+    };
+    (session, tc, dc)
+}
+
+fn run(
+    kind: Kind,
+    target: &Decoder,
+    draft: &Decoder,
+    prompt: &[u32],
+    budget: usize,
+    gamma: usize,
+    ws: &mut Workspace,
+) -> (Vec<u32>, SpecStats) {
+    let (session, mut tc, mut dc) = start(kind, target, draft, prompt, budget, gamma, ws);
+    session.run(target, &mut tc, Some((draft, &mut dc)), ws)
+}
+
+/// The initial pending token is prefill-decided (`prefill_tokens == 1`), so
+/// a budget-1 run emits a token with zero blocks and τ only kicks in once a
+/// block has run.
 fn check_invariants(stats: &SpecStats, out: &[u32], gamma: usize, case: &str) {
     assert!(
         stats.accepted <= stats.drafted,
@@ -30,73 +90,15 @@ fn check_invariants(stats: &SpecStats, out: &[u32], gamma: usize, case: &str) {
         out.len(),
         "{case}: generated counter disagrees with emitted tokens"
     );
+    assert_eq!(
+        stats.prefill_tokens,
+        usize::from(!out.is_empty()),
+        "{case}: exactly one prefill token"
+    );
     assert!(
         stats.acceptance_rate() <= 1.0 + 1e-12,
         "{case}: α {} > 1",
         stats.acceptance_rate()
-    );
-    assert!(
-        stats.block_efficiency() <= (gamma + 1) as f64 + 1e-12,
-        "{case}: τ {} > γ+1",
-        stats.block_efficiency()
-    );
-    if !out.is_empty() {
-        assert!(stats.blocks >= 1, "{case}: tokens emitted without a block");
-        assert!(
-            stats.block_efficiency() >= 1.0 - 1e-12,
-            "{case}: τ {} < 1",
-            stats.block_efficiency()
-        );
-    }
-}
-
-#[test]
-fn spec_stats_invariants_hold_across_random_runs() {
-    let mut rng = Rng::new(0x51AB);
-    let max_seq = DecoderConfig::tiny(32).max_seq;
-    for case_idx in 0..24 {
-        let target = model(100 + rng.below(6) as u64);
-        let draft = model(200 + rng.below(6) as u64);
-        let gamma = 1 + rng.below(6);
-
-        // Alternate between interior prompts and prompts flush against the
-        // context window, where the extended budget forces the g = 0 path.
-        let boundary = case_idx % 3 == 0;
-        let prompt_len = if boundary {
-            max_seq - 1 - rng.below(6)
-        } else {
-            1 + rng.below(20)
-        };
-        let prompt = random_prompt(&mut rng, prompt_len, 32);
-        let max_budget = max_seq + 1 - prompt_len;
-        let budget = if boundary {
-            max_budget
-        } else {
-            1 + rng.below(30.min(max_budget))
-        };
-
-        let case = format!("case {case_idx}: prompt_len={prompt_len} γ={gamma} budget={budget}");
-        let reference = autoregressive_greedy_with_budget(&target, &prompt, budget);
-        let (out, stats) = speculative_greedy_with_budget(&target, &draft, &prompt, budget, gamma);
-        assert_eq!(out, reference, "{case}: lossless violated");
-        assert_eq!(out.len(), budget, "{case}: budget not filled");
-        check_invariants(&stats, &out, gamma, &case);
-    }
-}
-
-/// The fused loop's variant of [`check_invariants`]: the initial pending
-/// token is prefill-decided (`prefill_tokens == 1`), so a budget-1 run emits
-/// a token with zero blocks and τ only kicks in once a block has run.
-fn check_fused_invariants(stats: &SpecStats, out: &[u32], gamma: usize, case: &str) {
-    assert!(
-        stats.accepted <= stats.drafted,
-        "{case}: accepted > drafted"
-    );
-    assert_eq!(stats.generated, out.len(), "{case}: generated != emitted");
-    assert_eq!(
-        stats.prefill_tokens,
-        usize::from(!out.is_empty()),
-        "{case}: fused loop must record exactly one prefill token"
     );
     assert!(
         stats.block_efficiency() <= (gamma + 1) as f64 + 1e-12,
@@ -113,9 +115,48 @@ fn check_fused_invariants(stats: &SpecStats, out: &[u32], gamma: usize, case: &s
     }
 }
 
-/// KV-capacity boundary sweep for the FUSED loop: prompts within γ of
-/// `max_seq` force the room clamp and the g = 0 fallback, budgets run flush
-/// to the `max_seq + 1` frontier, and rollback happens at the cache
+#[test]
+fn spec_stats_invariants_hold_across_random_runs() {
+    let mut rng = Rng::new(0x51AB);
+    let max_seq = DecoderConfig::tiny(32).max_seq;
+    let mut ws = Workspace::new();
+    for case_idx in 0..24 {
+        let target = model(100 + rng.below(6) as u64);
+        let draft = model(200 + rng.below(6) as u64);
+        let gamma = 1 + rng.below(6);
+
+        // Alternate between interior prompts and prompts flush against the
+        // context window, where the extended budget ends on the g = 0 step.
+        let boundary = case_idx % 3 == 0;
+        let prompt_len = if boundary {
+            max_seq - 1 - rng.below(6)
+        } else {
+            1 + rng.below(20)
+        };
+        let prompt = random_prompt(&mut rng, prompt_len, 32);
+        let max_budget = max_seq + 1 - prompt_len;
+        let budget = if boundary {
+            max_budget
+        } else {
+            1 + rng.below(30.min(max_budget))
+        };
+
+        let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, budget, &mut ws);
+        for kind in KINDS {
+            let case = format!(
+                "case {case_idx} {kind:?}: prompt_len={prompt_len} γ={gamma} budget={budget}"
+            );
+            let (out, stats) = run(kind, &target, &draft, &prompt, budget, gamma, &mut ws);
+            assert_eq!(out, reference, "{case}: lossless violated");
+            assert_eq!(out.len(), budget, "{case}: budget not filled");
+            check_invariants(&stats, &out, gamma, &case);
+        }
+    }
+}
+
+/// KV-capacity boundary sweep: prompts within γ of `max_seq` force the room
+/// clamp and the g = 0 fallback, budgets run flush to the
+/// `max_seq + 1 − prompt` frontier, and rollback happens at the cache
 /// boundary. Lossless and bounded everywhere.
 #[test]
 fn fused_loop_boundary_sweep_stays_lossless_and_bounded() {
@@ -130,25 +171,134 @@ fn fused_loop_boundary_sweep_stays_lossless_and_bounded() {
             let target = model(300 + slack as u64);
             let draft = model(400 + slack as u64);
             let budget = max_seq + 1 - prompt_len; // fill to the frontier
-            let case = format!("fused boundary: slack={slack} γ={gamma} budget={budget}");
-            let reference = autoregressive_greedy_with_budget(&target, &prompt, budget);
-            let (out, stats) =
-                speculative_greedy_with_budget_ws(&target, &draft, &prompt, budget, gamma, &mut ws);
-            assert_eq!(out, reference, "{case}: lossless violated");
-            assert_eq!(out.len(), budget, "{case}: budget not filled");
-            check_fused_invariants(&stats, &out, gamma, &case);
+            let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, budget, &mut ws);
+            for kind in KINDS {
+                let case = format!("boundary {kind:?}: slack={slack} γ={gamma} budget={budget}");
+                let (out, stats) = run(kind, &target, &draft, &prompt, budget, gamma, &mut ws);
+                assert_eq!(out, reference, "{case}: lossless violated");
+                assert_eq!(out.len(), budget, "{case}: budget not filled");
+                check_invariants(&stats, &out, gamma, &case);
+            }
         }
     }
 }
 
+/// Stepped by hand to the context frontier: after every step but the last
+/// the target cache holds every emitted token but the pending one and the
+/// draft cache is level with it (the chain session may hold one deferred
+/// row back) — a step that cannot speculate must still advance both — and
+/// a last step that drafts nothing is the one-token plain decode.
+#[test]
+fn boundary_steps_keep_both_caches_in_lockstep() {
+    let target = model(40);
+    let draft = model(41);
+    let max_seq = target.cfg.max_seq;
+    let mut rng = Rng::new(7);
+    let mut ws = Workspace::new();
+    for kind in KINDS {
+        let mut plain_tails = 0;
+        for prompt_len in [max_seq - 1, max_seq - 2, max_seq - 6] {
+            let prompt = random_prompt(&mut rng, prompt_len, 32);
+            let budget = max_seq + 1 - prompt_len;
+            let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, budget, &mut ws);
+            let (mut s, mut tc, mut dc) = start(kind, &target, &draft, &prompt, budget, 5, &mut ws);
+            loop {
+                let drafted = s.stats().expect("speculative").drafted;
+                let r = s.step(&target, &mut tc, Some((&draft, &mut dc)), &mut ws);
+                if r.done {
+                    if s.stats().expect("speculative").drafted == drafted {
+                        assert_eq!(r.committed, 1, "{kind:?}: plain decode emits one token");
+                        plain_tails += 1;
+                    }
+                    break;
+                }
+                assert_eq!(tc.len(), prompt_len + s.tokens().len() - 1, "{kind:?}");
+                let lag = tc.len() - dc.len();
+                assert!(
+                    lag <= usize::from(matches!(kind, Kind::Spec)),
+                    "{kind:?}: draft cache fell {lag} rows behind"
+                );
+            }
+            assert_eq!(s.tokens(), reference, "{kind:?} prompt_len={prompt_len}");
+        }
+        assert!(plain_tails >= 1, "{kind:?}: the g = 0 step never ran");
+    }
+}
+
+/// Budget 0 emits nothing, budget 1 only the prefill-decided token (no
+/// block), budget 2 one plain decode step with nothing drafted.
+#[test]
+fn budgets_zero_one_two_on_every_session() {
+    let target = model(52);
+    let draft = model(53);
+    let mut ws = Workspace::new();
+    let prompt = [3u32, 1, 4];
+    let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, 2, &mut ws);
+    for kind in KINDS {
+        let (out, stats) = run(kind, &target, &draft, &prompt, 0, 3, &mut ws);
+        assert!(out.is_empty(), "{kind:?}");
+        assert_eq!(stats, SpecStats::default(), "{kind:?}");
+
+        let (out, stats) = run(kind, &target, &draft, &prompt, 1, 3, &mut ws);
+        assert_eq!(out, reference[..1], "{kind:?}");
+        assert_eq!((stats.blocks, stats.drafted), (0, 0), "{kind:?}");
+        check_invariants(&stats, &out, 3, &format!("{kind:?} budget 1"));
+
+        let (out, stats) = run(kind, &target, &draft, &prompt, 2, 3, &mut ws);
+        assert_eq!(out, reference, "{kind:?}");
+        assert_eq!((stats.blocks, stats.drafted), (1, 0), "{kind:?}");
+        check_invariants(&stats, &out, 3, &format!("{kind:?} budget 2"));
+    }
+}
+
+/// γ = 1 and γ = MAX_GAMMA − 1 run (the latter with a budget deep enough to
+/// fill the stack-built verify block) and stay lossless; γ = 0 and
+/// γ = MAX_GAMMA are rejected — by every session kind alike.
+#[test]
+fn gamma_bounds_are_enforced_by_every_session() {
+    let target = model(80);
+    let draft = model(81);
+    let prompt = [1u32, 2, 3];
+    let budget = MAX_GAMMA + 6;
+    let mut ws = Workspace::new();
+    let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, budget, &mut ws);
+    for kind in KINDS {
+        for gamma in [1, MAX_GAMMA - 1] {
+            let (out, stats) = run(kind, &target, &draft, &prompt, budget, gamma, &mut ws);
+            assert_eq!(out, reference, "{kind:?} γ={gamma}");
+            check_invariants(&stats, &out, gamma, &format!("{kind:?} γ={gamma}"));
+        }
+        for gamma in [0, MAX_GAMMA] {
+            let refused = catch_unwind(AssertUnwindSafe(|| {
+                let mut ws = Workspace::new();
+                run(kind, &target, &draft, &prompt, budget, gamma, &mut ws)
+            }))
+            .is_err();
+            assert!(refused, "{kind:?} accepted γ={gamma}");
+        }
+    }
+}
+
+/// When the draft IS the target the greedy chain is never rejected: the
+/// chain-shaped sessions accept everything they draft (α = 1), and the
+/// branching tree — whose sibling rows are drafted to be rejected — still
+/// accepts at least its first proposal in every speculative block.
 #[test]
 fn self_draft_maximises_every_counter() {
     let target = model(7);
-    let (out, stats) = speculative_greedy_with_budget(&target, &target, &[3, 1, 4], 25, 4);
-    check_invariants(&stats, &out, 4, "self-draft");
-    assert_eq!(
-        stats.accepted, stats.drafted,
-        "self-draft must fully accept"
-    );
-    assert!((stats.acceptance_rate() - 1.0).abs() < 1e-12);
+    let mut ws = Workspace::new();
+    let prompt = [3u32, 1, 4];
+    let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, 25, &mut ws);
+    for kind in KINDS {
+        let (out, stats) = run(kind, &target, &target, &prompt, 25, 4, &mut ws);
+        assert_eq!(out, reference, "{kind:?}");
+        check_invariants(&stats, &out, 4, &format!("{kind:?} self-draft"));
+        if matches!(kind, Kind::Tree(2)) {
+            // Only the final one-token step may run without a proposal.
+            assert!(stats.accepted + 1 >= stats.blocks, "{kind:?}: {stats:?}");
+        } else {
+            assert_eq!(stats.accepted, stats.drafted, "{kind:?} must fully accept");
+            assert!((stats.acceptance_rate() - 1.0).abs() < 1e-12);
+        }
+    }
 }

@@ -4,8 +4,8 @@
 //! across block sizes and generation lengths.
 
 use aasd::nn::{Decoder, DecoderConfig};
-use aasd::specdec::{autoregressive_greedy, speculative_greedy};
-use aasd::tensor::Rng;
+use aasd::specdec::{autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws};
+use aasd::tensor::{Rng, Workspace};
 
 fn model(seed: u64, vocab: usize) -> Decoder {
     Decoder::new(DecoderConfig::tiny(vocab), seed)
@@ -15,20 +15,22 @@ fn model(seed: u64, vocab: usize) -> Decoder {
 fn speculative_loop_is_token_identical_to_autoregressive() {
     let vocab = 64;
     let mut rng = Rng::new(0xFACADE);
+    let mut ws = Workspace::new();
     for case in 0..6 {
         let target = model(100 + case, vocab);
         let draft = model(200 + case, vocab);
         let prompt_len = 2 + rng.below(8);
         let prompt: Vec<u32> = (0..prompt_len).map(|_| rng.below(vocab) as u32).collect();
-        let max_new = 10 + rng.below(40);
+        let budget = 10 + rng.below(40);
         let gamma = 1 + rng.below(6);
 
-        let reference = autoregressive_greedy(&target, &prompt, max_new);
-        let (spec, stats) = speculative_greedy(&target, &draft, &prompt, max_new, gamma);
+        let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, budget, &mut ws);
+        let (spec, stats) =
+            speculative_greedy_with_budget_ws(&target, &draft, &prompt, budget, gamma, &mut ws);
 
         assert_eq!(
             spec, reference,
-            "losslessness violated (case {case}, γ={gamma}, max_new={max_new})"
+            "losslessness violated (case {case}, γ={gamma}, budget={budget})"
         );
         assert!(stats.blocks > 0);
         assert!(stats.acceptance_rate() <= 1.0);
@@ -41,8 +43,10 @@ fn speculative_loop_is_token_identical_to_autoregressive() {
 fn self_draft_degenerates_to_perfect_acceptance() {
     let target = model(7, 32);
     let prompt = [1u32, 5, 9];
-    let reference = autoregressive_greedy(&target, &prompt, 25);
-    let (spec, stats) = speculative_greedy(&target, &target, &prompt, 25, 4);
+    let mut ws = Workspace::new();
+    let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, 25, &mut ws);
+    let (spec, stats) =
+        speculative_greedy_with_budget_ws(&target, &target, &prompt, 25, 4, &mut ws);
     assert_eq!(spec, reference);
     assert_eq!(
         stats.accepted, stats.drafted,

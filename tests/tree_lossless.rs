@@ -8,10 +8,10 @@
 
 use aasd::nn::{Decoder, DecoderConfig};
 use aasd::specdec::{
-    autoregressive_greedy_with_budget, speculative_greedy_seeded_ws, speculative_tree_seeded_ws,
-    AcceptanceCalibrator, SpecStats, TreeConfig,
+    autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws, AcceptanceCalibrator,
+    Session, SpecStats, TreeConfig, TreeSession,
 };
-use aasd::tensor::{argmax, best_supported, set_backend, Backend, Rng, Workspace};
+use aasd::tensor::{best_supported, set_backend, Backend, Rng, Workspace};
 
 fn model(seed: u64, vocab: usize) -> Decoder {
     Decoder::new(DecoderConfig::tiny(vocab), seed)
@@ -21,23 +21,23 @@ fn prompt(rng: &mut Rng, len: usize, vocab: usize) -> Vec<u32> {
     (0..len).map(|_| rng.below(vocab) as u32).collect()
 }
 
-/// Prefill both caches on `p` and return the pending token.
-fn seed(
+/// Prefill both caches on `p`, then run a text-only tree session to
+/// completion.
+fn run_tree(
     target: &Decoder,
     draft: &Decoder,
     p: &[u32],
+    budget: usize,
+    gamma: usize,
+    cfg: TreeConfig,
     ws: &mut Workspace,
-) -> (aasd::nn::KvCache, aasd::nn::KvCache, u32) {
-    let mut t_cache = target.new_cache();
-    let mut d_cache = draft.new_cache();
-    let mut logits = ws.take(p.len() * target.cfg.vocab);
-    target.forward_infer_ws(p, &mut t_cache, ws, &mut logits);
-    let pending = argmax(&logits[(p.len() - 1) * target.cfg.vocab..]) as u32;
-    ws.give(logits);
-    let mut d_logits = ws.take(p.len() * draft.cfg.vocab);
-    draft.forward_infer_ws(p, &mut d_cache, ws, &mut d_logits);
-    ws.give(d_logits);
-    (t_cache, d_cache, pending)
+) -> (Vec<u32>, SpecStats) {
+    let mut tc = target.new_cache();
+    let mut dc = draft.new_cache();
+    let pending = target.prefill_ws(p, &mut tc, ws);
+    draft.prefill_ws(p, &mut dc, ws);
+    let s = TreeSession::new(target, draft, &tc, &dc, pending, budget, gamma, cfg, 0);
+    Session::Tree(s).run(target, &mut tc, Some((draft, &mut dc)), ws)
 }
 
 fn tree_cfg(bf: usize, depth: usize, cal: Option<AcceptanceCalibrator>) -> TreeConfig {
@@ -62,23 +62,12 @@ fn every_tree_shape_matches_autoregressive() {
         let draft = model(400 + case, vocab);
         let p = prompt(&mut rng, 3 + case as usize, vocab);
         let budget = 20;
-        let reference = autoregressive_greedy_with_budget(&target, &p, budget);
+        let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
         for bf in [1usize, 2, 3] {
             for depth in [0usize, 2] {
                 for cal in [None, Some(AcceptanceCalibrator::neutral())] {
-                    let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws);
-                    let (out, stats) = speculative_tree_seeded_ws(
-                        &target,
-                        &draft,
-                        &mut tc,
-                        &mut dc,
-                        pending,
-                        budget,
-                        4,
-                        tree_cfg(bf, depth, cal),
-                        0,
-                        &mut ws,
-                    );
+                    let cfg = tree_cfg(bf, depth, cal);
+                    let (out, stats) = run_tree(&target, &draft, &p, budget, 4, cfg, &mut ws);
                     assert_eq!(out, reference, "case {case} bf={bf} depth={depth}");
                     assert_eq!(stats.generated, budget);
                     assert!(stats.block_efficiency() >= 1.0);
@@ -99,23 +88,10 @@ fn branching_factor_one_collapses_to_the_linear_session() {
     let draft = model(410, vocab);
     for gamma in [1usize, 3, 5] {
         let p = prompt(&mut rng, 4, vocab);
-        let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws);
-        let (lin_out, lin_stats) = speculative_greedy_seeded_ws(
-            &target, &draft, &mut tc, &mut dc, pending, 24, gamma, &mut ws,
-        );
-        let (mut tc2, mut dc2, pending2) = seed(&target, &draft, &p, &mut ws);
-        let (tree_out, tree_stats): (Vec<u32>, SpecStats) = speculative_tree_seeded_ws(
-            &target,
-            &draft,
-            &mut tc2,
-            &mut dc2,
-            pending2,
-            24,
-            gamma,
-            TreeConfig::linear(),
-            0,
-            &mut ws,
-        );
+        let (lin_out, lin_stats) =
+            speculative_greedy_with_budget_ws(&target, &draft, &p, 24, gamma, &mut ws);
+        let linear = TreeConfig::linear();
+        let (tree_out, tree_stats) = run_tree(&target, &draft, &p, 24, gamma, linear, &mut ws);
         assert_eq!(tree_out, lin_out, "γ={gamma} stream diverged");
         assert_eq!(tree_stats, lin_stats, "γ={gamma} stats diverged");
     }
@@ -131,20 +107,8 @@ fn tree_streams_are_identical_across_kernel_tiers() {
     let draft = model(420, vocab);
     let p = [3u32, 9, 17, 4];
     let run = || {
-        let mut ws_local = Workspace::new();
-        let (mut tc, mut dc, pending) = seed(&target, &draft, &p, &mut ws_local);
-        speculative_tree_seeded_ws(
-            &target,
-            &draft,
-            &mut tc,
-            &mut dc,
-            pending,
-            22,
-            4,
-            tree_cfg(2, 0, Some(AcceptanceCalibrator::neutral())),
-            0,
-            &mut ws_local,
-        )
+        let cfg = tree_cfg(2, 0, Some(AcceptanceCalibrator::neutral()));
+        run_tree(&target, &draft, &p, 22, 4, cfg, &mut Workspace::new())
     };
     let prev = aasd::tensor::backend();
     set_backend(Backend::Scalar).expect("scalar tier always available");
@@ -163,7 +127,6 @@ fn engine_tree_mode_reproduces_fused_streams() {
     use aasd::serve::{
         DecodeMode, Engine, EngineConfig, EngineModel, Request, Speculation, Status,
     };
-    use aasd::specdec::speculative_greedy_with_budget_ws;
     use std::sync::Arc;
 
     let target = Arc::new(model(10, 40));
