@@ -49,9 +49,10 @@ if [[ "${1:-}" != "--quick" ]]; then
         AASD_THREADS=$t cargo test -q --release -p aasd-specdec spsc_stress_hash_chain_with_rollbacks
     done
 
-    echo "==> tile gate: multi-row kernel bitwise ≡ row-by-row vecmat on every tier, as the release build compiles it"
+    echo "==> tile gate: multi-row kernel bitwise ≡ row-by-row vecmat on every tier and in both weight layouts, as the release build compiles it"
     # The register-tiled matmul must give every row the bits of the vecmat
-    # kernel, on every tier, or verify stops reproducing decode. The suite
+    # kernel, on every tier, over the row-major matrix and over the packed
+    # panels `Linear` runs on, or verify stops reproducing decode. The suite
     # drives each supported tier through the explicit-backend entry; it runs
     # optimized (the code the benchmark measures — tier-1 above already ran
     # it unoptimized) with the process-global tier pinned to scalar and left
@@ -82,9 +83,21 @@ if [[ "${1:-}" != "--quick" ]]; then
     # A kernel or session change that moves one token or one specdec.* count
     # fails here: every stream is checked against the autoregressive
     # reference and --check-counts compares tokens and specdec.blocks /
-    # drafted / accepted between two from-scratch rounds.
-    cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload solo-decode --seed 1 --seconds 3 --check-counts
+    # drafted / accepted between two from-scratch rounds. That compares one
+    # binary with itself, so a kernel or layout bug that moves bits the same
+    # way every time passes it: on the avx2 tier (the counts depend on the
+    # tier's exp) they are also pinned to the values every PR since the
+    # benchmark landed has reproduced.
+    counts=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload solo-decode --seed 1 --seconds 3 --check-counts)
+    echo "$counts"
+    if grep -q "kernel_backend=avx2" <<<"$counts"; then
+        pinned="blocks: 862, drafted: 4005, accepted: 2162"
+        if [[ $(grep -c "$pinned" <<<"$counts") -ne 2 ]]; then
+            echo "solo-decode seed 1 no longer gives { $pinned } on both runs" >&2
+            exit 1
+        fi
+    fi
 
     echo "==> cargo fmt --check"
     cargo fmt --check

@@ -1,18 +1,24 @@
 //! Matmul kernels. Run with `cargo bench -p aasd-bench --bench matmul`.
 //!
 //! 1. **The rows curve** (ROADMAP 1(b), L2-resident end): cost(rows) /
-//!    cost(1) of one `Linear` projection at the four real weight shapes
-//!    (Sim7B / Sim13B × `dim×dim`, `dim×ff_hidden`). Speculative decoding
-//!    pays when a γ+1-row verify costs about one 1-row decode step; this is
-//!    that ratio, kernel only. rows = 1 is `vecmat_into`, rows > 1 the tiled
-//!    `matmul_blocked_into` — the split `Linear::forward_rows_into` makes.
-//! 2. Naive reference vs the tiled kernel vs its thread-parallel form on
+//!    cost(1) of one projection at the four real weight shapes (Sim7B /
+//!    Sim13B × `dim×dim`, `dim×ff_hidden`) on the public row-major kernels.
+//!    Speculative decoding pays when a γ+1-row verify costs about one 1-row
+//!    decode step; this is that ratio, kernel only. rows = 1 is
+//!    `vecmat_into`, rows > 1 the tiled `matmul_blocked_into`.
+//! 2. **The footprint sweep** (ROADMAP 1(d), out-of-L2 end): one pass over
+//!    the *whole* LM weight set of Sim7B (2.0 MB) and Sim13B (7.4 MB) at
+//!    rows ∈ {1, 6, 32}, row-major (what section 1 times) against the
+//!    tile-major panels `Linear` runs on. A single L2-resident matrix hides
+//!    what the stride of a row-major strip costs once the weights no longer
+//!    fit; this is where the two layouts part.
+//! 3. Naive reference vs the tiled kernel vs its thread-parallel form on
 //!    square sizes.
 
 use aasd_bench::{bench, report};
 use aasd_tensor::{
-    backend, hardware_threads, matmul_blocked_into, matmul_naive_into, matmul_parallel_into,
-    vecmat_into, Rng,
+    backend, hardware_threads, matmul_blocked_into, matmul_naive_into, matmul_packed_into,
+    matmul_parallel_into, pack_panels, vecmat_into, Rng,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -80,6 +86,79 @@ fn rows_curve() {
     }
 }
 
+/// One pass over every per-layer projection of an LM (`wq wk wv wo` at
+/// `dim×dim`, `w1 w3` at `dim×ff`, `w2` at `ff×dim`, times `layers`), each
+/// matrix its own allocation as in a `Decoder`.
+fn footprint_sweep() {
+    println!("footprint sweep: one pass over a whole LM weight set, min of 15 (CoV)\n");
+    for (name, dim, ff, layers) in [
+        (
+            "Sim7B  3 layers, dim 128, ff 256",
+            128usize,
+            256usize,
+            3usize,
+        ),
+        ("Sim13B 5 layers, dim 192, ff 384", 192, 384, 5),
+    ] {
+        let mut rng = Rng::new((dim * ff) as u64);
+        let mut random =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+        let shapes = [
+            (dim, dim),
+            (dim, dim),
+            (dim, dim),
+            (dim, dim),
+            (dim, ff),
+            (dim, ff),
+            (ff, dim),
+        ];
+        let weights: Vec<(usize, usize, Vec<f32>)> = (0..layers)
+            .flat_map(|_| shapes)
+            .map(|(k, n)| (k, n, random(k * n)))
+            .collect();
+        let panels: Vec<Vec<f32>> = weights
+            .iter()
+            .map(|(k, n, w)| pack_panels(w, *k, *n))
+            .collect();
+        let macs: usize = weights.iter().map(|(k, n, _)| k * n).sum();
+        let x = random(32 * ff);
+        let mut y = vec![0.0f32; 32 * ff];
+        println!(
+            "{name}: {} matrices, {:.2} MB",
+            weights.len(),
+            (macs * 4) as f64 / 1e6
+        );
+        for m in [1usize, 6, 32] {
+            let line = |label: &str, us: f64, cov: f64| {
+                println!(
+                    "  rows {m:>2} {label:<9}: {us:>8.1} us (CoV {cov:.3})  {:>5.2} MAC/ns  {:>5.1} GB/s of weights",
+                    (m * macs) as f64 / (us * 1e3),
+                    (macs * 4) as f64 / (us * 1e3)
+                );
+            };
+            let (us, cov) = min_cov_us(15, 4, || {
+                for (k, n, w) in &weights {
+                    if m == 1 {
+                        vecmat_into(&mut y[..*n], &x[..*k], w, *k, *n);
+                    } else {
+                        matmul_blocked_into(&mut y[..m * n], &x[..m * k], w, m, *k, *n);
+                    }
+                }
+                black_box(&mut y);
+            });
+            line("row-major", us, cov);
+            let (us, cov) = min_cov_us(15, 4, || {
+                for ((k, n, _), p) in weights.iter().zip(&panels) {
+                    matmul_packed_into(&mut y[..m * n], &x[..m * k], p, m, *k, *n);
+                }
+                black_box(&mut y);
+            });
+            line("packed", us, cov);
+        }
+        println!();
+    }
+}
+
 fn square_sizes() {
     println!(
         "square N³: naive vs tiled vs parallel, {} hardware thread(s)\n",
@@ -116,5 +195,6 @@ fn square_sizes() {
 
 fn main() {
     rows_curve();
+    footprint_sweep();
     square_sizes();
 }

@@ -86,14 +86,14 @@ fn student_logits(
     let mut x = tape.embed_gather(embed, tokens);
     for (l, block) in draft.blocks.iter().enumerate() {
         let attn_gain = tape.leaf(Tensor::from_vec(block.attn_norm.gain.clone(), 1, dim));
-        let wq = tape.leaf(block.attn.wq.w.clone());
-        let wk = tape.leaf(block.attn.wk.w.clone());
-        let wv = tape.leaf(block.attn.wv.w.clone());
-        let wo = tape.leaf(block.attn.wo.w.clone());
+        let wq = tape.leaf(block.attn.wq.w().clone());
+        let wk = tape.leaf(block.attn.wk.w().clone());
+        let wv = tape.leaf(block.attn.wv.w().clone());
+        let wo = tape.leaf(block.attn.wo.w().clone());
         let mlp_gain = tape.leaf(Tensor::from_vec(block.mlp_norm.gain.clone(), 1, dim));
-        let w1 = tape.leaf(block.mlp.w1.w.clone());
-        let w2 = tape.leaf(block.mlp.w2.w.clone());
-        let w3 = tape.leaf(block.mlp.w3.w.clone());
+        let w1 = tape.leaf(block.mlp.w1.w().clone());
+        let w2 = tape.leaf(block.mlp.w2.w().clone());
+        let w3 = tape.leaf(block.mlp.w3.w().clone());
         params.extend([attn_gain, wq, wk, wv, wo, mlp_gain, w1, w2, w3]);
 
         let h = tape.rms_norm(x, attn_gain, block.attn_norm.eps);
@@ -133,7 +133,7 @@ fn student_logits(
         x = tape.add(x, m);
     }
     let final_gain = tape.leaf(Tensor::from_vec(draft.final_norm.gain.clone(), 1, dim));
-    let head = tape.leaf(draft.lm_head.w.clone());
+    let head = tape.leaf(draft.lm_head.w().clone());
     params.push(final_gain);
     params.push(head);
     let xn = tape.rms_norm(x, final_gain, draft.final_norm.eps);

@@ -208,18 +208,18 @@ impl VisionEncoder {
             .blocks
             .iter()
             .map(|b| {
-                b.wq.w.data.len()
-                    + b.wk.w.data.len()
-                    + b.wv.w.data.len()
-                    + b.wo.w.data.len()
-                    + b.mlp.w1.w.data.len()
-                    + b.mlp.w2.w.data.len()
-                    + b.mlp.w3.w.data.len()
+                b.wq.w().data.len()
+                    + b.wk.w().data.len()
+                    + b.wv.w().data.len()
+                    + b.wo.w().data.len()
+                    + b.mlp.w1.w().data.len()
+                    + b.mlp.w2.w().data.len()
+                    + b.mlp.w3.w().data.len()
                     + b.attn_norm.gain.len()
                     + b.mlp_norm.gain.len()
             })
             .sum();
-        self.patch_embed.w.data.len()
+        self.patch_embed.w().data.len()
             + self.pos_embed.data.len()
             + per_block
             + self.final_norm.gain.len()
@@ -251,7 +251,7 @@ impl Connector {
     }
 
     pub fn n_params(&self) -> usize {
-        self.w1.w.data.len() + self.w2.w.data.len()
+        self.w1.w().data.len() + self.w2.w().data.len()
     }
 }
 

@@ -101,7 +101,7 @@ impl Mlp {
     /// projection accumulates straight into the residual stream
     /// (`resid += mlp(norm_x)`). No intermediate tensors, no allocation.
     pub fn forward_ws(&self, norm_x: &[f32], t: usize, ws: &mut Workspace, resid: &mut [f32]) {
-        let hidden = self.w1.w.cols;
+        let hidden = self.w1.w().cols;
         let span = ws.prof.begin();
         let mut gate = ws.take(t * hidden);
         let mut up = ws.take(t * hidden);
@@ -227,8 +227,9 @@ impl Decoder {
     /// weight once, here; embeddings and norms stay f32 on either policy, as
     /// do the allocating reference paths (`forward_infer`, `forward_full`).
     ///
-    /// The int8 shadows snapshot the weights at call time — if the model is
-    /// subsequently trained, re-call this to refresh them.
+    /// The int8 shadows snapshot the weights at call time, so an `Int8` model
+    /// cannot be trained: [`Decoder::visit_params_mut`] panics on it. Switch
+    /// to `F32`, train, switch back.
     pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
         for block in &mut self.blocks {
             block.attn.wq.set_policy(policy);
@@ -241,6 +242,19 @@ impl Decoder {
         }
         self.lm_head.set_policy(policy);
         self.kernel_policy = policy;
+    }
+
+    /// Build every projection's fused-path shadow now instead of on its
+    /// first fused forward (see [`Linear::prepack`]) — what a serving engine
+    /// calls before its first request.
+    pub fn prepack(&self) {
+        for block in &self.blocks {
+            let (a, m) = (&block.attn, &block.mlp);
+            for lin in [&a.wq, &a.wk, &a.wv, &a.wo, &m.w1, &m.w2, &m.w3] {
+                lin.prepack();
+            }
+        }
+        self.lm_head.prepack();
     }
 
     /// The kernel family the fused decode path currently runs.
@@ -454,14 +468,14 @@ impl Decoder {
         let mut x = tape.embed_gather(embed, tokens);
         for block in &self.blocks {
             let attn_gain = tape.leaf(Tensor::from_vec(block.attn_norm.gain.clone(), 1, dim));
-            let wq = tape.leaf(block.attn.wq.w.clone());
-            let wk = tape.leaf(block.attn.wk.w.clone());
-            let wv = tape.leaf(block.attn.wv.w.clone());
-            let wo = tape.leaf(block.attn.wo.w.clone());
+            let wq = tape.leaf(block.attn.wq.w().clone());
+            let wk = tape.leaf(block.attn.wk.w().clone());
+            let wv = tape.leaf(block.attn.wv.w().clone());
+            let wo = tape.leaf(block.attn.wo.w().clone());
             let mlp_gain = tape.leaf(Tensor::from_vec(block.mlp_norm.gain.clone(), 1, dim));
-            let w1 = tape.leaf(block.mlp.w1.w.clone());
-            let w2 = tape.leaf(block.mlp.w2.w.clone());
-            let w3 = tape.leaf(block.mlp.w3.w.clone());
+            let w1 = tape.leaf(block.mlp.w1.w().clone());
+            let w2 = tape.leaf(block.mlp.w2.w().clone());
+            let w3 = tape.leaf(block.mlp.w3.w().clone());
             params.extend([attn_gain, wq, wk, wv, wo, mlp_gain, w1, w2, w3]);
 
             let h = tape.rms_norm(x, attn_gain, block.attn_norm.eps);
@@ -483,7 +497,7 @@ impl Decoder {
             x = tape.add(x, m);
         }
         let final_gain = tape.leaf(Tensor::from_vec(self.final_norm.gain.clone(), 1, dim));
-        let head = tape.leaf(self.lm_head.w.clone());
+        let head = tape.leaf(self.lm_head.w().clone());
         params.push(final_gain);
         params.push(head);
         let xn = tape.rms_norm(x, final_gain, self.final_norm.eps);
@@ -495,7 +509,10 @@ impl Decoder {
     /// order** as the leaf ids returned by [`Decoder::forward_train`]:
     /// embedding table; per block `attn_norm.gain`, `wq`, `wk`, `wv`, `wo`,
     /// `mlp_norm.gain`, `w1`, `w2`, `w3`; `final_norm.gain`; `lm_head`.
-    /// This is the update path optimizers use after `backward`.
+    /// This is the update path optimizers use after `backward`. Every
+    /// projection is reached through [`Linear::weights_mut`], so the visit
+    /// drops the packed panels (the next fused forward repacks the updated
+    /// weights) and panics under [`KernelPolicy::Int8`].
     pub fn visit_params_mut(&mut self, f: &mut dyn FnMut(&str, &mut [f32])) {
         f("embed.table", &mut self.embed.table.data);
         for (l, block) in self.blocks.iter_mut().enumerate() {
@@ -503,20 +520,20 @@ impl Decoder {
                 &format!("blocks.{l}.attn_norm.gain"),
                 &mut block.attn_norm.gain,
             );
-            f(&format!("blocks.{l}.attn.wq"), &mut block.attn.wq.w.data);
-            f(&format!("blocks.{l}.attn.wk"), &mut block.attn.wk.w.data);
-            f(&format!("blocks.{l}.attn.wv"), &mut block.attn.wv.w.data);
-            f(&format!("blocks.{l}.attn.wo"), &mut block.attn.wo.w.data);
+            f(&format!("blocks.{l}.attn.wq"), block.attn.wq.weights_mut());
+            f(&format!("blocks.{l}.attn.wk"), block.attn.wk.weights_mut());
+            f(&format!("blocks.{l}.attn.wv"), block.attn.wv.weights_mut());
+            f(&format!("blocks.{l}.attn.wo"), block.attn.wo.weights_mut());
             f(
                 &format!("blocks.{l}.mlp_norm.gain"),
                 &mut block.mlp_norm.gain,
             );
-            f(&format!("blocks.{l}.mlp.w1"), &mut block.mlp.w1.w.data);
-            f(&format!("blocks.{l}.mlp.w2"), &mut block.mlp.w2.w.data);
-            f(&format!("blocks.{l}.mlp.w3"), &mut block.mlp.w3.w.data);
+            f(&format!("blocks.{l}.mlp.w1"), block.mlp.w1.weights_mut());
+            f(&format!("blocks.{l}.mlp.w2"), block.mlp.w2.weights_mut());
+            f(&format!("blocks.{l}.mlp.w3"), block.mlp.w3.weights_mut());
         }
         f("final_norm.gain", &mut self.final_norm.gain);
-        f("lm_head", &mut self.lm_head.w.data);
+        f("lm_head", self.lm_head.weights_mut());
     }
 
     /// Number of parameter tensors [`Decoder::visit_params_mut`] yields.
@@ -531,18 +548,18 @@ impl Decoder {
             .blocks
             .iter()
             .map(|blk| {
-                blk.attn.wq.w.data.len()
-                    + blk.attn.wk.w.data.len()
-                    + blk.attn.wv.w.data.len()
-                    + blk.attn.wo.w.data.len()
-                    + blk.mlp.w1.w.data.len()
-                    + blk.mlp.w2.w.data.len()
-                    + blk.mlp.w3.w.data.len()
+                blk.attn.wq.w().data.len()
+                    + blk.attn.wk.w().data.len()
+                    + blk.attn.wv.w().data.len()
+                    + blk.attn.wo.w().data.len()
+                    + blk.mlp.w1.w().data.len()
+                    + blk.mlp.w2.w().data.len()
+                    + blk.mlp.w3.w().data.len()
                     + blk.attn_norm.gain.len()
                     + blk.mlp_norm.gain.len()
             })
             .sum();
-        e + b + self.final_norm.gain.len() + self.lm_head.w.data.len()
+        e + b + self.final_norm.gain.len() + self.lm_head.w().data.len()
     }
 }
 
@@ -783,6 +800,80 @@ mod tests {
             f32_model.forward_infer_ws(&[tok], &mut cache_d, &mut ws_a, &mut ld);
         }
         assert_eq!(lc, ld, "restored f32 policy must be exact");
+    }
+
+    /// Logits of one fused forward of `tokens` over a fresh cache.
+    fn fused_logits(m: &Decoder, tokens: &[u32]) -> Vec<f32> {
+        let mut logits = vec![0.0f32; tokens.len() * m.cfg.vocab];
+        m.forward_infer_ws(
+            tokens,
+            &mut m.new_cache(),
+            &mut Workspace::new(),
+            &mut logits,
+        );
+        logits
+    }
+
+    /// `visit_params_mut` under `Int8` would leave every shadow stale; it
+    /// is refused at the first projection it reaches.
+    #[test]
+    #[should_panic(expected = "set_policy(KernelPolicy::F32)")]
+    fn linear_visit_params_mut_panics_on_an_int8_model() {
+        let mut model = Decoder::new(DecoderConfig::tiny(50), 0x18);
+        model.set_kernel_policy(KernelPolicy::Int8);
+        model.visit_params_mut(&mut |_, _| {});
+    }
+
+    /// An optimizer step between two fused forwards must not be served from
+    /// the panels packed for the first: after it the fused logits carry the
+    /// bits of a model that was never packed before the same step, and
+    /// still track the row-major `forward_full` oracle.
+    #[test]
+    fn linear_panels_follow_an_optimizer_step_between_fused_forwards() {
+        let cfg = DecoderConfig::tiny(50);
+        let tokens = [3u32, 14, 15, 9, 26, 5];
+        let fused = |m: &Decoder| fused_logits(m, &tokens);
+        let step = |m: &mut Decoder| {
+            m.visit_params_mut(&mut |_, p| p.iter_mut().for_each(|w| *w = *w * 0.9 + 0.003));
+        };
+        let mut trained = Decoder::new(cfg.clone(), 0x57A1E);
+        let before = fused(&trained);
+        assert!(trained.lm_head.is_packed());
+        step(&mut trained);
+        assert!(!trained.lm_head.is_packed() && !trained.blocks[0].mlp.w2.is_packed());
+        let after = fused(&trained);
+        assert_ne!(before, after);
+
+        let mut fresh = Decoder::new(cfg, 0x57A1E);
+        step(&mut fresh);
+        assert_eq!(after, fused(&fresh), "fused path served stale panels");
+        let full = trained.forward_full(&tokens);
+        assert!(max_abs_diff(&after, &full.data) < 2e-3);
+    }
+
+    /// The first fused forward packs; when two threads make it at once on
+    /// one shared model, `OnceLock` lets one pack and both read the same
+    /// panels — identical logits, equal to a later single-threaded pass.
+    #[test]
+    fn linear_first_fused_forward_from_two_threads_packs_once() {
+        use std::sync::{Arc, Barrier};
+        let model = Arc::new(Decoder::new(DecoderConfig::tiny(50), 0x2ACE));
+        let tokens = [7u32, 1, 19, 4, 4, 30, 2];
+        let fused = |m: &Decoder| fused_logits(m, &tokens);
+        let barrier = Barrier::new(2);
+        let (a, b) = std::thread::scope(|s| {
+            let run = || {
+                barrier.wait();
+                fused(&model)
+            };
+            let a = s.spawn(run);
+            let b = s.spawn(run);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert!(model.lm_head.is_packed());
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
+        assert_eq!(bits(&a), bits(&fused(&model)));
     }
 
     /// Chain bit-identity: a branching-factor-1 "tree" (depths `0..t`, full

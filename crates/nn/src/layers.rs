@@ -7,34 +7,69 @@
 
 use crate::quant::{KernelPolicy, QuantLinear};
 use aasd_tensor::{
-    matmul_blocked_acc_into, matmul_blocked_into, vecmat_acc_into, vecmat_into, Rng, Tensor,
-    Workspace,
+    matmul_packed_acc_into, matmul_packed_into, pack_panels, Rng, Tensor, Workspace,
 };
+use std::sync::OnceLock;
 
 /// Bias-free linear layer. The weight is stored `[in, out]` so a batch of
 /// row vectors multiplies it directly (`x: [t, in]` → `x·W: [t, out]`) with
 /// unit-stride access in the matmul kernels.
 ///
-/// Under [`KernelPolicy::Int8`] the layer additionally carries a
-/// [`QuantLinear`] shadow of the weight; only the fused `_ws` forwards
-/// consult it — the allocating reference paths always run f32.
+/// The row-major `w` is the weight; the layer carries up to two **shadows**
+/// of it that only the fused forwards read:
+///
+/// * tile-major panels (`aasd_tensor::pack_panels`), built by the first
+///   fused f32 forward — inference weights are frozen, so packing once buys
+///   every later pass a contiguous walk;
+/// * under [`KernelPolicy::Int8`], a [`QuantLinear`] the `_ws` forwards run
+///   instead.
+///
+/// Both are images of `w`, so `w` is private and [`Linear::weights_mut`] is
+/// the one mutable door to it: it drops the panels and refuses to open
+/// while an int8 shadow is installed. The allocating reference paths
+/// ([`Linear::forward`], the training tapes) read `w` and neither shadow.
 #[derive(Debug, Clone)]
 pub struct Linear {
-    pub w: Tensor,
-    pub quant: Option<QuantLinear>,
+    w: Tensor,
+    panels: OnceLock<Vec<f32>>,
+    quant: Option<QuantLinear>,
 }
 
 impl Linear {
     pub fn new(rng: &mut Rng, fan_in: usize, fan_out: usize) -> Self {
         Self {
             w: Tensor::xavier(rng, fan_in, fan_out),
+            panels: OnceLock::new(),
             quant: None,
         }
     }
 
+    /// The `[in, out]` weight, row-major.
+    pub fn w(&self) -> &Tensor {
+        &self.w
+    }
+
+    /// The weight's elements for an in-place update (an optimizer step, a
+    /// test's perturbation). Drops the packed panels — the next fused
+    /// forward repacks — and **fails closed on a live int8 shadow**, which
+    /// would otherwise keep serving the old weight.
+    ///
+    /// # Panics
+    /// Under [`KernelPolicy::Int8`]: switch to `F32` with
+    /// [`Linear::set_policy`] first and back afterwards to re-quantize.
+    pub fn weights_mut(&mut self) -> &mut [f32] {
+        assert!(
+            self.quant.is_none(),
+            "Linear::weights_mut under KernelPolicy::Int8 would leave a stale int8 shadow: \
+             call set_policy(KernelPolicy::F32) before mutating the weight and \
+             set_policy(KernelPolicy::Int8) after it"
+        );
+        self.panels = OnceLock::new();
+        &mut self.w.data
+    }
+
     /// Switch this layer's fused-path kernel family. `Int8` quantizes the
-    /// current weight once (re-call after any weight mutation — the shadow
-    /// does not track training updates); `F32` drops the shadow.
+    /// current weight once; `F32` drops the shadow.
     pub fn set_policy(&mut self, policy: KernelPolicy) {
         self.quant = match policy {
             KernelPolicy::F32 => None,
@@ -42,37 +77,47 @@ impl Linear {
         };
     }
 
+    /// Build now the shadow the fused forwards would otherwise build on
+    /// their first call (the panels; nothing under `Int8`, whose shadow
+    /// `set_policy` built), so that a serving engine's first request does
+    /// not pay for it.
+    pub fn prepack(&self) {
+        if self.quant.is_none() {
+            self.panels();
+        }
+    }
+
+    /// Whether the panels exist right now (for tests of who builds and who
+    /// drops them).
+    pub fn is_packed(&self) -> bool {
+        self.panels.get().is_some()
+    }
+
+    fn panels(&self) -> &[f32] {
+        self.panels
+            .get_or_init(|| pack_panels(&self.w.data, self.w.rows, self.w.cols))
+    }
+
     pub fn forward(&self, x: &Tensor) -> Tensor {
         x.matmul(&self.w)
     }
 
-    /// `out = x·W` for `rows` row-vectors of `fan_in` floats, no
-    /// allocation. `rows == 1` (single-token decode) takes the unrolled
-    /// [`vecmat_into`] kernel, which is faster than a one-row tile; larger
-    /// blocks use the register-tiled kernel, where up to six rows share
-    /// every weight load. Both compute each output as `acc = acc + x[kk]·
-    /// W[kk, j]` for `kk = 0, 1, 2, …` (multiply-then-add, nothing skipped;
-    /// see `aasd_tensor::matmul`), so a row gets the same bits whichever
-    /// path and whatever block it is part of — a verify pass reproduces the
-    /// decode steps it replaces.
+    /// `out = x·W` for `rows` row-vectors of `fan_in` floats, no allocation
+    /// once the panels exist. One kernel at every row count — the register
+    /// tile over the packed weight, where up to six rows share every weight
+    /// load — computing each output as `acc = acc + x[kk]·W[kk, j]` for
+    /// `kk = 0, 1, 2, …` (multiply-then-add, nothing skipped; see
+    /// `aasd_tensor::matmul`), so a row gets the same bits whatever block
+    /// it is part of — a verify pass reproduces the decode steps it
+    /// replaces — and the bits [`Linear::forward`] gives it.
     pub fn forward_rows_into(&self, x: &[f32], rows: usize, out: &mut [f32]) {
-        let (k, n) = (self.w.rows, self.w.cols);
-        if rows == 1 {
-            vecmat_into(out, x, &self.w.data, k, n);
-        } else {
-            matmul_blocked_into(out, x, &self.w.data, rows, k, n);
-        }
+        matmul_packed_into(out, x, self.panels(), rows, self.w.rows, self.w.cols);
     }
 
     /// `out += x·W` — the projection with the residual-add folded in, so
     /// the residual stream is written exactly once.
     pub fn forward_rows_acc(&self, x: &[f32], rows: usize, out: &mut [f32]) {
-        let (k, n) = (self.w.rows, self.w.cols);
-        if rows == 1 {
-            vecmat_acc_into(out, x, &self.w.data, k, n);
-        } else {
-            matmul_blocked_acc_into(out, x, &self.w.data, rows, k, n);
-        }
+        matmul_packed_acc_into(out, x, self.panels(), rows, self.w.rows, self.w.cols);
     }
 
     /// Workspace-aware `out = x·W`: routes to the int8 kernels when a
@@ -220,9 +265,9 @@ mod tests {
         assert_eq!((y.rows, y.cols), (3, 16));
     }
 
-    /// The into-paths (t = 1 vecmat and t > 1 blocked) must match the
-    /// allocating reference exactly, and the acc variant must fold the
-    /// residual.
+    /// The fused paths (packed panels, any row count) must match the
+    /// allocating row-major reference exactly, and the acc variant must fold
+    /// the residual.
     #[test]
     fn linear_into_matches_forward() {
         let mut rng = Rng::new(4);
@@ -246,15 +291,16 @@ mod tests {
     /// Regression (t = 1 / t > 1 disagreement): the multi-row kernel used
     /// to skip zero activations, `vecmat` never did. A zero activation
     /// against an inf weight (0·inf = NaN) and a `-0.0` residual
-    /// (-0.0 + 0·w = +0.0) must come out of both `Linear` paths with the
-    /// same bits.
+    /// (-0.0 + 0·w = +0.0) must come out of the packed path at every row
+    /// count with the bits of the row-major `vecmat` on that row.
     #[test]
     fn linear_rows1_equals_rows_many_on_zero_times_inf_and_negative_zero() {
         let (rows, k, n) = (3usize, 6usize, 20usize);
         let mut rng = Rng::new(0x1F);
         let mut lin = Linear::new(&mut rng, k, n);
-        lin.w.data.iter_mut().for_each(|w| *w = w.abs() + 0.1);
-        lin.w.data[2 * n + 5] = f32::INFINITY;
+        let w = lin.weights_mut();
+        w.iter_mut().for_each(|w| *w = w.abs() + 0.1);
+        w[2 * n + 5] = f32::INFINITY;
         let mut x = Tensor::randn(&mut rng, rows, k, 1.0).data;
         x[2] = 0.0; // row 0 meets the inf weight with a zero
         x[k..2 * k].fill(0.0); // row 1 is all zeros
@@ -269,12 +315,101 @@ mod tests {
             let mut one = vec![0.0f32; n];
             lin.forward_rows_into(xr, 1, &mut one);
             assert_eq!(bits(&one), bits(&many[cols.clone()]), "into, row {r}");
+            aasd_tensor::vecmat_into(&mut one, xr, &lin.w().data, k, n);
+            assert_eq!(
+                bits(&one),
+                bits(&many[cols.clone()]),
+                "into vs vecmat, row {r}"
+            );
             let mut one_acc = vec![-0.0f32; n];
             lin.forward_rows_acc(xr, 1, &mut one_acc);
-            assert_eq!(bits(&one_acc), bits(&many_acc[cols]), "acc, row {r}");
+            assert_eq!(
+                bits(&one_acc),
+                bits(&many_acc[cols.clone()]),
+                "acc, row {r}"
+            );
+            let mut one_acc = vec![-0.0f32; n];
+            aasd_tensor::vecmat_acc_into(&mut one_acc, xr, &lin.w().data, k, n);
+            assert_eq!(
+                bits(&one_acc),
+                bits(&many_acc[cols]),
+                "acc vs vecmat, row {r}"
+            );
         }
         assert!(many[5].is_nan(), "0·inf must reach the output");
         assert_eq!(many_acc[n].to_bits(), 0, "-0.0 + 0·w is +0.0");
+    }
+
+    /// `weights_mut` is the one door to the weight and it takes the panels
+    /// with it: a fused forward after an update sees the new weight (the
+    /// bits of the row-major reference and of a layer that never packed the
+    /// old one), and a clone taken after packing shares nothing.
+    #[test]
+    fn linear_weights_mut_drops_the_panels_and_clones_are_independent() {
+        let mut rng = Rng::new(0x9AC);
+        let (k, n, rows) = (24usize, 40usize, 3usize);
+        let mut lin = Linear::new(&mut rng, k, n);
+        let x = Tensor::randn(&mut rng, rows, k, 1.0);
+        let fused = |l: &Linear| {
+            let mut out = vec![0.0f32; rows * n];
+            l.forward_rows_into(&x.data, rows, &mut out);
+            out
+        };
+        let never_packed = lin.clone();
+        assert!(!lin.is_packed());
+        let before = fused(&lin);
+        assert!(lin.is_packed());
+        let packed_clone = lin.clone();
+        assert!(packed_clone.is_packed() && !never_packed.is_packed());
+
+        let step = |l: &mut Linear| {
+            l.weights_mut()
+                .iter_mut()
+                .for_each(|w| *w = *w * 0.5 + 0.01)
+        };
+        step(&mut lin);
+        assert!(!lin.is_packed(), "the update must drop the stale panels");
+        let after = fused(&lin);
+        assert_ne!(after, before);
+        assert_eq!(
+            after,
+            lin.forward(&x).data,
+            "fused path serves a stale weight"
+        );
+        let mut fresh = never_packed;
+        step(&mut fresh);
+        assert_eq!(after, fused(&fresh));
+
+        // The clone still holds — and serves — the old weight.
+        assert_eq!(fused(&packed_clone), before);
+        let mut packed_clone = packed_clone;
+        step(&mut packed_clone);
+        assert_eq!(fused(&packed_clone), after);
+        assert_eq!(fused(&lin), after, "training the clone reached its source");
+    }
+
+    /// `prepack` builds the shadow the layer's policy runs and no other.
+    #[test]
+    fn linear_prepack_builds_panels_only_under_f32() {
+        let mut rng = Rng::new(0x9AD);
+        let mut lin = Linear::new(&mut rng, 8, 16);
+        lin.set_policy(KernelPolicy::Int8);
+        lin.prepack();
+        assert!(!lin.is_packed(), "int8 layers never read the panels");
+        lin.set_policy(KernelPolicy::F32);
+        lin.prepack();
+        assert!(lin.is_packed());
+    }
+
+    /// An int8 shadow cannot be refreshed from inside `weights_mut`'s
+    /// borrow, so mutation under `Int8` is refused, loudly.
+    #[test]
+    #[should_panic(expected = "set_policy(KernelPolicy::F32)")]
+    fn linear_weights_mut_fails_closed_on_a_live_int8_shadow() {
+        let mut rng = Rng::new(0x9AE);
+        let mut lin = Linear::new(&mut rng, 8, 16);
+        lin.set_policy(KernelPolicy::Int8);
+        lin.weights_mut()[0] = 1.0;
     }
 
     #[test]

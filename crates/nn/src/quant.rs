@@ -20,7 +20,8 @@ use aasd_tensor::{Op, Tensor, Workspace};
 /// Which kernel family a model's projections run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
-    /// f32 weights through the SIMD-dispatched vecmat/blocked kernels.
+    /// f32 weights through the SIMD-dispatched register tile, over the
+    /// weight's packed panels.
     #[default]
     F32,
     /// int8 per-row absmax weights through the exact-i32 `vecmat_q8`
@@ -99,7 +100,7 @@ mod tests {
     fn quant_linear_tracks_f32_and_batches_exactly() {
         let mut rng = Rng::new(0x9_1);
         let lin = crate::Linear::new(&mut rng, 48, 32);
-        let q = QuantLinear::new(&lin.w);
+        let q = QuantLinear::new(lin.w());
         let mut ws = Workspace::new();
         let rows = 3usize;
         let x: Vec<f32> = (0..rows * 48).map(|_| rng.uniform(-1.0, 1.0)).collect();
@@ -131,7 +132,7 @@ mod tests {
     fn quant_linear_acc_folds_residual() {
         let mut rng = Rng::new(0x9_2);
         let lin = crate::Linear::new(&mut rng, 16, 24);
-        let q = QuantLinear::new(&lin.w);
+        let q = QuantLinear::new(lin.w());
         let mut ws = Workspace::new();
         let x: Vec<f32> = (0..16).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let resid: Vec<f32> = (0..24).map(|_| rng.uniform(-1.0, 1.0)).collect();

@@ -428,6 +428,12 @@ impl Engine {
         };
         let target = model.target_lm();
         let draft = model.draft();
+        // No request pays for packing: the first fused forward of a model
+        // would build its projections' panels, so build them here. (A vision
+        // tower and connector have none: they run the allocating row-major
+        // `Linear::forward`, once per image.)
+        target.prepack();
+        draft.prepack();
         let t_pool = KvPool::new(target.cfg.n_layers, target.cfg.dim, bs, t_blocks);
         let d_pool = KvPool::new(draft.cfg.n_layers, draft.cfg.dim, bs, d_blocks);
         let slots = (0..cfg.slots)
@@ -1406,6 +1412,35 @@ mod tests {
         let h = engine.submit(spec_req(prompt, 20, 4)).unwrap();
         engine.run_until_idle();
         assert_eq!(h.snapshot(), (Status::Done, want));
+    }
+
+    /// No request pays for packing: `Engine::new` returns with the panels
+    /// of every f32 projection of target and draft built — and none for an
+    /// `Int8` model, whose fused path never reads them.
+    #[test]
+    fn engine_new_prepacks_target_and_draft() {
+        let (target, draft) = text_models();
+        let mut q_target = Decoder::clone(&target);
+        q_target.set_kernel_policy(KernelPolicy::Int8);
+        let q_target = Arc::new(q_target);
+        let packed = |m: &Decoder| {
+            let b = &m.blocks[m.blocks.len() - 1];
+            (
+                m.lm_head.is_packed(),
+                b.attn.wq.is_packed(),
+                b.mlp.w2.is_packed(),
+            )
+        };
+        assert_eq!(packed(&target), (false, false, false));
+        for (target, want) in [(&target, true), (&q_target, false)] {
+            let model = EngineModel::Text {
+                target: Arc::clone(target),
+                draft: Arc::clone(&draft),
+            };
+            let _engine = Engine::new(model, EngineConfig::default());
+            assert_eq!(packed(target), (want, want, want));
+            assert_eq!(packed(&draft), (true, true, true));
+        }
     }
 
     /// More requests than slots: continuous batching must finish them all,

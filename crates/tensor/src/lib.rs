@@ -3,9 +3,10 @@
 //! Everything upstream (transformer blocks, the speculative-decoding engine,
 //! the benches) is built on the kernels in this crate:
 //!
-//! * [`matmul`] — the register-tiled multi-row kernel, its thread-parallel
-//!   form and the naive reference they are property-tested against, plus
-//!   the 4-way-unrolled [`vecmat_into`] t = 1 decode fast path (bitwise
+//! * [`matmul`] — the register-tiled multi-row kernel over a row-major or
+//!   a packed (tile-major panels, [`pack_panels`]) right-hand side, its
+//!   thread-parallel form and the naive reference they are property-tested
+//!   against, plus the 4-way-unrolled one-row [`vecmat_into`] (bitwise
 //!   equal to any row of the multi-row kernel);
 //! * [`ops`] — fused softmax, argmax, SiLU, axpy/dot primitives;
 //! * [`simd`] — the runtime-dispatched AVX2 and scalar kernel tiers behind
@@ -31,7 +32,8 @@ pub mod workspace;
 
 pub use matmul::{
     hardware_threads, matmul_blocked_acc_into, matmul_blocked_into, matmul_naive_into,
-    matmul_parallel_into, matvec_into, threads_from_env, vecmat_acc_into, vecmat_into,
+    matmul_packed_acc_into, matmul_packed_into, matmul_parallel_into, matvec_into,
+    threads_from_env, vecmat_acc_into, vecmat_into,
 };
 pub use ops::{
     add_assign, argmax, axpy, dot, log_softmax_row, log_softmax_rows, silu, softmax_row,
@@ -40,7 +42,9 @@ pub use ops::{
 pub use profile::{Op, ProfSpan, Profiler};
 pub use quant::{quantize_row_i8, vecmat_q8_acc_into, vecmat_q8_into, QuantMatrix};
 pub use rng::Rng;
-pub use simd::{backend, best_supported, rms_norm_row_into, set_backend, silu_mul, Backend};
+pub use simd::{
+    backend, best_supported, pack_panels, rms_norm_row_into, set_backend, silu_mul, Backend,
+};
 pub use workspace::Workspace;
 
 /// Row-major 2-D f32 matrix: `rows × cols`, `data.len() == rows * cols`.

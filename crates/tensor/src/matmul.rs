@@ -9,20 +9,27 @@
 //!   per tile and shared by all its rows, `A` values are broadcast (see
 //!   `simd::matmul_tile`). This is what verify, prefill, the vision tower
 //!   and training run on.
+//! * [`matmul_packed_into`] / [`matmul_packed_acc_into`] — the same tile
+//!   over a `B` repacked once into tile-major panels
+//!   ([`crate::pack_panels`]): a strip of `B` is one contiguous run instead
+//!   of a cache line every `n·4` bytes. This is what frozen `Linear`
+//!   weights run on, at every row count.
 //! * [`matmul_parallel_into`] — the same kernel with the rows of `C`
 //!   partitioned across `std::thread::scope` threads (one per available
 //!   core). On a 1-core host it degenerates to the serial kernel without
 //!   spawning.
-//! * [`vecmat_into`] / [`vecmat_acc_into`] — the `m == 1` decode kernel.
+//! * [`vecmat_into`] / [`vecmat_acc_into`] — the one-row kernel over a
+//!   row-major matrix: the per-row reference of the k-order contract.
 //!
 //! **k-order contract.** Every kernel but the naive one computes each
 //! output element as `acc = acc + a[i,kk]·b[kk,j]` for `kk = 0, 1, 2, …`
 //! in that order, starting from `+0.0` (`_into`) or from the value already
 //! in `C` (`_acc`): one multiply, one add, never fused, never reassociated,
-//! no term skipped. The tile shape, the SIMD width and the split of rows
-//! across tiles or threads only decide *which* elements are computed
-//! together, so a row of a multi-row product is bit-identical to
-//! [`vecmat_into`] on that row, on every [`crate::Backend`] — the property
+//! no term skipped. The tile shape, the SIMD width, the split of rows
+//! across tiles or threads and the layout `B` is stored in only decide
+//! *which* elements are computed together and where their operands live,
+//! so a row of a multi-row product is bit-identical to [`vecmat_into`] on
+//! that row, on every [`crate::Backend`] and in either layout — the property
 //! that lets a speculative verify pass reproduce single-token decoding.
 
 #[inline]
@@ -59,6 +66,27 @@ pub fn matmul_blocked_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usi
 /// being a separate pass).
 pub fn matmul_blocked_acc_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     crate::simd::matmul_acc_with(crate::simd::backend(), c, a, b, m, k, n);
+}
+
+/// `C = A·B` with `B` in tile-major panels (`panels` is
+/// [`crate::pack_panels`] of the `k × n` matrix): what a frozen weight runs
+/// on at every row count. Same tile, same k-order contract, so the bits of
+/// [`matmul_blocked_into`] and of [`vecmat_into`] row by row.
+pub fn matmul_packed_into(c: &mut [f32], a: &[f32], panels: &[f32], m: usize, k: usize, n: usize) {
+    c.fill(0.0);
+    matmul_packed_acc_into(c, a, panels, m, k, n);
+}
+
+/// Accumulating form of [`matmul_packed_into`]: `C += A·B`.
+pub fn matmul_packed_acc_into(
+    c: &mut [f32],
+    a: &[f32],
+    panels: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    crate::simd::matmul_packed_acc_with(crate::simd::backend(), c, a, panels, m, k, n);
 }
 
 /// Resolve the worker-thread count from an optional `AASD_THREADS`-style
@@ -127,15 +155,14 @@ pub fn matvec_into(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
     }
 }
 
-/// Row-vector–matrix product `y = x·W` (`x: k`, `W: k×n` row-major) — the
-/// t = 1 decode fast path for `Linear` layers, whose weights are stored
-/// `[in, out]`. The product is a sum of scaled rows of `W`, so the kernel
-/// is a 4-way-unrolled axpy sweep (SIMD-dispatched across the output
-/// dimension; see [`crate::simd`]): four weight rows stream per pass,
-/// quartering the load/store traffic on `y` that dominates this
-/// memory-bound shape. Accumulation order over `kk` is the multi-row
-/// kernel's (the module's k-order contract) on every backend, so t = 1 and
-/// t > 1 paths agree bit-for-bit.
+/// Row-vector–matrix product `y = x·W` (`x: k`, `W: k×n` row-major). The
+/// product is a sum of scaled rows of `W`, so the kernel is a
+/// 4-way-unrolled axpy sweep (SIMD-dispatched across the output dimension;
+/// see [`crate::simd`]): four weight rows stream per pass, quartering the
+/// load/store traffic on `y` that dominates this memory-bound shape.
+/// Accumulation order over `kk` is the multi-row kernel's (the module's
+/// k-order contract) on every backend, so it is the reference every row of
+/// a multi-row product — row-major or packed — is pinned to, bit for bit.
 pub fn vecmat_into(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
     y.fill(0.0);
     vecmat_acc_into(y, x, w, k, n);

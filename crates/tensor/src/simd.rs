@@ -14,10 +14,12 @@
 //! — so both backends produce bit-identical vecmat and matmul results, and
 //! a row of a multi-row product is bit-identical to the vecmat of that row:
 //! switching backends cannot move a logit relative to the scalar reference,
-//! and the t = 1 / t > 1 Linear paths agree bit-for-bit. The tile is one
+//! and a row gets the same bits in a block of any size. The tile is one
 //! generic source compiled plainly (scalar tier: 6 rows × 8 columns) and
-//! under `avx2` (6 × 16); its shape changes which elements share a register,
-//! never an element's arithmetic.
+//! under `avx2` (6 × 16), over `B` stored row-major or as tile-major panels
+//! ([`pack_panels`]); its shape and the layout change which elements share
+//! a register and where an operand is loaded from, never an element's
+//! arithmetic.
 //!
 //! Reductions ([`dot_with`], [`sum_squares_with`]) and transcendentals
 //! ([`softmax_row_with`], [`silu_mul_with`], which use a lane-parallel
@@ -239,10 +241,61 @@ pub(crate) fn matmul_acc_with(
         // SAFETY: callers pass a tier the host supports — `backend()` yields
         // no other, and the tests filter `Backend::ALL` on `is_supported`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { matmul_acc_avx2(c, a, b, m, k, n) },
+        Backend::Avx2 => unsafe { matmul_acc_avx2::<false>(c, a, b, m, k, n) },
         // Two 4-lane vectors per row on the x86_64 baseline: six rows fill
         // 12 of the 16 xmm registers.
-        _ => matmul_acc_tiled::<8>(c, a, b, m, k, n),
+        _ => matmul_acc_tiled::<8, false>(c, a, b, m, k, n),
+    }
+}
+
+/// Output columns per packed panel: the widest tile's strip (AVX2, two
+/// 8-lane vectors). The scalar tier's 8-wide tile reads half panels.
+const PANEL: usize = 16;
+
+/// Floats [`pack_panels`] produces for a `k × n` matrix.
+fn packed_len(k: usize, n: usize) -> usize {
+    n.div_ceil(PANEL) * k * PANEL
+}
+
+/// Repack a row-major `k × n` matrix into **tile-major panels**: panel `p`
+/// holds columns `16p .. 16p + 16` as `k` consecutive 16-float rows
+/// (`[n/16][k][16]`), the last panel zero-padded. A column strip of the
+/// tile then walks one contiguous run of memory — 64 bytes per `k` step —
+/// instead of one cache line every `n·4` bytes. The layout decides where an
+/// element of `B` lives, never the order the tile consumes `k` in, so
+/// products over panels have the bits of products over the row-major matrix.
+pub fn pack_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
+    assert_eq!(b.len(), k * n, "B must be k×n");
+    let mut panels = vec![0.0f32; packed_len(k, n)];
+    for (kk, b_row) in b.chunks_exact(n.max(1)).enumerate() {
+        for (p, cols) in b_row.chunks(PANEL).enumerate() {
+            panels[(p * k + kk) * PANEL..][..cols.len()].copy_from_slice(cols);
+        }
+    }
+    panels
+}
+
+/// `C += A·B` with `B` given as the [`pack_panels`] image of a `k × n`
+/// matrix: the same tile as [`crate::matmul_blocked_acc_into`] at every
+/// `m` (one row included), so every row is bit-identical to
+/// [`vecmat_acc_into_with`] on the row-major matrix, on every backend.
+pub(crate) fn matmul_packed_acc_with(
+    bk: Backend,
+    c: &mut [f32],
+    a: &[f32],
+    panels: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "A must be m×k");
+    assert_eq!(panels.len(), packed_len(k, n), "B must be packed k×n");
+    assert_eq!(c.len(), m * n, "C must be m×n");
+    match bk {
+        // SAFETY: as in `matmul_acc_with`.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => unsafe { matmul_acc_avx2::<true>(c, a, panels, m, k, n) },
+        _ => matmul_acc_tiled::<8, true>(c, a, panels, m, k, n),
     }
 }
 
@@ -250,8 +303,15 @@ pub(crate) fn matmul_acc_with(
 /// The host must support AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn matmul_acc_avx2(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    matmul_acc_tiled::<16>(c, a, b, m, k, n)
+unsafe fn matmul_acc_avx2<const PACKED: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    matmul_acc_tiled::<16, PACKED>(c, a, b, m, k, n)
 }
 
 /// Rows of `C` per register tile: with `NR` = two vectors, 6 rows keep 12
@@ -259,12 +319,14 @@ unsafe fn matmul_acc_avx2(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usiz
 /// the broadcast `A` value out of 16.
 const TILE_ROWS: usize = 6;
 
-/// The tiled loop nest, generic over the tile width so one source serves
-/// every tier (`#[inline(always)]`: it is compiled with the caller's target
-/// features). Column strips are the outer loop, so a strip of `B`
-/// (`k × NR` floats) stays in L1 while every row tile passes over it.
+/// The tiled loop nest, generic over the tile width and over where `B`
+/// lives (`PACKED`: [`pack_panels`] image, else row-major) so one source
+/// serves every tier and both layouts (`#[inline(always)]`: it is compiled
+/// with the caller's target features). Column strips are the outer loop, so
+/// a strip of `B` (`k × NR` floats) stays in L1 while every row tile passes
+/// over it.
 #[inline(always)]
-fn matmul_acc_tiled<const NR: usize>(
+fn matmul_acc_tiled<const NR: usize, const PACKED: bool>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -276,17 +338,17 @@ fn matmul_acc_tiled<const NR: usize>(
     for j0 in (0..n_full).step_by(NR) {
         // The literal width lets the full-strip copy of the tile drop its
         // partial-width loads.
-        matmul_strip::<NR>(c, a, b, m, k, n, j0, NR);
+        matmul_strip::<NR, PACKED>(c, a, b, m, k, n, j0, NR);
     }
     if n_full < n {
-        matmul_strip::<NR>(c, a, b, m, k, n, n_full, n - n_full);
+        matmul_strip::<NR, PACKED>(c, a, b, m, k, n, n_full, n - n_full);
     }
 }
 
 /// One `w`-column strip of `C` (`w ≤ NR`), row tile by row tile.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-fn matmul_strip<const NR: usize>(
+fn matmul_strip<const NR: usize, const PACKED: bool>(
     c: &mut [f32],
     a: &[f32],
     b: &[f32],
@@ -296,6 +358,15 @@ fn matmul_strip<const NR: usize>(
     j0: usize,
     w: usize,
 ) {
+    // Where the strip's `k = 0` elements start in `b` and how far apart its
+    // `k` steps are. A strip never straddles panels: both tile widths
+    // divide the panel width.
+    let (off, stride) = if PACKED {
+        const { assert!(PANEL.is_multiple_of(NR)) };
+        (j0 / PANEL * k * PANEL + j0 % PANEL, PANEL)
+    } else {
+        (j0, n)
+    };
     // Rows split evenly over the fewest tiles (7 → 4 + 3, not 6 + 1): a
     // one- or two-row tile has too few independent accumulators to hide the
     // add latency.
@@ -303,50 +374,55 @@ fn matmul_strip<const NR: usize>(
     let mut i0 = 0;
     while i0 < m {
         let mr = (m - i0).div_ceil(tiles);
-        let c_t = &mut c[i0 * n..(i0 + mr) * n];
+        let c_t = &mut c[i0 * n + j0..];
         let a_t = &a[i0 * k..(i0 + mr) * k];
         match mr {
-            1 => matmul_tile::<1, NR>(c_t, a_t, b, k, n, j0, w),
-            2 => matmul_tile::<2, NR>(c_t, a_t, b, k, n, j0, w),
-            3 => matmul_tile::<3, NR>(c_t, a_t, b, k, n, j0, w),
-            4 => matmul_tile::<4, NR>(c_t, a_t, b, k, n, j0, w),
-            5 => matmul_tile::<5, NR>(c_t, a_t, b, k, n, j0, w),
-            _ => matmul_tile::<TILE_ROWS, NR>(c_t, a_t, b, k, n, j0, w),
+            1 => matmul_tile::<1, NR>(c_t, n, w, a_t, k, b, off, stride),
+            2 => matmul_tile::<2, NR>(c_t, n, w, a_t, k, b, off, stride),
+            3 => matmul_tile::<3, NR>(c_t, n, w, a_t, k, b, off, stride),
+            4 => matmul_tile::<4, NR>(c_t, n, w, a_t, k, b, off, stride),
+            5 => matmul_tile::<5, NR>(c_t, n, w, a_t, k, b, off, stride),
+            _ => matmul_tile::<TILE_ROWS, NR>(c_t, n, w, a_t, k, b, off, stride),
         }
         i0 += mr;
         tiles -= 1;
     }
 }
 
-/// The micro-kernel: an `MR × w` tile of `C` (columns `j0..j0+w` of the `MR`
-/// rows in `c`/`a`) lives in `acc` for the whole `k` loop; each step loads
-/// one `B` vector, shared by all `MR` rows, and broadcasts one `A` value per
-/// row. Every element accumulates `acc = acc + a·b` for `kk = 0, 1, 2, …`
-/// — multiply-then-add, never fused, no data-dependent skip — which is the
+/// The micro-kernel: an `MR × w` tile of `C` (`c` starts at its first
+/// element, rows `n` apart) lives in `acc` for the whole `k` loop; each step
+/// loads one `B` vector — `b[off + kk·stride ..][..w]`, which is `(j0, n)`
+/// addressing on a row-major matrix and `(panel start, 16)` on a packed one
+/// — shared by all `MR` rows, and broadcasts one `A` value per row. Every
+/// element accumulates `acc = acc + a·b` for `kk = 0, 1, 2, …` —
+/// multiply-then-add, never fused, no data-dependent skip — which is the
 /// vecmat kernels' per-element sequence. Lanes `w..NR` of a partial strip
 /// multiply zeros and are never stored.
 #[inline(always)]
+#[allow(clippy::too_many_arguments)]
 fn matmul_tile<const MR: usize, const NR: usize>(
     c: &mut [f32],
-    a: &[f32],
-    b: &[f32],
-    k: usize,
     n: usize,
-    j0: usize,
     w: usize,
+    a: &[f32],
+    k: usize,
+    b: &[f32],
+    off: usize,
+    stride: usize,
 ) {
     assert_eq!(a.len(), MR * k);
-    assert_eq!(b.len(), k * n);
-    assert!(j0 + w <= n && w <= NR);
+    assert!(w <= NR);
+    assert!(k == 0 || off + (k - 1) * stride + w <= b.len());
     let mut acc = [[0.0f32; NR]; MR];
     for (r, acc_r) in acc.iter_mut().enumerate() {
-        acc_r[..w].copy_from_slice(&c[r * n + j0..][..w]);
+        acc_r[..w].copy_from_slice(&c[r * n..][..w]);
     }
     for kk in 0..k {
         let mut bv = [0.0f32; NR];
-        // SAFETY: kk < k and j0 + w <= n (asserted above), so the range ends
-        // at or before k·n = b.len().
-        bv[..w].copy_from_slice(unsafe { b.get_unchecked(kk * n + j0..kk * n + j0 + w) });
+        let at = off + kk * stride;
+        // SAFETY: kk ≤ k − 1, so the range ends at or before
+        // off + (k − 1)·stride + w ≤ b.len() (asserted above).
+        bv[..w].copy_from_slice(unsafe { b.get_unchecked(at..at + w) });
         for (r, acc_r) in acc.iter_mut().enumerate() {
             // SAFETY: r < MR and kk < k, so r·k + kk < MR·k = a.len()
             // (asserted above).
@@ -357,7 +433,7 @@ fn matmul_tile<const MR: usize, const NR: usize>(
         }
     }
     for (r, acc_r) in acc.iter().enumerate() {
-        c[r * n + j0..][..w].copy_from_slice(&acc_r[..w]);
+        c[r * n..][..w].copy_from_slice(&acc_r[..w]);
     }
 }
 
@@ -1424,29 +1500,40 @@ mod tests {
     }
 
     /// The multi-row kernel contract, exhaustively: on every supported tier
-    /// (through the explicit-backend entry, not the process-global one), for
-    /// every row count 1..=33 and shapes covering k tails, n below / off / on
-    /// the tile width and the Sim7B / Sim13B projections, the tiled kernel
-    /// is **bitwise** the row-by-row vecmat of that tier — `_into` and `_acc`
-    /// forms — and every tier is bitwise the scalar tier. (The three larger
-    /// Sim shapes take the row counts the decoder runs plus the tile-split
-    /// edges instead of all 33: a debug build spends 50 ns per MAC here.)
+    /// (through the explicit-backend entries, not the process-global one),
+    /// for every row count 1..=33 and shapes covering k tails, n below / off
+    /// / on the tile and panel widths (ragged last panels, sub-panel
+    /// matrices, the half panels the scalar tier's 8-wide tile reads), the LM
+    /// head's width and the Sim7B / Sim13B projections, the tiled kernel is
+    /// **bitwise** the row-by-row vecmat of that tier — over the row-major
+    /// matrix and over its packed panels, `_into` and `_acc` forms — and
+    /// every tier is bitwise the scalar tier. (The two largest Sim shapes
+    /// take the row counts the decoder runs plus the tile-split edges
+    /// instead of all 33: a debug build spends 50 ns per MAC here.)
     #[test]
     fn tile_bitwise_equals_rowwise_vecmat_on_every_tier() {
         const MAX_M: usize = 33;
+        // `aasd_data::VOCAB`: the LM head is `dim × 32`, two whole panels.
+        const VOCAB: usize = 32;
         let mut rng = Rng::new(0x711E);
         let mut random =
             |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
-        let mut shapes = vec![(128, 128), (128, 256), (192, 192), (192, 384), (27, 48)];
+        let mut shapes = vec![(128, 128), (128, 256), (192, 384), (27, 48)];
         for k in [1, 3, 4, 5, 67] {
             for n in [1, 5, 7, 8, 9, 15, 16, 17, 31, 33] {
                 shapes.push((k, n));
             }
         }
+        for k in [1, 3, 192] {
+            for n in [1, 15, 16, 17, 40, 192, VOCAB] {
+                shapes.push((k, n));
+            }
+        }
         for (k, n) in shapes {
             let (a, b, c0) = (random(MAX_M * k), random(k * n), random(MAX_M * n));
-            let ms: Vec<usize> = if k * n <= 128 * 128 {
+            let panels = pack_panels(&b, k, n);
+            let ms: Vec<usize> = if k * n <= 192 * 192 {
                 (1..=MAX_M).collect()
             } else {
                 vec![2, 4, 6, 7, 13, 32, 33]
@@ -1481,8 +1568,38 @@ mod tests {
                             "{} tiled != vecmat rows at m={m} k={k} n={n} acc={acc}",
                             bk.name()
                         );
+                        let mut c = start(m);
+                        matmul_packed_acc_with(bk, &mut c, &a[..m * k], &panels, m, k, n);
+                        assert_eq!(
+                            bits(&c),
+                            want[..m * n],
+                            "{} packed != vecmat rows at m={m} k={k} n={n} acc={acc}",
+                            bk.name()
+                        );
                     }
                 }
+            }
+        }
+    }
+
+    /// The panel image itself: element `(kk, j)` of the matrix sits at
+    /// `[j / 16][kk][j % 16]`, the last panel's spare columns are `+0.0`, and
+    /// a matrix with no rows or no columns packs to whole (empty) panels.
+    #[test]
+    fn tile_pack_panels_layout_and_padding() {
+        for (k, n) in [(3usize, 40usize), (5, 16), (2, 1), (0, 7), (4, 0)] {
+            let b: Vec<f32> = (0..k * n).map(|i| i as f32 + 1.0).collect();
+            let panels = pack_panels(&b, k, n);
+            assert_eq!(panels.len(), n.div_ceil(PANEL) * k * PANEL);
+            for (i, v) in panels.iter().enumerate() {
+                let (p, kk, lane) = (i / (k * PANEL), i / PANEL % k, i % PANEL);
+                let j = p * PANEL + lane;
+                let want = if j < n { b[kk * n + j] } else { 0.0 };
+                assert_eq!(
+                    v.to_bits(),
+                    want.to_bits(),
+                    "k={k} n={n} panel {p} row {kk}"
+                );
             }
         }
     }

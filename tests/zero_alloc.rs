@@ -85,7 +85,9 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
     // it on to pin that property at the allocator level too.
     ws.prof.enable();
     // Prefill + a few warm-up decode steps populate the pool with every
-    // scratch size a single-token step requests.
+    // scratch size a single-token step requests, and the first fused forward
+    // packs every projection's weight into panels — the one allocation a
+    // `Linear` ever makes, inside the warm-up and never after it.
     let prompt = [1u32, 2, 3, 4];
     let mut prefill = vec![0.0f32; prompt.len() * model.cfg.vocab];
     model.forward_infer_ws(&prompt, &mut cache, &mut ws, &mut prefill);
@@ -96,6 +98,7 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
         tok = aasd::tensor::argmax(&logits) as u32;
     }
 
+    assert!(model.lm_head.is_packed() && model.blocks[0].mlp.w2.is_packed());
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let pool_before = ws.fresh_allocs();
     for _ in 0..32 {
@@ -116,7 +119,8 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
     // the int8 kernel path must hold the identical guarantee. Its extra
     // per-call activation-quantization scratch comes from the workspace's
     // i8 pool, so after its own warm-up the quantized step is equally
-    // allocation-free.
+    // allocation-free. (The clone carries the f32 panels along; the int8
+    // projections never read them.)
     let mut q_model = model.clone();
     q_model.set_kernel_policy(KernelPolicy::Int8);
     let mut q_cache = q_model.new_cache();
