@@ -49,10 +49,12 @@ if [[ "${1:-}" != "--quick" ]]; then
         AASD_THREADS=$t cargo test -q --release -p aasd-specdec spsc_stress_hash_chain_with_rollbacks
     done
 
-    echo "==> tile gate: multi-row kernel bitwise ≡ row-by-row vecmat on every tier and in both weight layouts, as the release build compiles it"
+    echo "==> tile gate: f32 tile bitwise ≡ row-by-row vecmat in both weight layouts, int8 tile bitwise ≡ the scalar dot loop, on every tier, as the release build compiles them"
     # The register-tiled matmul must give every row the bits of the vecmat
     # kernel, on every tier, over the row-major matrix and over the packed
-    # panels `Linear` runs on, or verify stops reproducing decode. The suite
+    # panels `Linear` runs on, or verify stops reproducing decode; the int8
+    # tile (`tile_q8_*`) must give every output the exact i32 dot at every
+    # row count, or an int8 target's verify does. The suite
     # drives each supported tier through the explicit-backend entry; it runs
     # optimized (the code the benchmark measures — tier-1 above already ran
     # it unoptimized) with the process-global tier pinned to scalar and left
@@ -86,13 +88,14 @@ if [[ "${1:-}" != "--quick" ]]; then
     # drafted / accepted between two from-scratch rounds. That compares one
     # binary with itself, so a kernel or layout bug that moves bits the same
     # way every time passes it: on the avx2 tier (the counts depend on the
-    # tier's exp) they are also pinned to the values every PR since the
-    # benchmark landed has reproduced.
+    # tier's exp) they are also pinned to the values the int8 draft under the
+    # f32 target gives (PR 22 re-based them from 862 / 4005 / 2162, which the
+    # f32 draft had reproduced since the benchmark landed).
     counts=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload solo-decode --seed 1 --seconds 3 --check-counts)
     echo "$counts"
     if grep -q "kernel_backend=avx2" <<<"$counts"; then
-        pinned="blocks: 862, drafted: 4005, accepted: 2162"
+        pinned="blocks: 863, drafted: 4008, accepted: 2161"
         if [[ $(grep -c "$pinned" <<<"$counts") -ne 2 ]]; then
             echo "solo-decode seed 1 no longer gives { $pinned } on both runs" >&2
             exit 1

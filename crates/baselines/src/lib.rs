@@ -28,7 +28,7 @@ use aasd_data::{Sample, Split, Workload};
 use aasd_mm::{
     distill_hybrid_with, draft_for_depth, frozen_prefix_logits, mm_teacher_probs, own_vision_rows,
     seed_draft_prefix, Ablation, HybridDistillConfig, KvProjector, LlavaSim, LlavaSimConfig,
-    TdAlignConfig, VisionConfig,
+    TdAlignConfig, VisionConfig, DRAFT_POLICY,
 };
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
 use aasd_specdec::{ArSession, Session, SpecSession, SpecStats};
@@ -73,6 +73,29 @@ pub fn tiny_vlm_config(
         connector_hidden: 48,
         lm: tiny_lm_config(vocab, max_seq),
     }
+}
+
+/// A fresh FT/DT-LLaMA draft: a [`tiny_lm_config`] decoder on the proposer
+/// policy the AASD draft runs ([`DRAFT_POLICY`]), so that a walltime
+/// comparison between zoo systems compares drafts, not kernels.
+pub fn tiny_lm_draft(vocab: usize, max_seq: usize, seed: u64) -> Decoder {
+    let mut draft = Decoder::new(tiny_lm_config(vocab, max_seq), seed);
+    draft.set_kernel_policy(DRAFT_POLICY);
+    draft
+}
+
+/// A fresh FT/DT-LLaVA draft: a [`tiny_vlm_config`] model whose LM is on
+/// [`DRAFT_POLICY`], like [`tiny_lm_draft`].
+pub fn tiny_vlm_draft(
+    vocab: usize,
+    max_seq: usize,
+    n_patches: usize,
+    patch_dim: usize,
+    seed: u64,
+) -> LlavaSim {
+    let mut draft = LlavaSim::new(tiny_vlm_config(vocab, max_seq, n_patches, patch_dim), seed);
+    draft.set_kernel_policy(DRAFT_POLICY);
+    draft
 }
 
 /// Shared hyperparameters for the zoo trainers.
@@ -500,11 +523,8 @@ mod tests {
         let wl = workload();
         let tgt = target();
         let samples = wl.take(Split::Heldout, 2);
-        let text = DraftSystem::Text(Decoder::new(tiny_lm_config(aasd_data::VOCAB, 64), 0xB8));
-        let vlm = DraftSystem::Vlm(LlavaSim::new(
-            tiny_vlm_config(aasd_data::VOCAB, 64, 8, 12),
-            0xB9,
-        ));
+        let text = DraftSystem::Text(tiny_lm_draft(aasd_data::VOCAB, 64, 0xB8));
+        let vlm = DraftSystem::Vlm(tiny_vlm_draft(aasd_data::VOCAB, 64, 8, 12, 0xB9));
         let (draft, projector) = train_aasd_draft(
             &tgt,
             &wl,
@@ -516,6 +536,7 @@ mod tests {
         );
         let aasd = DraftSystem::Aasd { draft, projector };
         for system in [&text, &vlm, &aasd] {
+            assert_eq!(system.draft_lm().kernel_policy(), DRAFT_POLICY);
             let cell = eval_system(&tgt, system, &samples, 12, 3);
             assert_eq!(cell.stats.generated, 2 * 12);
             assert!(cell.stats.drafted > 0);

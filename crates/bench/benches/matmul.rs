@@ -12,13 +12,21 @@
 //!    tile-major panels `Linear` runs on. A single L2-resident matrix hides
 //!    what the stride of a row-major strip costs once the weights no longer
 //!    fit; this is where the two layouts part.
-//! 3. Naive reference vs the tiled kernel vs its thread-parallel form on
+//! 3. **The int8 tile** (ROADMAP 3(a)): one pass over the whole weight set
+//!    of each Sim target and of its *draft* (2 layers, `ff = dim` — what
+//!    `draft_for_depth` builds and every speculative block sweeps γ times)
+//!    at rows ∈ {1, 2, 6, 7, 32}: the int8 register tile over int8 panels
+//!    beside the f32 tile over f32 panels, with the bytes each streams.
+//!    Activations are quantized outside the timed region: this is the
+//!    kernel, not `QuantLinear`.
+//! 4. Naive reference vs the tiled kernel vs its thread-parallel form on
 //!    square sizes.
 
 use aasd_bench::{bench, report};
 use aasd_tensor::{
     backend, hardware_threads, matmul_blocked_into, matmul_naive_into, matmul_packed_into,
-    matmul_parallel_into, pack_panels, vecmat_into, Rng,
+    matmul_parallel_into, matmul_q8_into, pack_panels, quantize_rows_i8, vecmat_into, QuantMatrix,
+    Rng,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -86,9 +94,31 @@ fn rows_curve() {
     }
 }
 
-/// One pass over every per-layer projection of an LM (`wq wk wv wo` at
-/// `dim×dim`, `w1 w3` at `dim×ff`, `w2` at `ff×dim`, times `layers`), each
+/// Every per-layer projection of an LM (`wq wk wv wo` at `dim×dim`, `w1 w3`
+/// at `dim×ff`, `w2` at `ff×dim`, times `layers`) as `(k, n, weight)`, each
 /// matrix its own allocation as in a `Decoder`.
+fn lm_weight_set(
+    rng: &mut Rng,
+    dim: usize,
+    ff: usize,
+    layers: usize,
+) -> Vec<(usize, usize, Vec<f32>)> {
+    let shapes = [
+        (dim, dim),
+        (dim, dim),
+        (dim, dim),
+        (dim, dim),
+        (dim, ff),
+        (dim, ff),
+        (ff, dim),
+    ];
+    (0..layers)
+        .flat_map(|_| shapes)
+        .map(|(k, n)| (k, n, (0..k * n).map(|_| rng.uniform(-1.0, 1.0)).collect()))
+        .collect()
+}
+
+/// One pass over a whole LM weight set, row-major against packed.
 fn footprint_sweep() {
     println!("footprint sweep: one pass over a whole LM weight set, min of 15 (CoV)\n");
     for (name, dim, ff, layers) in [
@@ -101,21 +131,9 @@ fn footprint_sweep() {
         ("Sim13B 5 layers, dim 192, ff 384", 192, 384, 5),
     ] {
         let mut rng = Rng::new((dim * ff) as u64);
+        let weights = lm_weight_set(&mut rng, dim, ff, layers);
         let mut random =
             |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
-        let shapes = [
-            (dim, dim),
-            (dim, dim),
-            (dim, dim),
-            (dim, dim),
-            (dim, ff),
-            (dim, ff),
-            (ff, dim),
-        ];
-        let weights: Vec<(usize, usize, Vec<f32>)> = (0..layers)
-            .flat_map(|_| shapes)
-            .map(|(k, n)| (k, n, random(k * n)))
-            .collect();
         let panels: Vec<Vec<f32>> = weights
             .iter()
             .map(|(k, n, w)| pack_panels(w, *k, *n))
@@ -159,6 +177,78 @@ fn footprint_sweep() {
     }
 }
 
+/// One pass over a whole weight set on the int8 tile and on the f32 packed
+/// tile, targets and their drafts.
+fn int8_sweep() {
+    println!("int8 tile: one pass over a whole LM weight set, min of 15 (CoV)\n");
+    for (name, dim, ff, layers) in [
+        (
+            "Sim7B  draft  2 layers, dim 128, ff 128",
+            128usize,
+            128usize,
+            2usize,
+        ),
+        ("Sim7B  target 3 layers, dim 128, ff 256", 128, 256, 3),
+        ("Sim13B draft  2 layers, dim 192, ff 192", 192, 192, 2),
+        ("Sim13B target 5 layers, dim 192, ff 384", 192, 384, 5),
+    ] {
+        const MAX_ROWS: usize = 32;
+        let mut rng = Rng::new((dim * ff + layers) as u64);
+        let weights = lm_weight_set(&mut rng, dim, ff, layers);
+        let panels: Vec<Vec<f32>> = weights
+            .iter()
+            .map(|(k, n, w)| pack_panels(w, *k, *n))
+            .collect();
+        let quant: Vec<QuantMatrix> = weights
+            .iter()
+            .map(|(k, n, w)| QuantMatrix::from_kxn(w, *k, *n))
+            .collect();
+        let x: Vec<f32> = (0..MAX_ROWS * ff).map(|_| rng.uniform(-1.0, 1.0)).collect();
+        // Codes for both input widths, rows `k` apart as the tile reads them.
+        let codes = |k: usize| -> (Vec<i8>, Vec<f32>) {
+            let (mut qa, mut sa) = (vec![0i8; MAX_ROWS * k], vec![0.0f32; MAX_ROWS]);
+            quantize_rows_i8(&x[..MAX_ROWS * k], k, &mut qa, &mut sa);
+            (qa, sa)
+        };
+        let (by_dim, by_ff) = (codes(dim), codes(ff));
+        let mut y = vec![0.0f32; MAX_ROWS * ff];
+        let macs: usize = weights.iter().map(|(k, n, _)| k * n).sum();
+        let f32_bytes: usize = panels.iter().map(|p| p.len() * 4).sum();
+        let int8_bytes: usize = quant.iter().map(QuantMatrix::bytes).sum();
+        println!(
+            "{name}: {} matrices, f32 panels {:.2} MB, int8 panels + scales {:.2} MB",
+            weights.len(),
+            f32_bytes as f64 / 1e6,
+            int8_bytes as f64 / 1e6
+        );
+        for m in [1usize, 2, 6, 7, 32] {
+            let line = |label: &str, us: f64, cov: f64, bytes: usize| {
+                println!(
+                    "  rows {m:>2} {label:<11}: {us:>8.1} us (CoV {cov:.3})  {:>6.2} MAC/ns  {:>5.1} GB/s of weights",
+                    (m * macs) as f64 / (us * 1e3),
+                    bytes as f64 / (us * 1e3)
+                );
+            };
+            let (us, cov) = min_cov_us(15, 8, || {
+                for q in &quant {
+                    let (qa, sa) = if q.k() == dim { &by_dim } else { &by_ff };
+                    matmul_q8_into(&mut y[..m * q.n()], &qa[..m * q.k()], &sa[..m], q, m);
+                }
+                black_box(&mut y);
+            });
+            line("int8 tile", us, cov, int8_bytes);
+            let (us, cov) = min_cov_us(15, 8, || {
+                for ((k, n, _), p) in weights.iter().zip(&panels) {
+                    matmul_packed_into(&mut y[..m * n], &x[..m * k], p, m, *k, *n);
+                }
+                black_box(&mut y);
+            });
+            line("f32 packed", us, cov, f32_bytes);
+        }
+        println!();
+    }
+}
+
 fn square_sizes() {
     println!(
         "square N³: naive vs tiled vs parallel, {} hardware thread(s)\n",
@@ -196,5 +286,6 @@ fn square_sizes() {
 fn main() {
     rows_curve();
     footprint_sweep();
+    int8_sweep();
     square_sizes();
 }

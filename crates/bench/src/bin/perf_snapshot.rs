@@ -60,7 +60,7 @@ use aasd_specdec::{
 };
 use aasd_tensor::{
     argmax, backend, best_supported, hardware_threads, matmul_blocked_into, matmul_naive_into,
-    matmul_parallel_into, quantize_row_i8, set_backend, vecmat_into, vecmat_q8_into, Backend, Op,
+    matmul_parallel_into, matmul_q8_into, quantize_row_i8, set_backend, vecmat_into, Backend, Op,
     QuantMatrix, Rng, Workspace,
 };
 use aasd_train::{
@@ -615,7 +615,7 @@ fn main() {
     let r = h.bench(&format!("kernels/vecmat/int8/{}", best.name()), || {
         // Mirrors QuantLinear: activation quantization is part of the cost.
         let sx = quantize_row_i8(&kx, &mut kq);
-        vecmat_q8_into(&mut ky, &kq, sx, &kqm)
+        matmul_q8_into(&mut ky, &kq, &[sx], &kqm, 1)
     });
     report(&r);
     kernel_vecmat.push(json::object(&[

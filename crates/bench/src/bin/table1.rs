@@ -12,6 +12,10 @@
 //! * AASD — width-shared draft, KV-projector-seeded, jointly distilled
 //!   with the TdAttention alignment loss.
 //!
+//! All five drafts propose on the same kernel policy (`aasd_mm::DRAFT_POLICY`,
+//! int8 under the f32 target), so the walltime ω column compares drafts and
+//! not kernels.
+//!
 //! Every (system, target, γ∈{3,5}, workload∈{WildSim, CocoCapSim, SqaSim})
 //! cell is evaluated on **held-out** samples with per-stream losslessness
 //! asserted (speculative output ≡ autoregressive output), and reported
@@ -29,12 +33,11 @@
 
 use aasd_baselines::{
     distill_text_from_mm, distill_vlm_from_mm, eval_system, finetune_text, finetune_vlm,
-    tiny_lm_config, tiny_vlm_config, train_aasd_draft, DraftSystem, EvalCell, ZooTrainConfig,
+    tiny_lm_draft, tiny_vlm_draft, train_aasd_draft, DraftSystem, EvalCell, ZooTrainConfig,
 };
 use aasd_bench::json;
 use aasd_data::{Split, Workload, WorkloadKind, VOCAB};
 use aasd_mm::{LlavaSim, LlavaSimConfig, TdAlignConfig};
-use aasd_nn::Decoder;
 use aasd_specdec::{fp16_bytes, DeviceClock};
 
 /// Shared context window: room for 16 vision rows + prompt + generation.
@@ -89,25 +92,19 @@ fn build_zoo(target: &LlavaSim, train: &Workload, scale: &Scale, seed: u64) -> V
     let cfg = ZooTrainConfig::smoke(scale.zoo_steps, seed);
 
     println!("  training FT-LLaMA (text finetune)...");
-    let mut ft_llama = Decoder::new(tiny_lm_config(vocab, MAX_SEQ), seed ^ 0xF1);
+    let mut ft_llama = tiny_lm_draft(vocab, MAX_SEQ, seed ^ 0xF1);
     finetune_text(&mut ft_llama, train, &cfg);
 
     println!("  training DT-LLaMA (text distill)...");
-    let mut dt_llama = Decoder::new(tiny_lm_config(vocab, MAX_SEQ), seed ^ 0xD1);
+    let mut dt_llama = tiny_lm_draft(vocab, MAX_SEQ, seed ^ 0xD1);
     distill_text_from_mm(&mut dt_llama, target, train, &cfg);
 
     println!("  training FT-LLaVA (vlm finetune)...");
-    let mut ft_llava = LlavaSim::new(
-        tiny_vlm_config(vocab, MAX_SEQ, N_PATCHES, PATCH_DIM),
-        seed ^ 0xF2,
-    );
+    let mut ft_llava = tiny_vlm_draft(vocab, MAX_SEQ, N_PATCHES, PATCH_DIM, seed ^ 0xF2);
     finetune_vlm(&mut ft_llava, train, &cfg);
 
     println!("  training DT-LLaVA (MASSV self-data distill)...");
-    let mut dt_llava = LlavaSim::new(
-        tiny_vlm_config(vocab, MAX_SEQ, N_PATCHES, PATCH_DIM),
-        seed ^ 0xD2,
-    );
+    let mut dt_llava = tiny_vlm_draft(vocab, MAX_SEQ, N_PATCHES, PATCH_DIM, seed ^ 0xD2);
     distill_vlm_from_mm(&mut dt_llava, target, train, &cfg);
 
     println!("  training AASD draft (projector-seeded joint distill + TdAttention)...");

@@ -7,7 +7,7 @@
 use crate::llava::{LlavaSim, LlavaSimConfig};
 use crate::projector::{seed_raw_vision, KvProjector};
 use crate::vision::Image;
-use aasd_nn::{Decoder, DecoderConfig, KvCache};
+use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvCache};
 use aasd_specdec::{ArSession, Session, SpecSession, SpecStats, TreeConfig, TreeSession};
 use aasd_tensor::Workspace;
 
@@ -65,10 +65,22 @@ impl Default for Ablation {
     }
 }
 
+/// The kernel family every draft runs. A draft is a proposer, not an
+/// oracle: greedy verification commits only tokens the target's own logits
+/// choose, so the stream is lossless whatever arithmetic produced the
+/// proposals, and the draft is the one model that owes nobody a bit
+/// contract. Its forwards are one row each and cost the bytes they stream,
+/// so it streams a quarter of them. (The target keeps the f32 path: its
+/// verify must reproduce its own decode steps.)
+pub const DRAFT_POLICY: KernelPolicy = KernelPolicy::Int8;
+
 /// The standard draft for a LlavaSim target: same vocabulary, width, head
 /// count, and context window as the target LM, but a single layer with a
-/// dim-sized FFN — roughly an order of magnitude cheaper per token. Sharing
-/// the width is what lets the KV projector be a pure row compression.
+/// dim-sized FFN, on [`DRAFT_POLICY`]. Sharing the width is what lets the
+/// KV projector be a pure row compression — and what keeps the draft from
+/// being cheap: the benchmark's two-layer draft measured c = 0.18 of a
+/// target decode step in f32 (EXPERIMENTS.md § PR 22 has the int8 figure),
+/// an order of magnitude above the paper's 0.016.
 pub fn draft_for(cfg: &LlavaSimConfig, seed: u64) -> Decoder {
     draft_for_depth(cfg, 1, seed)
 }
@@ -80,16 +92,22 @@ pub fn draft_for(cfg: &LlavaSimConfig, seed: u64) -> Decoder {
 /// cannot copy caps its own α on any workload with self-referencing text.
 /// [`crate::projector::layer_map`] spreads the draft layers over the
 /// target's for KV seeding.
+///
+/// The one recipe every AASD draft is built through. It is born on
+/// [`DRAFT_POLICY`]: training reads the f32 weights through the tapes, and
+/// the first fused forward after it quantizes them.
 pub fn draft_for_depth(cfg: &LlavaSimConfig, n_layers: usize, seed: u64) -> Decoder {
     assert!(n_layers >= 1 && n_layers <= cfg.lm.n_layers);
-    Decoder::new(
+    let mut draft = Decoder::new(
         DecoderConfig {
             n_layers,
             ff_hidden: cfg.lm.dim,
             ..cfg.lm.clone()
         },
         seed,
-    )
+    );
+    draft.set_kernel_policy(DRAFT_POLICY);
+    draft
 }
 
 /// Seed an empty draft cache's vision prefix per the ablation switches and

@@ -223,38 +223,53 @@ impl Decoder {
     }
 
     /// Switch every projection (per-block `wq`/`wk`/`wv`/`wo`/`w1`/`w2`/`w3`
-    /// and the LM head) to the given kernel family. `Int8` quantizes each
-    /// weight once, here; embeddings and norms stay f32 on either policy, as
-    /// do the allocating reference paths (`forward_infer`, `forward_full`).
-    ///
-    /// The int8 shadows snapshot the weights at call time, so an `Int8` model
-    /// cannot be trained: [`Decoder::visit_params_mut`] panics on it. Switch
-    /// to `F32`, train, switch back.
+    /// and the LM head) to the given kernel family; embeddings and norms
+    /// stay f32 on either policy, as do the allocating reference paths
+    /// (`forward_infer`, `forward_full`) and the training tapes. Nothing is
+    /// quantized here: each projection builds its int8 image on its first
+    /// fused forward (or in [`Decoder::prepack`]) and drops it whenever its
+    /// weight is handed out for an update, so an `Int8` model trains like an
+    /// `F32` one.
     pub fn set_kernel_policy(&mut self, policy: KernelPolicy) {
         for block in &mut self.blocks {
-            block.attn.wq.set_policy(policy);
-            block.attn.wk.set_policy(policy);
-            block.attn.wv.set_policy(policy);
-            block.attn.wo.set_policy(policy);
-            block.mlp.w1.set_policy(policy);
-            block.mlp.w2.set_policy(policy);
-            block.mlp.w3.set_policy(policy);
+            let (a, m) = (&mut block.attn, &mut block.mlp);
+            for lin in [
+                &mut a.wq, &mut a.wk, &mut a.wv, &mut a.wo, &mut m.w1, &mut m.w2, &mut m.w3,
+            ] {
+                lin.set_policy(policy);
+            }
         }
         self.lm_head.set_policy(policy);
         self.kernel_policy = policy;
     }
 
+    /// Every projection the fused path multiplies by, LM head last.
+    fn projections(&self) -> impl Iterator<Item = &Linear> {
+        self.blocks
+            .iter()
+            .flat_map(|block| {
+                let (a, m) = (&block.attn, &block.mlp);
+                [&a.wq, &a.wk, &a.wv, &a.wo, &m.w1, &m.w2, &m.w3]
+            })
+            .chain([&self.lm_head])
+    }
+
     /// Build every projection's fused-path shadow now instead of on its
-    /// first fused forward (see [`Linear::prepack`]) — what a serving engine
-    /// calls before its first request.
+    /// first fused forward (see [`Linear::prepack`]: f32 panels or the int8
+    /// image, whichever the policy reads) — what a serving engine calls
+    /// before its first request.
     pub fn prepack(&self) {
-        for block in &self.blocks {
-            let (a, m) = (&block.attn, &block.mlp);
-            for lin in [&a.wq, &a.wk, &a.wv, &a.wo, &m.w1, &m.w2, &m.w3] {
-                lin.prepack();
-            }
-        }
-        self.lm_head.prepack();
+        self.projections().for_each(Linear::prepack);
+    }
+
+    /// Weight bytes one fused forward of one token streams under the
+    /// model's policy: `4 ·` weights under `F32`, codes + scales under
+    /// `Int8` (see [`Linear::streamed_bytes`]). A one-row forward costs the
+    /// bytes it streams, so the ratio of two models' figures is the cost
+    /// ratio `c` speculation's arithmetic wants — a parameter count
+    /// overstates an int8 draft's fourfold.
+    pub fn streamed_bytes(&self) -> usize {
+        self.projections().map(Linear::streamed_bytes).sum()
     }
 
     /// The kernel family the fused decode path currently runs.
@@ -511,8 +526,8 @@ impl Decoder {
     /// `mlp_norm.gain`, `w1`, `w2`, `w3`; `final_norm.gain`; `lm_head`.
     /// This is the update path optimizers use after `backward`. Every
     /// projection is reached through [`Linear::weights_mut`], so the visit
-    /// drops the packed panels (the next fused forward repacks the updated
-    /// weights) and panics under [`KernelPolicy::Int8`].
+    /// drops the f32 panels and the int8 images (the next fused forward
+    /// rebuilds what its policy reads from the updated weights).
     pub fn visit_params_mut(&mut self, f: &mut dyn FnMut(&str, &mut [f32])) {
         f("embed.table", &mut self.embed.table.data);
         for (l, block) in self.blocks.iter_mut().enumerate() {
@@ -782,6 +797,15 @@ mod tests {
         assert_eq!(ws_b.prof.calls(Op::Q8Vecmat), expect);
         assert!(ws_b.prof.pipeline_total_ns() >= ws_b.prof.total_ns(Op::Q8Vecmat));
 
+        // A multi-row block opens one span pair per projection, not one per
+        // row.
+        let mut block_logits = vec![0.0f32; 6 * vocab];
+        let mut cache_blk = q_model.new_cache();
+        q_model.forward_infer_ws(&tokens[..6], &mut cache_blk, &mut ws_b, &mut block_logits);
+        let expect = expect + 7 * q_model.cfg.n_layers as u64 + 1;
+        assert_eq!(ws_b.prof.calls(Op::Quantize), expect);
+        assert_eq!(ws_b.prof.calls(Op::Q8Vecmat), expect);
+
         // Steady state stays allocation-free on the int8 path too.
         let after_warmup = ws_b.fresh_allocs();
         for &tok in tokens.iter().rev().take(4) {
@@ -814,50 +838,70 @@ mod tests {
         logits
     }
 
-    /// `visit_params_mut` under `Int8` would leave every shadow stale; it
-    /// is refused at the first projection it reaches.
-    #[test]
-    #[should_panic(expected = "set_policy(KernelPolicy::F32)")]
-    fn linear_visit_params_mut_panics_on_an_int8_model() {
-        let mut model = Decoder::new(DecoderConfig::tiny(50), 0x18);
-        model.set_kernel_policy(KernelPolicy::Int8);
-        model.visit_params_mut(&mut |_, _| {});
+    /// Whether the shadow `policy` reads exists on the head and on a block
+    /// projection (`Some(both)`; `None` if they disagree).
+    fn shadow_built(m: &Decoder, policy: KernelPolicy) -> Option<bool> {
+        let built = |l: &Linear| match policy {
+            KernelPolicy::F32 => l.is_packed(),
+            KernelPolicy::Int8 => l.is_quantized(),
+        };
+        let (head, w2) = (built(&m.lm_head), built(&m.blocks[0].mlp.w2));
+        (head == w2).then_some(head)
     }
 
     /// An optimizer step between two fused forwards must not be served from
-    /// the panels packed for the first: after it the fused logits carry the
-    /// bits of a model that was never packed before the same step, and
-    /// still track the row-major `forward_full` oracle.
-    #[test]
-    fn linear_panels_follow_an_optimizer_step_between_fused_forwards() {
+    /// the shadow built for the first: after it the fused logits carry the
+    /// bits of a model that never built one before the same step, and still
+    /// track the row-major `forward_full` oracle (within `tol`).
+    fn shadow_follows_an_optimizer_step(policy: KernelPolicy, tol: f32) {
         let cfg = DecoderConfig::tiny(50);
         let tokens = [3u32, 14, 15, 9, 26, 5];
         let fused = |m: &Decoder| fused_logits(m, &tokens);
         let step = |m: &mut Decoder| {
             m.visit_params_mut(&mut |_, p| p.iter_mut().for_each(|w| *w = *w * 0.9 + 0.003));
         };
-        let mut trained = Decoder::new(cfg.clone(), 0x57A1E);
+        let born = |seed| {
+            let mut m = Decoder::new(cfg.clone(), seed);
+            m.set_kernel_policy(policy);
+            m
+        };
+        let mut trained = born(0x57A1E);
         let before = fused(&trained);
-        assert!(trained.lm_head.is_packed());
+        assert_eq!(shadow_built(&trained, policy), Some(true));
         step(&mut trained);
-        assert!(!trained.lm_head.is_packed() && !trained.blocks[0].mlp.w2.is_packed());
+        assert_eq!(shadow_built(&trained, policy), Some(false));
         let after = fused(&trained);
         assert_ne!(before, after);
 
-        let mut fresh = Decoder::new(cfg, 0x57A1E);
+        let mut fresh = born(0x57A1E);
         step(&mut fresh);
-        assert_eq!(after, fused(&fresh), "fused path served stale panels");
+        assert_eq!(after, fused(&fresh), "fused path served a stale shadow");
         let full = trained.forward_full(&tokens);
-        assert!(max_abs_diff(&after, &full.data) < 2e-3);
+        assert!(max_abs_diff(&after, &full.data) < tol);
     }
 
-    /// The first fused forward packs; when two threads make it at once on
-    /// one shared model, `OnceLock` lets one pack and both read the same
-    /// panels — identical logits, equal to a later single-threaded pass.
     #[test]
-    fn linear_first_fused_forward_from_two_threads_packs_once() {
+    fn linear_panels_follow_an_optimizer_step_between_fused_forwards() {
+        shadow_follows_an_optimizer_step(KernelPolicy::F32, 2e-3);
+    }
+
+    /// The int8 twin: a model born `Int8` trains through
+    /// `visit_params_mut` — no panic, no stale codes — and then serves the
+    /// bits of a model quantized fresh from the stepped weights.
+    #[test]
+    fn linear_int8_shadow_follows_an_optimizer_step_between_fused_forwards() {
+        shadow_follows_an_optimizer_step(KernelPolicy::Int8, 0.5);
+    }
+
+    /// The first fused forward builds the shadow; when two threads make it
+    /// at once on one shared model, `OnceLock` lets one build and both read
+    /// the same image — identical logits, equal to a later single-threaded
+    /// pass.
+    fn first_fused_forward_from_two_threads_builds_once(policy: KernelPolicy) {
         use std::sync::{Arc, Barrier};
-        let model = Arc::new(Decoder::new(DecoderConfig::tiny(50), 0x2ACE));
+        let mut model = Decoder::new(DecoderConfig::tiny(50), 0x2ACE);
+        model.set_kernel_policy(policy);
+        let model = Arc::new(model);
         let tokens = [7u32, 1, 19, 4, 4, 30, 2];
         let fused = |m: &Decoder| fused_logits(m, &tokens);
         let barrier = Barrier::new(2);
@@ -870,10 +914,20 @@ mod tests {
             let b = s.spawn(run);
             (a.join().unwrap(), b.join().unwrap())
         });
-        assert!(model.lm_head.is_packed());
+        assert_eq!(shadow_built(&model, policy), Some(true));
         let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&a), bits(&b));
         assert_eq!(bits(&a), bits(&fused(&model)));
+    }
+
+    #[test]
+    fn linear_first_fused_forward_from_two_threads_packs_once() {
+        first_fused_forward_from_two_threads_builds_once(KernelPolicy::F32);
+    }
+
+    #[test]
+    fn linear_first_int8_forward_from_two_threads_quantises_once() {
+        first_fused_forward_from_two_threads_builds_once(KernelPolicy::Int8);
     }
 
     /// Chain bit-identity: a branching-factor-1 "tree" (depths `0..t`, full

@@ -16,31 +16,36 @@ use std::sync::OnceLock;
 /// unit-stride access in the matmul kernels.
 ///
 /// The row-major `w` is the weight; the layer carries up to two **shadows**
-/// of it that only the fused forwards read:
+/// of it that only the fused forwards read, each built by the first fused
+/// forward that needs it (or by [`Linear::prepack`]) — inference weights are
+/// frozen, so building once buys every later pass its kernel's layout:
 ///
-/// * tile-major panels (`aasd_tensor::pack_panels`), built by the first
-///   fused f32 forward — inference weights are frozen, so packing once buys
-///   every later pass a contiguous walk;
-/// * under [`KernelPolicy::Int8`], a [`QuantLinear`] the `_ws` forwards run
-///   instead.
+/// * tile-major f32 panels (`aasd_tensor::pack_panels`), what the
+///   workspace-free forwards and the `_ws` forwards under
+///   [`KernelPolicy::F32`] run on;
+/// * a [`QuantLinear`] (int8 panels + scales), what the `_ws` forwards run
+///   on under [`KernelPolicy::Int8`].
 ///
 /// Both are images of `w`, so `w` is private and [`Linear::weights_mut`] is
-/// the one mutable door to it: it drops the panels and refuses to open
-/// while an int8 shadow is installed. The allocating reference paths
-/// ([`Linear::forward`], the training tapes) read `w` and neither shadow.
+/// the one mutable door to it: it drops both, whatever the policy, so a
+/// layer can be born `Int8`, trained and served without ever reading a
+/// stale image. The allocating reference paths ([`Linear::forward`], the
+/// training tapes) read `w` and neither shadow.
 #[derive(Debug, Clone)]
 pub struct Linear {
     w: Tensor,
+    policy: KernelPolicy,
     panels: OnceLock<Vec<f32>>,
-    quant: Option<QuantLinear>,
+    quant: OnceLock<QuantLinear>,
 }
 
 impl Linear {
     pub fn new(rng: &mut Rng, fan_in: usize, fan_out: usize) -> Self {
         Self {
             w: Tensor::xavier(rng, fan_in, fan_out),
+            policy: KernelPolicy::F32,
             panels: OnceLock::new(),
-            quant: None,
+            quant: OnceLock::new(),
         }
     }
 
@@ -50,52 +55,63 @@ impl Linear {
     }
 
     /// The weight's elements for an in-place update (an optimizer step, a
-    /// test's perturbation). Drops the packed panels — the next fused
-    /// forward repacks — and **fails closed on a live int8 shadow**, which
-    /// would otherwise keep serving the old weight.
-    ///
-    /// # Panics
-    /// Under [`KernelPolicy::Int8`]: switch to `F32` with
-    /// [`Linear::set_policy`] first and back afterwards to re-quantize.
+    /// test's perturbation). Drops both shadows — the next fused forward
+    /// repacks or requantizes the updated weight.
     pub fn weights_mut(&mut self) -> &mut [f32] {
-        assert!(
-            self.quant.is_none(),
-            "Linear::weights_mut under KernelPolicy::Int8 would leave a stale int8 shadow: \
-             call set_policy(KernelPolicy::F32) before mutating the weight and \
-             set_policy(KernelPolicy::Int8) after it"
-        );
         self.panels = OnceLock::new();
+        self.quant = OnceLock::new();
         &mut self.w.data
     }
 
-    /// Switch this layer's fused-path kernel family. `Int8` quantizes the
-    /// current weight once; `F32` drops the shadow.
+    /// Switch the kernel family the `_ws` forwards run. Builds nothing: the
+    /// policy's shadow appears on its first forward.
     pub fn set_policy(&mut self, policy: KernelPolicy) {
-        self.quant = match policy {
-            KernelPolicy::F32 => None,
-            KernelPolicy::Int8 => Some(QuantLinear::new(&self.w)),
-        };
+        self.policy = policy;
     }
 
-    /// Build now the shadow the fused forwards would otherwise build on
-    /// their first call (the panels; nothing under `Int8`, whose shadow
-    /// `set_policy` built), so that a serving engine's first request does
+    /// Build now the shadow the `_ws` forwards would otherwise build on
+    /// their first call — f32 panels under `F32`, the int8 image under
+    /// `Int8`, never both — so that a serving engine's first request does
     /// not pay for it.
     pub fn prepack(&self) {
-        if self.quant.is_none() {
-            self.panels();
+        match self.policy {
+            KernelPolicy::F32 => {
+                self.panels();
+            }
+            KernelPolicy::Int8 => {
+                self.quant();
+            }
         }
     }
 
-    /// Whether the panels exist right now (for tests of who builds and who
-    /// drops them).
+    /// Whether the f32 panels exist right now (for tests of who builds and
+    /// who drops them).
     pub fn is_packed(&self) -> bool {
         self.panels.get().is_some()
+    }
+
+    /// Whether the int8 shadow exists right now (likewise).
+    pub fn is_quantized(&self) -> bool {
+        self.quant.get().is_some()
+    }
+
+    /// Bytes one fused forward streams from this layer's weight under its
+    /// policy: `4·in·out` of f32, or `in·out` codes plus `4·out` of scales.
+    pub fn streamed_bytes(&self) -> usize {
+        let (k, n) = (self.w.rows, self.w.cols);
+        match self.policy {
+            KernelPolicy::F32 => 4 * k * n,
+            KernelPolicy::Int8 => k * n + 4 * n,
+        }
     }
 
     fn panels(&self) -> &[f32] {
         self.panels
             .get_or_init(|| pack_panels(&self.w.data, self.w.rows, self.w.cols))
+    }
+
+    fn quant(&self) -> &QuantLinear {
+        self.quant.get_or_init(|| QuantLinear::new(&self.w))
     }
 
     pub fn forward(&self, x: &Tensor) -> Tensor {
@@ -120,10 +136,9 @@ impl Linear {
         matmul_packed_acc_into(out, x, self.panels(), rows, self.w.rows, self.w.cols);
     }
 
-    /// Workspace-aware `out = x·W`: routes to the int8 kernels when a
-    /// quantized shadow is installed, the f32 kernels otherwise. The fused
-    /// decode path calls this so a single policy switch redirects every
-    /// projection.
+    /// Workspace-aware `out = x·W`: the int8 tile under
+    /// [`KernelPolicy::Int8`], the f32 tile otherwise. The fused decode path
+    /// calls this so a single policy switch redirects every projection.
     pub fn forward_rows_into_ws(
         &self,
         x: &[f32],
@@ -131,18 +146,18 @@ impl Linear {
         ws: &mut Workspace,
         out: &mut [f32],
     ) {
-        match &self.quant {
-            Some(q) => q.forward_rows_into(x, rows, ws, out),
-            None => self.forward_rows_into(x, rows, out),
+        match self.policy {
+            KernelPolicy::Int8 => self.quant().forward_rows_into(x, rows, ws, out),
+            KernelPolicy::F32 => self.forward_rows_into(x, rows, out),
         }
     }
 
     /// Workspace-aware `out += x·W` (residual-folded); see
     /// [`Linear::forward_rows_into_ws`].
     pub fn forward_rows_acc_ws(&self, x: &[f32], rows: usize, ws: &mut Workspace, out: &mut [f32]) {
-        match &self.quant {
-            Some(q) => q.forward_rows_acc(x, rows, ws, out),
-            None => self.forward_rows_acc(x, rows, out),
+        match self.policy {
+            KernelPolicy::Int8 => self.quant().forward_rows_acc(x, rows, ws, out),
+            KernelPolicy::F32 => self.forward_rows_acc(x, rows, out),
         }
     }
 }
@@ -388,6 +403,53 @@ mod tests {
         assert_eq!(fused(&lin), after, "training the clone reached its source");
     }
 
+    /// The int8 twin: `weights_mut` drops the int8 shadow as it drops the
+    /// panels, so an `Int8` layer can be updated in place — the next fused
+    /// forward requantizes (the bits of a layer quantized fresh from the
+    /// same weight) — and a clone taken after quantizing shares nothing.
+    #[test]
+    fn linear_weights_mut_drops_the_int8_shadow_and_clones_are_independent() {
+        let mut rng = Rng::new(0x9AE);
+        let (k, n, rows) = (24usize, 40usize, 3usize);
+        let mut lin = Linear::new(&mut rng, k, n);
+        lin.set_policy(KernelPolicy::Int8);
+        let x = Tensor::randn(&mut rng, rows, k, 1.0);
+        let fused = |l: &Linear| {
+            let mut out = vec![0.0f32; rows * n];
+            l.forward_rows_into_ws(&x.data, rows, &mut Workspace::new(), &mut out);
+            out
+        };
+        let never_quantized = lin.clone();
+        assert!(!lin.is_quantized());
+        let before = fused(&lin);
+        assert!(lin.is_quantized() && !lin.is_packed());
+        let quantized_clone = lin.clone();
+        assert!(quantized_clone.is_quantized() && !never_quantized.is_quantized());
+
+        let step = |l: &mut Linear| {
+            l.weights_mut()
+                .iter_mut()
+                .for_each(|w| *w = *w * 0.5 + 0.01)
+        };
+        step(&mut lin);
+        assert!(!lin.is_quantized(), "the update must drop the stale codes");
+        let after = fused(&lin);
+        assert_ne!(after, before);
+        let mut fresh = never_quantized;
+        step(&mut fresh);
+        assert_eq!(after, fused(&fresh), "fused path serves a stale weight");
+        for (a, r) in after.iter().zip(&lin.forward(&x).data) {
+            assert!((a - r).abs() < 0.05, "int8 drifted from the weight");
+        }
+
+        // The clone still holds — and serves — the old weight.
+        assert_eq!(fused(&quantized_clone), before);
+        let mut quantized_clone = quantized_clone;
+        step(&mut quantized_clone);
+        assert_eq!(fused(&quantized_clone), after);
+        assert_eq!(fused(&lin), after, "training the clone reached its source");
+    }
+
     /// `prepack` builds the shadow the layer's policy runs and no other.
     #[test]
     fn linear_prepack_builds_panels_only_under_f32() {
@@ -395,21 +457,22 @@ mod tests {
         let mut lin = Linear::new(&mut rng, 8, 16);
         lin.set_policy(KernelPolicy::Int8);
         lin.prepack();
+        assert!(lin.is_quantized());
         assert!(!lin.is_packed(), "int8 layers never read the panels");
         lin.set_policy(KernelPolicy::F32);
         lin.prepack();
         assert!(lin.is_packed());
     }
 
-    /// An int8 shadow cannot be refreshed from inside `weights_mut`'s
-    /// borrow, so mutation under `Int8` is refused, loudly.
+    /// What a fused forward streams: a quarter of the f32 bytes under
+    /// `Int8`, plus one scale per output.
     #[test]
-    #[should_panic(expected = "set_policy(KernelPolicy::F32)")]
-    fn linear_weights_mut_fails_closed_on_a_live_int8_shadow() {
-        let mut rng = Rng::new(0x9AE);
-        let mut lin = Linear::new(&mut rng, 8, 16);
+    fn linear_streamed_bytes_follow_the_policy() {
+        let mut rng = Rng::new(0x9AF);
+        let mut lin = Linear::new(&mut rng, 24, 40);
+        assert_eq!(lin.streamed_bytes(), 4 * 24 * 40);
         lin.set_policy(KernelPolicy::Int8);
-        lin.weights_mut()[0] = 1.0;
+        assert_eq!(lin.streamed_bytes(), 24 * 40 + 4 * 40);
     }
 
     #[test]

@@ -1,20 +1,22 @@
 //! Kernel policy selection and the int8 quantized linear layer.
 //!
 //! [`KernelPolicy`] is a per-model switch: under `F32` every projection
-//! runs the (SIMD-dispatched) f32 kernels; under `Int8` each `Linear`
-//! carries a pre-quantized [`QuantLinear`] shadow of its weight
-//! (quantize-once at policy-switch time) and the fused decode path streams
-//! i8 codes instead of f32 — 4× less weight traffic in the memory-bound
-//! decode regime the paper's speedups live in.
+//! runs the (SIMD-dispatched) f32 tile over the weight's packed panels;
+//! under `Int8` each `Linear` runs a [`QuantLinear`] image of its weight
+//! (quantized by the first fused forward, as the f32 panels are packed) and
+//! the fused decode path streams i8 codes instead of f32 — 4× less weight
+//! traffic in the memory-bound decode regime the paper's speedups live in.
 //!
-//! Batched-verify consistency: the quantized forward processes each row of
-//! a `t > 1` block through the identical per-row quantize + `vecmat_q8`
-//! sequence a `t = 1` step uses, so single-token decode and batched
-//! speculative verification produce bit-identical logits — the property
-//! that keeps spec≡AR losslessness intact under `Int8` (draft and target
-//! each stay self-consistent; they may even run different policies).
+//! Batched-verify consistency: the quantized forward quantizes every row of
+//! a `t > 1` block on its own (one scale per row) and the int8 tile's i32
+//! dots are exact, so a row gets the same bits at any `t` — single-token
+//! decode and batched speculative verification produce bit-identical
+//! logits, the property that keeps spec≡AR losslessness intact under an
+//! `Int8` *target*. A draft owes nobody that contract: greedy verification
+//! makes every stream lossless whatever the draft computes, which is why
+//! the standard draft runs `Int8` under an `F32` target.
 
-use aasd_tensor::quant::{quantize_row_i8, vecmat_q8_acc_into, QuantMatrix};
+use aasd_tensor::quant::{matmul_q8_acc_into, quantize_rows_i8, QuantMatrix};
 use aasd_tensor::{Op, Tensor, Workspace};
 
 /// Which kernel family a model's projections run.
@@ -24,8 +26,8 @@ pub enum KernelPolicy {
     /// weight's packed panels.
     #[default]
     F32,
-    /// int8 per-row absmax weights through the exact-i32 `vecmat_q8`
-    /// kernels (embeddings and norms stay f32).
+    /// int8 per-output absmax weights through the exact-i32 register tile,
+    /// over the weight's int8 panels (embeddings and norms stay f32).
     Int8,
 }
 
@@ -39,46 +41,44 @@ impl KernelPolicy {
     }
 }
 
-/// Int8 shadow of a `Linear` weight: the `[k_in, n_out]` matrix quantized
-/// per output row into the transposed, output-major [`QuantMatrix`] layout.
+/// Int8 image of a `Linear` weight: the `[k_in, n_out]` matrix quantized
+/// per output into [`QuantMatrix`]'s panel layout.
 #[derive(Debug, Clone)]
 pub struct QuantLinear {
     pub qm: QuantMatrix,
 }
 
 impl QuantLinear {
-    /// Quantize a `Linear` weight (stored `[in, out]`). One-time cost at
-    /// policy-switch; never runs in the decode loop.
+    /// Quantize a `Linear` weight (stored `[in, out]`). Never runs in the
+    /// decode loop: once per weight, on its first int8 forward.
     pub fn new(w: &Tensor) -> Self {
         Self {
             qm: QuantMatrix::from_kxn(&w.data, w.rows, w.cols),
         }
     }
 
-    /// `out = x·Ŵ` for `rows` row-vectors, drawing the activation-code
-    /// scratch from the workspace's i8 pool (zero-allocation in steady
-    /// state).
+    /// `out = x·Ŵ` for `rows` row-vectors, drawing the activation codes and
+    /// scales from the workspace's pools (zero-allocation in steady state).
     pub fn forward_rows_into(&self, x: &[f32], rows: usize, ws: &mut Workspace, out: &mut [f32]) {
         out.fill(0.0);
         self.forward_rows_acc(x, rows, ws, out);
     }
 
-    /// `out += x·Ŵ` — the residual-folded variant. Each row is quantized
-    /// and multiplied independently (identical math at any `rows`).
+    /// `out += x·Ŵ` — the residual-folded variant. All `rows` rows are
+    /// quantized once, each with its own scale, then one tile call
+    /// multiplies them (identical math at any `rows`).
     pub fn forward_rows_acc(&self, x: &[f32], rows: usize, ws: &mut Workspace, out: &mut [f32]) {
-        let (k, n) = (self.qm.cols, self.qm.rows);
-        assert_eq!(x.len(), rows * k, "input must be rows×k_in");
-        assert_eq!(out.len(), rows * n, "output must be rows×n_out");
-        let mut qx = ws.take_i8(k);
-        for r in 0..rows {
-            let span = ws.prof.begin();
-            let sx = quantize_row_i8(&x[r * k..(r + 1) * k], &mut qx);
-            ws.prof.end(span, Op::Quantize);
-            let span = ws.prof.begin();
-            vecmat_q8_acc_into(&mut out[r * n..(r + 1) * n], &qx, sx, &self.qm);
-            ws.prof.end(span, Op::Q8Vecmat);
-        }
+        let k = self.qm.k();
+        let mut qx = ws.take_i8(rows * k);
+        let mut sx = ws.take(rows);
+        let span = ws.prof.begin();
+        quantize_rows_i8(x, k, &mut qx, &mut sx);
+        ws.prof.end(span, Op::Quantize);
+        let span = ws.prof.begin();
+        matmul_q8_acc_into(out, &qx, &sx, &self.qm, rows);
+        ws.prof.end(span, Op::Q8Vecmat);
         ws.give_i8(qx);
+        ws.give(sx);
     }
 }
 

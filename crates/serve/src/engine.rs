@@ -404,6 +404,14 @@ pub struct Engine {
     work_cv: Arc<Condvar>,
 }
 
+/// The draft/target cost ratio `c` adaptive γ optimises against: a one-row
+/// forward costs the weight bytes it streams, and those depend on each
+/// model's kernel policy (an int8 draft streams a quarter of what its
+/// parameter count suggests).
+fn draft_cost_ratio(draft: &Decoder, target: &Decoder) -> f64 {
+    draft.streamed_bytes() as f64 / target.streamed_bytes() as f64
+}
+
 impl Engine {
     pub fn new(model: EngineModel, cfg: EngineConfig) -> Arc<Self> {
         assert!(cfg.slots >= 1, "engine needs at least one slot");
@@ -429,7 +437,8 @@ impl Engine {
         let target = model.target_lm();
         let draft = model.draft();
         // No request pays for packing: the first fused forward of a model
-        // would build its projections' panels, so build them here. (A vision
+        // would build the shadow its policy reads (f32 panels, or the int8
+        // image the standard draft runs on), so build them here. (A vision
         // tower and connector have none: they run the allocating row-major
         // `Linear::forward`, once per image.)
         target.prepack();
@@ -1046,7 +1055,7 @@ impl Engine {
         let adaptive = self
             .cfg
             .adaptive_gamma
-            .then(|| AdaptiveGamma::new(draft.n_params() as f64 / target.n_params() as f64));
+            .then(|| AdaptiveGamma::new(draft_cost_ratio(draft, target)));
         match self.cfg.speculation {
             Speculation::Chain => {
                 let mut session =
@@ -1219,9 +1228,16 @@ mod tests {
     };
 
     fn text_models() -> (Arc<Decoder>, Arc<Decoder>) {
+        text_models_with(KernelPolicy::F32)
+    }
+
+    /// An f32 target and a draft on `draft_policy`.
+    fn text_models_with(draft_policy: KernelPolicy) -> (Arc<Decoder>, Arc<Decoder>) {
+        let mut draft = Decoder::new(DecoderConfig::tiny(40), 20);
+        draft.set_kernel_policy(draft_policy);
         (
             Arc::new(Decoder::new(DecoderConfig::tiny(40), 10)),
-            Arc::new(Decoder::new(DecoderConfig::tiny(40), 20)),
+            Arc::new(draft),
         )
     }
 
@@ -1254,19 +1270,23 @@ mod tests {
     /// equal the AR reference; speculative stats must account for exactly
     /// the tokens served; every request must complete and every lease
     /// return to its pool. The chain at fixed γ must also reproduce the
-    /// one-shot fused loop's `SpecStats` (same γ choices).
+    /// one-shot fused loop's `SpecStats` (same γ choices). The target is
+    /// f32; the draft runs `draft_policy`.
     fn lossless_cell(
         speculation: Speculation,
         multimodal: bool,
         adaptive_gamma: bool,
         workers: usize,
+        draft_policy: KernelPolicy,
     ) {
         let prompts: [&[u32]; 5] = [&[3, 7, 1, 9], &[5, 2], &[8, 8, 8], &[3, 11, 25, 7], &[6]];
         let budgets = [24usize, 20, 21, 1, 2];
         let (gamma, image_seed) = (4usize, 5u64);
         let mut ws = Workspace::new();
-        let cell =
-            format!("{speculation:?} mm={multimodal} adaptive={adaptive_gamma} workers={workers}");
+        let cell = format!(
+            "{speculation:?} mm={multimodal} adaptive={adaptive_gamma} workers={workers} draft={}",
+            draft_policy.name()
+        );
         let cfg = EngineConfig {
             slots: 2,
             workers,
@@ -1277,7 +1297,7 @@ mod tests {
         // (AR reference, one-shot chain stats) per request.
         let mut want: Vec<(Vec<u32>, SpecStats)> = Vec::new();
         let engine = if multimodal {
-            let (engine, model, draft, projector) = mm_engine(cfg);
+            let (engine, model, draft, projector) = mm_engine_with(cfg, draft_policy);
             let vision = &model.cfg.vision;
             let img = Image::synthetic(
                 &mut Rng::new(image_seed),
@@ -1307,7 +1327,7 @@ mod tests {
             ));
             engine
         } else {
-            let (target, draft) = text_models();
+            let (target, draft) = text_models_with(draft_policy);
             for (p, &b) in prompts.iter().zip(&budgets) {
                 let ar = autoregressive_greedy_with_budget_ws(&target, p, b, &mut ws);
                 let (spec, stats) =
@@ -1315,7 +1335,7 @@ mod tests {
                 assert_eq!(spec, ar, "{cell}: one-shot loop is lossy");
                 want.push((ar, stats));
             }
-            text_engine_cfg(cfg)
+            Engine::new(EngineModel::Text { target, draft }, cfg)
         };
         let submit = |p: &[u32], max_new: usize, mode: DecodeMode| {
             let image_seed = multimodal.then_some(image_seed);
@@ -1365,13 +1385,22 @@ mod tests {
     }
 
     /// The engine losslessness matrix: {chain, tree, pipelined} × {text,
-    /// multimodal} × {fixed γ, adaptive γ}, each row at workers {1, 2}.
+    /// multimodal} × {fixed γ, adaptive γ}, each row at workers {1, 2} and
+    /// with the draft on either kernel policy under the f32 target.
     macro_rules! lossless_matrix {
         ($($name:ident: $speculation:ident, mm $mm:literal, adaptive $adaptive:literal;)*) => {$(
             #[test]
             fn $name() {
-                for workers in [1, 2] {
-                    lossless_cell(Speculation::$speculation, $mm, $adaptive, workers);
+                for draft_policy in [KernelPolicy::F32, KernelPolicy::Int8] {
+                    for workers in [1, 2] {
+                        lossless_cell(
+                            Speculation::$speculation,
+                            $mm,
+                            $adaptive,
+                            workers,
+                            draft_policy,
+                        );
+                    }
                 }
             }
         )*};
@@ -1414,33 +1443,64 @@ mod tests {
         assert_eq!(h.snapshot(), (Status::Done, want));
     }
 
-    /// No request pays for packing: `Engine::new` returns with the panels
-    /// of every f32 projection of target and draft built — and none for an
-    /// `Int8` model, whose fused path never reads them.
+    /// No request pays for packing: `Engine::new` returns with the shadow
+    /// each model's policy reads built on every projection of target and
+    /// draft — f32 panels under `F32`, the int8 image under `Int8` — and
+    /// never the other one: an int8 draft holds no f32 panels.
     #[test]
     fn engine_new_prepacks_target_and_draft() {
-        let (target, draft) = text_models();
-        let mut q_target = Decoder::clone(&target);
-        q_target.set_kernel_policy(KernelPolicy::Int8);
-        let q_target = Arc::new(q_target);
-        let packed = |m: &Decoder| {
+        // (f32 panels, int8 image) on the head and on a block projection.
+        let shadows = |m: &Decoder| {
             let b = &m.blocks[m.blocks.len() - 1];
-            (
-                m.lm_head.is_packed(),
-                b.attn.wq.is_packed(),
-                b.mlp.w2.is_packed(),
-            )
+            [&m.lm_head, &b.attn.wq, &b.mlp.w2].map(|l| (l.is_packed(), l.is_quantized()))
         };
-        assert_eq!(packed(&target), (false, false, false));
-        for (target, want) in [(&target, true), (&q_target, false)] {
+        for (target_policy, draft_policy) in [
+            (KernelPolicy::F32, KernelPolicy::Int8),
+            (KernelPolicy::Int8, KernelPolicy::F32),
+        ] {
+            let mut target = Decoder::new(DecoderConfig::tiny(40), 10);
+            target.set_kernel_policy(target_policy);
+            let (target, (_, draft)) = (Arc::new(target), text_models_with(draft_policy));
+            assert_eq!(shadows(&target), [(false, false); 3]);
+            assert_eq!(shadows(&draft), [(false, false); 3]);
             let model = EngineModel::Text {
-                target: Arc::clone(target),
+                target: Arc::clone(&target),
                 draft: Arc::clone(&draft),
             };
             let _engine = Engine::new(model, EngineConfig::default());
-            assert_eq!(packed(target), (want, want, want));
-            assert_eq!(packed(&draft), (true, true, true));
+            let want = |p| match p {
+                KernelPolicy::F32 => [(true, false); 3],
+                KernelPolicy::Int8 => [(false, true); 3],
+            };
+            assert_eq!(shadows(&target), want(target_policy));
+            assert_eq!(shadows(&draft), want(draft_policy));
         }
+    }
+
+    /// Adaptive γ's cost ratio is what the two models stream per token, not
+    /// a parameter count: an int8 draft reports about a quarter of its f32
+    /// twin's `c` under the same target, and at equal α̂ the controller then
+    /// picks a γ no shallower (deeper where the f32 figure was the binding
+    /// term).
+    #[test]
+    fn adaptive_gamma_cost_ratio_is_streamed_bytes() {
+        let (target, f32_draft) = text_models_with(KernelPolicy::F32);
+        let (_, int8_draft) = text_models_with(KernelPolicy::Int8);
+        let c_f32 = draft_cost_ratio(&f32_draft, &target);
+        let c_int8 = draft_cost_ratio(&int8_draft, &target);
+        assert_eq!(c_f32, 1.0, "same-shape f32 twins stream the same bytes");
+        assert!(
+            (0.25..0.30).contains(&(c_int8 / c_f32)),
+            "int8 draft must cost about a quarter: {c_int8} vs {c_f32}"
+        );
+        let mut deeper = 0;
+        for alpha in [0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
+            let g_f32 = AdaptiveGamma::with_prior(c_f32, 0.9, alpha).gamma_capped(usize::MAX);
+            let g_int8 = AdaptiveGamma::with_prior(c_int8, 0.9, alpha).gamma_capped(usize::MAX);
+            assert!(g_int8 >= g_f32, "α̂={alpha}: γ {g_int8} < {g_f32}");
+            deeper += usize::from(g_int8 > g_f32);
+        }
+        assert!(deeper > 0, "a 4× cheaper draft never speculated deeper");
     }
 
     /// More requests than slots: continuous batching must finish them all,
@@ -1754,10 +1814,20 @@ mod tests {
     fn mm_engine(
         cfg: EngineConfig,
     ) -> (Arc<Engine>, Arc<LlavaSim>, Arc<Decoder>, Arc<KvProjector>) {
+        mm_engine_with(cfg, aasd_mm::DRAFT_POLICY)
+    }
+
+    /// [`mm_engine`] with the standard draft moved to `draft_policy`.
+    fn mm_engine_with(
+        cfg: EngineConfig,
+        draft_policy: KernelPolicy,
+    ) -> (Arc<Engine>, Arc<LlavaSim>, Arc<Decoder>, Arc<KvProjector>) {
         use aasd_mm::{draft_for, LlavaSimConfig};
         let sim = LlavaSimConfig::tiny(40, 96);
         let model = Arc::new(LlavaSim::new(sim.clone(), 0xB0));
-        let draft = Arc::new(draft_for(&sim, 0xB1));
+        let mut draft = draft_for(&sim, 0xB1);
+        draft.set_kernel_policy(draft_policy);
+        let draft = Arc::new(draft);
         let projector = Arc::new(KvProjector::new(
             0xB2,
             draft.cfg.n_layers,

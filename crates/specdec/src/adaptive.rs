@@ -59,12 +59,6 @@ impl AdaptiveGamma {
         }
     }
 
-    /// Convenience: cost ratio from parameter counts of the two models.
-    pub fn from_param_counts(draft_params: usize, target_params: usize) -> Self {
-        assert!(draft_params > 0 && target_params > 0);
-        Self::new(draft_params as f64 / target_params as f64)
-    }
-
     /// Current acceptance-rate estimate.
     #[inline]
     pub fn alpha_hat(&self) -> f64 {

@@ -13,8 +13,9 @@
 //!   the hot-path primitives (`AASD_KERNEL=scalar|avx2` overrides, any
 //!   other value is a hard error; bitwise-stable vecmat and matmul across
 //!   tiers);
-//! * [`quant`] — int8 per-row absmax weight quantization and the exact
-//!   i32-accumulating `vecmat_q8` kernels;
+//! * [`quant`] — int8 per-output absmax weight quantization into int8
+//!   panels and the exact i32-accumulating register tile over them
+//!   ([`matmul_q8_into`]);
 //! * [`rng`] — deterministic SplitMix64 RNG (std-only `rand` stand-in);
 //! * [`workspace`] — the grow-once scratch arena behind the
 //!   zero-allocation fused decode path;
@@ -40,7 +41,9 @@ pub use ops::{
     softmax_rows,
 };
 pub use profile::{Op, ProfSpan, Profiler};
-pub use quant::{quantize_row_i8, vecmat_q8_acc_into, vecmat_q8_into, QuantMatrix};
+pub use quant::{
+    matmul_q8_acc_into, matmul_q8_into, quantize_row_i8, quantize_rows_i8, QuantMatrix,
+};
 pub use rng::Rng;
 pub use simd::{
     backend, best_supported, pack_panels, rms_norm_row_into, set_backend, silu_mul, Backend,

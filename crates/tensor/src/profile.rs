@@ -32,13 +32,14 @@ pub enum Op {
     Mlp = 6,
     /// Final logits projection.
     LmHead = 7,
-    /// Per-call activation quantization on the int8 path. **Nested** inside
-    /// the enclosing projection span (`Qkv`/`OProj`/`Mlp`/`LmHead`), so its
+    /// Activation quantization on the int8 path: one span per projection
+    /// call, covering all of the call's rows. **Nested** inside the
+    /// enclosing projection span (`Qkv`/`OProj`/`Mlp`/`LmHead`), so its
     /// time is also counted there — compare against
     /// [`Profiler::pipeline_total_ns`], not add to it.
     Quantize = 8,
-    /// int8 vecmat (`Σ qx·qw` + scale) on the int8 path. Nested like
-    /// [`Op::Quantize`].
+    /// The int8 tile (`Σ qx·qw` + scale) on the int8 path, one span per
+    /// projection call at any row count. Nested like [`Op::Quantize`].
     Q8Vecmat = 9,
 }
 

@@ -27,8 +27,11 @@
 //! every call in one process uses the same backend, which is the property
 //! spec≡AR losslessness rests on.
 //!
-//! The int8 kernel ([`dot_i8_with`]) accumulates in `i32`, which is exact
-//! and associative, so scalar and AVX2 agree **exactly**.
+//! The int8 kernels accumulate in `i32`, which is exact and associative, so
+//! the int8 register tile (`matmul_q8_tile`, over int8 panels — see
+//! [`crate::quant`]) is bit-identical on both tiers, at every row count and
+//! under any tiling, to the scalar dot loop [`dot_i8_with`] that tests hold
+//! it to.
 //!
 //! There is no hand-written 128-bit tier: rustc already vectorises the
 //! scalar kernels with the x86_64 baseline's 4-lane instructions, and a tier
@@ -1264,109 +1267,285 @@ pub fn dot_i8_with(bk: Backend, a: &[i8], b: &[i8]) -> i32 {
     }
 }
 
-/// Whole-matrix quantized matvec: `y[r] += (qx · qs[r·k..]) · sx·scales[r]`
-/// for every output row `r`. One dispatch per linear layer instead of one
-/// per output row, with four interleaved accumulator chains so the
-/// widened activation chunk is reused across rows. The i32 accumulation is
-/// exact and associative, so blocking cannot change any result — every
-/// tier stays bit-for-bit equal to a loop of [`dot_i8_with`] calls.
-pub fn vecmat_q8_acc_kernel(
+/// Output columns per int8 panel: two 8-lane i32 accumulators.
+pub(crate) const Q8_COLS: usize = 16;
+
+/// Consecutive `k` per column inside a panel: the four bytes that one i32
+/// lane's `maddubs` + `madd` pair sums.
+pub(crate) const Q8_GROUP: usize = 4;
+
+/// Codes in one `k` group of one panel: 64 bytes, a pair of 256-bit vectors.
+const Q8_GROUP_BYTES: usize = Q8_COLS * Q8_GROUP;
+
+/// Bytes of the int8 panel image of a `k × n` code matrix.
+pub(crate) fn q8_panels_len(k: usize, n: usize) -> usize {
+    n.div_ceil(Q8_COLS) * k.div_ceil(Q8_GROUP) * Q8_GROUP_BYTES
+}
+
+/// Where code `(kk, j)` of a `k × n` matrix lives in its **int8 panels**:
+/// panel `j / 16` holds 16 output columns as `⌈k/4⌉` groups of 64 bytes, a
+/// group holds 4 consecutive `k` of each of its columns side by side —
+/// `[n/16][k/4][16][4]`, zero-padded in both directions. One group is a pair
+/// of vectors whose every i32 lane is a 4-term slice of one column's dot.
+#[inline]
+pub(crate) fn q8_panel_index(k: usize, kk: usize, j: usize) -> usize {
+    let group = j / Q8_COLS * k.div_ceil(Q8_GROUP) + kk / Q8_GROUP;
+    group * Q8_GROUP_BYTES + j % Q8_COLS * Q8_GROUP + kk % Q8_GROUP
+}
+
+/// `C += (Â·Ŵ)` dequantized: the int8 register tile. `qa` holds `m` rows of
+/// `k` activation codes with one scale each in `sa`; `panels` / `scales` are
+/// the `k × n` weight codes in the [`q8_panel_index`] layout and their
+/// per-column scales. Element `(i, j)` gains `dot as f32 * (sa[i] *
+/// scales[j])` where `dot = Σ qa[i,kk]·qw[kk,j]` in i32 — exact, hence the
+/// same integer under any tiling, `k` order or lane width: every tier, at
+/// every `m`, has the bits of a loop of [`dot_i8_with`] calls.
+///
+/// Codes must lie in `[-127, 127]` (what [`quantize_row_i8_with`] emits):
+/// the AVX2 tile forms `|a|·(±w)` byte products and sums pairs in i16,
+/// which holds `2·127·127` but not a pair involving `-128`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn matmul_q8_acc_with(
     bk: Backend,
-    y: &mut [f32],
-    qx: &[i8],
-    sx: f32,
-    qs: &[i8],
+    c: &mut [f32],
+    qa: &[i8],
+    sa: &[f32],
+    panels: &[i8],
     scales: &[f32],
+    m: usize,
     k: usize,
+    n: usize,
 ) {
-    let n = y.len();
-    assert_eq!(qx.len(), k, "activation length must equal k_in");
-    assert_eq!(scales.len(), n, "one scale per output row");
-    assert_eq!(qs.len(), n * k, "codes must be n_out rows of k_in");
+    assert_eq!(qa.len(), m * k, "A codes must be m×k");
+    assert_eq!(sa.len(), m, "one scale per row of A");
+    assert_eq!(panels.len(), q8_panels_len(k, n), "B must be packed k×n");
+    assert_eq!(scales.len(), n, "one scale per column of B");
+    assert_eq!(c.len(), m * n, "C must be m×n");
+    if k == 0 {
+        return;
+    }
     match bk {
+        // SAFETY: as in `matmul_acc_with`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { vecmat_q8_acc_avx2(y, qx, sx, qs, scales, k) },
-        _ => {
-            for (r, yv) in y.iter_mut().enumerate() {
-                let acc = dot_i8_scalar(qx, &qs[r * k..(r + 1) * k]);
-                *yv += acc as f32 * (sx * scales[r]);
+        Backend::Avx2 => unsafe { matmul_q8_acc_avx2(c, qa, sa, panels, scales, m, k, n) },
+        _ => matmul_q8_acc_tiled::<false>(c, qa, sa, panels, scales, m, k, n),
+    }
+}
+
+/// # Safety
+/// The host must support AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+#[allow(clippy::too_many_arguments)]
+unsafe fn matmul_q8_acc_avx2(
+    c: &mut [f32],
+    qa: &[i8],
+    sa: &[f32],
+    panels: &[i8],
+    scales: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    matmul_q8_acc_tiled::<true>(c, qa, sa, panels, scales, m, k, n)
+}
+
+/// The int8 loop nest, one source for both tiers (`#[inline(always)]`: it
+/// is compiled with the caller's target features). Panels are the outer
+/// loop, so a panel (`k × 16` bytes) stays in L1 while every row tile passes
+/// over it; rows split over tiles as in [`matmul_strip`].
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_q8_acc_tiled<const AVX2: bool>(
+    c: &mut [f32],
+    qa: &[i8],
+    sa: &[f32],
+    panels: &[i8],
+    scales: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    let panel_len = k.div_ceil(Q8_GROUP) * Q8_GROUP_BYTES;
+    let strips = panels.chunks_exact(panel_len).zip(scales.chunks(Q8_COLS));
+    for (p, (panel, sw)) in strips.enumerate() {
+        let j0 = p * Q8_COLS;
+        let mut tiles = m.div_ceil(TILE_ROWS);
+        let mut i0 = 0;
+        while i0 < m {
+            let mr = (m - i0).div_ceil(tiles);
+            let c_t = &mut c[i0 * n + j0..];
+            let (a_t, sa_t) = (&qa[i0 * k..(i0 + mr) * k], &sa[i0..i0 + mr]);
+            match mr {
+                1 => matmul_q8_tile::<1, AVX2>(c_t, n, a_t, sa_t, k, panel, sw),
+                2 => matmul_q8_tile::<2, AVX2>(c_t, n, a_t, sa_t, k, panel, sw),
+                3 => matmul_q8_tile::<3, AVX2>(c_t, n, a_t, sa_t, k, panel, sw),
+                4 => matmul_q8_tile::<4, AVX2>(c_t, n, a_t, sa_t, k, panel, sw),
+                5 => matmul_q8_tile::<5, AVX2>(c_t, n, a_t, sa_t, k, panel, sw),
+                _ => matmul_q8_tile::<TILE_ROWS, AVX2>(c_t, n, a_t, sa_t, k, panel, sw),
+            }
+            i0 += mr;
+            tiles -= 1;
+        }
+    }
+}
+
+/// `MR` rows against one panel: the integer dots, then the one f32 step
+/// every tier shares — `c += dot as f32 * (sa · sw)`, multiply, multiply,
+/// add, never fused — over the panel's `sw.len() ≤ 16` real columns (`c`
+/// starts at the tile's first element, rows `n` apart).
+#[inline(always)]
+fn matmul_q8_tile<const MR: usize, const AVX2: bool>(
+    c: &mut [f32],
+    n: usize,
+    qa: &[i8],
+    sa: &[f32],
+    k: usize,
+    panel: &[i8],
+    sw: &[f32],
+) {
+    assert_eq!(qa.len(), MR * k);
+    assert_eq!(sa.len(), MR);
+    assert_eq!(panel.len(), k.div_ceil(Q8_GROUP) * Q8_GROUP_BYTES);
+    assert!(c.len() >= (MR - 1) * n + sw.len());
+    #[cfg(target_arch = "x86_64")]
+    if AVX2 {
+        // SAFETY: `AVX2` is true only under `matmul_q8_acc_avx2`, whose
+        // caller vouched for the host; the lengths asserted above are the
+        // ones the kernel's reads and writes stay inside.
+        return unsafe { q8_tile_avx2::<MR>(c, n, qa, sa, k, panel, sw) };
+    }
+    let dots = q8_dots_scalar::<MR>(qa, k, panel);
+    for (r, (dots_r, &sx)) in dots.iter().zip(sa).enumerate() {
+        q8_scale_acc(&mut c[r * n..][..sw.len()], dots_r, sx, sw);
+    }
+}
+
+/// The dequantizing step: `c[j] += dot[j] as f32 * (sx · sw[j])`.
+#[inline(always)]
+fn q8_scale_acc(c: &mut [f32], dots: &[i32], sx: f32, sw: &[f32]) {
+    for ((cv, &dot), &s) in c.iter_mut().zip(dots).zip(sw) {
+        *cv += dot as f32 * (sx * s);
+    }
+}
+
+/// Scalar-tier dots of `MR` activation rows against one panel: plain i32
+/// loops over the same groups the AVX2 kernel reads.
+#[inline(always)]
+fn q8_dots_scalar<const MR: usize>(qa: &[i8], k: usize, panel: &[i8]) -> [[i32; Q8_COLS]; MR] {
+    let mut acc = [[0i32; Q8_COLS]; MR];
+    for (g, group) in panel.chunks_exact(Q8_GROUP_BYTES).enumerate() {
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            // The last group of a row whose `k` is no multiple of 4 meets
+            // the panel's zero padding with zeros of its own.
+            let mut x = [0i32; Q8_GROUP];
+            let rest = &qa[r * k + g * Q8_GROUP..(r + 1) * k];
+            for (xv, &q) in x.iter_mut().zip(rest) {
+                *xv = q as i32;
+            }
+            for (a, w) in acc_r.iter_mut().zip(group.chunks_exact(Q8_GROUP)) {
+                for (xv, &wv) in x.iter().zip(w) {
+                    *a += xv * wv as i32;
+                }
             }
         }
     }
+    acc
 }
 
+/// The AVX2 tile. Per group: the panel's two vectors are loaded once and
+/// shared by all rows; a row broadcasts its 4 codes to every lane,
+/// `sign_epi8` moves the activation's sign onto the weights so that
+/// `maddubs_epi16(|x|, ±w)` sees an unsigned left operand, and
+/// `madd_epi16(·, 1)` widens the i16 pair sums into the row's two i32
+/// accumulators. No step can saturate for codes in `[-127, 127]` (an i16
+/// pair sum is at most `2·127·127 = 32 258`), so the lanes hold the exact
+/// dots. A whole panel is then dequantized from the registers with
+/// [`q8_scale_acc`]'s three operations, lane for lane; the last, narrower
+/// one goes through that function itself.
+///
+/// # Safety
+/// The host must support AVX2, `qa.len() == MR·k`, `sa.len() == MR`,
+/// `panel.len() == ⌈k/4⌉·64`, `sw.len() ≤ 16` and `c` must hold `sw.len()`
+/// elements at each of the offsets `0, n, …, (MR − 1)·n`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn vecmat_q8_acc_avx2(
-    y: &mut [f32],
-    qx: &[i8],
-    sx: f32,
-    qs: &[i8],
-    scales: &[f32],
+#[inline]
+unsafe fn q8_tile_avx2<const MR: usize>(
+    c: &mut [f32],
+    n: usize,
+    qa: &[i8],
+    sa: &[f32],
     k: usize,
+    panel: &[i8],
+    sw: &[f32],
 ) {
-    let n = y.len();
-    let xp = qx.as_ptr();
-    let wp = qs.as_ptr();
-    let mut r = 0usize;
-    while r + 4 <= n {
-        let w0 = wp.add(r * k);
-        let w1 = wp.add((r + 1) * k);
-        let w2 = wp.add((r + 2) * k);
-        let w3 = wp.add((r + 3) * k);
-        let mut a0 = _mm256_setzero_si256();
-        let mut a1 = _mm256_setzero_si256();
-        let mut a2 = _mm256_setzero_si256();
-        let mut a3 = _mm256_setzero_si256();
-        let mut i = 0usize;
-        while i + 16 <= k {
-            // Widen the activation chunk once, reuse it for all four rows.
-            let vx = _mm256_cvtepi8_epi16(_mm_loadu_si128(xp.add(i) as *const __m128i));
-            let v0 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w0.add(i) as *const __m128i));
-            let v1 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w1.add(i) as *const __m128i));
-            let v2 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w2.add(i) as *const __m128i));
-            let v3 = _mm256_cvtepi8_epi16(_mm_loadu_si128(w3.add(i) as *const __m128i));
-            a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(vx, v0));
-            a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(vx, v1));
-            a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(vx, v2));
-            a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(vx, v3));
-            i += 16;
+    let ones = _mm256_set1_epi16(1);
+    let mut acc = [[_mm256_setzero_si256(); 2]; MR];
+    let (ap, wp) = (qa.as_ptr(), panel.as_ptr());
+    let full = k / Q8_GROUP;
+    for g in 0..full {
+        let w0 = _mm256_loadu_si256(wp.add(g * Q8_GROUP_BYTES) as *const __m256i);
+        let w1 = _mm256_loadu_si256(wp.add(g * Q8_GROUP_BYTES + 32) as *const __m256i);
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let x = (ap.add(r * k + g * Q8_GROUP) as *const i32).read_unaligned();
+            q8_group_avx2(acc_r, _mm256_set1_epi32(x), w0, w1, ones);
         }
-        let mut t = [
-            hsum256_epi32(a0),
-            hsum256_epi32(a1),
-            hsum256_epi32(a2),
-            hsum256_epi32(a3),
-        ];
-        while i < k {
-            let xv = *xp.add(i) as i32;
-            t[0] += xv * *w0.add(i) as i32;
-            t[1] += xv * *w1.add(i) as i32;
-            t[2] += xv * *w2.add(i) as i32;
-            t[3] += xv * *w3.add(i) as i32;
-            i += 1;
-        }
-        for (off, tot) in t.into_iter().enumerate() {
-            y[r + off] += tot as f32 * (sx * scales[r + off]);
-        }
-        r += 4;
     }
-    while r < n {
-        let acc = dot_i8_avx2(qx, std::slice::from_raw_parts(wp.add(r * k), k));
-        y[r] += acc as f32 * (sx * scales[r]);
-        r += 1;
+    if !k.is_multiple_of(Q8_GROUP) {
+        // The last group of a row whose `k` is no multiple of 4 meets the
+        // panel's zero padding with zeros of its own.
+        let w0 = _mm256_loadu_si256(wp.add(full * Q8_GROUP_BYTES) as *const __m256i);
+        let w1 = _mm256_loadu_si256(wp.add(full * Q8_GROUP_BYTES + 32) as *const __m256i);
+        for (r, acc_r) in acc.iter_mut().enumerate() {
+            let mut x = [0u8; Q8_GROUP];
+            for (xv, &q) in x.iter_mut().zip(&qa[r * k + full * Q8_GROUP..(r + 1) * k]) {
+                *xv = q as u8;
+            }
+            let x = _mm256_set1_epi32(i32::from_ne_bytes(x));
+            q8_group_avx2(acc_r, x, w0, w1, ones);
+        }
+    }
+    if sw.len() == Q8_COLS {
+        let (s0, s1) = (
+            _mm256_loadu_ps(sw.as_ptr()),
+            _mm256_loadu_ps(sw.as_ptr().add(8)),
+        );
+        for (r, (acc_r, &sx)) in acc.iter().zip(sa).enumerate() {
+            let (sx, cp) = (_mm256_set1_ps(sx), c.as_mut_ptr().add(r * n));
+            for (h, (&dots, s)) in acc_r.iter().zip([s0, s1]).enumerate() {
+                let cp = cp.add(8 * h);
+                let term = _mm256_mul_ps(_mm256_cvtepi32_ps(dots), _mm256_mul_ps(sx, s));
+                _mm256_storeu_ps(cp, _mm256_add_ps(_mm256_loadu_ps(cp), term));
+            }
+        }
+    } else {
+        for (r, (acc_r, &sx)) in acc.iter().zip(sa).enumerate() {
+            let mut dots = [0i32; Q8_COLS];
+            _mm256_storeu_si256(dots.as_mut_ptr() as *mut __m256i, acc_r[0]);
+            _mm256_storeu_si256(dots.as_mut_ptr().add(8) as *mut __m256i, acc_r[1]);
+            q8_scale_acc(&mut c[r * n..][..sw.len()], &dots, sx, sw);
+        }
     }
 }
 
+/// One row's step over one group: `acc += x · w` for the 4 broadcast codes
+/// in `x` against the 16 columns in `w0 ‖ w1`.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn hsum256_epi32(v: __m256i) -> i32 {
-    let lo = _mm256_castsi256_si128(v);
-    let hi = _mm256_extracti128_si256(v, 1);
-    let s = _mm_add_epi32(lo, hi);
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0000_1110));
-    let s = _mm_add_epi32(s, _mm_shuffle_epi32(s, 0b0000_0001));
-    _mm_cvtsi128_si32(s)
+#[inline]
+unsafe fn q8_group_avx2(
+    acc: &mut [__m256i; 2],
+    x: __m256i,
+    w0: __m256i,
+    w1: __m256i,
+    ones: __m256i,
+) {
+    let ax = _mm256_abs_epi8(x);
+    let p0 = _mm256_maddubs_epi16(ax, _mm256_sign_epi8(w0, x));
+    let p1 = _mm256_maddubs_epi16(ax, _mm256_sign_epi8(w1, x));
+    acc[0] = _mm256_add_epi32(acc[0], _mm256_madd_epi16(p0, ones));
+    acc[1] = _mm256_add_epi32(acc[1], _mm256_madd_epi16(p1, ones));
 }
 
 fn dot_i8_scalar(a: &[i8], b: &[i8]) -> i32 {

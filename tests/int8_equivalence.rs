@@ -51,6 +51,50 @@ fn int8_logit_drift_is_bounded() {
     assert!(drift < 0.25, "int8 logit drift {drift} exceeds error model");
 }
 
+/// An `Int8` target's tiled `(γ+1)`-row verify must reproduce its own
+/// one-row decode steps bit for bit — logits and the K/V rows it leaves in
+/// the cache — at every block size the sessions run (the 2-row refeed, the
+/// 6-row verify, a 7-row prefill that splits 4 + 3 over two tiles). Every
+/// row is quantized with its own scale and the tile's i32 dots are exact,
+/// so this holds by arithmetic, on every tier.
+#[test]
+fn int8_tiled_verify_equals_one_row_steps_bitwise() {
+    let mut q_model = model(0x71E, 48);
+    q_model.set_kernel_policy(KernelPolicy::Int8);
+    let vocab = q_model.cfg.vocab;
+    let mut rng = Rng::new(0xB10C);
+    let prefix: Vec<u32> = (0..9).map(|_| rng.below(48) as u32).collect();
+    let mut ws = Workspace::new();
+    let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for rows in [2usize, 6, 7] {
+        let block: Vec<u32> = (0..rows).map(|_| rng.below(48) as u32).collect();
+        let (mut tiled, mut stepped) = (q_model.new_cache(), q_model.new_cache());
+        let mut scratch = vec![0.0f32; prefix.len() * vocab];
+        q_model.forward_infer_ws(&prefix, &mut tiled, &mut ws, &mut scratch);
+        q_model.forward_infer_ws(&prefix, &mut stepped, &mut ws, &mut scratch);
+
+        let mut block_logits = vec![0.0f32; rows * vocab];
+        q_model.forward_infer_ws(&block, &mut tiled, &mut ws, &mut block_logits);
+        let mut step_logits = vec![0.0f32; rows * vocab];
+        for (tok, row) in block.iter().zip(step_logits.chunks_mut(vocab)) {
+            q_model.forward_infer_ws(&[*tok], &mut stepped, &mut ws, row);
+        }
+        assert_eq!(bits(&block_logits), bits(&step_logits), "rows={rows}");
+        assert_eq!(tiled.len(), stepped.len());
+        for l in 0..q_model.cfg.n_layers {
+            for p in 0..tiled.len() {
+                let (a, b) = (tiled.layer(l), stepped.layer(l));
+                assert_eq!(bits(a.key(p)), bits(b.key(p)), "rows={rows} K[{l}][{p}]");
+                assert_eq!(
+                    bits(a.value(p)),
+                    bits(b.value(p)),
+                    "rows={rows} V[{l}][{p}]"
+                );
+            }
+        }
+    }
+}
+
 /// Text sessions: speculative decoding on an `Int8` target must be
 /// token-identical to autoregressive decoding on the same `Int8` target —
 /// for every draft policy (the draft's kernels cannot affect losslessness,
@@ -92,8 +136,8 @@ fn spec_equals_ar_under_int8_multimodal() {
     let mut mm_model = LlavaSim::new(cfg.clone(), 0x178);
     mm_model.set_kernel_policy(KernelPolicy::Int8);
     assert_eq!(mm_model.kernel_policy(), KernelPolicy::Int8);
-    let mut draft = draft_for(&cfg, 0xBEE);
-    draft.set_kernel_policy(KernelPolicy::Int8);
+    let draft = draft_for(&cfg, 0xBEE);
+    assert_eq!(draft.kernel_policy(), KernelPolicy::Int8);
     let proj = KvProjector::new(
         0xC0,
         draft.cfg.n_layers,

@@ -25,6 +25,7 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aasd::nn::{Decoder, DecoderConfig, KernelPolicy};
+use aasd::specdec::SpecSession;
 use aasd::tensor::Workspace;
 
 struct CountingAlloc;
@@ -120,7 +121,8 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
     // per-call activation-quantization scratch comes from the workspace's
     // i8 pool, so after its own warm-up the quantized step is equally
     // allocation-free. (The clone carries the f32 panels along; the int8
-    // projections never read them.)
+    // projections never read them, and quantize their own image on the
+    // first forward — inside the warm-up, like the packing above.)
     let mut q_model = model.clone();
     q_model.set_kernel_policy(KernelPolicy::Int8);
     let mut q_cache = q_model.new_cache();
@@ -130,6 +132,7 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
         tok = aasd::tensor::argmax(&logits) as u32;
     }
 
+    assert!(q_model.lm_head.is_quantized() && q_model.blocks[0].mlp.w2.is_quantized());
     let before = ALLOC_CALLS.load(Ordering::Relaxed);
     let pool_before = ws.fresh_allocs();
     for _ in 0..32 {
@@ -145,4 +148,53 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
         after - before
     );
     assert_eq!(ws.fresh_allocs(), pool_before, "int8 workspace pool grew");
+    // Phase 3: the configuration the system serves — an f32 target verifying
+    // an int8 draft's proposals. A speculative block runs one-row draft
+    // steps, a two-row draft refeed after a fully accepted block and a
+    // (γ+1)-row verify; the draft's activation codes for `rows × k` and its
+    // per-row scales come from the workspace pools, so the steady state of
+    // whole blocks allocates nothing. The int8 twin of the target is the
+    // draft: it agrees often enough that both draft shapes occur.
+    let gamma = 5;
+    let (target, draft) = (&model, &q_model);
+    let (mut t_cache, mut d_cache) = (target.new_cache(), draft.new_cache());
+    target.forward_infer_ws(&prompt, &mut t_cache, &mut ws, &mut prefill);
+    draft.forward_infer_ws(&prompt, &mut d_cache, &mut ws, &mut prefill);
+    let pending = aasd::tensor::argmax(&prefill[(prompt.len() - 1) * target.cfg.vocab..]) as u32;
+    let mut session = SpecSession::new(target, draft, &t_cache, &d_cache, pending, 120, gamma);
+    let mut block = |session: &mut SpecSession, ws: &mut Workspace| {
+        session.step_block(target, draft, &mut t_cache, &mut d_cache, ws)
+    };
+    for _ in 0..4 {
+        block(&mut session, &mut ws);
+    }
+
+    let before = ALLOC_CALLS.load(Ordering::Relaxed);
+    let pool_before = ws.fresh_allocs();
+    let blocks_before = session.stats().blocks;
+    for _ in 0..10 {
+        assert!(
+            !block(&mut session, &mut ws).done,
+            "window ran into the budget"
+        );
+    }
+    let after = ALLOC_CALLS.load(Ordering::Relaxed);
+
+    let stats = session.stats();
+    assert_eq!(stats.blocks - blocks_before, 10);
+    assert!(
+        0 < stats.accepted && stats.accepted < stats.drafted,
+        "window must see accepts and rejections: {stats:?}"
+    );
+    assert_eq!(
+        after - before,
+        0,
+        "steady-state speculative blocks hit the allocator {} times",
+        after - before
+    );
+    assert_eq!(
+        ws.fresh_allocs(),
+        pool_before,
+        "speculative workspace pool grew"
+    );
 }
