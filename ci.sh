@@ -31,7 +31,9 @@ if [[ "${1:-}" != "--quick" ]]; then
     # any dispatch tier: run the suites pinned to the scalar reference and
     # again on the host's best backend, so a bug that only reproduces under
     # one tier cannot slip through on a machine where the other is the
-    # default.
+    # default. The scalar leg is the slower one: its f32 kernels call the
+    # runtime's `fmaf` once per term (`f32::mul_add` without `fma` enabled),
+    # ≈ 38 → 42 s on the 2-vCPU box since PR 25 (EXPERIMENTS.md § PR 25).
     for tier in scalar default; do
         (
             if [[ $tier != default ]]; then export AASD_KERNEL=$tier; fi
@@ -49,10 +51,13 @@ if [[ "${1:-}" != "--quick" ]]; then
         AASD_THREADS=$t cargo test -q --release -p aasd-specdec spsc_stress_hash_chain_with_rollbacks
     done
 
-    echo "==> tile gate: f32 tile bitwise ≡ row-by-row vecmat in both weight layouts, int8 tile bitwise ≡ the scalar dot loop, on every tier, as the release build compiles them"
+    echo "==> tile gate: f32 tile bitwise ≡ row-by-row vecmat ≡ naive loop in both weight layouts with one rounding per term, int8 tile bitwise ≡ the scalar dot loop, on every tier, as the release build compiles them"
     # The register-tiled matmul must give every row the bits of the vecmat
     # kernel, on every tier, over the row-major matrix and over the packed
-    # panels `Linear` runs on, or verify stops reproducing decode; the int8
+    # panels `Linear` runs on, or verify stops reproducing decode; each term
+    # must be one fused multiply-add (`tile_rounds_once_per_term_on_every_
+    # tier`), which agreement alone cannot show — every path regressing to
+    # multiply-then-add together would still agree; the int8
     # tile (`tile_q8_*`) must give every output the exact i32 dot at every
     # row count, or an int8 target's verify does. The suite
     # drives each supported tier through the explicit-backend entry; it runs
@@ -88,14 +93,16 @@ if [[ "${1:-}" != "--quick" ]]; then
     # drafted / accepted between two from-scratch rounds. That compares one
     # binary with itself, so a kernel or layout bug that moves bits the same
     # way every time passes it: on the avx2 tier (the counts depend on the
-    # tier's exp) they are also pinned to the values the int8 draft under the
-    # f32 target gives (PR 22 re-based them from 862 / 4005 / 2162, which the
-    # f32 draft had reproduced since the benchmark landed).
+    # tier's exp) they are also pinned to the values the fused-multiply-add
+    # f32 tile gives the f32 target and the draft's f32 training (PR 25
+    # re-based them from 863 / 4008 / 2161, the multiply-then-add tile's
+    # counts under PR 22's int8 draft; PR 22 from 862 / 4005 / 2162, which
+    # the f32 draft had reproduced since the benchmark landed).
     counts=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload solo-decode --seed 1 --seconds 3 --check-counts)
     echo "$counts"
     if grep -q "kernel_backend=avx2" <<<"$counts"; then
-        pinned="blocks: 863, drafted: 4008, accepted: 2161"
+        pinned="blocks: 874, drafted: 4056, accepted: 2150"
         if [[ $(grep -c "$pinned" <<<"$counts") -ne 2 ]]; then
             echo "solo-decode seed 1 no longer gives { $pinned } on both runs" >&2
             exit 1

@@ -4,14 +4,17 @@
 //!    cost(1) of one projection at the four real weight shapes (Sim7B /
 //!    Sim13B × `dim×dim`, `dim×ff_hidden`) on the public row-major kernels.
 //!    Speculative decoding pays when a γ+1-row verify costs about one 1-row
-//!    decode step; this is that ratio, kernel only. rows = 1 is
-//!    `vecmat_into`, rows > 1 the tiled `matmul_blocked_into`.
+//!    decode step; this is that ratio, kernel only. Every row count, one
+//!    included, is the tiled `matmul_blocked_into` — the tile `Linear` runs
+//!    at every row count; `vecmat_into` at rows = 1 is a labelled extra
+//!    line, not the ratio's base.
 //! 2. **The footprint sweep** (ROADMAP 1(d), out-of-L2 end): one pass over
 //!    the *whole* LM weight set of Sim7B (2.0 MB) and Sim13B (7.4 MB) at
-//!    rows ∈ {1, 6, 32}, row-major (what section 1 times) against the
-//!    tile-major panels `Linear` runs on. A single L2-resident matrix hides
-//!    what the stride of a row-major strip costs once the weights no longer
-//!    fit; this is where the two layouts part.
+//!    rows ∈ {1, 2, 6, 32}, row-major (what section 1 times) against the
+//!    tile-major panels `Linear` runs on, plus `vecmat_into` at rows = 1. A
+//!    single L2-resident matrix hides what the stride of a row-major strip
+//!    costs once the weights no longer fit; this is where the two layouts
+//!    part.
 //! 3. **The int8 tile** (ROADMAP 3(a)): one pass over the whole weight set
 //!    of each Sim target and of its *draft* (2 layers, `ff = dim` — what
 //!    `draft_for_depth` builds and every speculative block sweeps γ times)
@@ -74,22 +77,27 @@ fn rows_curve() {
         let mut one = 0.0;
         for m in ROWS {
             let (us, cov) = min_cov_us(31, 16, || {
-                if m == 1 {
-                    vecmat_into(&mut y[..n], &x[..k], &w, k, n);
-                } else {
-                    matmul_blocked_into(&mut y[..m * n], &x[..m * k], &w, m, k, n);
-                }
+                matmul_blocked_into(&mut y[..m * n], &x[..m * k], &w, m, k, n);
                 black_box(&mut y);
             });
             if m == 1 {
                 one = us;
             }
             println!(
-                "  rows {m:>2}: {us:>8.2} us (CoV {cov:.3})  x{:>5.2} of rows 1  {:>5.2} MAC/ns",
+                "  rows {m:>2}       : {us:>8.2} us (CoV {cov:.3})  x{:>5.2} of rows 1  {:>5.2} MAC/ns",
                 us / one,
                 (m * k * n) as f64 / (us * 1e3)
             );
         }
+        let (us, cov) = min_cov_us(31, 16, || {
+            vecmat_into(&mut y[..n], &x[..k], &w, k, n);
+            black_box(&mut y);
+        });
+        println!(
+            "  rows  1 vecmat: {us:>8.2} us (CoV {cov:.3})  x{:>5.2} of rows 1  {:>5.2} MAC/ns",
+            us / one,
+            (k * n) as f64 / (us * 1e3)
+        );
         println!();
     }
 }
@@ -146,7 +154,7 @@ fn footprint_sweep() {
             weights.len(),
             (macs * 4) as f64 / 1e6
         );
-        for m in [1usize, 6, 32] {
+        for m in [1usize, 2, 6, 32] {
             let line = |label: &str, us: f64, cov: f64| {
                 println!(
                     "  rows {m:>2} {label:<9}: {us:>8.1} us (CoV {cov:.3})  {:>5.2} MAC/ns  {:>5.1} GB/s of weights",
@@ -156,11 +164,7 @@ fn footprint_sweep() {
             };
             let (us, cov) = min_cov_us(15, 4, || {
                 for (k, n, w) in &weights {
-                    if m == 1 {
-                        vecmat_into(&mut y[..*n], &x[..*k], w, *k, *n);
-                    } else {
-                        matmul_blocked_into(&mut y[..m * n], &x[..m * k], w, m, *k, *n);
-                    }
+                    matmul_blocked_into(&mut y[..m * n], &x[..m * k], w, m, *k, *n);
                 }
                 black_box(&mut y);
             });
@@ -172,6 +176,15 @@ fn footprint_sweep() {
                 black_box(&mut y);
             });
             line("packed", us, cov);
+            if m == 1 {
+                let (us, cov) = min_cov_us(15, 4, || {
+                    for (k, n, w) in &weights {
+                        vecmat_into(&mut y[..*n], &x[..*k], w, *k, *n);
+                    }
+                    black_box(&mut y);
+                });
+                line("vecmat", us, cov);
+            }
         }
         println!();
     }

@@ -121,8 +121,8 @@ impl Linear {
     /// `out = x·W` for `rows` row-vectors of `fan_in` floats, no allocation
     /// once the panels exist. One kernel at every row count — the register
     /// tile over the packed weight, where up to six rows share every weight
-    /// load — computing each output as `acc = acc + x[kk]·W[kk, j]` for
-    /// `kk = 0, 1, 2, …` (multiply-then-add, nothing skipped; see
+    /// load — computing each output as `acc = fma(x[kk], W[kk, j], acc)`
+    /// for `kk = 0, 1, 2, …` (one rounding per term, nothing skipped; see
     /// `aasd_tensor::matmul`), so a row gets the same bits whatever block
     /// it is part of — a verify pass reproduces the decode steps it
     /// replaces — and the bits [`Linear::forward`] gives it.

@@ -33,8 +33,8 @@ pub mod workspace;
 
 pub use matmul::{
     hardware_threads, matmul_blocked_acc_into, matmul_blocked_into, matmul_naive_into,
-    matmul_packed_acc_into, matmul_packed_into, matmul_parallel_into, matvec_into,
-    threads_from_env, vecmat_acc_into, vecmat_into,
+    matmul_packed_acc_into, matmul_packed_into, matmul_parallel_into, threads_from_env,
+    vecmat_acc_into, vecmat_into,
 };
 pub use ops::{
     add_assign, argmax, axpy, dot, log_softmax_row, log_softmax_rows, silu, softmax_row,

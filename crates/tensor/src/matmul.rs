@@ -21,16 +21,19 @@
 //! * [`vecmat_into`] / [`vecmat_acc_into`] — the one-row kernel over a
 //!   row-major matrix: the per-row reference of the k-order contract.
 //!
-//! **k-order contract.** Every kernel but the naive one computes each
-//! output element as `acc = acc + a[i,kk]·b[kk,j]` for `kk = 0, 1, 2, …`
-//! in that order, starting from `+0.0` (`_into`) or from the value already
-//! in `C` (`_acc`): one multiply, one add, never fused, never reassociated,
-//! no term skipped. The tile shape, the SIMD width, the split of rows
-//! across tiles or threads and the layout `B` is stored in only decide
-//! *which* elements are computed together and where their operands live,
-//! so a row of a multi-row product is bit-identical to [`vecmat_into`] on
-//! that row, on every [`crate::Backend`] and in either layout — the property
-//! that lets a speculative verify pass reproduce single-token decoding.
+//! **k-order contract.** Every kernel here, the naive one included,
+//! computes each output element as `acc = fma(a[i,kk], b[kk,j], acc)` for
+//! `kk = 0, 1, 2, …` in that order, starting from `+0.0` (`_into`) or from
+//! the value already in `C` (`_acc`): one fused multiply-add per term —
+//! one rounding, never a separate multiply and add — never reassociated, no
+//! term skipped. A fused multiply-add is correctly rounded on every tier
+//! (`vfmadd` under AVX2 + FMA, `f32::mul_add` on the scalar tier), so the
+//! tile shape, the SIMD width, the split of rows across tiles or threads
+//! and the layout `B` is stored in only decide *which* elements are
+//! computed together and where their operands live: a row of a multi-row
+//! product is bit-identical to [`vecmat_into`] on that row, on every
+//! [`crate::Backend`] and in either layout — the property that lets a
+//! speculative verify pass reproduce single-token decoding.
 
 #[inline]
 fn check_dims(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
@@ -40,14 +43,15 @@ fn check_dims(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
 }
 
 /// Reference kernel: straightforward `i,j,k` loops with a strided walk down
-/// each column of `B`. O(mkn) with no regard for locality.
+/// each column of `B`. O(mkn) with no regard for locality; same k-order
+/// contract as the tiled kernels, so it matches them bit for bit.
 pub fn matmul_naive_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
     check_dims(a, b, c, m, k, n);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0f32;
             for kk in 0..k {
-                acc += a[i * k + kk] * b[kk * n + j];
+                acc = a[i * k + kk].mul_add(b[kk * n + j], acc);
             }
             c[i * n + j] = acc;
         }
@@ -139,30 +143,15 @@ pub fn matmul_parallel_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: us
     });
 }
 
-/// Matrix–vector product `y = A·x` (`A: m×k`, `x: k`). The incremental
-/// decode path is a chain of these; it is memory-bound (one pass over `A`).
-pub fn matvec_into(y: &mut [f32], a: &[f32], x: &[f32], m: usize, k: usize) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(x.len(), k);
-    assert_eq!(y.len(), m);
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &a[i * k..(i + 1) * k];
-        let mut acc = 0.0f32;
-        for (av, xv) in row.iter().zip(x.iter()) {
-            acc += *av * *xv;
-        }
-        *yi = acc;
-    }
-}
-
 /// Row-vector–matrix product `y = x·W` (`x: k`, `W: k×n` row-major). The
 /// product is a sum of scaled rows of `W`, so the kernel is a
-/// 4-way-unrolled axpy sweep (SIMD-dispatched across the output dimension;
-/// see [`crate::simd`]): four weight rows stream per pass, quartering the
-/// load/store traffic on `y` that dominates this memory-bound shape.
-/// Accumulation order over `kk` is the multi-row kernel's (the module's
-/// k-order contract) on every backend, so it is the reference every row of
-/// a multi-row product — row-major or packed — is pinned to, bit for bit.
+/// 4-way-unrolled sweep of fused multiply-adds (SIMD-dispatched across the
+/// output dimension; see [`crate::simd`]): four weight rows stream per
+/// pass, quartering the load/store traffic on `y`. Accumulation over `kk`
+/// is the multi-row kernel's (the module's k-order contract: one `fma` per
+/// term, `kk` ascending) on every backend, so it is the reference every row
+/// of a multi-row product — row-major or packed — is pinned to, bit for
+/// bit. `Linear` runs the tile, not this, at every row count.
 pub fn vecmat_into(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
     y.fill(0.0);
     vecmat_acc_into(y, x, w, k, n);
@@ -328,18 +317,5 @@ mod tests {
         assert_eq!(threads_from_env(None, 4), 4);
         // The fallback itself is clamped too.
         assert_eq!(threads_from_env(None, 0), 1);
-    }
-
-    #[test]
-    fn matvec_matches_matmul() {
-        let mut rng = Rng::new(11);
-        let (m, k) = (37, 53);
-        let a = random_mat(&mut rng, m * k);
-        let x = random_mat(&mut rng, k);
-        let mut y = vec![0.0; m];
-        let mut y_ref = vec![0.0; m];
-        matvec_into(&mut y, &a, &x, m, k);
-        matmul_naive_into(&mut y_ref, &a, &x, m, k, 1);
-        assert!(max_abs_diff(&y, &y_ref) < 1e-4);
     }
 }

@@ -9,23 +9,28 @@
 //!
 //! Determinism contract: the f32 `vecmat` kernels and the multi-row tile
 //! (`matmul_tile`) vectorize across the *output* dimension and give every
-//! output element the scalar kernel's sequence over `k` — `acc = acc +
-//! a·b` for `k = 0, 1, 2, …`, multiply-then-add, never FMA, no term skipped
-//! — so both backends produce bit-identical vecmat and matmul results, and
-//! a row of a multi-row product is bit-identical to the vecmat of that row:
-//! switching backends cannot move a logit relative to the scalar reference,
-//! and a row gets the same bits in a block of any size. The tile is one
-//! generic source compiled plainly (scalar tier: 6 rows × 8 columns) and
-//! under `avx2` (6 × 16), over `B` stored row-major or as tile-major panels
-//! ([`pack_panels`]); its shape and the layout change which elements share
-//! a register and where an operand is loaded from, never an element's
-//! arithmetic.
+//! output element the scalar kernel's sequence over `k` — `acc = fma(a, b,
+//! acc)` for `k = 0, 1, 2, …`, one fused multiply-add per term (one
+//! rounding, never a separate multiply and add), no term skipped — so both
+//! backends produce bit-identical vecmat and matmul results, and a row of a
+//! multi-row product is bit-identical to the vecmat of that row: switching
+//! backends cannot move a logit relative to the scalar reference, and a row
+//! gets the same bits in a block of any size. A fused multiply-add is
+//! correctly rounded wherever it runs — `vfmadd` on the avx2 tier (compiled
+//! `avx2,fma`, selected only on hosts reporting both), `f32::mul_add` on
+//! the scalar tier — so the tiers agree as long as the k-order does. The
+//! tile is one generic source compiled plainly (scalar tier: 6 rows × 8
+//! columns) and under `avx2,fma` (6 × 16), over `B` stored row-major or as
+//! tile-major panels ([`pack_panels`]); its shape and the layout change
+//! which elements share a register and where an operand is loaded from,
+//! never an element's arithmetic.
 //!
-//! Reductions ([`dot_with`], [`sum_squares_with`]) and transcendentals
-//! ([`softmax_row_with`], [`silu_mul_with`], which use a lane-parallel
-//! polynomial `exp`) are only approximately equal *across* backends — but
-//! every call in one process uses the same backend, which is the property
-//! spec≡AR losslessness rests on.
+//! Reductions ([`dot_with`], [`sum_squares_with`]), the attention kernels
+//! and transcendentals ([`softmax_row_with`], [`silu_mul_with`], which use a
+//! lane-parallel polynomial `exp`) stay multiply-then-add and are only
+//! approximately equal *across* backends — but every call in one process
+//! uses the same backend, which is the property spec≡AR losslessness rests
+//! on.
 //!
 //! The int8 kernels accumulate in `i32`, which is exact and associative, so
 //! the int8 register tile (`matmul_q8_tile`, over int8 panels — see
@@ -47,7 +52,8 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum Backend {
     /// Portable scalar reference (always supported).
     Scalar,
-    /// 8-lane `__m256` kernels (runtime-detected).
+    /// 8-lane `__m256` kernels with fused multiply-add (runtime-detected:
+    /// needs both `avx2` and `fma`).
     Avx2,
 }
 
@@ -74,19 +80,7 @@ impl Backend {
 
     /// Whether the host CPU can run this backend.
     pub fn is_supported(self) -> bool {
-        match self {
-            Backend::Scalar => true,
-            Backend::Avx2 => {
-                #[cfg(target_arch = "x86_64")]
-                {
-                    std::arch::is_x86_feature_detected!("avx2")
-                }
-                #[cfg(not(target_arch = "x86_64"))]
-                {
-                    false
-                }
-            }
-        }
+        HostFeatures::detect().runs(self)
     }
 
     fn code(self) -> u8 {
@@ -105,28 +99,71 @@ impl Backend {
     }
 }
 
+/// The CPU features the tiers are compiled for, as a host reports them.
+#[derive(Debug, Clone, Copy)]
+struct HostFeatures {
+    avx2: bool,
+    fma: bool,
+}
+
+impl HostFeatures {
+    fn detect() -> HostFeatures {
+        #[cfg(target_arch = "x86_64")]
+        {
+            HostFeatures {
+                avx2: std::arch::is_x86_feature_detected!("avx2"),
+                fma: std::arch::is_x86_feature_detected!("fma"),
+            }
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        {
+            HostFeatures {
+                avx2: false,
+                fma: false,
+            }
+        }
+    }
+
+    /// Whether these features run `b`. The avx2 tier's kernels are compiled
+    /// `avx2,fma` — its f32 tile and vecmat are `vfmadd` — so a host that
+    /// reports AVX2 without FMA (some VMs mask it) must not select it: it
+    /// would die of SIGILL on the first projection. Pure so the rule is
+    /// unit-testable on any host.
+    fn runs(self, b: Backend) -> bool {
+        match b {
+            Backend::Scalar => true,
+            Backend::Avx2 => self.avx2 && self.fma,
+        }
+    }
+
+    /// The fastest backend these features run.
+    fn best(self) -> Backend {
+        if self.runs(Backend::Avx2) {
+            Backend::Avx2
+        } else {
+            Backend::Scalar
+        }
+    }
+}
+
 /// 0 = not yet selected; otherwise `Backend::code`.
 static ACTIVE: AtomicU8 = AtomicU8::new(0);
 
 /// The fastest backend the host supports.
 pub fn best_supported() -> Backend {
-    if Backend::Avx2.is_supported() {
-        Backend::Avx2
-    } else {
-        Backend::Scalar
-    }
+    HostFeatures::detect().best()
 }
 
-/// The backend an `AASD_KERNEL` value selects: the host's best when unset,
-/// the named tier when it exists and the host supports it, an error
-/// otherwise. Pure so the rule is unit-testable despite the process-wide
-/// selection cached behind [`backend`].
-fn backend_from_env(raw: Option<&str>) -> Result<Backend, String> {
+/// The backend an `AASD_KERNEL` value selects on a host with `host`'s
+/// features: the host's best when unset, the named tier when it exists and
+/// the host runs it, an error otherwise. Pure so the rule is unit-testable
+/// despite the process-wide selection cached behind [`backend`].
+fn backend_from_env(raw: Option<&str>, host: HostFeatures) -> Result<Backend, String> {
     let Some(raw) = raw else {
-        return Ok(best_supported());
+        return Ok(host.best());
     };
     match Backend::from_name(raw) {
-        Some(b) if b.is_supported() => Ok(b),
+        Some(b) if host.runs(b) => Ok(b),
         Some(b) => Err(format!(
             "AASD_KERNEL={}: backend not supported on this host",
             b.name()
@@ -155,7 +192,8 @@ pub fn backend() -> Backend {
 #[cold]
 fn select_backend() -> Backend {
     let raw = std::env::var("AASD_KERNEL").ok();
-    let b = backend_from_env(raw.as_deref()).unwrap_or_else(|e| panic!("{e}"));
+    let b =
+        backend_from_env(raw.as_deref(), HostFeatures::detect()).unwrap_or_else(|e| panic!("{e}"));
     ACTIVE.store(b.code(), Ordering::Relaxed);
     b
 }
@@ -218,6 +256,8 @@ pub fn vecmat_acc_into_with(bk: Backend, y: &mut [f32], x: &[f32], w: &[f32], k:
     assert_eq!(w.len(), k * n, "W must be k×n");
     assert_eq!(y.len(), n, "y must have n entries");
     match bk {
+        // SAFETY: the lengths are asserted above; callers pass a tier the
+        // host supports, as in `matmul_acc_with`.
         #[cfg(target_arch = "x86_64")]
         Backend::Avx2 => unsafe { vecmat_acc_avx2(y, x, w, k, n) },
         _ => vecmat_acc_scalar(y, x, w, k, n),
@@ -303,9 +343,9 @@ pub(crate) fn matmul_packed_acc_with(
 }
 
 /// # Safety
-/// The host must support AVX2.
+/// The host must support AVX2 and FMA.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn matmul_acc_avx2<const PACKED: bool>(
     c: &mut [f32],
     a: &[f32],
@@ -372,7 +412,7 @@ fn matmul_strip<const NR: usize, const PACKED: bool>(
     };
     // Rows split evenly over the fewest tiles (7 → 4 + 3, not 6 + 1): a
     // one- or two-row tile has too few independent accumulators to hide the
-    // add latency.
+    // multiply-add latency.
     let mut tiles = m.div_ceil(TILE_ROWS);
     let mut i0 = 0;
     while i0 < m {
@@ -397,10 +437,11 @@ fn matmul_strip<const NR: usize, const PACKED: bool>(
 /// loads one `B` vector — `b[off + kk·stride ..][..w]`, which is `(j0, n)`
 /// addressing on a row-major matrix and `(panel start, 16)` on a packed one
 /// — shared by all `MR` rows, and broadcasts one `A` value per row. Every
-/// element accumulates `acc = acc + a·b` for `kk = 0, 1, 2, …` —
-/// multiply-then-add, never fused, no data-dependent skip — which is the
-/// vecmat kernels' per-element sequence. Lanes `w..NR` of a partial strip
-/// multiply zeros and are never stored.
+/// element accumulates `acc = fma(a, b, acc)` for `kk = 0, 1, 2, …` — one
+/// rounding per term, no data-dependent skip — which is the vecmat kernels'
+/// per-element sequence; under `avx2,fma` the `mul_add` is a `vfmadd`, on
+/// the scalar tier the same correctly rounded result from libm. Lanes
+/// `w..NR` of a partial strip multiply zeros and are never stored.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_tile<const MR: usize, const NR: usize>(
@@ -431,7 +472,7 @@ fn matmul_tile<const MR: usize, const NR: usize>(
             // (asserted above).
             let av = unsafe { *a.get_unchecked(r * k + kk) };
             for (cv, bj) in acc_r.iter_mut().zip(bv) {
-                *cv += av * bj;
+                *cv = av.mul_add(bj, *cv);
             }
         }
     }
@@ -487,9 +528,8 @@ fn vecmat_acc_scalar(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
             .zip(w2.iter())
             .zip(w3.iter())
         {
-            // Left-associated adds: the same rounding sequence as four
-            // separate axpy passes (what the blocked kernel performs).
-            *yv = *yv + a0 * *v0 + a1 * *v1 + a2 * *v2 + a3 * *v3;
+            // Four fused steps, k ascending: the tile's per-element sequence.
+            *yv = a3.mul_add(*v3, a2.mul_add(*v2, a1.mul_add(*v1, a0.mul_add(*v0, *yv))));
         }
         kk += 4;
     }
@@ -497,7 +537,7 @@ fn vecmat_acc_scalar(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
         let a = x[kk];
         let w_row = &w[kk * n..kk * n + n];
         for (yv, wv) in y.iter_mut().zip(w_row.iter()) {
-            *yv += a * *wv;
+            *yv = a.mul_add(*wv, *yv);
         }
         kk += 1;
     }
@@ -528,8 +568,11 @@ fn sum_squares_scalar(x: &[f32]) -> f32 {
     acc
 }
 
+/// # Safety
+/// The host must support AVX2 and FMA; `x`, `w`, `y` hold `k`, `k·n`, `n`
+/// floats.
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
+#[target_feature(enable = "avx2,fma")]
 unsafe fn vecmat_acc_avx2(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
     let yp = y.as_mut_ptr();
     let mut kk = 0usize;
@@ -545,19 +588,21 @@ unsafe fn vecmat_acc_avx2(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usiz
         let va3 = _mm256_set1_ps(a3);
         let mut j = 0usize;
         while j + 8 <= n {
-            // Per-element op order matches the scalar kernel: mul-then-add
-            // per k, left-associated. No FMA — it would change rounding.
+            // Per-element op order matches the scalar kernel: one fused
+            // multiply-add per k, k ascending.
             let mut acc = _mm256_loadu_ps(yp.add(j));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va0, _mm256_loadu_ps(w0.add(j))));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va1, _mm256_loadu_ps(w1.add(j))));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va2, _mm256_loadu_ps(w2.add(j))));
-            acc = _mm256_add_ps(acc, _mm256_mul_ps(va3, _mm256_loadu_ps(w3.add(j))));
+            acc = _mm256_fmadd_ps(va0, _mm256_loadu_ps(w0.add(j)), acc);
+            acc = _mm256_fmadd_ps(va1, _mm256_loadu_ps(w1.add(j)), acc);
+            acc = _mm256_fmadd_ps(va2, _mm256_loadu_ps(w2.add(j)), acc);
+            acc = _mm256_fmadd_ps(va3, _mm256_loadu_ps(w3.add(j)), acc);
             _mm256_storeu_ps(yp.add(j), acc);
             j += 8;
         }
         while j < n {
-            *yp.add(j) =
-                *yp.add(j) + a0 * *w0.add(j) + a1 * *w1.add(j) + a2 * *w2.add(j) + a3 * *w3.add(j);
+            let acc = a0.mul_add(*w0.add(j), *yp.add(j));
+            let acc = a1.mul_add(*w1.add(j), acc);
+            let acc = a2.mul_add(*w2.add(j), acc);
+            *yp.add(j) = a3.mul_add(*w3.add(j), acc);
             j += 1;
         }
         kk += 4;
@@ -568,15 +613,12 @@ unsafe fn vecmat_acc_avx2(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usiz
         let wr = w[kk * n..].as_ptr();
         let mut j = 0usize;
         while j + 8 <= n {
-            let acc = _mm256_add_ps(
-                _mm256_loadu_ps(yp.add(j)),
-                _mm256_mul_ps(va, _mm256_loadu_ps(wr.add(j))),
-            );
+            let acc = _mm256_fmadd_ps(va, _mm256_loadu_ps(wr.add(j)), _mm256_loadu_ps(yp.add(j)));
             _mm256_storeu_ps(yp.add(j), acc);
             j += 8;
         }
         while j < n {
-            *yp.add(j) += a * *wr.add(j);
+            *yp.add(j) = a.mul_add(*wr.add(j), *yp.add(j));
             j += 1;
         }
         kk += 1;
@@ -1622,17 +1664,37 @@ mod tests {
     /// silent fall-through to another tier.
     #[test]
     fn backend_from_env_fails_closed() {
-        assert_eq!(backend_from_env(None), Ok(best_supported()));
-        assert_eq!(backend_from_env(Some("scalar")), Ok(Backend::Scalar));
-        let avx2 = backend_from_env(Some("AVX2 "));
+        let host = HostFeatures::detect();
+        assert_eq!(backend_from_env(None, host), Ok(best_supported()));
+        assert_eq!(backend_from_env(Some("scalar"), host), Ok(Backend::Scalar));
+        let avx2 = backend_from_env(Some("AVX2 "), host);
         if Backend::Avx2.is_supported() {
             assert_eq!(avx2, Ok(Backend::Avx2));
         } else {
             assert!(avx2.unwrap_err().contains("not supported"));
         }
         for bad in ["sse2", "scalr", "", "avx2,scalar"] {
-            let err = backend_from_env(Some(bad)).unwrap_err();
+            let err = backend_from_env(Some(bad), host).unwrap_err();
             assert!(err.contains("unknown backend"), "{bad:?}: {err}");
+        }
+    }
+
+    /// The avx2 tier is compiled `avx2,fma`, so a host needs both: one that
+    /// reports AVX2 without FMA gets the scalar tier by default, and a
+    /// forced `AASD_KERNEL=avx2` on it fails closed instead of dying of
+    /// SIGILL on the first `vfmadd`.
+    #[test]
+    fn avx2_tier_requires_fma() {
+        let feats = |avx2, fma| HostFeatures { avx2, fma };
+        assert_eq!(feats(true, true).best(), Backend::Avx2);
+        for (avx2, fma) in [(true, false), (false, true), (false, false)] {
+            let host = feats(avx2, fma);
+            assert!(!host.runs(Backend::Avx2), "avx2={avx2} fma={fma}");
+            assert!(host.runs(Backend::Scalar));
+            assert_eq!(host.best(), Backend::Scalar);
+            assert_eq!(backend_from_env(None, host), Ok(Backend::Scalar));
+            let err = backend_from_env(Some("avx2"), host).unwrap_err();
+            assert_eq!(err, "AASD_KERNEL=avx2: backend not supported on this host");
         }
     }
 
@@ -1686,9 +1748,10 @@ mod tests {
     /// head's width and the Sim7B / Sim13B projections, the tiled kernel is
     /// **bitwise** the row-by-row vecmat of that tier — over the row-major
     /// matrix and over its packed panels, `_into` and `_acc` forms — and
-    /// every tier is bitwise the scalar tier. (The two largest Sim shapes
-    /// take the row counts the decoder runs plus the tile-split edges
-    /// instead of all 33: a debug build spends 50 ns per MAC here.)
+    /// every tier is bitwise the scalar tier, which in the `_into` form is
+    /// bitwise the naive triple loop. (The two largest Sim shapes take the
+    /// row counts the decoder runs plus the tile-split edges instead of all
+    /// 33: a debug build spends 50 ns per MAC here.)
     #[test]
     fn tile_bitwise_equals_rowwise_vecmat_on_every_tier() {
         const MAX_M: usize = 33;
@@ -1735,6 +1798,11 @@ mod tests {
                     bits(&want)
                 };
                 let scalar = rowwise(Backend::Scalar);
+                if !acc {
+                    let mut naive = vec![0.0; MAX_M * n];
+                    crate::matmul_naive_into(&mut naive, &a, &b, MAX_M, k, n);
+                    assert_eq!(bits(&naive), scalar, "naive != vecmat rows at k={k} n={n}");
+                }
                 for bk in supported() {
                     let want = rowwise(bk);
                     assert_eq!(want, scalar, "{} != scalar at k={k} n={n}", bk.name());
@@ -1755,6 +1823,79 @@ mod tests {
                             "{} packed != vecmat rows at m={m} k={k} n={n} acc={acc}",
                             bk.name()
                         );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The rounding itself, not just the agreement: with `h = 1 + 2⁻¹²`,
+    /// `h·h = 1 + 2⁻¹¹ + 2⁻²⁴` exactly, and against `c = −(1 + 2⁻¹¹)` a
+    /// fused multiply-add keeps the `2⁻²⁴` that multiply-then-add rounds
+    /// away (the product's last bit is a tie that goes to even). On every
+    /// tier, every f32 product path — the tile at m 1..=7 over the row-major
+    /// matrix and over its panels, vecmat, and the naive loop; `_acc` from
+    /// `C = c`, `_into` with the `c` term at `k = 0` — must return exactly
+    /// `2⁻²⁴`, wherever the `h·h` term sits in `k` (unrolled body or tail)
+    /// and `j` (full strip, partial strip, SIMD tail). Every bitwise test
+    /// above also passes if all paths regress to multiply-then-add
+    /// together; this one does not.
+    #[test]
+    fn tile_rounds_once_per_term_on_every_tier() {
+        let h = 1.0 + 2f32.powi(-12);
+        let c = -(1.0 + 2f32.powi(-11));
+        let want = 2f32.powi(-24);
+        assert_eq!(c + h * h, 0.0, "multiply-then-add must lose the term");
+        assert_eq!(h.mul_add(h, c), want, "a fused multiply-add keeps it");
+        let check = |got: &[f32], what: &str| {
+            for (j, v) in got.iter().enumerate() {
+                assert_eq!(v.to_bits(), want.to_bits(), "{what}: element {j} is {v:e}");
+            }
+        };
+        for k in 1..=6 {
+            for p in 0..k {
+                for n in [1, 7, 8, 9, 16, 17, 33] {
+                    // One row of A and the matrix B: `h` at `k = p`, and for
+                    // the `_into` form (`lead`) the `c·1` term at `k = 0`.
+                    let operands = |lead: bool| {
+                        let mut x = vec![0.0f32; k];
+                        let mut b = vec![0.0f32; k * n];
+                        x[p] = h;
+                        b[p * n..(p + 1) * n].fill(h);
+                        if lead {
+                            x[0] = c;
+                            b[..n].fill(1.0);
+                        }
+                        (x, b)
+                    };
+                    // The `_into` form needs `k = 0` free for the `c` term.
+                    for lead in [false, true].into_iter().filter(|&lead| !lead || p > 0) {
+                        let (x, b) = operands(lead);
+                        let panels = pack_panels(&b, k, n);
+                        let start = |len: usize| vec![if lead { 0.0 } else { c }; len];
+                        let what = |path: &str, bk: &str, m: usize| {
+                            format!("{path} {bk} m={m} k={k} p={p} n={n} lead={lead}")
+                        };
+                        if lead {
+                            let a = x.repeat(7);
+                            let mut naive = vec![0.0; 7 * n];
+                            crate::matmul_naive_into(&mut naive, &a, &b, 7, k, n);
+                            check(&naive, &what("naive", "-", 7));
+                        }
+                        for bk in supported() {
+                            let mut y = start(n);
+                            vecmat_acc_into_with(bk, &mut y, &x, &b, k, n);
+                            check(&y, &what("vecmat", bk.name(), 1));
+                            for m in 1..=7 {
+                                let a = x.repeat(m);
+                                let mut cm = start(m * n);
+                                matmul_acc_with(bk, &mut cm, &a, &b, m, k, n);
+                                check(&cm, &what("tile", bk.name(), m));
+                                let mut cm = start(m * n);
+                                matmul_packed_acc_with(bk, &mut cm, &a, &panels, m, k, n);
+                                check(&cm, &what("packed tile", bk.name(), m));
+                            }
+                        }
                     }
                 }
             }
