@@ -25,8 +25,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     echo "==> kernel-tier gate: losslessness + determinism suites on the forced-scalar and host-best tiers"
     # None of the paged KV pool, the vision cache, adaptive gamma, the
     # pipelined scheduler (free-running draft threads + SPSC rings, SHUTDOWN
-    # joining every draft thread within its bound), tree speculation
-    # (tree-attention masking, bf=1 ≡ chain), the int8 kernels or the
+    # joining every draft thread within its bound), the int8 kernels or the
     # synthetic workloads' golden stream fingerprints may move a token on
     # any dispatch tier: run the suites pinned to the scalar reference and
     # again on the host's best backend, so a bug that only reproduces under
@@ -38,8 +37,7 @@ if [[ "${1:-}" != "--quick" ]]; then
         (
             if [[ $tier != default ]]; then export AASD_KERNEL=$tier; fi
             cargo test -q -p aasd --test serving_determinism --test mm_lossless \
-                --test tree_lossless --test server_smoke --test int8_equivalence \
-                --test workload_determinism
+                --test server_smoke --test int8_equivalence --test workload_determinism
             cargo test -q -p aasd-tensor
         )
     done
@@ -81,9 +79,9 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> perf snapshot smoke (every bench section executes; its in-run assertions hold)"
     # A smoke, not a perf gate: the binary asserts what does not depend on
-    # the clock (every stream lossless, bf=1 tree ≡ chain, best tree τ > best
-    # chain τ, adaptive γ ≥ 0.98 × best fixed γ) and compares no fresh time
-    # with a committed one. The regression gate is the benchmark gate below.
+    # the clock (every stream lossless, paged ≡ contiguous decode step,
+    # adaptive γ ≥ 0.98 × best fixed γ) and compares no fresh time with a
+    # committed one. The regression gate is the benchmark gate below.
     cargo run --release -q -p aasd-bench --bin perf_snapshot -- /tmp/bench_smoke.json --smoke
 
     echo "==> benchmark gate: aasd-e2e builds, streams are correct and the exact counts repeat"

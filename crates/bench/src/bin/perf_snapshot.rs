@@ -34,8 +34,6 @@
 //!   vision KV) distilled with identical budgets and raced at γ ∈ {3, 5};
 //!   the Table-2-shaped ordering is recorded in `ordering_ok`, not
 //!   asserted, so a regression is visible, not hidden;
-//! * `tree` — token-tree vs chain at an equal verified-rows budget; asserts
-//!   bf = 1 ≡ chain and best tree τ > best chain τ;
 //! * `paged_pool`, `vision_cache` — lease capacity / cycle cost / paged vs
 //!   contiguous step (asserted bit-identical); vision-prefix hit vs full
 //!   vision prefill;
@@ -49,14 +47,14 @@
 
 use aasd_bench::{bench_with_budget, json, report, BenchResult};
 use aasd_mm::{
-    distill_hybrid, draft_for, mm_autoregressive_ws, mm_speculative_tree_ws, mm_speculative_ws,
-    seed_draft_prefix, Ablation, HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
+    distill_hybrid, draft_for, mm_autoregressive_ws, mm_speculative_ws, Ablation,
+    HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
 };
-use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvCache, KvPool};
+use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvPool};
 use aasd_serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Speculation, Status};
 use aasd_specdec::{
-    autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws, AcceptanceCalibrator,
-    AdaptiveGamma, SpecSession, SpecStats, TreeConfig, TreeSession,
+    autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws, AdaptiveGamma,
+    SpecSession, SpecStats,
 };
 use aasd_tensor::{
     argmax, backend, best_supported, hardware_threads, matmul_blocked_into, matmul_naive_into,
@@ -64,8 +62,7 @@ use aasd_tensor::{
     QuantMatrix, Rng, Workspace,
 };
 use aasd_train::{
-    distill, fit_acceptance_calibrator, teacher_probs, train_step, Adam, DistillConfig, Example,
-    LossSpec, Schedule,
+    distill, teacher_probs, train_step, Adam, DistillConfig, Example, LossSpec, Schedule,
 };
 use std::sync::Arc;
 use std::time::Instant;
@@ -101,34 +98,6 @@ impl Harness {
     fn bench<T>(&self, name: &str, mut f: impl FnMut() -> T) -> BenchResult {
         bench_with_budget(name, self.budget_ns, self.max_samples, &mut f)
     }
-}
-
-/// Multimodal session seeding shared by the tree-speculation section's
-/// hand-driven sessions: target vision+text prefill, ablation-selected
-/// draft vision prefix, draft text prefill. Exactly what
-/// [`mm_speculative_ws`] / [`mm_speculative_tree_ws`] do before entering
-/// their block loops, exposed so the section can drive [`SpecSession`] /
-/// [`TreeSession`] directly (adaptive-γ baseline, example collection).
-#[allow(clippy::too_many_arguments)]
-fn mm_seed_caches(
-    model: &LlavaSim,
-    draft: &Decoder,
-    projector: Option<&KvProjector>,
-    ablation: Ablation,
-    image: &Image,
-    prompt: &[u32],
-    ws: &mut Workspace,
-) -> (KvCache, KvCache, u32) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        let mut d_logits = ws.take(prompt.len() * draft.cfg.vocab);
-        draft.forward_infer_ws(prompt, &mut d_cache, ws, &mut d_logits);
-        ws.give(d_logits);
-    }
-    (t_cache, d_cache, pending)
 }
 
 fn main() {
@@ -1230,314 +1199,6 @@ fn main() {
                      budgets/seeds; block efficiency merged over a shared held-out eval \
                      set; ordering_ok = measured tau satisfies projector > raw vision KV \
                      > dropped vision KV at every gamma",
-                ),
-            ),
-        ]),
-    ));
-
-    // ---- tree speculation: τ at an equal verified-rows budget -----------
-    //
-    // A linear γ-block verifies γ+1 rows per target pass (γ drafted + the
-    // pending token). The tree session spends the SAME per-block row
-    // budget on a token tree: the greedy chain plus calibrator-gated
-    // sibling branches that catch the target's correction when the chain
-    // dies early. The multimodal bench above shows per-prompt α swinging
-    // wildly on these legs — exactly the volatility branches monetize: on
-    // a low-α prompt the linear chain commits ~1 token/block while a
-    // depth-1 sibling can still match the correction. Every tree stream is
-    // asserted token-identical to the AR reference, branching factor 1 is
-    // asserted byte-identical (stream AND stats) to the linear session,
-    // and the section gate demands the best tree τ strictly beat the best
-    // linear / adaptive-γ τ at the same rows-per-block budget.
-    println!("\n== tree speculation (token tree vs linear chain, equal verified rows) ==");
-    let (_, tree_abl, tree_draft, tree_proj) = &trained[0]; // projector leg
-    let gamma_ratio = tree_draft.n_params() as f64 / m7.lm.n_params() as f64;
-
-    // Calibration pass: collect target-adjudicated accept/reject examples
-    // on calibration images drawn from an RNG stream disjoint from the
-    // eval set, then fit the modality-aware logistic head with the
-    // training stack. `branch_factor: 3, prob_floor: 0.02` over-proposes
-    // on purpose so the head sees both labels.
-    let mut cal_rng = Rng::new(0xCA11B);
-    let mut cal_examples = Vec::new();
-    for _ in 0..if h.smoke { 2 } else { 8 } {
-        let img = Image::synthetic(&mut cal_rng, cfg7.vision.n_patches, cfg7.vision.patch_dim);
-        let prompt: Vec<u32> = (0..6).map(|_| cal_rng.below(mm_vocab) as u32).collect();
-        let (mut t_cache, mut d_cache, pending) = mm_seed_caches(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            &img,
-            &prompt,
-            &mut ws,
-        );
-        let mut s = TreeSession::new(
-            &m7.lm,
-            tree_draft,
-            &t_cache,
-            &d_cache,
-            pending,
-            mm_budget,
-            5,
-            TreeConfig {
-                branch_factor: 3,
-                max_depth: 0,
-                prob_floor: 0.02,
-                calibrator: None,
-                branch_threshold: 0.5,
-            },
-            m7.n_img(),
-        );
-        s.enable_example_collection();
-        while !s.is_done() {
-            s.step_block(&m7.lm, tree_draft, &mut t_cache, &mut d_cache, &mut ws);
-        }
-        cal_examples.extend(s.take_examples());
-    }
-    let mut cal_opt = Adam::new();
-    let (fitted_cal, cal_losses) = fit_acceptance_calibrator(
-        &cal_examples,
-        if h.smoke { 150 } else { 400 },
-        0.05,
-        &mut cal_opt,
-    );
-    println!(
-        "calibrator: {} examples, log-loss {:.4} -> {:.4}",
-        cal_examples.len(),
-        cal_losses[0],
-        cal_losses.last().unwrap()
-    );
-
-    // AR references, computed once — every session below must reproduce
-    // its prompt's stream exactly.
-    let eval_refs: Vec<Vec<u32>> = eval_set
-        .iter()
-        .map(|(img, prompt)| mm_autoregressive_ws(&m7, img, prompt, mm_budget, &mut ws))
-        .collect();
-
-    // Linear AdaptiveGamma baseline: the strongest chain-shaped contender.
-    let mut adaptive_merged = SpecStats::default();
-    for ((img, prompt), reference) in eval_set.iter().zip(&eval_refs) {
-        let (mut t_cache, mut d_cache, pending) = mm_seed_caches(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            img,
-            prompt,
-            &mut ws,
-        );
-        let mut s = SpecSession::new(
-            &m7.lm,
-            tree_draft,
-            &t_cache,
-            &d_cache,
-            pending,
-            mm_budget,
-            mm_gammas[0],
-        );
-        s.enable_adaptive_gamma(AdaptiveGamma::new(gamma_ratio));
-        while !s.is_done() {
-            s.step_block(&m7.lm, tree_draft, &mut t_cache, &mut d_cache, &mut ws);
-        }
-        let (out, stats) = s.into_parts();
-        assert_eq!(&out, reference, "adaptive-γ losslessness violated");
-        adaptive_merged.merge(&stats);
-    }
-    let tau_adaptive = adaptive_merged.block_efficiency();
-    println!(
-        "adaptive-γ linear:        α={:.3}  τ={:.3}",
-        adaptive_merged.acceptance_rate(),
-        tau_adaptive
-    );
-
-    // Branching factor 1 must be the linear session, byte for byte —
-    // stream AND counters.
-    for (img, prompt) in &eval_set {
-        let (lin_out, lin_stats) = mm_speculative_ws(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            img,
-            prompt,
-            mm_budget,
-            5,
-            &mut ws,
-        );
-        let (tree_out, tree_stats) = mm_speculative_tree_ws(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            img,
-            prompt,
-            mm_budget,
-            5,
-            TreeConfig::linear(),
-            &mut ws,
-        );
-        assert_eq!(tree_out, lin_out, "bf=1 tree stream diverged from linear");
-        assert_eq!(
-            tree_stats, lin_stats,
-            "bf=1 tree stats diverged from linear"
-        );
-    }
-    println!("bf=1 ≡ linear: byte-identical streams and stats over the eval set");
-
-    // Sweep tree shapes at each linear γ's rows-per-block budget and keep
-    // the best. `max_depth: 0` means depth = γ (chain-priority); a finite
-    // depth caps the chain so breadth-first child recording spends the
-    // freed rows on recovery branches. The branch gates sweep the fitted
-    // calibrator at several thresholds — the row a branch displaces is a
-    // chain extension worth ~α^depth, so the break-even acceptance
-    // probability is far below 0.5 on deep trees — plus the floor-only
-    // gate as the branch-happy extreme.
-    let mut tree_rows = Vec::new();
-    let mut best_tree: Option<(usize, &'static str, TreeConfig, f64, f64)> = None;
-    let gates: [(&'static str, Option<AcceptanceCalibrator>, f32); 4] = [
-        ("fitted@0.50", Some(fitted_cal.clone()), 0.50),
-        ("fitted@0.15", Some(fitted_cal.clone()), 0.15),
-        ("fitted@0.05", Some(fitted_cal.clone()), 0.05),
-        ("floor", None, 0.5),
-    ];
-    for &gamma in &mm_gammas {
-        let mut shapes: Vec<(usize, usize)> = vec![(2, 0), (3, 0), (2, gamma.saturating_sub(1))];
-        if gamma > 3 {
-            shapes.push((3, gamma - 2));
-        }
-        shapes.dedup();
-        for (bf, depth) in shapes {
-            for (gate_name, cal, threshold) in &gates {
-                let tcfg = TreeConfig {
-                    branch_factor: bf,
-                    max_depth: depth,
-                    prob_floor: 0.05,
-                    calibrator: cal.clone(),
-                    branch_threshold: *threshold,
-                };
-                let mut merged = SpecStats::default();
-                for ((img, prompt), reference) in eval_set.iter().zip(&eval_refs) {
-                    let (out, stats) = mm_speculative_tree_ws(
-                        &m7,
-                        tree_draft,
-                        tree_proj.as_ref(),
-                        *tree_abl,
-                        img,
-                        prompt,
-                        mm_budget,
-                        gamma,
-                        tcfg.clone(),
-                        &mut ws,
-                    );
-                    assert_eq!(
-                        &out, reference,
-                        "tree losslessness violated: γ={gamma} bf={bf} depth={depth} {gate_name}"
-                    );
-                    merged.merge(&stats);
-                }
-                let t = merged.block_efficiency();
-                let a = merged.acceptance_rate();
-                let rows = merged.drafted + merged.blocks;
-                println!(
-                    "tree γ={gamma} bf={bf} depth={depth} gate={gate_name:<12}:  α={a:.3}  τ={t:.3}  ({rows} verified rows)"
-                );
-                tree_rows.push(json::object(&[
-                    json::field("gamma", &gamma.to_string()),
-                    json::field("branch_factor", &bf.to_string()),
-                    json::field("max_depth", &depth.to_string()),
-                    json::field("gate", &json::string(gate_name)),
-                    json::field("acceptance_rate", &json::num(a)),
-                    json::field("block_efficiency", &json::num(t)),
-                    json::field("verified_rows", &rows.to_string()),
-                    json::field("lossless", "true"),
-                ]));
-                if best_tree.as_ref().is_none_or(|(.., bt, _)| t > *bt) {
-                    best_tree = Some((gamma, gate_name, tcfg, t, a));
-                }
-            }
-        }
-    }
-    let (bg, bgate, best_tcfg, btau, _balpha) = best_tree.expect("tree sweep is non-empty");
-    let best_linear_tau = tau
-        .iter()
-        .flatten()
-        .fold(tau_adaptive, |acc, &t| acc.max(t));
-    println!(
-        "best tree τ={btau:.3} (γ={bg} bf={} depth={} gate={bgate})  vs  best linear/adaptive τ={best_linear_tau:.3}",
-        best_tcfg.branch_factor, best_tcfg.max_depth,
-    );
-    assert!(
-        btau > best_linear_tau,
-        "tree speculation must beat the best linear/adaptive τ at an equal \
-         verified-rows budget: tree {btau:.4} vs linear {best_linear_tau:.4}"
-    );
-    let tree_bench = h.bench("multimodal/tree/best", || {
-        mm_speculative_tree_ws(
-            &m7,
-            tree_draft,
-            tree_proj.as_ref(),
-            *tree_abl,
-            &eval_set[0].0,
-            &eval_set[0].1,
-            mm_budget,
-            bg,
-            best_tcfg.clone(),
-            &mut ws,
-        )
-    });
-    report(&tree_bench);
-    sections.push(json::field(
-        "tree",
-        &json::object(&[
-            json::field(
-                "calibration",
-                &json::object(&[
-                    json::field("examples", &cal_examples.len().to_string()),
-                    json::field("logloss_start", &json::num(f64::from(cal_losses[0]))),
-                    json::field(
-                        "logloss_end",
-                        &json::num(f64::from(*cal_losses.last().unwrap())),
-                    ),
-                ]),
-            ),
-            json::field(
-                "adaptive_linear",
-                &json::object(&[
-                    json::field(
-                        "acceptance_rate",
-                        &json::num(adaptive_merged.acceptance_rate()),
-                    ),
-                    json::field("block_efficiency", &json::num(tau_adaptive)),
-                    json::field("lossless", "true"),
-                ]),
-            ),
-            json::field("rows", &json::array(&tree_rows)),
-            json::field(
-                "best",
-                &json::object(&[
-                    json::field("gamma", &bg.to_string()),
-                    json::field("branch_factor", &best_tcfg.branch_factor.to_string()),
-                    json::field("max_depth", &best_tcfg.max_depth.to_string()),
-                    json::field("gate", &json::string(bgate)),
-                    json::field("block_efficiency", &json::num(btau)),
-                    json::field("timing", &result_json(&tree_bench)),
-                ]),
-            ),
-            json::field("best_linear_tau", &json::num(best_linear_tau)),
-            json::field("tree_beats_linear", "true"),
-            json::field("bf1_byte_identical", "true"),
-            json::field("lossless", "true"),
-            json::field(
-                "note",
-                &json::string(
-                    "token-tree speculation on the projector leg at the linear block's \
-                     verified-rows budget (γ+1 rows per target pass); every stream \
-                     asserted identical to the autoregressive reference; branching \
-                     factor 1 asserted byte-identical to the linear session; the \
-                     strict τ gate above fails the binary if the tree cannot beat \
-                     the best linear/adaptive-γ configuration",
                 ),
             ),
         ]),

@@ -8,7 +8,7 @@ use crate::llava::{LlavaSim, LlavaSimConfig};
 use crate::projector::{seed_raw_vision, KvProjector};
 use crate::vision::Image;
 use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvCache};
-use aasd_specdec::{ArSession, Session, SpecSession, SpecStats, TreeConfig, TreeSession};
+use aasd_specdec::{ArSession, Session, SpecSession, SpecStats};
 use aasd_tensor::Workspace;
 
 /// What the draft's cache is seeded with before the speculative loop.
@@ -149,33 +149,13 @@ pub fn mm_autoregressive_ws(
     Session::Ar(session).run(&model.lm, &mut cache, None, ws).0
 }
 
-/// The prefill both hybrid-cache loops share. Target side: vision prefix
-/// (positions `0..n_img`) then the text prompt. Draft side: the
-/// ablation-selected vision prefix, then (unless `drop_text_kv`) a text
-/// prefill. Returns `(t_cache, d_cache, pending)`.
-fn prefill_hybrid(
-    model: &LlavaSim,
-    draft: &Decoder,
-    projector: Option<&KvProjector>,
-    ablation: Ablation,
-    image: &Image,
-    prompt: &[u32],
-    ws: &mut Workspace,
-) -> (KvCache, KvCache, u32) {
-    let mut t_cache = model.lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
-    let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        draft.prefill_ws(prompt, &mut d_cache, ws);
-    }
-    (t_cache, d_cache, pending)
-}
-
-/// Fused multimodal speculative decoding over the hybrid cache: the two
-/// caches advance in lockstep through a [`SpecSession`], which tolerates
-/// their length asymmetry. Token-identical to [`mm_autoregressive_ws`] by
-/// greedy verification, for every ablation.
+/// Fused multimodal speculative decoding over the hybrid cache. Target
+/// side: vision prefix (positions `0..n_img`) then the text prompt. Draft
+/// side: the ablation-selected vision prefix, then (unless `drop_text_kv`)
+/// a text prefill. The two caches then advance in lockstep through a
+/// [`SpecSession`], which tolerates their length asymmetry.
+/// Token-identical to [`mm_autoregressive_ws`] by greedy verification, for
+/// every ablation.
 #[allow(clippy::too_many_arguments)]
 pub fn mm_speculative_ws(
     model: &LlavaSim,
@@ -188,41 +168,16 @@ pub fn mm_speculative_ws(
     gamma: usize,
     ws: &mut Workspace,
 ) -> (Vec<u32>, SpecStats) {
-    let (mut t_cache, mut d_cache, pending) =
-        prefill_hybrid(model, draft, projector, ablation, image, prompt, ws);
     let lm = &model.lm;
+    let mut t_cache = lm.new_cache();
+    let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
+    let mut d_cache = draft.new_cache();
+    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
+    if !ablation.drop_text_kv {
+        draft.prefill_ws(prompt, &mut d_cache, ws);
+    }
     let session = SpecSession::new(lm, draft, &t_cache, &d_cache, pending, budget, gamma);
     Session::Spec(session).run(lm, &mut t_cache, Some((draft, &mut d_cache)), ws)
-}
-
-/// [`mm_speculative_ws`] with **tree-structured** speculation: identical
-/// prefill and hybrid-cache seeding, but the block loop drafts a token tree
-/// and verifies it in one tree-attention target pass ([`TreeSession`]). The
-/// target's vision prefix length is passed as the visual-attention
-/// boundary, so the session's acceptance calibrator sees a live modality
-/// feature. Lossless for every ablation and
-/// tree shape; byte-identical to [`mm_speculative_ws`] at branching
-/// factor 1.
-#[allow(clippy::too_many_arguments)]
-pub fn mm_speculative_tree_ws(
-    model: &LlavaSim,
-    draft: &Decoder,
-    projector: Option<&KvProjector>,
-    ablation: Ablation,
-    image: &Image,
-    prompt: &[u32],
-    budget: usize,
-    gamma: usize,
-    tree: TreeConfig,
-    ws: &mut Workspace,
-) -> (Vec<u32>, SpecStats) {
-    let (mut t_cache, mut d_cache, pending) =
-        prefill_hybrid(model, draft, projector, ablation, image, prompt, ws);
-    let (lm, n_img) = (&model.lm, model.n_img());
-    let session = TreeSession::new(
-        lm, draft, &t_cache, &d_cache, pending, budget, gamma, tree, n_img,
-    );
-    Session::Tree(session).run(lm, &mut t_cache, Some((draft, &mut d_cache)), ws)
 }
 
 #[cfg(test)]
@@ -315,57 +270,6 @@ mod tests {
         let mut c = draft.new_cache();
         let p = seed_draft_prefix(&model, None, Ablation::no_vision(), &t_cache, &mut c);
         assert_eq!((p, c.len()), (0, 0));
-    }
-
-    /// Tree speculation over the hybrid cache stays lossless for every
-    /// ablation and branch shape, measures a live visual-mass feature, and
-    /// at branching factor 1 reproduces the linear loop's stream AND stats.
-    #[test]
-    fn tree_speculation_is_lossless_over_the_hybrid_cache() {
-        let (model, draft, proj, img, prompt) = setup();
-        let mut ws = Workspace::new();
-        let budget = 24;
-        let reference = mm_autoregressive_ws(&model, &img, &prompt, budget, &mut ws);
-        for abl in [Ablation::projector(), Ablation::no_vision()] {
-            for bf in [1usize, 2, 3] {
-                let cfg = TreeConfig {
-                    branch_factor: bf,
-                    max_depth: 0,
-                    prob_floor: 0.05,
-                    calibrator: None,
-                    branch_threshold: 0.5,
-                };
-                let (out, stats) = mm_speculative_tree_ws(
-                    &model,
-                    &draft,
-                    Some(&proj),
-                    abl,
-                    &img,
-                    &prompt,
-                    budget,
-                    5,
-                    cfg,
-                    &mut ws,
-                );
-                assert_eq!(out, reference, "tree lossless violated: {abl:?} bf={bf}");
-                assert_eq!(stats.generated, budget);
-                if bf == 1 {
-                    let (lin_out, lin_stats) = mm_speculative_ws(
-                        &model,
-                        &draft,
-                        Some(&proj),
-                        abl,
-                        &img,
-                        &prompt,
-                        budget,
-                        5,
-                        &mut ws,
-                    );
-                    assert_eq!(out, lin_out, "bf=1 stream diverged: {abl:?}");
-                    assert_eq!(stats, lin_stats, "bf=1 stats diverged: {abl:?}");
-                }
-            }
-        }
     }
 
     /// A self-draft (draft = target LM) with the raw vision prefix sees

@@ -1,74 +1,25 @@
-//! Multi-head causal self-attention with two deliberately distinct paths:
+//! Multi-head causal self-attention with three paths:
 //!
-//! * [`Attention::forward_infer`] — the inference hot path. Projects the new
-//!   token block, appends its K/V to the pre-allocated cache, then attends
-//!   each query over the cached prefix with per-head dot products. One call
-//!   handles prefill (`t = prompt`), decode (`t = 1`), and batched
-//!   speculative verify (`t = γ`) uniformly — batching the γ verify tokens
-//!   into a single call is what makes verification one weight pass instead
-//!   of γ.
+//! * [`Attention::forward_infer_ws`] — the inference hot path. Projects the
+//!   new token block, appends its K/V to the cache, then attends each query
+//!   over the cached prefix, one kernel sweep per cache chunk, with every
+//!   temporary drawn from the workspace. One call handles prefill
+//!   (`t = prompt`), decode (`t = 1`), and batched speculative verify
+//!   (`t = γ + 1`) uniformly — batching the verify rows into a single call
+//!   is what makes verification one weight pass instead of γ + 1.
+//! * [`Attention::forward_infer`] — the allocating incremental path with
+//!   the same semantics, kept as the distillation teacher's forward and as
+//!   the reference the fused path is tested against.
 //! * [`Attention::forward_full`] — the full-sequence reference: materializes
 //!   per-head `Q·Kᵀ` score matrices with the blocked matmul, applies an
 //!   explicit causal mask, and never touches a cache. Kept as the semantic
-//!   oracle the incremental path is property-tested against.
+//!   oracle the incremental paths are property-tested against.
 
 use crate::cache::KvLayerMut;
 use crate::layers::Linear;
 use crate::rope::Rope;
 use aasd_tensor::simd::{attn_mix_with, attn_scores_with, softmax_row_with};
 use aasd_tensor::{axpy, dot, softmax_row, Op, Rng, Tensor, Workspace};
-
-/// The rows of one fused forward read as a **flattened token tree**
-/// appended after the cached prefix (ancestors precede descendants in flat
-/// order). RoPE uses `pos0 + depths[i]` — the position the row would occupy
-/// if its root path were fed linearly — so sibling branches share positions
-/// and a committed path needs no re-encode.
-pub struct TreeRows<'a> {
-    /// Depth of row `i` below the prefix.
-    pub depths: &'a [usize],
-    /// Ancestor bitmask of row `i` over the tree rows: bit `j` set ⇔ row
-    /// `j` is on row `i`'s root path, self included.
-    pub vis: &'a [u64],
-    /// Cache positions `0..vis_boundary` are the vision prefix whose
-    /// attention mass is measured; 0 skips the measurement.
-    pub vis_boundary: usize,
-    /// Per row, accumulates each layer's mean-over-heads attention mass on
-    /// the vision prefix — the modality signal the acceptance calibrator
-    /// consumes.
-    pub vis_mass: &'a mut [f32],
-}
-
-/// Call `f(first_row, len)` for every maximal run of positions a query may
-/// attend to within the cache chunk covering positions
-/// `start..start + filled`. `mask: None` is the chain: the whole chunk, no
-/// per-position test. With a tree row's ancestor mask, a position is
-/// visible iff it is prefix (`< pos0`) or one of the row's ancestors.
-#[inline]
-fn visible_runs(
-    mask: Option<u64>,
-    pos0: usize,
-    start: usize,
-    filled: usize,
-    mut f: impl FnMut(usize, usize),
-) {
-    let Some(mask) = mask else {
-        return f(0, filled);
-    };
-    let visible = |p: usize| p < pos0 || (mask >> (p - pos0)) & 1 == 1;
-    let mut r = 0usize;
-    while r < filled {
-        if !visible(start + r) {
-            r += 1;
-            continue;
-        }
-        let mut e = r + 1;
-        while e < filled && visible(start + e) {
-            e += 1;
-        }
-        f(r, e - r);
-        r = e;
-    }
-}
 
 #[derive(Debug, Clone)]
 pub struct Attention {
@@ -146,27 +97,19 @@ impl Attention {
     /// but every temporary comes from the [`Workspace`] pool and the output
     /// projection accumulates straight into the caller's residual stream
     /// (`resid += attn(norm_x)·Wo`), so steady-state decode touches the
-    /// allocator zero times. `norm_x` is the already-normed block `[t, dim]`.
+    /// allocator zero times. `norm_x` is the already-normed block `[t, dim]`;
+    /// row `i` sits at position `pos0 + i` and attends causally over
+    /// everything cached so far.
     ///
-    /// With `tree: None` the `t` rows are a chain at positions `pos0 + i`,
-    /// each attending causally over everything cached so far. With
-    /// `Some(rows)` they are a **flattened token tree** (see [`TreeRows`]):
-    /// row `i` is rotated to `pos0 + depths[i]` and attends over the prefix
-    /// plus its own ancestors only.
-    ///
-    /// Both cases are ONE kernel sweep over contiguous runs of *visible*
-    /// cache positions, with the scores packed densely before the softmax.
+    /// Each query head is ONE kernel sweep, one call per cache chunk.
     /// `attn_scores_with` computes an independent dot per position and
     /// `attn_mix_with` accumulates element-wise in strict position order on
-    /// every dispatch tier, so splitting the sweep — at cache-block
-    /// boundaries or around masked positions — is bit-identical to one call
-    /// over the compacted sequence: paging costs nothing numerically, each
-    /// root-to-leaf path scores exactly as a linear feed of that path, and
-    /// a full-visibility chain makes the same kernel calls as `None`.
+    /// every dispatch tier, so splitting the sweep at cache-block boundaries
+    /// is bit-identical to one call over the contiguous sequence: paging
+    /// costs nothing numerically.
     ///
     /// The score scratch is sized to the cache **capacity**, not the current
     /// context, so the workspace sees an identical request size every step.
-    #[allow(clippy::too_many_arguments)]
     pub fn forward_infer_ws(
         &self,
         norm_x: &[f32],
@@ -175,18 +118,11 @@ impl Attention {
         mut cache: KvLayerMut<'_>,
         ws: &mut Workspace,
         resid: &mut [f32],
-        mut tree: Option<&mut TreeRows<'_>>,
     ) {
         let dim = self.n_heads * self.head_dim;
         debug_assert_eq!(norm_x.len(), t * dim);
         debug_assert_eq!(resid.len(), t * dim);
         let pos0 = cache.len();
-        if let Some(rows) = &tree {
-            debug_assert_eq!(rows.depths.len(), t);
-            debug_assert_eq!(rows.vis.len(), t);
-            debug_assert!(t <= 64, "tree wider than the visibility mask");
-            debug_assert!(rows.vis_boundary <= pos0, "vision prefix must be cached");
-        }
         // Resolve the SIMD backend once per call instead of per score row.
         let bk = aasd_tensor::backend();
 
@@ -198,11 +134,10 @@ impl Attention {
         self.wk.forward_rows_into_ws(norm_x, t, ws, &mut k);
         self.wv.forward_rows_into_ws(norm_x, t, ws, &mut v);
         for i in 0..t {
-            let pos = pos0 + tree.as_ref().map_or(i, |rows| rows.depths[i]);
             for h in 0..self.n_heads {
                 let hs = h * self.head_dim..(h + 1) * self.head_dim;
-                rope.apply(&mut q[i * dim..][hs.clone()], pos);
-                rope.apply(&mut k[i * dim..][hs], pos);
+                rope.apply(&mut q[i * dim..][hs.clone()], pos0 + i);
+                rope.apply(&mut k[i * dim..][hs], pos0 + i);
             }
         }
         for i in 0..t {
@@ -214,51 +149,35 @@ impl Attention {
         let mut ctx = ws.take(t * dim);
         let mut scores = ws.take(cache.capacity());
         for i in 0..t {
-            let ctx_len = pos0 + i + 1; // later rows are never visible
-            let mask = tree.as_ref().map(|rows| rows.vis[i]);
-            debug_assert!(
-                mask.is_none_or(|m| m & (1 << i) != 0),
-                "row must see itself"
-            );
+            let ctx_len = pos0 + i + 1; // causal: positions 0..=pos0+i
             for h in 0..self.n_heads {
                 let hs = h * self.head_dim..(h + 1) * self.head_dim;
                 let q_head = &q[i * dim..][hs.clone()];
                 let span = ws.prof.begin();
-                let mut n_vis = 0usize;
                 for (start, keys, _values) in cache.chunks(ctx_len) {
-                    visible_runs(mask, pos0, start, keys.len() / dim, |r, len| {
-                        attn_scores_with(
-                            bk,
-                            &mut scores[n_vis..n_vis + len],
-                            q_head,
-                            &keys[r * dim + hs.start..],
-                            dim,
-                            scale,
-                        );
-                        n_vis += len;
-                    });
+                    let len = keys.len() / dim;
+                    attn_scores_with(
+                        bk,
+                        &mut scores[start..start + len],
+                        q_head,
+                        &keys[hs.start..],
+                        dim,
+                        scale,
+                    );
                 }
-                softmax_row_with(bk, &mut scores[..n_vis]);
+                softmax_row_with(bk, &mut scores[..ctx_len]);
                 ws.prof.end(span, Op::AttnScore);
-                if let Some(rows) = tree.as_deref_mut().filter(|rows| rows.vis_boundary > 0) {
-                    // Prefix positions are always visible and pack first.
-                    rows.vis_mass[i] +=
-                        scores[..rows.vis_boundary].iter().sum::<f32>() / self.n_heads as f32;
-                }
                 let span = ws.prof.begin();
                 let out_head = &mut ctx[i * dim..][hs.clone()];
-                let mut w_at = 0usize;
                 for (start, _keys, values) in cache.chunks(ctx_len) {
-                    visible_runs(mask, pos0, start, values.len() / dim, |r, len| {
-                        attn_mix_with(
-                            bk,
-                            out_head,
-                            &scores[w_at..w_at + len],
-                            &values[r * dim + hs.start..],
-                            dim,
-                        );
-                        w_at += len;
-                    });
+                    let len = values.len() / dim;
+                    attn_mix_with(
+                        bk,
+                        out_head,
+                        &scores[start..start + len],
+                        &values[hs.start..],
+                        dim,
+                    );
                 }
                 ws.prof.end(span, Op::AttnMix);
             }
@@ -402,7 +321,6 @@ mod tests {
                     cache_b.layer_mut(0),
                     &mut ws,
                     &mut got,
-                    None,
                 );
                 assert!(
                     max_abs_diff(&got, &want) < 1e-4,
@@ -415,26 +333,10 @@ mod tests {
         // Steady state: decoding one token at a time must not grow the pool.
         let mut cache = KvCache::new(1, 64, dim);
         let mut resid = vec![0.0f32; dim];
-        attn.forward_infer_ws(
-            x.row(0),
-            1,
-            &rope,
-            cache.layer_mut(0),
-            &mut ws,
-            &mut resid,
-            None,
-        );
+        attn.forward_infer_ws(x.row(0), 1, &rope, cache.layer_mut(0), &mut ws, &mut resid);
         let after_warmup = ws.fresh_allocs();
         for i in 1..t {
-            attn.forward_infer_ws(
-                x.row(i),
-                1,
-                &rope,
-                cache.layer_mut(0),
-                &mut ws,
-                &mut resid,
-                None,
-            );
+            attn.forward_infer_ws(x.row(i), 1, &rope, cache.layer_mut(0), &mut ws, &mut resid);
         }
         assert_eq!(ws.fresh_allocs(), after_warmup, "steady state allocated");
     }
@@ -460,68 +362,12 @@ mod tests {
         assert!(max_abs_diff(y1.row(t - 1), y2.row(t - 1)) > 1e-3);
     }
 
-    /// A full-visibility chain through the tree path must make the exact
-    /// kernel calls of the linear path: bit-identical outputs, K/V, and no
-    /// fresh allocations once warmed.
-    #[test]
-    fn tree_chain_is_bit_identical_to_linear() {
-        let mut rng = Rng::new(11);
-        let (dim, heads, t) = (32, 4, 6);
-        let attn = Attention::new(&mut rng, dim, heads);
-        let rope = Rope::new(64, dim / heads, 10_000.0);
-        let prefix = Tensor::randn(&mut rng, 9, dim, 1.0);
-        let x = Tensor::randn(&mut rng, t, dim, 1.0);
-
-        let mut ws = Workspace::new();
-        let pool = KvPool::new(1, dim, 4, 32);
-        let mut lin = pool.try_lease(64).unwrap();
-        let mut tree = pool.try_lease(64).unwrap();
-        for c in [&mut lin, &mut tree] {
-            let mut r = vec![0.0f32; 9 * dim];
-            attn.forward_infer_ws(
-                &prefix.data,
-                9,
-                &rope,
-                c.layer_mut(0),
-                &mut ws,
-                &mut r,
-                None,
-            );
-        }
-        let mut a = vec![0.0f32; t * dim];
-        let mut b = vec![0.0f32; t * dim];
-        attn.forward_infer_ws(&x.data, t, &rope, lin.layer_mut(0), &mut ws, &mut a, None);
-        let depths: Vec<usize> = (0..t).collect();
-        let vis: Vec<u64> = (0..t).map(|i| (1u64 << (i + 1)) - 1).collect();
-        let mut mass = vec![0.0f32; t];
-        let mut rows = TreeRows {
-            depths: &depths,
-            vis: &vis,
-            vis_boundary: 4,
-            vis_mass: &mut mass,
-        };
-        let tree_lm = tree.layer_mut(0);
-        attn.forward_infer_ws(&x.data, t, &rope, tree_lm, &mut ws, &mut b, Some(&mut rows));
-        let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-        let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ab, bb, "chain tree attention must equal linear bitwise");
-        for p in 0..lin.len() {
-            assert_eq!(
-                lin.layer(0).key(p),
-                tree.layer(0).key(p),
-                "K row {p} diverged"
-            );
-        }
-        assert!(
-            mass.iter().all(|&m| m > 0.0 && m < 1.0),
-            "visual mass must be a proper fraction: {mass:?}"
-        );
-    }
-
     /// Paging must cost nothing numerically: the same sequence decoded into
     /// a single-block cache and into a 4-position-block paged lease must
-    /// produce **bit-identical** outputs, because the chunked kernel sweeps
-    /// are exact splits of the contiguous ones.
+    /// produce **bit-identical** outputs and K/V rows, because the chunked
+    /// kernel sweeps are exact splits of the contiguous ones — fed one row
+    /// at a time, and in multi-row blocks that straddle page boundaries
+    /// (the shape of every verify).
     #[test]
     fn paged_cache_attention_is_bit_identical_to_contiguous() {
         let mut rng = Rng::new(7);
@@ -529,36 +375,30 @@ mod tests {
         let attn = Attention::new(&mut rng, dim, heads);
         let rope = Rope::new(64, dim / heads, 10_000.0);
         let x = Tensor::randn(&mut rng, t, dim, 1.0);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
 
         let mut ws = Workspace::new();
-        let mut contiguous = KvCache::new(1, 64, dim);
         let pool = KvPool::new(1, dim, 4, 16);
-        let mut paged = pool.try_lease(64).unwrap();
-        assert!(paged.n_blocks() > 1, "lease must actually span blocks");
-        for i in 0..t {
-            let mut a = vec![0.0f32; dim];
-            let mut b = vec![0.0f32; dim];
-            attn.forward_infer_ws(
-                x.row(i),
-                1,
-                &rope,
-                contiguous.layer_mut(0),
-                &mut ws,
-                &mut a,
-                None,
-            );
-            attn.forward_infer_ws(
-                x.row(i),
-                1,
-                &rope,
-                paged.layer_mut(0),
-                &mut ws,
-                &mut b,
-                None,
-            );
-            let ab: Vec<u32> = a.iter().map(|v| v.to_bits()).collect();
-            let bb: Vec<u32> = b.iter().map(|v| v.to_bits()).collect();
-            assert_eq!(ab, bb, "paged attention diverged at step {i}");
+        for splits in [vec![1; t], vec![5, 1, 4, 3], vec![t]] {
+            let mut contiguous = KvCache::new(1, 64, dim);
+            let mut paged = pool.try_lease(64).unwrap();
+            assert!(paged.n_blocks() > 1, "lease must actually span blocks");
+            let mut at = 0;
+            for blk in splits {
+                let xs = &x.data[at * dim..(at + blk) * dim];
+                let mut a = vec![0.0f32; blk * dim];
+                let mut b = vec![0.0f32; blk * dim];
+                let c = contiguous.layer_mut(0);
+                attn.forward_infer_ws(xs, blk, &rope, c, &mut ws, &mut a);
+                attn.forward_infer_ws(xs, blk, &rope, paged.layer_mut(0), &mut ws, &mut b);
+                assert_eq!(bits(&a), bits(&b), "paged attention diverged at row {at}");
+                at += blk;
+            }
+            let (c, p) = (contiguous.layer(0), paged.layer(0));
+            for pos in 0..t {
+                assert_eq!(bits(c.key(pos)), bits(p.key(pos)), "K row {pos}");
+                assert_eq!(bits(c.value(pos)), bits(p.value(pos)), "V row {pos}");
+            }
         }
     }
 }

@@ -402,136 +402,6 @@ impl KvCache {
         self.blocks[b] = Arc::new(buf);
     }
 
-    /// Fork a **branch** off a checkpoint: a new lease (fresh identity)
-    /// whose first `cp.len()` positions are this cache's rows at the
-    /// checkpoint, shared copy-on-write exactly like
-    /// [`KvPool::try_lease_with_prefix`] — fully-filled blocks are
-    /// `Arc`-cloned (zero copy), a partially-filled tail block is copied
-    /// eagerly. Either side writing past the fork point copies blocks out
-    /// of the share first (`ensure_unique`), so no branch can ever clobber
-    /// a sibling's rows. `None` if the pool lacks the non-shared blocks —
-    /// forking never steals capacity from live leases.
-    ///
-    /// The checkpoint must still be valid on this cache (same lease, not
-    /// truncated below), which is what guarantees the shared rows are the
-    /// rows the checkpoint named.
-    pub fn try_fork_from_checkpoint(&self, cp: &KvCheckpoint, capacity: usize) -> Option<KvCache> {
-        assert_eq!(
-            cp.lease_id, self.lease_id,
-            "checkpoint belongs to a different lease"
-        );
-        assert!(
-            cp.len <= self.len(),
-            "checkpoint is ahead of the cache: {} > {}",
-            cp.len,
-            self.len()
-        );
-        assert!(
-            self.low_mark >= cp.len,
-            "cache was truncated below the checkpoint ({} < {})",
-            self.low_mark,
-            cp.len
-        );
-        assert!(
-            self.lens.iter().all(|&l| l >= cp.len),
-            "fork point must be behind every layer"
-        );
-        assert!(cp.len <= capacity, "fork prefix longer than the lease");
-        let bs = self.pool.block_size;
-        let dim = self.pool.dim;
-        let n = capacity.div_ceil(bs).max(1);
-        let n_shared = cp.len / bs;
-        let mut blocks: Vec<Arc<Vec<f32>>> = {
-            let mut free = self.pool.free.lock().unwrap();
-            if free.len() < n - n_shared {
-                return None;
-            }
-            let mut blocks: Vec<Arc<Vec<f32>>> =
-                self.blocks[..n_shared].iter().map(Arc::clone).collect();
-            blocks.extend((n_shared..n).map(|_| {
-                let mut buf = free.pop().unwrap();
-                buf.fill(0.0);
-                Arc::new(buf)
-            }));
-            blocks
-        };
-        let rem = cp.len % bs;
-        if rem > 0 {
-            let src = Arc::clone(&self.blocks[n_shared]);
-            let dst = Arc::get_mut(&mut blocks[n_shared]).expect("fresh block is unique");
-            for l in 0..self.pool.n_layers {
-                let k0 = l * 2 * bs * dim;
-                let v0 = k0 + bs * dim;
-                dst[k0..k0 + rem * dim].copy_from_slice(&src[k0..k0 + rem * dim]);
-                dst[v0..v0 + rem * dim].copy_from_slice(&src[v0..v0 + rem * dim]);
-            }
-        }
-        Some(KvCache {
-            pool: Arc::clone(&self.pool),
-            blocks,
-            lens: vec![cp.len; self.pool.n_layers],
-            capacity,
-            low_mark: 0,
-            lease_id: next_lease_id(),
-        })
-    }
-
-    /// Compact an accepted tree path in place: move the rows at flat
-    /// positions `base + idx[j]` down to `base + j` (every layer), then
-    /// truncate to `base + idx.len()`. `idx` must be strictly increasing
-    /// with `idx[j] >= j` — the shape a flattened token tree always has,
-    /// since a child follows its ancestors in flat order — which makes the
-    /// left-to-right copy safe: no destination ever overwrites a source
-    /// that is still needed. Rows already in place (`idx[j] == j`, e.g. the
-    /// whole path at branching factor 1) are skipped untouched, so a
-    /// degenerate tree commit is byte-for-byte a plain `truncate`.
-    pub fn gather_tail(&mut self, base: usize, idx: &[usize]) {
-        let (dim, bs) = (self.pool.dim, self.pool.block_size);
-        let len = self.len();
-        assert!(
-            self.lens.iter().all(|&l| l == len),
-            "gather requires layers in lockstep"
-        );
-        for (j, &i) in idx.iter().enumerate() {
-            assert!(base + i < len, "gather source {i} out of range");
-            assert!(i >= j, "gather cannot move rows forward");
-            if j > 0 {
-                assert!(i > idx[j - 1], "gather indices must be strictly increasing");
-            }
-            if i == j {
-                continue;
-            }
-            let (src_pos, dst_pos) = (base + i, base + j);
-            let (sb, db) = (src_pos / bs, dst_pos / bs);
-            let (s_off, d_off) = ((src_pos % bs) * dim, (dst_pos % bs) * dim);
-            self.ensure_unique(db);
-            if sb == db {
-                let buf = Arc::get_mut(&mut self.blocks[db]).expect("block just made unique");
-                for l in 0..self.pool.n_layers {
-                    let k0 = l * 2 * bs * dim;
-                    let v0 = k0 + bs * dim;
-                    buf.copy_within(k0 + s_off..k0 + s_off + dim, k0 + d_off);
-                    buf.copy_within(v0 + s_off..v0 + s_off + dim, v0 + d_off);
-                }
-            } else {
-                // i >= j puts the destination block strictly before the
-                // source block, so the split borrow is always well-formed.
-                let (lo, hi) = self.blocks.split_at_mut(sb);
-                let src: &[f32] = &hi[0];
-                let dst = Arc::get_mut(&mut lo[db]).expect("block just made unique");
-                for l in 0..self.pool.n_layers {
-                    let k0 = l * 2 * bs * dim;
-                    let v0 = k0 + bs * dim;
-                    dst[k0 + d_off..k0 + d_off + dim]
-                        .copy_from_slice(&src[k0 + s_off..k0 + s_off + dim]);
-                    dst[v0 + d_off..v0 + d_off + dim]
-                        .copy_from_slice(&src[v0 + s_off..v0 + s_off + dim]);
-                }
-            }
-        }
-        self.truncate(base + idx.len());
-    }
-
     /// Whether block `b` is currently shared with another lease (tests /
     /// diagnostics).
     pub fn block_is_shared(&self, b: usize) -> bool {
@@ -1014,148 +884,6 @@ mod tests {
         let mut second = pool.try_lease(4).unwrap();
         fill_rows(&mut second, 3, 9.0);
         second.restore(&cp);
-    }
-
-    /// A fork shares the checkpoint's fully-filled blocks zero-copy, copies
-    /// the partial tail, and gets a fresh lease identity.
-    #[test]
-    fn fork_from_checkpoint_shares_blocks_and_gets_new_identity() {
-        let pool = KvPool::new(2, 3, 4, 8);
-        let mut parent = pool.try_lease(8).unwrap();
-        fill_rows(&mut parent, 6, 100.0); // block 0 full, block 1 half
-        let cp = parent.checkpoint();
-        fill_rows(&mut parent, 1, 900.0); // parent runs ahead of the fork
-        let free_before = pool.free_blocks();
-        let branch = parent.try_fork_from_checkpoint(&cp, 12).unwrap();
-        // 12 positions = 3 blocks; 1 shared, 2 drawn from the pool.
-        assert_eq!(free_before - pool.free_blocks(), 2);
-        assert!(branch.block_is_shared(0), "full block is shared");
-        assert!(!branch.block_is_shared(1), "partial tail must be copied");
-        assert_eq!(branch.len(), 6, "fork starts at the checkpoint");
-        assert_ne!(branch.lease_id(), parent.lease_id());
-        for l in 0..2 {
-            for p in 0..6 {
-                assert_eq!(branch.layer(l).key(p), parent.layer(l).key(p));
-                assert_eq!(branch.layer(l).value(p), parent.layer(l).value(p));
-            }
-        }
-    }
-
-    /// Sibling isolation, asserted bitwise: two branches forked from the
-    /// same checkpoint diverge, roll back, and overwrite — and neither the
-    /// parent nor the sibling ever sees a foreign row.
-    #[test]
-    fn forked_siblings_are_bitwise_isolated() {
-        let pool = KvPool::new(1, 2, 4, 12);
-        let mut parent = pool.try_lease(8).unwrap();
-        fill_rows(&mut parent, 4, 0.0); // exactly one full shared block
-        let cp = parent.checkpoint();
-        let mut a = parent.try_fork_from_checkpoint(&cp, 8).unwrap();
-        let mut b = parent.try_fork_from_checkpoint(&cp, 8).unwrap();
-        let golden: Vec<u32> = parent.block_raw(0).iter().map(|v| v.to_bits()).collect();
-
-        fill_rows(&mut a, 3, 500.0);
-        fill_rows(&mut b, 2, 700.0);
-        let b_bits: Vec<Vec<u32>> = (0..b.n_blocks())
-            .map(|blk| b.block_raw(blk).iter().map(|v| v.to_bits()).collect())
-            .collect();
-        // Branch A rolls back INTO the shared block and overwrites it.
-        let cp_a = a.checkpoint();
-        a.truncate(2);
-        fill_rows(&mut a, 4, 999.0);
-        assert!(!a.block_is_shared(0), "rollback write must have copied");
-        // Restoring/rolling branch A perturbed neither sibling nor parent.
-        for (blk, bits) in b_bits.iter().enumerate() {
-            let now: Vec<u32> = b.block_raw(blk).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(bits, &now, "sibling block {blk} perturbed");
-        }
-        let parent_now: Vec<u32> = parent.block_raw(0).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(golden, parent_now, "parent perturbed by branch writes");
-        // A's own checkpoint machinery still works after the CoW.
-        assert_eq!(cp_a.lease_id(), a.lease_id());
-        assert_eq!(b.layer(0).key(5), &[705.0, 705.0]);
-        drop(a);
-        drop(b);
-        drop(parent);
-        assert_eq!(pool.free_blocks(), pool.total_blocks(), "no block leaks");
-    }
-
-    /// Forking never steals from live leases: at pool exhaustion the fork
-    /// is refused, and a fork needing only shared blocks still succeeds.
-    #[test]
-    fn fork_respects_pool_exhaustion() {
-        let pool = KvPool::new(1, 2, 4, 2);
-        let mut parent = pool.try_lease(8).unwrap(); // both blocks leased
-        fill_rows(&mut parent, 8, 0.0);
-        let cp = parent.checkpoint();
-        assert_eq!(pool.free_blocks(), 0);
-        assert!(
-            parent.try_fork_from_checkpoint(&cp, 12).is_none(),
-            "fork must not conjure blocks from an exhausted pool"
-        );
-        // A fork covered entirely by shared full blocks draws nothing.
-        let branch = parent.try_fork_from_checkpoint(&cp, 8).unwrap();
-        assert_eq!(branch.len(), 8);
-        assert!(branch.block_is_shared(0) && branch.block_is_shared(1));
-    }
-
-    /// A checkpoint invalidated by a deeper truncate cannot seed a fork —
-    /// the rows it names may already be overwritten.
-    #[test]
-    #[should_panic(expected = "truncated below the checkpoint")]
-    fn fork_below_low_mark_is_rejected() {
-        let pool = KvPool::new(1, 2, 4, 4);
-        let mut parent = pool.try_lease(8).unwrap();
-        fill_rows(&mut parent, 5, 0.0);
-        let cp = parent.checkpoint();
-        parent.truncate(2);
-        fill_rows(&mut parent, 4, 9.0); // rows 2..6 rewritten under the cp
-        parent.try_fork_from_checkpoint(&cp, 8);
-    }
-
-    /// `gather_tail` compacts an accepted path: rows move down within and
-    /// across blocks, identity indices are no-ops, and the tail truncates.
-    #[test]
-    fn gather_tail_compacts_within_and_across_blocks() {
-        let pool = KvPool::new(2, 3, 4, 4); // block_size 4: spans blocks
-        let mut cache = pool.try_lease(12).unwrap();
-        fill_rows(&mut cache, 3, 0.0); // committed prefix: rows 0..3
-        fill_rows(&mut cache, 8, 50.0); // tree rows 3..11 (tags 53..61)
-        let keep = [0usize, 2, 5, 7]; // flat path: rows 3, 5, 8, 10
-        let want: Vec<Vec<f32>> = keep
-            .iter()
-            .map(|&i| cache.layer(1).key(3 + i).to_vec())
-            .collect();
-        cache.gather_tail(3, &keep);
-        assert_eq!(cache.len(), 3 + keep.len());
-        for l in 0..2 {
-            assert_eq!(cache.layer(l).key(1), &[1.0; 3][..], "prefix intact");
-            for (j, w) in want.iter().enumerate() {
-                assert_eq!(cache.layer(l).key(3 + j), &w[..], "layer {l} row {j}");
-                assert_eq!(cache.layer(l).value(3 + j)[0], -w[0]);
-            }
-        }
-    }
-
-    /// At branching factor 1 the path is `0..=k`, every row is already in
-    /// place, and the gather must be bit-identical to a plain truncate.
-    #[test]
-    fn gather_tail_identity_is_a_plain_truncate() {
-        let mut cache = KvCache::new(1, 16, 2);
-        fill_rows(&mut cache, 9, 10.0);
-        let before: Vec<u32> = cache.block_raw(0).iter().map(|v| v.to_bits()).collect();
-        cache.gather_tail(4, &[0, 1, 2]);
-        assert_eq!(cache.len(), 7);
-        let after: Vec<u32> = cache.block_raw(0).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(before, after, "identity gather must not touch storage");
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn gather_tail_rejects_unordered_indices() {
-        let mut cache = KvCache::new(1, 8, 2);
-        fill_rows(&mut cache, 6, 0.0);
-        cache.gather_tail(1, &[0, 3, 2]);
     }
 
     /// `reset` on a lease holding shared blocks detaches them (they stay

@@ -3,7 +3,7 @@
 //! inference path (`forward_infer`) and a stateless full-sequence reference
 //! (`forward_full`).
 
-use crate::attention::{Attention, TreeRows};
+use crate::attention::Attention;
 use crate::cache::{KvCache, KvLayerMut};
 use crate::layers::{Embedding, Linear, RmsNorm};
 use crate::quant::KernelPolicy;
@@ -152,8 +152,7 @@ impl DecoderBlock {
 
     /// Fused workspace path: one normed-scratch buffer serves both
     /// sub-layers and each sub-layer accumulates into `x` directly, so the
-    /// residual stream is never copied. `tree` goes to the attention
-    /// sub-layer only (norms and MLP are per-row and position-free).
+    /// residual stream is never copied.
     pub fn forward_infer_ws(
         &self,
         x: &mut [f32],
@@ -161,7 +160,6 @@ impl DecoderBlock {
         rope: &Rope,
         cache: KvLayerMut<'_>,
         ws: &mut Workspace,
-        tree: Option<&mut TreeRows<'_>>,
     ) {
         let dim = self.attn_norm.gain.len();
         let mut h = ws.take(t * dim);
@@ -169,7 +167,7 @@ impl DecoderBlock {
         let span = ws.prof.begin();
         self.attn_norm.forward_into(x, t, &mut h);
         ws.prof.end(span, Op::RmsNorm);
-        self.attn.forward_infer_ws(&h, t, rope, cache, ws, x, tree);
+        self.attn.forward_infer_ws(&h, t, rope, cache, ws, x);
 
         let span = ws.prof.begin();
         self.mlp_norm.forward_into(x, t, &mut h);
@@ -308,7 +306,13 @@ impl Decoder {
         ws: &mut Workspace,
         logits: &mut [f32],
     ) {
-        self.infer_tokens_ws(tokens, cache, ws, logits, None);
+        let t = tokens.len();
+        assert!(!tokens.is_empty(), "empty token block");
+        let mut x = ws.take(t * self.cfg.dim);
+        let span = ws.prof.begin();
+        self.embed.forward_into(tokens, &mut x);
+        ws.prof.end(span, Op::Embed);
+        self.infer_tail_ws(x, t, cache, ws, logits);
     }
 
     /// Prefill on the fused path: feed `prompt` and return the greedy next
@@ -321,56 +325,6 @@ impl Decoder {
         let next = argmax(&logits[(prompt.len() - 1) * vocab..]) as u32;
         ws.give(logits);
         next
-    }
-
-    /// Tree-verify forward: `tokens` is a **flattened token tree** described
-    /// by `rows` (row `i` at depth `depths[i]`, ancestor bitmask `vis[i]`,
-    /// self bit included) appended after the cached prefix; logits row `i`
-    /// is the next-token distribution conditioned on exactly `i`'s root
-    /// path. Every row of an entire speculation tree is scored in this ONE
-    /// weight pass — commit the accepted root-to-leaf path with
-    /// [`KvCache::gather_tail`].
-    ///
-    /// `rows.vis_mass[i]` receives row `i`'s attention mass on cache
-    /// positions `0..vis_boundary` (the vision prefix), averaged over heads
-    /// and layers. A chain (`depths[i] == i`, full visibility) reproduces
-    /// [`Decoder::forward_infer_ws`] bit for bit.
-    pub fn forward_infer_tree_ws(
-        &self,
-        tokens: &[u32],
-        cache: &mut KvCache,
-        ws: &mut Workspace,
-        logits: &mut [f32],
-        mut rows: TreeRows<'_>,
-    ) {
-        let t = tokens.len();
-        assert_eq!(rows.depths.len(), t);
-        assert_eq!(rows.vis.len(), t);
-        assert_eq!(rows.vis_mass.len(), t);
-        rows.vis_mass.fill(0.0);
-        self.infer_tokens_ws(tokens, cache, ws, logits, Some(&mut rows));
-        let inv_layers = 1.0 / self.blocks.len() as f32;
-        for m in rows.vis_mass.iter_mut() {
-            *m *= inv_layers;
-        }
-    }
-
-    /// Embed `tokens`, then the shared tail.
-    fn infer_tokens_ws(
-        &self,
-        tokens: &[u32],
-        cache: &mut KvCache,
-        ws: &mut Workspace,
-        logits: &mut [f32],
-        tree: Option<&mut TreeRows<'_>>,
-    ) {
-        let t = tokens.len();
-        assert!(!tokens.is_empty(), "empty token block");
-        let mut x = ws.take(t * self.cfg.dim);
-        let span = ws.prof.begin();
-        self.embed.forward_into(tokens, &mut x);
-        ws.prof.end(span, Op::Embed);
-        self.infer_tail_ws(x, t, cache, ws, logits, tree);
     }
 
     /// Fused forward over **pre-computed embedding rows** instead of token
@@ -391,7 +345,7 @@ impl Decoder {
         assert_eq!(x.len(), t * self.cfg.dim);
         let mut buf = ws.take(t * self.cfg.dim);
         buf.copy_from_slice(x);
-        self.infer_tail_ws(buf, t, cache, ws, logits, None);
+        self.infer_tail_ws(buf, t, cache, ws, logits);
     }
 
     /// Shared post-embedding body of the fused forwards: capacity checks →
@@ -404,7 +358,6 @@ impl Decoder {
         cache: &mut KvCache,
         ws: &mut Workspace,
         logits: &mut [f32],
-        mut tree: Option<&mut TreeRows<'_>>,
     ) {
         assert!(
             cache.len() + t <= self.cfg.max_seq.min(cache.capacity()),
@@ -413,8 +366,7 @@ impl Decoder {
         );
         assert_eq!(logits.len(), t * self.cfg.vocab);
         for (l, block) in self.blocks.iter().enumerate() {
-            let tree = tree.as_deref_mut();
-            block.forward_infer_ws(&mut x, t, &self.rope, cache.layer_mut(l), ws, tree);
+            block.forward_infer_ws(&mut x, t, &self.rope, cache.layer_mut(l), ws);
         }
 
         let mut xn = ws.take(t * self.cfg.dim);
@@ -928,158 +880,6 @@ mod tests {
     #[test]
     fn linear_first_int8_forward_from_two_threads_quantises_once() {
         first_fused_forward_from_two_threads_builds_once(KernelPolicy::Int8);
-    }
-
-    /// Chain bit-identity: a branching-factor-1 "tree" (depths `0..t`, full
-    /// visibility) must make the identical kernel calls as the linear fused
-    /// forward — logits and cache rows equal bit for bit, on a genuinely
-    /// paged lease.
-    #[test]
-    fn tree_forward_chain_is_bit_identical_to_linear() {
-        use crate::cache::KvPool;
-        let model = Decoder::new(DecoderConfig::tiny(50), 0x73EE);
-        let vocab = model.cfg.vocab;
-        let mut rng = Rng::new(91);
-        let prefix: Vec<u32> = (0..9).map(|_| rng.below(50) as u32).collect();
-        let chain: Vec<u32> = (0..5).map(|_| rng.below(50) as u32).collect();
-
-        let pool = KvPool::new(model.cfg.n_layers, model.cfg.dim, 4, 64);
-        let mut lin = pool.try_lease(40).unwrap();
-        let mut tree = pool.try_lease(40).unwrap();
-        let mut ws = Workspace::new();
-        let mut scratch = vec![0.0f32; prefix.len() * vocab];
-        model.forward_infer_ws(&prefix, &mut lin, &mut ws, &mut scratch);
-        model.forward_infer_ws(&prefix, &mut tree, &mut ws, &mut scratch);
-
-        let t = chain.len();
-        let mut la = vec![0.0f32; t * vocab];
-        let mut lb = vec![0.0f32; t * vocab];
-        model.forward_infer_ws(&chain, &mut lin, &mut ws, &mut la);
-        let depths: Vec<usize> = (0..t).collect();
-        let vis: Vec<u64> = (0..t).map(|i| (1u64 << (i + 1)) - 1).collect();
-        let mut mass = vec![0.0f32; t];
-        let rows = TreeRows {
-            depths: &depths,
-            vis: &vis,
-            vis_boundary: 0,
-            vis_mass: &mut mass,
-        };
-        model.forward_infer_tree_ws(&chain, &mut tree, &mut ws, &mut lb, rows);
-        let ab: Vec<u32> = la.iter().map(|v| v.to_bits()).collect();
-        let bb: Vec<u32> = lb.iter().map(|v| v.to_bits()).collect();
-        assert_eq!(ab, bb, "chain tree logits must equal linear bitwise");
-        for l in 0..model.cfg.n_layers {
-            for p in 0..lin.len() {
-                assert_eq!(lin.layer(l).key(p), tree.layer(l).key(p));
-                assert_eq!(lin.layer(l).value(p), tree.layer(l).value(p));
-            }
-        }
-    }
-
-    /// Exact losslessness of a branched tree: every root-to-leaf path's
-    /// logits must equal feeding that path linearly, bit for bit, and the
-    /// gathered commit must leave cache rows bit-identical to the linear
-    /// feed's.
-    #[test]
-    fn tree_forward_path_matches_linear_feed_bitwise() {
-        use crate::cache::KvPool;
-        let model = Decoder::new(DecoderConfig::tiny(50), 0x73EF);
-        let vocab = model.cfg.vocab;
-        let mut rng = Rng::new(92);
-        let prefix: Vec<u32> = (0..7).map(|_| rng.below(50) as u32).collect();
-
-        //        0
-        //       / \
-        //      1   2
-        //     /   / \
-        //    3   4   5
-        let toks: Vec<u32> = (0..6).map(|_| rng.below(50) as u32).collect();
-        let parents = [usize::MAX, 0, 0, 1, 2, 2];
-        let depths = [0usize, 1, 1, 2, 2, 2];
-        let mut vis = [0u64; 6];
-        for i in 0..6 {
-            vis[i] = 1 << i;
-            if parents[i] != usize::MAX {
-                vis[i] |= vis[parents[i]];
-            }
-        }
-
-        let pool = KvPool::new(model.cfg.n_layers, model.cfg.dim, 4, 64);
-        let mut tree_cache = pool.try_lease(40).unwrap();
-        let mut ws = Workspace::new();
-        let mut scratch = vec![0.0f32; prefix.len() * vocab];
-        model.forward_infer_ws(&prefix, &mut tree_cache, &mut ws, &mut scratch);
-        let base = tree_cache.len();
-        let mut tl = vec![0.0f32; 6 * vocab];
-        let mut mass = vec![0.0f32; 6];
-        let rows = TreeRows {
-            depths: &depths,
-            vis: &vis,
-            vis_boundary: 3,
-            vis_mass: &mut mass,
-        };
-        model.forward_infer_tree_ws(&toks, &mut tree_cache, &mut ws, &mut tl, rows);
-        assert!(
-            mass.iter().all(|&m| m > 0.0 && m < 1.0),
-            "bad mass {mass:?}"
-        );
-
-        for path in [vec![0usize, 1, 3], vec![0, 2, 4], vec![0, 2, 5]] {
-            let mut lin = pool.try_lease(40).unwrap();
-            model.forward_infer_ws(&prefix, &mut lin, &mut ws, &mut scratch);
-            let path_toks: Vec<u32> = path.iter().map(|&i| toks[i]).collect();
-            let mut ll = vec![0.0f32; path.len() * vocab];
-            model.forward_infer_ws(&path_toks, &mut lin, &mut ws, &mut ll);
-            for (j, &i) in path.iter().enumerate() {
-                let a: Vec<u32> = tl[i * vocab..(i + 1) * vocab]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                let b: Vec<u32> = ll[j * vocab..(j + 1) * vocab]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect();
-                assert_eq!(a, b, "path {path:?} node {i} logits diverged");
-            }
-            // Commit this path into a fork of the tree cache and compare
-            // the compacted rows against the linear feed's, bitwise.
-            let mut committed = {
-                let mut c = pool.try_lease(40).unwrap();
-                model.forward_infer_ws(&prefix, &mut c, &mut ws, &mut scratch);
-                let mut l2 = vec![0.0f32; 6 * vocab];
-                let mut m2 = vec![0.0f32; 6];
-                let rows = TreeRows {
-                    depths: &depths,
-                    vis: &vis,
-                    vis_boundary: 3,
-                    vis_mass: &mut m2,
-                };
-                model.forward_infer_tree_ws(&toks, &mut c, &mut ws, &mut l2, rows);
-                c
-            };
-            committed.gather_tail(base, &path);
-            assert_eq!(committed.len(), lin.len());
-            for l in 0..model.cfg.n_layers {
-                for p in 0..lin.len() {
-                    let a: Vec<u32> = committed
-                        .layer(l)
-                        .key(p)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    let b: Vec<u32> = lin.layer(l).key(p).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b, "path {path:?} K row {p} layer {l}");
-                    let a: Vec<u32> = committed
-                        .layer(l)
-                        .value(p)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect();
-                    let b: Vec<u32> = lin.layer(l).value(p).iter().map(|v| v.to_bits()).collect();
-                    assert_eq!(a, b, "path {path:?} V row {p} layer {l}");
-                }
-            }
-        }
     }
 
     #[test]

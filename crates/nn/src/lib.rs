@@ -27,7 +27,7 @@ pub mod layers;
 pub mod quant;
 pub mod rope;
 
-pub use attention::{Attention, TreeRows};
+pub use attention::Attention;
 pub use cache::{KvCache, KvCheckpoint, KvChunks, KvLayer, KvLayerMut, KvPool};
 pub use decoder::{Decoder, DecoderBlock, DecoderConfig, Mlp};
 pub use layers::{Embedding, Linear, RmsNorm};

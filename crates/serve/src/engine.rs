@@ -54,8 +54,7 @@ use std::time::{Duration, Instant};
 use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
 use aasd_nn::{Decoder, KvCache, KvPool};
 use aasd_specdec::{
-    AcceptanceCalibrator, AdaptiveGamma, ArSession, Session, SpecSession, StepReport, TreeConfig,
-    TreeSession, VerifyHalf, MAX_GAMMA,
+    AdaptiveGamma, ArSession, Session, SpecSession, StepReport, VerifyHalf, MAX_GAMMA,
 };
 use aasd_tensor::{Rng, Tensor, Workspace};
 
@@ -148,10 +147,6 @@ pub enum Speculation {
     /// reference and the shape the paper uses.
     #[default]
     Chain,
-    /// Token tree per block ([`TreeSession`]): branching factor 2 behind
-    /// the neutral acceptance calibrator, scored in one tree-attention
-    /// target pass, longest accepted root-to-leaf path committed.
-    Tree,
     /// Asynchronous draft/target pipeline: every speculative session gets
     /// a dedicated draft thread free-running ahead through a lock-free
     /// SPSC ring while `workers` free-running target threads verify and
@@ -234,7 +229,7 @@ enum Phase {
     /// Admitted but not yet prefilled; prefill happens on the slot's first
     /// scheduling turn so TTFT honestly includes queue wait + prefill.
     Prefill(Request),
-    /// Stepped inline by the scheduler: AR, chain or tree.
+    /// Stepped inline by the scheduler: AR or chain.
     Inline(Session),
     /// Verify half stepped by the scheduler, draft on its own thread.
     Pipelined(Pipelined),
@@ -1065,27 +1060,6 @@ impl Engine {
                 }
                 Phase::Inline(Session::Spec(session))
             }
-            Speculation::Tree => {
-                let tree_cfg = TreeConfig {
-                    calibrator: Some(AcceptanceCalibrator::neutral()),
-                    ..TreeConfig::default()
-                };
-                let mut session = TreeSession::new(
-                    target,
-                    draft,
-                    t_cache,
-                    d_lease,
-                    pending,
-                    budget,
-                    gamma,
-                    tree_cfg,
-                    self.model.n_img(),
-                );
-                if let Some(controller) = adaptive {
-                    session.enable_adaptive_gamma(controller);
-                }
-                Phase::Inline(Session::Tree(session))
-            }
             Speculation::Pipelined => {
                 let mut verify =
                     VerifyHalf::new(target, t_cache, d_lease.len(), pending, budget, gamma);
@@ -1384,7 +1358,7 @@ mod tests {
         assert_eq!(d_pool.free_blocks(), d_pool.total_blocks(), "{cell}");
     }
 
-    /// The engine losslessness matrix: {chain, tree, pipelined} × {text,
+    /// The engine losslessness matrix: {chain, pipelined} × {text,
     /// multimodal} × {fixed γ, adaptive γ}, each row at workers {1, 2} and
     /// with the draft on either kernel policy under the f32 target.
     macro_rules! lossless_matrix {
@@ -1410,10 +1384,6 @@ mod tests {
         lossless_chain_text_adaptive: Chain, mm false, adaptive true;
         lossless_chain_mm_fixed: Chain, mm true, adaptive false;
         lossless_chain_mm_adaptive: Chain, mm true, adaptive true;
-        lossless_tree_text_fixed: Tree, mm false, adaptive false;
-        lossless_tree_text_adaptive: Tree, mm false, adaptive true;
-        lossless_tree_mm_fixed: Tree, mm true, adaptive false;
-        lossless_tree_mm_adaptive: Tree, mm true, adaptive true;
         lossless_pipelined_text_fixed: Pipelined, mm false, adaptive false;
         lossless_pipelined_text_adaptive: Pipelined, mm false, adaptive true;
         lossless_pipelined_mm_fixed: Pipelined, mm true, adaptive false;

@@ -3,9 +3,8 @@
 //! the steps that do not depend on how proposals were produced — the
 //! plain-decode step, the batched chain verify, and the accept → stats →
 //! budget-clamped commit. [`SpecSession`](crate::SpecSession),
-//! [`TreeSession`](crate::TreeSession), [`VerifyHalf`](crate::VerifyHalf)
-//! and [`ArSession`](crate::ArSession) embed one [`Core`] each and differ
-//! only in their draft side.
+//! [`VerifyHalf`](crate::VerifyHalf) and [`ArSession`](crate::ArSession)
+//! embed one [`Core`] each and differ only in their draft side.
 
 use crate::adaptive::AdaptiveGamma;
 use crate::metrics::SpecStats;
@@ -206,24 +205,18 @@ impl Core {
 
     /// Account one verified block and commit it: `accepted` are the
     /// proposals the target agreed with, `next` its token after them (the
-    /// new pending token), `drafted` the proposals the block carried, and
-    /// `observed` the `(drafted, accepted)` pair the γ controller learns
-    /// from. α measures draft/target alignment, so `stats.accepted` counts
-    /// every agreement, even one the budget then truncates away; the commit
-    /// itself is clamped to the remaining budget so the bonus/correction
-    /// token is never emitted past it.
-    pub(crate) fn commit(
-        &mut self,
-        accepted: &[u32],
-        next: u32,
-        drafted: usize,
-        observed: (usize, usize),
-    ) {
+    /// new pending token), `drafted` the proposals the block carried — the
+    /// pair the γ controller learns from. α measures draft/target
+    /// alignment, so `stats.accepted` counts every agreement, even one the
+    /// budget then truncates away; the commit itself is clamped to the
+    /// remaining budget so the bonus/correction token is never emitted past
+    /// it.
+    pub(crate) fn commit(&mut self, accepted: &[u32], next: u32, drafted: usize) {
         self.stats.blocks += 1;
         self.stats.drafted += drafted;
         self.stats.accepted += accepted.len();
         if let Some(ctl) = &mut self.adaptive {
-            ctl.observe(observed.0, observed.1);
+            ctl.observe(drafted, accepted.len());
         }
         let commit = (accepted.len() + 1).min(self.remaining());
         self.stats.generated += commit;

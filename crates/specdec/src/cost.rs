@@ -7,14 +7,14 @@
 //! to the arithmetic-intensity knee). A batched verify of γ+1 tokens is
 //! therefore ≈ one weight pass, which is the whole reason drafting wins.
 //!
-//! The CPU-walltime clock in this repo does *not* live in that regime — the
-//! sim models are small enough to be compute-bound, and a batched verify
-//! costs nearly γ× a single step. [`DeviceClock`] closes the gap with an
-//! analytical model parameterized by each model's **real-world analogue**
-//! byte footprint: the measured α/τ counts (clock-independent) are combined
-//! with per-pass times `bytes / bandwidth + overhead` to report the speedup
-//! ω a memory-bound device would see. Both clocks appear side by side in
-//! `table1` output; neither replaces the other.
+//! The CPU-walltime clock in this repo does *not* live in that regime: a
+//! 6-row verify measures 1.45× a one-row decode step, not ≈ 1×
+//! (`nn.verify_over_decode1`, benchmark `solo-decode`, γ 5, 2-vCPU avx2).
+//! [`DeviceClock`] models the memory-bound regime from each model's
+//! **real-world analogue** byte footprint: measured α/τ counts
+//! (clock-independent) and per-pass times `bytes / bandwidth + overhead`
+//! give the speedup ω such a device would see. Both clocks appear side by
+//! side in `table1` output; neither replaces the other.
 
 use crate::metrics::SpecStats;
 

@@ -9,7 +9,7 @@
 //! acceptance is the one-hot special case of Leviathan rejection sampling
 //! (accept `x'~q` w.p. `min(1, p/q)`).
 //!
-//! There is one loop: the resumable sessions of [`session`], [`tree`] and
+//! There is one loop: the resumable sessions of [`session`] and
 //! [`pipeline`], which share one private loop-state core and run every
 //! forward on the zero-allocation `forward_infer_ws` path. A speculative
 //! session **folds the pending token into the verify block** — the
@@ -39,7 +39,6 @@ pub mod metrics;
 pub mod pipeline;
 pub mod ring;
 pub mod session;
-pub mod tree;
 
 pub use adaptive::AdaptiveGamma;
 pub use cost::{fp16_bytes, DeviceClock};
@@ -47,9 +46,6 @@ pub use metrics::SpecStats;
 pub use pipeline::{DraftAhead, DraftStep, VerifyHalf, VerifyReport, CONFIDENCE_STOP};
 pub use ring::{Rollback, SpscRing};
 pub use session::{ArSession, Session, SpecSession, StepReport};
-pub use tree::{
-    AcceptanceCalibrator, AcceptanceExample, TreeConfig, TreeSession, CALIBRATOR_FEATURES,
-};
 
 use aasd_nn::Decoder;
 use aasd_tensor::Workspace;
@@ -500,38 +496,51 @@ mod tests {
         }
     }
 
-    /// The chain and tree loops must agree on which γ values they accept:
-    /// γ = 0 and γ ≥ MAX_GAMMA panic on both, γ = 1 and γ = MAX_GAMMA − 1
-    /// run on both.
+    /// The inline chain and the pipelined halves must agree on which γ
+    /// values they accept: γ = 0 and γ ≥ MAX_GAMMA panic on both, γ = 1 and
+    /// γ = MAX_GAMMA − 1 run on both.
     #[test]
     fn gamma_validation_agrees_between_loops() {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let target = tiny(80);
         let draft = tiny(81);
         let p = [1u32, 2, 3];
+        let budget = 4;
         let run_chain = |gamma: usize| {
             catch_unwind(AssertUnwindSafe(|| {
                 let mut ws = Workspace::new();
-                speculative_greedy_with_budget_ws(&target, &draft, &p, 4, gamma, &mut ws)
+                speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws)
             }))
             .is_ok()
         };
-        let run_tree = |gamma: usize| {
+        // Both halves on one thread, over budget-collapsed leases.
+        let run_pipelined = |gamma: usize| {
             catch_unwind(AssertUnwindSafe(|| {
                 let mut ws = Workspace::new();
-                let (mut tc, mut dc) = (target.new_cache(), draft.new_cache());
+                let lease = |m: &Decoder| {
+                    let pool = aasd_nn::KvPool::new(m.cfg.n_layers, m.cfg.dim, 16, 1);
+                    pool.try_lease(p.len() + budget - 1).unwrap()
+                };
+                let (mut tc, mut dc) = (lease(&target), lease(&draft));
                 let pending = target.prefill_ws(&p, &mut tc, &mut ws);
                 draft.prefill_ws(&p, &mut dc, &mut ws);
-                let cfg = TreeConfig::default();
-                let s = TreeSession::new(&target, &draft, &tc, &dc, pending, 4, gamma, cfg, 0);
-                Session::Tree(s).run(&target, &mut tc, Some((&draft, &mut dc)), &mut ws)
+                let mut verify = VerifyHalf::new(&target, &tc, dc.len(), pending, budget, gamma);
+                let mut da = DraftAhead::new(&mut dc, pending);
+                let ring = SpscRing::new(MAX_GAMMA);
+                while !verify.is_done() {
+                    while matches!(
+                        da.step(&draft, &mut dc, &ring, verify.depth_hint(), &mut ws),
+                        DraftStep::Produced | DraftStep::RolledBack
+                    ) {}
+                    verify.try_step_block(&target, &mut tc, &ring, &mut ws);
+                }
             }))
             .is_ok()
         };
         for gamma in [0, 1, MAX_GAMMA - 1, MAX_GAMMA, MAX_GAMMA + 5] {
             let expect = (1..MAX_GAMMA).contains(&gamma);
             assert_eq!(run_chain(gamma), expect, "chain loop at γ={gamma}");
-            assert_eq!(run_tree(gamma), expect, "tree loop at γ={gamma}");
+            assert_eq!(run_pipelined(gamma), expect, "pipelined loop at γ={gamma}");
         }
     }
 

@@ -390,8 +390,7 @@ impl VerifyHalf {
         let proposals = &proposals[..k];
 
         let (accepted, next) = self.core.verify_chain(target, t_cache, proposals, ws);
-        self.core
-            .commit(&proposals[..accepted], next, k, (k, accepted));
+        self.core.commit(&proposals[..accepted], next, k);
         let rolled_back = accepted < k && !self.core.is_done();
         if !self.core.is_done() {
             t_cache.truncate(t_base + 1 + accepted);

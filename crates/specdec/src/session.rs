@@ -2,10 +2,10 @@
 //!
 //! A `main`-style harness can run one request to completion inside a single
 //! function call; a scheduler that must interleave many requests cannot.
-//! [`SpecSession`], [`TreeSession`](crate::TreeSession) and [`ArSession`]
-//! are the loop **body** as an explicit state machine: one step call
-//! executes exactly one draft-then-verify block (or one plain decode step
-//! when there is no room to speculate), then returns control to the caller.
+//! [`SpecSession`] and [`ArSession`] are the loop **body** as an explicit
+//! state machine: one step call executes exactly one draft-then-verify
+//! block (or one plain decode step when there is no room to speculate),
+//! then returns control to the caller.
 //! A scheduler can run block A of session 1, then block A of session 2,
 //! then block B of session 1 — continuous batching at block granularity —
 //! and every session still produces output token-identical to the one-shot
@@ -20,7 +20,6 @@
 
 use crate::core::{assert_budget_fits, core_accessors, Core};
 use crate::metrics::SpecStats;
-use crate::tree::TreeSession;
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache};
 use aasd_tensor::{argmax, Workspace};
@@ -40,7 +39,7 @@ pub struct StepReport {
 /// positions held and the pending token's own row. The session
 /// constructors' budget asserts guarantee `base + 1 ≤` the bound while the
 /// session is not done, so this cannot underflow.
-pub(crate) fn room(model: &Decoder, cache: &KvCache, base: usize) -> usize {
+fn room(model: &Decoder, cache: &KvCache, base: usize) -> usize {
     model.cfg.max_seq.min(cache.capacity()) - base - 1
 }
 
@@ -169,8 +168,7 @@ impl SpecSession {
         let proposals = &proposals[..g];
 
         let (accepted, next) = self.core.verify_chain(target, t_cache, proposals, ws);
-        self.core
-            .commit(&proposals[..accepted], next, g, (g, accepted));
+        self.core.commit(&proposals[..accepted], next, g);
         if !self.core.is_done() {
             // Roll both caches back to the committed frontier; the new
             // pending token is fed as part of the NEXT block's verify pass.
@@ -241,7 +239,6 @@ impl ArSession {
 pub enum Session {
     Ar(ArSession),
     Spec(SpecSession),
-    Tree(TreeSession),
 }
 
 impl Session {
@@ -249,7 +246,6 @@ impl Session {
         match self {
             Session::Ar(s) => &s.core,
             Session::Spec(s) => &s.core,
-            Session::Tree(s) => s.core(),
         }
     }
 
@@ -280,15 +276,10 @@ impl Session {
         draft: Option<(&Decoder, &mut KvCache)>,
         ws: &mut Workspace,
     ) -> StepReport {
-        let spec = || draft.expect("speculative session without a draft cache");
         match self {
             Session::Ar(s) => s.step(target, t_cache, ws),
             Session::Spec(s) => {
-                let (draft, d_cache) = spec();
-                s.step_block(target, draft, t_cache, d_cache, ws)
-            }
-            Session::Tree(s) => {
-                let (draft, d_cache) = spec();
+                let (draft, d_cache) = draft.expect("speculative session without a draft cache");
                 s.step_block(target, draft, t_cache, d_cache, ws)
             }
         }
@@ -309,7 +300,6 @@ impl Session {
         match self {
             Session::Ar(s) => s.core.into_parts(),
             Session::Spec(s) => s.into_parts(),
-            Session::Tree(s) => s.into_parts(),
         }
     }
 }

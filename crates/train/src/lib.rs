@@ -22,11 +22,9 @@
 //! the root integration test can assert that a distilled draft's empirical
 //! acceptance rate α strictly beats the untrained draft's.
 
-mod calibrate;
 mod optim;
 mod schedule;
 
-pub use calibrate::fit_acceptance_calibrator;
 pub use optim::{Adam, Optimizer, Sgd};
 pub use schedule::Schedule;
 

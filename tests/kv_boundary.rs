@@ -253,73 +253,3 @@ fn async_rollback_at_lease_capacity_frontier_leaks_nothing() {
     assert_eq!(t_pool.free_blocks(), t_pool.total_blocks());
     assert_eq!(d_pool.free_blocks(), d_pool.total_blocks());
 }
-
-/// Branch checkpoints at the lease-capacity frontier: fork an
-/// engine-shaped lease exactly at its full capacity, write divergent rows
-/// into parent and fork past the copy-on-write boundary, and assert the
-/// two branches never see each other's rows — then drop both and require
-/// every block back in the pool.
-#[test]
-fn fork_at_lease_capacity_frontier_isolates_siblings() {
-    use aasd::nn::KvPool;
-
-    let (n_layers, dim, bs) = (2usize, 8usize, 4usize);
-    let pool = KvPool::new(n_layers, dim, bs, 12);
-    let cap = 2 * bs; // two-block lease, forked when its first block is full
-    let mut parent = pool.try_lease(cap).expect("parent lease");
-
-    // Fill the parent to the block boundary — the frontier where a fork's
-    // shared prefix ends exactly at a block edge.
-    for pos in 0..bs {
-        for l in 0..n_layers {
-            let row = vec![(l * 100 + pos) as f32; dim];
-            let mut layer = parent.layer_mut(l);
-            layer.append(&row, &row);
-        }
-    }
-    let cp = parent.checkpoint();
-    let mut fork = parent
-        .try_fork_from_checkpoint(&cp, cap)
-        .expect("fork within pool capacity");
-    assert_eq!(fork.len(), bs, "fork starts at the checkpoint frontier");
-
-    // Divergent continuations: parent and fork each append a full block of
-    // distinct rows at the same positions.
-    for pos in 0..bs {
-        for l in 0..n_layers {
-            let p_row = vec![1000.0 + (l * 10 + pos) as f32; dim];
-            let f_row = vec![-(1000.0 + (l * 10 + pos) as f32); dim];
-            parent.layer_mut(l).append(&p_row, &p_row);
-            fork.layer_mut(l).append(&f_row, &f_row);
-        }
-    }
-    // The shared prefix is bitwise-identical through both handles; the
-    // divergent tails never bleed across branches.
-    for l in 0..n_layers {
-        let pl = parent.layer(l);
-        let fl = fork.layer(l);
-        for pos in 0..bs {
-            assert_eq!(pl.key(pos), fl.key(pos), "shared prefix differs");
-        }
-        for pos in bs..2 * bs {
-            assert!(pl.key(pos)[0] > 0.0, "parent row overwritten");
-            assert!(fl.key(pos)[0] < 0.0, "fork row overwritten");
-        }
-    }
-
-    // Exhaustion at the fork site: grab the rest of the pool, then a fork
-    // that needs a fresh tail block must fail cleanly (None, not panic).
-    let hog = pool.try_lease(pool.free_blocks() * bs);
-    assert!(hog.is_some());
-    assert!(
-        parent.try_fork_from_checkpoint(&cp, cap).is_none(),
-        "fork must decline when the free list is empty"
-    );
-    drop(hog);
-
-    // All blocks return once both branches drop (shared prefix blocks flow
-    // back when the LAST owner releases them).
-    drop(fork);
-    drop(parent);
-    assert_eq!(pool.free_blocks(), pool.total_blocks());
-}

@@ -103,28 +103,6 @@ fn rerun_is_reproducible() {
     assert_eq!(run_text_engine(2, &reqs), run_text_engine(2, &reqs));
 }
 
-/// Tree-structured speculation is held to the same bar: worker-count independent, reproducible, and stream-identical to
-/// the linear engine — losslessness means tree and chain commit the same
-/// tokens, so `Speculation::Tree` must be invisible in the output.
-#[test]
-fn tree_speculation_streams_match_linear_at_any_worker_count() {
-    let reqs = workload(10);
-    let run_tree = |workers| run_text_engine_cfg(workers, Speculation::Tree, &reqs);
-    let linear = run_text_engine(1, &reqs);
-    for workers in [1usize, 4] {
-        let tree = run_tree(workers);
-        assert_eq!(linear.len(), tree.len());
-        for (i, (l, t)) in linear.iter().zip(&tree).enumerate() {
-            assert_eq!(t.0, Status::Done, "tree request {i} not done");
-            assert_eq!(
-                l.1, t.1,
-                "request {i} diverged between linear and tree engines ({workers} workers)"
-            );
-        }
-    }
-    assert_eq!(run_tree(2), run_tree(2), "tree rerun drifted");
-}
-
 /// The async draft/target pipeline is held to the same bar: at 1, 2, and
 /// 4 target workers — with a free-running draft thread racing each verify
 /// leg — every stream is byte-identical to the synchronous scheduler and

@@ -1,6 +1,6 @@
 //! The session table: every behaviour the speculative loop promises, for
-//! each inline session kind — the chain [`SpecSession`], the token tree at
-//! branching factor 1 (the degenerate chain) and at branching factor 2 —
+//! each inline session kind — the chain [`SpecSession`] at a fixed γ and
+//! under an [`AdaptiveGamma`] controller that re-picks γ every block —
 //! against the [`ArSession`] stream. Random target/draft pairs, γ values,
 //! budgets and prompts (including prompts flush against the context
 //! window); every [`SpecStats`] invariant must hold and the output must
@@ -8,20 +8,30 @@
 
 use aasd::nn::{Decoder, DecoderConfig, KvCache};
 use aasd::specdec::{
-    autoregressive_greedy_with_budget_ws, Session, SpecSession, SpecStats, TreeConfig, TreeSession,
-    MAX_GAMMA,
+    autoregressive_greedy_with_budget_ws, AdaptiveGamma, Session, SpecSession, SpecStats, MAX_GAMMA,
 };
 use aasd::tensor::{Rng, Workspace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// An inline speculative session kind; `Tree` carries its branching factor.
+/// An inline speculative session kind: the chain at the γ it was given,
+/// or the chain whose γ an [`AdaptiveGamma`] controller re-picks per block
+/// (the given γ only passes the constructor's bounds check).
 #[derive(Debug, Clone, Copy)]
 enum Kind {
     Spec,
-    Tree(usize),
+    Adaptive,
 }
 
-const KINDS: [Kind; 3] = [Kind::Spec, Kind::Tree(1), Kind::Tree(2)];
+const KINDS: [Kind; 2] = [Kind::Spec, Kind::Adaptive];
+
+/// The deepest block `kind` may draft when opened at `gamma`: the
+/// controller ranges over the whole of `1..MAX_GAMMA`.
+fn gamma_bound(kind: Kind, gamma: usize) -> usize {
+    match kind {
+        Kind::Spec => gamma,
+        Kind::Adaptive => MAX_GAMMA - 1,
+    }
+}
 
 fn model(seed: u64) -> Decoder {
     Decoder::new(DecoderConfig::tiny(32), seed)
@@ -45,21 +55,11 @@ fn start(
     let mut dc = draft.new_cache();
     let pending = target.prefill_ws(prompt, &mut tc, ws);
     draft.prefill_ws(prompt, &mut dc, ws);
-    let session = match kind {
-        Kind::Spec => Session::Spec(SpecSession::new(
-            target, draft, &tc, &dc, pending, budget, gamma,
-        )),
-        Kind::Tree(branch_factor) => {
-            let cfg = TreeConfig {
-                branch_factor,
-                ..TreeConfig::default()
-            };
-            Session::Tree(TreeSession::new(
-                target, draft, &tc, &dc, pending, budget, gamma, cfg, 0,
-            ))
-        }
-    };
-    (session, tc, dc)
+    let mut session = SpecSession::new(target, draft, &tc, &dc, pending, budget, gamma);
+    if let Kind::Adaptive = kind {
+        session.enable_adaptive_gamma(AdaptiveGamma::new(0.25));
+    }
+    (Session::Spec(session), tc, dc)
 }
 
 fn run(
@@ -149,7 +149,7 @@ fn spec_stats_invariants_hold_across_random_runs() {
             let (out, stats) = run(kind, &target, &draft, &prompt, budget, gamma, &mut ws);
             assert_eq!(out, reference, "{case}: lossless violated");
             assert_eq!(out.len(), budget, "{case}: budget not filled");
-            check_invariants(&stats, &out, gamma, &case);
+            check_invariants(&stats, &out, gamma_bound(kind, gamma), &case);
         }
     }
 }
@@ -177,7 +177,7 @@ fn fused_loop_boundary_sweep_stays_lossless_and_bounded() {
                 let (out, stats) = run(kind, &target, &draft, &prompt, budget, gamma, &mut ws);
                 assert_eq!(out, reference, "{case}: lossless violated");
                 assert_eq!(out.len(), budget, "{case}: budget not filled");
-                check_invariants(&stats, &out, gamma, &case);
+                check_invariants(&stats, &out, gamma_bound(kind, gamma), &case);
             }
         }
     }
@@ -185,9 +185,9 @@ fn fused_loop_boundary_sweep_stays_lossless_and_bounded() {
 
 /// Stepped by hand to the context frontier: after every step but the last
 /// the target cache holds every emitted token but the pending one and the
-/// draft cache is level with it (the chain session may hold one deferred
-/// row back) — a step that cannot speculate must still advance both — and
-/// a last step that drafts nothing is the one-token plain decode.
+/// draft cache is level with it (or one deferred row back) — a step that
+/// cannot speculate must still advance both — and a last step that drafts
+/// nothing is the one-token plain decode.
 #[test]
 fn boundary_steps_keep_both_caches_in_lockstep() {
     let target = model(40);
@@ -214,10 +214,7 @@ fn boundary_steps_keep_both_caches_in_lockstep() {
                 }
                 assert_eq!(tc.len(), prompt_len + s.tokens().len() - 1, "{kind:?}");
                 let lag = tc.len() - dc.len();
-                assert!(
-                    lag <= usize::from(matches!(kind, Kind::Spec)),
-                    "{kind:?}: draft cache fell {lag} rows behind"
-                );
+                assert!(lag <= 1, "{kind:?}: draft cache fell {lag} rows behind");
             }
             assert_eq!(s.tokens(), reference, "{kind:?} prompt_len={prompt_len}");
         }
@@ -242,12 +239,22 @@ fn budgets_zero_one_two_on_every_session() {
         let (out, stats) = run(kind, &target, &draft, &prompt, 1, 3, &mut ws);
         assert_eq!(out, reference[..1], "{kind:?}");
         assert_eq!((stats.blocks, stats.drafted), (0, 0), "{kind:?}");
-        check_invariants(&stats, &out, 3, &format!("{kind:?} budget 1"));
+        check_invariants(
+            &stats,
+            &out,
+            gamma_bound(kind, 3),
+            &format!("{kind:?} budget 1"),
+        );
 
         let (out, stats) = run(kind, &target, &draft, &prompt, 2, 3, &mut ws);
         assert_eq!(out, reference, "{kind:?}");
         assert_eq!((stats.blocks, stats.drafted), (1, 0), "{kind:?}");
-        check_invariants(&stats, &out, 3, &format!("{kind:?} budget 2"));
+        check_invariants(
+            &stats,
+            &out,
+            gamma_bound(kind, 3),
+            &format!("{kind:?} budget 2"),
+        );
     }
 }
 
@@ -266,7 +273,12 @@ fn gamma_bounds_are_enforced_by_every_session() {
         for gamma in [1, MAX_GAMMA - 1] {
             let (out, stats) = run(kind, &target, &draft, &prompt, budget, gamma, &mut ws);
             assert_eq!(out, reference, "{kind:?} γ={gamma}");
-            check_invariants(&stats, &out, gamma, &format!("{kind:?} γ={gamma}"));
+            check_invariants(
+                &stats,
+                &out,
+                gamma_bound(kind, gamma),
+                &format!("{kind:?} γ={gamma}"),
+            );
         }
         for gamma in [0, MAX_GAMMA] {
             let refused = catch_unwind(AssertUnwindSafe(|| {
@@ -279,26 +291,34 @@ fn gamma_bounds_are_enforced_by_every_session() {
     }
 }
 
-/// When the draft IS the target the greedy chain is never rejected: the
-/// chain-shaped sessions accept everything they draft (α = 1), and the
-/// branching tree — whose sibling rows are drafted to be rejected — still
-/// accepts at least its first proposal in every speculative block.
+/// When the draft IS the target the greedy chain is never rejected: every
+/// session accepts everything it drafts (α = 1). The budget is long enough
+/// for the controller's α̂ to saturate at 1 — the singular frontier of its
+/// depth formula — so the adaptive chain drafts past the fixed γ's blocks.
 #[test]
 fn self_draft_maximises_every_counter() {
     let target = model(7);
     let mut ws = Workspace::new();
     let prompt = [3u32, 1, 4];
-    let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, 25, &mut ws);
+    let budget = 120;
+    let reference = autoregressive_greedy_with_budget_ws(&target, &prompt, budget, &mut ws);
     for kind in KINDS {
-        let (out, stats) = run(kind, &target, &target, &prompt, 25, 4, &mut ws);
+        let (out, stats) = run(kind, &target, &target, &prompt, budget, 4, &mut ws);
         assert_eq!(out, reference, "{kind:?}");
-        check_invariants(&stats, &out, 4, &format!("{kind:?} self-draft"));
-        if matches!(kind, Kind::Tree(2)) {
-            // Only the final one-token step may run without a proposal.
-            assert!(stats.accepted + 1 >= stats.blocks, "{kind:?}: {stats:?}");
-        } else {
-            assert_eq!(stats.accepted, stats.drafted, "{kind:?} must fully accept");
-            assert!((stats.acceptance_rate() - 1.0).abs() < 1e-12);
+        check_invariants(
+            &stats,
+            &out,
+            gamma_bound(kind, 4),
+            &format!("{kind:?} self-draft"),
+        );
+        assert_eq!(stats.accepted, stats.drafted, "{kind:?} must fully accept");
+        assert!((stats.acceptance_rate() - 1.0).abs() < 1e-12);
+        if let Kind::Adaptive = kind {
+            let tau = stats.block_efficiency();
+            assert!(
+                tau > 5.0,
+                "adaptive γ never outgrew the fixed γ = 4: τ {tau}"
+            );
         }
     }
 }
