@@ -26,9 +26,6 @@
 //! * `serving` — the aligned draft through the `aasd-serve` engine, spec vs
 //!   autoregressive at 1/4/16 sessions (throughput, p50/p95 TTFT), every
 //!   served completion asserted token-identical to the one-shot loop;
-//! * `pipeline` — the free-running draft/target pipeline vs the synchronous
-//!   scheduler at workers=1, plus a 2-/4-worker sweep, every stream
-//!   asserted byte-identical to the autoregressive chain;
 //! * `multimodal` — `sim_7b`/`sim_13b` prefill asymmetry (asserted), then
 //!   three ablation legs (learned KV projector / raw vision KV / dropped
 //!   vision KV) distilled with identical budgets and raced at γ ∈ {3, 5};
@@ -51,7 +48,7 @@ use aasd_mm::{
     HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
 };
 use aasd_nn::{Decoder, DecoderConfig, KernelPolicy, KvPool};
-use aasd_serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Speculation, Status};
+use aasd_serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
 use aasd_specdec::{
     autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws, AdaptiveGamma,
     SpecSession, SpecStats,
@@ -852,150 +849,6 @@ fn main() {
                      scheduling rather than alignment generalization; TTFT includes \
                      queue wait + prefill; every served stream asserted \
                      token-identical to the fused single-request loop",
-                ),
-            ),
-        ]),
-    ));
-
-    // ---- pipeline: async draft/target pipelining vs sync scheduler ------
-    //
-    // The same aligned speculative workload, served once by the
-    // synchronous round-robin scheduler and once by the free-running async
-    // pipeline (a dedicated draft thread per session speculating through
-    // an SPSC ring while the target worker verifies). The measured runs
-    // keep workers=1: on this single-core box the async win must come
-    // from deeper verified blocks — fewer target weight sweeps per
-    // committed token — not thread parallelism. Before measuring, the
-    // async engine is also run at 2 and 4 target workers with every
-    // stream asserted byte-identical to the fused AR chain: the shipped
-    // benchmark itself pins the determinism contract, not just the unit
-    // suite.
-    println!("\n== pipeline: async draft/target pipelining vs sync scheduler ==");
-    let pipe_concurrency: &[usize] = if h.smoke { &[4] } else { &[4, 16] };
-    let mut pipeline_items = Vec::new();
-    for &clients in pipe_concurrency {
-        let n_req = clients * reqs_per_client;
-        let prompts: Vec<Vec<u32>> = vec![e2e_prompt.clone(); n_req];
-        let reference =
-            autoregressive_greedy_with_budget_ws(&e2e_target, &e2e_prompt, serve_budget, &mut ws);
-        let run = |speculation: Speculation, workers: usize| -> (f64, f64, f64, u64) {
-            let engine = Engine::new(
-                EngineModel::Text {
-                    target: Arc::clone(&serve_target),
-                    draft: Arc::clone(&serve_draft),
-                },
-                EngineConfig {
-                    slots: clients,
-                    workers,
-                    max_queue: n_req,
-                    speculation,
-                    ..EngineConfig::default()
-                },
-            );
-            let t0 = Instant::now();
-            let handles: Vec<_> = prompts
-                .iter()
-                .map(|p| {
-                    engine
-                        .submit(Request {
-                            prompt: p.clone(),
-                            max_new: serve_budget,
-                            mode: DecodeMode::Speculative { gamma: serve_gamma },
-                            image_seed: None,
-                        })
-                        .expect("admitted")
-                })
-                .collect();
-            engine.run_until_idle();
-            let wall_s = t0.elapsed().as_secs_f64();
-            let mut tokens_total = 0usize;
-            let mut ttfts: Vec<f64> = Vec::new();
-            for (i, handle) in handles.iter().enumerate() {
-                let (status, tokens) = handle.snapshot();
-                assert_eq!(status, Status::Done);
-                assert_eq!(
-                    tokens, reference,
-                    "pipeline stream != fused loop \
-                     ({speculation:?}, workers={workers}, clients={clients}, req {i})"
-                );
-                tokens_total += tokens.len();
-                ttfts.push(handle.ttft_ms().expect("first token recorded"));
-            }
-            ttfts.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            (
-                tokens_total as f64 / wall_s,
-                percentile(&ttfts, 0.50),
-                percentile(&ttfts, 0.95),
-                engine.metrics().draft_rollbacks.get(),
-            )
-        };
-        // Determinism sweep (streams asserted inside `run`).
-        for workers in [2usize, 4] {
-            let _ = run(Speculation::Pipelined, workers);
-        }
-        let (async_tps, async_p50, async_p95, rollbacks) = run(Speculation::Pipelined, 1);
-        let (sync_tps, sync_p50, sync_p95, _) = run(Speculation::Chain, 1);
-        let speedup = async_tps / sync_tps;
-        println!(
-            "async pipeline   clients={clients:<2}  {async_tps:>8.1} tok/s  \
-             TTFT p50 {async_p50:>7.1} ms  p95 {async_p95:>7.1} ms  \
-             rollbacks {rollbacks}"
-        );
-        println!(
-            "sync round-robin clients={clients:<2}  {sync_tps:>8.1} tok/s  \
-             TTFT p50 {sync_p50:>7.1} ms  p95 {sync_p95:>7.1} ms"
-        );
-        println!("  pipeline speedup async vs sync at {clients} clients: {speedup:.2}x");
-        pipeline_items.push(json::object(&[
-            json::field("clients", &clients.to_string()),
-            json::field("requests", &n_req.to_string()),
-            json::field(
-                "async",
-                &json::object(&[
-                    json::field("tokens_per_s", &json::num(async_tps)),
-                    json::field("ttft_p50_ms", &json::num(async_p50)),
-                    json::field("ttft_p95_ms", &json::num(async_p95)),
-                    json::field("draft_rollbacks", &rollbacks.to_string()),
-                ]),
-            ),
-            json::field(
-                "sync",
-                &json::object(&[
-                    json::field("tokens_per_s", &json::num(sync_tps)),
-                    json::field("ttft_p50_ms", &json::num(sync_p50)),
-                    json::field("ttft_p95_ms", &json::num(sync_p95)),
-                ]),
-            ),
-            json::field("speedup_async_vs_sync", &json::num(speedup)),
-            json::field(
-                "async_beats_sync",
-                if async_tps >= sync_tps {
-                    "true"
-                } else {
-                    "false"
-                },
-            ),
-            json::field("ttft_p95_speedup", &json::num(sync_p95 / async_p95)),
-            json::field("worker_sweep_lossless", "true"),
-        ]));
-    }
-    sections.push(json::field(
-        "pipeline",
-        &json::object(&[
-            json::field("gamma", &serve_gamma.to_string()),
-            json::field("new_tokens_per_request", &serve_budget.to_string()),
-            json::field("requests_per_client", &reqs_per_client.to_string()),
-            json::field("levels", &json::array(&pipeline_items)),
-            json::field(
-                "note",
-                &json::string(
-                    "free-running async draft/target pipeline (per-session draft \
-                     thread + SPSC ring, verify leg is sole commit authority) vs \
-                     the synchronous round-robin scheduler on the identical \
-                     speculative workload; measured at workers=1 so the win is \
-                     deeper verified blocks, not parallelism; every run (including \
-                     a 2- and 4-worker async sweep) asserted byte-identical to the \
-                     fused AR chain",
                 ),
             ),
         ]),

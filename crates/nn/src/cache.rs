@@ -10,8 +10,7 @@
 //!   `[layer][K|V][pos][dim]`), so one block table serves the whole cache
 //!   and admission control can reason in free blocks instead of slots.
 //! * [`KvCache`] — a view over a block table leased from a pool:
-//!   `append`/`truncate`/`reset`/`checkpoint`/`restore` keep their exact
-//!   pre-paging contracts. Dropping a cache returns its blocks to the pool.
+//!   `append`/`truncate`/`reset` keep their exact pre-paging contracts. Dropping a cache returns its blocks to the pool.
 //! * Copy-on-write sharing: [`KvPool::try_lease_with_prefix`] maps another
 //!   cache's fully-filled prefix blocks into a new lease by `Arc`-cloning
 //!   them — zero copy. A writer that would mutate a shared block first
@@ -30,21 +29,7 @@
 //! `capacity()` is fixed per lease so workspace scratch requests stay
 //! constant-size.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// Process-global lease-identity counter. Every [`KvCache`] — pool lease or
-/// standalone — gets a unique id at construction, carried by its
-/// checkpoints, so a [`KvCheckpoint`] can never be replayed against a
-/// different lease (e.g. a fresh lease that recycled the same pool blocks).
-/// Copy-on-write inside one lease (`ensure_unique`) does NOT change the id:
-/// the lease is the same logical cache, so checkpoints taken before a CoW
-/// copy stay valid after it.
-static NEXT_LEASE_ID: AtomicU64 = AtomicU64::new(1);
-
-fn next_lease_id() -> u64 {
-    NEXT_LEASE_ID.fetch_add(1, Ordering::Relaxed)
-}
 
 /// Shared state of a block arena. Held via `Arc` by the pool handle and by
 /// every cache leased from it, so blocks can flow back even after the
@@ -161,8 +146,6 @@ impl KvPool {
             blocks,
             lens: vec![0; self.inner.n_layers],
             capacity,
-            low_mark: 0,
-            lease_id: next_lease_id(),
         })
     }
 
@@ -219,41 +202,7 @@ impl KvPool {
             blocks,
             lens: vec![plen; self.inner.n_layers],
             capacity,
-            low_mark: 0,
-            // A prefix lease is a NEW logical cache: checkpoints taken on
-            // the prefix must not restore this lease (or vice versa), even
-            // though they share physical blocks copy-on-write.
-            lease_id: next_lease_id(),
         })
-    }
-}
-
-/// Rollback point for speculative decoding; see [`KvCache::checkpoint`].
-///
-/// Carries the identity of the lease it was taken on, so restoring against
-/// the wrong cache — a different lease that recycled the same pool blocks,
-/// or a CoW sibling sharing a prefix — is a panic, not silent corruption.
-/// Surviving *within-lease* copy-on-write is the point: `ensure_unique`
-/// swaps block storage but keeps the lease id, so a draft thread's
-/// checkpoints stay valid across CoW (pinned by the tests below).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct KvCheckpoint {
-    len: usize,
-    lease_id: u64,
-}
-
-impl KvCheckpoint {
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Identity of the lease this checkpoint belongs to.
-    pub fn lease_id(&self) -> u64 {
-        self.lease_id
     }
 }
 
@@ -261,7 +210,7 @@ impl KvCheckpoint {
 ///
 /// Layers append independently during one forward pass (the decoder visits
 /// them in order) and are back in lockstep between passes; cache-level
-/// `len`/`truncate`/`checkpoint` speak for the whole stack, exactly as the
+/// `len`/`truncate` speak for the whole stack, exactly as the
 /// pre-paging contiguous cache did.
 #[derive(Debug)]
 pub struct KvCache {
@@ -269,8 +218,6 @@ pub struct KvCache {
     blocks: Vec<Arc<Vec<f32>>>,
     lens: Vec<usize>,
     capacity: usize,
-    low_mark: usize,
-    lease_id: u64,
 }
 
 impl KvCache {
@@ -335,14 +282,12 @@ impl KvCache {
             assert!(new_len <= *len, "truncate cannot grow the cache");
             *len = new_len;
         }
-        self.low_mark = self.low_mark.min(new_len);
     }
 
     /// Empty the cache and rezero its storage so a reused lease is
     /// bit-identical to a fresh one. Shared (copy-on-write) blocks are
     /// released back to their other owner and replaced with fresh zeroed
-    /// blocks. Outstanding checkpoints are invalidated (`restore` after
-    /// `reset` panics — the rows they name are gone).
+    /// blocks.
     pub fn reset(&mut self) {
         for block in &mut self.blocks {
             match Arc::get_mut(block) {
@@ -351,45 +296,6 @@ impl KvCache {
             }
         }
         self.lens.fill(0);
-        self.low_mark = 0;
-    }
-
-    /// Mark the current length as a rollback point: `restore` can return
-    /// here as long as the cache is never truncated below it (the
-    /// low-watermark contract — rows below the mark may be overwritten by
-    /// reuse, so a deeper truncate invalidates the checkpoint).
-    pub fn checkpoint(&mut self) -> KvCheckpoint {
-        self.low_mark = self.len();
-        KvCheckpoint {
-            len: self.len(),
-            lease_id: self.lease_id,
-        }
-    }
-
-    /// Identity of this lease; see [`KvCheckpoint::lease_id`].
-    pub fn lease_id(&self) -> u64 {
-        self.lease_id
-    }
-
-    /// Roll back to a checkpoint taken on this cache.
-    pub fn restore(&mut self, cp: &KvCheckpoint) {
-        assert_eq!(
-            cp.lease_id, self.lease_id,
-            "checkpoint belongs to a different lease"
-        );
-        assert!(
-            cp.len <= self.len(),
-            "checkpoint is ahead of the cache: {} > {}",
-            cp.len,
-            self.len()
-        );
-        assert!(
-            self.low_mark >= cp.len,
-            "cache was truncated below the checkpoint ({} < {})",
-            self.low_mark,
-            cp.len
-        );
-        self.truncate(cp.len);
     }
 
     /// Make block `b` uniquely owned, copying it out of a share if needed.
@@ -713,41 +619,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_roundtrip() {
-        let mut cache = KvCache::new(1, 8, 2);
-        fill_rows(&mut cache, 3, 0.0);
-        let cp = cache.checkpoint();
-        fill_rows(&mut cache, 4, 50.0);
-        assert_eq!(cache.len(), 7);
-        cache.restore(&cp);
-        assert_eq!(cache.len(), 3);
-        assert_eq!(cache.layer(0).key(2), &[2.0, 2.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "truncated below the checkpoint")]
-    fn restore_after_deeper_truncate_panics() {
-        let mut cache = KvCache::new(1, 8, 2);
-        fill_rows(&mut cache, 4, 0.0);
-        let cp = cache.checkpoint();
-        cache.truncate(1); // below the checkpoint: rows 1..4 are fair game
-        fill_rows(&mut cache, 3, 9.0);
-        cache.restore(&cp);
-    }
-
-    /// The low-watermark contract at the state frontier: a checkpoint does
-    /// not survive `reset` — the rows it names were rezeroed.
-    #[test]
-    #[should_panic(expected = "ahead of the cache")]
-    fn restore_after_reset_is_rejected() {
-        let mut cache = KvCache::new(1, 8, 2);
-        fill_rows(&mut cache, 3, 0.0);
-        let cp = cache.checkpoint();
-        cache.reset();
-        cache.restore(&cp);
-    }
-
-    #[test]
     fn pool_admission_and_return() {
         let pool = KvPool::new(1, 2, 4, 4);
         assert_eq!(pool.free_blocks(), 4);
@@ -828,62 +699,6 @@ mod tests {
         let after: Vec<u32> = prefix.block_raw(0).iter().map(|v| v.to_bits()).collect();
         assert_eq!(golden, after, "prefix corrupted by a CoW writer");
         assert_eq!(prefix.layer(0).key(2), &[2.0, 2.0]);
-    }
-
-    /// A checkpoint taken while a lease still shares CoW blocks with its
-    /// prefix must survive the copy-on-write that a later append triggers:
-    /// `ensure_unique` swaps the physical storage but the lease identity —
-    /// and with it the checkpoint — is unchanged.
-    #[test]
-    fn checkpoint_survives_copy_on_write() {
-        let pool = KvPool::new(1, 2, 4, 8);
-        let mut prefix = pool.try_lease(4).unwrap();
-        fill_rows(&mut prefix, 4, 0.0);
-        let mut session = pool.try_lease_with_prefix(&prefix, 8).unwrap();
-        assert!(session.block_is_shared(0));
-        let cp = session.checkpoint(); // len 4, while block 0 is still shared
-        session.truncate(2);
-        // This is below the checkpoint, which invalidates it — take a fresh
-        // one at the rollback frontier, as the draft pipeline does.
-        let cp2 = session.checkpoint();
-        fill_rows(&mut session, 3, 50.0); // CoW: block 0 copied out of the share
-        assert!(!session.block_is_shared(0));
-        assert_eq!(cp.lease_id(), session.lease_id());
-        session.restore(&cp2);
-        assert_eq!(session.len(), 2);
-        assert_eq!(session.layer(0).key(1), &[1.0, 1.0]);
-        // The prefix never noticed any of it.
-        assert_eq!(prefix.layer(0).key(3), &[3.0, 3.0]);
-    }
-
-    /// Checkpoints are lease-scoped: replaying one against a different
-    /// lease — even a CoW sibling sharing the same physical blocks — is a
-    /// panic, not a silent rollback of unrelated rows.
-    #[test]
-    #[should_panic(expected = "different lease")]
-    fn checkpoint_from_another_lease_is_rejected() {
-        let pool = KvPool::new(1, 2, 4, 8);
-        let mut a = pool.try_lease(4).unwrap();
-        fill_rows(&mut a, 3, 0.0);
-        let cp = a.checkpoint();
-        let mut b = pool.try_lease_with_prefix(&a, 8).unwrap();
-        assert_ne!(a.lease_id(), b.lease_id());
-        b.restore(&cp);
-    }
-
-    /// Dropping a lease and re-leasing the same blocks yields a NEW lease
-    /// id, so a stale checkpoint cannot roll back the recycled storage.
-    #[test]
-    #[should_panic(expected = "different lease")]
-    fn stale_checkpoint_cannot_touch_a_recycled_lease() {
-        let pool = KvPool::new(1, 2, 4, 1);
-        let mut first = pool.try_lease(4).unwrap();
-        fill_rows(&mut first, 2, 0.0);
-        let cp = first.checkpoint();
-        drop(first);
-        let mut second = pool.try_lease(4).unwrap();
-        fill_rows(&mut second, 3, 9.0);
-        second.restore(&cp);
     }
 
     /// `reset` on a lease holding shared blocks detaches them (they stay

@@ -28,7 +28,7 @@ pub mod quant;
 pub mod rope;
 
 pub use attention::Attention;
-pub use cache::{KvCache, KvCheckpoint, KvChunks, KvLayer, KvLayerMut, KvPool};
+pub use cache::{KvCache, KvChunks, KvLayer, KvLayerMut, KvPool};
 pub use decoder::{Decoder, DecoderBlock, DecoderConfig, Mlp};
 pub use layers::{Embedding, Linear, RmsNorm};
 pub use quant::{KernelPolicy, QuantLinear};

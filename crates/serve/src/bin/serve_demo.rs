@@ -9,7 +9,7 @@
 use std::sync::Arc;
 
 use aasd_nn::{Decoder, DecoderConfig};
-use aasd_serve::{Client, Engine, EngineConfig, EngineModel, Server, Speculation};
+use aasd_serve::{Client, Engine, EngineConfig, EngineModel, Server};
 
 fn main() {
     let target = Arc::new(Decoder::new(DecoderConfig::bench_target(256, 256), 42));
@@ -20,7 +20,6 @@ fn main() {
             slots: 4,
             workers: 1,
             max_queue: 32,
-            speculation: Speculation::Pipelined,
             ..EngineConfig::default()
         },
     );

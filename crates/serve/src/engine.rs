@@ -30,11 +30,12 @@
 //! * **Scheduler** — [`Engine::tick`] refills free slots from the queue,
 //!   then advances every active session one step: prefill on its first
 //!   turn, afterwards one speculative block (or one AR token). Every slot
-//!   sits behind its own lock and holds one session of whichever kind
-//!   `cfg.speculation` names ([`Speculation`]), so there is one admission
-//!   path, one publish-and-account step and one completion path for all of
-//!   them. Sessions own their leases and scratch, so worker count changes
-//!   interleaving but never tokens (pinned by the root determinism test).
+//!   sits behind its own lock and holds one [`Session`], so there is one
+//!   admission path, one publish-and-account step and one completion
+//!   path for every request. With `cfg.workers > 1` a tick fans its slots
+//!   across scoped threads; sessions own their leases and scratch, so
+//!   worker count changes interleaving but never tokens (pinned by the
+//!   root determinism test).
 //! * **Adaptive γ** — with `cfg.adaptive_gamma`, every speculative session
 //!   carries an [`AdaptiveGamma`] controller that re-picks its depth each
 //!   block from its own running acceptance rate. Greedy verification is
@@ -53,19 +54,11 @@ use std::time::{Duration, Instant};
 
 use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
 use aasd_nn::{Decoder, KvCache, KvPool};
-use aasd_specdec::{
-    AdaptiveGamma, ArSession, Session, SpecSession, StepReport, VerifyHalf, MAX_GAMMA,
-};
+use aasd_specdec::{AdaptiveGamma, ArSession, Session, SpecSession, StepReport, MAX_GAMMA};
 use aasd_tensor::{Rng, Tensor, Workspace};
 
 use crate::metrics::Metrics;
-use crate::pipelined::{DraftLink, Pipelined};
 use crate::request::{DecodeMode, Request, RequestHandle, RequestId, Status};
-
-/// Upper bound on waiting for a pipelined session's draft thread to
-/// acknowledge `stop` before detaching it; it only guards against a wedged
-/// thread (see [`Pipelined::stop`]).
-const DRAFT_JOIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Terminal request handles the engine keeps pollable by id; older ids
 /// answer as unknown. Non-terminal handles are always kept.
@@ -99,11 +92,6 @@ impl EngineModel {
     }
 
     fn draft(&self) -> &Decoder {
-        self.draft_arc()
-    }
-
-    /// The owning handle, for the pipelined sessions' draft threads.
-    fn draft_arc(&self) -> &Arc<Decoder> {
         match self {
             EngineModel::Text { draft, .. } | EngineModel::Multimodal { draft, .. } => draft,
         }
@@ -138,22 +126,6 @@ impl EngineModel {
     }
 }
 
-/// How speculative requests are decoded. Every variant is lossless — a
-/// served stream equals the autoregressive reference — so the choice moves
-/// throughput, TTFT and the per-block statistics only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Speculation {
-    /// γ-token chain per block ([`SpecSession`]) — the property-tested
-    /// reference and the shape the paper uses.
-    #[default]
-    Chain,
-    /// Asynchronous draft/target pipeline: every speculative session gets
-    /// a dedicated draft thread free-running ahead through a lock-free
-    /// SPSC ring while `workers` free-running target threads verify and
-    /// commit ([`VerifyHalf`]) with no per-tick barrier.
-    Pipelined,
-}
-
 /// Scheduler/admission knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
@@ -161,10 +133,8 @@ pub struct EngineConfig {
     /// longer scales with this alone — sessions lease KV blocks from the
     /// shared pools, so many short requests fit where few long ones would.
     pub slots: usize,
-    /// Target-side threads: a tick fans its sessions across this many
-    /// scoped threads (1 steps every session inline with zero spawn
-    /// overhead); under [`Speculation::Pipelined`] it is the number of
-    /// free-running scheduler loops instead.
+    /// Scheduler threads: a tick fans its sessions across this many scoped
+    /// threads (1 steps every session inline with zero spawn overhead).
     pub workers: usize,
     /// Admission cap: a submit that would push the queue past this is
     /// rejected with [`Rejection::Busy`].
@@ -185,8 +155,6 @@ pub struct EngineConfig {
     /// session but stops being a fixed depth. Off by default so existing
     /// deployments keep byte-identical performance profiles.
     pub adaptive_gamma: bool,
-    /// What a speculative request runs as; the chain by default.
-    pub speculation: Speculation,
 }
 
 impl Default for EngineConfig {
@@ -200,7 +168,6 @@ impl Default for EngineConfig {
             d_pool_blocks: 0,
             vision_cache_entries: 8,
             adaptive_gamma: false,
-            speculation: Speculation::Chain,
         }
     }
 }
@@ -229,10 +196,8 @@ enum Phase {
     /// Admitted but not yet prefilled; prefill happens on the slot's first
     /// scheduling turn so TTFT honestly includes queue wait + prefill.
     Prefill(Request),
-    /// Stepped inline by the scheduler: AR or chain.
-    Inline(Session),
-    /// Verify half stepped by the scheduler, draft on its own thread.
-    Pipelined(Pipelined),
+    /// One AR token or one speculative block per scheduling turn.
+    Decode(Session),
 }
 
 impl Phase {
@@ -240,16 +205,14 @@ impl Phase {
     fn tokens(&self) -> &[u32] {
         match self {
             Phase::Prefill(_) => &[],
-            Phase::Inline(s) => s.tokens(),
-            Phase::Pipelined(p) => p.verify.tokens(),
+            Phase::Decode(s) => s.tokens(),
         }
     }
 
     fn is_done(&self) -> bool {
         match self {
             Phase::Prefill(_) => false,
-            Phase::Inline(s) => s.is_done(),
-            Phase::Pipelined(p) => p.verify.is_done(),
+            Phase::Decode(s) => s.is_done(),
         }
     }
 }
@@ -274,8 +237,7 @@ struct Active {
     /// session's output).
     published: usize,
     t_cache: KvCache,
-    /// Present for speculative sessions only; a pipelined session moves it
-    /// into its draft thread, whose exit releases it.
+    /// Present for speculative sessions only.
     d_cache: Option<KvCache>,
     vision: VisionPlan,
 }
@@ -394,9 +356,9 @@ pub struct Engine {
     /// Occupied slots; admission bumps it under the qstate lock so the
     /// until-idle exit check cannot race a queue→slot transfer.
     active: AtomicUsize,
-    /// Wakes an idle scheduler (paired with the qstate lock): submits, a
-    /// pipelined draft reaching its depth, and session completion notify.
-    work_cv: Arc<Condvar>,
+    /// Wakes an idle scheduler (paired with the qstate lock): submits and
+    /// session completion notify.
+    work_cv: Condvar,
 }
 
 /// The draft/target cost ratio `c` adaptive γ optimises against: a one-row
@@ -463,7 +425,7 @@ impl Engine {
             }),
             slots,
             active: AtomicUsize::new(0),
-            work_cv: Arc::new(Condvar::new()),
+            work_cv: Condvar::new(),
         });
         engine.publish_pool_gauges();
         engine
@@ -614,10 +576,7 @@ impl Engine {
 
     /// One scheduling round: refill free slots from the queue, then step
     /// every occupied slot once, fanned over `cfg.workers` scoped threads.
-    /// Returns true if any session advanced. Under
-    /// [`Speculation::Pipelined`] the calling thread is one of `workers`
-    /// free-running loops, so it sweeps alone and skips slots another loop
-    /// is stepping.
+    /// Returns true if any session advanced.
     pub fn tick(&self) -> bool {
         self.refill();
         let active = self.active.load(Ordering::Acquire);
@@ -627,31 +586,16 @@ impl Engine {
         let cursor = AtomicUsize::new(0);
         let progressed = AtomicBool::new(false);
         let sweep = || {
-            let mut wakes: Vec<Arc<DraftLink>> = Vec::new();
             while let Some(slot) = self.slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
                 let Ok(mut slot) = slot.try_lock() else {
                     continue;
                 };
-                if self.step_slot(&mut slot, &mut wakes) {
+                if self.step_slot(&mut slot) {
                     progressed.store(true, Ordering::Relaxed);
                 }
             }
-            if !wakes.is_empty() {
-                // Draft wakeups deferred out of the sweep: waking a draft
-                // mid-sweep invites it to preempt the next session's
-                // target pass (and trash its cache working set) on a
-                // single-core host. Notify here, then yield once so every
-                // woken draft refills its ring before the next sweep.
-                for link in wakes {
-                    link.notify_draft();
-                }
-                std::thread::yield_now();
-            }
         };
-        let fan_out = match self.cfg.speculation {
-            Speculation::Pipelined => 1,
-            _ => self.cfg.workers.min(active),
-        };
+        let fan_out = self.cfg.workers.min(active);
         if fan_out <= 1 {
             sweep();
         } else {
@@ -678,70 +622,36 @@ impl Engine {
 
     /// Serve until `stop` is raised, then shut down: everything queued or
     /// running finishes `Cancelled` so waiting clients unblock with a
-    /// terminal status, and every pipelined draft thread is joined under a
-    /// bounded timeout — no session can leak a parked thread or a KV lease.
+    /// terminal status and every KV lease returns to its pool.
     pub fn serve(&self, stop: &AtomicBool) {
         self.run(Some(stop));
         self.cancel_all();
-        let deadline = Instant::now() + DRAFT_JOIN_TIMEOUT;
         for slot in &self.slots {
             let mut slot = slot.lock().expect("slot lock poisoned");
             if slot.active.is_some() {
-                self.finish(&mut slot.active, Status::Cancelled, deadline);
+                self.finish(&mut slot.active, Status::Cancelled);
             }
         }
     }
 
-    /// The scheduler: tick until idle (`stop: None`) or until the flag is
-    /// raised. One loop on the calling thread, except that
-    /// [`Speculation::Pipelined`] runs `cfg.workers` of them free-running —
-    /// no per-tick barrier — each claiming whichever sessions the others
-    /// are not stepping.
+    /// The scheduler loop on the calling thread: tick until idle (`stop:
+    /// None`) or until the flag is raised.
     fn run(&self, stop: Option<&AtomicBool>) {
-        let loops = match self.cfg.speculation {
-            Speculation::Pipelined => self.cfg.workers,
-            _ => 1,
-        };
-        if loops == 1 {
-            return self.scheduler_loop(stop);
-        }
-        std::thread::scope(|scope| {
-            for _ in 0..loops {
-                scope.spawn(|| self.scheduler_loop(stop));
-            }
-        });
-    }
-
-    fn scheduler_loop(&self, stop: Option<&AtomicBool>) {
-        let mut idle_ticks = 0u32;
         while !stop.is_some_and(|flag| flag.load(Ordering::Acquire)) {
             if self.tick() {
-                idle_ticks = 0;
                 continue;
             }
             // The queue→slot transfer happens entirely under the qstate
             // lock (pop + `active` bump), so this check cannot observe a
             // request in neither place.
             let q = self.qstate.lock().expect("queue lock poisoned");
-            let drained = q.queue.is_empty() && self.active.load(Ordering::Acquire) == 0;
-            if drained && stop.is_none() {
+            if stop.is_none() && q.queue.is_empty() && self.active.load(Ordering::Acquire) == 0 {
                 return;
             }
-            idle_ticks += 1;
-            if idle_ticks <= 2 && !drained {
-                // An idle tick with sessions in flight usually means the
-                // draft rings are mid-refill. Yielding hands the core
-                // straight to the runnable draft threads (they only need
-                // tens of µs per chain), where a timed park would add
-                // wakeup latency to every block on a single-core host.
-                drop(q);
-                std::thread::yield_now();
-            } else {
-                let _ = self
-                    .work_cv
-                    .wait_timeout(q, Duration::from_millis(1))
-                    .expect("queue lock poisoned");
-            }
+            let _ = self
+                .work_cv
+                .wait_timeout(q, Duration::from_millis(1))
+                .expect("queue lock poisoned");
         }
     }
 
@@ -796,7 +706,7 @@ impl Engine {
         }
         for slot in &self.slots {
             let Some(head) = q.queue.front() else { break };
-            // A slot another scheduler loop is stepping is occupied.
+            // A slot locked elsewhere (`cancel_all`) is skipped this round.
             let Ok(mut slot) = slot.try_lock() else {
                 continue;
             };
@@ -882,15 +792,14 @@ impl Engine {
 
     /// Advance one slot by one unit of work — prefill on the session's first
     /// turn, afterwards one speculative block (or one AR token) — then
-    /// publish what it committed. Returns whether anything advanced (only a
-    /// pipelined session waiting on its draft does not).
-    fn step_slot(&self, slot: &mut Slot, wakes: &mut Vec<Arc<DraftLink>>) -> bool {
+    /// publish what it committed. Returns whether the slot held a session.
+    fn step_slot(&self, slot: &mut Slot) -> bool {
         let Slot { ws, active: cell } = slot;
         let Some(active) = cell.as_mut() else {
             return false;
         };
         if active.handle.is_cancel_requested() {
-            self.finish(cell, Status::Cancelled, Instant::now() + DRAFT_JOIN_TIMEOUT);
+            self.finish(cell, Status::Cancelled);
             return true;
         }
         let started = Instant::now();
@@ -905,18 +814,12 @@ impl Engine {
         let target = self.model.target_lm();
         let report = match phase {
             Phase::Prefill(req) => {
-                *phase = self.prefill(req, t_cache, d_cache, vision, ws);
+                *phase = self.prefill(req, t_cache, d_cache.as_mut(), vision, ws);
                 None
             }
-            Phase::Inline(session) => {
+            Phase::Decode(session) => {
                 let draft = d_cache.as_mut().map(|d| (self.model.draft(), d));
                 Some(session.step(target, t_cache, draft, ws))
-            }
-            Phase::Pipelined(session) => {
-                match session.step(target, t_cache, ws, &self.metrics, wakes) {
-                    Some(report) => Some(report),
-                    None => return false,
-                }
             }
         };
         let block_ms = started.elapsed().as_secs_f64() * 1e3;
@@ -942,7 +845,7 @@ impl Engine {
             }
         }
         if phase.is_done() {
-            self.finish(cell, Status::Done, Instant::now() + DRAFT_JOIN_TIMEOUT);
+            self.finish(cell, Status::Done);
         }
         true
     }
@@ -1022,7 +925,7 @@ impl Engine {
         &self,
         req: &Request,
         t_cache: &mut KvCache,
-        d_cache: &mut Option<KvCache>,
+        d_cache: Option<&mut KvCache>,
         vision: &VisionPlan,
         ws: &mut Workspace,
     ) -> Phase {
@@ -1040,43 +943,18 @@ impl Engine {
         let pending = self.prefill_target(req, t_cache, vision, ws);
         debug_assert_eq!(t_cache.len(), t_prefix, "t prefix != plan");
         let DecodeMode::Speculative { gamma } = req.mode else {
-            return Phase::Inline(Session::Ar(ArSession::new(
+            return Phase::Decode(Session::Ar(ArSession::new(
                 target, t_cache, pending, budget,
             )));
         };
-        let d_lease = d_cache.as_mut().expect("spec admission leases a draft");
+        let d_lease = d_cache.expect("spec admission leases a draft");
         self.seed_draft_caches(req, t_cache, d_lease, vision, ws);
         debug_assert_eq!(d_lease.len(), d_prefix, "d prefix != plan");
-        let adaptive = self
-            .cfg
-            .adaptive_gamma
-            .then(|| AdaptiveGamma::new(draft_cost_ratio(draft, target)));
-        match self.cfg.speculation {
-            Speculation::Chain => {
-                let mut session =
-                    SpecSession::new(target, draft, t_cache, d_lease, pending, budget, gamma);
-                if let Some(controller) = adaptive {
-                    session.enable_adaptive_gamma(controller);
-                }
-                Phase::Inline(Session::Spec(session))
-            }
-            Speculation::Pipelined => {
-                let mut verify =
-                    VerifyHalf::new(target, t_cache, d_lease.len(), pending, budget, gamma);
-                if let Some(controller) = adaptive {
-                    verify.enable_adaptive_gamma(controller);
-                }
-                Phase::Pipelined(Pipelined::start(
-                    verify,
-                    d_cache,
-                    pending,
-                    budget,
-                    Arc::clone(self.model.draft_arc()),
-                    Arc::clone(&self.metrics),
-                    Arc::clone(&self.work_cv),
-                ))
-            }
+        let mut session = SpecSession::new(target, draft, t_cache, d_lease, pending, budget, gamma);
+        if self.cfg.adaptive_gamma {
+            session.enable_adaptive_gamma(AdaptiveGamma::new(draft_cost_ratio(draft, target)));
         }
+        Phase::Decode(Session::Spec(session))
     }
 
     /// Best-effort: install `hash`'s vision prefix (and, when the creating
@@ -1162,17 +1040,15 @@ impl Engine {
     }
 
     /// Completion bookkeeping for a slot's session: release its leases,
-    /// stop a pipelined draft leg (bounded by `join_deadline`), merge the
-    /// stats, finish the handle. The freed slot is refilled on the next
-    /// tick.
-    fn finish(&self, cell: &mut Option<Active>, status: Status, join_deadline: Instant) {
+    /// merge the stats, finish the handle. The freed slot is refilled on
+    /// the next tick.
+    fn finish(&self, cell: &mut Option<Active>, status: Status) {
         // The leases drop with the rest of `Active`, right here — before
         // the slot is counted free below.
         let Active { handle, phase, .. } = cell.take().expect("finishing an empty slot");
         let stats = match phase {
             Phase::Prefill(_) => None,
-            Phase::Inline(session) => session.stats().cloned(),
-            Phase::Pipelined(session) => Some(session.stop(join_deadline)),
+            Phase::Decode(session) => session.stats().cloned(),
         };
         if let Some(stats) = &stats {
             self.metrics.merge_spec_stats(stats);
@@ -1215,18 +1091,15 @@ mod tests {
         )
     }
 
-    fn text_engine_cfg(cfg: EngineConfig) -> Arc<Engine> {
-        let (target, draft) = text_models();
-        Engine::new(EngineModel::Text { target, draft }, cfg)
-    }
-
     fn text_engine(slots: usize, workers: usize, max_queue: usize) -> Arc<Engine> {
-        text_engine_cfg(EngineConfig {
+        let (target, draft) = text_models();
+        let cfg = EngineConfig {
             slots,
             workers,
             max_queue,
             ..EngineConfig::default()
-        })
+        };
+        Engine::new(EngineModel::Text { target, draft }, cfg)
     }
 
     fn spec_req(prompt: Vec<u32>, max_new: usize, gamma: usize) -> Request {
@@ -1239,15 +1112,14 @@ mod tests {
     }
 
     /// One cell of the engine losslessness matrix. Each served stream —
-    /// speculative at several budgets (1 and 2 never reach a proposal, and
-    /// get no draft thread when pipelined) and one autoregressive — must
+    /// speculative at several budgets (1 and 2 never reach a proposal) and
+    /// one autoregressive — must
     /// equal the AR reference; speculative stats must account for exactly
     /// the tokens served; every request must complete and every lease
     /// return to its pool. The chain at fixed γ must also reproduce the
     /// one-shot fused loop's `SpecStats` (same γ choices). The target is
     /// f32; the draft runs `draft_policy`.
     fn lossless_cell(
-        speculation: Speculation,
         multimodal: bool,
         adaptive_gamma: bool,
         workers: usize,
@@ -1258,14 +1130,13 @@ mod tests {
         let (gamma, image_seed) = (4usize, 5u64);
         let mut ws = Workspace::new();
         let cell = format!(
-            "{speculation:?} mm={multimodal} adaptive={adaptive_gamma} workers={workers} draft={}",
+            "mm={multimodal} adaptive={adaptive_gamma} workers={workers} draft={}",
             draft_policy.name()
         );
         let cfg = EngineConfig {
             slots: 2,
             workers,
             adaptive_gamma,
-            speculation,
             ..EngineConfig::default()
         };
         // (AR reference, one-shot chain stats) per request.
@@ -1338,7 +1209,7 @@ mod tests {
             let stats = h.stats().expect("spec request carries stats");
             assert_eq!(stats.generated, tokens.len(), "{cell}");
             assert!(stats.accepted <= stats.drafted, "{cell}");
-            if speculation == Speculation::Chain && !adaptive_gamma {
+            if !adaptive_gamma {
                 assert_eq!(&stats, one_shot, "{cell}");
             }
         }
@@ -1347,47 +1218,33 @@ mod tests {
         assert_eq!(m.requests_completed.get(), 6, "{cell}");
         assert_eq!(m.tokens_generated.get(), served as u64, "{cell}");
         assert_eq!(m.queue_depth.get(), 0, "{cell}");
-        if speculation == Speculation::Pipelined {
-            // The pipeline actually speculated.
-            assert!(m.speculation_depth.count() > 0, "{cell}");
-        }
-        // Every lease (draft threads' included) is back.
+        // Every lease is back.
         engine.vision_cache.lock().unwrap().entries.clear();
         let (t_pool, d_pool) = (&engine.t_pool, &engine.d_pool);
         assert_eq!(t_pool.free_blocks(), t_pool.total_blocks(), "{cell}");
         assert_eq!(d_pool.free_blocks(), d_pool.total_blocks(), "{cell}");
     }
 
-    /// The engine losslessness matrix: {chain, pipelined} × {text,
-    /// multimodal} × {fixed γ, adaptive γ}, each row at workers {1, 2} and
-    /// with the draft on either kernel policy under the f32 target.
+    /// The engine losslessness matrix: {text, multimodal} × {fixed γ,
+    /// adaptive γ}, each row at workers {1, 2} and with the draft on either
+    /// kernel policy under the f32 target.
     macro_rules! lossless_matrix {
-        ($($name:ident: $speculation:ident, mm $mm:literal, adaptive $adaptive:literal;)*) => {$(
+        ($($name:ident: mm $mm:literal, adaptive $adaptive:literal;)*) => {$(
             #[test]
             fn $name() {
                 for draft_policy in [KernelPolicy::F32, KernelPolicy::Int8] {
                     for workers in [1, 2] {
-                        lossless_cell(
-                            Speculation::$speculation,
-                            $mm,
-                            $adaptive,
-                            workers,
-                            draft_policy,
-                        );
+                        lossless_cell($mm, $adaptive, workers, draft_policy);
                     }
                 }
             }
         )*};
     }
     lossless_matrix! {
-        lossless_chain_text_fixed: Chain, mm false, adaptive false;
-        lossless_chain_text_adaptive: Chain, mm false, adaptive true;
-        lossless_chain_mm_fixed: Chain, mm true, adaptive false;
-        lossless_chain_mm_adaptive: Chain, mm true, adaptive true;
-        lossless_pipelined_text_fixed: Pipelined, mm false, adaptive false;
-        lossless_pipelined_text_adaptive: Pipelined, mm false, adaptive true;
-        lossless_pipelined_mm_fixed: Pipelined, mm true, adaptive false;
-        lossless_pipelined_mm_adaptive: Pipelined, mm true, adaptive true;
+        lossless_chain_text_fixed: mm false, adaptive false;
+        lossless_chain_text_adaptive: mm false, adaptive true;
+        lossless_chain_mm_fixed: mm true, adaptive false;
+        lossless_chain_mm_adaptive: mm true, adaptive true;
     }
 
     /// An engine handed an `Int8` target serves it quantized and its spec
@@ -1669,6 +1526,36 @@ mod tests {
         assert_eq!(h2.snapshot(), (Status::Done, want2));
         assert_eq!(engine.metrics().requests_cancelled.get(), 1);
         assert!(!engine.cancel(h1.id), "finished ids cannot be re-cancelled");
+    }
+
+    /// Cancelling the only running session mid-speculation keeps its
+    /// committed prefix, returns both leases to the pools, and leaves the
+    /// slot serving a request submitted after the cancel.
+    #[test]
+    fn cancel_mid_flight_returns_leases() {
+        let engine = text_engine(1, 1, 8);
+        let target = Decoder::new(DecoderConfig::tiny(40), 10);
+        let draft = Decoder::new(DecoderConfig::tiny(40), 20);
+        let mut ws = Workspace::new();
+        let h1 = engine.submit(spec_req(vec![3, 7, 1, 9], 60, 3)).unwrap();
+        while h1.snapshot().1.len() < 3 {
+            engine.tick();
+        }
+        assert!(engine.cancel(h1.id));
+        engine.run_until_idle();
+        let (s1, t1) = h1.snapshot();
+        assert_eq!(s1, Status::Cancelled);
+        let (want, _) =
+            speculative_greedy_with_budget_ws(&target, &draft, &[3, 7, 1, 9], 60, 3, &mut ws);
+        assert_eq!(t1[..], want[..t1.len()], "prefix must match true stream");
+        assert_eq!(engine.metrics().requests_cancelled.get(), 1);
+        assert_eq!(engine.t_pool.free_blocks(), engine.t_pool.total_blocks());
+        assert_eq!(engine.d_pool.free_blocks(), engine.d_pool.total_blocks());
+        let (want2, _) =
+            speculative_greedy_with_budget_ws(&target, &draft, &[5, 2], 10, 3, &mut ws);
+        let h2 = engine.submit(spec_req(vec![5, 2], 10, 3)).unwrap();
+        engine.run_until_idle();
+        assert_eq!(h2.snapshot(), (Status::Done, want2));
     }
 
     /// Cancelling while still queued drops the request at refill without it
@@ -1953,80 +1840,41 @@ mod tests {
         );
     }
 
-    fn async_text_engine(slots: usize, workers: usize, max_queue: usize) -> Arc<Engine> {
-        text_engine_cfg(EngineConfig {
-            slots,
-            workers,
-            max_queue,
-            speculation: Speculation::Pipelined,
-            ..EngineConfig::default()
-        })
-    }
-
-    /// Cancelling a running async session stops the draft thread, keeps
-    /// the committed prefix (a prefix of the true completion), and frees
-    /// both leases for the next request.
+    /// `serve` returning after its stop flag was raised mid-speculation has
+    /// finished every request — running or still queued — with a terminal
+    /// status and returned every lease: the server's SHUTDOWN path in
+    /// miniature.
     #[test]
-    fn async_pipeline_cancel_mid_flight() {
-        let engine = async_text_engine(1, 1, 8);
-        let target = Decoder::new(DecoderConfig::tiny(40), 10);
-        let draft = Decoder::new(DecoderConfig::tiny(40), 20);
-        let mut ws = Workspace::new();
-        let h1 = engine.submit(spec_req(vec![3, 7, 1, 9], 60, 3)).unwrap();
+    fn serve_drain_finishes_in_flight_sessions() {
+        let engine = text_engine(2, 1, 8);
+        let stop = AtomicBool::new(false);
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                engine
+                    .submit(spec_req(vec![3 + i, 7, 1, 9], 100, 3))
+                    .unwrap()
+            })
+            .collect();
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                // Let a few blocks commit, then cancel mid-flight.
-                while h1.snapshot().1.len() < 3 {
-                    std::thread::yield_now();
-                }
-                assert!(engine.cancel(h1.id));
-            });
-            engine.run_until_idle();
-        });
-        let (s1, t1) = h1.snapshot();
-        assert_eq!(s1, Status::Cancelled);
-        assert!(!t1.is_empty(), "committed prefix survives cancel");
-        let (want, _) =
-            speculative_greedy_with_budget_ws(&target, &draft, &[3, 7, 1, 9], 60, 3, &mut ws);
-        assert_eq!(t1[..], want[..t1.len()], "prefix must match true stream");
-        assert_eq!(engine.metrics().requests_cancelled.get(), 1);
-        // Draft thread joined, leases back in the pools.
-        assert_eq!(engine.t_pool.free_blocks(), engine.t_pool.total_blocks());
-        assert_eq!(engine.d_pool.free_blocks(), engine.d_pool.total_blocks());
-        // The slot is reusable after the cancel.
-        let (want2, _) =
-            speculative_greedy_with_budget_ws(&target, &draft, &[5, 2], 10, 3, &mut ws);
-        let h2 = engine.submit(spec_req(vec![5, 2], 10, 3)).unwrap();
-        engine.run_until_idle();
-        assert_eq!(h2.snapshot(), (Status::Done, want2));
-    }
-
-    /// `serve` returning after its stop flag was raised has finished every
-    /// in-flight session with a terminal status and joined their draft
-    /// threads — the server's SHUTDOWN path in miniature.
-    #[test]
-    fn async_pipeline_drain_finishes_in_flight_sessions() {
-        let engine = async_text_engine(2, 1, 8);
-        let stop = AtomicBool::new(false);
-        let h = engine.submit(spec_req(vec![3, 7, 1, 9], 60, 3)).unwrap();
-        let raised = std::thread::scope(|scope| {
-            let raiser = scope.spawn(|| {
-                while h.snapshot().1.len() < 2 {
+                while handles[0].snapshot().1.len() < 2 {
                     std::thread::yield_now();
                 }
                 stop.store(true, Ordering::Release);
-                Instant::now()
             });
             engine.serve(&stop);
-            raiser.join().expect("raiser thread panicked")
         });
-        assert!(
-            raised.elapsed() < DRAFT_JOIN_TIMEOUT,
-            "drain must not exhaust its bound"
-        );
-        assert_eq!(h.snapshot().0, Status::Cancelled);
+        for h in &handles {
+            let status = h.snapshot().0;
+            assert!(
+                matches!(status, Status::Done | Status::Cancelled),
+                "request {} left {status:?}",
+                h.id
+            );
+        }
         assert_eq!(engine.t_pool.free_blocks(), engine.t_pool.total_blocks());
         assert_eq!(engine.d_pool.free_blocks(), engine.d_pool.total_blocks());
         assert_eq!(engine.active.load(Ordering::Acquire), 0);
+        assert_eq!(engine.metrics().queue_depth.get(), 0);
     }
 }

@@ -34,12 +34,11 @@
 
 pub mod engine;
 pub mod metrics;
-mod pipelined;
 pub mod proto;
 pub mod request;
 pub mod server;
 
-pub use engine::{Engine, EngineConfig, EngineModel, Rejection, Speculation};
+pub use engine::{Engine, EngineConfig, EngineModel, Rejection};
 pub use metrics::{Counter, Gauge, Histogram, Metrics};
 pub use request::{DecodeMode, Request, RequestHandle, RequestId, Status};
 pub use server::{Client, Server};

@@ -184,7 +184,7 @@ impl Histogram {
 
 /// The serving metrics registry: one instance per engine, shared by every
 /// worker and connection thread through `Arc`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Metrics {
     // Request lifecycle.
     pub requests_submitted: Counter,
@@ -203,15 +203,6 @@ pub struct Metrics {
     // Shared-prefix vision cache (multimodal engines; always 0 on text).
     pub vision_cache_hits: Counter,
     pub vision_cache_misses: Counter,
-    // Async draft/target pipeline (always 0 under the sync scheduler).
-    /// Rollbacks issued by the verify leg to a free-running draft.
-    pub draft_rollbacks: Counter,
-    /// Draft-worker park transitions: the ring reached the speculation
-    /// depth cap (or the draft KV lease ran out) and the producer stalled.
-    pub ring_full_stalls: Counter,
-    /// Verify-leg stall transitions: a target worker found a session's
-    /// ring empty and had to move on without a verify pass.
-    pub verify_idle_stalls: Counter,
     // Live state.
     pub queue_depth: Gauge,
     pub active_sessions: Gauge,
@@ -223,46 +214,6 @@ pub struct Metrics {
     pub ttft_ms: Histogram,
     pub token_ms: Histogram,
     pub block_ms: Histogram,
-    /// Proposals scored per verify pass under the async pipeline — the
-    /// unitless distribution that shows how deep speculation actually ran
-    /// (the [`Histogram`] machinery is reused; samples are token counts,
-    /// not milliseconds, and the renderings drop the `_ms` suffix).
-    pub speculation_depth: Histogram,
-}
-
-/// Bucket bounds for [`Metrics::speculation_depth`]: powers of two up to
-/// `MAX_GAMMA`, so the distribution separates "sync-like γ" blocks from
-/// the deep free-running ones the pipeline exists to create.
-pub const DEPTH_BOUNDS: [f64; 7] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0];
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Self {
-            requests_submitted: Counter::default(),
-            requests_rejected: Counter::default(),
-            requests_completed: Counter::default(),
-            requests_cancelled: Counter::default(),
-            tokens_generated: Counter::default(),
-            scheduler_ticks: Counter::default(),
-            spec_blocks: Counter::default(),
-            spec_drafted: Counter::default(),
-            spec_accepted: Counter::default(),
-            spec_prefill_tokens: Counter::default(),
-            vision_cache_hits: Counter::default(),
-            vision_cache_misses: Counter::default(),
-            draft_rollbacks: Counter::default(),
-            ring_full_stalls: Counter::default(),
-            verify_idle_stalls: Counter::default(),
-            queue_depth: Gauge::default(),
-            active_sessions: Gauge::default(),
-            kv_free_blocks_target: Gauge::default(),
-            kv_free_blocks_draft: Gauge::default(),
-            ttft_ms: Histogram::default(),
-            token_ms: Histogram::default(),
-            block_ms: Histogram::default(),
-            speculation_depth: Histogram::new(&DEPTH_BOUNDS),
-        }
-    }
 }
 
 impl Metrics {
@@ -307,7 +258,7 @@ impl Metrics {
     /// Prometheus-style text exposition (the `METRICS` protocol command).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 15] = [
+        let counters: [(&str, &Counter); 12] = [
             ("aasd_requests_submitted_total", &self.requests_submitted),
             ("aasd_requests_rejected_total", &self.requests_rejected),
             ("aasd_requests_completed_total", &self.requests_completed),
@@ -320,9 +271,6 @@ impl Metrics {
             ("aasd_spec_prefill_tokens_total", &self.spec_prefill_tokens),
             ("aasd_vision_cache_hits_total", &self.vision_cache_hits),
             ("aasd_vision_cache_misses_total", &self.vision_cache_misses),
-            ("aasd_draft_rollbacks_total", &self.draft_rollbacks),
-            ("aasd_ring_full_stalls_total", &self.ring_full_stalls),
-            ("aasd_verify_idle_stalls_total", &self.verify_idle_stalls),
         ];
         for (name, c) in counters {
             out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
@@ -356,22 +304,6 @@ impl Metrics {
                 ));
             }
         }
-        // Unitless depth distribution: same exposition shape, no `_ms`.
-        let h = &self.speculation_depth;
-        out.push_str("# TYPE aasd_speculation_depth histogram\n");
-        for (le, c) in h.cumulative() {
-            out.push_str(&format!(
-                "aasd_speculation_depth_bucket{{le=\"{le}\"}} {c}\n"
-            ));
-        }
-        out.push_str(&format!("aasd_speculation_depth_count {}\n", h.count()));
-        out.push_str(&format!("aasd_speculation_depth_mean {:.6}\n", h.mean_ms()));
-        for q in [0.5, 0.95] {
-            out.push_str(&format!(
-                "aasd_speculation_depth{{quantile=\"{q}\"}} {:.6}\n",
-                h.quantile_ms(q)
-            ));
-        }
         out
     }
 
@@ -401,12 +333,6 @@ impl Metrics {
                 "vision_cache_misses",
                 &self.vision_cache_misses.get().to_string(),
             ),
-            aasd_json::field("draft_rollbacks", &self.draft_rollbacks.get().to_string()),
-            aasd_json::field("ring_full_stalls", &self.ring_full_stalls.get().to_string()),
-            aasd_json::field(
-                "verify_idle_stalls",
-                &self.verify_idle_stalls.get().to_string(),
-            ),
             aasd_json::field("queue_depth", &self.queue_depth.get().to_string()),
             aasd_json::field(
                 "kv_free_blocks_target",
@@ -422,22 +348,6 @@ impl Metrics {
             aasd_json::field("ttft_ms", &hist(&self.ttft_ms)),
             aasd_json::field("token_ms", &hist(&self.token_ms)),
             aasd_json::field("block_ms", &hist(&self.block_ms)),
-            aasd_json::field(
-                "speculation_depth",
-                // Unitless: token counts per verify pass, no `_ms` keys.
-                &aasd_json::object(&[
-                    aasd_json::field("count", &self.speculation_depth.count().to_string()),
-                    aasd_json::field("mean", &aasd_json::num(self.speculation_depth.mean_ms())),
-                    aasd_json::field(
-                        "p50",
-                        &aasd_json::num(self.speculation_depth.quantile_ms(0.5)),
-                    ),
-                    aasd_json::field(
-                        "p95",
-                        &aasd_json::num(self.speculation_depth.quantile_ms(0.95)),
-                    ),
-                ]),
-            ),
         ])
     }
 }
@@ -520,32 +430,5 @@ mod tests {
         let json = m.render_json();
         assert!(json.contains("\"submitted\": 1"));
         assert!(json.contains("\"p95_ms\""));
-    }
-
-    /// The async-pipeline series appear in both renderings — the depth
-    /// histogram without any `_ms` suffix (its samples are token counts).
-    #[test]
-    fn pipeline_series_render_in_text_and_json() {
-        let m = Metrics::new();
-        m.draft_rollbacks.add(3);
-        m.ring_full_stalls.add(2);
-        m.verify_idle_stalls.inc();
-        for depth in [1.0, 4.0, 9.0, 9.0] {
-            m.speculation_depth.record_ms(depth);
-        }
-        let text = m.render_text();
-        assert!(text.contains("aasd_draft_rollbacks_total 3"));
-        assert!(text.contains("aasd_ring_full_stalls_total 2"));
-        assert!(text.contains("aasd_verify_idle_stalls_total 1"));
-        assert!(text.contains("aasd_speculation_depth_count 4"));
-        assert!(text.contains("aasd_speculation_depth_bucket{le=\"16\"} 4"));
-        assert!(text.contains("aasd_speculation_depth_mean 5.75"));
-        assert!(!text.contains("aasd_speculation_depth_mean_ms"));
-        let json = m.render_json();
-        assert!(json.contains("\"draft_rollbacks\": 3"));
-        assert!(json.contains("\"ring_full_stalls\": 2"));
-        assert!(json.contains("\"verify_idle_stalls\": 1"));
-        assert!(json.contains("\"speculation_depth\""));
-        assert!(json.contains("\"p95\""));
     }
 }

@@ -3,8 +3,8 @@
 //!
 //! The server owns two background threads:
 //!
-//! * the **scheduler thread**, which runs [`Engine::serve`] — whichever
-//!   scheduler the engine's config names, then the shutdown drain — and
+//! * the **scheduler thread**, which runs [`Engine::serve`] — the
+//!   scheduler loop, then the shutdown drain — and
 //! * the **accept thread**, which spawns a short-lived handler per
 //!   connection.
 //!

@@ -2,9 +2,9 @@
 //! the pending token, the budget, the emitted stream and its counters, and
 //! the steps that do not depend on how proposals were produced — the
 //! plain-decode step, the batched chain verify, and the accept → stats →
-//! budget-clamped commit. [`SpecSession`](crate::SpecSession),
-//! [`VerifyHalf`](crate::VerifyHalf) and [`ArSession`](crate::ArSession)
-//! embed one [`Core`] each and differ only in their draft side.
+//! budget-clamped commit. [`SpecSession`](crate::SpecSession) and
+//! [`ArSession`](crate::ArSession) embed one [`Core`] each and differ only
+//! in their draft side.
 
 use crate::adaptive::AdaptiveGamma;
 use crate::metrics::SpecStats;
@@ -230,7 +230,7 @@ impl Core {
     }
 }
 
-/// The read-side API every session type forwards to its [`Core`].
+/// The read-side API the speculative session forwards to its [`Core`].
 macro_rules! core_accessors {
     ($session:ty) => {
         impl $session {

@@ -9,9 +9,9 @@
 //! acceptance is the one-hot special case of Leviathan rejection sampling
 //! (accept `x'~q` w.p. `min(1, p/q)`).
 //!
-//! There is one loop: the resumable sessions of [`session`] and
-//! [`pipeline`], which share one private loop-state core and run every
-//! forward on the zero-allocation `forward_infer_ws` path. A speculative
+//! There is one loop: the resumable sessions of [`session`], which share
+//! one private loop-state core and run every forward on the
+//! zero-allocation `forward_infer_ws` path. A speculative
 //! session **folds the pending token into the verify block** — the
 //! correction/bonus token of block *n* is scored inside block *n+1*'s
 //! batched pass instead of paying its own single-token resync forward,
@@ -36,15 +36,11 @@ pub mod adaptive;
 mod core;
 pub mod cost;
 pub mod metrics;
-pub mod pipeline;
-pub mod ring;
 pub mod session;
 
 pub use adaptive::AdaptiveGamma;
 pub use cost::{fp16_bytes, DeviceClock};
 pub use metrics::SpecStats;
-pub use pipeline::{DraftAhead, DraftStep, VerifyHalf, VerifyReport, CONFIDENCE_STOP};
-pub use ring::{Rollback, SpscRing};
 pub use session::{ArSession, Session, SpecSession, StepReport};
 
 use aasd_nn::Decoder;
@@ -493,54 +489,6 @@ mod tests {
                 speculative_greedy_with_budget_ws(&target, &draft, &p, budget, 5, &mut ws);
             assert_eq!(out, reference, "boundary prompt_len {prompt_len}");
             assert_eq!(stats.generated, out.len());
-        }
-    }
-
-    /// The inline chain and the pipelined halves must agree on which γ
-    /// values they accept: γ = 0 and γ ≥ MAX_GAMMA panic on both, γ = 1 and
-    /// γ = MAX_GAMMA − 1 run on both.
-    #[test]
-    fn gamma_validation_agrees_between_loops() {
-        use std::panic::{catch_unwind, AssertUnwindSafe};
-        let target = tiny(80);
-        let draft = tiny(81);
-        let p = [1u32, 2, 3];
-        let budget = 4;
-        let run_chain = |gamma: usize| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut ws = Workspace::new();
-                speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws)
-            }))
-            .is_ok()
-        };
-        // Both halves on one thread, over budget-collapsed leases.
-        let run_pipelined = |gamma: usize| {
-            catch_unwind(AssertUnwindSafe(|| {
-                let mut ws = Workspace::new();
-                let lease = |m: &Decoder| {
-                    let pool = aasd_nn::KvPool::new(m.cfg.n_layers, m.cfg.dim, 16, 1);
-                    pool.try_lease(p.len() + budget - 1).unwrap()
-                };
-                let (mut tc, mut dc) = (lease(&target), lease(&draft));
-                let pending = target.prefill_ws(&p, &mut tc, &mut ws);
-                draft.prefill_ws(&p, &mut dc, &mut ws);
-                let mut verify = VerifyHalf::new(&target, &tc, dc.len(), pending, budget, gamma);
-                let mut da = DraftAhead::new(&mut dc, pending);
-                let ring = SpscRing::new(MAX_GAMMA);
-                while !verify.is_done() {
-                    while matches!(
-                        da.step(&draft, &mut dc, &ring, verify.depth_hint(), &mut ws),
-                        DraftStep::Produced | DraftStep::RolledBack
-                    ) {}
-                    verify.try_step_block(&target, &mut tc, &ring, &mut ws);
-                }
-            }))
-            .is_ok()
-        };
-        for gamma in [0, 1, MAX_GAMMA - 1, MAX_GAMMA, MAX_GAMMA + 5] {
-            let expect = (1..MAX_GAMMA).contains(&gamma);
-            assert_eq!(run_chain(gamma), expect, "chain loop at γ={gamma}");
-            assert_eq!(run_pipelined(gamma), expect, "pipelined loop at γ={gamma}");
         }
     }
 

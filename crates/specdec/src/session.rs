@@ -233,7 +233,7 @@ impl ArSession {
     }
 }
 
-/// Any inline-stepped decode session — what the one-shot loops run to
+/// Any decode session — what the one-shot loops run to
 /// completion and what a scheduler slot advances one step at a time.
 #[derive(Debug, Clone)]
 pub enum Session {

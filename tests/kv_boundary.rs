@@ -164,92 +164,3 @@ fn img(cfg: &LlavaSimConfig, seed: u64) -> Image {
         cfg.vision.patch_dim,
     )
 }
-
-/// Async split-half speculation at the lease-capacity frontier: the draft
-/// leg free-runs until its pool lease is full (`AtCapacity`, one fed-back
-/// token shy of the leased budget), then the verify leg rejects its very
-/// first proposal — the rollback must restore the draft cache to exactly
-/// the corrected frontier, the remaining decode must stay lossless, and
-/// both leases must return every block to their pools.
-#[test]
-fn async_rollback_at_lease_capacity_frontier_leaks_nothing() {
-    use aasd::nn::KvPool;
-    use aasd::specdec::{DraftAhead, DraftStep, SpscRing, VerifyHalf};
-    use aasd::tensor::argmax;
-
-    let cfg = DecoderConfig::tiny(32);
-    let target = Decoder::new(cfg.clone(), 0x92);
-    // An independent draft: adversarial proposals, maximal rollback.
-    let draft = Decoder::new(cfg.clone(), 0x93);
-    let mut ws = Workspace::new();
-    let mut rng = Rng::new(2);
-    let p = prompt(&mut rng, 6, 32);
-    let budget = cfg.max_seq + 1 - p.len(); // run to the very frontier
-    let reference = autoregressive_greedy_with_budget_ws(&target, &p, budget, &mut ws);
-
-    // Engine-shaped budget-collapsed leases: capacity = prefix + budget − 1.
-    let t_pool = KvPool::new(cfg.n_layers, cfg.dim, 16, 10);
-    let d_pool = KvPool::new(cfg.n_layers, cfg.dim, 16, 10);
-    let lease_cap = p.len() + budget - 1;
-    let mut t_cache = t_pool.try_lease(lease_cap).expect("target lease");
-    let mut d_cache = d_pool.try_lease(lease_cap).expect("draft lease");
-    let mut logits = ws.take(p.len() * cfg.vocab);
-    target.forward_infer_ws(&p, &mut t_cache, &mut ws, &mut logits);
-    let pending = argmax(&logits[(p.len() - 1) * cfg.vocab..]) as u32;
-    draft.forward_infer_ws(&p, &mut d_cache, &mut ws, &mut logits);
-    ws.give(logits);
-
-    // Ring and depth cap sized past the lease so only the KV frontier can
-    // stop the draft.
-    let ring = SpscRing::new(budget);
-    let mut da = DraftAhead::new(&mut d_cache, pending);
-    let mut produced = 0usize;
-    loop {
-        match da.step(&draft, &mut d_cache, &ring, budget, &mut ws) {
-            DraftStep::Produced => produced += 1,
-            DraftStep::AtCapacity => break,
-            s => panic!("unexpected draft step before the frontier: {s:?}"),
-        }
-    }
-    // One fed-back token shy of the leased budget: the lease is full.
-    assert_eq!(produced, budget - 1, "speculated to the lease frontier");
-    assert_eq!(d_cache.len(), d_cache.capacity(), "the lease is full");
-    assert_eq!(d_cache.len(), cfg.max_seq);
-
-    // First verify block: the adversarial draft's first proposal is wrong,
-    // so the block commits exactly one corrected token and rolls back.
-    let mut verify = VerifyHalf::new(&target, &t_cache, p.len(), pending, budget, 5);
-    let r1 = verify.try_step_block(&target, &mut t_cache, &ring, &mut ws);
-    assert!(r1.progressed && r1.rolled_back, "position-0 rejection");
-    assert_eq!(
-        r1.committed, 1,
-        "rejection at position 0 commits only the fix"
-    );
-    // The draft honors the rollback before producing anything else, and the
-    // restore lands exactly at the corrected frontier: prefix + the one
-    // token the verify leg accepted from the chain start.
-    assert!(matches!(
-        da.step(&draft, &mut d_cache, &ring, budget, &mut ws),
-        DraftStep::RolledBack
-    ));
-    assert_eq!(d_cache.len(), p.len() + 1, "exact restore at the frontier");
-
-    // Drive both halves to completion; the stream must equal the AR chain.
-    while !verify.is_done() {
-        while matches!(
-            da.step(&draft, &mut d_cache, &ring, budget, &mut ws),
-            DraftStep::Produced | DraftStep::RolledBack
-        ) {}
-        verify.try_step_block(&target, &mut t_cache, &ring, &mut ws);
-    }
-    let (out, stats) = verify.into_parts();
-    assert_eq!(out, reference, "frontier rollback must stay lossless");
-    assert_eq!(out.len(), budget);
-    assert!(stats.accepted < stats.drafted, "rejections were exercised");
-
-    // No pool block leaks: dropping the leases returns every block.
-    drop(t_cache);
-    drop(d_cache);
-    assert_eq!(t_pool.free_blocks(), t_pool.total_blocks());
-    assert_eq!(d_pool.free_blocks(), d_pool.total_blocks());
-}

@@ -1,5 +1,5 @@
 //! The session table: every behaviour the speculative loop promises, for
-//! each inline session kind — the chain [`SpecSession`] at a fixed γ and
+//! each session kind — the chain [`SpecSession`] at a fixed γ and
 //! under an [`AdaptiveGamma`] controller that re-picks γ every block —
 //! against the [`ArSession`] stream. Random target/draft pairs, γ values,
 //! budgets and prompts (including prompts flush against the context
@@ -13,7 +13,7 @@ use aasd::specdec::{
 use aasd::tensor::{Rng, Workspace};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-/// An inline speculative session kind: the chain at the γ it was given,
+/// A speculative session kind: the chain at the γ it was given,
 /// or the chain whose γ an [`AdaptiveGamma`] controller re-picks per block
 /// (the given γ only passes the constructor's bounds check).
 #[derive(Debug, Clone, Copy)]
