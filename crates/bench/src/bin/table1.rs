@@ -18,40 +18,31 @@
 //!
 //! Every (system, target, γ∈{3,5}, workload∈{WildSim, CocoCapSim, SqaSim})
 //! cell is evaluated on **held-out** samples with per-stream losslessness
-//! asserted (speculative output ≡ autoregressive output), and reported
-//! under two clocks: measured CPU walltime and the calibrated memory-bound
-//! [`DeviceClock`] parameterized by each model's real-world analogue byte
-//! footprint (7B/13B targets, ~112M drafts, fp16). α and τ are
-//! clock-independent counts.
+//! asserted (speculative output ≡ autoregressive output). α and τ are
+//! clock-independent counts; `omega_cpu`, the only speedup reported, is
+//! the AR decode time over the speculative decode time of the same cell
+//! (prefill excluded), both measured as CPU walltime in one sitting.
 //!
 //! The binary **hard-asserts** the paper's qualitative result: AASD's α is
 //! strictly above every baseline's on every workload (merged over targets
 //! and γ). `--smoke` shrinks training/eval and drops γ=5 so `ci.sh` can
-//! gate on the ordering cheaply; the full grid writes `BENCH_PR10.json`.
+//! gate on the ordering cheaply.
 //!
-//! Usage: `table1 [OUT_PATH] [--smoke]`
+//! Usage: `table1 OUT_PATH [--smoke]`
 
 use aasd_baselines::{
     distill_text_from_mm, distill_vlm_from_mm, eval_system, finetune_text, finetune_vlm,
     tiny_lm_draft, tiny_vlm_draft, train_aasd_draft, DraftSystem, EvalCell, ZooTrainConfig,
 };
-use aasd_bench::json;
 use aasd_data::{Split, Workload, WorkloadKind, VOCAB};
+use aasd_json as json;
 use aasd_mm::{LlavaSim, LlavaSimConfig, TdAlignConfig};
-use aasd_specdec::{fp16_bytes, DeviceClock};
 
 /// Shared context window: room for 16 vision rows + prompt + generation.
 const MAX_SEQ: usize = 96;
 /// Workload image geometry — must match the Sim targets' vision config.
 const N_PATCHES: usize = 16;
 const PATCH_DIM: usize = 27;
-
-/// Real-world analogue parameter counts for the device clock: the Sim
-/// targets stand in for LLaVA-7B/13B; every draft stands in for a
-/// LLaMA-68M/160M-class model (~112M params, the two averaged).
-const TARGET_7B_PARAMS: f64 = 7e9;
-const TARGET_13B_PARAMS: f64 = 13e9;
-const DRAFT_PARAMS: f64 = 112e6;
 
 const SYSTEMS: [&str; 5] = ["FT-LLaMA", "DT-LLaMA", "FT-LLaVA", "DT-LLaVA", "AASD"];
 
@@ -129,17 +120,14 @@ fn build_zoo(target: &LlavaSim, train: &Workload, scale: &Scale, seed: u64) -> V
 
 struct Cell {
     target: &'static str,
-    target_params: f64,
     system: &'static str,
     workload: &'static str,
     gamma: usize,
     eval: EvalCell,
 }
 
-fn cell_json(c: &Cell, clock: &DeviceClock) -> String {
+fn cell_json(c: &Cell) -> String {
     let s = &c.eval.stats;
-    let t_bytes = fp16_bytes(c.target_params);
-    let d_bytes = fp16_bytes(DRAFT_PARAMS);
     json::object(&[
         json::field("target", &json::string(c.target)),
         json::field("system", &json::string(c.system)),
@@ -148,10 +136,6 @@ fn cell_json(c: &Cell, clock: &DeviceClock) -> String {
         json::field("alpha", &json::num(s.acceptance_rate())),
         json::field("tau", &json::num(s.block_efficiency())),
         json::field("omega_cpu", &json::num(c.eval.cpu_speedup())),
-        json::field(
-            "omega_device",
-            &json::num(clock.speedup(t_bytes, d_bytes, s)),
-        ),
         json::field("drafted", &s.drafted.to_string()),
         json::field("accepted", &s.accepted.to_string()),
         json::field("blocks", &s.blocks.to_string()),
@@ -161,41 +145,36 @@ fn cell_json(c: &Cell, clock: &DeviceClock) -> String {
             &json::num(c.eval.spec_decode_ns as f64 / 1e6),
         ),
         json::field("ar_decode_ms", &json::num(c.eval.ar_decode_ns as f64 / 1e6)),
-        json::field(
-            "device_spec_ms",
-            &json::num(clock.spec_s(t_bytes, d_bytes, s) * 1e3),
-        ),
-        json::field("device_ar_ms", &json::num(clock.ar_s(t_bytes, s) * 1e3)),
     ])
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
+    let Some(out_path) = args.iter().find(|a| !a.starts_with("--")) else {
+        eprintln!("usage: table1 OUT_PATH [--smoke]");
+        std::process::exit(2);
+    };
     let scale = if smoke { Scale::smoke() } else { Scale::full() };
-    let clock = DeviceClock::a100();
 
     let train = Workload::new(WorkloadKind::WildSim, 0x7AB1E, N_PATCHES, PATCH_DIM);
-    let targets: Vec<(&str, f64, LlavaSim)> = vec![
+    // Each target's training seeds are salted with the parameter count of
+    // the model it stands in for (LLaVA-7B / 13B).
+    let targets: Vec<(&str, u64, LlavaSim)> = vec![
         (
             "Sim7B",
-            TARGET_7B_PARAMS,
+            7_000_000_000,
             LlavaSim::new(LlavaSimConfig::sim_7b(VOCAB, MAX_SEQ), 0x7B),
         ),
         (
             "Sim13B",
-            TARGET_13B_PARAMS,
+            13_000_000_000,
             LlavaSim::new(LlavaSimConfig::sim_13b(VOCAB, MAX_SEQ), 0x13B),
         ),
     ];
 
     let mut cells: Vec<Cell> = Vec::new();
-    for (tname, tparams, mut target) in targets {
+    for (tname, salt, mut target) in targets {
         println!(
             "== target {tname}: grounding LM on WildSim train ({} steps)",
             scale.ground_steps
@@ -204,7 +183,7 @@ fn main() {
         // drafts; Adam at 2e-2 oscillates on the wider target LMs and
         // leaves their rollouts image-agnostic, which flatters blind
         // baselines and deflates the whole comparison.
-        let mut ground = ZooTrainConfig::smoke(scale.ground_steps, 0x960D ^ tparams as u64);
+        let mut ground = ZooTrainConfig::smoke(scale.ground_steps, 0x960D ^ salt);
         let width_scale = 64.0 / target.cfg.lm.dim as f32;
         ground.schedule = aasd_train::Schedule::Cosine {
             base: 2e-2 * width_scale,
@@ -212,7 +191,7 @@ fn main() {
             total: scale.ground_steps,
         };
         finetune_vlm(&mut target, &train, &ground);
-        let zoo = build_zoo(&target, &train, &scale, 0x5EED ^ tparams as u64);
+        let zoo = build_zoo(&target, &train, &scale, 0x5EED ^ salt);
         for kind in WorkloadKind::ALL {
             let wl = Workload::new(kind, 0xE7A1 ^ kind as u64, N_PATCHES, PATCH_DIM);
             let samples = wl.take(Split::Heldout, scale.eval_pairs);
@@ -220,19 +199,14 @@ fn main() {
                 for (system, name) in zoo.iter().zip(SYSTEMS) {
                     let eval = eval_system(&target, system, &samples, scale.budget, gamma);
                     println!(
-                        "  {tname} {name:<8} {:<10} gamma={gamma}  alpha={:.3} tau={:.3} omega_dev={:.2}",
+                        "  {tname} {name:<8} {:<10} gamma={gamma}  alpha={:.3} tau={:.3} omega_cpu={:.2}",
                         kind.name(),
                         eval.stats.acceptance_rate(),
                         eval.stats.block_efficiency(),
-                        clock.speedup(
-                            fp16_bytes(tparams),
-                            fp16_bytes(DRAFT_PARAMS),
-                            &eval.stats
-                        ),
+                        eval.cpu_speedup(),
                     );
                     cells.push(Cell {
                         target: tname,
-                        target_params: tparams,
                         system: name,
                         workload: kind.name(),
                         gamma,
@@ -283,7 +257,6 @@ fn main() {
     println!("ordering OK: AASD alpha strictly highest on every workload; all streams lossless");
 
     let meta = json::object(&[
-        json::field("snapshot", &json::string("PR10")),
         json::field("smoke", if smoke { "true" } else { "false" }),
         json::field("vocab", &VOCAB.to_string()),
         json::field("max_seq", &MAX_SEQ.to_string()),
@@ -291,21 +264,8 @@ fn main() {
         json::field("budget", &scale.budget.to_string()),
         json::field("zoo_steps", &scale.zoo_steps.to_string()),
         json::field("ground_steps", &scale.ground_steps.to_string()),
-        json::field(
-            "device_clock",
-            &json::object(&[
-                json::field(
-                    "bandwidth_bytes_per_s",
-                    &json::num(clock.bandwidth_bytes_per_s),
-                ),
-                json::field("pass_overhead_s", &json::num(clock.pass_overhead_s)),
-                json::field("target_7b_params", &json::num(TARGET_7B_PARAMS)),
-                json::field("target_13b_params", &json::num(TARGET_13B_PARAMS)),
-                json::field("draft_params", &json::num(DRAFT_PARAMS)),
-            ]),
-        ),
     ]);
-    let grid: Vec<String> = cells.iter().map(|c| cell_json(c, &clock)).collect();
+    let grid: Vec<String> = cells.iter().map(cell_json).collect();
     let doc = json::object(&[json::field(
         "table1",
         &json::object(&[
@@ -314,6 +274,6 @@ fn main() {
             json::field("grid", &json::array(&grid)),
         ]),
     )]);
-    std::fs::write(&out_path, doc + "\n").expect("write snapshot");
+    std::fs::write(out_path, doc + "\n").expect("write snapshot");
     println!("wrote {out_path} ({} cells)", cells.len());
 }

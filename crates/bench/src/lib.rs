@@ -1,11 +1,10 @@
-//! `aasd-bench` — micro-benchmark harness and perf-snapshot tooling.
+//! `aasd-bench` — micro-benchmark harness.
 //!
 //! The build container has no registry access, so this is a std-only
 //! criterion stand-in: warmup, a time-budgeted sample loop, and
-//! median/min/mean statistics. The `benches/*.rs` targets (run via
-//! `cargo bench -p aasd-bench`) print human-readable tables; the
-//! `perf_snapshot` bin emits the machine-readable `BENCH_PR1.json`
-//! trajectory file that future perf PRs regress against.
+//! median/min statistics. The `benches/matmul.rs` target (run via
+//! `cargo bench -p aasd-bench --bench matmul`) prints human-readable
+//! tables. End-to-end timing lives in the `aasd-e2e` benchmark, not here.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -17,14 +16,7 @@ pub struct BenchResult {
     /// Samples collected (each sample times one invocation).
     pub samples: usize,
     pub median_ns: f64,
-    pub mean_ns: f64,
     pub min_ns: f64,
-}
-
-impl BenchResult {
-    pub fn median_ms(&self) -> f64 {
-        self.median_ns / 1e6
-    }
 }
 
 /// Benchmark a closure: a few warmup runs, then sample until the time
@@ -59,12 +51,10 @@ pub fn bench_with_budget<T>(
     } else {
         0.5 * (samples_ns[n / 2 - 1] + samples_ns[n / 2])
     };
-    let mean_ns = samples_ns.iter().sum::<f64>() / n as f64;
     BenchResult {
         name: name.to_string(),
         samples: n,
         median_ns,
-        mean_ns,
         min_ns: samples_ns[0],
     }
 }
@@ -78,14 +68,6 @@ pub fn report(r: &BenchResult) {
         r.min_ns / 1e6,
         r.samples
     );
-}
-
-/// Minimal JSON value writer for the perf-snapshot output. The
-/// implementation lives in the shared `aasd-json` crate (the serving
-/// metrics endpoint uses the same writer); this re-export keeps the
-/// historical `aasd_bench::json` import path working.
-pub mod json {
-    pub use aasd_json::*;
 }
 
 #[cfg(test)]
@@ -104,17 +86,5 @@ mod tests {
         assert!(r.samples >= 5);
         assert!(r.min_ns <= r.median_ns);
         assert!(r.min_ns > 0.0);
-    }
-
-    #[test]
-    fn json_escaping_and_shapes() {
-        assert_eq!(json::escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json::num(f64::NAN), "0");
-        let obj = json::object(&[
-            json::field("name", &json::string("x")),
-            json::field("v", &json::num(1.5)),
-        ]);
-        assert_eq!(obj, "{\"name\": \"x\", \"v\": 1.500000}");
-        assert_eq!(json::array(&["1".into(), "2".into()]), "[1, 2]");
     }
 }

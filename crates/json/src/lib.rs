@@ -1,13 +1,10 @@
 //! `aasd-json` — minimal JSON value writer (std-only `serde_json` stand-in).
 //!
 //! The build container is offline, so anything that needs to emit JSON —
-//! the `perf_snapshot` trajectory files in `aasd-bench` and the serving
-//! metrics endpoint in `aasd-serve` — shares this hand-rolled writer
-//! instead of duplicating one per crate. Only what those call sites need:
-//! objects, arrays, strings, finite numbers, and integers.
-//!
-//! `aasd-bench` re-exports this module as `aasd_bench::json`, so bench
-//! code keeps its historical import path.
+//! `aasd-bench`'s `table1` output and the serving metrics endpoint in
+//! `aasd-serve` — shares this hand-rolled writer instead of duplicating one
+//! per crate. Only what those call sites need: objects, arrays, strings,
+//! finite numbers, and integers.
 
 /// Escape a string for a JSON literal.
 pub fn escape(s: &str) -> String {

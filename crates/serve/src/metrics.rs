@@ -6,8 +6,8 @@
 //! the scheduler hot path pays a handful of atomic adds per block. The
 //! registry renders two ways: a Prometheus-style text exposition for the
 //! `METRICS` protocol command, and a JSON object (via the shared
-//! `aasd-json` writer, the same one the bench harness uses) for the
-//! `METRICS_JSON` command and the `perf_snapshot` serving section.
+//! `aasd-json` writer, the same one `table1` uses) for the `METRICS_JSON`
+//! command.
 //!
 //! Histograms are fixed-bucket by design: the bucket bounds are chosen at
 //! construction, recording is O(#buckets) in the worst case (a linear scan
@@ -307,8 +307,8 @@ impl Metrics {
         out
     }
 
-    /// JSON rendering through the shared `aasd-json` writer — the same
-    /// shape the `perf_snapshot` serving section embeds.
+    /// JSON rendering through the shared `aasd-json` writer — what the
+    /// `METRICS_JSON` command returns.
     pub fn render_json(&self) -> String {
         let hist = |h: &Histogram| {
             aasd_json::object(&[

@@ -34,12 +34,10 @@
 
 pub mod adaptive;
 mod core;
-pub mod cost;
 pub mod metrics;
 pub mod session;
 
 pub use adaptive::AdaptiveGamma;
-pub use cost::{fp16_bytes, DeviceClock};
 pub use metrics::SpecStats;
 pub use session::{ArSession, Session, SpecSession, StepReport};
 

@@ -45,9 +45,7 @@ pub use quant::{
     matmul_q8_acc_into, matmul_q8_into, quantize_row_i8, quantize_rows_i8, QuantMatrix,
 };
 pub use rng::Rng;
-pub use simd::{
-    backend, best_supported, pack_panels, rms_norm_row_into, set_backend, silu_mul, Backend,
-};
+pub use simd::{backend, pack_panels, rms_norm_row_into, silu_mul, Backend};
 pub use workspace::Workspace;
 
 /// Row-major 2-D f32 matrix: `rows × cols`, `data.len() == rows * cols`.

@@ -4,8 +4,9 @@
 //! queried: the `AASD_KERNEL` env var (`scalar` | `avx2`) when set, otherwise
 //! the best path the CPU reports. A value that names no tier, or a tier the
 //! host cannot run, is a hard error (a panic on that first query) — a typo
-//! must not run one tier under another's label. Benches and tests can switch
-//! at runtime with [`set_backend`] to race both paths inside one process.
+//! must not run one tier under another's label. The choice then holds for
+//! the life of the process; code that must run a given tier (the cross-tier
+//! tests) calls the explicit `*_with` entries instead.
 //!
 //! Determinism contract: the f32 `vecmat` kernels and the multi-row tile
 //! (`matmul_tile`) vectorize across the *output* dimension and give every
@@ -45,7 +46,7 @@
 
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::OnceLock;
 
 /// A kernel implementation tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,21 +82,6 @@ impl Backend {
     /// Whether the host CPU can run this backend.
     pub fn is_supported(self) -> bool {
         HostFeatures::detect().runs(self)
-    }
-
-    fn code(self) -> u8 {
-        match self {
-            Backend::Scalar => 1,
-            Backend::Avx2 => 2,
-        }
-    }
-
-    fn from_code(code: u8) -> Option<Backend> {
-        match code {
-            1 => Some(Backend::Scalar),
-            2 => Some(Backend::Avx2),
-            _ => None,
-        }
     }
 }
 
@@ -146,13 +132,8 @@ impl HostFeatures {
     }
 }
 
-/// 0 = not yet selected; otherwise `Backend::code`.
-static ACTIVE: AtomicU8 = AtomicU8::new(0);
-
-/// The fastest backend the host supports.
-pub fn best_supported() -> Backend {
-    HostFeatures::detect().best()
-}
+/// The tier the first [`backend`] query selected.
+static ACTIVE: OnceLock<Backend> = OnceLock::new();
 
 /// The backend an `AASD_KERNEL` value selects on a host with `host`'s
 /// features: the host's best when unset, the named tier when it exists and
@@ -181,8 +162,8 @@ fn backend_from_env(raw: Option<&str>, host: HostFeatures) -> Result<Backend, St
 /// tier's name.
 #[inline]
 pub fn backend() -> Backend {
-    match Backend::from_code(ACTIVE.load(Ordering::Relaxed)) {
-        Some(b) => b,
+    match ACTIVE.get() {
+        Some(&b) => b,
         None => select_backend(),
     }
 }
@@ -191,24 +172,10 @@ pub fn backend() -> Backend {
 /// inline only the load.
 #[cold]
 fn select_backend() -> Backend {
-    let raw = std::env::var("AASD_KERNEL").ok();
-    let b =
-        backend_from_env(raw.as_deref(), HostFeatures::detect()).unwrap_or_else(|e| panic!("{e}"));
-    ACTIVE.store(b.code(), Ordering::Relaxed);
-    b
-}
-
-/// Override the active backend so benches can race paths in one process.
-/// Errors (leaving the selection untouched) if the host lacks support.
-pub fn set_backend(b: Backend) -> Result<(), String> {
-    if !b.is_supported() {
-        return Err(format!(
-            "backend {} is not supported on this host",
-            b.name()
-        ));
-    }
-    ACTIVE.store(b.code(), Ordering::Relaxed);
-    Ok(())
+    *ACTIVE.get_or_init(|| {
+        let raw = std::env::var("AASD_KERNEL").ok();
+        backend_from_env(raw.as_deref(), HostFeatures::detect()).unwrap_or_else(|e| panic!("{e}"))
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1665,7 +1632,7 @@ mod tests {
     #[test]
     fn backend_from_env_fails_closed() {
         let host = HostFeatures::detect();
-        assert_eq!(backend_from_env(None, host), Ok(best_supported()));
+        assert_eq!(backend_from_env(None, host), Ok(host.best()));
         assert_eq!(backend_from_env(Some("scalar"), host), Ok(Backend::Scalar));
         let avx2 = backend_from_env(Some("AVX2 "), host);
         if Backend::Avx2.is_supported() {
@@ -1696,16 +1663,6 @@ mod tests {
             let err = backend_from_env(Some("avx2"), host).unwrap_err();
             assert_eq!(err, "AASD_KERNEL=avx2: backend not supported on this host");
         }
-    }
-
-    #[test]
-    fn set_backend_rejects_unsupported_and_accepts_scalar() {
-        let prev = backend();
-        assert!(set_backend(Backend::Scalar).is_ok());
-        assert_eq!(backend(), Backend::Scalar);
-        set_backend(prev).unwrap();
-        #[cfg(not(target_arch = "x86_64"))]
-        assert!(set_backend(Backend::Avx2).is_err());
     }
 
     /// Satellite: every SIMD backend must match the scalar vecmat reference

@@ -24,6 +24,9 @@ enum Kind {
 
 const KINDS: [Kind; 2] = [Kind::Spec, Kind::Adaptive];
 
+/// The draft/target cost ratio `c` every adaptive session is given.
+const COST_RATIO: f64 = 0.25;
+
 /// The deepest block `kind` may draft when opened at `gamma`: the
 /// controller ranges over the whole of `1..MAX_GAMMA`.
 fn gamma_bound(kind: Kind, gamma: usize) -> usize {
@@ -57,7 +60,7 @@ fn start(
     draft.prefill_ws(prompt, &mut dc, ws);
     let mut session = SpecSession::new(target, draft, &tc, &dc, pending, budget, gamma);
     if let Kind::Adaptive = kind {
-        session.enable_adaptive_gamma(AdaptiveGamma::new(0.25));
+        session.enable_adaptive_gamma(AdaptiveGamma::new(COST_RATIO));
     }
     (Session::Spec(session), tc, dc)
 }
@@ -321,4 +324,43 @@ fn self_draft_maximises_every_counter() {
             );
         }
     }
+}
+
+/// A mixed-α burst: even requests draft with the target itself (α = 1), odd
+/// ones with an unrelated model (α ≈ 0). A fixed γ must pick one depth for
+/// both halves; the per-session controller retunes each request from its
+/// own acceptance history. Scored by the clock-free pass-count efficiency
+/// `generated / (blocks + c · drafted)` under the modelled cost ratio, the
+/// controller must reach at least 0.98 × the best fixed γ ∈ {1, 2, 3, 5, 8}.
+#[test]
+fn adaptive_gamma_keeps_pace_with_best_fixed_gamma_on_a_mixed_burst() {
+    let target = model(11);
+    let stranger = model(12);
+    let mut rng = Rng::new(0xB0);
+    let mut ws = Workspace::new();
+    let budget = 48;
+    let prompts: Vec<Vec<u32>> = (0..6).map(|_| random_prompt(&mut rng, 8, 32)).collect();
+    let references: Vec<Vec<u32>> = prompts
+        .iter()
+        .map(|p| autoregressive_greedy_with_budget_ws(&target, p, budget, &mut ws))
+        .collect();
+    let mut burst = |kind: Kind, gamma: usize| -> f64 {
+        let mut merged = SpecStats::default();
+        for (i, (prompt, reference)) in prompts.iter().zip(&references).enumerate() {
+            let draft = if i % 2 == 0 { &target } else { &stranger };
+            let (out, stats) = run(kind, &target, draft, prompt, budget, gamma, &mut ws);
+            assert_eq!(&out, reference, "{kind:?} γ={gamma} request {i}");
+            merged.merge(&stats);
+        }
+        merged.generated as f64 / (merged.blocks as f64 + COST_RATIO * merged.drafted as f64)
+    };
+    let best_fixed = [1, 2, 3, 5, 8]
+        .map(|g| burst(Kind::Spec, g))
+        .into_iter()
+        .fold(f64::NEG_INFINITY, f64::max);
+    let adaptive = burst(Kind::Adaptive, 3);
+    assert!(
+        adaptive >= 0.98 * best_fixed,
+        "adaptive efficiency {adaptive:.3} < 0.98 × best fixed {best_fixed:.3}"
+    );
 }

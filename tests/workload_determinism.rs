@@ -18,9 +18,9 @@ fn wl(kind: WorkloadKind) -> Workload {
     Workload::new(kind, SEED, N_PATCHES, PATCH_DIM)
 }
 
-/// Golden stream fingerprints, frozen when PR 10 landed. These must never
-/// change on any machine or kernel tier: the committed BENCH_PR10.json
-/// numbers were measured on exactly these streams.
+/// Golden stream fingerprints. These must never change on any machine or
+/// kernel tier: a changed hash means the generator forked, and every
+/// Table 1 number EXPERIMENTS.md records stops being reproducible.
 #[test]
 fn stream_hashes_match_golden_values() {
     const GOLDEN: [(WorkloadKind, Split, u64); 6] = [
