@@ -23,7 +23,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     # labelled gate states the both-tiers contract on its own.
 
     echo "==> kernel-tier gate: losslessness + determinism suites on the forced-scalar and host-best tiers"
-    # None of the paged KV pool, the vision cache, adaptive gamma, the
+    # None of the paged KV pool, the vision cache, the
     # scheduler at 1 / 2 / 4 workers (SHUTDOWN draining every in-flight
     # request), the int8 kernels or the synthetic workloads' golden stream
     # fingerprints may move a token on any dispatch tier: run the suites pinned to the scalar reference and
@@ -80,17 +80,22 @@ if [[ "${1:-}" != "--quick" ]]; then
     # f32 tile gives the f32 target and the draft's f32 training (PR 25
     # re-based them from 863 / 4008 / 2161, the multiply-then-add tile's
     # counts under PR 22's int8 draft; PR 22 from 862 / 4005 / 2162, which
-    # the f32 draft had reproduced since the benchmark landed).
-    counts=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-        --workload solo-decode --seed 1 --seconds 3 --check-counts)
-    echo "$counts"
-    if grep -q "kernel_backend=avx2" <<<"$counts"; then
-        pinned="blocks: 874, drafted: 4056, accepted: 2150"
-        if [[ $(grep -c "$pinned" <<<"$counts") -ne 2 ]]; then
-            echo "solo-decode seed 1 no longer gives { $pinned } on both runs" >&2
+    # the f32 draft had reproduced since the benchmark landed). serve-batch
+    # pins the engine's path as well: admission, vision-cache misses, the
+    # draft's vision seeding and the scheduler.
+    for pin in "solo-decode=blocks: 874, drafted: 4056, accepted: 2150" \
+        "serve-batch=blocks: 3856, drafted: 11054, accepted: 6672"; do
+        workload=${pin%%=*}
+        pinned=${pin#*=}
+        counts=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+            --workload "$workload" --seed 1 --seconds 3 --check-counts)
+        echo "$counts"
+        if grep -q "kernel_backend=avx2" <<<"$counts" &&
+            [[ $(grep -c "$pinned" <<<"$counts") -ne 2 ]]; then
+            echo "$workload seed 1 no longer gives { $pinned } on both runs" >&2
             exit 1
         fi
-    fi
+    done
 
     echo "==> cargo fmt --check"
     cargo fmt --check

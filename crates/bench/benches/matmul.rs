@@ -22,14 +22,12 @@
 //!    beside the f32 tile over f32 panels, with the bytes each streams.
 //!    Activations are quantized outside the timed region: this is the
 //!    kernel, not `QuantLinear`.
-//! 4. Naive reference vs the tiled kernel vs its thread-parallel form on
-//!    square sizes.
+//! 4. Naive reference vs the tiled kernel on square sizes.
 
 use aasd_bench::{bench, report};
 use aasd_tensor::{
-    backend, hardware_threads, matmul_blocked_into, matmul_naive_into, matmul_packed_into,
-    matmul_parallel_into, matmul_q8_into, pack_panels, quantize_rows_i8, vecmat_into, QuantMatrix,
-    Rng,
+    backend, matmul_blocked_into, matmul_naive_into, matmul_packed_into, matmul_q8_into,
+    pack_panels, quantize_rows_i8, vecmat_into, QuantMatrix, Rng,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -263,10 +261,7 @@ fn int8_sweep() {
 }
 
 fn square_sizes() {
-    println!(
-        "square N³: naive vs tiled vs parallel, {} hardware thread(s)\n",
-        hardware_threads()
-    );
+    println!("square N³: naive vs tiled\n");
     for n in [64usize, 128, 256] {
         let mut rng = Rng::new(n as u64);
         let a: Vec<f32> = (0..n * n).map(|_| rng.uniform(-1.0, 1.0)).collect();
@@ -280,18 +275,14 @@ fn square_sizes() {
         let tiled = bench(&format!("matmul/tiled/{n}"), || {
             matmul_blocked_into(&mut c, &a, &b, n, n, n)
         });
-        let parallel = bench(&format!("matmul/parallel/{n}"), || {
-            matmul_parallel_into(&mut c, &a, &b, n, n, n)
-        });
 
-        for r in [&naive, &tiled, &parallel] {
+        for r in [&naive, &tiled] {
             report(r);
             println!("{:<44} {:>10.2} GFLOP/s", "", flops / r.median_ns);
         }
         println!(
-            "  speedup tiled vs naive: {:.2}x   parallel vs naive: {:.2}x\n",
-            naive.median_ns / tiled.median_ns,
-            naive.median_ns / parallel.median_ns
+            "  speedup tiled vs naive: {:.2}x\n",
+            naive.median_ns / tiled.median_ns
         );
     }
 }

@@ -260,16 +260,6 @@ impl Decoder {
         self.projections().for_each(Linear::prepack);
     }
 
-    /// Weight bytes one fused forward of one token streams under the
-    /// model's policy: `4 ·` weights under `F32`, codes + scales under
-    /// `Int8` (see [`Linear::streamed_bytes`]). A one-row forward costs the
-    /// bytes it streams, so the ratio of two models' figures is the cost
-    /// ratio `c` speculation's arithmetic wants — a parameter count
-    /// overstates an int8 draft's fourfold.
-    pub fn streamed_bytes(&self) -> usize {
-        self.projections().map(Linear::streamed_bytes).sum()
-    }
-
     /// The kernel family the fused decode path currently runs.
     pub fn kernel_policy(&self) -> KernelPolicy {
         self.kernel_policy

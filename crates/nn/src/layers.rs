@@ -95,16 +95,6 @@ impl Linear {
         self.quant.get().is_some()
     }
 
-    /// Bytes one fused forward streams from this layer's weight under its
-    /// policy: `4·in·out` of f32, or `in·out` codes plus `4·out` of scales.
-    pub fn streamed_bytes(&self) -> usize {
-        let (k, n) = (self.w.rows, self.w.cols);
-        match self.policy {
-            KernelPolicy::F32 => 4 * k * n,
-            KernelPolicy::Int8 => k * n + 4 * n,
-        }
-    }
-
     fn panels(&self) -> &[f32] {
         self.panels
             .get_or_init(|| pack_panels(&self.w.data, self.w.rows, self.w.cols))
@@ -462,17 +452,6 @@ mod tests {
         lin.set_policy(KernelPolicy::F32);
         lin.prepack();
         assert!(lin.is_packed());
-    }
-
-    /// What a fused forward streams: a quarter of the f32 bytes under
-    /// `Int8`, plus one scale per output.
-    #[test]
-    fn linear_streamed_bytes_follow_the_policy() {
-        let mut rng = Rng::new(0x9AF);
-        let mut lin = Linear::new(&mut rng, 24, 40);
-        assert_eq!(lin.streamed_bytes(), 4 * 24 * 40);
-        lin.set_policy(KernelPolicy::Int8);
-        assert_eq!(lin.streamed_bytes(), 24 * 40 + 4 * 40);
     }
 
     #[test]

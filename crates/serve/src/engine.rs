@@ -20,13 +20,13 @@
 //!   evicting cold vision-cache entries first if those would free enough
 //!   blocks.
 //! * **Vision cache** — multimodal engines keep an LRU map from image
-//!   *content hash* to (a) the target's vision-prefix KV blocks and (b) the
-//!   draft's seeded vision rows. A hit leases the session's target cache
-//!   *on top of* the cached prefix (copy-on-write block sharing — full
-//!   blocks are shared zero-copy, a partial tail is copied) and skips the
-//!   vision tower, connector, and `KvProjector` entirely. Hit and miss
-//!   produce bit-identical session state, so caching can never change a
-//!   token stream, only its latency.
+//!   *content hash* to the target's vision-prefix KV blocks. A hit leases
+//!   the session's target cache *on top of* the cached prefix
+//!   (copy-on-write block sharing — full blocks are shared zero-copy, a
+//!   partial tail is copied) and skips the vision tower and connector; a
+//!   speculative session then seeds its draft from that shared prefix
+//!   exactly as a miss does. Hit and miss produce bit-identical session
+//!   state, so caching can never change a token stream, only its latency.
 //! * **Scheduler** — [`Engine::tick`] refills free slots from the queue,
 //!   then advances every active session one step: prefill on its first
 //!   turn, afterwards one speculative block (or one AR token). Every slot
@@ -36,10 +36,6 @@
 //!   across scoped threads; sessions own their leases and scratch, so
 //!   worker count changes interleaving but never tokens (pinned by the
 //!   root determinism test).
-//! * **Adaptive γ** — with `cfg.adaptive_gamma`, every speculative session
-//!   carries an [`AdaptiveGamma`] controller that re-picks its depth each
-//!   block from its own running acceptance rate. Greedy verification is
-//!   lossless under any γ schedule, so this moves α/τ and wall-clock only.
 //!
 //! Losslessness survives scheduling by construction: the per-block state
 //! machine a slot steps ([`SpecSession`]) is the *same* one the one-shot
@@ -54,8 +50,8 @@ use std::time::{Duration, Instant};
 
 use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
 use aasd_nn::{Decoder, KvCache, KvPool};
-use aasd_specdec::{AdaptiveGamma, ArSession, Session, SpecSession, StepReport, MAX_GAMMA};
-use aasd_tensor::{Rng, Tensor, Workspace};
+use aasd_specdec::{ArSession, Session, SpecSession, StepReport, MAX_GAMMA};
+use aasd_tensor::{Rng, Workspace};
 
 use crate::metrics::Metrics;
 use crate::request::{DecodeMode, Request, RequestHandle, RequestId, Status};
@@ -150,11 +146,6 @@ pub struct EngineConfig {
     /// Max distinct images the shared-prefix vision cache retains (LRU
     /// beyond that). 0 disables caching. Ignored by text engines.
     pub vision_cache_entries: usize,
-    /// Retune each speculative session's γ per block from its running
-    /// acceptance rate ([`AdaptiveGamma`]); the request's γ seeds the
-    /// session but stops being a fixed depth. Off by default so existing
-    /// deployments keep byte-identical performance profiles.
-    pub adaptive_gamma: bool,
 }
 
 impl Default for EngineConfig {
@@ -167,7 +158,6 @@ impl Default for EngineConfig {
             t_pool_blocks: 0,
             d_pool_blocks: 0,
             vision_cache_entries: 8,
-            adaptive_gamma: false,
         }
     }
 }
@@ -225,8 +215,8 @@ enum VisionPlan {
     /// then (best-effort) populate the cache for future sessions.
     Miss { image: Image, hash: u64 },
     /// The session's target lease was built on the cached prefix blocks —
-    /// prefill skips the vision tower, connector, and projector.
-    Hit { hash: u64 },
+    /// prefill skips the vision tower and connector.
+    Hit,
 }
 
 /// An admitted request bound to its leased KV blocks.
@@ -277,15 +267,10 @@ impl QueueState {
     }
 }
 
-/// One cached image: the target's vision-prefix blocks (shared CoW into
-/// sessions) and the draft's seeded vision rows (appended verbatim).
+/// One cached image: the target's vision-prefix blocks, shared CoW into
+/// sessions.
 struct VisionEntry {
     t_prefix: KvCache,
-    /// Per draft layer: `(keys, values)`, each `[d_vision_prefix, dim]`.
-    /// `None` when the creating request was autoregressive (no draft rows
-    /// were computed); spec hits then fall back to re-seeding from the
-    /// shared target prefix.
-    d_seed: Option<Vec<(Tensor, Tensor)>>,
     last_used: u64,
 }
 
@@ -359,14 +344,6 @@ pub struct Engine {
     /// Wakes an idle scheduler (paired with the qstate lock): submits and
     /// session completion notify.
     work_cv: Condvar,
-}
-
-/// The draft/target cost ratio `c` adaptive γ optimises against: a one-row
-/// forward costs the weight bytes it streams, and those depend on each
-/// model's kernel policy (an int8 draft streams a quarter of what its
-/// parameter count suggests).
-fn draft_cost_ratio(draft: &Decoder, target: &Decoder) -> f64 {
-    draft.streamed_bytes() as f64 / target.streamed_bytes() as f64
 }
 
 impl Engine {
@@ -777,7 +754,7 @@ impl Engine {
             if let Some((t_cache, d_cache)) = t_cache.and_then(with_draft) {
                 let vision = if hit {
                     self.metrics.vision_cache_hits.inc();
-                    VisionPlan::Hit { hash }
+                    VisionPlan::Hit
                 } else {
                     self.metrics.vision_cache_misses.inc();
                     VisionPlan::Miss { image, hash }
@@ -869,10 +846,10 @@ impl Engine {
             (EngineModel::Multimodal { model, .. }, VisionPlan::Miss { image, hash }) => {
                 debug_assert!(t_cache.is_empty());
                 let pending = model.prefill_ws(image, &req.prompt, t_cache, ws);
-                self.populate_vision_cache(*hash, t_cache, None);
+                self.populate_vision_cache(*hash, t_cache);
                 pending
             }
-            (EngineModel::Multimodal { model, .. }, VisionPlan::Hit { .. }) => {
+            (EngineModel::Multimodal { model, .. }, VisionPlan::Hit) => {
                 debug_assert_eq!(t_cache.len(), model.n_img());
                 model.prefill_text_ws(&req.prompt, t_cache, ws)
             }
@@ -884,15 +861,14 @@ impl Engine {
 
     /// Draft-side prefill for a speculative `req`: text prompt, preceded
     /// in the multimodal case by the ablation-selected vision prefix
-    /// (hybrid cache, same seeding as `mm_speculative_ws`). A vision-
-    /// cache hit appends the cached projected rows instead of re-running
-    /// the projector.
+    /// (hybrid cache, same seeding as `mm_speculative_ws`), read from the
+    /// target prefix whether it was just computed or is shared from the
+    /// vision cache.
     fn seed_draft_caches(
         &self,
         req: &Request,
-        t_cache: &mut KvCache,
+        t_cache: &KvCache,
         d_cache: &mut KvCache,
-        vision: &VisionPlan,
         ws: &mut Workspace,
     ) {
         if let EngineModel::Multimodal {
@@ -902,16 +878,7 @@ impl Engine {
             ..
         } = &self.model
         {
-            let seeded_from_cache = match vision {
-                VisionPlan::Hit { hash } => self.seed_draft_from_cache(*hash, d_cache),
-                _ => false,
-            };
-            if !seeded_from_cache {
-                seed_draft_prefix(model, Some(projector), *ablation, t_cache, d_cache);
-            }
-            if let VisionPlan::Miss { hash, .. } = vision {
-                self.populate_vision_cache(*hash, t_cache, Some(d_cache));
-            }
+            seed_draft_prefix(model, Some(projector), *ablation, t_cache, d_cache);
             if ablation.drop_text_kv {
                 return;
             }
@@ -948,28 +915,24 @@ impl Engine {
             )));
         };
         let d_lease = d_cache.expect("spec admission leases a draft");
-        self.seed_draft_caches(req, t_cache, d_lease, vision, ws);
+        self.seed_draft_caches(req, t_cache, d_lease, ws);
         debug_assert_eq!(d_lease.len(), d_prefix, "d prefix != plan");
-        let mut session = SpecSession::new(target, draft, t_cache, d_lease, pending, budget, gamma);
-        if self.cfg.adaptive_gamma {
-            session.enable_adaptive_gamma(AdaptiveGamma::new(draft_cost_ratio(draft, target)));
-        }
-        Phase::Decode(Session::Spec(session))
+        Phase::Decode(Session::Spec(SpecSession::new(
+            target, draft, t_cache, d_lease, pending, budget, gamma,
+        )))
     }
 
-    /// Best-effort: install `hash`'s vision prefix (and, when the creating
-    /// session was speculative, its seeded draft rows) into the cache.
-    /// Runs after a miss prefill; the rows are copied out of the session's
-    /// caches, so the entry is bit-identical to what a fresh vision
+    /// Best-effort: install `hash`'s vision prefix into the cache. Runs
+    /// after a miss prefill; the rows are copied out of the session's
+    /// target cache, so the entry is bit-identical to what a fresh vision
     /// prefill would produce. Skipped when caching is disabled, the entry
     /// raced into existence, or the pool has no spare blocks (the session
     /// itself always wins over the cache).
-    fn populate_vision_cache(&self, hash: u64, t_cache: &KvCache, d_cache: Option<&KvCache>) {
+    fn populate_vision_cache(&self, hash: u64, t_cache: &KvCache) {
         if self.cfg.vision_cache_entries == 0 {
             return;
         }
         let n_img = self.model.n_img();
-        let d_prefix = self.model.d_vision_prefix();
         let mut vc = self.vision_cache.lock().unwrap();
         if vc.entries.contains_key(&hash) {
             return;
@@ -984,21 +947,6 @@ impl Engine {
                 dst.append(src.key(pos), src.value(pos));
             }
         }
-        let d_seed = d_cache.map(|dc| {
-            (0..dc.n_layers())
-                .map(|l| {
-                    let src = dc.layer(l);
-                    let dim = dc.dim();
-                    let mut k = Tensor::zeros(d_prefix, dim);
-                    let mut v = Tensor::zeros(d_prefix, dim);
-                    for pos in 0..d_prefix {
-                        k.row_mut(pos).copy_from_slice(src.key(pos));
-                        v.row_mut(pos).copy_from_slice(src.value(pos));
-                    }
-                    (k, v)
-                })
-                .collect()
-        });
         while vc.entries.len() >= self.cfg.vision_cache_entries {
             if !vc.evict_coldest(None) {
                 break;
@@ -1010,33 +958,9 @@ impl Engine {
             hash,
             VisionEntry {
                 t_prefix,
-                d_seed,
                 last_used: clock,
             },
         );
-    }
-
-    /// On a hit, seed the draft's vision prefix from the cached rows —
-    /// skipping the projector matmuls. Returns false when the entry was
-    /// evicted between admission and prefill or carries no draft rows
-    /// (created by an AR request); the caller then re-seeds from the
-    /// target prefix, which the session's lease still shares.
-    fn seed_draft_from_cache(&self, hash: u64, d_cache: &mut KvCache) -> bool {
-        let vc = self.vision_cache.lock().unwrap();
-        let Some(entry) = vc.entries.get(&hash) else {
-            return false;
-        };
-        let Some(d_seed) = &entry.d_seed else {
-            return false;
-        };
-        debug_assert!(d_cache.is_empty());
-        for (l, (k, v)) in d_seed.iter().enumerate() {
-            let mut layer = d_cache.layer_mut(l);
-            for r in 0..k.rows {
-                layer.append(k.row(r), v.row(r));
-            }
-        }
-        true
     }
 
     /// Completion bookkeeping for a slot's session: release its leases,
@@ -1116,27 +1040,21 @@ mod tests {
     /// one autoregressive — must
     /// equal the AR reference; speculative stats must account for exactly
     /// the tokens served; every request must complete and every lease
-    /// return to its pool. The chain at fixed γ must also reproduce the
+    /// return to its pool. Every served request must also reproduce the
     /// one-shot fused loop's `SpecStats` (same γ choices). The target is
     /// f32; the draft runs `draft_policy`.
-    fn lossless_cell(
-        multimodal: bool,
-        adaptive_gamma: bool,
-        workers: usize,
-        draft_policy: KernelPolicy,
-    ) {
+    fn lossless_cell(multimodal: bool, workers: usize, draft_policy: KernelPolicy) {
         let prompts: [&[u32]; 5] = [&[3, 7, 1, 9], &[5, 2], &[8, 8, 8], &[3, 11, 25, 7], &[6]];
         let budgets = [24usize, 20, 21, 1, 2];
         let (gamma, image_seed) = (4usize, 5u64);
         let mut ws = Workspace::new();
         let cell = format!(
-            "mm={multimodal} adaptive={adaptive_gamma} workers={workers} draft={}",
+            "mm={multimodal} workers={workers} draft={}",
             draft_policy.name()
         );
         let cfg = EngineConfig {
             slots: 2,
             workers,
-            adaptive_gamma,
             ..EngineConfig::default()
         };
         // (AR reference, one-shot chain stats) per request.
@@ -1209,9 +1127,7 @@ mod tests {
             let stats = h.stats().expect("spec request carries stats");
             assert_eq!(stats.generated, tokens.len(), "{cell}");
             assert!(stats.accepted <= stats.drafted, "{cell}");
-            if !adaptive_gamma {
-                assert_eq!(&stats, one_shot, "{cell}");
-            }
+            assert_eq!(&stats, one_shot, "{cell}");
         }
         let m = engine.metrics();
         let served = budgets.iter().sum::<usize>() + budgets[0];
@@ -1225,26 +1141,24 @@ mod tests {
         assert_eq!(d_pool.free_blocks(), d_pool.total_blocks(), "{cell}");
     }
 
-    /// The engine losslessness matrix: {text, multimodal} × {fixed γ,
-    /// adaptive γ}, each row at workers {1, 2} and with the draft on either
-    /// kernel policy under the f32 target.
+    /// The engine losslessness matrix: {text, multimodal}, each row at
+    /// workers {1, 2} and with the draft on either kernel policy under the
+    /// f32 target.
     macro_rules! lossless_matrix {
-        ($($name:ident: mm $mm:literal, adaptive $adaptive:literal;)*) => {$(
+        ($($name:ident: mm $mm:literal;)*) => {$(
             #[test]
             fn $name() {
                 for draft_policy in [KernelPolicy::F32, KernelPolicy::Int8] {
                     for workers in [1, 2] {
-                        lossless_cell($mm, $adaptive, workers, draft_policy);
+                        lossless_cell($mm, workers, draft_policy);
                     }
                 }
             }
         )*};
     }
     lossless_matrix! {
-        lossless_chain_text_fixed: mm false, adaptive false;
-        lossless_chain_text_adaptive: mm false, adaptive true;
-        lossless_chain_mm_fixed: mm true, adaptive false;
-        lossless_chain_mm_adaptive: mm true, adaptive true;
+        lossless_chain_text_fixed: mm false;
+        lossless_chain_mm_fixed: mm true;
     }
 
     /// An engine handed an `Int8` target serves it quantized and its spec
@@ -1302,32 +1216,6 @@ mod tests {
             assert_eq!(shadows(&target), want(target_policy));
             assert_eq!(shadows(&draft), want(draft_policy));
         }
-    }
-
-    /// Adaptive γ's cost ratio is what the two models stream per token, not
-    /// a parameter count: an int8 draft reports about a quarter of its f32
-    /// twin's `c` under the same target, and at equal α̂ the controller then
-    /// picks a γ no shallower (deeper where the f32 figure was the binding
-    /// term).
-    #[test]
-    fn adaptive_gamma_cost_ratio_is_streamed_bytes() {
-        let (target, f32_draft) = text_models_with(KernelPolicy::F32);
-        let (_, int8_draft) = text_models_with(KernelPolicy::Int8);
-        let c_f32 = draft_cost_ratio(&f32_draft, &target);
-        let c_int8 = draft_cost_ratio(&int8_draft, &target);
-        assert_eq!(c_f32, 1.0, "same-shape f32 twins stream the same bytes");
-        assert!(
-            (0.25..0.30).contains(&(c_int8 / c_f32)),
-            "int8 draft must cost about a quarter: {c_int8} vs {c_f32}"
-        );
-        let mut deeper = 0;
-        for alpha in [0.2, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9] {
-            let g_f32 = AdaptiveGamma::with_prior(c_f32, 0.9, alpha).gamma_capped(usize::MAX);
-            let g_int8 = AdaptiveGamma::with_prior(c_int8, 0.9, alpha).gamma_capped(usize::MAX);
-            assert!(g_int8 >= g_f32, "α̂={alpha}: γ {g_int8} < {g_f32}");
-            deeper += usize::from(g_int8 > g_f32);
-        }
-        assert!(deeper > 0, "a 4× cheaper draft never speculated deeper");
     }
 
     /// More requests than slots: continuous batching must finish them all,
@@ -1716,7 +1604,10 @@ mod tests {
     /// The vision cache: a repeated image is a hit that skips the vision
     /// tower yet yields the byte-identical stream; hit/miss counters track
     /// it; disabling the cache (entries = 0) serves every request as a
-    /// miss and still matches.
+    /// miss and still matches. Greedy streams are lossless whatever the
+    /// draft sees, so the `SpecStats` are what show that a hit seeds the
+    /// draft exactly like a miss: each request's must equal its uncached
+    /// twin's.
     #[test]
     fn vision_cache_hit_is_bit_identical_to_miss() {
         use aasd_mm::mm_speculative_ws;
@@ -1763,13 +1654,14 @@ mod tests {
         for (h, w) in handles.iter().zip(&want) {
             assert_eq!(h.snapshot(), (Status::Done, w.clone()));
         }
+        let cached_stats: Vec<_> = handles.iter().map(|h| h.stats()).collect();
         // Seeds [5, 5, 9, 5]: misses for 5 and 9, hits for the repeats.
         assert_eq!(engine.metrics().vision_cache_misses.get(), 2);
         assert_eq!(engine.metrics().vision_cache_hits.get(), 2);
 
         // Same burst with the cache disabled: identical streams, no hits.
         let (engine0, ..) = mm_engine(mm_cfg(0));
-        for (&seed, w) in [5u64, 5, 9, 5].iter().zip(&want) {
+        for ((&seed, w), cached) in [5u64, 5, 9, 5].iter().zip(&want).zip(&cached_stats) {
             let h = engine0
                 .submit(Request {
                     prompt: prompt.clone(),
@@ -1780,6 +1672,8 @@ mod tests {
                 .unwrap();
             engine0.run_until_idle();
             assert_eq!(h.snapshot(), (Status::Done, w.clone()));
+            assert!(cached.is_some(), "spec request carries stats");
+            assert_eq!(&h.stats(), cached, "seed {seed}: cached ≠ uncached");
         }
         assert_eq!(engine0.metrics().vision_cache_hits.get(), 0);
     }
@@ -1805,7 +1699,6 @@ mod tests {
                 hash,
                 VisionEntry {
                     t_prefix: prefix,
-                    d_seed: None,
                     last_used,
                 },
             );

@@ -13,8 +13,7 @@
 //!   and return them on completion), a FIFO admission queue that reasons
 //!   in free blocks, an LRU shared-prefix vision cache keyed by image
 //!   content hash (a hit maps the cached vision KV into the session
-//!   copy-on-write and skips the ViT + connector + projector entirely),
-//!   an optional per-session adaptive-γ controller, and a
+//!   copy-on-write and skips the ViT + connector), and a
 //!   continuous-batching scheduler that advances every active session one
 //!   speculative block per tick. Because each slot runs the *same*
 //!   [`aasd_specdec::SpecSession`] state machine as the one-shot fused

@@ -6,7 +6,6 @@
 //! [`ArSession`](crate::ArSession) embed one [`Core`] each and differ only
 //! in their draft side.
 
-use crate::adaptive::AdaptiveGamma;
 use crate::metrics::SpecStats;
 use crate::session::StepReport;
 use crate::MAX_GAMMA;
@@ -39,9 +38,6 @@ pub(crate) struct Core {
     stats: SpecStats,
     t_off: usize,
     done: bool,
-    /// Optional per-session γ controller; when set, γ is re-picked from the
-    /// running acceptance estimate at the start of every block.
-    adaptive: Option<AdaptiveGamma>,
 }
 
 impl Core {
@@ -71,7 +67,6 @@ impl Core {
             stats: SpecStats::default(),
             t_off: t_cache.len(),
             done: budget == 0,
-            adaptive: None,
         };
         if !s.done {
             s.out.push(pending);
@@ -82,24 +77,10 @@ impl Core {
         s
     }
 
-    pub(crate) fn enable_adaptive_gamma(&mut self, controller: AdaptiveGamma) {
-        self.adaptive = Some(controller);
-    }
-
     /// Tokens of budget not yet emitted.
     #[inline]
     pub(crate) fn remaining(&self) -> usize {
         self.budget - self.out.len()
-    }
-
-    /// The speculation depth in force: the fixed γ, or the controller's
-    /// proposal bounded by what the remaining budget can still commit, so a
-    /// cold-start prior can never ask for a depth past a collapsed lease.
-    pub(crate) fn gamma(&self) -> usize {
-        match &self.adaptive {
-            Some(a) => a.gamma_capped(self.remaining().saturating_sub(1)),
-            None => self.gamma,
-        }
     }
 
     #[inline]
@@ -140,12 +121,8 @@ impl Core {
     /// caches can still take beyond the pending token. 0 ⇒ no room to
     /// speculate, take [`Core::plain_decode`]. Must not be called on a
     /// finished session (`remaining() ≥ 1`).
-    pub(crate) fn block_depth(&mut self, room: usize) -> usize {
-        let cap = room.min(self.remaining() - 1);
-        if let Some(ctl) = &self.adaptive {
-            self.gamma = ctl.gamma_capped(cap);
-        }
-        self.gamma.min(cap)
+    pub(crate) fn block_depth(&self, room: usize) -> usize {
+        self.gamma.min(room).min(self.remaining() - 1)
     }
 
     /// One plain fused decode step: feed the pending token to the target
@@ -205,19 +182,15 @@ impl Core {
 
     /// Account one verified block and commit it: `accepted` are the
     /// proposals the target agreed with, `next` its token after them (the
-    /// new pending token), `drafted` the proposals the block carried — the
-    /// pair the γ controller learns from. α measures draft/target
-    /// alignment, so `stats.accepted` counts every agreement, even one the
-    /// budget then truncates away; the commit itself is clamped to the
-    /// remaining budget so the bonus/correction token is never emitted past
-    /// it.
+    /// new pending token), `drafted` the proposals the block carried. α
+    /// measures draft/target alignment, so `stats.accepted` counts every
+    /// agreement, even one the budget then truncates away; the commit itself
+    /// is clamped to the remaining budget so the bonus/correction token is
+    /// never emitted past it.
     pub(crate) fn commit(&mut self, accepted: &[u32], next: u32, drafted: usize) {
         self.stats.blocks += 1;
         self.stats.drafted += drafted;
         self.stats.accepted += accepted.len();
-        if let Some(ctl) = &mut self.adaptive {
-            ctl.observe(drafted, accepted.len());
-        }
         let commit = (accepted.len() + 1).min(self.remaining());
         self.stats.generated += commit;
         self.out
@@ -234,22 +207,6 @@ impl Core {
 macro_rules! core_accessors {
     ($session:ty) => {
         impl $session {
-            /// Attach an [`AdaptiveGamma`](crate::AdaptiveGamma)
-            /// controller: from the next block on, the speculation depth is
-            /// chosen per block from the session's own running acceptance
-            /// rate instead of staying fixed. Greedy speculative decoding
-            /// is lossless under **any** γ schedule, so this changes speed
-            /// only, never tokens.
-            pub fn enable_adaptive_gamma(&mut self, controller: $crate::AdaptiveGamma) {
-                self.core.enable_adaptive_gamma(controller);
-            }
-
-            /// The γ in force (diagnostics): fixed, or the controller's
-            /// proposal bounded by the remaining budget.
-            pub fn gamma(&self) -> usize {
-                self.core.gamma()
-            }
-
             /// Tokens emitted so far (monotone; committed tokens never
             /// change).
             #[inline]

@@ -32,12 +32,10 @@
 //! under either policy — and draft and target may run different policies
 //! (`tests/int8_equivalence.rs` pins both properties).
 
-pub mod adaptive;
 mod core;
 pub mod metrics;
 pub mod session;
 
-pub use adaptive::AdaptiveGamma;
 pub use metrics::SpecStats;
 pub use session::{ArSession, Session, SpecSession, StepReport};
 
@@ -254,9 +252,9 @@ mod tests {
     fn speculative_is_lossless_greedy() {
         let mut rng = Rng::new(0x1055);
         let mut ws = Workspace::new();
-        for (t_seed, d_seed) in [(10, 20), (11, 21), (12, 22)] {
-            let target = tiny(t_seed);
-            let draft = tiny(d_seed);
+        for (target_seed, draft_seed) in [(10, 20), (11, 21), (12, 22)] {
+            let target = tiny(target_seed);
+            let draft = tiny(draft_seed);
             for gamma in [1, 2, 5] {
                 let p = prompt(&mut rng, 4, 40);
                 let budget = 30;
@@ -265,7 +263,7 @@ mod tests {
                     speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws);
                 assert_eq!(
                     spec, reference,
-                    "lossless violated: seeds=({t_seed},{d_seed}) γ={gamma}"
+                    "lossless violated: seeds=({target_seed},{draft_seed}) γ={gamma}"
                 );
                 assert_eq!(stats.generated, spec.len());
                 assert!(stats.acceptance_rate() <= 1.0);
@@ -447,9 +445,9 @@ mod tests {
     fn fused_speculative_is_lossless() {
         let mut rng = Rng::new(0xF01D);
         let mut ws = Workspace::new();
-        for (t_seed, d_seed) in [(10, 20), (11, 21), (12, 12)] {
-            let target = tiny(t_seed);
-            let draft = tiny(d_seed);
+        for (target_seed, draft_seed) in [(10, 20), (11, 21), (12, 12)] {
+            let target = tiny(target_seed);
+            let draft = tiny(draft_seed);
             for gamma in [1, 2, 5] {
                 let p = prompt(&mut rng, 4, 40);
                 let budget = 30;
@@ -458,12 +456,12 @@ mod tests {
                     speculative_greedy_with_budget_ws(&target, &draft, &p, budget, gamma, &mut ws);
                 assert_eq!(
                     spec, reference,
-                    "fused loop lossy: seeds=({t_seed},{d_seed}) γ={gamma}"
+                    "fused loop lossy: seeds=({target_seed},{draft_seed}) γ={gamma}"
                 );
                 assert_eq!(stats.generated, spec.len());
                 assert!(stats.accepted <= stats.drafted);
                 // Self-draft (12,12) must fully accept.
-                if t_seed == d_seed {
+                if target_seed == draft_seed {
                     assert_eq!(stats.accepted, stats.drafted);
                 }
             }

@@ -4,9 +4,8 @@
 //! the benches) is built on the kernels in this crate:
 //!
 //! * [`matmul`] — the register-tiled multi-row kernel over a row-major or
-//!   a packed (tile-major panels, [`pack_panels`]) right-hand side, its
-//!   thread-parallel form and the naive reference they are property-tested
-//!   against, plus the 4-way-unrolled one-row [`vecmat_into`] (bitwise
+//!   a packed (tile-major panels, [`pack_panels`]) right-hand side and the
+//!   naive reference they are property-tested against, plus the 4-way-unrolled one-row [`vecmat_into`] (bitwise
 //!   equal to any row of the multi-row kernel);
 //! * [`ops`] — fused softmax, argmax, SiLU, axpy/dot primitives;
 //! * [`simd`] — the runtime-dispatched AVX2 and scalar kernel tiers behind
@@ -32,9 +31,8 @@ pub mod simd;
 pub mod workspace;
 
 pub use matmul::{
-    hardware_threads, matmul_blocked_acc_into, matmul_blocked_into, matmul_naive_into,
-    matmul_packed_acc_into, matmul_packed_into, matmul_parallel_into, threads_from_env,
-    vecmat_acc_into, vecmat_into,
+    matmul_blocked_acc_into, matmul_blocked_into, matmul_naive_into, matmul_packed_acc_into,
+    matmul_packed_into, vecmat_acc_into, vecmat_into,
 };
 pub use ops::{
     add_assign, argmax, axpy, dot, log_softmax_row, log_softmax_rows, silu, softmax_row,
@@ -96,12 +94,11 @@ impl Tensor {
         &mut self.data[r * self.cols..(r + 1) * self.cols]
     }
 
-    /// `self · other` using the tiled (or, for large problems, its
-    /// thread-parallel) kernel.
+    /// `self · other` on the tiled kernel.
     pub fn matmul(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.rows, "inner dimensions must agree");
         let mut out = Tensor::zeros(self.rows, other.cols);
-        matmul_parallel_into(
+        matmul_blocked_into(
             &mut out.data,
             &self.data,
             &other.data,

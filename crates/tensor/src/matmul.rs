@@ -14,10 +14,6 @@
 //!   ([`crate::pack_panels`]): a strip of `B` is one contiguous run instead
 //!   of a cache line every `n·4` bytes. This is what frozen `Linear`
 //!   weights run on, at every row count.
-//! * [`matmul_parallel_into`] — the same kernel with the rows of `C`
-//!   partitioned across `std::thread::scope` threads (one per available
-//!   core). On a 1-core host it degenerates to the serial kernel without
-//!   spawning.
 //! * [`vecmat_into`] / [`vecmat_acc_into`] — the one-row kernel over a
 //!   row-major matrix: the per-row reference of the k-order contract.
 //!
@@ -28,9 +24,9 @@
 //! one rounding, never a separate multiply and add — never reassociated, no
 //! term skipped. A fused multiply-add is correctly rounded on every tier
 //! (`vfmadd` under AVX2 + FMA, `f32::mul_add` on the scalar tier), so the
-//! tile shape, the SIMD width, the split of rows across tiles or threads
-//! and the layout `B` is stored in only decide *which* elements are
-//! computed together and where their operands live: a row of a multi-row
+//! tile shape, the SIMD width, the split of rows across tiles and the
+//! layout `B` is stored in only decide *which* elements are computed
+//! together and where their operands live: a row of a multi-row
 //! product is bit-identical to [`vecmat_into`] on that row, on every
 //! [`crate::Backend`] and in either layout — the property that lets a
 //! speculative verify pass reproduce single-token decoding.
@@ -93,56 +89,6 @@ pub fn matmul_packed_acc_into(
     crate::simd::matmul_packed_acc_with(crate::simd::backend(), c, a, panels, m, k, n);
 }
 
-/// Resolve the worker-thread count from an optional `AASD_THREADS`-style
-/// override. A parseable value wins and is clamped to ≥ 1 (so `0` means
-/// "serial", not "zero workers"); an unset, empty, or unparseable value
-/// falls back to the detected count. Pure so the override logic is unit-
-/// testable despite [`hardware_threads`]'s `OnceLock` cache.
-pub fn threads_from_env(raw: Option<&str>, fallback: usize) -> usize {
-    match raw.and_then(|s| s.trim().parse::<usize>().ok()) {
-        Some(n) => n.max(1),
-        None => fallback.max(1),
-    }
-}
-
-/// Number of worker threads the parallel kernel will use: the
-/// `AASD_THREADS` env override when set (clamped to ≥ 1, so benches and CI
-/// can pin parallelism deterministically), otherwise the detected core
-/// count. Cached in a `OnceLock`: `available_parallelism` is a syscall, and
-/// this is queried on every [`matmul_parallel_into`] call in the decode hot
-/// loop.
-pub fn hardware_threads() -> usize {
-    static HW_THREADS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *HW_THREADS.get_or_init(|| {
-        let detected = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        threads_from_env(std::env::var("AASD_THREADS").ok().as_deref(), detected)
-    })
-}
-
-/// The multi-row kernel with the rows of `C` split across scoped threads.
-/// Falls back to the serial kernel when one thread suffices or the matrix
-/// is too small for spawn overhead to pay off.
-pub fn matmul_parallel_into(c: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
-    check_dims(a, b, c, m, k, n);
-    let threads = hardware_threads().min(m);
-    // ~2^20 flops is where spawning starts to win; below that, stay serial.
-    if threads <= 1 || m * k * n < 1 << 20 {
-        matmul_blocked_into(c, a, b, m, k, n);
-        return;
-    }
-    c.fill(0.0);
-    let bk = crate::simd::backend();
-    let rows_per = m.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (c_band, a_band) in c.chunks_mut(rows_per * n).zip(a.chunks(rows_per * k)) {
-            let rows = a_band.len() / k;
-            scope.spawn(move || crate::simd::matmul_acc_with(bk, c_band, a_band, b, rows, k, n));
-        }
-    });
-}
-
 /// Row-vector–matrix product `y = x·W` (`x: k`, `W: k×n` row-major). The
 /// product is a sum of scaled rows of `W`, so the kernel is a
 /// 4-way-unrolled sweep of fused multiply-adds (SIMD-dispatched across the
@@ -180,9 +126,9 @@ mod tests {
     }
 
     /// Property sweep (proptest stand-in): over many seeded random shapes,
-    /// blocked and parallel kernels must match the naive reference.
+    /// the blocked kernel must match the naive reference.
     #[test]
-    fn blocked_and_parallel_match_naive_on_random_shapes() {
+    fn blocked_matches_naive_on_random_shapes() {
         let mut rng = Rng::new(0xA5D);
         for _case in 0..60 {
             let m = 1 + rng.below(48);
@@ -192,18 +138,11 @@ mod tests {
             let b = random_mat(&mut rng, k * n);
             let mut c_ref = vec![0.0; m * n];
             let mut c_blk = vec![0.0; m * n];
-            let mut c_par = vec![0.0; m * n];
             matmul_naive_into(&mut c_ref, &a, &b, m, k, n);
             matmul_blocked_into(&mut c_blk, &a, &b, m, k, n);
-            matmul_parallel_into(&mut c_par, &a, &b, m, k, n);
-            let tol = 1e-4 * k as f32;
             assert!(
-                max_abs_diff(&c_ref, &c_blk) < tol,
+                max_abs_diff(&c_ref, &c_blk) < 1e-4 * k as f32,
                 "blocked diverged at m={m} k={k} n={n}"
-            );
-            assert!(
-                max_abs_diff(&c_ref, &c_par) < tol,
-                "parallel diverged at m={m} k={k} n={n}"
             );
         }
     }
@@ -235,19 +174,20 @@ mod tests {
         }
     }
 
-    /// The parallel kernel must engage its threaded path on a matrix big
-    /// enough to cross the spawn threshold and still match the reference.
+    /// A square product of 2²¹ multiply-adds, the size training's
+    /// `Tensor::matmul` reaches, matches the reference bit for bit (one
+    /// fused multiply-add per term, k ascending, on both).
     #[test]
-    fn parallel_large_matches_naive() {
+    fn blocked_large_matches_naive() {
         let mut rng = Rng::new(7);
         let (m, k, n) = (128, 128, 128);
         let a = random_mat(&mut rng, m * k);
         let b = random_mat(&mut rng, k * n);
         let mut c_ref = vec![0.0; m * n];
-        let mut c_par = vec![0.0; m * n];
+        let mut c_blk = vec![0.0; m * n];
         matmul_naive_into(&mut c_ref, &a, &b, m, k, n);
-        matmul_parallel_into(&mut c_par, &a, &b, m, k, n);
-        assert!(max_abs_diff(&c_ref, &c_par) < 1e-2);
+        matmul_blocked_into(&mut c_blk, &a, &b, m, k, n);
+        assert_eq!(c_ref, c_blk);
     }
 
     /// The unrolled t = 1 fast path must agree **bitwise** with the blocked
@@ -300,22 +240,5 @@ mod tests {
         for ((cv, bv), pv) in c.iter().zip(&base).zip(&prod) {
             assert!((cv - (bv + pv)).abs() < 1e-4);
         }
-    }
-
-    /// Satellite: the `AASD_THREADS` override logic — parseable values win
-    /// and clamp to ≥ 1, anything else falls back to the detected count.
-    #[test]
-    fn threads_from_env_override_and_fallback() {
-        assert_eq!(threads_from_env(Some("8"), 2), 8);
-        assert_eq!(threads_from_env(Some(" 3 "), 2), 3);
-        // Clamp: 0 means "serial", never zero workers.
-        assert_eq!(threads_from_env(Some("0"), 4), 1);
-        // Invalid values fall back to the detected count.
-        assert_eq!(threads_from_env(Some("abc"), 4), 4);
-        assert_eq!(threads_from_env(Some(""), 4), 4);
-        assert_eq!(threads_from_env(Some("-2"), 4), 4);
-        assert_eq!(threads_from_env(None, 4), 4);
-        // The fallback itself is clamped too.
-        assert_eq!(threads_from_env(None, 0), 1);
     }
 }

@@ -3,7 +3,7 @@
 //! Re-exports the workspace subcrates so the repo-root `tests/` and
 //! `examples/` can depend on a single crate:
 //!
-//! * [`tensor`] — dense f32 kernels (naive/blocked/parallel matmul, softmax,
+//! * [`tensor`] — dense f32 kernels (naive/blocked/packed matmul, softmax,
 //!   deterministic RNG);
 //! * [`nn`] — transformer building blocks: RoPE, pre-allocated KV cache,
 //!   multi-head causal attention, SwiGLU decoder blocks, greedy sampling,
