@@ -10,13 +10,14 @@
 //!
 //! The op set is exactly what training a decoder-only transformer needs:
 //! `matmul`, `add`, `mul`, `scale`, `sum`, `embed_gather`, `silu`,
-//! `rms_norm`, `softmax`/`log_softmax`, the `cross_entropy` and `kl_div`
-//! losses, plus the fused sequence ops — `rope` (rotary embedding, backward
-//! is the inverse rotation), `causal_attention` (multi-head causal softmax
-//! attention in one node, flash-style: the probability matrices are
-//! recomputed in backward instead of stored), and its generalization
-//! `prefix_causal_attention` + `concat_rows`, which let the multimodal
-//! hybrid-cache draft train end-to-end over a gradient-carrying KV prefix.
+//! `rms_norm`, the `cross_entropy` and `kl_div` losses, plus the fused
+//! sequence ops — `rope` (rotary embedding, backward is the inverse
+//! rotation), `prefix_causal_attention` (multi-head causal softmax attention
+//! in one node over an optional always-visible K/V prefix, flash-style: the
+//! probability matrices are recomputed in backward instead of stored) with
+//! `concat_rows` to stack that prefix, which lets the multimodal
+//! hybrid-cache draft train end-to-end over a gradient-carrying KV prefix,
+//! and `td_attention` for the Target-Draft alignment loss.
 //!
 //! Every op is validated by a central finite-difference gradient check
 //! ([`check::fd_check`]) in this crate's tests; `aasd-nn` additionally
@@ -51,10 +52,6 @@ enum Op {
     Silu(VarId),
     /// RMS norm per row with a learned per-column gain `[1, d]`.
     RmsNorm { x: VarId, gain: VarId, eps: f32 },
-    /// Row-wise softmax.
-    Softmax(VarId),
-    /// Row-wise log-softmax.
-    LogSoftmax(VarId),
     /// Mean next-token cross-entropy of `[t, vocab]` logits vs `t` targets.
     CrossEntropy { logits: VarId, targets: Vec<u32> },
     /// Mean row-wise `KL(teacher ‖ softmax(student))`; the teacher
@@ -71,23 +68,15 @@ enum Op {
         cos: Vec<f32>,
         sin: Vec<f32>,
     },
-    /// Fused multi-head causal softmax attention over pre-projected,
-    /// pre-rotated `q`/`k`/`v`, each `[t, dim]`.
-    CausalAttention {
-        q: VarId,
-        k: VarId,
-        v: VarId,
-        n_heads: usize,
-    },
     /// Row-stack `a` (`[p, d]`) on top of `b` (`[t, d]`) → `[p+t, d]`.
     /// Backward splits the gradient. Used to build the hybrid draft cache
     /// `[projected vision KV ∥ text KV]` on the tape.
     ConcatRows(VarId, VarId),
     /// Causal attention with a `prefix`-row always-visible prefix: `q` is
     /// `[t, dim]`, `k`/`v` are `[prefix+t, dim]`; query `i` attends over
-    /// key rows `0..=prefix+i`. With `prefix = 0` this is exactly
-    /// [`Op::CausalAttention`]. This is the training-time mirror of a draft
-    /// decoding over a pre-seeded KV cache.
+    /// key rows `0..=prefix+i`. With `prefix = 0` this is plain causal
+    /// self-attention. This is the training-time mirror of a decoder over
+    /// a (possibly pre-seeded) KV cache.
     PrefixCausalAttention {
         q: VarId,
         k: VarId,
@@ -256,20 +245,6 @@ impl Tape {
         self.push(Op::RmsNorm { x, gain, eps }, value)
     }
 
-    /// Row-wise softmax.
-    pub fn softmax(&mut self, a: VarId) -> VarId {
-        let mut value = self.value(a).clone();
-        softmax_rows(&mut value.data, value.cols);
-        self.push(Op::Softmax(a), value)
-    }
-
-    /// Row-wise log-softmax.
-    pub fn log_softmax(&mut self, a: VarId) -> VarId {
-        let mut value = self.value(a).clone();
-        log_softmax_rows(&mut value.data, value.cols);
-        self.push(Op::LogSoftmax(a), value)
-    }
-
     /// Mean next-token cross-entropy: `-1/t Σᵢ log_softmax(logits)ᵢ[tᵢ]`.
     pub fn cross_entropy(&mut self, logits: VarId, targets: &[u32]) -> VarId {
         let tl = self.value(logits);
@@ -359,28 +334,6 @@ impl Tape {
         )
     }
 
-    /// Fused multi-head causal attention: `q`, `k`, `v` are `[t, dim]`
-    /// already projected (and rotated); output is the `[t, dim]` context.
-    /// Scores use `1/sqrt(head_dim)` scaling and a strict causal mask.
-    pub fn causal_attention(&mut self, q: VarId, k: VarId, v: VarId, n_heads: usize) -> VarId {
-        let (tq, tk, tv) = (self.value(q), self.value(k), self.value(v));
-        assert_eq!((tq.rows, tq.cols), (tk.rows, tk.cols), "q/k shape mismatch");
-        assert_eq!((tq.rows, tq.cols), (tv.rows, tv.cols), "q/v shape mismatch");
-        let head_dim = tq.cols / n_heads;
-        assert_eq!(head_dim * n_heads, tq.cols, "dim must divide into heads");
-        let t = tq.rows;
-        let mut value = Tensor::zeros(t, tq.cols);
-        for h in 0..n_heads {
-            let qh = gather_head(tq, h, head_dim);
-            let kh = gather_head(tk, h, head_dim);
-            let vh = gather_head(tv, h, head_dim);
-            let p = prefix_causal_probs(&qh, &kh, head_dim, 0);
-            let oh = p.matmul(&vh);
-            scatter_head(&mut value, &oh, h, head_dim);
-        }
-        self.push(Op::CausalAttention { q, k, v, n_heads }, value)
-    }
-
     /// Row-stack `a` (`[p, d]`) on top of `b` (`[t, d]`) → `[p+t, d]`.
     pub fn concat_rows(&mut self, a: VarId, b: VarId) -> VarId {
         let (ta, tb) = (self.value(a), self.value(b));
@@ -391,16 +344,18 @@ impl Tape {
         self.push(Op::ConcatRows(a, b), value)
     }
 
-    /// Multi-head attention where every query also sees a `prefix`-row
-    /// always-visible prefix: `q` is `[t, dim]`, `k`/`v` are
-    /// `[prefix+t, dim]` (prefix rows first), and query `i` attends over
-    /// key rows `0..=prefix+i` with `1/sqrt(head_dim)` scaling. The last
-    /// `t` rows of `k`/`v` behave exactly like causal self-attention.
+    /// Fused multi-head causal attention over pre-projected, pre-rotated
+    /// inputs, where every query also sees a `prefix`-row always-visible
+    /// prefix: `q` is `[t, dim]`, `k`/`v` are `[prefix+t, dim]` (prefix rows
+    /// first), and query `i` attends over key rows `0..=prefix+i` with
+    /// `1/sqrt(head_dim)` scaling. The last `t` rows of `k`/`v` behave
+    /// exactly like causal self-attention; `prefix = 0` is the text
+    /// decoder's attention.
     ///
-    /// This is the training-time mirror of decoding over a pre-seeded KV
-    /// cache: the prefix rows (projected vision KV in the AASD hybrid
-    /// cache) receive gradients, which is what makes the `KvProjector`
-    /// trainable end-to-end.
+    /// With a prefix this is the training-time mirror of decoding over a
+    /// pre-seeded KV cache: the prefix rows (projected vision KV in the
+    /// AASD hybrid cache) receive gradients, which is what makes the
+    /// `KvProjector` trainable end-to-end.
     pub fn prefix_causal_attention(
         &mut self,
         q: VarId,
@@ -447,7 +402,7 @@ impl Tape {
     /// speculation, where the tail of the context is draft-generated) and
     /// everything older comes from the target. With `w ≥ t` no target row
     /// is ever visible and the op degenerates to causal self-attention
-    /// over the draft keys.
+    /// over the draft keys ([`Tape::prefix_causal_attention`] at prefix 0).
     #[allow(clippy::too_many_arguments)]
     pub fn td_attention(
         &mut self,
@@ -569,34 +524,6 @@ impl Tape {
                     accumulate(&mut grads[*x], dx);
                     accumulate(&mut grads[*gain], dg);
                 }
-                Op::Softmax(a) => {
-                    // y = softmax(x): dx = y ⊙ (g − ⟨g, y⟩) per row.
-                    let p = self.value(id);
-                    let mut da = g;
-                    for r in 0..p.rows {
-                        let pr = p.row(r);
-                        let gr = da.row_mut(r);
-                        let s = dot(gr, pr);
-                        for (x, &pv) in gr.iter_mut().zip(pr) {
-                            *x = pv * (*x - s);
-                        }
-                    }
-                    accumulate(&mut grads[*a], da);
-                }
-                Op::LogSoftmax(a) => {
-                    // y = log_softmax(x): dx = g − exp(y) · Σ g per row.
-                    let lp = self.value(id);
-                    let mut da = g;
-                    for r in 0..lp.rows {
-                        let lr = lp.row(r);
-                        let gr = da.row_mut(r);
-                        let s: f32 = gr.iter().sum();
-                        for (x, &lv) in gr.iter_mut().zip(lr) {
-                            *x -= lv.exp() * s;
-                        }
-                    }
-                    accumulate(&mut grads[*a], da);
-                }
                 Op::CrossEntropy { logits, targets } => {
                     // dlogits = (softmax(logits) − onehot(target)) · g / t.
                     let mut dl = self.value(*logits).clone();
@@ -650,19 +577,6 @@ impl Tape {
                         }
                     }
                     accumulate(&mut grads[*x], da);
-                }
-                Op::CausalAttention { q, k, v, n_heads } => {
-                    let (dq, dk, dv) = attention_backward(
-                        self.value(*q),
-                        self.value(*k),
-                        self.value(*v),
-                        *n_heads,
-                        0,
-                        &g,
-                    );
-                    accumulate(&mut grads[*q], dq);
-                    accumulate(&mut grads[*k], dk);
-                    accumulate(&mut grads[*v], dv);
                 }
                 Op::ConcatRows(a, b) => {
                     let p = self.value(*a).rows;
@@ -766,7 +680,7 @@ fn prefix_causal_probs(qh: &Tensor, kh: &Tensor, head_dim: usize, prefix: usize)
     s
 }
 
-/// Backward of the fused (prefix-)causal attention ops. The probability
+/// Backward of [`Tape::prefix_causal_attention`]. The probability
 /// matrices are recomputed per head (flash-style) rather than saved on the
 /// tape. Shapes: `q` is `[t, dim]`, `k`/`v` are `[prefix+t, dim]`.
 fn attention_backward(
@@ -1105,26 +1019,6 @@ mod tests {
     }
 
     #[test]
-    fn gradcheck_softmax() {
-        let mut rng = Rng::new(7);
-        let leaves = [randn(&mut rng, 3, 5)];
-        fd_check(&leaves, &|tape, ids| {
-            let y = tape.softmax(ids[0]);
-            weighted_sum(tape, y, 0xA2)
-        });
-    }
-
-    #[test]
-    fn gradcheck_log_softmax() {
-        let mut rng = Rng::new(8);
-        let leaves = [randn(&mut rng, 3, 5)];
-        fd_check(&leaves, &|tape, ids| {
-            let y = tape.log_softmax(ids[0]);
-            weighted_sum(tape, y, 0xB2)
-        });
-    }
-
-    #[test]
     fn gradcheck_cross_entropy() {
         let mut rng = Rng::new(9);
         let leaves = [randn(&mut rng, 4, 6)];
@@ -1162,6 +1056,8 @@ mod tests {
         });
     }
 
+    /// The attention op at prefix 0: plain causal self-attention, what a
+    /// text decoder's every layer records.
     #[test]
     fn gradcheck_causal_attention() {
         let mut rng = Rng::new(12);
@@ -1172,7 +1068,7 @@ mod tests {
             randn(&mut rng, t, dim),
         ];
         fd_check(&leaves, &|tape, ids| {
-            let y = tape.causal_attention(ids[0], ids[1], ids[2], 2);
+            let y = tape.prefix_causal_attention(ids[0], ids[1], ids[2], 2, 0);
             weighted_sum(tape, y, 0xF2)
         });
     }
@@ -1208,42 +1104,6 @@ mod tests {
             let y = tape.prefix_causal_attention(ids[0], k, v, 2, p);
             weighted_sum(tape, y, 0xD3)
         });
-    }
-
-    /// With `prefix = 0`, prefix attention must equal causal attention
-    /// exactly — same forward values, same gradients.
-    #[test]
-    fn prefix_attention_with_zero_prefix_is_causal_attention() {
-        let mut rng = Rng::new(19);
-        let (t, dim, heads) = (4, 8, 2);
-        let (q, k, v) = (
-            randn(&mut rng, t, dim),
-            randn(&mut rng, t, dim),
-            randn(&mut rng, t, dim),
-        );
-        let run = |use_prefix: bool| {
-            let mut tape = Tape::new();
-            let qi = tape.leaf(q.clone());
-            let ki = tape.leaf(k.clone());
-            let vi = tape.leaf(v.clone());
-            let y = if use_prefix {
-                tape.prefix_causal_attention(qi, ki, vi, heads, 0)
-            } else {
-                tape.causal_attention(qi, ki, vi, heads)
-            };
-            let s = weighted_sum(&mut tape, y, 0xE3);
-            let grads = tape.backward(s);
-            (
-                tape.value(y).data.clone(),
-                grads.get(qi).unwrap().data.clone(),
-                grads.get(ki).unwrap().data.clone(),
-            )
-        };
-        let (ya, dqa, dka) = run(false);
-        let (yb, dqb, dkb) = run(true);
-        assert_eq!(ya, yb);
-        assert_eq!(dqa, dqb);
-        assert_eq!(dka, dkb);
     }
 
     #[test]
@@ -1329,7 +1189,7 @@ mod tests {
             .map(|x| tape.leaf((*x).clone()))
             .collect();
         let y = tape.td_attention(ids[0], ids[1], ids[2], ids[3], ids[4], heads, t);
-        let c = tape.causal_attention(ids[0], ids[3], ids[4], heads);
+        let c = tape.prefix_causal_attention(ids[0], ids[3], ids[4], heads, 0);
         for (a, b) in tape.value(y).data.iter().zip(&tape.value(c).data) {
             assert!((a - b).abs() < 1e-6, "td {a} vs causal {b}");
         }
@@ -1354,18 +1214,6 @@ mod tests {
             let m = tape.mul(s, n);
             tape.cross_entropy(m, &[4, 2, 0])
         });
-    }
-
-    #[test]
-    fn softmax_value_matches_tensor_kernel() {
-        let mut rng = Rng::new(14);
-        let x = randn(&mut rng, 3, 7);
-        let mut tape = Tape::new();
-        let id = tape.leaf(x.clone());
-        let y = tape.softmax(id);
-        let mut expect = x;
-        expect.softmax_rows_inplace();
-        assert_eq!(tape.value(y).data, expect.data);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use hybrid::{
 pub use llava::{LlavaSim, LlavaSimConfig};
 pub use projector::{layer_map, seed_raw_vision, KvProjector};
 pub use train::{
-    distill_hybrid, distill_hybrid_with, frozen_prefix_logits, mm_teacher_probs, mm_teacher_scored,
-    own_vision_rows, DistillSource, HybridDistillConfig, TdAlignConfig,
+    distill_hybrid, distill_hybrid_with, mm_teacher_probs, mm_teacher_scored, own_vision_prefix,
+    DistillSource, HybridDistillConfig, TdAlignConfig,
 };
 pub use vision::{Connector, Image, VisionConfig, VisionEncoder, VitBlock};

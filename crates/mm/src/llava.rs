@@ -201,11 +201,6 @@ impl LlavaSim {
         assert_eq!(cache.len(), self.n_img(), "text must start at n_img");
         self.lm.prefill_ws(prompt, cache, ws)
     }
-
-    /// Total parameter count across vision, connector, and LM.
-    pub fn n_params(&self) -> usize {
-        self.vision.n_params() + self.connector.n_params() + self.lm.n_params()
-    }
 }
 
 #[cfg(test)]
@@ -278,9 +273,12 @@ mod tests {
 
     #[test]
     fn preset_cost_asymmetry_in_params() {
-        let a = LlavaSim::new(LlavaSimConfig::sim_7b(64, 128), 1);
-        let b = LlavaSim::new(LlavaSimConfig::sim_13b(64, 128), 1);
-        assert!(b.n_params() > a.n_params());
+        let (a, b) = (
+            LlavaSimConfig::sim_7b(64, 128),
+            LlavaSimConfig::sim_13b(64, 128),
+        );
+        assert!(b.lm.dim > a.lm.dim && b.lm.n_layers > a.lm.n_layers);
+        assert!(b.lm.ff_hidden > a.lm.ff_hidden);
         assert_eq!(a.n_img(), b.n_img(), "presets must share the prefix length");
     }
 }

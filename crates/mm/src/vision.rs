@@ -201,29 +201,6 @@ impl VisionEncoder {
         }
         self.final_norm.forward(&x)
     }
-
-    /// Parameter count (for bench cost accounting).
-    pub fn n_params(&self) -> usize {
-        let per_block: usize = self
-            .blocks
-            .iter()
-            .map(|b| {
-                b.wq.w().data.len()
-                    + b.wk.w().data.len()
-                    + b.wv.w().data.len()
-                    + b.wo.w().data.len()
-                    + b.mlp.w1.w().data.len()
-                    + b.mlp.w2.w().data.len()
-                    + b.mlp.w3.w().data.len()
-                    + b.attn_norm.gain.len()
-                    + b.mlp_norm.gain.len()
-            })
-            .sum();
-        self.patch_embed.w().data.len()
-            + self.pos_embed.data.len()
-            + per_block
-            + self.final_norm.gain.len()
-    }
 }
 
 /// The LLaVA-style connector: a 2-layer silu MLP projecting vision features
@@ -248,10 +225,6 @@ impl Connector {
             *v = silu(*v);
         }
         self.w2.forward(&h)
-    }
-
-    pub fn n_params(&self) -> usize {
-        self.w1.w().data.len() + self.w2.w().data.len()
     }
 }
 

@@ -408,22 +408,40 @@ impl Decoder {
         argmax(logits.row(logits.rows - 1)) as u32
     }
 
-    /// Training forward: replay the full-sequence computation of
-    /// [`Decoder::forward_full`] as an autograd graph on `tape`, binding
-    /// every parameter as a leaf. Returns the `[t, vocab]` logits node and
-    /// the parameter leaf ids **in the canonical order of
-    /// [`Decoder::visit_params_mut`]**, so a trainer can walk gradients and
-    /// live weights in lockstep. The tape is fresh per step; attach a loss
-    /// (`cross_entropy` / `kl_div`) to the logits node and call `backward`.
-    pub fn forward_train(&self, tape: &mut Tape, tokens: &[u32]) -> (VarId, Vec<VarId>) {
-        assert!(!tokens.is_empty() && tokens.len() <= self.cfg.max_seq);
+    /// Training forward, the one place a decoder graph is built on a tape:
+    /// replay [`Decoder::forward_infer`] over `tokens` behind an optional
+    /// per-layer K/V prefix, binding every parameter as a leaf.
+    ///
+    /// `prefix` is empty for a text model, or holds one `(K, V)` node pair
+    /// of `[p, dim]` rows per layer — frozen vision rows or projector
+    /// products, built on the same tape by the caller. The text rows rope
+    /// at positions `p..p+t` and attend over the prefix un-rotated, exactly
+    /// as decoding over a cache pre-seeded with those rows does.
+    ///
+    /// Returns the `[t, vocab]` logits node and the parameter leaf ids **in
+    /// the canonical order of [`Decoder::visit_params_mut`]**, so a trainer
+    /// can walk gradients and live weights in lockstep. The tape is fresh
+    /// per step; attach a loss (`cross_entropy` / `kl_div`) to the logits
+    /// node and call `backward`.
+    pub fn forward_train(
+        &self,
+        tape: &mut Tape,
+        tokens: &[u32],
+        prefix: &[(VarId, VarId)],
+    ) -> (VarId, Vec<VarId>) {
+        let p = prefix.first().map_or(0, |&(k, _)| tape.value(k).rows);
+        assert!(
+            prefix.is_empty() || prefix.len() == self.cfg.n_layers,
+            "one K/V prefix pair per layer"
+        );
+        assert!(!tokens.is_empty() && p + tokens.len() <= self.cfg.max_seq);
         let dim = self.cfg.dim;
-        let (cos, sin) = self.rope.tables(tokens.len());
+        let (cos, sin) = self.rope.tables_range(p, tokens.len());
 
         let embed = tape.leaf(self.embed.table.clone());
         let mut params = vec![embed];
         let mut x = tape.embed_gather(embed, tokens);
-        for block in &self.blocks {
+        for (l, block) in self.blocks.iter().enumerate() {
             let attn_gain = tape.leaf(Tensor::from_vec(block.attn_norm.gain.clone(), 1, dim));
             let wq = tape.leaf(block.attn.wq.w().clone());
             let wk = tape.leaf(block.attn.wk.w().clone());
@@ -441,7 +459,11 @@ impl Decoder {
             let v = tape.matmul(h, wv);
             let q = tape.rope(q, self.cfg.n_heads, cos.clone(), sin.clone());
             let k = tape.rope(k, self.cfg.n_heads, cos.clone(), sin.clone());
-            let a = tape.causal_attention(q, k, v, self.cfg.n_heads);
+            let (k, v) = match prefix.get(l) {
+                Some(&(pk, pv)) => (tape.concat_rows(pk, k), tape.concat_rows(pv, v)),
+                None => (k, v),
+            };
+            let a = tape.prefix_causal_attention(q, k, v, self.cfg.n_heads, p);
             let a = tape.matmul(a, wo);
             x = tape.add(x, a);
 
@@ -496,27 +518,6 @@ impl Decoder {
     /// Number of parameter tensors [`Decoder::visit_params_mut`] yields.
     pub fn n_param_tensors(&self) -> usize {
         3 + 9 * self.blocks.len()
-    }
-
-    /// Parameter count (for cost accounting in benches).
-    pub fn n_params(&self) -> usize {
-        let e = self.embed.table.data.len();
-        let b: usize = self
-            .blocks
-            .iter()
-            .map(|blk| {
-                blk.attn.wq.w().data.len()
-                    + blk.attn.wk.w().data.len()
-                    + blk.attn.wv.w().data.len()
-                    + blk.attn.wo.w().data.len()
-                    + blk.mlp.w1.w().data.len()
-                    + blk.mlp.w2.w().data.len()
-                    + blk.mlp.w3.w().data.len()
-                    + blk.attn_norm.gain.len()
-                    + blk.mlp_norm.gain.len()
-            })
-            .sum();
-        e + b + self.final_norm.gain.len() + self.lm_head.w().data.len()
     }
 }
 
@@ -924,7 +925,7 @@ mod tests {
         let tokens = [4u32, 9, 17, 2, 21];
         let full = model.forward_full(&tokens);
         let mut tape = Tape::new();
-        let (logits, _) = model.forward_train(&mut tape, &tokens);
+        let (logits, _) = model.forward_train(&mut tape, &tokens, &[]);
         let got = tape.value(logits);
         assert_eq!((got.rows, got.cols), (full.rows, full.cols));
         assert!(
@@ -941,7 +942,7 @@ mod tests {
     fn forward_train_leaves_match_visitor_order() {
         let mut model = Decoder::new(micro(), 3);
         let mut tape = Tape::new();
-        let (_, params) = model.forward_train(&mut tape, &[1, 4, 0]);
+        let (_, params) = model.forward_train(&mut tape, &[1, 4, 0], &[]);
         assert_eq!(params.len(), model.n_param_tensors());
         let mut slot = 0;
         model.visit_params_mut(&mut |name, p| {
@@ -964,12 +965,12 @@ mod tests {
 
         let loss_of = |m: &Decoder| -> f32 {
             let mut tape = Tape::new();
-            let (logits, _) = m.forward_train(&mut tape, &tokens);
+            let (logits, _) = m.forward_train(&mut tape, &tokens, &[]);
             let l = tape.cross_entropy(logits, &targets);
             tape.value(l).data[0]
         };
         let mut tape = Tape::new();
-        let (logits, params) = model.forward_train(&mut tape, &tokens);
+        let (logits, params) = model.forward_train(&mut tape, &tokens, &[]);
         let loss = tape.cross_entropy(logits, &targets);
         let grads = tape.backward(loss);
 
@@ -1016,15 +1017,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn n_params_counts_everything() {
-        let cfg = DecoderConfig::tiny(10);
-        let model = Decoder::new(cfg.clone(), 0);
-        // embed + lm_head + per-layer (4 attn + 3 mlp mats + 2 norms) + final norm
-        let per_layer = 4 * cfg.dim * cfg.dim + 3 * cfg.dim * cfg.ff_hidden + 2 * cfg.dim;
-        let expect = 2 * cfg.vocab * cfg.dim + cfg.n_layers * per_layer + cfg.dim;
-        assert_eq!(model.n_params(), expect);
     }
 }

@@ -32,17 +32,11 @@ impl Rope {
         self.half
     }
 
-    /// Copies of the cos/sin tables for positions `0..t` (`t × half`
-    /// row-major each) — the format `aasd-autograd`'s `rope` op consumes
-    /// when the training path replays this rotation on the tape.
-    pub fn tables(&self, t: usize) -> (Vec<f32>, Vec<f32>) {
-        self.tables_range(0, t)
-    }
-
-    /// Copies of the cos/sin tables for positions `start..start+t`. The
-    /// hybrid-cache training path ropes text tokens at positions offset by
-    /// the (un-rotated) vision-prefix length, matching what the inference
-    /// path does when the draft cache is pre-seeded with projected KV rows.
+    /// Copies of the cos/sin tables for positions `start..start+t`
+    /// (`t × half` row-major each) — the format `aasd-autograd`'s `rope` op
+    /// consumes when the training path replays this rotation on the tape.
+    /// Behind a K/V prefix the text rows start at the prefix length,
+    /// matching a decode over a cache pre-seeded with those rows.
     pub fn tables_range(&self, start: usize, t: usize) -> (Vec<f32>, Vec<f32>) {
         let (a, b) = (start * self.half, (start + t) * self.half);
         assert!(b <= self.cos.len(), "position range exceeds max_seq");
