@@ -22,22 +22,30 @@ if [[ "${1:-}" != "--quick" ]]; then
     # except the default leg of the kernel-tier loop, kept so that one
     # labelled gate states the both-tiers contract on its own.
 
-    echo "==> kernel-tier gate: losslessness + determinism suites on the forced-scalar and host-best tiers"
+    echo "==> kernel-tier gate: losslessness + determinism suites and training loss pins on the forced-scalar and host-best tiers"
     # None of the paged KV pool, the vision cache, the
     # scheduler at 1 / 2 / 4 workers (SHUTDOWN draining every in-flight
     # request), the int8 kernels or the synthetic workloads' golden stream
     # fingerprints may move a token on any dispatch tier: run the suites pinned to the scalar reference and
     # again on the host's best backend, so a bug that only reproduces under
     # one tier cannot slip through on a machine where the other is the
-    # default. The scalar leg is the slower one: its f32 kernels call the
-    # runtime's `fmaf` once per term (`f32::mul_add` without `fma` enabled),
-    # ≈ 38 → 42 s on the 2-vCPU box since PR 25 (EXPERIMENTS.md § PR 25).
+    # default. The five training recipes (text distillation, FT/DT-LLaMA,
+    # FT/DT-LLaVA, the TD-aligned hybrid distillation) pin an FNV-1a hash
+    # of their per-step loss bits per tier, so a training-stack change that
+    # moves one float fails on either tier. The scalar leg is the slower
+    # one: its f32 kernels call the runtime's `fmaf` once per term
+    # (`f32::mul_add` without `fma` enabled), ≈ 38 → 42 s on the 2-vCPU box
+    # since PR 25 (EXPERIMENTS.md § PR 25).
     for tier in scalar default; do
         (
             if [[ $tier != default ]]; then export AASD_KERNEL=$tier; fi
             cargo test -q -p aasd --test serving_determinism --test mm_lossless \
                 --test server_smoke --test int8_equivalence --test workload_determinism
             cargo test -q -p aasd-tensor
+            cargo test -q -p aasd-train -p aasd-mm -p aasd-baselines -- \
+                distill_smoke_run_lowers_mean_loss finetune_text_lowers_loss_on_grammar \
+                finetune_vlm_lowers_loss_on_grammar distillation_recipes_run_and_stay_finite \
+                distill_hybrid_with_td_alignment_trains
         )
     done
 
