@@ -22,7 +22,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     # except the default leg of the kernel-tier loop, kept so that one
     # labelled gate states the both-tiers contract on its own.
 
-    echo "==> kernel-tier gate: losslessness + determinism suites and training loss pins on the forced-scalar and host-best tiers"
+    echo "==> kernel-tier gate: losslessness + determinism suites, training loss pins and the vision-tower pin on the forced-scalar and host-best tiers"
     # None of the paged KV pool, the vision cache, the
     # scheduler at 1 / 2 / 4 workers (SHUTDOWN draining every in-flight
     # request), the int8 kernels or the synthetic workloads' golden stream
@@ -32,7 +32,9 @@ if [[ "${1:-}" != "--quick" ]]; then
     # default. The five training recipes (text distillation, FT/DT-LLaMA,
     # FT/DT-LLaVA, the TD-aligned hybrid distillation) pin an FNV-1a hash
     # of their per-step loss bits per tier, so a training-stack change that
-    # moves one float fails on either tier. The scalar leg is the slower
+    # moves one float fails on either tier; `encode_image_lands_in_lm_space`
+    # pins the same kind of hash over the `sim_7b` vision tower's output, so
+    # a change to the tower or its attention does too. The scalar leg is the slower
     # one: its f32 kernels call the runtime's `fmaf` once per term
     # (`f32::mul_add` without `fma` enabled), ≈ 38 → 42 s on the 2-vCPU box
     # since PR 25 (EXPERIMENTS.md § PR 25).
@@ -45,7 +47,7 @@ if [[ "${1:-}" != "--quick" ]]; then
             cargo test -q -p aasd-train -p aasd-mm -p aasd-baselines -- \
                 distill_smoke_run_lowers_mean_loss finetune_text_lowers_loss_on_grammar \
                 finetune_vlm_lowers_loss_on_grammar distillation_recipes_run_and_stay_finite \
-                distill_hybrid_with_td_alignment_trains
+                distill_hybrid_with_td_alignment_trains encode_image_lands_in_lm_space
         )
     done
 
