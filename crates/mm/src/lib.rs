@@ -5,8 +5,9 @@
 //! multimodal context. This crate supplies every piece of that pipeline on
 //! the pure-Rust stack:
 //!
-//! * [`vision`] — [`Image`] (synthetic patch tensors), the bidirectional
-//!   pre-norm ViT [`VisionEncoder`], and the 2-layer MLP [`Connector`] into
+//! * [`vision`] — [`Image`] (synthetic patch tensors), the ViT
+//!   [`VisionEncoder`] (a bidirectional stack of the decoder's
+//!   `aasd_nn::DecoderBlock`), and the 2-layer MLP [`Connector`] into
 //!   text-embedding space;
 //! * [`llava`] — [`LlavaSim`], the simulated LLaVA-architecture target
 //!   (vision ∥ text through the `aasd-nn` decoder via the embeds path),
@@ -43,4 +44,4 @@ pub use train::{
     distill_hybrid, distill_hybrid_with, mm_teacher_probs, mm_teacher_scored, own_vision_prefix,
     DistillSource, HybridDistillConfig, TdAlignConfig,
 };
-pub use vision::{Connector, Image, VisionConfig, VisionEncoder, VitBlock};
+pub use vision::{Connector, Image, VisionConfig, VisionEncoder};

@@ -1,15 +1,14 @@
-//! Vision tower for LlavaSim: a patch-embedding ViT with bidirectional
-//! pre-norm blocks, plus the 2-layer MLP connector that maps patch features
-//! into the LM's text-embedding space.
+//! Vision tower for LlavaSim: a patch-embedding ViT, plus the 2-layer MLP
+//! connector that maps patch features into the LM's text-embedding space.
 //!
-//! The ViT deliberately differs from the text decoder in the two ways that
-//! matter architecturally: attention is **bidirectional** (no causal mask —
-//! every patch sees every patch) and position information comes from a
-//! **learned additive embedding** instead of RoPE. Blocks reuse the
-//! `aasd-nn` `Linear`/`RmsNorm`/`Mlp` layers so the whole stack shares one
-//! set of kernels.
+//! The ViT is a stack of the text decoder's own pre-norm block
+//! ([`DecoderBlock`]), run through its bidirectional entry. It differs from
+//! the decoder in the two ways that matter architecturally: attention is
+//! **bidirectional** (no causal mask — every patch sees every patch) and
+//! position information comes from a **learned additive embedding** instead
+//! of RoPE.
 
-use aasd_nn::{Linear, Mlp, RmsNorm};
+use aasd_nn::{DecoderBlock, Linear, RmsNorm};
 use aasd_tensor::{silu, Rng, Tensor};
 
 /// A synthetic "image": pre-patchified pixel rows `[n_patches, patch_dim]`.
@@ -79,86 +78,6 @@ pub struct VisionConfig {
     pub ff_hidden: usize,
 }
 
-/// One pre-norm ViT block: `x + attn(norm(x))`, then `x + mlp(norm(x))`,
-/// with full (unmasked, un-roped) multi-head self-attention.
-#[derive(Debug, Clone)]
-pub struct VitBlock {
-    pub attn_norm: RmsNorm,
-    pub wq: Linear,
-    pub wk: Linear,
-    pub wv: Linear,
-    pub wo: Linear,
-    pub mlp_norm: RmsNorm,
-    pub mlp: Mlp,
-    n_heads: usize,
-    head_dim: usize,
-}
-
-impl VitBlock {
-    pub fn new(rng: &mut Rng, cfg: &VisionConfig) -> Self {
-        assert!(
-            cfg.dim.is_multiple_of(cfg.n_heads),
-            "vision dim must divide into heads"
-        );
-        Self {
-            attn_norm: RmsNorm::new(cfg.dim),
-            wq: Linear::new(rng, cfg.dim, cfg.dim),
-            wk: Linear::new(rng, cfg.dim, cfg.dim),
-            wv: Linear::new(rng, cfg.dim, cfg.dim),
-            wo: Linear::new(rng, cfg.dim, cfg.dim),
-            mlp_norm: RmsNorm::new(cfg.dim),
-            mlp: Mlp::new(rng, cfg.dim, cfg.ff_hidden),
-            n_heads: cfg.n_heads,
-            head_dim: cfg.dim / cfg.n_heads,
-        }
-    }
-
-    /// Bidirectional multi-head self-attention over all `t` rows.
-    fn attention(&self, x: &Tensor) -> Tensor {
-        let (t, dim) = (x.rows, x.cols);
-        let q = self.wq.forward(x);
-        let k = self.wk.forward(x);
-        let v = self.wv.forward(x);
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
-        let mut ctx = Tensor::zeros(t, dim);
-        for h in 0..self.n_heads {
-            let span = |r: usize| r * dim + h * self.head_dim;
-            let mut qh = Tensor::zeros(t, self.head_dim);
-            let mut kh = Tensor::zeros(t, self.head_dim);
-            let mut vh = Tensor::zeros(t, self.head_dim);
-            for i in 0..t {
-                qh.row_mut(i)
-                    .copy_from_slice(&q.data[span(i)..span(i) + self.head_dim]);
-                kh.row_mut(i)
-                    .copy_from_slice(&k.data[span(i)..span(i) + self.head_dim]);
-                vh.row_mut(i)
-                    .copy_from_slice(&v.data[span(i)..span(i) + self.head_dim]);
-            }
-            let mut s = qh.matmul_transposed(&kh); // [t, t], no mask
-            for sv in &mut s.data {
-                *sv *= scale;
-            }
-            s.softmax_rows_inplace();
-            let oh = s.matmul(&vh);
-            for i in 0..t {
-                ctx.data[span(i)..span(i) + self.head_dim].copy_from_slice(oh.row(i));
-            }
-        }
-        self.wo.forward(&ctx)
-    }
-
-    pub fn forward(&self, x: &mut Tensor) {
-        let a = self.attention(&self.attn_norm.forward(x));
-        for (xv, av) in x.data.iter_mut().zip(&a.data) {
-            *xv += av;
-        }
-        let m = self.mlp.forward(&self.mlp_norm.forward(x));
-        for (xv, mv) in x.data.iter_mut().zip(&m.data) {
-            *xv += mv;
-        }
-    }
-}
-
 /// Patch-embedding ViT: `patches·W_embed + pos`, then `n_layers` pre-norm
 /// bidirectional blocks and a final norm. Output is `[n_patches, dim]`.
 #[derive(Debug, Clone)]
@@ -167,7 +86,7 @@ pub struct VisionEncoder {
     pub patch_embed: Linear,
     /// Learned absolute position embedding `[n_patches, dim]`.
     pub pos_embed: Tensor,
-    pub blocks: Vec<VitBlock>,
+    pub blocks: Vec<DecoderBlock>,
     pub final_norm: RmsNorm,
 }
 
@@ -176,7 +95,7 @@ impl VisionEncoder {
         let patch_embed = Linear::new(rng, cfg.patch_dim, cfg.dim);
         let pos_embed = Tensor::randn(rng, cfg.n_patches, cfg.dim, 0.02);
         let blocks = (0..cfg.n_layers)
-            .map(|_| VitBlock::new(&mut rng.fork(), &cfg))
+            .map(|_| DecoderBlock::new(&mut rng.fork(), cfg.dim, cfg.n_heads, cfg.ff_hidden))
             .collect();
         let final_norm = RmsNorm::new(cfg.dim);
         Self {
@@ -197,7 +116,7 @@ impl VisionEncoder {
             *xv += pv;
         }
         for block in &self.blocks {
-            block.forward(&mut x);
+            block.forward_bidirectional(&mut x);
         }
         self.final_norm.forward(&x)
     }

@@ -1,7 +1,13 @@
-//! Decoder blocks and the full decoder-only transformer, with the same
-//! dual-path structure as [`crate::attention`]: an incremental cached
-//! inference path (`forward_infer`) and a stateless full-sequence reference
-//! (`forward_full`).
+//! The pre-norm transformer block and the decoder-only transformer.
+//!
+//! One block serves both towers: the decoder stacks [`DecoderBlock`]
+//! causally with RoPE, the vision tower (`aasd-mm`) bidirectionally
+//! without. The block's allocating entries (incremental, full, bidirectional)
+//! share one residual body. The decoder's two allocating forwards
+//! (`forward_infer`, `forward_infer_embeds`) share one body, as its two
+//! fused forwards share `infer_tail_ws`; all four run the cached sweep of
+//! [`crate::attention`]. `forward_full` is the stateless full-sequence
+//! reference.
 
 use crate::attention::Attention;
 use crate::cache::{KvCache, KvLayerMut};
@@ -115,7 +121,9 @@ impl Mlp {
     }
 }
 
-/// Pre-norm decoder block: `x + attn(norm(x))`, then `x + mlp(norm(x))`.
+/// Pre-norm transformer block: `x + attn(norm(x))`, then `x + mlp(norm(x))`.
+/// The decoder stacks it causally with RoPE; the vision tower stacks it
+/// bidirectionally without ([`DecoderBlock::forward_bidirectional`]).
 #[derive(Debug, Clone)]
 pub struct DecoderBlock {
     pub attn_norm: RmsNorm,
@@ -125,29 +133,35 @@ pub struct DecoderBlock {
 }
 
 impl DecoderBlock {
-    pub fn new(rng: &mut Rng, cfg: &DecoderConfig) -> Self {
+    pub fn new(rng: &mut Rng, dim: usize, n_heads: usize, ff_hidden: usize) -> Self {
         Self {
-            attn_norm: RmsNorm::new(cfg.dim),
-            attn: Attention::new(rng, cfg.dim, cfg.n_heads),
-            mlp_norm: RmsNorm::new(cfg.dim),
-            mlp: Mlp::new(rng, cfg.dim, cfg.ff_hidden),
+            attn_norm: RmsNorm::new(dim),
+            attn: Attention::new(rng, dim, n_heads),
+            mlp_norm: RmsNorm::new(dim),
+            mlp: Mlp::new(rng, dim, ff_hidden),
         }
     }
 
-    pub fn forward_infer(&self, x: &mut Tensor, rope: &Rope, cache: KvLayerMut<'_>) {
-        let a = self
-            .attn
-            .forward_infer(&self.attn_norm.forward(x), rope, cache);
+    /// The allocating entries' shared body, `attn` being the block's
+    /// attention in the entry's shape.
+    fn residual(&self, x: &mut Tensor, attn: impl FnOnce(&Tensor) -> Tensor) {
+        let a = attn(&self.attn_norm.forward(x));
         add_assign(&mut x.data, &a.data);
         let m = self.mlp.forward(&self.mlp_norm.forward(x));
         add_assign(&mut x.data, &m.data);
     }
 
+    pub fn forward_infer(&self, x: &mut Tensor, rope: &Rope, cache: KvLayerMut<'_>) {
+        self.residual(x, |h| self.attn.forward_infer(h, rope, cache));
+    }
+
     pub fn forward_full(&self, x: &mut Tensor, rope: &Rope) {
-        let a = self.attn.forward_full(&self.attn_norm.forward(x), rope);
-        add_assign(&mut x.data, &a.data);
-        let m = self.mlp.forward(&self.mlp_norm.forward(x));
-        add_assign(&mut x.data, &m.data);
+        self.residual(x, |h| self.attn.forward_full(h, rope));
+    }
+
+    /// Every row attends to every row, no mask and no RoPE.
+    pub fn forward_bidirectional(&self, x: &mut Tensor) {
+        self.residual(x, |h| self.attn.forward_bidirectional(h));
     }
 
     /// Fused workspace path: one normed-scratch buffer serves both
@@ -199,7 +213,7 @@ impl Decoder {
         let mut rng = Rng::new(seed);
         let embed = Embedding::new(&mut rng, cfg.vocab, cfg.dim);
         let blocks = (0..cfg.n_layers)
-            .map(|_| DecoderBlock::new(&mut rng.fork(), &cfg))
+            .map(|_| DecoderBlock::new(&mut rng.fork(), cfg.dim, cfg.n_heads, cfg.ff_hidden))
             .collect();
         let final_norm = RmsNorm::new(cfg.dim);
         let lm_head = Linear::new(&mut rng, cfg.dim, cfg.vocab);
@@ -271,17 +285,7 @@ impl Decoder {
     /// prefill, single-token decode, and batched γ-token verify.
     pub fn forward_infer(&self, tokens: &[u32], cache: &mut KvCache) -> Tensor {
         assert!(!tokens.is_empty(), "empty token block");
-        assert!(
-            cache.len() + tokens.len() <= self.cfg.max_seq.min(cache.capacity()),
-            "sequence exceeds cache capacity = {}",
-            self.cfg.max_seq.min(cache.capacity())
-        );
-        let mut x = self.embed.forward(tokens);
-        for (l, block) in self.blocks.iter().enumerate() {
-            block.forward_infer(&mut x, &self.rope, cache.layer_mut(l));
-        }
-        let x = self.final_norm.forward(&x);
-        self.lm_head.forward(&x)
+        self.infer_tail(self.embed.forward(tokens), cache)
     }
 
     /// Fused zero-allocation forward: same semantics as
@@ -378,17 +382,21 @@ impl Decoder {
     pub fn forward_infer_embeds(&self, x: &Tensor, cache: &mut KvCache) -> Tensor {
         assert!(x.rows > 0, "empty embedding block");
         assert_eq!(x.cols, self.cfg.dim, "embedding width mismatch");
+        self.infer_tail(x.clone(), cache)
+    }
+
+    /// Shared post-embedding body of the allocating forwards, the twin of
+    /// `infer_tail_ws`: capacity check → blocks → final norm → LM head.
+    fn infer_tail(&self, mut x: Tensor, cache: &mut KvCache) -> Tensor {
         assert!(
             cache.len() + x.rows <= self.cfg.max_seq.min(cache.capacity()),
             "sequence exceeds cache capacity = {}",
             self.cfg.max_seq.min(cache.capacity())
         );
-        let mut x = x.clone();
         for (l, block) in self.blocks.iter().enumerate() {
             block.forward_infer(&mut x, &self.rope, cache.layer_mut(l));
         }
-        let x = self.final_norm.forward(&x);
-        self.lm_head.forward(&x)
+        self.lm_head.forward(&self.final_norm.forward(&x))
     }
 
     /// Stateless full-sequence recompute (reference path): logits for the

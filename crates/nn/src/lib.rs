@@ -9,11 +9,13 @@
 //! * [`rope`] — rotary position embeddings with precomputed tables;
 //! * [`cache`] — pre-allocated growable KV cache with O(1) rollback
 //!   (the structure the AASD draft head will later attend over);
-//! * [`attention`] — multi-head causal attention with an incremental cached
-//!   path and a full-sequence matmul reference path;
-//! * [`decoder`] — SwiGLU blocks and the [`decoder::Decoder`] model with
-//!   `forward_infer` (prefill / decode / batched verify) and `forward_full`
-//!   (stateless reference), both property-tested for agreement.
+//! * [`attention`] — multi-head attention: one cached sweep behind the
+//!   incremental paths, one full-sequence matmul mix behind the causal
+//!   reference and the bidirectional (vision) path;
+//! * [`decoder`] — the pre-norm block both towers stack and the
+//!   [`decoder::Decoder`] model with `forward_infer` (prefill / decode /
+//!   batched verify) and `forward_full` (stateless reference), both
+//!   property-tested for agreement.
 //!
 //! Every inference layer additionally has a fused `_ws` variant that draws
 //! scratch from an [`aasd_tensor::Workspace`] and folds the residual adds

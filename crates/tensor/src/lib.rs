@@ -7,7 +7,7 @@
 //!   a packed (tile-major panels, [`pack_panels`]) right-hand side and the
 //!   naive reference they are property-tested against, plus the 4-way-unrolled one-row [`vecmat_into`] (bitwise
 //!   equal to any row of the multi-row kernel);
-//! * [`ops`] — fused softmax, argmax, SiLU, axpy/dot primitives;
+//! * [`ops`] — fused softmax, argmax, SiLU, dot primitives;
 //! * [`simd`] — the runtime-dispatched AVX2 and scalar kernel tiers behind
 //!   the hot-path primitives (`AASD_KERNEL=scalar|avx2` overrides, any
 //!   other value is a hard error; bitwise-stable vecmat and matmul across
@@ -35,8 +35,7 @@ pub use matmul::{
     matmul_packed_into, vecmat_acc_into, vecmat_into,
 };
 pub use ops::{
-    add_assign, argmax, axpy, dot, log_softmax_row, log_softmax_rows, silu, softmax_row,
-    softmax_rows,
+    add_assign, argmax, dot, log_softmax_row, log_softmax_rows, silu, softmax_row, softmax_rows,
 };
 pub use profile::{Op, ProfSpan, Profiler};
 pub use quant::{

@@ -79,12 +79,6 @@ pub fn dot(a: &[f32], b: &[f32]) -> f32 {
     crate::simd::dot_with(crate::simd::backend(), a, b)
 }
 
-/// `y += s * x` (axpy, SIMD-dispatched; see [`crate::simd::axpy_with`]).
-#[inline]
-pub fn axpy(y: &mut [f32], s: f32, x: &[f32]) {
-    crate::simd::axpy_with(crate::simd::backend(), y, s, x)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
