@@ -6,15 +6,13 @@
 //!    Speculative decoding pays when a γ+1-row verify costs about one 1-row
 //!    decode step; this is that ratio, kernel only. Every row count, one
 //!    included, is the tiled `matmul_blocked_into` — the tile `Linear` runs
-//!    at every row count; `vecmat_into` at rows = 1 is a labelled extra
-//!    line, not the ratio's base.
+//!    at every row count (`vecmat_into` is that tile at one row).
 //! 2. **The footprint sweep** (ROADMAP 1(d), out-of-L2 end): one pass over
 //!    the *whole* LM weight set of Sim7B (2.0 MB) and Sim13B (7.4 MB) at
 //!    rows ∈ {1, 2, 6, 32}, row-major (what section 1 times) against the
-//!    tile-major panels `Linear` runs on, plus `vecmat_into` at rows = 1. A
-//!    single L2-resident matrix hides what the stride of a row-major strip
-//!    costs once the weights no longer fit; this is where the two layouts
-//!    part.
+//!    tile-major panels `Linear` runs on. A single L2-resident matrix hides
+//!    what the stride of a row-major strip costs once the weights no longer
+//!    fit; this is where the two layouts part.
 //! 3. **The int8 tile** (ROADMAP 3(a)): one pass over the whole weight set
 //!    of each Sim target and of its *draft* (2 layers, `ff = dim` — what
 //!    `draft_for_depth` builds and every speculative block sweeps γ times)
@@ -27,7 +25,7 @@
 use aasd_bench::{bench, report};
 use aasd_tensor::{
     backend, matmul_blocked_into, matmul_naive_into, matmul_packed_into, matmul_q8_into,
-    pack_panels, quantize_rows_i8, vecmat_into, QuantMatrix, Rng,
+    pack_panels, quantize_rows_i8, QuantMatrix, Rng,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -87,15 +85,6 @@ fn rows_curve() {
                 (m * k * n) as f64 / (us * 1e3)
             );
         }
-        let (us, cov) = min_cov_us(31, 16, || {
-            vecmat_into(&mut y[..n], &x[..k], &w, k, n);
-            black_box(&mut y);
-        });
-        println!(
-            "  rows  1 vecmat: {us:>8.2} us (CoV {cov:.3})  x{:>5.2} of rows 1  {:>5.2} MAC/ns",
-            us / one,
-            (k * n) as f64 / (us * 1e3)
-        );
         println!();
     }
 }
@@ -174,15 +163,6 @@ fn footprint_sweep() {
                 black_box(&mut y);
             });
             line("packed", us, cov);
-            if m == 1 {
-                let (us, cov) = min_cov_us(15, 4, || {
-                    for (k, n, w) in &weights {
-                        vecmat_into(&mut y[..*n], &x[..*k], w, *k, *n);
-                    }
-                    black_box(&mut y);
-                });
-                line("vecmat", us, cov);
-            }
         }
         println!();
     }

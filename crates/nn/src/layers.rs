@@ -209,12 +209,11 @@ impl RmsNorm {
         out
     }
 
-    /// In-place row normalization. The mean-square reduction dispatches on
-    /// the active SIMD backend; [`RmsNorm::forward_into`] uses the same
-    /// reduction, so the two paths stay bit-identical on every tier.
+    /// In-place row normalization. The mean square is `dot(row, row)`, the
+    /// reduction [`RmsNorm::forward_into`] runs, so the two paths stay
+    /// bit-identical on every tier.
     pub fn forward_row(&self, row: &mut [f32]) {
-        let bk = aasd_tensor::backend();
-        let ms = aasd_tensor::simd::sum_squares_with(bk, row) / row.len() as f32;
+        let ms = aasd_tensor::dot(row, row) / row.len() as f32;
         let inv = 1.0 / (ms + self.eps).sqrt();
         for (v, g) in row.iter_mut().zip(self.gain.iter()) {
             *v *= inv * *g;

@@ -139,10 +139,9 @@ pub struct EngineConfig {
     pub block_size: usize,
     /// Target-pool arena size in blocks; 0 = auto (`slots` full-length
     /// sessions plus room for `vision_cache_entries` cached prefixes), which
-    /// reproduces the old slot-owns-its-cache memory envelope exactly.
+    /// reproduces the old slot-owns-its-cache memory envelope exactly. The
+    /// draft pool is always auto-sized: `slots` full-length sessions.
     pub t_pool_blocks: usize,
-    /// Draft-pool arena size in blocks; 0 = auto (as above).
-    pub d_pool_blocks: usize,
     /// Max distinct images the shared-prefix vision cache retains (LRU
     /// beyond that). 0 disables caching. Ignored by text engines.
     pub vision_cache_entries: usize,
@@ -156,7 +155,6 @@ impl Default for EngineConfig {
             max_queue: 64,
             block_size: 16,
             t_pool_blocks: 0,
-            d_pool_blocks: 0,
             vision_cache_entries: 8,
         }
     }
@@ -363,11 +361,7 @@ impl Engine {
         } else {
             cfg.t_pool_blocks
         };
-        let d_blocks = if cfg.d_pool_blocks == 0 {
-            auto(model.draft().cfg.max_seq)
-        } else {
-            cfg.d_pool_blocks
-        };
+        let d_blocks = auto(model.draft().cfg.max_seq);
         let target = model.target_lm();
         let draft = model.draft();
         // No request pays for packing: the first fused forward of a model

@@ -5,12 +5,12 @@
 //!
 //! * [`matmul`] — the register-tiled multi-row kernel over a row-major or
 //!   a packed (tile-major panels, [`pack_panels`]) right-hand side and the
-//!   naive reference they are property-tested against, plus the 4-way-unrolled one-row [`vecmat_into`] (bitwise
-//!   equal to any row of the multi-row kernel);
+//!   naive reference they are property-tested against; the one-row
+//!   [`vecmat_into`] is that tile at one row;
 //! * [`ops`] — fused softmax, argmax, SiLU, dot primitives;
 //! * [`simd`] — the runtime-dispatched AVX2 and scalar kernel tiers behind
 //!   the hot-path primitives (`AASD_KERNEL=scalar|avx2` overrides, any
-//!   other value is a hard error; bitwise-stable vecmat and matmul across
+//!   other value is a hard error; every kernel gives the same bits on both
 //!   tiers);
 //! * [`quant`] — int8 per-output absmax weight quantization into int8
 //!   panels and the exact i32-accumulating register tile over them

@@ -14,8 +14,8 @@
 //!   ([`crate::pack_panels`]): a strip of `B` is one contiguous run instead
 //!   of a cache line every `n·4` bytes. This is what frozen `Linear`
 //!   weights run on, at every row count.
-//! * [`vecmat_into`] / [`vecmat_acc_into`] — the one-row kernel over a
-//!   row-major matrix: the per-row reference of the k-order contract.
+//! * [`vecmat_into`] / [`vecmat_acc_into`] — the one-row product over a
+//!   row-major matrix: no kernel of its own, the tile at `m = 1`.
 //!
 //! **k-order contract.** Every kernel here, the naive one included,
 //! computes each output element as `acc = fma(a[i,kk], b[kk,j], acc)` for
@@ -27,9 +27,9 @@
 //! tile shape, the SIMD width, the split of rows across tiles and the
 //! layout `B` is stored in only decide *which* elements are computed
 //! together and where their operands live: a row of a multi-row
-//! product is bit-identical to [`vecmat_into`] on that row, on every
-//! [`crate::Backend`] and in either layout — the property that lets a
-//! speculative verify pass reproduce single-token decoding.
+//! product is bit-identical to [`vecmat_into`] on that row and to the naive
+//! loop, on every [`crate::Backend`] and in either layout — the property
+//! that lets a speculative verify pass reproduce single-token decoding.
 
 #[inline]
 fn check_dims(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) {
@@ -89,24 +89,17 @@ pub fn matmul_packed_acc_into(
     crate::simd::matmul_packed_acc_with(crate::simd::backend(), c, a, panels, m, k, n);
 }
 
-/// Row-vector–matrix product `y = x·W` (`x: k`, `W: k×n` row-major). The
-/// product is a sum of scaled rows of `W`, so the kernel is a
-/// 4-way-unrolled sweep of fused multiply-adds (SIMD-dispatched across the
-/// output dimension; see [`crate::simd`]): four weight rows stream per
-/// pass, quartering the load/store traffic on `y`. Accumulation over `kk`
-/// is the multi-row kernel's (the module's k-order contract: one `fma` per
-/// term, `kk` ascending) on every backend, so it is the reference every row
-/// of a multi-row product — row-major or packed — is pinned to, bit for
-/// bit. `Linear` runs the tile, not this, at every row count.
+/// Row-vector–matrix product `y = x·W` (`x: k`, `W: k×n` row-major): the
+/// row-major tile at one row, so the bits of any row of a multi-row product
+/// (the module's k-order contract). `Linear` runs the packed tile instead.
 pub fn vecmat_into(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
-    y.fill(0.0);
-    vecmat_acc_into(y, x, w, k, n);
+    matmul_blocked_into(y, x, w, 1, k, n);
 }
 
 /// Accumulating variant: `y += x·W`. Writing the residual stream directly
 /// as `y` folds the residual-add into the projection (no separate pass).
 pub fn vecmat_acc_into(y: &mut [f32], x: &[f32], w: &[f32], k: usize, n: usize) {
-    crate::simd::vecmat_acc_into_with(crate::simd::backend(), y, x, w, k, n);
+    matmul_blocked_acc_into(y, x, w, 1, k, n);
 }
 
 #[cfg(test)]
@@ -188,23 +181,6 @@ mod tests {
         matmul_naive_into(&mut c_ref, &a, &b, m, k, n);
         matmul_blocked_into(&mut c_blk, &a, &b, m, k, n);
         assert_eq!(c_ref, c_blk);
-    }
-
-    /// The unrolled t = 1 fast path must agree **bitwise** with the blocked
-    /// kernel it replaces (both accumulate over k in the same order), so
-    /// switching a Linear between the two paths cannot move any logit.
-    #[test]
-    fn vecmat_is_bitwise_equal_to_blocked() {
-        let mut rng = Rng::new(0x7EC);
-        for &(k, n) in &[(1, 1), (3, 5), (4, 8), (7, 33), (64, 64), (130, 65)] {
-            let x = random_mat(&mut rng, k);
-            let w = random_mat(&mut rng, k * n);
-            let mut y = vec![0.0; n];
-            let mut y_blk = vec![0.0; n];
-            vecmat_into(&mut y, &x, &w, k, n);
-            matmul_blocked_into(&mut y_blk, &x, &w, 1, k, n);
-            assert_eq!(y, y_blk, "vecmat diverged at k={k} n={n}");
-        }
     }
 
     /// Accumulating vecmat: starting from a non-zero y must equal the

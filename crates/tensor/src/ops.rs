@@ -54,9 +54,19 @@ pub fn log_softmax_rows(data: &mut [f32], cols: usize) {
 /// NaN entries compare false against everything, so a comparison-based scan
 /// would silently skip them (and return 0 for an all-NaN row) — exactly the
 /// failure mode that turns one bad logit into undetected garbage decoding.
-/// Debug builds therefore reject NaN input outright.
+/// Debug builds therefore reject NaN input outright. One scan, every tier.
 pub fn argmax(row: &[f32]) -> usize {
-    crate::simd::argmax_with(crate::simd::backend(), row)
+    debug_assert!(
+        row.iter().all(|v| !v.is_nan()),
+        "argmax over a row containing NaN"
+    );
+    let (mut best, mut best_v) = (0, f32::NEG_INFINITY);
+    for (i, &v) in row.iter().enumerate() {
+        if v > best_v {
+            (best, best_v) = (i, v);
+        }
+    }
+    best
 }
 
 /// SiLU (swish) activation: `x * sigmoid(x)`.
