@@ -8,6 +8,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# `ran OP N CMD...` runs a filtered test leg, sums the `N passed` lines it
+# prints and fails unless that sum is OP (`-eq`, `-ge`) N. A name filter
+# that matches nothing exits 0 (the doc-test harnesses even print their own
+# `0 passed`), so without the count a renamed test would turn its leg into
+# a silent no-op.
+ran() {
+    local op=$1 want=$2 out n
+    shift 2
+    out=$("$@" 2>&1 | tee /dev/stderr)
+    n=$(grep -oE '[0-9]+ passed' <<<"$out" | awk '{ s += $1 } END { print s + 0 }')
+    if ! [ "$n" "$op" "$want" ]; then
+        echo "'$*' ran $n tests; the gate wants $op $want" >&2
+        exit 1
+    fi
+}
+
 echo "==> cargo build --release"
 cargo build --release
 
@@ -45,7 +61,8 @@ if [[ "${1:-}" != "--quick" ]]; then
             cargo test -q -p aasd --test serving_determinism --test mm_lossless \
                 --test server_smoke --test int8_equivalence --test workload_determinism
             cargo test -q -p aasd-tensor
-            cargo test -q -p aasd-train -p aasd-mm -p aasd-baselines -- \
+            # Exactly the six pins, on each tier.
+            ran -eq 6 cargo test -q -p aasd-train -p aasd-mm -p aasd-baselines -- \
                 distill_smoke_run_lowers_mean_loss finetune_text_lowers_loss_on_grammar \
                 finetune_vlm_lowers_loss_on_grammar distillation_recipes_run_and_stay_finite \
                 distill_hybrid_with_td_alignment_trains encode_image_lands_in_lm_space
@@ -66,10 +83,12 @@ if [[ "${1:-}" != "--quick" ]]; then
     # it unoptimized) with the process-global tier pinned to scalar and left
     # to the host's best, which also moves the Linear-level and
     # naive-reference checks across tiers.
-    AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor tile_
-    AASD_KERNEL=scalar cargo test -q --release -p aasd-nn linear_
-    cargo test -q --release -p aasd-tensor tile_
-    cargo test -q --release -p aasd-nn linear_
+    # Each leg must run at least the 7 `tile_` and 12 `linear_` tests it
+    # selects today.
+    ran -ge 7 env AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor tile_
+    ran -ge 12 env AASD_KERNEL=scalar cargo test -q --release -p aasd-nn linear_
+    ran -ge 7 cargo test -q --release -p aasd-tensor tile_
+    ran -ge 12 cargo test -q --release -p aasd-nn linear_
 
     echo "==> table1 smoke gate: draft-zoo ordering + per-stream losslessness"
     # Reduced grid (γ=3 only, short training, few held-out pairs): the

@@ -12,12 +12,15 @@
 //! `matmul`, `add`, `mul`, `scale`, `sum`, `embed_gather`, `silu`,
 //! `rms_norm`, the `cross_entropy` and `kl_div` losses, plus the fused
 //! sequence ops — `rope` (rotary embedding, backward is the inverse
-//! rotation), `prefix_causal_attention` (multi-head causal softmax attention
-//! in one node over an optional always-visible K/V prefix, flash-style: the
-//! probability matrices are recomputed in backward instead of stored) with
-//! `concat_rows` to stack that prefix, which lets the multimodal
-//! hybrid-cache draft train end-to-end over a gradient-carrying KV prefix,
-//! and `td_attention` for the Target-Draft alignment loss.
+//! rotation), `concat_rows` and one `attention`: multi-head softmax
+//! attention over K/V segments, each under a [`Visible`] rule,
+//! flash-style (the probability matrices are recomputed in backward
+//! instead of stored). One `UpTo(p)` segment behind a `concat_rows` prefix
+//! lets the multimodal hybrid-cache draft train end-to-end over a
+//! gradient-carrying KV prefix; a `Before(w)` target segment beside a
+//! `Window(w)` draft segment is the Target-Draft alignment loss. The op's
+//! value is the plain function [`attention`], which `aasd-nn`'s
+//! full-sequence oracle and vision tower call too.
 //!
 //! Every op is validated by a central finite-difference gradient check
 //! ([`check::fd_check`]) in this crate's tests; `aasd-nn` additionally
@@ -26,9 +29,44 @@
 pub mod check;
 
 use aasd_tensor::{add_assign, dot, log_softmax_rows, silu, softmax_row, softmax_rows, Tensor};
+use std::borrow::Cow;
 
 /// Handle to a node on the tape (index into the node list).
 pub type VarId = usize;
+
+/// Which key rows `j` of one attention segment query row `i` sees. A query
+/// attends over the union of what every segment's rule admits, under one
+/// softmax.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Visible {
+    /// Every row (the vision tower's bidirectional attention).
+    All,
+    /// `j ≤ offset + i`: an always-visible `offset`-row prefix, then causal
+    /// over the `t` rows after it; `UpTo(0)` is plain causal attention.
+    /// The segment has `offset + t` rows.
+    UpTo(usize),
+    /// `j + w ≤ i`: the target side of Target-Draft attention, every key
+    /// at least `w` positions old. The segment has `t` rows, `w ≥ 1`.
+    Before(usize),
+    /// `j ≤ i < j + w`: the draft side, the last `w` positions up to and
+    /// including `i`. The segment has `t` rows, `w ≥ 1`.
+    Window(usize),
+}
+
+impl Visible {
+    fn admits(self, i: usize, j: usize) -> bool {
+        match self {
+            Visible::All => true,
+            Visible::UpTo(offset) => j <= offset + i,
+            Visible::Before(w) => j + w <= i,
+            Visible::Window(w) => j <= i && i < j + w,
+        }
+    }
+}
+
+/// One K/V segment of [`attention`]: keys, values, and the rule that says
+/// which of their rows each query row sees.
+pub type Segment<'a> = (&'a Tensor, &'a Tensor, Visible);
 
 /// One recorded operation. Variants carry their input [`VarId`]s plus any
 /// non-differentiable attributes (token ids, rotary tables, head counts).
@@ -72,33 +110,11 @@ enum Op {
     /// Backward splits the gradient. Used to build the hybrid draft cache
     /// `[projected vision KV ∥ text KV]` on the tape.
     ConcatRows(VarId, VarId),
-    /// Causal attention with a `prefix`-row always-visible prefix: `q` is
-    /// `[t, dim]`, `k`/`v` are `[prefix+t, dim]`; query `i` attends over
-    /// key rows `0..=prefix+i`. With `prefix = 0` this is plain causal
-    /// self-attention. This is the training-time mirror of a decoder over
-    /// a (possibly pre-seeded) KV cache.
-    PrefixCausalAttention {
+    /// [`attention`] of `q` over K/V segments, each under its own rule.
+    Attention {
         q: VarId,
-        k: VarId,
-        v: VarId,
+        segments: Vec<(VarId, VarId, Visible)>,
         n_heads: usize,
-        prefix: usize,
-    },
-    /// Target-draft attention (the training-time `TdAttention` kernel,
-    /// DESIGN.md §2.8): draft query `i` with window `w` attends over the
-    /// **target** keys at positions `j ≤ i−w` and the **draft** keys at
-    /// positions `i−w < j ≤ i`. All five inputs are `[t, dim]`; the draft
-    /// key at `j = i` is always visible, so every row has mass. The
-    /// optimized forward precomputes `S1 = Q·Kᵀ` and `S2 = Q·K'ᵀ` once per
-    /// head and indexes into them (see [`td_probs`]).
-    TdAttention {
-        q: VarId,
-        tk: VarId,
-        tv: VarId,
-        dk: VarId,
-        dv: VarId,
-        n_heads: usize,
-        window: usize,
     },
 }
 
@@ -149,6 +165,14 @@ impl Tape {
         &self.nodes[id].value
     }
 
+    /// The values behind attention segments recorded as node ids.
+    fn segments(&self, segments: &[(VarId, VarId, Visible)]) -> Vec<Segment<'_>> {
+        segments
+            .iter()
+            .map(|&(k, v, rule)| (self.value(k), self.value(v), rule))
+            .collect()
+    }
+
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
         self.nodes.push(Node { op, value });
         self.nodes.len() - 1
@@ -188,9 +212,7 @@ impl Tape {
     /// `s · a`.
     pub fn scale(&mut self, a: VarId, s: f32) -> VarId {
         let mut value = self.value(a).clone();
-        for x in value.data.iter_mut() {
-            *x *= s;
-        }
+        scale_data(&mut value, s);
         self.push(Op::Scale(a, s), value)
     }
 
@@ -344,114 +366,24 @@ impl Tape {
         self.push(Op::ConcatRows(a, b), value)
     }
 
-    /// Fused multi-head causal attention over pre-projected, pre-rotated
-    /// inputs, where every query also sees a `prefix`-row always-visible
-    /// prefix: `q` is `[t, dim]`, `k`/`v` are `[prefix+t, dim]` (prefix rows
-    /// first), and query `i` attends over key rows `0..=prefix+i` with
-    /// `1/sqrt(head_dim)` scaling. The last `t` rows of `k`/`v` behave
-    /// exactly like causal self-attention; `prefix = 0` is the text
-    /// decoder's attention.
-    ///
-    /// With a prefix this is the training-time mirror of decoding over a
-    /// pre-seeded KV cache: the prefix rows (projected vision KV in the
-    /// AASD hybrid cache) receive gradients, which is what makes the
-    /// `KvProjector` trainable end-to-end.
-    pub fn prefix_causal_attention(
+    /// [`attention`] on the tape: every K/V segment receives gradients.
+    /// A `UpTo(p)` prefix stacked by [`Tape::concat_rows`] is the
+    /// training-time mirror of decoding over a pre-seeded KV cache, and its
+    /// rows (projected vision KV in the AASD hybrid cache) are what makes
+    /// the `KvProjector` trainable end-to-end.
+    pub fn attention(
         &mut self,
         q: VarId,
-        k: VarId,
-        v: VarId,
+        segments: &[(VarId, VarId, Visible)],
         n_heads: usize,
-        prefix: usize,
     ) -> VarId {
-        let (tq, tk, tv) = (self.value(q), self.value(k), self.value(v));
-        assert_eq!((tk.rows, tk.cols), (tv.rows, tv.cols), "k/v shape mismatch");
-        assert_eq!(tq.cols, tk.cols, "q/k width mismatch");
-        assert_eq!(tk.rows, prefix + tq.rows, "k must have prefix+t rows");
-        let head_dim = tq.cols / n_heads;
-        assert_eq!(head_dim * n_heads, tq.cols, "dim must divide into heads");
-        let t = tq.rows;
-        let mut value = Tensor::zeros(t, tq.cols);
-        for h in 0..n_heads {
-            let qh = gather_head(tq, h, head_dim);
-            let kh = gather_head(tk, h, head_dim);
-            let vh = gather_head(tv, h, head_dim);
-            let p = prefix_causal_probs(&qh, &kh, head_dim, prefix);
-            let oh = p.matmul(&vh);
-            scatter_head(&mut value, &oh, h, head_dim);
-        }
+        let value = attention(self.value(q), &self.segments(segments), n_heads);
+        let segments = segments.to_vec();
         self.push(
-            Op::PrefixCausalAttention {
+            Op::Attention {
                 q,
-                k,
-                v,
+                segments,
                 n_heads,
-                prefix,
-            },
-            value,
-        )
-    }
-
-    /// Target-draft attention over pre-projected, pre-rotated inputs, all
-    /// `[t, dim]`: draft query `i` attends over target key rows `j ≤ i−w`
-    /// and draft key rows `i−w < j ≤ i` (window `w ≥ 1`), with
-    /// `1/sqrt(head_dim)` scaling and one softmax over the combined
-    /// visible set. This is the alignment kernel distillation uses to pull
-    /// the draft's attention geometry toward the target's hidden states:
-    /// the recent `w` positions come from the draft itself (mirroring
-    /// speculation, where the tail of the context is draft-generated) and
-    /// everything older comes from the target. With `w ≥ t` no target row
-    /// is ever visible and the op degenerates to causal self-attention
-    /// over the draft keys ([`Tape::prefix_causal_attention`] at prefix 0).
-    #[allow(clippy::too_many_arguments)]
-    pub fn td_attention(
-        &mut self,
-        q: VarId,
-        tk: VarId,
-        tv: VarId,
-        dk: VarId,
-        dv: VarId,
-        n_heads: usize,
-        window: usize,
-    ) -> VarId {
-        let (tq, ttk, ttv, tdk, tdv) = (
-            self.value(q),
-            self.value(tk),
-            self.value(tv),
-            self.value(dk),
-            self.value(dv),
-        );
-        let shape = (tq.rows, tq.cols);
-        assert_eq!(shape, (ttk.rows, ttk.cols), "q/tk shape mismatch");
-        assert_eq!(shape, (ttv.rows, ttv.cols), "q/tv shape mismatch");
-        assert_eq!(shape, (tdk.rows, tdk.cols), "q/dk shape mismatch");
-        assert_eq!(shape, (tdv.rows, tdv.cols), "q/dv shape mismatch");
-        assert!(window >= 1, "TdAttention window must be at least 1");
-        let head_dim = tq.cols / n_heads;
-        assert_eq!(head_dim * n_heads, tq.cols, "dim must divide into heads");
-        let t = tq.rows;
-        let mut value = Tensor::zeros(t, tq.cols);
-        for h in 0..n_heads {
-            let qh = gather_head(tq, h, head_dim);
-            let tkh = gather_head(ttk, h, head_dim);
-            let tvh = gather_head(ttv, h, head_dim);
-            let dkh = gather_head(tdk, h, head_dim);
-            let dvh = gather_head(tdv, h, head_dim);
-            let p = td_probs(&qh, &tkh, &dkh, head_dim, window);
-            let (pt, pd) = split_cols(&p, t);
-            let mut oh = pt.matmul(&tvh);
-            add_assign(&mut oh.data, &pd.matmul(&dvh).data);
-            scatter_head(&mut value, &oh, h, head_dim);
-        }
-        self.push(
-            Op::TdAttention {
-                q,
-                tk,
-                tv,
-                dk,
-                dv,
-                n_heads,
-                window,
             },
             value,
         )
@@ -493,9 +425,7 @@ impl Tape {
                 }
                 Op::Scale(a, s) => {
                     let mut da = g;
-                    for x in da.data.iter_mut() {
-                        *x *= *s;
-                    }
+                    scale_data(&mut da, *s);
                     accumulate(&mut grads[*a], da);
                 }
                 Op::Sum(a) => {
@@ -586,49 +516,18 @@ impl Tape {
                     accumulate(&mut grads[*a], da);
                     accumulate(&mut grads[*b], db);
                 }
-                Op::PrefixCausalAttention {
+                Op::Attention {
                     q,
-                    k,
-                    v,
+                    segments,
                     n_heads,
-                    prefix,
                 } => {
-                    let (dq, dk, dv) = attention_backward(
-                        self.value(*q),
-                        self.value(*k),
-                        self.value(*v),
-                        *n_heads,
-                        *prefix,
-                        &g,
-                    );
+                    let segs = self.segments(segments);
+                    let (dq, dkv) = attention_backward(self.value(*q), &segs, *n_heads, &g);
                     accumulate(&mut grads[*q], dq);
-                    accumulate(&mut grads[*k], dk);
-                    accumulate(&mut grads[*v], dv);
-                }
-                Op::TdAttention {
-                    q,
-                    tk,
-                    tv,
-                    dk,
-                    dv,
-                    n_heads,
-                    window,
-                } => {
-                    let (dq, dtk, dtv, ddk, ddv) = td_attention_backward(
-                        self.value(*q),
-                        self.value(*tk),
-                        self.value(*dk),
-                        self.value(*tv),
-                        self.value(*dv),
-                        *n_heads,
-                        *window,
-                        &g,
-                    );
-                    accumulate(&mut grads[*q], dq);
-                    accumulate(&mut grads[*tk], dtk);
-                    accumulate(&mut grads[*tv], dtv);
-                    accumulate(&mut grads[*dk], ddk);
-                    accumulate(&mut grads[*dv], ddv);
+                    for (&(k, v, _), (dk, dv)) in segments.iter().zip(dkv) {
+                        accumulate(&mut grads[k], dk);
+                        accumulate(&mut grads[v], dv);
+                    }
                 }
             }
         }
@@ -661,235 +560,208 @@ fn scatter_head(dst: &mut Tensor, src: &Tensor, h: usize, head_dim: usize) {
     }
 }
 
-/// Softmax probability matrix `[tq, prefix+tq]` for one head: query `i`
-/// sees key columns `0..=prefix+i`. `prefix = 0` is plain causal attention.
-fn prefix_causal_probs(qh: &Tensor, kh: &Tensor, head_dim: usize, prefix: usize) -> Tensor {
+/// Multi-head softmax attention of `q: [t, dim]` over K/V segments, each
+/// `(k, v, rule)` with `k`/`v` `[rows, dim]`, pre-projected and pre-rotated,
+/// with `1/sqrt(head_dim)` scaling. Per head, each segment's `Q·Kᵀ` is
+/// computed once and indexed (the O(t²) path of DESIGN.md §2.8); the
+/// segments' scores sit side by side under one softmax per query row, and
+/// the output is `P₀·V₀ + P₁·V₁ + …` in segment order. One `UpTo(p)`
+/// segment is a decoder layer behind a `p`-row prefix, one `All` segment
+/// the vision tower's attention, and `[(target, Before(w)), (draft,
+/// Window(w))]` Target-Draft attention.
+///
+/// Panics when a segment's shape does not fit its rule (see
+/// [`Visible`]) and when a query row sees no key in any segment.
+pub fn attention(q: &Tensor, segments: &[Segment<'_>], n_heads: usize) -> Tensor {
+    let head_dim = attention_head_dim(q, segments, n_heads);
     let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut s = qh.matmul_transposed(kh);
-    for i in 0..s.rows {
-        let row = s.row_mut(i);
-        for (j, sv) in row.iter_mut().enumerate() {
-            if j > prefix + i {
-                *sv = f32::NEG_INFINITY;
-            } else {
-                *sv *= scale;
-            }
-        }
-        softmax_row(row);
-    }
-    s
-}
-
-/// Backward of [`Tape::prefix_causal_attention`]. The probability
-/// matrices are recomputed per head (flash-style) rather than saved on the
-/// tape. Shapes: `q` is `[t, dim]`, `k`/`v` are `[prefix+t, dim]`.
-fn attention_backward(
-    q: &Tensor,
-    k: &Tensor,
-    v: &Tensor,
-    n_heads: usize,
-    prefix: usize,
-    g: &Tensor,
-) -> (Tensor, Tensor, Tensor) {
-    let head_dim = q.cols / n_heads;
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut dq = Tensor::zeros(q.rows, q.cols);
-    let mut dk = Tensor::zeros(k.rows, k.cols);
-    let mut dv = Tensor::zeros(v.rows, v.cols);
+    let mut out = Tensor::zeros(q.rows, q.cols);
     for h in 0..n_heads {
-        let qh = gather_head(q, h, head_dim);
-        let kh = gather_head(k, h, head_dim);
-        let vh = gather_head(v, h, head_dim);
-        let gh = gather_head(g, h, head_dim);
-        let p = prefix_causal_probs(&qh, &kh, head_dim, prefix);
-        // out = p · vh  ⇒  dvh = pᵀ · gh, dp = gh · vhᵀ.
-        let dvh = p.transpose().matmul(&gh);
-        let dp = gh.matmul_transposed(&vh);
-        // Softmax backward per row; masked entries have p = 0 ⇒ ds = 0.
-        let mut ds = dp;
-        for i in 0..ds.rows {
-            let pr = p.row(i);
-            let dr = ds.row_mut(i);
-            let s = dot(dr, pr);
-            for (x, &pv) in dr.iter_mut().zip(pr) {
-                *x = pv * (*x - s);
+        let (qh, heads) = gather_heads(q, segments, h, head_dim);
+        let p = head_probs(&qh, &heads, scale);
+        let (mut oh, mut c0) = (None, 0);
+        for (kh, vh, _) in &heads {
+            accumulate(&mut oh, col_block(&p, c0, kh.rows).matmul(vh));
+            c0 += kh.rows;
+        }
+        scatter_head(&mut out, &oh.expect("at least one segment"), h, head_dim);
+    }
+    out
+}
+
+/// Check [`attention`]'s inputs against each segment's rule and return
+/// `head_dim`: `UpTo(p)` wants `p + t` key rows; `Before(w)` / `Window(w)`
+/// (Target-Draft attention) want `t` key rows and `w ≥ 1`.
+fn attention_head_dim(q: &Tensor, segments: &[Segment<'_>], n_heads: usize) -> usize {
+    let t = q.rows;
+    for &(k, v, rule) in segments {
+        assert_eq!((k.rows, k.cols), (v.rows, v.cols), "k/v shape mismatch");
+        assert_eq!(q.cols, k.cols, "q/k width mismatch");
+        match rule {
+            Visible::All => {}
+            Visible::UpTo(p) => assert_eq!(k.rows, p + t, "k must have prefix+t rows"),
+            Visible::Before(w) | Visible::Window(w) => {
+                assert_eq!(k.rows, t, "Target-Draft keys must have t rows");
+                assert!(w >= 1, "Target-Draft window must be at least 1");
             }
         }
-        // s = scale · qh · khᵀ (masked) ⇒ dqh = scale · ds · kh,
-        // dkh = scale · dsᵀ · qh.
-        let mut dqh = ds.matmul(&kh);
-        for x in dqh.data.iter_mut() {
-            *x *= scale;
-        }
-        let mut dkh = ds.transpose().matmul(&qh);
-        for x in dkh.data.iter_mut() {
-            *x *= scale;
-        }
-        scatter_head(&mut dq, &dqh, h, head_dim);
-        scatter_head(&mut dk, &dkh, h, head_dim);
-        scatter_head(&mut dv, &dvh, h, head_dim);
     }
-    (dq, dk, dv)
-}
-
-/// Softmax probability matrix `[t, 2t]` for one TdAttention head: columns
-/// `0..t` index the target keys, columns `t..2t` the draft keys. Query `i`
-/// sees target column `j` iff `j + window ≤ i` and draft column `j` iff
-/// `j ≤ i < j + window`. Both score blocks (`S1 = q·tkᵀ`, `S2 = q·dkᵀ`)
-/// are computed once up front and only indexed per row — the O(t²)
-/// optimized path from DESIGN.md §2.8.
-fn td_probs(qh: &Tensor, tkh: &Tensor, dkh: &Tensor, head_dim: usize, window: usize) -> Tensor {
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let t = qh.rows;
-    let s1 = qh.matmul_transposed(tkh);
-    let s2 = qh.matmul_transposed(dkh);
-    let mut s = Tensor::zeros(t, 2 * t);
-    for i in 0..t {
-        let row = s.row_mut(i);
-        for j in 0..t {
-            row[j] = if j + window <= i {
-                s1.row(i)[j] * scale
-            } else {
-                f32::NEG_INFINITY
-            };
-            row[t + j] = if j <= i && i < j + window {
-                s2.row(i)[j] * scale
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
-        softmax_row(row);
-    }
-    s
-}
-
-/// Split `[t, 2c]` into two `[t, c]` halves (left | right).
-fn split_cols(p: &Tensor, c: usize) -> (Tensor, Tensor) {
-    let mut left = Tensor::zeros(p.rows, c);
-    let mut right = Tensor::zeros(p.rows, c);
-    for i in 0..p.rows {
-        let row = p.row(i);
-        left.row_mut(i).copy_from_slice(&row[..c]);
-        right.row_mut(i).copy_from_slice(&row[c..]);
-    }
-    (left, right)
-}
-
-/// Backward of [`Tape::td_attention`]. Equivalent to masked attention over
-/// the stacked key/value matrices `[K; K']`, `[V; V']` (`[2t, dim]` per
-/// head) with the TD visibility mask; probabilities are recomputed per head
-/// (flash-style), masked entries have `p = 0` so their score gradient
-/// vanishes, and the stacked gradients split back to the four K/V inputs.
-#[allow(clippy::too_many_arguments)]
-fn td_attention_backward(
-    q: &Tensor,
-    tk: &Tensor,
-    dk: &Tensor,
-    tv: &Tensor,
-    dv: &Tensor,
-    n_heads: usize,
-    window: usize,
-    g: &Tensor,
-) -> (Tensor, Tensor, Tensor, Tensor, Tensor) {
-    let head_dim = q.cols / n_heads;
-    let scale = 1.0 / (head_dim as f32).sqrt();
-    let mut dq = Tensor::zeros(q.rows, q.cols);
-    let mut dtk = Tensor::zeros(tk.rows, tk.cols);
-    let mut dtv = Tensor::zeros(tv.rows, tv.cols);
-    let mut ddk = Tensor::zeros(dk.rows, dk.cols);
-    let mut ddv = Tensor::zeros(dv.rows, dv.cols);
-    for h in 0..n_heads {
-        let qh = gather_head(q, h, head_dim);
-        let tkh = gather_head(tk, h, head_dim);
-        let dkh = gather_head(dk, h, head_dim);
-        let tvh = gather_head(tv, h, head_dim);
-        let dvh = gather_head(dv, h, head_dim);
-        let gh = gather_head(g, h, head_dim);
-        let p = td_probs(&qh, &tkh, &dkh, head_dim, window);
-        let (pt, pd) = split_cols(&p, qh.rows);
-        // out = pt·tvh + pd·dvh  ⇒  dtvh = ptᵀ·gh, ddvh = pdᵀ·gh,
-        // dp = [gh·tvhᵀ | gh·dvhᵀ].
-        let dtvh = pt.transpose().matmul(&gh);
-        let ddvh = pd.transpose().matmul(&gh);
-        let dpt = gh.matmul_transposed(&tvh);
-        let dpd = gh.matmul_transposed(&dvh);
-        let mut ds = Tensor::zeros(p.rows, p.cols);
-        for i in 0..p.rows {
-            let row = ds.row_mut(i);
-            row[..qh.rows].copy_from_slice(dpt.row(i));
-            row[qh.rows..].copy_from_slice(dpd.row(i));
-        }
-        // Softmax backward per row over the combined visible set.
-        for i in 0..ds.rows {
-            let pr = p.row(i);
-            let dr = ds.row_mut(i);
-            let s = dot(dr, pr);
-            for (x, &pv) in dr.iter_mut().zip(pr) {
-                *x = pv * (*x - s);
-            }
-        }
-        let (dst, dsd) = split_cols(&ds, qh.rows);
-        // s1 = scale·qh·tkhᵀ, s2 = scale·qh·dkhᵀ (masked) ⇒
-        // dqh = scale·(dst·tkh + dsd·dkh), dtkh = scale·dstᵀ·qh, ….
-        let mut dqh = dst.matmul(&tkh);
-        add_assign(&mut dqh.data, &dsd.matmul(&dkh).data);
-        for x in dqh.data.iter_mut() {
-            *x *= scale;
-        }
-        let mut dtkh = dst.transpose().matmul(&qh);
-        for x in dtkh.data.iter_mut() {
-            *x *= scale;
-        }
-        let mut ddkh = dsd.transpose().matmul(&qh);
-        for x in ddkh.data.iter_mut() {
-            *x *= scale;
-        }
-        scatter_head(&mut dq, &dqh, h, head_dim);
-        scatter_head(&mut dtk, &dtkh, h, head_dim);
-        scatter_head(&mut dtv, &dtvh, h, head_dim);
-        scatter_head(&mut ddk, &ddkh, h, head_dim);
-        scatter_head(&mut ddv, &ddvh, h, head_dim);
-    }
-    (dq, dtk, dtv, ddk, ddv)
-}
-
-/// Naive per-position reference for [`Tape::td_attention`]: for every query
-/// row it gathers the visible target/draft key–value pairs one by one,
-/// computes scores with explicit dot products, and softmaxes just that set.
-/// Same O(t²·d) asymptotics but none of the precomputed-score indexing —
-/// tests pin the optimized kernel against this, per DESIGN.md §2.8.
-pub fn td_attention_reference(
-    q: &Tensor,
-    tk: &Tensor,
-    tv: &Tensor,
-    dk: &Tensor,
-    dv: &Tensor,
-    n_heads: usize,
-    window: usize,
-) -> Tensor {
-    assert!(window >= 1, "TdAttention window must be at least 1");
     let head_dim = q.cols / n_heads;
     assert_eq!(head_dim * n_heads, q.cols, "dim must divide into heads");
+    head_dim
+}
+
+/// Head `h` of `q` and of every segment's K/V, each `[rows, head_dim]`.
+fn gather_heads(
+    q: &Tensor,
+    segments: &[Segment<'_>],
+    h: usize,
+    head_dim: usize,
+) -> (Tensor, Vec<(Tensor, Tensor, Visible)>) {
+    let heads = segments
+        .iter()
+        .map(|&(k, v, rule)| {
+            (
+                gather_head(k, h, head_dim),
+                gather_head(v, h, head_dim),
+                rule,
+            )
+        })
+        .collect();
+    (gather_head(q, h, head_dim), heads)
+}
+
+/// One head's softmax probabilities `[t, Σ key rows]`: each segment's
+/// `Q·Kᵀ` is computed once and then only indexed — `dot × scale` where its
+/// rule admits the key, `-inf` elsewhere — with the segments side by side
+/// in order and one softmax per row. A row that sees no key panics rather
+/// than fall into the softmax's uniform fallback.
+fn head_probs(qh: &Tensor, heads: &[(Tensor, Tensor, Visible)], scale: f32) -> Tensor {
+    let scores: Vec<Tensor> = heads
+        .iter()
+        .map(|(kh, ..)| qh.matmul_transposed(kh))
+        .collect();
+    let mut p = Tensor::zeros(qh.rows, scores.iter().map(|s| s.cols).sum());
+    for i in 0..p.rows {
+        let (row, mut c0, mut seen) = (p.row_mut(i), 0, false);
+        for (s, &(.., rule)) in scores.iter().zip(heads) {
+            for (j, (x, &d)) in row[c0..c0 + s.cols].iter_mut().zip(s.row(i)).enumerate() {
+                let admitted = rule.admits(i, j);
+                seen |= admitted;
+                *x = if admitted {
+                    d * scale
+                } else {
+                    f32::NEG_INFINITY
+                };
+            }
+            c0 += s.cols;
+        }
+        assert!(seen, "attention query row {i} sees no key");
+        softmax_row(row);
+    }
+    p
+}
+
+/// Columns `c0..c0 + n` of `m` — `m` itself when that is all of it.
+fn col_block(m: &Tensor, c0: usize, n: usize) -> Cow<'_, Tensor> {
+    if n == m.cols {
+        return Cow::Borrowed(m);
+    }
+    let mut out = Tensor::zeros(m.rows, n);
+    for i in 0..m.rows {
+        out.row_mut(i).copy_from_slice(&m.row(i)[c0..c0 + n]);
+    }
+    Cow::Owned(out)
+}
+
+/// Backward of [`attention`]. Per head, `P` is recomputed (flash-style)
+/// rather than saved on the tape; `dVₛ = Pₛᵀ·G` and `dPₛ = G·Vₛᵀ` side by
+/// side; one softmax backward over the whole row (masked entries have
+/// `p = 0`, so their score gradient vanishes); `dQ = scale·Σₛ dSₛ·Kₛ` in
+/// segment order and `dKₛ = scale·dSₛᵀ·Q`. Returns `dQ` and one `(dK, dV)`
+/// per segment.
+fn attention_backward(
+    q: &Tensor,
+    segments: &[Segment<'_>],
+    n_heads: usize,
+    g: &Tensor,
+) -> (Tensor, Vec<(Tensor, Tensor)>) {
+    let head_dim = q.cols / n_heads;
     let scale = 1.0 / (head_dim as f32).sqrt();
-    let t = q.rows;
-    let mut out = Tensor::zeros(t, q.cols);
+    let mut dq = Tensor::zeros(q.rows, q.cols);
+    let mut dkv: Vec<(Tensor, Tensor)> = segments
+        .iter()
+        .map(|(k, v, _)| (Tensor::zeros(k.rows, k.cols), Tensor::zeros(v.rows, v.cols)))
+        .collect();
+    for h in 0..n_heads {
+        let (qh, heads) = gather_heads(q, segments, h, head_dim);
+        let gh = gather_head(g, h, head_dim);
+        let p = head_probs(&qh, &heads, scale);
+        let (mut ds, mut c0) = (Tensor::zeros(p.rows, p.cols), 0);
+        for ((_, vh, _), (_, dv)) in heads.iter().zip(&mut dkv) {
+            let dvh = col_block(&p, c0, vh.rows).transpose().matmul(&gh);
+            scatter_head(dv, &dvh, h, head_dim);
+            let dp = gh.matmul_transposed(vh);
+            for i in 0..ds.rows {
+                ds.row_mut(i)[c0..c0 + vh.rows].copy_from_slice(dp.row(i));
+            }
+            c0 += vh.rows;
+        }
+        for i in 0..ds.rows {
+            let (pr, dr) = (p.row(i), ds.row_mut(i));
+            let s = dot(dr, pr);
+            for (x, &pv) in dr.iter_mut().zip(pr) {
+                *x = pv * (*x - s);
+            }
+        }
+        let (mut dqh, mut c0) = (None, 0);
+        for ((kh, ..), (dk, _)) in heads.iter().zip(&mut dkv) {
+            let dsh = col_block(&ds, c0, kh.rows);
+            accumulate(&mut dqh, dsh.matmul(kh));
+            let mut dkh = dsh.transpose().matmul(&qh);
+            scale_data(&mut dkh, scale);
+            scatter_head(dk, &dkh, h, head_dim);
+            c0 += kh.rows;
+        }
+        let mut dqh = dqh.expect("at least one segment");
+        scale_data(&mut dqh, scale);
+        scatter_head(&mut dq, &dqh, h, head_dim);
+    }
+    (dq, dkv)
+}
+
+/// `t *= s`, elementwise.
+fn scale_data(t: &mut Tensor, s: f32) {
+    for x in t.data.iter_mut() {
+        *x *= s;
+    }
+}
+
+/// Naive per-position reference for [`attention`]: for every query row it
+/// gathers the visible key–value rows of every segment one by one (each
+/// rule written as a key range, apart from the op's predicate), scores
+/// them with explicit dot products and softmaxes just that set. Same
+/// O(t²·d) asymptotics but none of the precomputed-score indexing — tests
+/// pin the op against this for every rule, per DESIGN.md §2.8.
+pub fn attention_reference(q: &Tensor, segments: &[Segment<'_>], n_heads: usize) -> Tensor {
+    let head_dim = attention_head_dim(q, segments, n_heads);
+    let scale = 1.0 / (head_dim as f32).sqrt();
+    let mut out = Tensor::zeros(q.rows, q.cols);
     for h in 0..n_heads {
         let cols = h * head_dim..(h + 1) * head_dim;
-        for i in 0..t {
-            // Visible set for query i: target rows j ≤ i−w, then draft
-            // rows i−w < j ≤ i (at least the draft row j = i).
-            let mut keys: Vec<&[f32]> = Vec::new();
-            let mut vals: Vec<&[f32]> = Vec::new();
-            for j in 0..t {
-                if j + window <= i {
-                    keys.push(&tk.row(j)[cols.clone()]);
-                    vals.push(&tv.row(j)[cols.clone()]);
-                }
-            }
-            for j in 0..t {
-                if j <= i && i < j + window {
-                    keys.push(&dk.row(j)[cols.clone()]);
-                    vals.push(&dv.row(j)[cols.clone()]);
+        for i in 0..q.rows {
+            let (mut keys, mut vals) = (Vec::new(), Vec::new());
+            for &(k, v, rule) in segments {
+                // Each rule as the key range it leaves visible to row i.
+                let visible = match rule {
+                    Visible::All => 0..k.rows,
+                    Visible::UpTo(p) => 0..p + i + 1,
+                    Visible::Before(w) => 0..(i + 1).saturating_sub(w),
+                    Visible::Window(w) => (i + 1).saturating_sub(w)..i + 1,
+                };
+                for j in visible {
+                    keys.push(&k.row(j)[cols.clone()]);
+                    vals.push(&v.row(j)[cols.clone()]);
                 }
             }
             let qi = &q.row(i)[cols.clone()];
@@ -1056,8 +928,18 @@ mod tests {
         });
     }
 
-    /// The attention op at prefix 0: plain causal self-attention, what a
-    /// text decoder's every layer records.
+    /// Target-Draft attention's two segments: the target's K/V under
+    /// `Before(w)`, then the draft's under `Window(w)`.
+    fn td_segments(
+        (tk, tv): (VarId, VarId),
+        (dk, dv): (VarId, VarId),
+        w: usize,
+    ) -> [(VarId, VarId, Visible); 2] {
+        [(tk, tv, Visible::Before(w)), (dk, dv, Visible::Window(w))]
+    }
+
+    /// The attention op under `UpTo(0)`: plain causal self-attention, what
+    /// a text decoder's every layer records.
     #[test]
     fn gradcheck_causal_attention() {
         let mut rng = Rng::new(12);
@@ -1068,7 +950,7 @@ mod tests {
             randn(&mut rng, t, dim),
         ];
         fd_check(&leaves, &|tape, ids| {
-            let y = tape.prefix_causal_attention(ids[0], ids[1], ids[2], 2, 0);
+            let y = tape.attention(ids[0], &[(ids[1], ids[2], Visible::UpTo(0))], 2);
             weighted_sum(tape, y, 0xF2)
         });
     }
@@ -1101,7 +983,7 @@ mod tests {
         fd_check(&leaves, &|tape, ids| {
             let k = tape.concat_rows(ids[1], ids[2]);
             let v = tape.concat_rows(ids[3], ids[4]);
-            let y = tape.prefix_causal_attention(ids[0], k, v, 2, p);
+            let y = tape.attention(ids[0], &[(k, v, Visible::UpTo(p))], 2);
             weighted_sum(tape, y, 0xD3)
         });
     }
@@ -1120,7 +1002,8 @@ mod tests {
             randn(&mut rng, t, dim),
         ];
         fd_check(&leaves, &|tape, ids| {
-            let y = tape.td_attention(ids[0], ids[1], ids[2], ids[3], ids[4], 2, 2);
+            let (target, draft) = ((ids[1], ids[2]), (ids[3], ids[4]));
+            let y = tape.attention(ids[0], &td_segments(target, draft, 2), 2);
             weighted_sum(tape, y, 0xA4)
         });
     }
@@ -1139,41 +1022,59 @@ mod tests {
             randn(&mut rng, t, dim),
         ];
         fd_check(&leaves, &|tape, ids| {
-            let y = tape.td_attention(ids[0], ids[1], ids[2], ids[3], ids[4], 4, 1);
+            let (target, draft) = ((ids[1], ids[2]), (ids[3], ids[4]));
+            let y = tape.attention(ids[0], &td_segments(target, draft, 1), 4);
             weighted_sum(tape, y, 0xB4)
         });
     }
 
-    /// The optimized precomputed-score kernel must match the naive
-    /// per-position reference for every window, per DESIGN.md §2.8.
+    /// The precomputed-score op must match the naive per-position reference
+    /// under every rule: `All`, `UpTo(0)`, `UpTo(p)`, and Target-Draft
+    /// `Before(w)` + `Window(w)` for windows 1, 2, `t` and `t + 1`, per
+    /// DESIGN.md §2.8.
     #[test]
     fn td_attention_matches_naive_reference() {
         let mut rng = Rng::new(23);
-        let (t, dim, heads) = (5, 8, 2);
+        let (t, p, dim, heads) = (5, 3, 8, 2);
         let q = randn(&mut rng, t, dim);
         let tk = randn(&mut rng, t, dim);
         let tv = randn(&mut rng, t, dim);
         let dk = randn(&mut rng, t, dim);
         let dv = randn(&mut rng, t, dim);
-        for window in 1..=t + 1 {
+        let pk = randn(&mut rng, p + t, dim);
+        let pv = randn(&mut rng, p + t, dim);
+        let mut cases = vec![
+            vec![(&dk, &dv, Visible::All)],
+            vec![(&dk, &dv, Visible::UpTo(0))],
+            vec![(&pk, &pv, Visible::UpTo(p))],
+        ];
+        for w in 1..=t + 1 {
+            cases.push(vec![
+                (&tk, &tv, Visible::Before(w)),
+                (&dk, &dv, Visible::Window(w)),
+            ]);
+        }
+        for segments in cases {
             let mut tape = Tape::new();
-            let ids: Vec<VarId> = [&q, &tk, &tv, &dk, &dv]
+            let qi = tape.leaf(q.clone());
+            let ids: Vec<_> = segments
                 .iter()
-                .map(|x| tape.leaf((*x).clone()))
+                .map(|&(k, v, rule)| (tape.leaf(k.clone()), tape.leaf(v.clone()), rule))
                 .collect();
-            let y = tape.td_attention(ids[0], ids[1], ids[2], ids[3], ids[4], heads, window);
-            let naive = td_attention_reference(&q, &tk, &tv, &dk, &dv, heads, window);
+            let y = tape.attention(qi, &ids, heads);
+            let naive = attention_reference(&q, &segments, heads);
+            let rules: Vec<_> = segments.iter().map(|s| s.2).collect();
             for (a, b) in tape.value(y).data.iter().zip(&naive.data) {
                 assert!(
                     (a - b).abs() < 1e-5,
-                    "optimized {a} vs naive {b} at window {window}"
+                    "optimized {a} vs naive {b} under {rules:?}"
                 );
             }
         }
     }
 
-    /// With `window ≥ t` no target key is ever visible, so TdAttention
-    /// collapses to causal self-attention over the draft keys/values.
+    /// With `window ≥ t` no target key is ever visible, so Target-Draft
+    /// attention collapses to causal self-attention over the draft K/V.
     #[test]
     fn td_attention_with_large_window_is_causal_over_draft() {
         let mut rng = Rng::new(24);
@@ -1188,11 +1089,30 @@ mod tests {
             .iter()
             .map(|x| tape.leaf((*x).clone()))
             .collect();
-        let y = tape.td_attention(ids[0], ids[1], ids[2], ids[3], ids[4], heads, t);
-        let c = tape.prefix_causal_attention(ids[0], ids[3], ids[4], heads, 0);
+        let (target, draft) = ((ids[1], ids[2]), (ids[3], ids[4]));
+        let y = tape.attention(ids[0], &td_segments(target, draft, t), heads);
+        let c = tape.attention(ids[0], &[(ids[3], ids[4], Visible::UpTo(0))], heads);
         for (a, b) in tape.value(y).data.iter().zip(&tape.value(c).data) {
             assert!((a - b).abs() < 1e-6, "td {a} vs causal {b}");
         }
+    }
+
+    /// A draft window of 0 admits no key: the op refuses it instead of
+    /// attending over nothing.
+    #[test]
+    #[should_panic(expected = "window must be at least 1")]
+    fn attention_window_zero_panics() {
+        let x = Tensor::zeros(3, 4);
+        attention(&x, &[(&x, &x, Visible::Window(0))], 2);
+    }
+
+    /// `Before(w)` alone leaves the first `w` query rows with no key: such
+    /// a row panics rather than take the softmax's uniform fallback.
+    #[test]
+    #[should_panic(expected = "query row 0 sees no key")]
+    fn attention_row_that_sees_nothing_panics() {
+        let x = Tensor::zeros(3, 4);
+        attention(&x, &[(&x, &x, Visible::Before(1))], 2);
     }
 
     /// Composite graph: every op chained at once still gradchecks — guards
@@ -1221,7 +1141,7 @@ mod tests {
         let mut rng = Rng::new(15);
         let logits = randn(&mut rng, 3, 6);
         let mut teacher = logits.clone();
-        teacher.softmax_rows_inplace();
+        softmax_rows(&mut teacher.data, teacher.cols);
         let mut tape = Tape::new();
         let id = tape.leaf(logits);
         let loss = tape.kl_div(id, teacher);

@@ -22,7 +22,7 @@
 //! * [`train`] — [`distill_hybrid`]: joint draft+projector KL distillation
 //!   on synthetic image+text rollouts, with the student graph
 //!   property-tested to equal the inference path (rope offsets,
-//!   `concat_rows`, `prefix_causal_attention`).
+//!   `concat_rows`, `attention` under `UpTo(p)`).
 //!
 //! Everything is lossless by construction (greedy verification), so the
 //! ablation switches move α/τ — measured, never asserted — while the output

@@ -17,7 +17,7 @@ use crate::hybrid::Ablation;
 use crate::llava::LlavaSim;
 use crate::projector::KvProjector;
 use crate::vision::Image;
-use aasd_autograd::{Tape, VarId};
+use aasd_autograd::{Tape, VarId, Visible};
 use aasd_nn::{Decoder, KvCache};
 use aasd_tensor::{Rng, Tensor, Workspace};
 use aasd_train::{random_prompt, rollout_inputs, sharpen_to_probs, Adam, Schedule};
@@ -156,12 +156,12 @@ pub fn own_vision_prefix(tape: &mut Tape, vlm: &LlavaSim, image: &Image) -> Vec<
 
 /// Target-Draft Attention alignment term (DESIGN.md §2.8): during
 /// distillation, an auxiliary head runs the draft's first-block queries
-/// through [`Tape::td_attention`] — attending over the **target's** text
-/// K/V rows outside the window and the draft's own rows inside it — and
-/// adds `weight ×` the KL of that branch's logits to the main loss. Pulling
-/// this branch toward the teacher aligns the draft's attention geometry
-/// with the target's hidden states, exactly the regime speculation decodes
-/// in (old context = target-verified, recent `window` tokens = draft).
+/// through [`Tape::attention`] — over the **target's** text K/V rows outside
+/// the window (`Before(w)`) and the draft's own rows inside it (`Window(w)`)
+/// — and adds `weight ×` the KL of that branch's logits to the main loss.
+/// Pulling this branch toward the teacher aligns the draft's attention
+/// geometry with the target's hidden states, exactly the regime speculation
+/// decodes in (old context = target-verified, recent `window` tokens = draft).
 #[derive(Debug, Clone, Copy)]
 pub struct TdAlignConfig {
     /// Draft window `w ≥ 1`: positions `i−w < j ≤ i` use draft K/V, older
@@ -331,7 +331,8 @@ fn td_align_loss(
     let dv = tape.matmul(h, wv);
     let q = tape.rope(q, n_heads, cos.clone(), sin.clone());
     let dk = tape.rope(dk, n_heads, cos, sin);
-    let ctx = tape.td_attention(q, tk, tv, dk, dv, n_heads, td.window);
+    let (before, window) = (Visible::Before(td.window), Visible::Window(td.window));
+    let ctx = tape.attention(q, &[(tk, tv, before), (dk, dv, window)], n_heads);
     let o = tape.matmul(ctx, wo);
     let x1 = tape.add(x0, o);
 

@@ -7,15 +7,17 @@
 //!   folded into the residual; one call, one weight pass, serves prefill,
 //!   decode and the γ + 1-row verify), and [`Attention::forward_infer`], the
 //!   allocating twin the distillation teacher runs.
-//! * One **full-sequence mix** — per head gather, `Q·Kᵀ`, scale or mask,
-//!   softmax, `·V` — under both stateless entries: [`Attention::forward_full`],
-//!   causal with RoPE, the oracle the sweep is tested against (they share no
-//!   kernel), and [`Attention::forward_bidirectional`], unmasked and
+//! * One **full-sequence mix** — [`aasd_autograd::attention`], the same
+//!   function every training graph's attention op computes — under both
+//!   stateless entries: [`Attention::forward_full`], causal (`UpTo(0)`) with
+//!   RoPE, the oracle the sweep is tested against (they share no kernel),
+//!   and [`Attention::forward_bidirectional`], unmasked (`All`) and
 //!   un-roped, the vision tower's attention.
 
 use crate::cache::KvLayerMut;
 use crate::layers::Linear;
 use crate::rope::Rope;
+use aasd_autograd::{attention, Visible};
 use aasd_tensor::simd::{attn_mix_with, attn_scores_with, softmax_row_with};
 use aasd_tensor::{Op, Profiler, Rng, Tensor, Workspace};
 
@@ -207,50 +209,16 @@ impl Attention {
         let mut k = self.wk.forward(x);
         let v = self.wv.forward(x);
         self.rope_rows(&mut q.data, &mut k.data, 0, rope);
-        self.wo.forward(&self.mix_full(&q, &k, &v, true))
+        self.wo
+            .forward(&attention(&q, &[(&k, &v, Visible::UpTo(0))], self.n_heads))
     }
 
     /// Bidirectional full-sequence attention: every row of `x: [t, dim]`
     /// sees every row, with no mask and no RoPE (the vision tower's shape).
     pub(crate) fn forward_bidirectional(&self, x: &Tensor) -> Tensor {
         let (q, k, v) = (self.wq.forward(x), self.wk.forward(x), self.wv.forward(x));
-        self.wo.forward(&self.mix_full(&q, &k, &v, false))
-    }
-
-    /// The full-sequence mix: per head, gather compact `[t, head_dim]`
-    /// Q/K/V, `s = Q·Kᵀ` scaled (entries above the diagonal set to `-inf`
-    /// when `causal`), softmax, `·V`. Returns the `[t, dim]` context.
-    fn mix_full(&self, q: &Tensor, k: &Tensor, v: &Tensor, causal: bool) -> Tensor {
-        let (t, dim) = (q.rows, q.cols);
-        let scale = self.scale();
-        let mut ctx = Tensor::zeros(t, dim);
-        for h in 0..self.n_heads {
-            let span = |r: usize| r * dim + h * self.head_dim..r * dim + (h + 1) * self.head_dim;
-            let gather = |m: &Tensor| {
-                let mut out = Tensor::zeros(t, self.head_dim);
-                for i in 0..t {
-                    out.row_mut(i).copy_from_slice(&m.data[span(i)]);
-                }
-                out
-            };
-            let (qh, kh, vh) = (gather(q), gather(k), gather(v));
-            let mut s = qh.matmul_transposed(&kh); // [t, t]
-            for i in 0..t {
-                for (j, sv) in s.row_mut(i).iter_mut().enumerate() {
-                    if causal && j > i {
-                        *sv = f32::NEG_INFINITY;
-                    } else {
-                        *sv *= scale;
-                    }
-                }
-            }
-            s.softmax_rows_inplace();
-            let oh = s.matmul(&vh); // [t, head_dim]
-            for i in 0..t {
-                ctx.data[span(i)].copy_from_slice(oh.row(i));
-            }
-        }
-        ctx
+        self.wo
+            .forward(&attention(&q, &[(&k, &v, Visible::All)], self.n_heads))
     }
 }
 

@@ -14,7 +14,7 @@ use crate::cache::{KvCache, KvLayerMut};
 use crate::layers::{Embedding, Linear, RmsNorm};
 use crate::quant::KernelPolicy;
 use crate::rope::Rope;
-use aasd_autograd::{Tape, VarId};
+use aasd_autograd::{Tape, VarId, Visible};
 use aasd_tensor::{add_assign, argmax, silu, silu_mul, Op, Rng, Tensor, Workspace};
 
 /// Hyperparameters for a decoder-only transformer.
@@ -471,7 +471,7 @@ impl Decoder {
                 Some(&(pk, pv)) => (tape.concat_rows(pk, k), tape.concat_rows(pv, v)),
                 None => (k, v),
             };
-            let a = tape.prefix_causal_attention(q, k, v, self.cfg.n_heads, p);
+            let a = tape.attention(q, &[(k, v, Visible::UpTo(p))], self.cfg.n_heads);
             let a = tape.matmul(a, wo);
             x = tape.add(x, a);
 

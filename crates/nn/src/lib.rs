@@ -10,8 +10,9 @@
 //! * [`cache`] — pre-allocated growable KV cache with O(1) rollback
 //!   (the structure the AASD draft head will later attend over);
 //! * [`attention`] — multi-head attention: one cached sweep behind the
-//!   incremental paths, one full-sequence matmul mix behind the causal
-//!   reference and the bidirectional (vision) path;
+//!   incremental paths; the causal reference and the bidirectional (vision)
+//!   path call `aasd_autograd::attention`, the function every training
+//!   graph's attention op computes;
 //! * [`decoder`] — the pre-norm block both towers stack and the
 //!   [`decoder::Decoder`] model with `forward_infer` (prefill / decode /
 //!   batched verify) and `forward_full` (stateless reference), both

@@ -133,10 +133,6 @@ impl Tensor {
         }
         out
     }
-
-    pub fn softmax_rows_inplace(&mut self) {
-        softmax_rows(&mut self.data, self.cols);
-    }
 }
 
 #[cfg(test)]
