@@ -21,11 +21,21 @@
 //!    Activations are quantized outside the timed region: this is the
 //!    kernel, not `QuantLinear`.
 //! 4. Naive reference vs the tiled kernel on square sizes.
+//! 5. **The lane kernels** per tier, through the explicit `*_with(Backend, …)`
+//!    entries at the shapes the decoder serves: attention scores and mix
+//!    over one head (head dim 16 at stride 128, Sim7B; 24 at stride 192,
+//!    Sim13B) at 1, 5, 16 and 100 cached positions, softmax over those score
+//!    rows, and `dot`, SwiGLU and the quantizer over rows of 128, 192, 256
+//!    and 384 floats (the two models' `dim` and `ff_hidden`).
 
 use aasd_bench::{bench, report};
+use aasd_tensor::simd::{
+    attn_mix_with, attn_scores_with, dot_with, quantize_row_i8_with, silu_mul_with,
+    softmax_row_with,
+};
 use aasd_tensor::{
     backend, matmul_blocked_into, matmul_naive_into, matmul_packed_into, matmul_q8_into,
-    pack_panels, quantize_rows_i8, QuantMatrix, Rng,
+    pack_panels, quantize_rows_i8, Backend, QuantMatrix, Rng,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -267,9 +277,70 @@ fn square_sizes() {
     }
 }
 
+/// Every lane kernel at the served shapes, on every tier the host runs.
+fn lane_kernels() {
+    println!("lane kernels: ns per call, min of 31 batches of 256 calls (CoV)\n");
+    let tiers: Vec<Backend> = Backend::ALL
+        .into_iter()
+        .filter(|b| b.is_supported())
+        .collect();
+    let time = |label: &str, f: &mut dyn FnMut(Backend)| {
+        print!("  {label:<22}");
+        for &bk in &tiers {
+            let (us, cov) = min_cov_us(31, 256, || f(bk));
+            print!("  {} {:>7.1} ns (CoV {cov:.3})", bk.name(), us * 1e3);
+        }
+        println!();
+    };
+    let mut rng = Rng::new(0x1A4E);
+    let mut random =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+    for (d, stride) in [(16usize, 128usize), (24, 192)] {
+        let (q, cache) = (random(d), random(100 * stride));
+        for l in [1usize, 5, 16, 100] {
+            let (weights, mut row) = (random(l), random(l));
+            let (mut scores, mut out) = (vec![0.0f32; l], vec![0.0f32; d]);
+            time(&format!("scores  d {d} l {l}"), &mut |bk| {
+                attn_scores_with(bk, &mut scores, &q, &cache, stride, 0.25);
+                black_box(&mut scores);
+            });
+            // `out` accumulates across calls; it stays far from overflow.
+            time(&format!("mix     d {d} l {l}"), &mut |bk| {
+                attn_mix_with(bk, &mut out, &weights, &cache, stride);
+                black_box(&mut out);
+            });
+            // In place: after the first call the row is a distribution,
+            // whose softmax costs the same.
+            time(&format!("softmax l {l}"), &mut |bk| {
+                softmax_row_with(bk, &mut row);
+                black_box(&mut row);
+            });
+        }
+    }
+    for n in [128usize, 192, 256, 384] {
+        let (a, b, up) = (random(n), random(n), random(n));
+        let (mut gate, mut codes) = (vec![0.0f32; n], vec![0i8; n]);
+        time(&format!("dot     n {n}"), &mut |bk| {
+            black_box(dot_with(bk, black_box(&a), black_box(&b)));
+        });
+        // SwiGLU shrinks its input towards subnormals when repeated in
+        // place, so every call starts from a copy of `a` (timed with it).
+        time(&format!("swiglu  n {n} +copy"), &mut |bk| {
+            gate.copy_from_slice(&a);
+            silu_mul_with(bk, &mut gate, &up);
+            black_box(&mut gate);
+        });
+        time(&format!("quant   n {n}"), &mut |bk| {
+            black_box(quantize_row_i8_with(bk, black_box(&a), &mut codes));
+        });
+    }
+    println!();
+}
+
 fn main() {
     rows_curve();
     footprint_sweep();
     int8_sweep();
     square_sizes();
+    lane_kernels();
 }

@@ -1,13 +1,9 @@
 //! Elementwise and reduction kernels shared across the workspace.
 
-/// Numerically-stable in-place softmax over one row.
-///
-/// Fused single-temporary formulation: one pass for the max, one pass that
-/// exponentiates and accumulates the normalizer, one scale pass. Dispatches
-/// on the active SIMD backend (see [`crate::simd`]); every tier shares the
-/// same fully-masked fallback: a row of all `-inf` (as a causal mask can
-/// produce) becomes the uniform distribution instead of `0/0 = NaN`
-/// everywhere.
+/// Numerically-stable in-place softmax over one row on the active SIMD
+/// backend (see [`crate::simd`]): one pass for the max, one that
+/// exponentiates and sums, one scale pass. A row of all `-inf` (as a causal
+/// mask can produce) becomes the uniform distribution, not `0/0 = NaN`.
 pub fn softmax_row(row: &mut [f32]) {
     crate::simd::softmax_row_with(crate::simd::backend(), row);
 }

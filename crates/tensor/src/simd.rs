@@ -8,10 +8,9 @@
 //! the life of the process; code that must run a given tier (the cross-tier
 //! tests) calls the explicit `*_with` entries instead.
 //!
-//! Determinism contract: every kernel gives the same bits on both tiers.
-//! The AVX2 tier is the hand-written one; the scalar tier computes its
-//! per-element sequence in plain Rust, so the tier a process runs on moves
-//! no output bit.
+//! Determinism contract: every kernel gives the same bits on both tiers,
+//! because every kernel is one source compiled for both; the tier a process
+//! runs on moves no output bit.
 //!
 //! The f32 multi-row tile (`matmul_tile`) vectorizes across the *output*
 //! dimension and gives every output element the sequence `acc = fma(a, b,
@@ -29,14 +28,14 @@
 //! a register and where an operand is loaded from, never an element's
 //! arithmetic.
 //!
-//! Reductions ([`dot_with`], [`attn_scores_with`], the sum of squares in
-//! [`rms_norm_row_with`]) keep eight lane sums, each term one multiply then
-//! one add, combined in `hsum256_ps`'s order, then the tail in sequence.
-//! The transcendentals ([`softmax_row_with`], [`silu_mul_with`]) run the
-//! Cephes polynomial `exp` on full 8-blocks and libm `exp` on the tail; the
-//! scalar tier's `exp_lane` is one lane of `exp256_ps`, step for step. (A
-//! softmax row holding NaN is outside the contract: the scalar tier takes
-//! the row maximum as a plain fold, not in `maxps` lane order.)
+//! The f32 lane kernels ([`dot_with`], [`attn_scores_with`],
+//! [`attn_mix_with`], [`softmax_row_with`], [`silu_mul_with`], the f32 side
+//! of [`quantize_row_i8_with`]) are one source each, generic over an
+//! eight-lane type (`lanes`): `[f32; 8]`, whose methods do lane by lane what
+//! the AVX2 instructions do, NaN included, and an `__m256` newtype compiled
+//! `avx2,fma`. Reductions keep eight lane sums, each term one multiply then
+//! one add, combined in one fixed tree, then the tail in sequence; `exp` is a
+//! Cephes polynomial on full 8-blocks and libm `exp` on the tail.
 //!
 //! The int8 kernels accumulate in `i32`, which is exact and associative, so
 //! the int8 register tile (`matmul_q8_tile`, over int8 panels — see
@@ -49,6 +48,9 @@
 //! of 4-lane intrinsics measured within run-to-run noise of them
 //! (EXPERIMENTS.md § PR 20).
 
+mod lanes;
+
+use lanes::F32x8;
 #[cfg(target_arch = "x86_64")]
 use std::arch::x86_64::*;
 use std::sync::OnceLock;
@@ -184,24 +186,7 @@ fn select_backend() -> Backend {
 }
 
 // ---------------------------------------------------------------------------
-// Shared semantic helpers (single source of truth for every dispatch tier).
-// ---------------------------------------------------------------------------
-
-/// Fully-masked softmax fallback shared by both tiers: a
-/// row whose maximum is `-inf` becomes the uniform distribution instead of
-/// `0/0 = NaN` everywhere. Returns `true` when it handled the row.
-#[inline]
-fn softmax_uniform_fallback(row: &mut [f32], max: f32) -> bool {
-    if max == f32::NEG_INFINITY {
-        let uniform = 1.0 / row.len() as f32;
-        row.fill(uniform);
-        return true;
-    }
-    false
-}
-
-// ---------------------------------------------------------------------------
-// f32 kernels: the matmul tile and dot.
+// The f32 matmul tile.
 // ---------------------------------------------------------------------------
 
 /// `C += A·B` (`A: m×k`, `B: k×n`, `C: m×n`, row-major) through an explicit
@@ -421,101 +406,41 @@ fn matmul_tile<const MR: usize, const NR: usize>(
     }
 }
 
+/// What every f32 lane entry does once its operands are checked: lane kernel
+/// `$k` over `lanes::Avx2` in its `avx2,fma` wrapper, or over `[f32; 8]`.
+macro_rules! dispatch {
+    ($bk:expr, $k:ident($($arg:expr),*)) => {
+        match $bk {
+            // SAFETY: as in `matmul_acc_with`.
+            #[cfg(target_arch = "x86_64")]
+            Backend::Avx2 => unsafe { avx2::$k($($arg),*) },
+            _ => outlined(|| $k::<[f32; 8]>($($arg),*)),
+        }
+    };
+}
+
+/// `f()` out of line: inlined into an entry, a scalar kernel's register saves
+/// would slow every short AVX2-tier call by about a tenth.
+#[inline(never)]
+fn outlined<R>(f: impl FnOnce() -> R) -> R {
+    f()
+}
+
 /// Dot product through an explicit backend (lane-parallel reduction order,
 /// the same bits on every tier).
+///
+/// # Panics
+/// When `a` and `b` differ in length.
 #[inline]
 pub fn dot_with(bk: Backend, a: &[f32], b: &[f32]) -> f32 {
-    debug_assert_eq!(a.len(), b.len());
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { dot_avx2(a, b) },
-        _ => dot_scalar(a, b),
-    }
+    assert_eq!(a.len(), b.len(), "dot operands must have one length");
+    dispatch!(bk, dot(a, b))
 }
-
-/// The scalar tier's [`dot_avx2`]: eight lane sums, each term one multiply
-/// then one add, combined by [`hsum8`], then the tail in sequence.
-fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {
-    let full = a.len() - a.len() % 8;
-    let mut lanes = [0.0f32; 8];
-    for (ca, cb) in a[..full].chunks_exact(8).zip(b[..full].chunks_exact(8)) {
-        for ((s, x), y) in lanes.iter_mut().zip(ca).zip(cb) {
-            *s += x * y;
-        }
-    }
-    let mut s = hsum8(lanes);
-    for (x, y) in a[full..].iter().zip(&b[full..]) {
-        s += x * y;
-    }
-    s
-}
-
-/// [`hsum256_ps`]'s order over eight lane sums.
-fn hsum8(l: [f32; 8]) -> f32 {
-    ((l[0] + l[4]) + (l[2] + l[6])) + ((l[1] + l[5]) + (l[3] + l[7]))
-}
-
-#[inline]
-fn axpy_scalar(y: &mut [f32], s: f32, x: &[f32]) {
-    for (yv, xv) in y.iter_mut().zip(x.iter()) {
-        *yv += s * *xv;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn hsum256_ps(v: __m256) -> f32 {
-    let lo = _mm256_castps256_ps128(v);
-    let hi = _mm256_extractf128_ps(v, 1);
-    let s = _mm_add_ps(lo, hi);
-    let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-    let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-    _mm_cvtss_f32(s)
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        acc = _mm256_add_ps(
-            acc,
-            _mm256_mul_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i))),
-        );
-        i += 8;
-    }
-    let mut s = hsum256_ps(acc);
-    while i < n {
-        s += a[i] * b[i];
-        i += 1;
-    }
-    s
-}
-
-// ---------------------------------------------------------------------------
-// Batched attention kernels over the strided KV cache.
-//
-// The decode hot loop attends one query head over every cached position. A
-// per-position kernel call cannot inline across the `target_feature`
-// boundary, so at ctx 512 the call overhead would dominate the arithmetic.
-// These kernels take the whole position loop inside one dispatch:
-// `attn_scores_with` computes every `q·k_j` dot against rows of a strided
-// slab, `attn_mix_with` accumulates `Σ w_j·v_j` with the output held in
-// registers (one store pass instead of one read-modify-write pass per
-// position). Per element they perform the **identical arithmetic sequence**
-// as the per-position loops — same lane layout, same mul-then-add (no FMA),
-// same horizontal-sum, same j-order — so every tier's scores are
-// bit-identical to a loop of `dot_with` calls and every tier's mix to a
-// loop of the scalar `y += w·v` (asserted by
-// `attn_kernels_match_per_position_loops`).
-// ---------------------------------------------------------------------------
 
 /// `scores[j] = (q · keys[j·stride .. j·stride+d]) * scale` for every `j`,
 /// where `d = q.len()`. `keys` is a row-major slab whose rows are `stride`
-/// floats apart (the KV cache with the head offset already applied).
+/// floats apart (the KV cache with the head offset already applied). Every
+/// score has the bits of [`dot_with`] times `scale`.
 pub fn attn_scores_with(
     bk: Backend,
     scores: &mut [f32],
@@ -527,21 +452,14 @@ pub fn attn_scores_with(
     let d = q.len();
     debug_assert!(d <= stride, "head rows must fit inside the cache stride");
     if let Some(last) = scores.len().checked_sub(1) {
+        let need = last.checked_mul(stride).and_then(|n| n.checked_add(d));
         assert!(
-            keys.len() >= last * stride + d,
+            need.is_some_and(|n| keys.len() >= n),
             "keys slab too short for {} strided rows",
             scores.len()
         );
     }
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { attn_scores_avx2(scores, q, keys, stride, scale) },
-        _ => {
-            for (j, s) in scores.iter_mut().enumerate() {
-                *s = dot_scalar(q, &keys[j * stride..j * stride + d]) * scale;
-            }
-        }
-    }
+    dispatch!(bk, attn_scores(scores, q, keys, stride, scale))
 }
 
 /// `out[e] += Σ_j weights[j] · values[j·stride + e]` with the j-sum taken in
@@ -550,346 +468,21 @@ pub fn attn_mix_with(bk: Backend, out: &mut [f32], weights: &[f32], values: &[f3
     let d = out.len();
     debug_assert!(d <= stride, "head rows must fit inside the cache stride");
     if let Some(last) = weights.len().checked_sub(1) {
+        let need = last.checked_mul(stride).and_then(|n| n.checked_add(d));
         assert!(
-            values.len() >= last * stride + d,
+            need.is_some_and(|n| values.len() >= n),
             "values slab too short for {} strided rows",
             weights.len()
         );
     }
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { attn_mix_avx2(out, weights, values, stride) },
-        _ => {
-            for (j, &w) in weights.iter().enumerate() {
-                axpy_scalar(out, w, &values[j * stride..j * stride + d]);
-            }
-        }
-    }
+    dispatch!(bk, attn_mix(out, weights, values, stride))
 }
 
-/// Four interleaved `dot_avx2` chains (one per position) so the query block
-/// is loaded once per lane chunk and the out-of-order core sees four
-/// independent accumulators. Each chain's arithmetic is exactly
-/// `dot_avx2(q, row) * scale`.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attn_scores_avx2(scores: &mut [f32], q: &[f32], keys: &[f32], stride: usize, scale: f32) {
-    let d = q.len();
-    let qp = q.as_ptr();
-    let kp = keys.as_ptr();
-    let l = scores.len();
-    let mut j = 0usize;
-    while j + 8 <= l {
-        let k0 = kp.add(j * stride);
-        let k1 = kp.add((j + 1) * stride);
-        let k2 = kp.add((j + 2) * stride);
-        let k3 = kp.add((j + 3) * stride);
-        let k4 = kp.add((j + 4) * stride);
-        let k5 = kp.add((j + 5) * stride);
-        let k6 = kp.add((j + 6) * stride);
-        let k7 = kp.add((j + 7) * stride);
-        let mut acc0 = _mm256_setzero_ps();
-        let mut acc1 = _mm256_setzero_ps();
-        let mut acc2 = _mm256_setzero_ps();
-        let mut acc3 = _mm256_setzero_ps();
-        let mut acc4 = _mm256_setzero_ps();
-        let mut acc5 = _mm256_setzero_ps();
-        let mut acc6 = _mm256_setzero_ps();
-        let mut acc7 = _mm256_setzero_ps();
-        let mut i = 0usize;
-        while i + 8 <= d {
-            let vq = _mm256_loadu_ps(qp.add(i));
-            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(vq, _mm256_loadu_ps(k0.add(i))));
-            acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(vq, _mm256_loadu_ps(k1.add(i))));
-            acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(vq, _mm256_loadu_ps(k2.add(i))));
-            acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(vq, _mm256_loadu_ps(k3.add(i))));
-            acc4 = _mm256_add_ps(acc4, _mm256_mul_ps(vq, _mm256_loadu_ps(k4.add(i))));
-            acc5 = _mm256_add_ps(acc5, _mm256_mul_ps(vq, _mm256_loadu_ps(k5.add(i))));
-            acc6 = _mm256_add_ps(acc6, _mm256_mul_ps(vq, _mm256_loadu_ps(k6.add(i))));
-            acc7 = _mm256_add_ps(acc7, _mm256_mul_ps(vq, _mm256_loadu_ps(k7.add(i))));
-            i += 8;
-        }
-        let mut s = [
-            hsum256_ps(acc0),
-            hsum256_ps(acc1),
-            hsum256_ps(acc2),
-            hsum256_ps(acc3),
-            hsum256_ps(acc4),
-            hsum256_ps(acc5),
-            hsum256_ps(acc6),
-            hsum256_ps(acc7),
-        ];
-        while i < d {
-            let qv = *qp.add(i);
-            s[0] += qv * *k0.add(i);
-            s[1] += qv * *k1.add(i);
-            s[2] += qv * *k2.add(i);
-            s[3] += qv * *k3.add(i);
-            s[4] += qv * *k4.add(i);
-            s[5] += qv * *k5.add(i);
-            s[6] += qv * *k6.add(i);
-            s[7] += qv * *k7.add(i);
-            i += 1;
-        }
-        for (off, sv) in s.into_iter().enumerate() {
-            scores[j + off] = sv * scale;
-        }
-        j += 8;
-    }
-    while j < l {
-        scores[j] = dot_avx2(q, std::slice::from_raw_parts(kp.add(j * stride), d)) * scale;
-        j += 1;
-    }
-}
-
-/// Output held in up to eight ymm accumulators across the whole position
-/// loop: one load and one store of `out` per 64-lane chunk instead of one
-/// read-modify-write sweep per position. A single f32 mul-then-add has the
-/// same rounding in a SIMD lane as in scalar code, so any chunking of the
-/// element dimension leaves every element's j-ordered sum bit-identical.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn attn_mix_avx2(out: &mut [f32], weights: &[f32], values: &[f32], stride: usize) {
-    let d = out.len();
-    let op = out.as_mut_ptr();
-    let vp = values.as_ptr();
-    let mut e = 0usize;
-    while e + 64 <= d {
-        let mut a0 = _mm256_loadu_ps(op.add(e));
-        let mut a1 = _mm256_loadu_ps(op.add(e + 8));
-        let mut a2 = _mm256_loadu_ps(op.add(e + 16));
-        let mut a3 = _mm256_loadu_ps(op.add(e + 24));
-        let mut a4 = _mm256_loadu_ps(op.add(e + 32));
-        let mut a5 = _mm256_loadu_ps(op.add(e + 40));
-        let mut a6 = _mm256_loadu_ps(op.add(e + 48));
-        let mut a7 = _mm256_loadu_ps(op.add(e + 56));
-        for (j, &w) in weights.iter().enumerate() {
-            let vw = _mm256_set1_ps(w);
-            let row = vp.add(j * stride + e);
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(vw, _mm256_loadu_ps(row)));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(8))));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(16))));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(24))));
-            a4 = _mm256_add_ps(a4, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(32))));
-            a5 = _mm256_add_ps(a5, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(40))));
-            a6 = _mm256_add_ps(a6, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(48))));
-            a7 = _mm256_add_ps(a7, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(56))));
-        }
-        _mm256_storeu_ps(op.add(e), a0);
-        _mm256_storeu_ps(op.add(e + 8), a1);
-        _mm256_storeu_ps(op.add(e + 16), a2);
-        _mm256_storeu_ps(op.add(e + 24), a3);
-        _mm256_storeu_ps(op.add(e + 32), a4);
-        _mm256_storeu_ps(op.add(e + 40), a5);
-        _mm256_storeu_ps(op.add(e + 48), a6);
-        _mm256_storeu_ps(op.add(e + 56), a7);
-        e += 64;
-    }
-    while e + 32 <= d {
-        let mut a0 = _mm256_loadu_ps(op.add(e));
-        let mut a1 = _mm256_loadu_ps(op.add(e + 8));
-        let mut a2 = _mm256_loadu_ps(op.add(e + 16));
-        let mut a3 = _mm256_loadu_ps(op.add(e + 24));
-        for (j, &w) in weights.iter().enumerate() {
-            let vw = _mm256_set1_ps(w);
-            let row = vp.add(j * stride + e);
-            a0 = _mm256_add_ps(a0, _mm256_mul_ps(vw, _mm256_loadu_ps(row)));
-            a1 = _mm256_add_ps(a1, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(8))));
-            a2 = _mm256_add_ps(a2, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(16))));
-            a3 = _mm256_add_ps(a3, _mm256_mul_ps(vw, _mm256_loadu_ps(row.add(24))));
-        }
-        _mm256_storeu_ps(op.add(e), a0);
-        _mm256_storeu_ps(op.add(e + 8), a1);
-        _mm256_storeu_ps(op.add(e + 16), a2);
-        _mm256_storeu_ps(op.add(e + 24), a3);
-        e += 32;
-    }
-    while e + 8 <= d {
-        let mut acc = _mm256_loadu_ps(op.add(e));
-        for (j, &w) in weights.iter().enumerate() {
-            let vw = _mm256_set1_ps(w);
-            acc = _mm256_add_ps(
-                acc,
-                _mm256_mul_ps(vw, _mm256_loadu_ps(vp.add(j * stride + e))),
-            );
-        }
-        _mm256_storeu_ps(op.add(e), acc);
-        e += 8;
-    }
-    while e < d {
-        let mut acc = *op.add(e);
-        for (j, &w) in weights.iter().enumerate() {
-            acc += w * *vp.add(j * stride + e);
-        }
-        *op.add(e) = acc;
-        e += 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Transcendental / reduction kernels: softmax, silu⊙, rms_norm.
-// ---------------------------------------------------------------------------
-
-/// Lane-parallel `e^x` (Cephes-style range reduction + degree-5 polynomial,
-/// relative error ≲ 2e-7). Inputs are clamped to the finite-result range;
-/// an exact-zero input yields exactly 1.0.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn exp256_ps(x: __m256) -> __m256 {
-    let exp_hi = _mm256_set1_ps(88.37626);
-    let exp_lo = _mm256_set1_ps(-88.37626);
-    let log2ef = _mm256_set1_ps(std::f32::consts::LOG2_E);
-    let c1 = _mm256_set1_ps(0.693_359_4);
-    let c2 = _mm256_set1_ps(-2.121_944_4e-4);
-    let p0 = _mm256_set1_ps(1.987_569_1e-4);
-    let p1 = _mm256_set1_ps(1.398_199_9e-3);
-    let p2 = _mm256_set1_ps(8.333_452e-3);
-    let p3 = _mm256_set1_ps(4.166_579_6e-2);
-    let p4 = _mm256_set1_ps(1.666_666_5e-1);
-    let p5 = _mm256_set1_ps(5e-1);
-    let one = _mm256_set1_ps(1.0);
-
-    let x = _mm256_min_ps(_mm256_max_ps(x, exp_lo), exp_hi);
-    // n = round(x·log2e); reduced x ∈ [-0.347, 0.347].
-    let fx = _mm256_floor_ps(_mm256_add_ps(_mm256_mul_ps(x, log2ef), _mm256_set1_ps(0.5)));
-    let x = _mm256_sub_ps(
-        _mm256_sub_ps(x, _mm256_mul_ps(fx, c1)),
-        _mm256_mul_ps(fx, c2),
-    );
-    let z = _mm256_mul_ps(x, x);
-    let mut y = p0;
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), p1);
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), p2);
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), p3);
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), p4);
-    y = _mm256_add_ps(_mm256_mul_ps(y, x), p5);
-    y = _mm256_add_ps(_mm256_add_ps(_mm256_mul_ps(y, z), x), one);
-    // Scale by 2^n via the exponent bits.
-    let pow2n = _mm256_castsi256_ps(_mm256_slli_epi32(
-        _mm256_add_epi32(_mm256_cvttps_epi32(fx), _mm256_set1_epi32(0x7f)),
-        23,
-    ));
-    _mm256_mul_ps(y, pow2n)
-}
-
-/// One lane of [`exp256_ps`], step for step and one rounding per step: the
-/// clamp mirrors `maxps` / `minps` (the second operand unless the compare
-/// holds, so NaN clamps to the low bound), then the same floor, reduction,
-/// polynomial and exponent-bit scale.
-fn exp_lane(x: f32) -> f32 {
-    let x = if x > -88.37626 { x } else { -88.37626 };
-    let x = if x < 88.37626 { x } else { 88.37626 };
-    let fx = (x * std::f32::consts::LOG2_E + 0.5).floor();
-    let x = (x - fx * 0.693_359_4) - fx * -2.121_944_4e-4;
-    let z = x * x;
-    let y = 1.987_569_1e-4 * x + 1.398_199_9e-3;
-    let y = y * x + 8.333_452e-3;
-    let y = y * x + 4.166_579_6e-2;
-    let y = y * x + 1.666_666_5e-1;
-    let y = y * x + 5e-1;
-    let y = (y * z + x) + 1.0;
-    // `fx` is a whole number within ±128 after the clamp, so the cast
-    // truncates exactly as `cvttps` does.
-    let n = fx as i32;
-    y * f32::from_bits(((n + 0x7f) << 23) as u32)
-}
-
-/// In-place softmax through an explicit backend. Every tier shares
-/// [`softmax_uniform_fallback`] for fully-masked rows.
+/// In-place softmax through an explicit backend. A fully-masked row (its
+/// maximum `-inf`) becomes the uniform distribution instead of `0/0 = NaN`
+/// everywhere.
 pub fn softmax_row_with(bk: Backend, row: &mut [f32]) {
-    if row.is_empty() {
-        return;
-    }
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { softmax_row_avx2(row) },
-        _ => softmax_row_scalar(row),
-    }
-}
-
-/// The scalar tier's [`softmax_row_avx2`]: full 8-blocks through
-/// [`exp_lane`] into eight lane sums combined by [`hsum8`], the tail through
-/// libm `exp`. The maximum needs no lane order: `max` over NaN-free floats
-/// is exact, and the sign of a zero maximum cannot reach an `exp`.
-fn softmax_row_scalar(row: &mut [f32]) {
-    let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-    if softmax_uniform_fallback(row, max) {
-        return;
-    }
-    let full = row.len() - row.len() % 8;
-    let mut lanes = [0.0f32; 8];
-    for block in row[..full].chunks_exact_mut(8) {
-        for (v, s) in block.iter_mut().zip(&mut lanes) {
-            *v = exp_lane(*v - max);
-            *s += *v;
-        }
-    }
-    let mut sum = hsum8(lanes);
-    for v in &mut row[full..] {
-        *v = (*v - max).exp();
-        sum += *v;
-    }
-    let inv = 1.0 / sum;
-    for v in row.iter_mut() {
-        *v *= inv;
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn softmax_row_avx2(row: &mut [f32]) {
-    let n = row.len();
-    let p = row.as_mut_ptr();
-    let mut i = 0usize;
-    let mut max = f32::NEG_INFINITY;
-    if n >= 8 {
-        let mut vmax = _mm256_loadu_ps(p);
-        i = 8;
-        while i + 8 <= n {
-            vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(p.add(i)));
-            i += 8;
-        }
-        let lo = _mm256_castps256_ps128(vmax);
-        let hi = _mm256_extractf128_ps(vmax, 1);
-        let m4 = _mm_max_ps(lo, hi);
-        let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-        let m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1));
-        max = _mm_cvtss_f32(m1);
-    }
-    while i < n {
-        max = max.max(row[i]);
-        i += 1;
-    }
-    if softmax_uniform_fallback(row, max) {
-        return;
-    }
-    let vm = _mm256_set1_ps(max);
-    let mut vsum = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let e = exp256_ps(_mm256_sub_ps(_mm256_loadu_ps(p.add(i)), vm));
-        _mm256_storeu_ps(p.add(i), e);
-        vsum = _mm256_add_ps(vsum, e);
-        i += 8;
-    }
-    let mut sum = hsum256_ps(vsum);
-    while i < n {
-        let e = (row[i] - max).exp();
-        row[i] = e;
-        sum += e;
-        i += 1;
-    }
-    let inv = 1.0 / sum;
-    let vinv = _mm256_set1_ps(inv);
-    let mut i = 0usize;
-    while i + 8 <= n {
-        _mm256_storeu_ps(p.add(i), _mm256_mul_ps(_mm256_loadu_ps(p.add(i)), vinv));
-        i += 8;
-    }
-    while i < n {
-        row[i] *= inv;
-        i += 1;
-    }
+    dispatch!(bk, softmax(row))
 }
 
 /// Fused SwiGLU elementwise kernel: `gate[i] = silu(gate[i]) * up[i]`.
@@ -901,45 +494,7 @@ pub fn silu_mul(gate: &mut [f32], up: &[f32]) {
 /// [`silu_mul`] through an explicit backend.
 pub fn silu_mul_with(bk: Backend, gate: &mut [f32], up: &[f32]) {
     assert_eq!(gate.len(), up.len());
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { silu_mul_avx2(gate, up) },
-        // `silu_mul_avx2`'s sequence: `exp_lane` on full 8-blocks, libm on
-        // the tail.
-        _ => {
-            let full = gate.len() - gate.len() % 8;
-            let (body, tail) = gate.split_at_mut(full);
-            for (g, u) in body.iter_mut().zip(up) {
-                *g = *g / (1.0 + exp_lane(0.0 - *g)) * u;
-            }
-            for (g, u) in tail.iter_mut().zip(&up[full..]) {
-                *g = crate::ops::silu(*g) * u;
-            }
-        }
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn silu_mul_avx2(gate: &mut [f32], up: &[f32]) {
-    let n = gate.len();
-    let gp = gate.as_mut_ptr();
-    let upp = up.as_ptr();
-    let one = _mm256_set1_ps(1.0);
-    let zero = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let g = _mm256_loadu_ps(gp.add(i));
-        // silu(g) = g / (1 + e^{-g})
-        let e = exp256_ps(_mm256_sub_ps(zero, g));
-        let s = _mm256_div_ps(g, _mm256_add_ps(one, e));
-        _mm256_storeu_ps(gp.add(i), _mm256_mul_ps(s, _mm256_loadu_ps(upp.add(i))));
-        i += 8;
-    }
-    while i < n {
-        gate[i] = crate::ops::silu(gate[i]) * up[i];
-        i += 1;
-    }
+    dispatch!(bk, swiglu(gate, up))
 }
 
 /// RMS-norm one row: `out = x · gain / rms(x)`. The sum of squares is
@@ -960,97 +515,250 @@ pub fn rms_norm_row_with(bk: Backend, x: &[f32], gain: &[f32], eps: f32, out: &m
     }
 }
 
+/// Absmax-quantize one row to codes in `[-127, 127]`, returning the scale
+/// `absmax / 127` (0.0 for an all-zero row); identical on every tier.
+pub fn quantize_row_i8_with(bk: Backend, x: &[f32], q: &mut [i8]) -> f32 {
+    assert_eq!(x.len(), q.len());
+    dispatch!(bk, quantize(x, q))
+}
+
+/// Eight lane sums of `a[i]·b[i]`, each term one multiply then one add,
+/// combined by `hsum`, then the tail in sequence (`a.len() == b.len()`).
+#[inline(always)]
+fn dot<V: F32x8>(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = V::splat(0.0);
+    for (x, y) in a.chunks_exact(8).zip(b.chunks_exact(8)) {
+        acc = acc.add(V::read(x).mul(V::read(y)));
+    }
+    let full = a.len() - a.len() % 8;
+    let mut s = acc.hsum();
+    for (x, y) in a[full..].iter().zip(&b[full..]) {
+        s += x * y;
+    }
+    s
+}
+
+/// Eight positions at a time, then the rest one at a time; every score is
+/// `dot(q, row) * scale`.
+#[inline(always)]
+fn attn_scores<V: F32x8>(scores: &mut [f32], q: &[f32], keys: &[f32], stride: usize, scale: f32) {
+    let j = score_rows::<V, 8>(scores, 0, q, keys, stride, scale);
+    score_rows::<V, 1>(scores, j, q, keys, stride, scale);
+}
+
+/// The scores from position `j` on in groups of `R` interleaved dot
+/// products, each `q` chunk loaded once per group; returns where they stop.
+#[inline(always)]
+fn score_rows<V: F32x8, const R: usize>(
+    scores: &mut [f32],
+    mut j: usize,
+    q: &[f32],
+    keys: &[f32],
+    stride: usize,
+    scale: f32,
+) -> usize {
+    let full = q.len() - q.len() % 8;
+    while scores.len() - j >= R {
+        // SAFETY: `j + r` indexes a score, and the entry asserted that
+        // `keys` holds `d` floats at every score's row offset.
+        let rows: [*const f32; R] =
+            std::array::from_fn(|r| unsafe { keys.as_ptr().add((j + r) * stride) });
+        let mut acc = [V::splat(0.0); R];
+        for (c, qc) in q.chunks_exact(8).enumerate() {
+            let vq = V::read(qc);
+            for (a, row) in acc.iter_mut().zip(rows) {
+                // SAFETY: floats `8c .. 8c + 8 <= d` of an asserted row.
+                *a = a.add(vq.mul(unsafe { V::load(row.add(8 * c)) }));
+            }
+        }
+        let mut sums = [0.0f32; R];
+        for (s, a) in sums.iter_mut().zip(acc) {
+            *s = a.hsum();
+        }
+        for (t, &qt) in q.iter().enumerate().skip(full) {
+            for (s, row) in sums.iter_mut().zip(rows) {
+                // SAFETY: float `t < d` of an asserted row.
+                *s += qt * unsafe { *row.add(t) };
+            }
+        }
+        for (o, s) in scores[j..j + R].iter_mut().zip(sums) {
+            *o = s * scale;
+        }
+        j += R;
+    }
+    j
+}
+
+/// The output in spans of 64, 32, then 8 lanes, each span held in registers
+/// across every position; the last `d % 8` elements one at a time.
+#[inline(always)]
+fn attn_mix<V: F32x8>(out: &mut [f32], weights: &[f32], values: &[f32], stride: usize) {
+    let e = mix_spans::<V, 8>(out, 0, weights, values, stride);
+    let e = mix_spans::<V, 4>(out, e, weights, values, stride);
+    let e = mix_spans::<V, 1>(out, e, weights, values, stride);
+    for (e, o) in out.iter_mut().enumerate().skip(e) {
+        for (j, w) in weights.iter().enumerate() {
+            *o += w * values[j * stride + e];
+        }
+    }
+}
+
+/// `out[e..] += Σ_j weights[j] · values[j·stride + e..]` over as many spans
+/// of `8N` elements as fit; returns where the spans stopped.
+#[inline(always)]
+fn mix_spans<V: F32x8, const N: usize>(
+    out: &mut [f32],
+    mut e: usize,
+    weights: &[f32],
+    values: &[f32],
+    stride: usize,
+) -> usize {
+    while out.len() - e >= 8 * N {
+        let span = &mut out[e..e + 8 * N];
+        let mut acc = [V::splat(0.0); N];
+        for (a, o) in acc.iter_mut().zip(span.chunks_exact(8)) {
+            *a = V::read(o);
+        }
+        for (j, &w) in weights.iter().enumerate() {
+            // SAFETY: the entry asserted that `values` holds `d` floats at
+            // every weight's row offset, and `e < d`.
+            let (w, row) = (V::splat(w), unsafe { values.as_ptr().add(j * stride + e) });
+            for (h, a) in acc.iter_mut().enumerate() {
+                // SAFETY: `e + 8N <= d` floats of a row the entry asserted.
+                *a = a.add(w.mul(unsafe { V::load(row.add(8 * h)) }));
+            }
+        }
+        for (a, o) in acc.into_iter().zip(span.chunks_exact_mut(8)) {
+            a.write(o);
+        }
+        e += 8 * N;
+    }
+    e
+}
+
+/// Lane-parallel `e^x` (Cephes-style range reduction + degree-5 polynomial,
+/// relative error ≲ 2e-7). Inputs are clamped to the finite-result range
+/// (NaN to its low end); an exact-zero input yields exactly 1.0.
+#[inline(always)]
+fn exp<V: F32x8>(x: V) -> V {
+    let c = V::splat;
+    let x = x.max(c(-88.37626)).min(c(88.37626));
+    // n = round(x·log2e); reduced x ∈ [-0.347, 0.347].
+    let n = x.mul(c(std::f32::consts::LOG2_E)).add(c(0.5)).floor();
+    let x = x.sub(n.mul(c(0.693_359_4))).sub(n.mul(c(-2.121_944_4e-4)));
+    let mut y = c(1.987_569_1e-4);
+    for p in [1.398_199_9e-3, 8.333_452e-3, 4.166_579_6e-2, 1.666_666_5e-1] {
+        y = y.mul(x).add(c(p));
+    }
+    let y = y.mul(x).add(c(5e-1)).mul(x.mul(x)).add(x).add(c(1.0));
+    y.mul(n.pow2())
+}
+
+/// The row maximum in `maxps` order over full 8-blocks, then `f32::max`
+/// over the tail; [`exp`] on full 8-blocks into eight lane sums, libm `exp`
+/// on the tail; one reciprocal, one multiply per element.
+#[inline(always)]
+fn softmax<V: F32x8>(row: &mut [f32]) {
+    let full = row.len() - row.len() % 8;
+    // `maxps(-inf, v)` is `v` for every `v`, NaN included.
+    let mut m = V::splat(f32::NEG_INFINITY);
+    for b in row[..full].chunks_exact(8) {
+        m = m.max(V::read(b));
+    }
+    let max = row[full..].iter().fold(m.hmax(), |max, &v| max.max(v));
+    if max == f32::NEG_INFINITY {
+        row.fill(1.0 / row.len() as f32);
+        return;
+    }
+    let (body, tail) = row.split_at_mut(full);
+    let mut sum = V::splat(0.0);
+    for b in body.chunks_exact_mut(8) {
+        let e = exp(V::read(b).sub(V::splat(max)));
+        e.write(b);
+        sum = sum.add(e);
+    }
+    let mut sum = sum.hsum();
+    for v in tail.iter_mut() {
+        *v = (*v - max).exp();
+        sum += *v;
+    }
+    let inv = 1.0 / sum;
+    for b in body.chunks_exact_mut(8) {
+        V::read(b).mul(V::splat(inv)).write(b);
+    }
+    for v in tail {
+        *v *= inv;
+    }
+}
+
+/// `silu(g)·u` as `g / (1 + exp(0 − g)) · u` with [`exp`] on full 8-blocks,
+/// [`crate::ops::silu`] on the tail.
+#[inline(always)]
+fn swiglu<V: F32x8>(gate: &mut [f32], up: &[f32]) {
+    let full = gate.len() - gate.len() % 8;
+    let one = V::splat(1.0);
+    for (g, u) in gate.chunks_exact_mut(8).zip(up.chunks_exact(8)) {
+        let x = V::read(g);
+        let silu = x.div(one.add(exp(V::splat(0.0).sub(x))));
+        silu.mul(V::read(u)).write(g);
+    }
+    for (g, u) in gate[full..].iter_mut().zip(&up[full..]) {
+        *g = crate::ops::silu(*g) * u;
+    }
+}
+
+/// The absmax in `maxps` order over full 8-blocks, then `f32::max` over the
+/// tail; the codes as described at [`quantize_row_i8_with`].
+#[inline(always)]
+fn quantize<V: F32x8>(x: &[f32], q: &mut [i8]) -> f32 {
+    let full = x.len() - x.len() % 8;
+    let mut m = V::splat(0.0);
+    for b in x.chunks_exact(8) {
+        m = m.max(V::read(b).abs());
+    }
+    let absmax = x[full..].iter().fold(m.hmax(), |max, v| max.max(v.abs()));
+    if absmax == 0.0 {
+        q.fill(0);
+        return 0.0;
+    }
+    let inv = 127.0 / absmax;
+    for (b, c) in x.chunks_exact(8).zip(q.chunks_exact_mut(8)) {
+        c.copy_from_slice(&V::read(b).mul(V::splat(inv)).round().to_i8());
+    }
+    for (c, &v) in q[full..].iter_mut().zip(&x[full..]) {
+        *c = (v * inv).round().clamp(-127.0, 127.0) as i8;
+    }
+    absmax / 127.0
+}
+
+/// Each lane kernel over `lanes::Avx2`, compiled `avx2,fma`: called only for
+/// `Backend::Avx2`, which runs only on hosts reporting both features.
+#[cfg(target_arch = "x86_64")]
+mod avx2 {
+    use super::lanes::Avx2;
+
+    macro_rules! on_avx2 {
+        ($($name:ident($($arg:ident: $ty:ty),*) $(-> $ret:ty)?;)*) => {$(
+            #[target_feature(enable = "avx2,fma")]
+            pub(super) fn $name($($arg: $ty),*) $(-> $ret)? {
+                super::$name::<Avx2>($($arg),*)
+            }
+        )*};
+    }
+
+    on_avx2! {
+        dot(a: &[f32], b: &[f32]) -> f32;
+        attn_scores(scores: &mut [f32], q: &[f32], keys: &[f32], stride: usize, scale: f32);
+        attn_mix(out: &mut [f32], weights: &[f32], values: &[f32], stride: usize);
+        softmax(row: &mut [f32]);
+        swiglu(gate: &mut [f32], up: &[f32]);
+        quantize(x: &[f32], q: &mut [i8]) -> f32;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // int8 kernels (exact i32 accumulation on every tier).
 // ---------------------------------------------------------------------------
-
-/// Absmax-quantize one row to i8 codes, returning the scale `absmax / 127`
-/// (0.0 for an all-zero row). Every tier produces **identical codes and
-/// scale**: `max` over finite floats is exactly associative (so the lane
-/// reduction finds the same absmax as the scalar fold), the `v·inv` multiply
-/// rounds identically in a SIMD lane and in scalar code, and the AVX2 path
-/// reproduces `f32::round`'s half-away-from-zero rule exactly via
-/// `trunc(t + copysign(0.5, t))` — the add is exact for every |t| ≤ 2²²,
-/// far above the 127 this input reaches.
-pub fn quantize_row_i8_with(bk: Backend, x: &[f32], q: &mut [i8]) -> f32 {
-    assert_eq!(x.len(), q.len());
-    match bk {
-        #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { quantize_row_i8_avx2(x, q) },
-        _ => quantize_row_i8_scalar(x, q),
-    }
-}
-
-fn quantize_row_i8_scalar(x: &[f32], q: &mut [i8]) -> f32 {
-    let absmax = x.iter().fold(0.0f32, |m, v| m.max(v.abs()));
-    if absmax == 0.0 {
-        q.fill(0);
-        return 0.0;
-    }
-    let scale = absmax / 127.0;
-    let inv = 127.0 / absmax;
-    for (qv, &v) in q.iter_mut().zip(x.iter()) {
-        *qv = (v * inv).round().clamp(-127.0, 127.0) as i8;
-    }
-    scale
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn quantize_row_i8_avx2(x: &[f32], q: &mut [i8]) -> f32 {
-    let n = x.len();
-    let xp = x.as_ptr();
-    let sign_mask = _mm256_set1_ps(-0.0);
-    let mut vmax = _mm256_setzero_ps();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let v = _mm256_andnot_ps(sign_mask, _mm256_loadu_ps(xp.add(i)));
-        vmax = _mm256_max_ps(vmax, v);
-        i += 8;
-    }
-    let lo = _mm256_castps256_ps128(vmax);
-    let hi = _mm256_extractf128_ps(vmax, 1);
-    let m4 = _mm_max_ps(lo, hi);
-    let m2 = _mm_max_ps(m4, _mm_movehl_ps(m4, m4));
-    let m1 = _mm_max_ss(m2, _mm_shuffle_ps(m2, m2, 1));
-    let mut absmax = _mm_cvtss_f32(m1);
-    while i < n {
-        absmax = absmax.max(x[i].abs());
-        i += 1;
-    }
-    if absmax == 0.0 {
-        q.fill(0);
-        return 0.0;
-    }
-    let scale = absmax / 127.0;
-    let inv = 127.0 / absmax;
-    let vinv = _mm256_set1_ps(inv);
-    let vhalf = _mm256_set1_ps(0.5);
-    let qp = q.as_mut_ptr();
-    let mut i = 0usize;
-    while i + 8 <= n {
-        let t = _mm256_mul_ps(_mm256_loadu_ps(xp.add(i)), vinv);
-        // Half-away-from-zero, exactly like `f32::round`: copy t's sign onto
-        // 0.5, add (exact in this range), truncate toward zero.
-        let half = _mm256_or_ps(vhalf, _mm256_and_ps(sign_mask, t));
-        let r = _mm256_round_ps(
-            _mm256_add_ps(t, half),
-            _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC,
-        );
-        // |t| < 127.001, so the saturating packs below cannot clip a value
-        // the scalar clamp would have kept.
-        let ri = _mm256_cvtps_epi32(r);
-        let p16 = _mm_packs_epi32(_mm256_castsi256_si128(ri), _mm256_extracti128_si256(ri, 1));
-        let p8 = _mm_packs_epi16(p16, p16);
-        _mm_storel_epi64(qp.add(i) as *mut __m128i, p8);
-        i += 8;
-    }
-    while i < n {
-        *qp.add(i) = (x[i] * inv).round().clamp(-127.0, 127.0) as i8;
-        i += 1;
-    }
-    scale
-}
 
 /// Output columns per int8 panel: two 8-lane i32 accumulators.
 pub(crate) const Q8_COLS: usize = 16;
@@ -1642,6 +1350,44 @@ mod tests {
         }
     }
 
+    /// `dot_with` (and the process-tier `dot` on top of it) refuses operands
+    /// of different lengths on every tier, in release builds too: the AVX2
+    /// tier would read a shorter `b` past its end, and a longer one would be
+    /// cut silently.
+    #[test]
+    fn dot_rejects_operands_of_different_lengths_on_every_tier() {
+        for (a, b) in [(16, 8), (8, 16), (3, 4), (9, 0)] {
+            let (a, b) = (vec![0.0f32; a], vec![0.0f32; b]);
+            for bk in supported() {
+                let r = std::panic::catch_unwind(|| dot_with(bk, &a, &b));
+                assert!(r.is_err(), "{} took {} · {}", bk.name(), a.len(), b.len());
+            }
+            assert!(std::panic::catch_unwind(|| crate::dot(&a, &b)).is_err());
+        }
+    }
+
+    /// The attention entries refuse a slab that cannot hold every strided
+    /// row on every tier, a `stride` whose row offsets overflow `usize`
+    /// included: the rows are read by pointer.
+    #[test]
+    fn attn_entries_reject_short_or_overflowing_slabs_on_every_tier() {
+        let (q, slab) = ([0.0f32; 8], [0.0f32; 64]);
+        for (l, stride) in [(3, 30), (3, usize::MAX / 2 + 1), (2, usize::MAX)] {
+            for bk in supported() {
+                let mut scores = vec![0.0f32; l];
+                let r = std::panic::catch_unwind(move || {
+                    attn_scores_with(bk, &mut scores, &q, &slab, stride, 1.0)
+                });
+                assert!(r.is_err(), "{} scores l={l} stride={stride}", bk.name());
+                let (w, mut out) = (vec![1.0f32; l], vec![0.0f32; 8]);
+                let r = std::panic::catch_unwind(move || {
+                    attn_mix_with(bk, &mut out, &w, &slab, stride)
+                });
+                assert!(r.is_err(), "{} mix l={l} stride={stride}", bk.name());
+            }
+        }
+    }
+
     /// The batched attention kernels must be **bit-identical** on every tier
     /// to per-position loops — `dot_with` on the scalar tier for the scores,
     /// the scalar `y += w·v` for the mix — over
@@ -1677,7 +1423,9 @@ mod tests {
                     attn_mix_with(bk, &mut out, &w, &slab, stride);
                     let mut want = out0.clone();
                     for j in 0..l {
-                        axpy_scalar(&mut want, w[j], &slab[j * stride..j * stride + d]);
+                        for (y, v) in want.iter_mut().zip(&slab[j * stride..]) {
+                            *y += w[j] * v;
+                        }
                     }
                     for e in 0..d {
                         assert_eq!(
@@ -1692,7 +1440,9 @@ mod tests {
         }
     }
 
-    /// Softmax is **bitwise** the scalar tier's on every tier.
+    /// Softmax is **bitwise** the scalar tier's on every tier, rows holding
+    /// a NaN included: one inside a full 8-block, where it meets the `maxps`
+    /// tree, and one in the tail, where it meets `f32::max`.
     #[test]
     fn softmax_agrees_across_backends() {
         let mut rng = Rng::new(0x50F);
@@ -1706,6 +1456,21 @@ mod tests {
                 let mut p = base.clone();
                 softmax_row_with(bk, &mut p);
                 assert_eq!(bits(&p), bits(&p_ref), "{} n={n}", bk.name());
+            }
+            // The last lane of the last full block, where `maxps` hands the
+            // NaN on through the tree, and the last tail element.
+            let full = n - n % 8;
+            let nan_at = [full.checked_sub(1), Some(n - 1).filter(|_| full < n)];
+            for at in nan_at.into_iter().flatten() {
+                let mut row = base.clone();
+                row[at] = f32::NAN;
+                let mut want = row.clone();
+                softmax_row_with(Backend::Scalar, &mut want);
+                for bk in supported() {
+                    let mut p = row.clone();
+                    softmax_row_with(bk, &mut p);
+                    assert_eq!(bits(&p), bits(&want), "{} n={n} NaN at {at}", bk.name());
+                }
             }
         }
     }
