@@ -115,10 +115,15 @@ if [[ "${1:-}" != "--quick" ]]; then
     # f32 tile gives the f32 target and the draft's f32 training (PR 25
     # re-based them from 863 / 4008 / 2161, the multiply-then-add tile's
     # counts under PR 22's int8 draft; PR 22 from 862 / 4005 / 2162, which
-    # the f32 draft had reproduced since the benchmark landed). serve-batch
-    # pins the engine's path as well: admission, vision-cache misses, the
-    # draft's vision seeding and the scheduler.
+    # the f32 draft had reproduced since the benchmark landed). solo-prefill
+    # pins the vision tower, connector and projector seeding on one stream.
+    # serve-poisson and serve-batch pin the engine's path as well:
+    # admission, vision-cache hits and misses, the draft's vision seeding
+    # and the scheduler at its default worker count (one per core), so a
+    # count that came to depend on threads fails here at benchmark scale.
     for pin in "solo-decode=blocks: 874, drafted: 4056, accepted: 2150" \
+        "solo-prefill=blocks: 483, drafted: 634, accepted: 285" \
+        "serve-poisson=blocks: 1127, drafted: 3160, accepted: 1953" \
         "serve-batch=blocks: 3856, drafted: 11054, accepted: 6672"; do
         workload=${pin%%=*}
         pinned=${pin#*=}

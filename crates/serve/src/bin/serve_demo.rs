@@ -18,7 +18,6 @@ fn main() {
         EngineModel::Text { target, draft },
         EngineConfig {
             slots: 4,
-            workers: 1,
             max_queue: 32,
             ..EngineConfig::default()
         },

@@ -32,9 +32,13 @@
 //!   turn, afterwards one speculative block (or one AR token). Every slot
 //!   sits behind its own lock and holds one [`Session`], so there is one
 //!   admission path, one publish-and-account step and one completion
-//!   path for every request. With `cfg.workers > 1` a tick fans its slots
-//!   across scoped threads; sessions own their leases and scratch, so
-//!   worker count changes interleaving but never tokens (pinned by the
+//!   path for every request. `Engine::new` spawns `cfg.workers − 1`
+//!   persistent helper threads (the crew) once; a tick with more than one
+//!   occupied slot wakes up to `active − 1` of them to sweep the slots
+//!   beside the calling thread, and they park again until the next tick.
+//!   `workers` defaults to the host's core count. Sessions own their
+//!   leases and scratch and admission stays FIFO on the calling thread,
+//!   so worker count changes interleaving but never tokens (pinned by the
 //!   root determinism test).
 //!
 //! Losslessness survives scheduling by construction: the per-block state
@@ -43,9 +47,12 @@
 //! exactly the budget bound — a served completion is token-identical to a
 //! single-request `Session::run` with the same models and prompt.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
@@ -129,8 +136,12 @@ pub struct EngineConfig {
     /// longer scales with this alone — sessions lease KV blocks from the
     /// shared pools, so many short requests fit where few long ones would.
     pub slots: usize,
-    /// Scheduler threads: a tick fans its sessions across this many scoped
-    /// threads (1 steps every session inline with zero spawn overhead).
+    /// Scheduler threads, the ticking one included: `Engine::new` spawns
+    /// `workers − 1` persistent helpers (at most `slots − 1`), and a tick
+    /// sweeps its sessions on up to this many threads. 1 steps every
+    /// session inline. Defaults to the host's core count
+    /// (`available_parallelism`, capped at the default `slots`; 1 if the
+    /// host cannot say).
     pub workers: usize,
     /// Admission cap: a submit that would push the queue past this is
     /// rejected with [`Rejection::Busy`].
@@ -149,9 +160,10 @@ pub struct EngineConfig {
 
 impl Default for EngineConfig {
     fn default() -> Self {
+        let slots = 4;
         Self {
-            slots: 4,
-            workers: 1,
+            slots,
+            workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(slots)),
             max_queue: 64,
             block_size: 16,
             t_pool_blocks: 0,
@@ -324,6 +336,83 @@ struct LeasePlan {
     d_capacity: Option<usize>,
 }
 
+/// The scheduler's persistent helper threads. They park on `wake` between
+/// ticks; a tick offers sweep turns, and each helper takes at most one per
+/// wake-up.
+#[derive(Default)]
+struct Crew {
+    state: Mutex<CrewState>,
+    /// Helpers park here between ticks.
+    wake: Condvar,
+    /// The ticking thread waits here for the helpers that took a turn.
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct CrewState {
+    /// Sweep turns the current tick still offers.
+    offered: usize,
+    /// Helpers sweeping now.
+    running: usize,
+    /// The first panic a helper's sweep raised this tick.
+    panic: Option<Box<dyn Any + Send>>,
+    /// Set once by `Drop for Engine`: every helper returns.
+    stop: bool,
+}
+
+impl Crew {
+    /// Offer `turns` sweep turns, waking at most that many parked helpers.
+    fn offer(&self, turns: usize) {
+        self.state.lock().expect("crew lock poisoned").offered = turns;
+        for _ in 0..turns {
+            self.wake.notify_one();
+        }
+    }
+
+    /// Withdraw the turns no helper took, wait until every helper that took
+    /// one has reported done, and return the first panic among them.
+    fn finish(&self) -> Option<Box<dyn Any + Send>> {
+        let mut state = self.state.lock().expect("crew lock poisoned");
+        state.offered = 0;
+        while state.running > 0 {
+            state = self.done.wait(state).expect("crew lock poisoned");
+        }
+        state.panic.take()
+    }
+}
+
+/// A helper's life: park, take a turn, sweep, report; until `stop`.
+fn crew_helper(crew: &Crew, engine: &Weak<Engine>) {
+    loop {
+        {
+            let mut state = crew.state.lock().expect("crew lock poisoned");
+            while state.offered == 0 && !state.stop {
+                state = crew.wake.wait(state).expect("crew lock poisoned");
+            }
+            if state.stop {
+                return;
+            }
+            state.offered -= 1;
+            state.running += 1;
+        }
+        // The upgraded `Arc` drops inside the closure, before the report
+        // below: the ticking caller still holds its own, so the last `Arc`
+        // (and with it `Drop for Engine`, which joins this thread) is never
+        // released here.
+        let swept = engine.upgrade().map_or(Ok(()), |engine| {
+            catch_unwind(AssertUnwindSafe(|| engine.sweep()))
+        });
+        let mut state = crew.state.lock().expect("crew lock poisoned");
+        state.running -= 1;
+        if let Err(panic) = swept {
+            state.panic.get_or_insert(panic);
+        }
+        if state.running == 0 {
+            crew.done.notify_one();
+        }
+    }
+}
+
 /// The multi-session speculative-decoding engine.
 pub struct Engine {
     cfg: EngineConfig,
@@ -342,6 +431,17 @@ pub struct Engine {
     /// Wakes an idle scheduler (paired with the qstate lock): submits and
     /// session completion notify.
     work_cv: Condvar,
+    /// One tick at a time: the sweep cursor and the crew's turns belong to
+    /// the tick that holds it.
+    ticking: Mutex<()>,
+    /// The next slot index a sweeping thread claims; hands each occupied
+    /// slot to exactly one thread per tick.
+    cursor: AtomicUsize,
+    /// Whether any slot held a session this tick.
+    progressed: AtomicBool,
+    crew: Arc<Crew>,
+    /// Spawned once by `new`, joined by `Drop`.
+    helpers: Vec<JoinHandle<()>>,
 }
 
 impl Engine {
@@ -349,6 +449,13 @@ impl Engine {
         assert!(cfg.slots >= 1, "engine needs at least one slot");
         assert!(cfg.workers >= 1, "engine needs at least one worker");
         assert!(cfg.block_size >= 1, "block_size must be >= 1");
+        // `validate` checks prompts against the target's vocabulary only; a
+        // draft with another one would panic mid-decode.
+        assert_eq!(
+            model.draft().cfg.vocab,
+            model.target_lm().cfg.vocab,
+            "draft and target vocabularies differ"
+        );
         let bs = cfg.block_size;
         let vision_blocks = if matches!(model, EngineModel::Multimodal { .. }) {
             cfg.vision_cache_entries * model.n_img().div_ceil(bs).max(1)
@@ -381,7 +488,18 @@ impl Engine {
                 })
             })
             .collect();
-        let engine = Arc::new(Self {
+        let crew = Arc::new(Crew::default());
+        let engine = Arc::new_cyclic(|weak| Self {
+            helpers: (1..cfg.workers.min(cfg.slots))
+                .map(|i| {
+                    let (crew, engine) = (Arc::clone(&crew), weak.clone());
+                    std::thread::Builder::new()
+                        .name(format!("aasd-sched-{i}"))
+                        .spawn(move || crew_helper(&crew, &engine))
+                        .expect("spawn a scheduler helper")
+                })
+                .collect(),
+            crew,
             cfg,
             model,
             metrics: Arc::new(Metrics::new()),
@@ -397,6 +515,9 @@ impl Engine {
             slots,
             active: AtomicUsize::new(0),
             work_cv: Condvar::new(),
+            ticking: Mutex::new(()),
+            cursor: AtomicUsize::new(0),
+            progressed: AtomicBool::new(false),
         });
         engine.publish_pool_gauges();
         engine
@@ -545,44 +666,55 @@ impl Engine {
         true
     }
 
-    /// One scheduling round: refill free slots from the queue, then step
-    /// every occupied slot once, fanned over `cfg.workers` scoped threads.
-    /// Returns true if any session advanced.
+    /// One scheduling round: refill free slots from the queue on the
+    /// calling thread, then step every occupied slot once. The caller
+    /// sweeps the slots itself, joined by up to `active − 1` of the crew's
+    /// parked helpers; the tick returns once every helper that took a turn
+    /// is done, and resumes the first panic any sweep raised. Returns true
+    /// if any session advanced.
     pub fn tick(&self) -> bool {
         self.refill();
         let active = self.active.load(Ordering::Acquire);
         if active == 0 {
             return false;
         }
-        let cursor = AtomicUsize::new(0);
-        let progressed = AtomicBool::new(false);
-        let sweep = || {
-            while let Some(slot) = self.slots.get(cursor.fetch_add(1, Ordering::Relaxed)) {
-                let Ok(mut slot) = slot.try_lock() else {
-                    continue;
-                };
-                if self.step_slot(&mut slot) {
-                    progressed.store(true, Ordering::Relaxed);
-                }
-            }
-        };
-        let fan_out = self.cfg.workers.min(active);
-        if fan_out <= 1 {
-            sweep();
+        // Only `()` is guarded and the cursor is reset below, so a tick that
+        // panicked leaves nothing to repair.
+        let _ticking = self.ticking.lock().unwrap_or_else(PoisonError::into_inner);
+        // Relaxed suffices: the crew lock orders these stores before a
+        // helper's sweep, and its sweep before `Crew::finish` returns.
+        self.cursor.store(0, Ordering::Relaxed);
+        self.progressed.store(false, Ordering::Relaxed);
+        let turns = self.helpers.len().min(active - 1);
+        if turns == 0 {
+            self.sweep();
         } else {
-            // The cursor hands each occupied slot to exactly one worker;
-            // models and metrics are shared read-only/atomic.
-            std::thread::scope(|scope| {
-                for _ in 0..fan_out {
-                    scope.spawn(sweep);
-                }
-            });
+            self.crew.offer(turns);
+            let mine = catch_unwind(AssertUnwindSafe(|| self.sweep()));
+            let theirs = self.crew.finish();
+            if let Some(panic) = mine.err().or(theirs) {
+                resume_unwind(panic);
+            }
         }
-        let progressed = progressed.into_inner();
+        let progressed = self.progressed.load(Ordering::Relaxed);
         if progressed {
             self.metrics.scheduler_ticks.inc();
         }
         progressed
+    }
+
+    /// Step slots until the tick's cursor runs past the last one. Runs on
+    /// the ticking thread and on every helper that took a turn; models and
+    /// metrics are shared read-only or atomic.
+    fn sweep(&self) {
+        while let Some(slot) = self.slots.get(self.cursor.fetch_add(1, Ordering::Relaxed)) {
+            let Ok(mut slot) = slot.try_lock() else {
+                continue;
+            };
+            if self.step_slot(&mut slot) {
+                self.progressed.store(true, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Drive the engine until queue and slots are empty (used by benches
@@ -986,6 +1118,23 @@ impl Engine {
     }
 }
 
+impl Drop for Engine {
+    /// Stop and join the crew. A helper never holds the last `Arc`, so
+    /// this never runs on a helper thread.
+    fn drop(&mut self) {
+        self.crew
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .stop = true;
+        self.crew.wake.notify_all();
+        for helper in self.helpers.drain(..) {
+            // A helper catches its sweeps' panics; nothing is left to report.
+            let _ = helper.join();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1018,6 +1167,76 @@ mod tests {
             ..EngineConfig::default()
         };
         Engine::new(EngineModel::Text { target, draft }, cfg)
+    }
+
+    /// `validate` checks prompts against the target's vocabulary only, so
+    /// an engine over a draft with another one is refused at construction.
+    #[test]
+    #[should_panic(expected = "vocabularies differ")]
+    fn draft_with_another_vocab_is_refused() {
+        let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
+        let draft = Arc::new(Decoder::new(DecoderConfig::tiny(48), 20));
+        Engine::new(EngineModel::Text { target, draft }, EngineConfig::default());
+    }
+
+    /// `new` spawns `workers − 1` helpers that share the crew; dropping the
+    /// engine after it served joins every one of them, so none holds the
+    /// crew afterwards.
+    #[test]
+    fn dropping_the_engine_joins_its_helpers() {
+        let engine = text_engine(4, 4, 8);
+        let crew = Arc::clone(&engine.crew);
+        assert_eq!(
+            Arc::strong_count(&crew),
+            5,
+            "engine + this test + 3 helpers"
+        );
+        let handles: Vec<_> = (0..4)
+            .map(|i| engine.submit(spec_req(vec![3 + i, 7, 1], 12, 3)).unwrap())
+            .collect();
+        engine.run_until_idle();
+        assert!(handles.iter().all(|h| h.snapshot().0 == Status::Done));
+        drop(engine);
+        assert_eq!(Arc::strong_count(&crew), 1);
+    }
+
+    /// A session that panics mid-sweep, on the ticking thread or a helper,
+    /// fails its tick on the caller after every helper reported: the crew
+    /// is left idle, later ticks serve the other slot, and the engine
+    /// still drops (joining its helpers) instead of hanging.
+    #[test]
+    fn a_panicking_sweep_fails_the_tick_not_the_crew() {
+        let engine = text_engine(2, 2, 8);
+        let good = engine.submit(spec_req(vec![3, 7, 1, 9], 40, 3)).unwrap();
+        // The bad request skips `validate`: its out-of-vocabulary prompt
+        // panics in the target's embedding at prefill.
+        let bad = Request {
+            prompt: vec![99],
+            max_new: 4,
+            mode: DecodeMode::Autoregressive,
+            image_seed: None,
+        };
+        engine.slots[1].lock().unwrap().active = Some(Active {
+            handle: Arc::new(RequestHandle::new(99)),
+            t_cache: engine.t_pool.try_lease(4).unwrap(),
+            phase: Phase::Prefill(bad),
+            published: 0,
+            d_cache: None,
+            vision: VisionPlan::None,
+        });
+        engine.active.fetch_add(1, Ordering::Release);
+        let tick = std::panic::catch_unwind(AssertUnwindSafe(|| engine.tick()));
+        assert!(tick.is_err(), "the bad slot's panic reaches the caller");
+        {
+            let state = engine.crew.state.lock().unwrap();
+            assert_eq!((state.offered, state.running), (0, 0));
+            assert!(state.panic.is_none());
+        }
+        // The poisoned slot is skipped from now on; the good one finishes.
+        while good.snapshot().0 != Status::Done {
+            assert!(engine.tick(), "the good session stalled");
+        }
+        drop(engine);
     }
 
     fn spec_req(prompt: Vec<u32>, max_new: usize, gamma: usize) -> Request {

@@ -84,6 +84,10 @@ impl SpecSession {
         budget: usize,
         gamma: usize,
     ) -> Self {
+        assert_eq!(
+            draft.cfg.vocab, target.cfg.vocab,
+            "draft and target vocabularies differ"
+        );
         assert_budget_fits("draft", draft, d_cache, budget);
         Self {
             core: Core::new(target, t_cache, pending, budget, gamma),
@@ -470,5 +474,18 @@ mod tests {
         assert_eq!(stats.generated, 1);
         assert_eq!(stats.prefill_tokens, 1);
         assert_eq!(stats.blocks, 0);
+    }
+
+    /// A draft whose vocabulary differs from the target's could propose an
+    /// id the target cannot embed: the constructor refuses the pair.
+    #[test]
+    #[should_panic(expected = "vocabularies differ")]
+    fn draft_with_another_vocab_is_refused() {
+        let target = tiny(54);
+        let draft = Decoder::new(DecoderConfig::tiny(48), 55);
+        let mut ws = Workspace::new();
+        let (tc, pending) = prefill(&target, &[1, 2], &mut ws);
+        let (dc, _) = prefill(&draft, &[1, 2], &mut ws);
+        SpecSession::new(&target, &draft, &tc, &dc, pending, 8, 3);
     }
 }

@@ -17,7 +17,6 @@ fn start_server() -> Server {
         EngineModel::Text { target, draft },
         EngineConfig {
             slots: 2,
-            workers: 1,
             max_queue: 16,
             ..EngineConfig::default()
         },
