@@ -38,18 +38,23 @@ if [[ "${1:-}" != "--quick" ]]; then
     # except the default leg of the kernel-tier loop, kept so that one
     # labelled gate states the both-tiers contract on its own.
 
-    echo "==> kernel-tier gate: losslessness + determinism suites, training loss pins and the vision-tower pin on the forced-scalar and host-best tiers"
+    echo "==> kernel-tier gate: losslessness + determinism suites, the forward-oracle suite, training loss pins and the vision-tower pin on the forced-scalar and host-best tiers"
     # None of the paged KV pool, the vision cache, the
     # scheduler at 1 / 2 / 4 workers (SHUTDOWN draining every in-flight
     # request), the int8 kernels or the synthetic workloads' golden stream
-    # fingerprints may move a token on any dispatch tier: run the suites pinned to the scalar reference and
+    # fingerprints may move a token on any dispatch tier, and the fused path
+    # must track the tape oracle (`forward_full`) and emit its exact greedy
+    # streams on each: run the suites pinned to the scalar reference and
     # again on the host's best backend, so a bug that only reproduces under
     # one tier cannot slip through on a machine where the other is the
     # default. Every kernel gives the same bits on both tiers, so each pin
     # holds one constant that both legs must meet: the five training
     # recipes (text distillation, FT/DT-LLaMA, FT/DT-LLaVA, the TD-aligned
     # hybrid distillation) pin an FNV-1a hash of their per-step loss bits,
-    # so a training-stack change that moves one float fails on either tier;
+    # so a training-stack change that moves one float fails on either tier
+    # (the text-distillation pin was re-based, from 0x905f_0791_94ca_dc56,
+    # when its teacher moved from the full-sequence oracle onto the fused
+    # path);
     # `encode_image_lands_in_lm_space` pins the same kind of hash over the
     # `sim_7b` vision tower's output, so a change to the tower or its
     # attention does too. The scalar leg is the slower one: its f32 tile
@@ -59,7 +64,8 @@ if [[ "${1:-}" != "--quick" ]]; then
         (
             if [[ $tier != default ]]; then export AASD_KERNEL=$tier; fi
             cargo test -q -p aasd --test serving_determinism --test mm_lossless \
-                --test server_smoke --test int8_equivalence --test workload_determinism
+                --test server_smoke --test int8_equivalence --test workload_determinism \
+                --test fused_equivalence
             cargo test -q -p aasd-tensor
             # Exactly the six pins, on each tier.
             ran -eq 6 cargo test -q -p aasd-train -p aasd-mm -p aasd-baselines -- \

@@ -26,7 +26,7 @@
 use aasd_autograd::Tape;
 use aasd_data::{Sample, Split, Workload};
 use aasd_mm::{
-    distill_hybrid_with, draft_for_depth, mm_teacher_probs, own_vision_prefix, seed_draft_prefix,
+    distill_hybrid_with, draft_for_depth, mm_teacher_probs, own_vision_prefix, seed_request_draft,
     Ablation, HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig, TdAlignConfig,
     VisionConfig, DRAFT_POLICY,
 };
@@ -371,14 +371,16 @@ impl DraftSystem {
                 vlm.prefill_ws(&sample.image, &sample.prompt, &mut d_cache, ws);
             }
             DraftSystem::Aasd { draft, projector } => {
-                seed_draft_prefix(
+                seed_request_draft(
                     target,
+                    draft,
                     Some(projector),
                     Ablation::projector(),
                     t_cache,
+                    &sample.prompt,
                     &mut d_cache,
+                    ws,
                 );
-                draft.prefill_ws(&sample.prompt, &mut d_cache, ws);
             }
         }
         d_cache

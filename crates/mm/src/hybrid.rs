@@ -120,16 +120,50 @@ pub fn seed_draft_prefix(
     d_cache: &mut KvCache,
 ) -> usize {
     assert!(d_cache.is_empty(), "draft cache must be empty to seed");
-    if ablation.drop_vision_kv {
-        return 0;
+    match (ablation.drop_vision_kv, ablation.use_vision_projector) {
+        (true, _) => {}
+        (false, true) => projector
+            .expect(NEEDS_PROJECTOR)
+            .seed_draft_cache(t_cache, d_cache),
+        (false, false) => seed_raw_vision(t_cache, d_cache, model.n_img()),
     }
-    if ablation.use_vision_projector {
-        let proj = projector.expect("use_vision_projector requires a KvProjector");
-        proj.seed_draft_cache(t_cache, d_cache);
-        proj.k_slots
-    } else {
-        seed_raw_vision(t_cache, d_cache, model.n_img());
-        model.n_img()
+    d_cache.len()
+}
+
+const NEEDS_PROJECTOR: &str = "use_vision_projector requires a KvProjector";
+
+/// The rows [`seed_request_draft`] leaves in a request's draft cache: the
+/// ablation's vision prefix, then `prompt_len` rows unless `drop_text_kv`.
+pub fn request_draft_len(
+    model: &LlavaSim,
+    projector: Option<&KvProjector>,
+    ablation: Ablation,
+    prompt_len: usize,
+) -> usize {
+    let vision = match (ablation.drop_vision_kv, ablation.use_vision_projector) {
+        (true, _) => 0,
+        (false, true) => projector.expect(NEEDS_PROJECTOR).k_slots,
+        (false, false) => model.n_img(),
+    };
+    vision + if ablation.drop_text_kv { 0 } else { prompt_len }
+}
+
+/// Seed a request's empty draft cache: [`seed_draft_prefix`] from the
+/// target cache `t_cache`, then the prompt's prefill unless `drop_text_kv`.
+#[allow(clippy::too_many_arguments)]
+pub fn seed_request_draft(
+    model: &LlavaSim,
+    draft: &Decoder,
+    projector: Option<&KvProjector>,
+    ablation: Ablation,
+    t_cache: &KvCache,
+    prompt: &[u32],
+    d_cache: &mut KvCache,
+    ws: &mut Workspace,
+) {
+    seed_draft_prefix(model, projector, ablation, t_cache, d_cache);
+    if !ablation.drop_text_kv {
+        draft.prefill_ws(prompt, d_cache, ws);
     }
 }
 
@@ -172,10 +206,16 @@ pub fn mm_speculative_ws(
     let mut t_cache = lm.new_cache();
     let pending = model.prefill_ws(image, prompt, &mut t_cache, ws);
     let mut d_cache = draft.new_cache();
-    seed_draft_prefix(model, projector, ablation, &t_cache, &mut d_cache);
-    if !ablation.drop_text_kv {
-        draft.prefill_ws(prompt, &mut d_cache, ws);
-    }
+    seed_request_draft(
+        model,
+        draft,
+        projector,
+        ablation,
+        &t_cache,
+        prompt,
+        &mut d_cache,
+        ws,
+    );
     let session = SpecSession::new(lm, draft, &t_cache, &d_cache, pending, budget, gamma);
     Session::Spec(session).run(lm, &mut t_cache, Some((draft, &mut d_cache)), ws)
 }
@@ -201,17 +241,8 @@ mod tests {
         (model, draft, proj, img, prompt)
     }
 
-    /// Every ablation combination must be lossless: the speculative output
-    /// equals the autoregressive output token for token.
-    #[test]
-    fn all_ablations_are_lossless() {
-        let (model, draft, proj, img, prompt) = setup();
-        let mut ws = Workspace::new();
-        let budget = 24;
-        let reference = mm_autoregressive_ws(&model, &img, &prompt, budget, &mut ws);
-        assert_eq!(reference.len(), budget);
-
-        let ablations = [
+    fn every_ablation() -> [Ablation; 5] {
+        [
             Ablation::projector(),
             Ablation::raw_vision(),
             Ablation::no_vision(),
@@ -225,8 +256,20 @@ mod tests {
                 drop_vision_kv: true,
                 drop_text_kv: true,
             },
-        ];
-        for abl in ablations {
+        ]
+    }
+
+    /// Every ablation combination must be lossless: the speculative output
+    /// equals the autoregressive output token for token.
+    #[test]
+    fn all_ablations_are_lossless() {
+        let (model, draft, proj, img, prompt) = setup();
+        let mut ws = Workspace::new();
+        let budget = 24;
+        let reference = mm_autoregressive_ws(&model, &img, &prompt, budget, &mut ws);
+        assert_eq!(reference.len(), budget);
+
+        for abl in every_ablation() {
             for gamma in [1usize, 3, 5] {
                 let (out, stats) = mm_speculative_ws(
                     &model,
@@ -270,6 +313,24 @@ mod tests {
         let mut c = draft.new_cache();
         let p = seed_draft_prefix(&model, None, Ablation::no_vision(), &t_cache, &mut c);
         assert_eq!((p, c.len()), (0, 0));
+
+        // A request's whole draft cache lands on the row count it was
+        // leased for.
+        for abl in every_ablation() {
+            let mut c = draft.new_cache();
+            seed_request_draft(
+                &model,
+                &draft,
+                Some(&proj),
+                abl,
+                &t_cache,
+                &prompt,
+                &mut c,
+                &mut ws,
+            );
+            let want = request_draft_len(&model, Some(&proj), abl, prompt.len());
+            assert_eq!(c.len(), want, "{abl:?}");
+        }
     }
 
     /// A self-draft (draft = target LM) with the raw vision prefix sees

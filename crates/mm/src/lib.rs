@@ -16,7 +16,9 @@
 //! * [`projector`] — the [`KvProjector`]: learned `W_K, W_V` compressing
 //!   the vision slice of the target's per-layer KV into `k` rows;
 //! * [`hybrid`] — the [`Ablation`] switches (`use_vision_projector`,
-//!   `drop_vision_kv`, `drop_text_kv`) and the hybrid-cache decode paths
+//!   `drop_vision_kv`, `drop_text_kv`), the one draft-cache layout a
+//!   request gets ([`request_draft_len`] rows, filled by
+//!   [`seed_request_draft`]) and the hybrid-cache decode paths
 //!   [`mm_autoregressive_ws`] / [`mm_speculative_ws`], built on the seeded
 //!   fused loops in `aasd-specdec`;
 //! * [`train`] — [`distill_hybrid`]: joint draft+projector KL distillation
@@ -35,8 +37,8 @@ pub mod train;
 pub mod vision;
 
 pub use hybrid::{
-    draft_for, draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, seed_draft_prefix,
-    Ablation, DRAFT_POLICY,
+    draft_for, draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, request_draft_len,
+    seed_draft_prefix, seed_request_draft, Ablation, DRAFT_POLICY,
 };
 pub use llava::{LlavaSim, LlavaSimConfig};
 pub use projector::{layer_map, seed_raw_vision, KvProjector};

@@ -1,4 +1,4 @@
-//! Multi-head self-attention: four entries over two implementations.
+//! Multi-head self-attention: three entries over two implementations.
 //!
 //! * One **cached sweep** — RoPE + append, then per query head one
 //!   `attn_scores_with` / `softmax_row_with` / `attn_mix_with` pass per cache
@@ -6,13 +6,13 @@
 //!   the inference hot path (workspace scratch, packed projections, `·Wo`
 //!   folded into the residual; one call, one weight pass, serves prefill,
 //!   decode and the γ + 1-row verify), and [`Attention::forward_infer`], the
-//!   allocating twin the distillation teacher runs.
+//!   allocating twin the multimodal distillation teacher runs.
 //! * One **full-sequence mix** — [`aasd_autograd::attention`], the same
-//!   function every training graph's attention op computes — under both
-//!   stateless entries: [`Attention::forward_full`], causal (`UpTo(0)`) with
-//!   RoPE, the oracle the sweep is tested against (they share no kernel),
-//!   and [`Attention::forward_bidirectional`], unmasked (`All`) and
-//!   un-roped, the vision tower's attention.
+//!   function every training graph's attention op computes — under
+//!   [`Attention::forward_bidirectional`], unmasked (`All`) and un-roped,
+//!   the vision tower's attention. The causal oracle the sweep is tested
+//!   against is that mix too, reached through the training tape
+//!   (`Decoder::forward_full`); the two share no kernel.
 
 use crate::cache::KvLayerMut;
 use crate::layers::Linear;
@@ -44,22 +44,6 @@ impl Attention {
         }
     }
 
-    fn scale(&self) -> f32 {
-        1.0 / (self.head_dim as f32).sqrt()
-    }
-
-    /// Rotate every head of each `q`/`k` row, row `i` at position `pos0 + i`.
-    fn rope_rows(&self, q: &mut [f32], k: &mut [f32], pos0: usize, rope: &Rope) {
-        let dim = self.n_heads * self.head_dim;
-        for i in 0..q.len() / dim {
-            for h in 0..self.n_heads {
-                let hs = i * dim + h * self.head_dim..i * dim + (h + 1) * self.head_dim;
-                rope.apply(&mut q[hs.clone()], pos0 + i);
-                rope.apply(&mut k[hs], pos0 + i);
-            }
-        }
-    }
-
     /// RoPE the new block's `q`/`k` rows at positions `cache.len()..` and
     /// append its K/V to the cache.
     fn rope_append(
@@ -71,8 +55,16 @@ impl Attention {
         cache: &mut KvLayerMut<'_>,
     ) {
         let dim = self.n_heads * self.head_dim;
-        self.rope_rows(q, k, cache.len(), rope);
-        for (kr, vr) in k.chunks_exact(dim).zip(v.chunks_exact(dim)) {
+        let rows = q.chunks_exact_mut(dim).zip(k.chunks_exact_mut(dim));
+        for ((qr, kr), vr) in rows.zip(v.chunks_exact(dim)) {
+            let pos = cache.len();
+            for (qh, kh) in qr
+                .chunks_exact_mut(self.head_dim)
+                .zip(kr.chunks_exact_mut(self.head_dim))
+            {
+                rope.apply(qh, pos);
+                rope.apply(kh, pos);
+            }
             cache.append(kr, vr);
         }
     }
@@ -99,7 +91,7 @@ impl Attention {
         let dim = self.n_heads * self.head_dim;
         let t = ctx.len() / dim;
         let pos0 = cache.len() - t;
-        let scale = self.scale();
+        let scale = 1.0 / (self.head_dim as f32).sqrt();
         // Resolve the SIMD backend once per call instead of per score row.
         let bk = aasd_tensor::backend();
         for i in 0..t {
@@ -201,18 +193,6 @@ impl Attention {
         ws.give(scores);
     }
 
-    /// Full-sequence reference path: `x: [t, dim]` is the whole sequence at
-    /// positions `0..t`. Stateless; builds explicit causally masked score
-    /// matrices.
-    pub fn forward_full(&self, x: &Tensor, rope: &Rope) -> Tensor {
-        let mut q = self.wq.forward(x);
-        let mut k = self.wk.forward(x);
-        let v = self.wv.forward(x);
-        self.rope_rows(&mut q.data, &mut k.data, 0, rope);
-        self.wo
-            .forward(&attention(&q, &[(&k, &v, Visible::UpTo(0))], self.n_heads))
-    }
-
     /// Bidirectional full-sequence attention: every row of `x: [t, dim]`
     /// sees every row, with no mask and no RoPE (the vision tower's shape).
     pub(crate) fn forward_bidirectional(&self, x: &Tensor) -> Tensor {
@@ -234,8 +214,32 @@ mod tests {
             .fold(0.0, f32::max)
     }
 
-    /// The incremental cached path must reproduce the stateless full path,
-    /// regardless of how the sequence is chopped into blocks.
+    /// The full-sequence causal reference: project, rope row `i` at
+    /// position `i`, mix with `aasd_autograd::attention` under `UpTo(0)`
+    /// (what the training tape's attention computes), project out.
+    fn full_causal(attn: &Attention, x: &Tensor, rope: &Rope) -> Tensor {
+        let (mut q, mut k) = (attn.wq.forward(x), attn.wk.forward(x));
+        let v = attn.wv.forward(x);
+        for (i, (qr, kr)) in q
+            .data
+            .chunks_exact_mut(x.cols)
+            .zip(k.data.chunks_exact_mut(x.cols))
+            .enumerate()
+        {
+            for (qh, kh) in qr
+                .chunks_exact_mut(attn.head_dim)
+                .zip(kr.chunks_exact_mut(attn.head_dim))
+            {
+                rope.apply(qh, i);
+                rope.apply(kh, i);
+            }
+        }
+        let mix = attention(&q, &[(&k, &v, Visible::UpTo(0))], attn.n_heads);
+        attn.wo.forward(&mix)
+    }
+
+    /// The incremental cached path must reproduce the full-sequence causal
+    /// mix, regardless of how the sequence is chopped into blocks.
     #[test]
     fn incremental_matches_full_for_any_block_split() {
         let mut rng = Rng::new(42);
@@ -244,7 +248,7 @@ mod tests {
         let rope = Rope::new(64, dim / heads, 10_000.0);
         let x = Tensor::randn(&mut rng, t, dim, 1.0);
 
-        let full = attn.forward_full(&x, &rope);
+        let full = full_causal(&attn, &x, &rope);
 
         for splits in [vec![t], vec![1; t], vec![5, 1, 4, 3]] {
             assert_eq!(splits.iter().sum::<usize>(), t);
@@ -318,7 +322,7 @@ mod tests {
     }
 
     /// Causality: the output at position i must not change when the suffix
-    /// after i changes.
+    /// after i changes — on the cached path, fed as one block of `t` rows.
     #[test]
     fn causal_outputs_ignore_future() {
         let mut rng = Rng::new(9);
@@ -330,8 +334,9 @@ mod tests {
         for v in x2.row_mut(t - 1) {
             *v += 5.0; // perturb only the last position
         }
-        let y1 = attn.forward_full(&x1, &rope);
-        let y2 = attn.forward_full(&x2, &rope);
+        let cached =
+            |x: &Tensor| attn.forward_infer(x, &rope, KvCache::new(1, 32, dim).layer_mut(0));
+        let (y1, y2) = (cached(&x1), cached(&x2));
         for i in 0..t - 1 {
             assert!(max_abs_diff(y1.row(i), y2.row(i)) < 1e-6, "row {i} leaked");
         }

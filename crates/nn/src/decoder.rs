@@ -2,12 +2,13 @@
 //!
 //! One block serves both towers: the decoder stacks [`DecoderBlock`]
 //! causally with RoPE, the vision tower (`aasd-mm`) bidirectionally
-//! without. The block's allocating entries (incremental, full, bidirectional)
+//! without. The block's allocating entries (incremental, bidirectional)
 //! share one residual body. The decoder's two allocating forwards
 //! (`forward_infer`, `forward_infer_embeds`) share one body, as its two
 //! fused forwards share `infer_tail_ws`; all four run the cached sweep of
-//! [`crate::attention`]. `forward_full` is the stateless full-sequence
-//! reference.
+//! [`crate::attention`]. The stateless full-sequence oracle,
+//! `forward_full`, is the value of the training tape (`forward_train`):
+//! the decoder has two forward paths plus the tape.
 
 use crate::attention::Attention;
 use crate::cache::{KvCache, KvLayerMut};
@@ -155,10 +156,6 @@ impl DecoderBlock {
         self.residual(x, |h| self.attn.forward_infer(h, rope, cache));
     }
 
-    pub fn forward_full(&self, x: &mut Tensor, rope: &Rope) {
-        self.residual(x, |h| self.attn.forward_full(h, rope));
-    }
-
     /// Every row attends to every row, no mask and no RoPE.
     pub fn forward_bidirectional(&self, x: &mut Tensor) {
         self.residual(x, |h| self.attn.forward_bidirectional(h));
@@ -236,8 +233,8 @@ impl Decoder {
 
     /// Switch every projection (per-block `wq`/`wk`/`wv`/`wo`/`w1`/`w2`/`w3`
     /// and the LM head) to the given kernel family; embeddings and norms
-    /// stay f32 on either policy, as do the allocating reference paths
-    /// (`forward_infer`, `forward_full`) and the training tapes. Nothing is
+    /// stay f32 on either policy, as do the allocating `forward_infer` and
+    /// the training tapes (so the `forward_full` oracle). Nothing is
     /// quantized here: each projection builds its int8 image on its first
     /// fused forward (or in [`Decoder::prepack`]) and drops it whenever its
     /// weight is handed out for an update, so an `Int8` model trains like an
@@ -399,16 +396,14 @@ impl Decoder {
         self.lm_head.forward(&self.final_norm.forward(&x))
     }
 
-    /// Stateless full-sequence recompute (reference path): logits for the
-    /// whole sequence at positions `0..t`.
+    /// The forward oracle: logits for the whole sequence at positions
+    /// `0..t`, stateless — the value of [`Decoder::forward_train`] on a
+    /// fresh tape, so the function every losslessness test checks the cached
+    /// paths against is the one training differentiates.
     pub fn forward_full(&self, tokens: &[u32]) -> Tensor {
-        assert!(!tokens.is_empty() && tokens.len() <= self.cfg.max_seq);
-        let mut x = self.embed.forward(tokens);
-        for block in &self.blocks {
-            block.forward_full(&mut x, &self.rope);
-        }
-        let x = self.final_norm.forward(&x);
-        self.lm_head.forward(&x)
+        let mut tape = Tape::new();
+        let (logits, _) = self.forward_train(&mut tape, tokens, &[]);
+        tape.value(logits).clone()
     }
 
     /// Greedy next token from the last row of a logits block.
@@ -803,7 +798,7 @@ mod tests {
     /// An optimizer step between two fused forwards must not be served from
     /// the shadow built for the first: after it the fused logits carry the
     /// bits of a model that never built one before the same step, and still
-    /// track the row-major `forward_full` oracle (within `tol`).
+    /// track the tape's `forward_full` oracle (within `tol`).
     fn shadow_follows_an_optimizer_step(policy: KernelPolicy, tol: f32) {
         let cfg = DecoderConfig::tiny(50);
         let tokens = [3u32, 14, 15, 9, 26, 5];
@@ -923,24 +918,6 @@ mod tests {
             max_seq: 8,
             rope_theta: 10_000.0,
         }
-    }
-
-    /// The tape-built training forward must reproduce the inference-path
-    /// full-sequence logits (they share every kernel).
-    #[test]
-    fn forward_train_matches_forward_full() {
-        let model = Decoder::new(DecoderConfig::tiny(30), 0x7EA1);
-        let tokens = [4u32, 9, 17, 2, 21];
-        let full = model.forward_full(&tokens);
-        let mut tape = Tape::new();
-        let (logits, _) = model.forward_train(&mut tape, &tokens, &[]);
-        let got = tape.value(logits);
-        assert_eq!((got.rows, got.cols), (full.rows, full.cols));
-        assert!(
-            max_abs_diff(&got.data, &full.data) < 1e-5,
-            "train path diverged from forward_full: {}",
-            max_abs_diff(&got.data, &full.data)
-        );
     }
 
     /// The leaf ids returned by `forward_train` must bind the same tensors,

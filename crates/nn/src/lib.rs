@@ -10,13 +10,14 @@
 //! * [`cache`] — pre-allocated growable KV cache with O(1) rollback
 //!   (the structure the AASD draft head will later attend over);
 //! * [`attention`] — multi-head attention: one cached sweep behind the
-//!   incremental paths; the causal reference and the bidirectional (vision)
-//!   path call `aasd_autograd::attention`, the function every training
-//!   graph's attention op computes;
+//!   incremental paths; the bidirectional (vision) path calls
+//!   `aasd_autograd::attention`, the function every training graph's
+//!   attention op computes;
 //! * [`decoder`] — the pre-norm block both towers stack and the
 //!   [`decoder::Decoder`] model with `forward_infer` (prefill / decode /
-//!   batched verify) and `forward_full` (stateless reference), both
-//!   property-tested for agreement.
+//!   batched verify), `forward_train` (the tape) and `forward_full`, the
+//!   stateless oracle that is the tape's value; the cached paths are
+//!   property-tested against it.
 //!
 //! Every inference layer additionally has a fused `_ws` variant that draws
 //! scratch from an [`aasd_tensor::Workspace`] and folds the residual adds

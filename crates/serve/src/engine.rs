@@ -55,7 +55,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use aasd_mm::{seed_draft_prefix, Ablation, Image, KvProjector, LlavaSim};
+use aasd_mm::{request_draft_len, seed_request_draft, Ablation, Image, KvProjector, LlavaSim};
 use aasd_nn::{Decoder, KvCache, KvPool};
 use aasd_specdec::{ArSession, Session, SpecSession, StepReport, MAX_GAMMA};
 use aasd_tensor::{Rng, Workspace};
@@ -104,27 +104,6 @@ impl EngineModel {
         match self {
             EngineModel::Text { .. } => 0,
             EngineModel::Multimodal { model, .. } => model.n_img(),
-        }
-    }
-
-    /// Vision-prefix rows the draft cache is seeded with, per ablation.
-    fn d_vision_prefix(&self) -> usize {
-        match self {
-            EngineModel::Text { .. } => 0,
-            EngineModel::Multimodal {
-                model,
-                projector,
-                ablation,
-                ..
-            } => {
-                if ablation.drop_vision_kv {
-                    0
-                } else if ablation.use_vision_projector {
-                    projector.k_slots
-                } else {
-                    model.n_img()
-                }
-            }
         }
     }
 }
@@ -568,11 +547,16 @@ impl Engine {
         let mut budget = req
             .max_new
             .min(self.model.target_lm().cfg.max_seq + 1 - t_prefix);
-        let d_prefix = matches!(req.mode, DecodeMode::Speculative { .. }).then(|| {
-            let drop_text = matches!(&self.model,
-                EngineModel::Multimodal { ablation, .. } if ablation.drop_text_kv);
-            self.model.d_vision_prefix() + if drop_text { 0 } else { req.prompt.len() }
-        });
+        let d_prefix =
+            matches!(req.mode, DecodeMode::Speculative { .. }).then(|| match &self.model {
+                EngineModel::Text { .. } => req.prompt.len(),
+                EngineModel::Multimodal {
+                    model,
+                    projector,
+                    ablation,
+                    ..
+                } => request_draft_len(model, Some(projector), *ablation, req.prompt.len()),
+            });
         if let Some(d_prefix) = d_prefix {
             budget = budget.min(self.model.draft().cfg.max_seq + 1 - d_prefix);
         }
@@ -985,33 +969,6 @@ impl Engine {
         }
     }
 
-    /// Draft-side prefill for a speculative `req`: text prompt, preceded
-    /// in the multimodal case by the ablation-selected vision prefix
-    /// (hybrid cache, same seeding as `mm_speculative_ws`), read from the
-    /// target prefix whether it was just computed or is shared from the
-    /// vision cache.
-    fn seed_draft_caches(
-        &self,
-        req: &Request,
-        t_cache: &KvCache,
-        d_cache: &mut KvCache,
-        ws: &mut Workspace,
-    ) {
-        if let EngineModel::Multimodal {
-            model,
-            projector,
-            ablation,
-            ..
-        } = &self.model
-        {
-            seed_draft_prefix(model, Some(projector), *ablation, t_cache, d_cache);
-            if ablation.drop_text_kv {
-                return;
-            }
-        }
-        self.model.draft().prefill_ws(&req.prompt, d_cache, ws);
-    }
-
     /// Prefill the session's leased caches for `req` and build its decode
     /// session.
     fn prefill(
@@ -1040,8 +997,28 @@ impl Engine {
                 target, t_cache, pending, budget,
             )));
         };
+        // The draft reads the target's vision prefix, fresh or shared alike.
         let d_lease = d_cache.expect("spec admission leases a draft");
-        self.seed_draft_caches(req, t_cache, d_lease, ws);
+        match &self.model {
+            EngineModel::Text { .. } => {
+                draft.prefill_ws(&req.prompt, d_lease, ws);
+            }
+            EngineModel::Multimodal {
+                model,
+                projector,
+                ablation,
+                ..
+            } => seed_request_draft(
+                model,
+                draft,
+                Some(projector),
+                *ablation,
+                t_cache,
+                &req.prompt,
+                d_lease,
+                ws,
+            ),
+        }
         debug_assert_eq!(d_lease.len(), d_prefix, "d prefix != plan");
         Phase::Decode(Session::Spec(SpecSession::new(
             target, draft, t_cache, d_lease, pending, budget, gamma,

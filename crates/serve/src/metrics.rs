@@ -18,6 +18,8 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use aasd_specdec::SpecStats;
+
 /// Monotonic event counter.
 #[derive(Debug, Default)]
 pub struct Counter(AtomicU64);
@@ -199,6 +201,7 @@ pub struct Metrics {
     pub spec_blocks: Counter,
     pub spec_drafted: Counter,
     pub spec_accepted: Counter,
+    spec_generated: Counter,
     pub spec_prefill_tokens: Counter,
     // Shared-prefix vision cache (multimodal engines; always 0 on text).
     pub vision_cache_hits: Counter,
@@ -222,86 +225,97 @@ impl Metrics {
     }
 
     /// Fold one finished session's speculation counters in.
-    pub fn merge_spec_stats(&self, s: &aasd_specdec::SpecStats) {
+    pub fn merge_spec_stats(&self, s: &SpecStats) {
         self.spec_blocks.add(s.blocks as u64);
         self.spec_drafted.add(s.drafted as u64);
         self.spec_accepted.add(s.accepted as u64);
+        self.spec_generated.add(s.generated as u64);
         self.spec_prefill_tokens.add(s.prefill_tokens as u64);
     }
 
-    /// Aggregate acceptance rate α across all completed sessions.
-    pub fn alpha(&self) -> f64 {
-        let d = self.spec_drafted.get();
-        if d == 0 {
-            0.0
-        } else {
-            self.spec_accepted.get() as f64 / d as f64
+    /// Every finished speculative session's stats, merged.
+    fn spec_stats(&self) -> SpecStats {
+        SpecStats {
+            blocks: self.spec_blocks.get() as usize,
+            drafted: self.spec_drafted.get() as usize,
+            accepted: self.spec_accepted.get() as usize,
+            generated: self.spec_generated.get() as usize,
+            prefill_tokens: self.spec_prefill_tokens.get() as usize,
         }
     }
 
-    /// Aggregate block efficiency τ across all completed sessions
-    /// (prefill-decided tokens excluded, same convention as
-    /// `SpecStats::block_efficiency`).
+    /// Aggregate acceptance rate α across all completed speculative
+    /// sessions ([`SpecStats::acceptance_rate`]).
+    pub fn alpha(&self) -> f64 {
+        self.spec_stats().acceptance_rate()
+    }
+
+    /// Aggregate block efficiency τ across all completed speculative
+    /// sessions ([`SpecStats::block_efficiency`]): autoregressive and
+    /// still-running sessions' tokens stay out of it.
     pub fn tau(&self) -> f64 {
-        let b = self.spec_blocks.get();
-        if b == 0 {
-            0.0
-        } else {
-            let gen = self
-                .tokens_generated
-                .get()
-                .saturating_sub(self.spec_prefill_tokens.get());
-            gen as f64 / b as f64
-        }
+        self.spec_stats().block_efficiency()
+    }
+
+    /// The registry as one table of (name, reading), in exposition order.
+    /// The text series is `aasd_<name>`, with `_total` after a counter's;
+    /// the JSON key is the name, less the request counters' `requests_`.
+    /// Both renderings walk the table, so neither can show an instrument
+    /// the other lacks.
+    fn table(&self) -> [(&'static str, Reading<'_>); 22] {
+        let c = |c: &Counter| Reading::Scalar("counter", c.get().to_string());
+        let g = |g: &Gauge| Reading::Scalar("gauge", g.get().to_string());
+        let ratio = |v: f64| Reading::Scalar("gauge", aasd_json::num(v));
+        [
+            ("requests_submitted", c(&self.requests_submitted)),
+            ("requests_rejected", c(&self.requests_rejected)),
+            ("requests_completed", c(&self.requests_completed)),
+            ("requests_cancelled", c(&self.requests_cancelled)),
+            ("tokens_generated", c(&self.tokens_generated)),
+            ("scheduler_ticks", c(&self.scheduler_ticks)),
+            ("spec_blocks", c(&self.spec_blocks)),
+            ("spec_drafted", c(&self.spec_drafted)),
+            ("spec_accepted", c(&self.spec_accepted)),
+            ("spec_generated", c(&self.spec_generated)),
+            ("spec_prefill_tokens", c(&self.spec_prefill_tokens)),
+            ("vision_cache_hits", c(&self.vision_cache_hits)),
+            ("vision_cache_misses", c(&self.vision_cache_misses)),
+            ("queue_depth", g(&self.queue_depth)),
+            ("active_sessions", g(&self.active_sessions)),
+            ("kv_free_blocks_target", g(&self.kv_free_blocks_target)),
+            ("kv_free_blocks_draft", g(&self.kv_free_blocks_draft)),
+            ("alpha", ratio(self.alpha())),
+            ("tau", ratio(self.tau())),
+            ("ttft_ms", Reading::Histogram(&self.ttft_ms)),
+            ("token_ms", Reading::Histogram(&self.token_ms)),
+            ("block_ms", Reading::Histogram(&self.block_ms)),
+        ]
     }
 
     /// Prometheus-style text exposition (the `METRICS` protocol command).
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let counters: [(&str, &Counter); 12] = [
-            ("aasd_requests_submitted_total", &self.requests_submitted),
-            ("aasd_requests_rejected_total", &self.requests_rejected),
-            ("aasd_requests_completed_total", &self.requests_completed),
-            ("aasd_requests_cancelled_total", &self.requests_cancelled),
-            ("aasd_tokens_generated_total", &self.tokens_generated),
-            ("aasd_scheduler_ticks_total", &self.scheduler_ticks),
-            ("aasd_spec_blocks_total", &self.spec_blocks),
-            ("aasd_spec_drafted_total", &self.spec_drafted),
-            ("aasd_spec_accepted_total", &self.spec_accepted),
-            ("aasd_spec_prefill_tokens_total", &self.spec_prefill_tokens),
-            ("aasd_vision_cache_hits_total", &self.vision_cache_hits),
-            ("aasd_vision_cache_misses_total", &self.vision_cache_misses),
-        ];
-        for (name, c) in counters {
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.get()));
-        }
-        for (name, g) in [
-            ("aasd_queue_depth", &self.queue_depth),
-            ("aasd_active_sessions", &self.active_sessions),
-            ("aasd_kv_free_blocks_target", &self.kv_free_blocks_target),
-            ("aasd_kv_free_blocks_draft", &self.kv_free_blocks_draft),
-        ] {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.get()));
-        }
-        for (name, v) in [("aasd_alpha", self.alpha()), ("aasd_tau", self.tau())] {
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {v:.6}\n"));
-        }
-        for (name, h) in [
-            ("aasd_ttft_ms", &self.ttft_ms),
-            ("aasd_token_ms", &self.token_ms),
-            ("aasd_block_ms", &self.block_ms),
-        ] {
-            out.push_str(&format!("# TYPE {name} histogram\n"));
-            for (le, c) in h.cumulative() {
-                out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {c}\n"));
-            }
-            out.push_str(&format!("{name}_count {}\n", h.count()));
-            out.push_str(&format!("{name}_mean_ms {:.6}\n", h.mean_ms()));
-            for q in [0.5, 0.95] {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"{q}\"}} {:.6}\n",
-                    h.quantile_ms(q)
-                ));
+        for (name, reading) in self.table() {
+            let total = matches!(reading, Reading::Scalar("counter", _));
+            let name = format!("aasd_{name}{}", if total { "_total" } else { "" });
+            match reading {
+                Reading::Scalar(kind, v) => {
+                    out.push_str(&format!("# TYPE {name} {kind}\n{name} {v}\n"));
+                }
+                Reading::Histogram(h) => {
+                    out.push_str(&format!("# TYPE {name} histogram\n"));
+                    for (le, c) in h.cumulative() {
+                        out.push_str(&format!("{name}_bucket{{le=\"{le}\"}} {c}\n"));
+                    }
+                    out.push_str(&format!("{name}_count {}\n", h.count()));
+                    out.push_str(&format!("{name}_mean_ms {:.6}\n", h.mean_ms()));
+                    for q in [0.5, 0.95] {
+                        out.push_str(&format!(
+                            "{name}{{quantile=\"{q}\"}} {:.6}\n",
+                            h.quantile_ms(q)
+                        ));
+                    }
+                }
             }
         }
         out
@@ -310,46 +324,29 @@ impl Metrics {
     /// JSON rendering through the shared `aasd-json` writer — what the
     /// `METRICS_JSON` command returns.
     pub fn render_json(&self) -> String {
-        let hist = |h: &Histogram| {
-            aasd_json::object(&[
-                aasd_json::field("count", &h.count().to_string()),
-                aasd_json::field("mean_ms", &aasd_json::num(h.mean_ms())),
-                aasd_json::field("p50_ms", &aasd_json::num(h.quantile_ms(0.5))),
-                aasd_json::field("p95_ms", &aasd_json::num(h.quantile_ms(0.95))),
-            ])
-        };
-        aasd_json::object(&[
-            aasd_json::field("submitted", &self.requests_submitted.get().to_string()),
-            aasd_json::field("rejected", &self.requests_rejected.get().to_string()),
-            aasd_json::field("completed", &self.requests_completed.get().to_string()),
-            aasd_json::field("cancelled", &self.requests_cancelled.get().to_string()),
-            aasd_json::field("tokens_generated", &self.tokens_generated.get().to_string()),
-            aasd_json::field("scheduler_ticks", &self.scheduler_ticks.get().to_string()),
-            aasd_json::field(
-                "vision_cache_hits",
-                &self.vision_cache_hits.get().to_string(),
-            ),
-            aasd_json::field(
-                "vision_cache_misses",
-                &self.vision_cache_misses.get().to_string(),
-            ),
-            aasd_json::field("queue_depth", &self.queue_depth.get().to_string()),
-            aasd_json::field(
-                "kv_free_blocks_target",
-                &self.kv_free_blocks_target.get().to_string(),
-            ),
-            aasd_json::field(
-                "kv_free_blocks_draft",
-                &self.kv_free_blocks_draft.get().to_string(),
-            ),
-            aasd_json::field("active_sessions", &self.active_sessions.get().to_string()),
-            aasd_json::field("alpha", &aasd_json::num(self.alpha())),
-            aasd_json::field("tau", &aasd_json::num(self.tau())),
-            aasd_json::field("ttft_ms", &hist(&self.ttft_ms)),
-            aasd_json::field("token_ms", &hist(&self.token_ms)),
-            aasd_json::field("block_ms", &hist(&self.block_ms)),
-        ])
+        let fields = self.table().map(|(name, reading)| {
+            let value = match reading {
+                Reading::Scalar(_, v) => v,
+                Reading::Histogram(h) => aasd_json::object(&[
+                    aasd_json::field("count", &h.count().to_string()),
+                    aasd_json::field("mean_ms", &aasd_json::num(h.mean_ms())),
+                    aasd_json::field("p50_ms", &aasd_json::num(h.quantile_ms(0.5))),
+                    aasd_json::field("p95_ms", &aasd_json::num(h.quantile_ms(0.95))),
+                ]),
+            };
+            let key = name.strip_prefix("requests_").unwrap_or(name);
+            aasd_json::field(key, &value)
+        });
+        aasd_json::object(&fields)
     }
+}
+
+/// One instrument's value, as [`Metrics::table`] hands it to a renderer.
+enum Reading<'a> {
+    /// A counter or gauge: its Prometheus type and its value, rendered once
+    /// for both expositions.
+    Scalar(&'static str, String),
+    Histogram(&'a Histogram),
 }
 
 #[cfg(test)]
@@ -406,16 +403,81 @@ mod tests {
     #[test]
     fn alpha_tau_derive_from_merged_stats() {
         let m = Metrics::new();
-        m.merge_spec_stats(&aasd_specdec::SpecStats {
-            blocks: 4,
-            drafted: 12,
-            accepted: 9,
-            generated: 13,
-            prefill_tokens: 1,
-        });
-        m.tokens_generated.add(13);
+        m.merge_spec_stats(&SPEC);
         assert!((m.alpha() - 0.75).abs() < 1e-12);
         assert!((m.tau() - 3.0).abs() < 1e-12);
+    }
+
+    const SPEC: SpecStats = SpecStats {
+        blocks: 4,
+        drafted: 12,
+        accepted: 9,
+        generated: 13,
+        prefill_tokens: 1,
+    };
+
+    /// τ is per speculative verify block: the tokens an autoregressive
+    /// session publishes (and a speculative one's before it finishes) count
+    /// in `tokens_generated` but not in τ.
+    #[test]
+    fn ar_tokens_leave_tau_unchanged() {
+        let m = Metrics::new();
+        m.merge_spec_stats(&SPEC);
+        m.tokens_generated.add(13 + 32); // the speculative request + a 32-token AR one
+        assert!((m.tau() - 3.0).abs() < 1e-12, "τ = {}", m.tau());
+    }
+
+    /// Every counter and gauge the text exposition shows has a JSON field
+    /// carrying the same value.
+    #[test]
+    fn every_text_series_has_a_json_field() {
+        let m = Metrics::new();
+        let counters = [
+            &m.requests_submitted,
+            &m.requests_rejected,
+            &m.requests_completed,
+            &m.requests_cancelled,
+            &m.tokens_generated,
+            &m.scheduler_ticks,
+            &m.spec_blocks,
+            &m.spec_drafted,
+            &m.spec_accepted,
+            &m.spec_generated,
+            &m.spec_prefill_tokens,
+            &m.vision_cache_hits,
+            &m.vision_cache_misses,
+        ];
+        for (i, c) in counters.iter().enumerate() {
+            c.add(1000 + i as u64);
+        }
+        let gauges = [
+            &m.queue_depth,
+            &m.active_sessions,
+            &m.kv_free_blocks_target,
+            &m.kv_free_blocks_draft,
+        ];
+        for (i, g) in gauges.iter().enumerate() {
+            g.set(2000 + i as u64);
+        }
+        let (text, json) = (m.render_text(), m.render_json());
+        let mut series = 0;
+        for decl in text.lines().filter_map(|l| l.strip_prefix("# TYPE ")) {
+            let (name, kind) = decl.split_once(' ').unwrap();
+            if kind == "histogram" {
+                continue;
+            }
+            let value = text
+                .lines()
+                .find_map(|l| l.strip_prefix(name)?.strip_prefix(' '))
+                .unwrap();
+            assert!(
+                json.contains(&format!(": {value},")) || json.contains(&format!(": {value}}}")),
+                "{name} = {value} has no JSON field: {json}"
+            );
+            series += 1;
+        }
+        // α and τ are the two derived gauges.
+        assert_eq!(series, counters.len() + gauges.len() + 2);
     }
 
     #[test]

@@ -45,15 +45,16 @@ pub fn write_frame<W: Write>(w: &mut W, msg: &str) -> io::Result<()> {
     w.flush()
 }
 
-/// Read one frame; `Ok(None)` on clean EOF at a frame boundary.
+/// Read one frame; `Ok(None)` on clean EOF at a frame boundary (no header
+/// byte arrived). EOF inside the header or the payload is an error.
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
-        Ok(()) => {}
-        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
-        Err(e) => return Err(e),
-    }
-    let len = u32::from_be_bytes(len_buf) as usize;
+    let mut head = Vec::with_capacity(4);
+    r.by_ref().take(4).read_to_end(&mut head)?;
+    let len = match head[..] {
+        [] => return Ok(None),
+        [a, b, c, d] => u32::from_be_bytes([a, b, c, d]) as usize,
+        _ => return Err(io::ErrorKind::UnexpectedEof.into()),
+    };
     if len > MAX_FRAME {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -214,6 +215,14 @@ mod tests {
         buf.truncate(buf.len() - 2);
         let mut r = io::Cursor::new(buf);
         assert!(read_frame(&mut r).is_err());
+    }
+
+    /// A peer that sends part of a header and hangs up did not close
+    /// cleanly.
+    #[test]
+    fn torn_header_is_an_error() {
+        let err = read_frame(&mut io::Cursor::new([0u8, 0])).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! vision prefix ∥ text in `aasd-mm`); the two prompt-level one-shots below
 //! are prefill + `Session::run`. The token oracle every losslessness test
 //! compares against is the [`ArSession`] stream — the same core with no
-//! draft — and the forward oracle under it is `Decoder::forward_full`
-//! (`tests/fused_equivalence.rs`).
+//! draft — and the forward oracle under it is `Decoder::forward_full`, the
+//! value of the training tape (`tests/fused_equivalence.rs`).
 //!
 //! Kernel policy rides on the models, not the loops: a `Decoder` switched
 //! to `aasd_nn::KernelPolicy::Int8` runs its fused forwards on the int8
@@ -163,8 +163,9 @@ mod tests {
     }
 
     /// Greedy decoding by stateless full-sequence recompute: the forward
-    /// oracle (`Decoder::forward_full`) turned into a token stream, sharing
-    /// no cache, workspace or session code with the loops under test.
+    /// oracle (`Decoder::forward_full`, the tape's value) turned into a
+    /// token stream, sharing no cache, workspace or session code with the
+    /// loops under test.
     fn greedy_by_forward_full(target: &Decoder, prompt: &[u32], budget: usize) -> Vec<u32> {
         let mut seq = prompt.to_vec();
         for _ in 0..budget {

@@ -43,7 +43,7 @@ impl SpecStats {
         if self.blocks == 0 {
             0.0
         } else {
-            (self.generated - self.prefill_tokens) as f64 / self.blocks as f64
+            self.generated.saturating_sub(self.prefill_tokens) as f64 / self.blocks as f64
         }
     }
 

@@ -91,18 +91,21 @@ pub fn train_loop(
 
 /// The teacher's full next-token distribution over `inputs` — the frozen
 /// matrix [`LossSpec::KlDistill`] pins the student against: row-wise
-/// softmax of its `[t, vocab]` full-sequence logits divided by a
-/// distillation temperature (Hinton et al. 2015; `1.0` is the raw
-/// distribution). `T < 1` sharpens the target toward the teacher's argmax —
-/// useful when the teacher is high-entropy and greedy agreement (not
-/// distribution matching) is the quantity being optimised, as in
-/// speculative-decoding alignment.
+/// softmax of its `[t, vocab]` logits divided by a distillation temperature
+/// (Hinton et al. 2015; `1.0` is the raw distribution). `T < 1` sharpens
+/// the target toward the teacher's argmax — useful when the teacher is
+/// high-entropy and greedy agreement (not distribution matching) is the
+/// quantity being optimised, as in speculative-decoding alignment. The
+/// logits come from one fused forward over a fresh cache, scratch from `ws`.
 pub fn teacher_probs_with_temperature(
     teacher: &Decoder,
     inputs: &[u32],
     temperature: f32,
+    ws: &mut Workspace,
 ) -> Tensor {
-    sharpen_to_probs(teacher.forward_full(inputs), temperature)
+    let mut logits = Tensor::zeros(inputs.len(), teacher.cfg.vocab);
+    teacher.forward_infer_ws(inputs, &mut teacher.new_cache(), ws, &mut logits.data);
+    sharpen_to_probs(logits, temperature)
 }
 
 /// Sample a seeded uniform random prompt — the synthetic prompt stream every
@@ -209,8 +212,8 @@ pub fn distill(
     assert!(cfg.prompt_len >= 1 && cfg.prompt_len < max_seq);
     let mut rng = Rng::new(cfg.seed);
     let schedule = cfg.schedule.clone();
-    // Teacher rollouts dominate each step's wall-clock; run them on the
-    // fused zero-allocation decode path (token-identical to the reference).
+    // Teacher rollouts and scoring dominate each step's wall-clock; run
+    // both on the fused zero-allocation path.
     let mut ws = Workspace::new();
     let budget = cfg.gen_len.min(max_seq - cfg.prompt_len);
     let mut make = |_step: usize| -> Example {
@@ -220,7 +223,8 @@ pub fn distill(
         let inputs = rollout_inputs(
             target, &mut cache, &prompt, pending, budget, max_seq, &mut ws,
         );
-        let teacher_probs = teacher_probs_with_temperature(target, &inputs, cfg.temperature);
+        let teacher_probs =
+            teacher_probs_with_temperature(target, &inputs, cfg.temperature, &mut ws);
         Example {
             inputs,
             loss: LossSpec::KlDistill { teacher_probs },
@@ -283,7 +287,7 @@ mod tests {
         let teacher = micro(11);
         let mut student = micro(99);
         let inputs = vec![2u32, 8, 1, 6, 4];
-        let probs = teacher_probs_with_temperature(&teacher, &inputs, 1.0);
+        let probs = teacher_probs_with_temperature(&teacher, &inputs, 1.0, &mut Workspace::new());
         let ex = Example {
             inputs,
             loss: LossSpec::KlDistill {
@@ -319,7 +323,7 @@ mod tests {
         );
         assert_eq!(
             loss_bits(&losses),
-            0x905f_0791_94ca_dc56,
+            0xc95d_4ad8_e9da_02b0,
             "training bits moved"
         );
     }
@@ -327,7 +331,7 @@ mod tests {
     #[test]
     fn teacher_probs_rows_are_normalised() {
         let teacher = micro(31);
-        let p = teacher_probs_with_temperature(&teacher, &[3, 1, 4], 1.0);
+        let p = teacher_probs_with_temperature(&teacher, &[3, 1, 4], 1.0, &mut Workspace::new());
         assert_eq!((p.rows, p.cols), (3, teacher.cfg.vocab));
         for r in 0..p.rows {
             let s: f32 = p.row(r).iter().sum();

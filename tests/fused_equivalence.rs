@@ -5,8 +5,11 @@
 //!
 //! Tolerances follow the existing precedent: the fused path only
 //! reassociates the residual adds relative to `forward_infer` (tight bound),
-//! while `forward_full` recomputes attention with different kernels
-//! (looser bound, same as the seed's incremental-vs-full test).
+//! while `forward_full` — the value of the training tape
+//! (`Decoder::forward_train`) — recomputes the whole sequence through the
+//! tape's ops, sharing no kernel with the cached sweep (looser bound, same
+//! as the seed's incremental-vs-full test). So this suite also pins tape ≡
+//! inference: the function training differentiates is the one served.
 
 use aasd::nn::{Decoder, DecoderConfig};
 use aasd::specdec::{autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws};
@@ -57,7 +60,8 @@ fn fused_path_matches_both_references_across_splits() {
 
 /// End-to-end: the autoregressive and speculative loops emit the greedy
 /// stream of the forward oracle — `forward_full` recomputing the whole
-/// sequence for every token, sharing no cache or session code with them.
+/// sequence on a fresh tape for every token, sharing no cache or session
+/// code with them.
 #[test]
 fn fused_loops_are_lossless_end_to_end() {
     let target = Decoder::new(DecoderConfig::tiny(50), 0xAB);
