@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # CI gate for the AASD reproduction. Run from the repo root:
-#   ./ci.sh           # full gate: build, tests, fmt, clippy
+#   ./ci.sh           # full gate: build, tests, fmt, clippy, rustdoc
 #   ./ci.sh --quick   # tier-1 only: release build + tests
 #
 # The container is offline; everything here is std-only and must work
@@ -147,6 +147,11 @@ if [[ "${1:-}" != "--quick" ]]; then
 
     echo "==> cargo clippy -- -D warnings"
     cargo clippy --workspace --all-targets -- -D warnings
+
+    echo "==> cargo doc -D warnings"
+    # A deleted or privatised item must not leave a dangling intra-doc link
+    # (or a public doc pointing at a private item) behind.
+    RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 fi
 
 echo "CI gate passed."

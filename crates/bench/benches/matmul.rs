@@ -20,7 +20,8 @@
 //!    beside the f32 tile over f32 panels, with the bytes each streams.
 //!    Activations are quantized outside the timed region: this is the
 //!    kernel, not `QuantLinear`.
-//! 4. Naive reference vs the tiled kernel on square sizes.
+//! 4. Naive reference vs the tiled kernel on square sizes, with GFLOP/s
+//!    taken from the minimum.
 //! 5. **The lane kernels** per tier, through the explicit `*_with(Backend, …)`
 //!    entries at the shapes the decoder serves: attention scores and mix
 //!    over one head (head dim 16 at stride 128, Sim7B; 24 at stride 192,
@@ -28,7 +29,6 @@
 //!    rows, and `dot`, SwiGLU and the quantizer over rows of 128, 192, 256
 //!    and 384 floats (the two models' `dim` and `ff_hidden`).
 
-use aasd_bench::{bench, report};
 use aasd_tensor::simd::{
     attn_mix_with, attn_scores_with, dot_with, quantize_row_i8_with, silu_mul_with,
     softmax_row_with,
@@ -251,7 +251,7 @@ fn int8_sweep() {
 }
 
 fn square_sizes() {
-    println!("square N³: naive vs tiled\n");
+    println!("square N³: naive vs tiled, min of 15 calls (CoV)\n");
     for n in [64usize, 128, 256] {
         let mut rng = Rng::new(n as u64);
         let a: Vec<f32> = (0..n * n).map(|_| rng.uniform(-1.0, 1.0)).collect();
@@ -259,21 +259,22 @@ fn square_sizes() {
         let mut c = vec![0.0f32; n * n];
         let flops = 2.0 * (n as f64).powi(3);
 
-        let naive = bench(&format!("matmul/naive/{n}"), || {
-            matmul_naive_into(&mut c, &a, &b, n, n, n)
+        let naive = min_cov_us(15, 1, || {
+            matmul_naive_into(&mut c, &a, &b, n, n, n);
+            black_box(&mut c);
         });
-        let tiled = bench(&format!("matmul/tiled/{n}"), || {
-            matmul_blocked_into(&mut c, &a, &b, n, n, n)
+        let tiled = min_cov_us(15, 1, || {
+            matmul_blocked_into(&mut c, &a, &b, n, n, n);
+            black_box(&mut c);
         });
 
-        for r in [&naive, &tiled] {
-            report(r);
-            println!("{:<44} {:>10.2} GFLOP/s", "", flops / r.median_ns);
+        for (name, (us, cov)) in [("naive", naive), ("tiled", tiled)] {
+            println!(
+                "  matmul/{name}/{n:<4} {us:>10.1} µs min (CoV {cov:.3})  {:>7.2} GFLOP/s",
+                flops / (us * 1e3)
+            );
         }
-        println!(
-            "  speedup tiled vs naive: {:.2}x\n",
-            naive.median_ns / tiled.median_ns
-        );
+        println!("  speedup tiled vs naive: {:.2}x\n", naive.0 / tiled.0);
     }
 }
 

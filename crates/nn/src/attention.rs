@@ -9,7 +9,7 @@
 //!   allocating twin the multimodal distillation teacher runs.
 //! * One **full-sequence mix** — [`aasd_autograd::attention`], the same
 //!   function every training graph's attention op computes — under
-//!   [`Attention::forward_bidirectional`], unmasked (`All`) and un-roped,
+//!   `Attention::forward_bidirectional`, unmasked (`All`) and un-roped,
 //!   the vision tower's attention. The causal oracle the sweep is tested
 //!   against is that mix too, reached through the training tape
 //!   (`Decoder::forward_full`); the two share no kernel.

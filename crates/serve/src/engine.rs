@@ -5,7 +5,7 @@
 //! ## Architecture
 //!
 //! * **Paged KV pool** — the engine owns one pre-allocated
-//!   [`KvPool`](aasd_nn::KvPool) per model (target, draft). A session no
+//!   [`KvPool`] per model (target, draft). A session no
 //!   longer owns a `max_seq`-sized cache pair for its whole life: at
 //!   admission it leases exactly the blocks its `prompt + budget` needs
 //!   (`prefix + budget − 1` positions — the last emitted token is never fed
@@ -1029,8 +1029,9 @@ impl Engine {
     /// after a miss prefill; the rows are copied out of the session's
     /// target cache, so the entry is bit-identical to what a fresh vision
     /// prefill would produce. Skipped when caching is disabled, the entry
-    /// raced into existence, or the pool has no spare blocks (the session
-    /// itself always wins over the cache).
+    /// raced into existence, every entry of a full cache is in use, or the
+    /// pool has no spare blocks (the session itself always wins over the
+    /// cache).
     fn populate_vision_cache(&self, hash: u64, t_cache: &KvCache) {
         if self.cfg.vision_cache_entries == 0 {
             return;
@@ -1040,6 +1041,14 @@ impl Engine {
         if vc.entries.contains_key(&hash) {
             return;
         }
+        // Make room first: the pool is sized for `vision_cache_entries`
+        // prefixes, so an entry past the cap would lease blocks meant for
+        // sessions. When every entry is pinned by a live session, skip.
+        while vc.entries.len() >= self.cfg.vision_cache_entries {
+            if !vc.evict_coldest(None) {
+                return;
+            }
+        }
         let Some(mut t_prefix) = self.t_pool.try_lease(n_img) else {
             return;
         };
@@ -1048,11 +1057,6 @@ impl Engine {
             let mut dst = t_prefix.layer_mut(l);
             for pos in 0..n_img {
                 dst.append(src.key(pos), src.value(pos));
-            }
-        }
-        while vc.entries.len() >= self.cfg.vision_cache_entries {
-            if !vc.evict_coldest(None) {
-                break;
             }
         }
         vc.clock += 1;
@@ -1921,6 +1925,36 @@ mod tests {
             pool.free_blocks() > free_before,
             "eviction must free blocks"
         );
+    }
+
+    /// A miss whose only eviction candidate is pinned by a live session
+    /// skips its insert: the cache never holds more than
+    /// `vision_cache_entries` prefixes, because the auto-sized target pool
+    /// only has blocks for that many besides the sessions'.
+    #[test]
+    fn full_cache_of_pinned_entries_skips_the_insert() {
+        let (engine, ..) = mm_engine(EngineConfig {
+            workers: 1,
+            block_size: 4,
+            ..mm_cfg(1)
+        });
+        let req = |seed: u64, max_new: usize| Request {
+            prompt: vec![3, 11, 25, 7],
+            max_new,
+            mode: DecodeMode::Speculative { gamma: 3 },
+            image_seed: Some(seed),
+        };
+        engine.submit(req(5, 4)).unwrap();
+        engine.run_until_idle();
+        // A long hit on seed 5 pins its entry; a short miss on seed 9 finds
+        // the cache full and nothing evictable.
+        engine.submit(req(5, 40)).unwrap();
+        engine.submit(req(9, 4)).unwrap();
+        engine.tick();
+        assert_eq!(engine.metrics().vision_cache_misses.get(), 2);
+        let cached = engine.vision_cache.lock().unwrap().entries.len();
+        assert!(cached <= 1, "{cached} cached prefixes against a cap of 1");
+        engine.run_until_idle();
     }
 
     /// `serve` returning after its stop flag was raised mid-speculation has

@@ -9,8 +9,9 @@
 //! acceptance is the one-hot special case of Leviathan rejection sampling
 //! (accept `x'~q` w.p. `min(1, p/q)`).
 //!
-//! There is one loop: the resumable sessions of [`session`], which share
-//! one private loop-state core and run every forward on the
+//! There is one loop: the resumable sessions of [`session`]. An
+//! [`ArSession`] owns the loop state, a [`SpecSession`] is an `ArSession`
+//! plus its draft side, and both run every forward on the
 //! zero-allocation `forward_infer_ws` path. A speculative
 //! session **folds the pending token into the verify block** — the
 //! correction/bonus token of block *n* is scored inside block *n+1*'s
@@ -20,9 +21,10 @@
 //! a session to completion from caches the caller has prefilled (text, or
 //! vision prefix ∥ text in `aasd-mm`); the two prompt-level one-shots below
 //! are prefill + `Session::run`. The token oracle every losslessness test
-//! compares against is the [`ArSession`] stream — the same core with no
-//! draft — and the forward oracle under it is `Decoder::forward_full`, the
-//! value of the training tape (`tests/fused_equivalence.rs`).
+//! compares against is the [`ArSession`] stream — the speculative loop
+//! with no draft — and the forward oracle under it is
+//! `Decoder::forward_full`, the value of the training tape
+//! (`tests/fused_equivalence.rs`).
 //!
 //! Kernel policy rides on the models, not the loops: a `Decoder` switched
 //! to `aasd_nn::KernelPolicy::Int8` runs its fused forwards on the int8
@@ -32,7 +34,6 @@
 //! under either policy — and draft and target may run different policies
 //! (`tests/int8_equivalence.rs` pins both properties).
 
-mod core;
 pub mod metrics;
 pub mod session;
 
@@ -150,7 +151,6 @@ pub fn speculative_greedy_with_budget_ws(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::core::Core;
     use aasd_nn::DecoderConfig;
     use aasd_tensor::{argmax, Rng};
 
@@ -231,8 +231,8 @@ mod tests {
                 want_accepted += 1;
             }
 
-            let core = Core::new(&target, &c1, pending, block.len() + 1, block.len());
-            let (accepted, next) = core.verify_chain(&target, &mut c1, &block, &mut ws);
+            let session = ArSession::new(&target, &c1, pending, block.len() + 1);
+            let (accepted, next) = session.verify_chain(&target, &mut c1, &block, &mut ws);
             assert_eq!((accepted, next), (want_accepted, pred));
             assert_eq!(c1.len(), p.len() + 1 + block.len());
             c1.truncate(p.len() + 1 + accepted);

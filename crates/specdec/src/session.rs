@@ -13,12 +13,13 @@
 //! sessions.
 //!
 //! Sessions do **not** own the model or the caches; they own only the loop
-//! state (pending token, emitted tokens, counters — the shared [`Core`]).
+//! state. An [`ArSession`] is that state (pending token, emitted tokens,
+//! counters) plus the steps that do not depend on where proposals come
+//! from; a [`SpecSession`] is an `ArSession` plus its draft side.
 //! The caller supplies the same `target`/`draft`/`t_cache`/`d_cache`/`ws`
 //! on every step — in the server each session slot owns its caches and
 //! workspace, while the models are shared read-only across worker threads.
 
-use crate::core::{assert_budget_fits, core_accessors, Core};
 use crate::metrics::SpecStats;
 use crate::MAX_GAMMA;
 use aasd_nn::{Decoder, KvCache};
@@ -34,6 +35,17 @@ pub struct StepReport {
     pub done: bool,
 }
 
+/// A session's whole budget must fit `cache` on top of what it already
+/// holds. Leased caches may be smaller than the model's context window — the
+/// binding bound is whichever is tighter — and all committed tokens except
+/// the final one are fed back, hence the `+ 1`.
+fn assert_budget_fits(side: &str, model: &Decoder, cache: &KvCache, budget: usize) {
+    assert!(
+        cache.len() + budget <= model.cfg.max_seq.min(cache.capacity()) + 1,
+        "budget exceeds {side} context window / lease capacity"
+    );
+}
+
 /// Positions a cache can still take beyond the pending token: the tighter
 /// of the model's context window and the cache lease, minus the `base`
 /// positions held and the pending token's own row. The session
@@ -43,18 +55,203 @@ fn room(model: &Decoder, cache: &KvCache, base: usize) -> usize {
     model.cfg.max_seq.min(cache.capacity()) - base - 1
 }
 
+/// Resumable fused autoregressive decoding: the speculative loop with no
+/// draft, so a scheduler can interleave AR sessions exactly like
+/// speculative ones (one "block" = one token). This is the serving
+/// baseline speculative scheduling is benchmarked against, and the loop
+/// state every [`SpecSession`] runs on.
+///
+/// Invariants between steps:
+/// * `out` ends with the pending token (emitted, not yet fed to any cache);
+/// * the target cache holds `t_off + out.len() − 1` positions — **except
+///   after a speculative session's final block**, which skips its rollback
+///   (the session is finished; the caches are about to be reset or
+///   released anyway);
+/// * `stats.generated == out.len()`.
+#[derive(Debug, Clone)]
+pub struct ArSession {
+    pending: u32,
+    budget: usize,
+    out: Vec<u32>,
+    stats: SpecStats,
+    t_off: usize,
+    done: bool,
+}
+
+impl ArSession {
+    /// Start from a pre-seeded target cache. `pending` is the first
+    /// target-decided token not yet fed back; it is committed immediately
+    /// (it was decided by prefill, so it lands in
+    /// `SpecStats::prefill_tokens`), which is what makes time-to-first-token
+    /// in a server equal to queue wait + prefill, not queue wait + prefill +
+    /// first block.
+    pub fn new(target: &Decoder, cache: &KvCache, pending: u32, budget: usize) -> Self {
+        assert_budget_fits("target", target, cache, budget);
+        let mut s = Self {
+            pending,
+            budget,
+            out: Vec::with_capacity(budget),
+            stats: SpecStats::default(),
+            t_off: cache.len(),
+            done: budget == 0,
+        };
+        if !s.done {
+            s.out.push(pending);
+            s.stats.generated += 1;
+            s.stats.prefill_tokens += 1;
+            s.done = s.out.len() == s.budget;
+        }
+        s
+    }
+
+    /// Tokens emitted so far (monotone; committed tokens never change).
+    #[inline]
+    pub fn tokens(&self) -> &[u32] {
+        &self.out
+    }
+
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.done
+    }
+
+    pub fn into_tokens(self) -> Vec<u32> {
+        self.out
+    }
+
+    /// Decode one token: feed the pending token, commit its argmax.
+    pub fn step(
+        &mut self,
+        target: &Decoder,
+        cache: &mut KvCache,
+        ws: &mut Workspace,
+    ) -> StepReport {
+        let before = self.out.len();
+        if !self.done {
+            self.plain_decode(target, cache, ws);
+        }
+        self.report(before)
+    }
+
+    fn into_parts(self) -> (Vec<u32>, SpecStats) {
+        debug_assert_eq!(self.stats.generated, self.out.len());
+        (self.out, self.stats)
+    }
+
+    /// Tokens of budget not yet emitted.
+    #[inline]
+    fn remaining(&self) -> usize {
+        self.budget - self.out.len()
+    }
+
+    /// Target-cache length between steps (see the struct invariants).
+    fn t_base(&self) -> usize {
+        self.t_off + self.out.len() - 1
+    }
+
+    /// The report for a step that began with `before` tokens emitted.
+    fn report(&self, before: usize) -> StepReport {
+        StepReport {
+            committed: self.out.len() - before,
+            done: self.done,
+        }
+    }
+
+    /// Proposals the next block may carry: `gamma` bounded by the budget
+    /// (the block commits at most g+1 tokens) and by `room`, the positions
+    /// the caches can still take beyond the pending token. 0 ⇒ no room to
+    /// speculate, take [`ArSession::plain_decode`]. Must not be called on a
+    /// finished session (`remaining() ≥ 1`).
+    fn block_depth(&self, gamma: usize, room: usize) -> usize {
+        gamma.min(room).min(self.remaining() - 1)
+    }
+
+    /// One plain fused decode step: feed the pending token to the target
+    /// and commit its argmax as the new pending token. This is the whole
+    /// of autoregressive decoding, the speculative sessions' fallback when
+    /// budget or context leaves no room for a proposal, and their final
+    /// token.
+    fn plain_decode(&mut self, target: &Decoder, t_cache: &mut KvCache, ws: &mut Workspace) {
+        let mut logits = ws.take(target.cfg.vocab);
+        target.forward_infer_ws(&[self.pending], t_cache, ws, &mut logits);
+        self.pending = argmax(&logits) as u32;
+        ws.give(logits);
+        self.out.push(self.pending);
+        self.stats.blocks += 1;
+        self.stats.generated += 1;
+        self.done = self.out.len() == self.budget;
+    }
+
+    /// Batched chain verify: ONE `(g+1)`-row target pass scores the pending
+    /// token and all `g = proposals.len()` proposals (row `i` predicts the
+    /// token after position `base + i`, i.e. `proposals[i]` for `i < g`,
+    /// the bonus token for `i = g`). Returns the accepted prefix length and
+    /// the target's token after it — the correction on a mismatch, the free
+    /// bonus on a full accept. The cache keeps all `g + 1` rows; the caller
+    /// rolls it back.
+    pub(crate) fn verify_chain(
+        &self,
+        target: &Decoder,
+        t_cache: &mut KvCache,
+        proposals: &[u32],
+        ws: &mut Workspace,
+    ) -> (usize, u32) {
+        let (g, vocab) = (proposals.len(), target.cfg.vocab);
+        // Built on the stack (no allocation); callers keep g < MAX_GAMMA.
+        let mut block = [0u32; MAX_GAMMA];
+        block[0] = self.pending;
+        block[1..=g].copy_from_slice(proposals);
+        let mut logits = ws.take((g + 1) * vocab);
+        target.forward_infer_ws(&block[..=g], t_cache, ws, &mut logits);
+        let row = |i: usize| argmax(&logits[i * vocab..(i + 1) * vocab]) as u32;
+        let mut accepted = 0;
+        let next = loop {
+            let pred = row(accepted);
+            if accepted == g || pred != proposals[accepted] {
+                break pred;
+            }
+            accepted += 1;
+        };
+        ws.give(logits);
+        (accepted, next)
+    }
+
+    /// Account one verified block and commit it: `accepted` are the
+    /// proposals the target agreed with, `next` its token after them (the
+    /// new pending token), `drafted` the proposals the block carried. α
+    /// measures draft/target alignment, so `stats.accepted` counts every
+    /// agreement, even one the budget then truncates away; the commit itself
+    /// is clamped to the remaining budget so the bonus/correction token is
+    /// never emitted past it.
+    fn commit(&mut self, accepted: &[u32], next: u32, drafted: usize) {
+        self.stats.blocks += 1;
+        self.stats.drafted += drafted;
+        self.stats.accepted += accepted.len();
+        let commit = (accepted.len() + 1).min(self.remaining());
+        self.stats.generated += commit;
+        self.out
+            .extend_from_slice(&accepted[..commit.min(accepted.len())]);
+        if commit > accepted.len() {
+            self.out.push(next);
+        }
+        self.pending = next;
+        self.done = self.out.len() == self.budget;
+    }
+}
+
 /// Resumable fused speculative decoding over a γ-token **chain** with the
 /// pending-token fold: the correction/bonus token of block *n* is scored
 /// inside block *n+1*'s batched verify pass instead of paying its own
 /// single-token resync forward.
 ///
-/// On top of the [`Core`] invariants, the draft cache holds
+/// On top of the [`ArSession`] invariants, the draft cache holds
 /// `d_off + tokens().len() − 1` positions between steps — except that it is
 /// one row short while `unfed` holds the last proposal of a fully accepted
 /// block (the next draft forward feeds it first).
 #[derive(Debug, Clone)]
 pub struct SpecSession {
-    core: Core,
+    ar: ArSession,
+    gamma: usize,
     d_off: usize,
     /// The last proposal of a fully accepted block: committed, but not yet
     /// in the draft cache. Feeding it only matters when the whole block is
@@ -62,8 +259,6 @@ pub struct SpecSession {
     /// rides along with the next block's first draft forward.
     unfed: Option<u32>,
 }
-
-core_accessors!(SpecSession);
 
 impl SpecSession {
     /// Start a session from **pre-seeded caches whose lengths may differ**:
@@ -84,16 +279,44 @@ impl SpecSession {
         budget: usize,
         gamma: usize,
     ) -> Self {
+        assert!(
+            (1..MAX_GAMMA).contains(&gamma),
+            "gamma must be in 1..{MAX_GAMMA}"
+        );
         assert_eq!(
             draft.cfg.vocab, target.cfg.vocab,
             "draft and target vocabularies differ"
         );
         assert_budget_fits("draft", draft, d_cache, budget);
         Self {
-            core: Core::new(target, t_cache, pending, budget, gamma),
+            ar: ArSession::new(target, t_cache, pending, budget),
+            gamma,
             d_off: d_cache.len(),
             unfed: None,
         }
+    }
+
+    /// Tokens emitted so far (monotone; committed tokens never change).
+    #[inline]
+    pub fn tokens(&self) -> &[u32] {
+        self.ar.tokens()
+    }
+
+    /// Counters so far; final once `is_done`.
+    #[inline]
+    pub fn stats(&self) -> &SpecStats {
+        &self.ar.stats
+    }
+
+    #[inline]
+    pub fn is_done(&self) -> bool {
+        self.ar.is_done()
+    }
+
+    /// Consume the session, yielding the stream and its counters — exactly
+    /// what the one-shot loops return.
+    pub fn into_parts(self) -> (Vec<u32>, SpecStats) {
+        self.ar.into_parts()
     }
 
     /// Feed `tok` (the pending token) to the draft — preceded, in the same
@@ -131,30 +354,30 @@ impl SpecSession {
         d_cache: &mut KvCache,
         ws: &mut Workspace,
     ) -> StepReport {
-        let before = self.core.tokens().len();
-        if self.core.is_done() {
-            return self.core.report(before);
+        let before = self.ar.out.len();
+        if self.ar.done {
+            return self.ar.report(before);
         }
         let d_vocab = draft.cfg.vocab;
         let t_base = t_cache.len();
         // The draft frontier, counting a still un-fed last proposal.
         let d_base = d_cache.len() + usize::from(self.unfed.is_some());
-        debug_assert_eq!(t_base, self.core.t_base());
+        debug_assert_eq!(t_base, self.ar.t_base());
         debug_assert_eq!(d_base, self.d_off + before - 1);
         // The block feeds g+1 tokens (pending + g proposals) to both caches;
         // each model bounds g by its own remaining room.
         let room = room(target, t_cache, t_base).min(room(draft, d_cache, d_base));
-        let g = self.core.block_depth(room);
-        let fed = self.core.pending;
+        let g = self.ar.block_depth(self.gamma, room);
+        let fed = self.ar.pending;
         if g == 0 {
-            self.core.plain_decode(target, t_cache, ws);
-            if !self.core.is_done() {
+            self.ar.plain_decode(target, t_cache, ws);
+            if !self.ar.done {
                 // Keep the caches in lockstep for the next block.
                 let mut d_logits = ws.take(2 * d_vocab);
                 self.feed_draft(fed, draft, d_cache, ws, &mut d_logits);
                 ws.give(d_logits);
             }
-            return self.core.report(before);
+            return self.ar.report(before);
         }
 
         // Draft phase: feed pending, then every proposal but the last (g
@@ -171,9 +394,9 @@ impl SpecSession {
         ws.give(d_logits);
         let proposals = &proposals[..g];
 
-        let (accepted, next) = self.core.verify_chain(target, t_cache, proposals, ws);
-        self.core.commit(&proposals[..accepted], next, g);
-        if !self.core.is_done() {
+        let (accepted, next) = self.ar.verify_chain(target, t_cache, proposals, ws);
+        self.ar.commit(&proposals[..accepted], next, g);
+        if !self.ar.done {
             // Roll both caches back to the committed frontier; the new
             // pending token is fed as part of the NEXT block's verify pass.
             t_cache.truncate(t_base + 1 + accepted);
@@ -183,57 +406,7 @@ impl SpecSession {
                 d_cache.truncate(d_base + 1 + accepted);
             }
         }
-        self.core.report(before)
-    }
-}
-
-/// Resumable fused autoregressive decoding: the speculative loop with no
-/// draft — every step is the [`Core`]'s plain decode step — so a scheduler
-/// can interleave AR sessions exactly like speculative ones (one "block" =
-/// one token). This is the serving baseline speculative scheduling is
-/// benchmarked against.
-#[derive(Debug, Clone)]
-pub struct ArSession {
-    core: Core,
-}
-
-impl ArSession {
-    /// Start from a pre-seeded cache; `pending` is the first target-decided
-    /// token not yet fed back (committed immediately, mirroring
-    /// [`SpecSession::new`]).
-    pub fn new(target: &Decoder, cache: &KvCache, pending: u32, budget: usize) -> Self {
-        // γ is never read: an AR session takes no speculative block.
-        Self {
-            core: Core::new(target, cache, pending, budget, 1),
-        }
-    }
-
-    #[inline]
-    pub fn tokens(&self) -> &[u32] {
-        self.core.tokens()
-    }
-
-    #[inline]
-    pub fn is_done(&self) -> bool {
-        self.core.is_done()
-    }
-
-    pub fn into_tokens(self) -> Vec<u32> {
-        self.core.into_parts().0
-    }
-
-    /// Decode one token: feed the pending token, commit its argmax.
-    pub fn step(
-        &mut self,
-        target: &Decoder,
-        cache: &mut KvCache,
-        ws: &mut Workspace,
-    ) -> StepReport {
-        let before = self.core.tokens().len();
-        if !self.core.is_done() {
-            self.core.plain_decode(target, cache, ws);
-        }
-        self.core.report(before)
+        self.ar.report(before)
     }
 }
 
@@ -246,10 +419,10 @@ pub enum Session {
 }
 
 impl Session {
-    fn core(&self) -> &Core {
+    fn core(&self) -> &ArSession {
         match self {
-            Session::Ar(s) => &s.core,
-            Session::Spec(s) => &s.core,
+            Session::Ar(s) => s,
+            Session::Spec(s) => &s.ar,
         }
     }
 
@@ -266,7 +439,7 @@ impl Session {
     pub fn stats(&self) -> Option<&SpecStats> {
         match self {
             Session::Ar(_) => None,
-            _ => Some(self.core().stats()),
+            Session::Spec(s) => Some(s.stats()),
         }
     }
 
@@ -302,7 +475,7 @@ impl Session {
             self.step(target, t_cache, draft, ws);
         }
         match self {
-            Session::Ar(s) => s.core.into_parts(),
+            Session::Ar(s) => s.into_parts(),
             Session::Spec(s) => s.into_parts(),
         }
     }

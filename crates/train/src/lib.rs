@@ -31,7 +31,7 @@ pub use schedule::Schedule;
 use aasd_autograd::{Tape, VarId};
 use aasd_nn::{Decoder, KvCache};
 use aasd_specdec::{ArSession, Session};
-use aasd_tensor::{softmax_rows, Rng, Tensor, Workspace};
+use aasd_tensor::{argmax, softmax_rows, Rng, Tensor, Workspace};
 
 /// What loss to attach to the `[t, vocab]` logits node of one example.
 #[derive(Debug, Clone)]
@@ -89,34 +89,17 @@ pub fn train_loop(
     losses
 }
 
-/// The teacher's full next-token distribution over `inputs` — the frozen
-/// matrix [`LossSpec::KlDistill`] pins the student against: row-wise
-/// softmax of its `[t, vocab]` logits divided by a distillation temperature
-/// (Hinton et al. 2015; `1.0` is the raw distribution). `T < 1` sharpens
-/// the target toward the teacher's argmax — useful when the teacher is
-/// high-entropy and greedy agreement (not distribution matching) is the
-/// quantity being optimised, as in speculative-decoding alignment. The
-/// logits come from one fused forward over a fresh cache, scratch from `ws`.
-pub fn teacher_probs_with_temperature(
-    teacher: &Decoder,
-    inputs: &[u32],
-    temperature: f32,
-    ws: &mut Workspace,
-) -> Tensor {
-    let mut logits = Tensor::zeros(inputs.len(), teacher.cfg.vocab);
-    teacher.forward_infer_ws(inputs, &mut teacher.new_cache(), ws, &mut logits.data);
-    sharpen_to_probs(logits, temperature)
-}
-
 /// Sample a seeded uniform random prompt — the synthetic prompt stream every
 /// self-data distillation loop draws from.
 pub fn random_prompt(rng: &mut Rng, len: usize, vocab: usize) -> Vec<u32> {
     (0..len).map(|_| rng.below(vocab) as u32).collect()
 }
 
-/// The shared synthetic-rollout step used by every self-data distillation
-/// loop — text [`distill`], the multimodal `distill_hybrid` in `aasd-mm`,
-/// and the baseline-zoo trainers in `aasd-baselines`: greedily continue
+/// The shared synthetic-rollout step of the self-data distillation loops
+/// that score their teacher in a separate pass — the multimodal
+/// `distill_hybrid` in `aasd-mm` and the baseline-zoo trainers in
+/// `aasd-baselines` (text [`distill`] keeps its rollout's rows instead):
+/// greedily continue
 /// `pending` over the pre-seeded teacher `cache`, clamping the continuation
 /// to the cache's remaining room, and return `prompt ‖ generated` truncated
 /// to `max_len` — the token sequence the student trains on.
@@ -212,22 +195,41 @@ pub fn distill(
     assert!(cfg.prompt_len >= 1 && cfg.prompt_len < max_seq);
     let mut rng = Rng::new(cfg.seed);
     let schedule = cfg.schedule.clone();
-    // Teacher rollouts and scoring dominate each step's wall-clock; run
-    // both on the fused zero-allocation path.
+    // The teacher's rollout dominates each step's wall-clock; run it on the
+    // fused zero-allocation path.
     let mut ws = Workspace::new();
-    let budget = cfg.gen_len.min(max_seq - cfg.prompt_len);
+    let len = cfg.prompt_len + cfg.gen_len.min(max_seq - cfg.prompt_len);
     let mut make = |_step: usize| -> Example {
-        let prompt = random_prompt(&mut rng, cfg.prompt_len, vocab);
+        let mut inputs = random_prompt(&mut rng, cfg.prompt_len, vocab);
         let mut cache = target.new_cache();
-        let pending = target.prefill_ws(&prompt, &mut cache, &mut ws);
-        let inputs = rollout_inputs(
-            target, &mut cache, &prompt, pending, budget, max_seq, &mut ws,
+        // The rollout's own logits are the teacher rows: row `i` is the
+        // target's distribution after `inputs[..=i]`, and its argmax is the
+        // greedy token `i + 1`. A row's bits do not depend on the block it
+        // is computed in, so the prompt's rows come from one forward and
+        // each generated token's (the last one's included) from its own.
+        let mut logits = Tensor::zeros(len, vocab);
+        let rows = &mut logits.data;
+        target.forward_infer_ws(
+            &inputs,
+            &mut cache,
+            &mut ws,
+            &mut rows[..inputs.len() * vocab],
         );
-        let teacher_probs =
-            teacher_probs_with_temperature(target, &inputs, cfg.temperature, &mut ws);
+        for i in inputs.len()..len {
+            let next = argmax(&rows[(i - 1) * vocab..i * vocab]) as u32;
+            inputs.push(next);
+            target.forward_infer_ws(
+                &[next],
+                &mut cache,
+                &mut ws,
+                &mut rows[i * vocab..][..vocab],
+            );
+        }
         Example {
             inputs,
-            loss: LossSpec::KlDistill { teacher_probs },
+            loss: LossSpec::KlDistill {
+                teacher_probs: sharpen_to_probs(logits, cfg.temperature),
+            },
         }
     };
     train_loop(draft, opt, &schedule, cfg.steps, &mut make)
@@ -287,7 +289,10 @@ mod tests {
         let teacher = micro(11);
         let mut student = micro(99);
         let inputs = vec![2u32, 8, 1, 6, 4];
-        let probs = teacher_probs_with_temperature(&teacher, &inputs, 1.0, &mut Workspace::new());
+        let probs = sharpen_to_probs(
+            teacher.forward_infer(&inputs, &mut teacher.new_cache()),
+            1.0,
+        );
         let ex = Example {
             inputs,
             loss: LossSpec::KlDistill {
@@ -331,7 +336,10 @@ mod tests {
     #[test]
     fn teacher_probs_rows_are_normalised() {
         let teacher = micro(31);
-        let p = teacher_probs_with_temperature(&teacher, &[3, 1, 4], 1.0, &mut Workspace::new());
+        let p = sharpen_to_probs(
+            teacher.forward_infer(&[3, 1, 4], &mut teacher.new_cache()),
+            1.0,
+        );
         assert_eq!((p.rows, p.cols), (3, teacher.cfg.vocab));
         for r in 0..p.rows {
             let s: f32 = p.row(r).iter().sum();
