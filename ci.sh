@@ -101,14 +101,24 @@ if [[ "${1:-}" != "--quick" ]]; then
     ran -ge 53 cargo test -q --release -p aasd-tensor
     ran -ge 12 cargo test -q --release -p aasd-nn linear_
 
-    echo "==> table1 smoke gate: draft-zoo ordering + per-stream losslessness"
+    echo "==> table1 smoke gate: draft-zoo ordering + per-stream losslessness + pinned counts"
     # Reduced grid (γ=3 only, short training, few held-out pairs): the
     # binary hard-asserts that every speculative stream is token-identical
     # to autoregressive decoding and that the AASD draft's α is strictly
     # above all four baselines on every workload. The full grid (γ∈{3,5},
     # ≈ 80 s) stays out of CI — run it manually via
     #   cargo run --release -p aasd-bench --bin table1 -- table1.json
-    cargo run --release -q -p aasd-bench --bin table1 -- /tmp/table1_smoke.json --smoke
+    # It prints one FNV-1a fingerprint over every cell's blocks, drafted,
+    # accepted and generated counts; the smoke grid's is pinned, like the
+    # benchmark's counts below, so a change that moves one trained weight
+    # of the five draft systems or of the grounded targets fails here.
+    table1_pin="counts fingerprint: 0x79c335226d388168"
+    table1=$(cargo run --release -q -p aasd-bench --bin table1 -- /tmp/table1_smoke.json --smoke)
+    echo "$table1"
+    if ! grep -q "$table1_pin" <<<"$table1"; then
+        echo "table1 --smoke no longer prints { $table1_pin }" >&2
+        exit 1
+    fi
 
     echo "==> benchmark gate: aasd-e2e builds, streams are correct and the exact counts repeat"
     # A kernel or session change that moves one token or one specdec.* count

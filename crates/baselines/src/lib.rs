@@ -23,18 +23,21 @@
 //! how much of the grammar is inferable from text alone, which is exactly
 //! the gap the paper's Table 1 quantifies.
 
-use aasd_autograd::Tape;
 use aasd_data::{Sample, Split, Workload};
 use aasd_mm::{
-    distill_hybrid_with, draft_for_depth, mm_teacher_probs, own_vision_prefix, seed_request_draft,
-    Ablation, HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig, TdAlignConfig,
-    VisionConfig, DRAFT_POLICY,
+    distill_hybrid_with, draft_for_depth, seed_request_draft, teacher_sample, Ablation, Image,
+    KvProjector, LlavaSim, LlavaSimConfig, TdAlignConfig, VisionConfig, DRAFT_POLICY,
 };
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
 use aasd_specdec::{ArSession, Session, SpecSession, SpecStats};
 use aasd_tensor::Workspace;
-use aasd_train::{rollout_inputs, train_loop, Adam, Example, LossSpec, Schedule};
+use aasd_train::{train_loop, Adam, Example, LossSpec, Schedule};
 use std::time::Instant;
+
+/// The zoo trainers' run configuration: the one trainer config. Step `i`
+/// consumes train-split sample `i`, whose prompt replaces `prompt_len`;
+/// `seed` also seeds the AASD draft and projector.
+pub use aasd_train::DistillConfig as ZooTrainConfig;
 
 /// The `TinyLm` text-draft architecture (the LLaMA-68M/160M analogue): its
 /// own width, sharing only the vocabulary with the target.
@@ -96,37 +99,6 @@ pub fn tiny_vlm_draft(
     draft
 }
 
-/// Shared hyperparameters for the zoo trainers.
-#[derive(Debug, Clone)]
-pub struct ZooTrainConfig {
-    /// Optimisation steps; step `i` consumes train-split sample `i`.
-    pub steps: usize,
-    /// Rollout length for the DT (distillation) recipes.
-    pub gen_len: usize,
-    pub schedule: Schedule,
-    /// Distillation temperature (DT recipes only).
-    pub temperature: f32,
-    /// Model-init / optimizer seed.
-    pub seed: u64,
-}
-
-impl ZooTrainConfig {
-    /// A short deterministic run sized for tests and the table1 smoke gate.
-    pub fn smoke(steps: usize, seed: u64) -> Self {
-        Self {
-            steps,
-            gen_len: 16,
-            schedule: Schedule::Cosine {
-                base: 2e-2,
-                floor: 2e-3,
-                total: steps,
-            },
-            temperature: 0.2,
-            seed,
-        }
-    }
-}
-
 /// Ground-truth token sequence of a sample: `prompt ‖ reference`, split into
 /// (inputs, shifted targets) for next-token cross-entropy.
 fn supervised_pair(sample: &Sample, max_seq: usize) -> (Vec<u32>, Vec<u32>) {
@@ -151,6 +123,7 @@ pub fn finetune_text(draft: &mut Decoder, workload: &Workload, cfg: &ZooTrainCon
         Example {
             inputs,
             loss: LossSpec::CrossEntropy { targets },
+            prefix: None,
         }
     };
     train_loop(draft, &mut opt, &schedule, cfg.steps, &mut make)
@@ -172,52 +145,51 @@ pub fn distill_text_from_mm(
     let max_text = (target.cfg.lm.max_seq - target.n_img()).min(draft.cfg.max_seq);
     let mut make = |step: usize| -> Example {
         let sample = workload.sample(Split::Train, step as u64);
-        let mut t_cache = target.lm.new_cache();
-        let pending = target.prefill_ws(&sample.image, &sample.prompt, &mut t_cache, &mut ws);
-        let inputs = rollout_inputs(
-            &target.lm,
-            &mut t_cache,
+        let s = teacher_sample(
+            target,
+            &sample.image,
             &sample.prompt,
-            pending,
             cfg.gen_len,
             max_text,
+            cfg.temperature,
             &mut ws,
         );
-        let teacher_probs = mm_teacher_probs(target, &sample.image, &inputs, cfg.temperature);
         Example {
-            inputs,
-            loss: LossSpec::KlDistill { teacher_probs },
+            inputs: s.tokens,
+            loss: LossSpec::KlDistill {
+                teacher_probs: s.probs,
+            },
+            prefix: None,
         }
     };
     train_loop(draft, &mut opt, &schedule, cfg.steps, &mut make)
 }
 
-/// Train a VLM's **language model** behind its own frozen-at-step vision
-/// prefix: per step, `next` supplies the image and the example, the
-/// per-layer vision K/V rows are recomputed from the current LM (exactly
-/// mirroring the inference path), and one tape forward, loss, backward and
-/// Adam step follow. The vision tower and connector stay fixed. Returns
-/// the per-step pre-update losses.
+/// Train a VLM's **language model** through [`train_loop`] behind its own
+/// vision prefix: `next` supplies each step's image, inputs and loss, and
+/// the frozen tower and connector turn the image into the example's prefix
+/// embedding rows.
 fn train_behind_own_vision(
     vlm: &mut LlavaSim,
     cfg: &ZooTrainConfig,
-    mut next: impl FnMut(usize) -> (Image, Example),
+    mut next: impl FnMut(usize) -> (Image, Vec<u32>, LossSpec),
 ) -> Vec<f32> {
-    let mut opt = Adam::new();
-    let mut losses = Vec::with_capacity(cfg.steps);
-    for step in 0..cfg.steps {
-        let (image, ex) = next(step);
-        let mut tape = Tape::new();
-        let prefix = own_vision_prefix(&mut tape, vlm, &image);
-        let (logits, params) = vlm.lm.forward_train(&mut tape, &ex.inputs, &prefix);
-        let loss = ex.loss.attach(&mut tape, logits);
-        losses.push(tape.value(loss).data[0]);
-        let grads = tape.backward(loss);
-        opt.step(cfg.schedule.lr(step), &grads, &params, 0, |f| {
-            vlm.lm.visit_params_mut(f)
-        });
-    }
-    losses
+    let LlavaSim {
+        vision,
+        connector,
+        lm,
+        ..
+    } = vlm;
+    let mut make = |step: usize| {
+        let (image, inputs, loss) = next(step);
+        let prefix = Some(connector.forward(&vision.forward(&image)));
+        Example {
+            inputs,
+            loss,
+            prefix,
+        }
+    };
+    train_loop(lm, &mut Adam::new(), &cfg.schedule, cfg.steps, &mut make)
 }
 
 /// FT-LLaVA (and target grounding): finetune a VLM's language model on
@@ -229,8 +201,7 @@ pub fn finetune_vlm(vlm: &mut LlavaSim, workload: &Workload, cfg: &ZooTrainConfi
     train_behind_own_vision(vlm, cfg, |step| {
         let sample = workload.sample(Split::Train, step as u64);
         let (inputs, targets) = supervised_pair(&sample, max_text);
-        let loss = LossSpec::CrossEntropy { targets };
-        (sample.image, Example { inputs, loss })
+        (sample.image, inputs, LossSpec::CrossEntropy { targets })
     })
 }
 
@@ -249,20 +220,19 @@ pub fn distill_vlm_from_mm(
         (target.cfg.lm.max_seq - target.n_img()).min(draft.cfg.lm.max_seq - draft.n_img());
     train_behind_own_vision(draft, cfg, |step| {
         let sample = workload.sample(Split::Train, step as u64);
-        let mut t_cache = target.lm.new_cache();
-        let pending = target.prefill_ws(&sample.image, &sample.prompt, &mut t_cache, &mut ws);
-        let inputs = rollout_inputs(
-            &target.lm,
-            &mut t_cache,
+        let s = teacher_sample(
+            target,
+            &sample.image,
             &sample.prompt,
-            pending,
             cfg.gen_len,
             max_text,
+            cfg.temperature,
             &mut ws,
         );
-        let teacher_probs = mm_teacher_probs(target, &sample.image, &inputs, cfg.temperature);
-        let loss = LossSpec::KlDistill { teacher_probs };
-        (sample.image, Example { inputs, loss })
+        let loss = LossSpec::KlDistill {
+            teacher_probs: s.probs,
+        };
+        (sample.image, s.tokens, loss)
     })
 }
 
@@ -299,13 +269,9 @@ pub fn train_aasd_draft(
         target.cfg.n_img(),
         target.cfg.k_slots(),
     );
-    let hcfg = HybridDistillConfig {
-        steps: cfg.steps,
-        prompt_len: 4, // unused: the source supplies real prompts
-        gen_len: cfg.gen_len,
+    let hcfg = ZooTrainConfig {
         schedule,
-        temperature: cfg.temperature,
-        seed: cfg.seed,
+        ..cfg.clone()
     };
     let wl = *workload;
     let mut source = move |step: usize, _rng: &mut aasd_tensor::Rng| {

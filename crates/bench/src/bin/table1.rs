@@ -26,7 +26,9 @@
 //! The binary **hard-asserts** the paper's qualitative result: AASD's α is
 //! strictly above every baseline's on every workload (merged over targets
 //! and γ). `--smoke` shrinks training/eval and drops γ=5 so `ci.sh` can
-//! gate on the ordering cheaply.
+//! gate on the ordering cheaply. It also prints one FNV-1a fingerprint of
+//! every cell's counts (`blocks`, `drafted`, `accepted`, `generated`), which
+//! `ci.sh` pins for the smoke grid.
 //!
 //! Usage: `table1 OUT_PATH [--smoke]`
 
@@ -148,6 +150,22 @@ fn cell_json(c: &Cell) -> String {
     ])
 }
 
+/// 64-bit FNV-1a (prime `0x100_0000_01b3`) over every cell's `blocks`,
+/// `drafted`, `accepted` and `generated`, in grid order: one constant for
+/// the whole grid's counts, which depend on no clock, so `ci.sh` can pin
+/// the smoke grid exactly.
+fn counts_fingerprint(cells: &[Cell]) -> u64 {
+    cells
+        .iter()
+        .flat_map(|c| {
+            let s = &c.eval.stats;
+            [s.blocks, s.drafted, s.accepted, s.generated]
+        })
+        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
+            (h ^ x as u64).wrapping_mul(0x100_0000_01b3)
+        })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -255,6 +273,7 @@ fn main() {
         summary_items.push(json::object(&fields));
     }
     println!("ordering OK: AASD alpha strictly highest on every workload; all streams lossless");
+    println!("counts fingerprint: {:#018x}", counts_fingerprint(&cells));
 
     let meta = json::object(&[
         json::field("smoke", if smoke { "true" } else { "false" }),

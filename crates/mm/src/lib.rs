@@ -21,10 +21,13 @@
 //!   [`seed_request_draft`]) and the hybrid-cache decode paths
 //!   [`mm_autoregressive_ws`] / [`mm_speculative_ws`], built on the seeded
 //!   fused loops in `aasd-specdec`;
-//! * [`train`] — [`distill_hybrid`]: joint draft+projector KL distillation
-//!   on synthetic image+text rollouts, with the student graph
+//! * [`train`] — [`teacher_sample`], the one multimodal teacher step
+//!   (prefill, greedy rollout, scoring pass) every multimodal distillation
+//!   recipe draws from, and [`distill_hybrid`]: joint draft+projector KL
+//!   distillation on synthetic image+text rollouts, with the student graph
 //!   property-tested to equal the inference path (rope offsets,
-//!   `concat_rows`, `attention` under `UpTo(p)`).
+//!   `concat_rows`, `attention` under `UpTo(p)`). Its run configuration,
+//!   [`HybridDistillConfig`], is `aasd_train::DistillConfig`.
 //!
 //! Everything is lossless by construction (greedy verification), so the
 //! ablation switches move α/τ — measured, never asserted — while the output
@@ -43,7 +46,7 @@ pub use hybrid::{
 pub use llava::{LlavaSim, LlavaSimConfig};
 pub use projector::{layer_map, seed_raw_vision, KvProjector};
 pub use train::{
-    distill_hybrid, distill_hybrid_with, mm_teacher_probs, mm_teacher_scored, own_vision_prefix,
-    DistillSource, HybridDistillConfig, TdAlignConfig,
+    distill_hybrid, distill_hybrid_with, teacher_sample, DistillSource, HybridDistillConfig,
+    TdAlignConfig, TeacherSample,
 };
 pub use vision::{Connector, Image, VisionConfig, VisionEncoder};

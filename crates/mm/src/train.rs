@@ -12,6 +12,11 @@
 //!
 //! The graph is property-tested against the live inference path: the
 //! tape's logits must equal `Decoder::forward_infer` over a seeded cache.
+//!
+//! [`teacher_sample`] is the one place the multimodal target acts as a
+//! teacher: fused prefill, greedy rollout, and the allocating scoring pass
+//! that yields the frozen probability rows. The hybrid recipe here and the
+//! baseline zoo's DT recipes all draw their examples from it.
 
 use crate::hybrid::Ablation;
 use crate::llava::LlavaSim;
@@ -19,23 +24,12 @@ use crate::projector::KvProjector;
 use crate::vision::Image;
 use aasd_autograd::{Tape, VarId, Visible};
 use aasd_nn::{Decoder, KvCache};
+use aasd_specdec::{ArSession, Session};
 use aasd_tensor::{Rng, Tensor, Workspace};
-use aasd_train::{random_prompt, rollout_inputs, sharpen_to_probs, Adam, Schedule};
+use aasd_train::{kv_leaves, random_prompt, sharpen_to_probs, Adam, DistillConfig};
 
-/// Target layer `src`'s vision K/V rows `0..n_img` as two frozen `[n_img,
-/// dim]` leaves on `tape`.
-fn vision_leaves(tape: &mut Tape, cache: &KvCache, src: usize, n_img: usize) -> (VarId, VarId) {
-    let layer = cache.layer(src);
-    assert!(layer.len() >= n_img, "target cache lacks vision prefix");
-    let dim = cache.dim();
-    let mut k = Tensor::zeros(n_img, dim);
-    let mut v = Tensor::zeros(n_img, dim);
-    for pos in 0..n_img {
-        k.row_mut(pos).copy_from_slice(layer.key(pos));
-        v.row_mut(pos).copy_from_slice(layer.value(pos));
-    }
-    (tape.leaf(k), tape.leaf(v))
-}
+/// The run configuration of [`distill_hybrid`]: the one trainer config.
+pub use aasd_train::DistillConfig as HybridDistillConfig;
 
 /// Build the draft's per-layer K/V prefix nodes for one example, per the
 /// ablation switches (the tape twin of [`seed_draft_prefix`]): none
@@ -59,7 +53,7 @@ fn prefix_nodes(
         let map = crate::projector::layer_map(draft_layers, t_cache.n_layers());
         let rows = map
             .iter()
-            .map(|&src| vision_leaves(tape, t_cache, src, n_img))
+            .map(|&src| kv_leaves(tape, t_cache, src, 0..n_img))
             .collect();
         return (rows, Vec::new());
     }
@@ -68,90 +62,64 @@ fn prefix_nodes(
     let mut rows = Vec::with_capacity(draft_layers);
     for l in 0..draft_layers {
         let (wk, wv) = (tape.leaf(proj.wk[l].clone()), tape.leaf(proj.wv[l].clone()));
-        let (kvis, vvis) = vision_leaves(tape, t_cache, proj.map[l], n_img);
+        let (kvis, vvis) = kv_leaves(tape, t_cache, proj.map[l], 0..n_img);
         rows.push((tape.matmul(wk, kvis), tape.matmul(wv, vvis)));
         proj_params.extend([wk, wv]);
     }
     (rows, proj_params)
 }
 
-/// Configuration for [`distill_hybrid`].
-#[derive(Debug, Clone)]
-pub struct HybridDistillConfig {
-    /// Optimisation steps (one image + rollout each).
-    pub steps: usize,
-    /// Random text-prompt length per step.
-    pub prompt_len: usize,
-    /// Greedy continuation length the target generates per step.
-    pub gen_len: usize,
-    pub schedule: Schedule,
-    /// Distillation temperature (< 1 sharpens toward the target's argmax,
-    /// the quantity greedy acceptance actually measures).
-    pub temperature: f32,
-    /// Seed for the image/prompt stream. Train ablation variants with the
-    /// SAME seed so they see identical data.
-    pub seed: u64,
+/// One self-distillation sample of the multimodal target (see
+/// [`teacher_sample`]).
+pub struct TeacherSample {
+    /// `prompt ‖ greedy continuation`, truncated: what the student trains on.
+    pub tokens: Vec<u32>,
+    /// `[tokens.len(), vocab]` temperature-sharpened teacher rows.
+    pub probs: Tensor,
+    /// The fused rollout's cache; its rows `0..n_img` are the vision prefix
+    /// a hybrid student trains behind.
+    pub rollout: KvCache,
+    /// The scoring pass's cache: vision prefix ∥ **all** `tokens` rows, so
+    /// its last-layer text K/V rows are the target hidden states the
+    /// `TdAttention` alignment loss attends over.
+    pub scored: KvCache,
 }
 
-impl HybridDistillConfig {
-    /// A short deterministic run sized for tests and smoke benches.
-    pub fn smoke(steps: usize, seed: u64) -> Self {
-        Self {
-            steps,
-            prompt_len: 4,
-            gen_len: 14,
-            schedule: Schedule::Cosine {
-                base: 2e-2,
-                floor: 2e-3,
-                total: steps,
-            },
-            temperature: 0.2,
-            seed,
-        }
+/// The target's vision-conditioned teaching on one (image, prompt): fused
+/// prefill of image ∥ prompt, a greedy rollout of `gen_len` tokens clamped
+/// to the cache's room, `prompt ‖ rollout` truncated to `max_len`, and the
+/// allocating pass that scores those tokens behind the image into
+/// temperature-sharpened probability rows — the frozen teacher matrix every
+/// multimodal distillation loop pins its student against.
+pub fn teacher_sample(
+    model: &LlavaSim,
+    image: &Image,
+    prompt: &[u32],
+    gen_len: usize,
+    max_len: usize,
+    temperature: f32,
+    ws: &mut Workspace,
+) -> TeacherSample {
+    let lm = &model.lm;
+    let mut rollout = lm.new_cache();
+    let pending = model.prefill_ws(image, prompt, &mut rollout, ws);
+    // The session feeds back all but the final committed token, so the
+    // feasible budget is the remaining room plus one (`ArSession` asserts).
+    let room = lm.cfg.max_seq.min(rollout.capacity()) + 1 - rollout.len();
+    let session = ArSession::new(lm, &rollout, pending, gen_len.min(room));
+    let (gen, _) = Session::Ar(session).run(lm, &mut rollout, None, ws);
+    let mut tokens = [prompt, &gen].concat();
+    tokens.truncate(max_len);
+
+    let mut scored = lm.new_cache();
+    lm.forward_infer_embeds(&model.encode_image(image), &mut scored);
+    let probs = sharpen_to_probs(lm.forward_infer(&tokens, &mut scored), temperature);
+    TeacherSample {
+        tokens,
+        probs,
+        rollout,
+        scored,
     }
-}
-
-/// The target's vision-conditioned next-token distribution over `tokens`:
-/// `[t, vocab]` temperature-sharpened probability rows. This is the frozen
-/// teacher matrix every multimodal distillation loop (hybrid AASD and the
-/// baseline zoo) pins its student against.
-pub fn mm_teacher_probs(
-    model: &LlavaSim,
-    image: &Image,
-    tokens: &[u32],
-    temperature: f32,
-) -> Tensor {
-    mm_teacher_scored(model, image, tokens, temperature).0
-}
-
-/// [`mm_teacher_probs`] plus the scored target cache: the returned cache
-/// holds the vision prefix ∥ **all** `tokens` rows, so its last-layer text
-/// K/V slices are exactly the target hidden states the `TdAttention`
-/// alignment loss attends over.
-pub fn mm_teacher_scored(
-    model: &LlavaSim,
-    image: &Image,
-    tokens: &[u32],
-    temperature: f32,
-) -> (Tensor, KvCache) {
-    let embeds = model.encode_image(image);
-    let mut cache = model.lm.new_cache();
-    model.lm.forward_infer_embeds(&embeds, &mut cache);
-    let logits = model.lm.forward_infer(tokens, &mut cache);
-    (sharpen_to_probs(logits, temperature), cache)
-}
-
-/// The per-layer `[n_img, dim]` vision K/V rows of `vlm`'s **own** LM over
-/// `image` (identity layer map), as frozen leaves on `tape`. This is the
-/// prefix a `TinyVlm` baseline student trains behind — its training-time
-/// twin of `prefill_vision_ws`, used by the `aasd-baselines` zoo.
-pub fn own_vision_prefix(tape: &mut Tape, vlm: &LlavaSim, image: &Image) -> Vec<(VarId, VarId)> {
-    let embeds = vlm.encode_image(image);
-    let mut cache = vlm.lm.new_cache();
-    vlm.lm.forward_infer_embeds(&embeds, &mut cache);
-    (0..vlm.cfg.lm.n_layers)
-        .map(|l| vision_leaves(tape, &cache, l, vlm.n_img()))
-        .collect()
 }
 
 /// Target-Draft Attention alignment term (DESIGN.md §2.8): during
@@ -187,7 +155,7 @@ pub fn distill_hybrid(
     draft: &mut Decoder,
     projector: Option<&mut KvProjector>,
     ablation: Ablation,
-    cfg: &HybridDistillConfig,
+    cfg: &DistillConfig,
 ) -> Vec<f32> {
     let (n_img, patch_dim) = (model.n_img(), model.cfg.vision.patch_dim);
     let (vocab, prompt_len) = (model.cfg.lm.vocab, cfg.prompt_len);
@@ -209,7 +177,7 @@ pub fn distill_hybrid_with(
     draft: &mut Decoder,
     mut projector: Option<&mut KvProjector>,
     ablation: Ablation,
-    cfg: &HybridDistillConfig,
+    cfg: &DistillConfig,
     td: Option<TdAlignConfig>,
     source: DistillSource<'_>,
 ) -> Vec<f32> {
@@ -229,41 +197,42 @@ pub fn distill_hybrid_with(
     for step in 0..cfg.steps {
         // -- teacher side: sample, rollout, vision-conditioned probs ------
         let (image, prompt) = source(step, &mut rng);
-        assert!(!prompt.is_empty(), "empty prompt from distill source");
         assert!(
             n_img + prompt.len() + cfg.gen_len <= model.cfg.lm.max_seq,
             "rollout exceeds target context"
         );
-        let mut t_cache = model.lm.new_cache();
-        let pending = model.prefill_ws(&image, &prompt, &mut t_cache, &mut ws);
-        let tokens = rollout_inputs(
-            &model.lm,
-            &mut t_cache,
+        let TeacherSample {
+            tokens,
+            probs,
+            rollout,
+            scored,
+        } = teacher_sample(
+            model,
+            &image,
             &prompt,
-            pending,
             cfg.gen_len,
             max_text,
+            cfg.temperature,
             &mut ws,
         );
-        let (teacher, scored) = mm_teacher_scored(model, &image, &tokens, cfg.temperature);
 
         // -- student side: tape forward, KL (+ TD align), joint update ----
-        // The rollout above consumed t_cache past the prefix; the student
-        // prefix only reads rows 0..n_img, which the rollout never touched.
+        // The student prefix reads only the rollout cache's rows 0..n_img,
+        // which the rollout never touched.
         let mut tape = Tape::new();
         let (prefix, proj_params) = prefix_nodes(
             &mut tape,
             draft.cfg.n_layers,
             projector.as_deref(),
             ablation,
-            &t_cache,
+            &rollout,
             n_img,
         );
         let (logits, params) = draft.forward_train(&mut tape, &tokens, &prefix);
-        let mut loss = tape.kl_div(logits, teacher.clone());
+        let mut loss = tape.kl_div(logits, probs.clone());
         if let Some(td) = td {
             let aux = td_align_loss(
-                &mut tape, draft, &params, &tokens, &scored, n_img, teacher, td,
+                &mut tape, draft, &params, &tokens, &scored, n_img, probs, td,
             );
             loss = tape.add(loss, aux);
         }
@@ -303,22 +272,11 @@ fn td_align_loss(
     td: TdAlignConfig,
 ) -> VarId {
     let t = tokens.len();
-    let dim = draft.cfg.dim;
     let n_heads = draft.cfg.n_heads;
     let (cos, sin) = draft.rope.tables_range(0, t);
 
     // Target text K/V from the deepest scored layer: rows n_img..n_img+t.
-    let last = scored.n_layers() - 1;
-    let layer = scored.layer(last);
-    assert!(layer.len() >= n_img + t, "scored cache lacks text rows");
-    let mut tk = Tensor::zeros(t, dim);
-    let mut tv = Tensor::zeros(t, dim);
-    for i in 0..t {
-        tk.row_mut(i).copy_from_slice(layer.key(n_img + i));
-        tv.row_mut(i).copy_from_slice(layer.value(n_img + i));
-    }
-    let tk = tape.leaf(tk);
-    let tv = tape.leaf(tv);
+    let (tk, tv) = kv_leaves(tape, scored, scored.n_layers() - 1, n_img..n_img + t);
 
     // Draft Q/K/V from the first block's projections over shared leaves.
     let (embed, attn_gain, wq, wk, wv, wo) = (
@@ -348,8 +306,16 @@ fn td_align_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::{draft_for, seed_draft_prefix};
+    use crate::hybrid::{draft_for, mm_autoregressive_ws, seed_draft_prefix};
     use crate::llava::LlavaSimConfig;
+
+    /// The hybrid tests' run: the canonical smoke run at rollout length 14.
+    fn smoke(steps: usize, seed: u64) -> DistillConfig {
+        DistillConfig {
+            gen_len: 14,
+            ..DistillConfig::smoke(steps, seed)
+        }
+    }
 
     fn setup() -> (LlavaSim, Decoder, KvProjector, Image, Vec<u32>, KvCache) {
         let cfg = LlavaSimConfig::tiny(30, 96);
@@ -425,7 +391,7 @@ mod tests {
     fn distill_hybrid_learns_and_updates_projector() {
         let (model, mut draft, mut proj, _, _, _) = setup();
         let wk_before = proj.wk[0].data.clone();
-        let cfg = HybridDistillConfig::smoke(20, 0xD1);
+        let cfg = smoke(20, 0xD1);
         let losses = distill_hybrid(
             &model,
             &mut draft,
@@ -452,7 +418,7 @@ mod tests {
     #[test]
     fn distill_hybrid_with_td_alignment_trains() {
         let (model, mut draft, mut proj, _, _, _) = setup();
-        let cfg = HybridDistillConfig::smoke(16, 0xD7);
+        let cfg = smoke(16, 0xD7);
         let (n_img, patch_dim) = (model.n_img(), model.cfg.vision.patch_dim);
         let vocab = model.cfg.lm.vocab;
         let mut source = move |_s: usize, rng: &mut Rng| {
@@ -501,7 +467,9 @@ mod tests {
         model.lm.forward_infer_embeds(&embeds, &mut cache);
         let want = model.lm.forward_infer(&prompt, &mut cache);
         let mut tape = Tape::new();
-        let rows = own_vision_prefix(&mut tape, &model, &img);
+        let rows: Vec<_> = (0..model.cfg.lm.n_layers)
+            .map(|l| kv_leaves(&mut tape, &cache, l, 0..model.n_img()))
+            .collect();
         let (logits, params) = model.lm.forward_train(&mut tape, &prompt, &rows);
         assert_eq!(params.len(), model.lm.n_param_tensors());
         let diff = max_abs_diff(&tape.value(logits).data, &want.data);
@@ -511,12 +479,39 @@ mod tests {
         );
     }
 
+    /// The one teacher step: its tokens are `prompt ‖` the target's own
+    /// greedy stream, clamped to the cache's room and truncated to
+    /// `max_len`; its rows are distributions; its scored cache holds the
+    /// vision prefix and every token.
+    #[test]
+    fn teacher_sample_is_the_clamped_truncated_greedy_rollout() {
+        let (model, _, _, img, prompt, _) = setup();
+        let mut ws = Workspace::new();
+        let n_img = model.n_img();
+        let max_text = model.cfg.lm.max_seq - n_img;
+        let room = max_text + 1 - prompt.len();
+        for (gen_len, max_len) in [(6, max_text), (6, 8), (room + 5, max_text)] {
+            let s = teacher_sample(&model, &img, &prompt, gen_len, max_len, 0.5, &mut ws);
+            let gen = mm_autoregressive_ws(&model, &img, &prompt, gen_len.min(room), &mut ws);
+            let mut want = [&prompt[..], &gen].concat();
+            want.truncate(max_len);
+            assert_eq!(s.tokens, want, "gen_len {gen_len}, max_len {max_len}");
+            assert_eq!(s.probs.rows, s.tokens.len());
+            for r in 0..s.probs.rows {
+                let sum: f32 = s.probs.row(r).iter().sum();
+                assert!((sum - 1.0).abs() < 1e-4, "row {r} sums to {sum}");
+            }
+            assert_eq!(s.scored.len(), n_img + s.tokens.len());
+            assert_eq!(s.rollout.len(), n_img + prompt.len() + gen.len() - 1);
+        }
+    }
+
     /// The no-vision ablation must also train (it is the baseline leg of
     /// the Table-2 comparison) without needing a projector at all.
     #[test]
     fn distill_hybrid_no_vision_runs_without_projector() {
         let (model, mut draft, _, _, _, _) = setup();
-        let cfg = HybridDistillConfig::smoke(8, 0xD2);
+        let cfg = smoke(8, 0xD2);
         let losses = distill_hybrid(&model, &mut draft, None, Ablation::no_vision(), &cfg);
         assert_eq!(losses.len(), 8);
         assert!(losses.iter().all(|l| l.is_finite()));

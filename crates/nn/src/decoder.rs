@@ -44,34 +44,6 @@ impl DecoderConfig {
         }
     }
 
-    /// A "target-sized" model for benches: big enough that its weights
-    /// dwarf the cache hierarchy, so per-token weight traffic dominates —
-    /// the regime where batched verification pays.
-    pub fn bench_target(vocab: usize, max_seq: usize) -> Self {
-        Self {
-            vocab,
-            dim: 256,
-            n_heads: 8,
-            n_layers: 4,
-            ff_hidden: 512,
-            max_seq,
-            rope_theta: 10_000.0,
-        }
-    }
-
-    /// A draft-sized model: ~an order of magnitude cheaper per token.
-    pub fn bench_draft(vocab: usize, max_seq: usize) -> Self {
-        Self {
-            vocab,
-            dim: 64,
-            n_heads: 4,
-            n_layers: 2,
-            ff_hidden: 128,
-            max_seq,
-            rope_theta: 10_000.0,
-        }
-    }
-
     pub fn head_dim(&self) -> usize {
         self.dim / self.n_heads
     }

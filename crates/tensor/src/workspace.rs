@@ -24,13 +24,50 @@ use crate::profile::Profiler;
 /// Grow-once scratch-buffer pool + decode profiler.
 #[derive(Debug, Default)]
 pub struct Workspace {
-    free: Vec<Vec<f32>>,
+    free: Pool<f32>,
     /// Separate i8 pool for the quantized path's activation-code scratch —
     /// same best-fit discipline, so int8 decode stays zero-allocation too.
-    free_i8: Vec<Vec<i8>>,
+    free_i8: Pool<i8>,
     fresh_allocs: usize,
     /// Per-op decode profiler (disabled by default; see [`Profiler`]).
     pub prof: Profiler,
+}
+
+/// The best-fit free list of one element type.
+#[derive(Debug, Default)]
+struct Pool<T>(Vec<Vec<T>>);
+
+impl<T: Copy + Default> Pool<T> {
+    /// A zeroed buffer of exactly `len` elements: the smallest pooled one
+    /// whose capacity covers `len`, else a fresh one (counted in `fresh`).
+    fn take(&mut self, len: usize, fresh: &mut usize) -> Vec<T> {
+        let free = &mut self.0;
+        let mut best: Option<usize> = None;
+        for (i, buf) in free.iter().enumerate() {
+            if buf.capacity() >= len && best.is_none_or(|j| buf.capacity() < free[j].capacity()) {
+                best = Some(i);
+            }
+        }
+        let mut buf = match best {
+            Some(i) => free.swap_remove(i),
+            None => {
+                *fresh += 1;
+                Vec::with_capacity(len)
+            }
+        };
+        buf.clear();
+        buf.resize(len, T::default());
+        buf
+    }
+
+    fn give(&mut self, buf: Vec<T>) {
+        // Keep the pool's own spine from reallocating in the steady state:
+        // grow it in chunks, ahead of demand.
+        if self.0.len() == self.0.capacity() {
+            self.0.reserve(16);
+        }
+        self.0.push(buf);
+    }
 }
 
 impl Workspace {
@@ -42,71 +79,29 @@ impl Workspace {
     /// pool; allocates (and counts it in [`Workspace::fresh_allocs`]) only
     /// when no pooled buffer has the capacity.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        let mut best: Option<usize> = None;
-        for (i, buf) in self.free.iter().enumerate() {
-            if buf.capacity() >= len
-                && best.is_none_or(|j| buf.capacity() < self.free[j].capacity())
-            {
-                best = Some(i);
-            }
-        }
-        let mut buf = match best {
-            Some(i) => self.free.swap_remove(i),
-            None => {
-                self.fresh_allocs += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        buf.clear();
-        buf.resize(len, 0.0);
-        buf
+        self.free.take(len, &mut self.fresh_allocs)
     }
 
     /// Return a buffer to the pool for reuse.
     pub fn give(&mut self, buf: Vec<f32>) {
-        // Keep the pool's own spine from reallocating in the steady state:
-        // grow it in chunks, ahead of demand.
-        if self.free.len() == self.free.capacity() {
-            self.free.reserve(16);
-        }
-        self.free.push(buf);
+        self.free.give(buf);
     }
 
     /// Borrow a zeroed i8 buffer of exactly `len` elements (best-fit, same
     /// contract as [`Workspace::take`]); used by the int8 path for per-call
     /// activation quantization scratch.
     pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        let mut best: Option<usize> = None;
-        for (i, buf) in self.free_i8.iter().enumerate() {
-            if buf.capacity() >= len
-                && best.is_none_or(|j| buf.capacity() < self.free_i8[j].capacity())
-            {
-                best = Some(i);
-            }
-        }
-        let mut buf = match best {
-            Some(i) => self.free_i8.swap_remove(i),
-            None => {
-                self.fresh_allocs += 1;
-                Vec::with_capacity(len)
-            }
-        };
-        buf.clear();
-        buf.resize(len, 0);
-        buf
+        self.free_i8.take(len, &mut self.fresh_allocs)
     }
 
     /// Return an i8 buffer to the pool for reuse.
     pub fn give_i8(&mut self, buf: Vec<i8>) {
-        if self.free_i8.len() == self.free_i8.capacity() {
-            self.free_i8.reserve(16);
-        }
-        self.free_i8.push(buf);
+        self.free_i8.give(buf);
     }
 
     /// Number of buffers currently pooled (diagnostics; both element types).
     pub fn pooled(&self) -> usize {
-        self.free.len() + self.free_i8.len()
+        self.free.0.len() + self.free_i8.0.len()
     }
 
     /// Fresh heap allocations performed so far. In a steady-state loop this

@@ -13,7 +13,10 @@
 //! * [`LossSpec`] — next-token cross-entropy and sequence-level KL
 //!   distillation against frozen teacher probabilities;
 //! * [`train_loop`] — one tape forward (`Decoder::forward_train`), loss,
-//!   backward and Adam step per example, for a text decoder;
+//!   backward and Adam step per example, for every decoder trained alone:
+//!   a text model, or a VLM's language model behind the frozen K/V rows of
+//!   its own vision embeddings ([`Example::prefix`], through [`kv_leaves`]);
+//! * [`DistillConfig`] — the one run configuration of every trainer;
 //! * [`distill`] — self-data distillation: the target greedily generates
 //!   continuations of seeded random prompts, and the draft is trained to
 //!   match the target's full next-token distribution on those sequences.
@@ -30,8 +33,8 @@ pub use schedule::Schedule;
 
 use aasd_autograd::{Tape, VarId};
 use aasd_nn::{Decoder, KvCache};
-use aasd_specdec::{ArSession, Session};
 use aasd_tensor::{argmax, softmax_rows, Rng, Tensor, Workspace};
+use std::ops::Range;
 
 /// What loss to attach to the `[t, vocab]` logits node of one example.
 #[derive(Debug, Clone)]
@@ -61,12 +64,38 @@ impl LossSpec {
 pub struct Example {
     pub inputs: Vec<u32>,
     pub loss: LossSpec,
+    /// `[p, dim]` embedding rows the inputs follow (a VLM's vision
+    /// embeddings), or `None` for a text sequence. The model trains behind
+    /// the K/V rows these write at positions `0..p` under its current
+    /// weights, held frozen — the training twin of a vision prefill.
+    pub prefix: Option<Tensor>,
 }
 
-/// Run `steps` optimisation steps on a text decoder, pulling one example
-/// per step from `next_example` and the learning rate from `schedule`:
-/// tape forward, the example's loss, backward, one [`Adam::step`]. Returns
-/// the per-step pre-update losses.
+/// Layer `layer`'s cached K/V rows `rows` as two frozen `[rows.len(), dim]`
+/// leaves on `tape`: how a cache's rows enter a training graph, as a
+/// `Decoder::forward_train` prefix or as an alignment loss's target side.
+pub fn kv_leaves(
+    tape: &mut Tape,
+    cache: &KvCache,
+    layer: usize,
+    rows: Range<usize>,
+) -> (VarId, VarId) {
+    let layer = cache.layer(layer);
+    assert!(layer.len() >= rows.end, "cache lacks rows {rows:?}");
+    let mut k = Tensor::zeros(rows.len(), cache.dim());
+    let mut v = Tensor::zeros(rows.len(), cache.dim());
+    for (i, pos) in rows.enumerate() {
+        k.row_mut(i).copy_from_slice(layer.key(pos));
+        v.row_mut(i).copy_from_slice(layer.value(pos));
+    }
+    (tape.leaf(k), tape.leaf(v))
+}
+
+/// Run `steps` optimisation steps on a decoder, pulling one example per
+/// step from `next_example` and the learning rate from `schedule`: the
+/// example's frozen prefix leaves (if any), tape forward, the example's
+/// loss, backward, one [`Adam::step`]. Returns the per-step pre-update
+/// losses.
 pub fn train_loop(
     model: &mut Decoder,
     opt: &mut Adam,
@@ -78,7 +107,15 @@ pub fn train_loop(
     for step in 0..steps {
         let ex = next_example(step);
         let mut tape = Tape::new();
-        let (logits, params) = model.forward_train(&mut tape, &ex.inputs, &[]);
+        let mut prefix = Vec::new();
+        if let Some(embeds) = &ex.prefix {
+            let mut cache = model.new_cache();
+            model.forward_infer_embeds(embeds, &mut cache);
+            prefix = (0..model.cfg.n_layers)
+                .map(|l| kv_leaves(&mut tape, &cache, l, 0..embeds.rows))
+                .collect();
+        }
+        let (logits, params) = model.forward_train(&mut tape, &ex.inputs, &prefix);
         let loss = ex.loss.attach(&mut tape, logits);
         losses.push(tape.value(loss).data[0]);
         let grads = tape.backward(loss);
@@ -93,34 +130,6 @@ pub fn train_loop(
 /// self-data distillation loop draws from.
 pub fn random_prompt(rng: &mut Rng, len: usize, vocab: usize) -> Vec<u32> {
     (0..len).map(|_| rng.below(vocab) as u32).collect()
-}
-
-/// The shared synthetic-rollout step of the self-data distillation loops
-/// that score their teacher in a separate pass — the multimodal
-/// `distill_hybrid` in `aasd-mm` and the baseline-zoo trainers in
-/// `aasd-baselines` (text [`distill`] keeps its rollout's rows instead):
-/// greedily continue
-/// `pending` over the pre-seeded teacher `cache`, clamping the continuation
-/// to the cache's remaining room, and return `prompt ‖ generated` truncated
-/// to `max_len` — the token sequence the student trains on.
-pub fn rollout_inputs(
-    teacher: &Decoder,
-    cache: &mut KvCache,
-    prompt: &[u32],
-    pending: u32,
-    gen_len: usize,
-    max_len: usize,
-    ws: &mut Workspace,
-) -> Vec<u32> {
-    // The session feeds back all but the final committed token, so the
-    // feasible budget is the remaining room plus one (`ArSession` asserts).
-    let room = teacher.cfg.max_seq.min(cache.capacity()) + 1 - cache.len();
-    let session = ArSession::new(teacher, cache, pending, gen_len.min(room));
-    let (gen, _) = Session::Ar(session).run(teacher, cache, None, ws);
-    let mut inputs = prompt.to_vec();
-    inputs.extend_from_slice(&gen);
-    inputs.truncate(max_len);
-    inputs
 }
 
 /// Temperature-sharpen raw `[t, vocab]` teacher logits into the frozen
@@ -138,10 +147,15 @@ pub fn sharpen_to_probs(mut logits: Tensor, temperature: f32) -> Tensor {
     logits
 }
 
-/// Configuration for [`distill`].
+/// The one run configuration of every trainer: [`distill`], the hybrid
+/// distillation of `aasd-mm` (which names it `HybridDistillConfig`) and the
+/// baseline zoo of `aasd-baselines` (`ZooTrainConfig`). A recipe that
+/// draws its prompts from a sample source ignores `prompt_len`, and a
+/// supervised one `gen_len` and `temperature`.
 #[derive(Debug, Clone)]
 pub struct DistillConfig {
-    /// Optimisation steps (one teacher-generated sequence each).
+    /// Optimisation steps (one example each; the zoo's step `i` consumes
+    /// train-split sample `i`).
     pub steps: usize,
     /// Random prompt length fed to the teacher per step.
     pub prompt_len: usize,
@@ -150,25 +164,28 @@ pub struct DistillConfig {
     /// Learning-rate schedule.
     pub schedule: Schedule,
     /// Distillation temperature for the teacher distribution (1.0 = match
-    /// the raw distribution; < 1 sharpens toward the teacher's argmax).
+    /// the raw distribution; < 1 sharpens toward the teacher's argmax, the
+    /// quantity greedy acceptance actually measures).
     pub temperature: f32,
-    /// Seed for the prompt stream.
+    /// Seed for the prompt / image stream (train ablation variants with the
+    /// same seed so they see identical data), and the zoo's model-init seed.
     pub seed: u64,
 }
 
 impl DistillConfig {
-    /// A short, deterministic run sized for tests and smoke benches.
+    /// A short, deterministic run sized for tests, the `table1` smoke gate
+    /// and the benchmark's set-up.
     pub fn smoke(steps: usize, seed: u64) -> Self {
         Self {
             steps,
             prompt_len: 4,
-            gen_len: 12,
+            gen_len: 16,
             schedule: Schedule::Cosine {
-                base: 3e-2,
-                floor: 3e-3,
+                base: 2e-2,
+                floor: 2e-3,
                 total: steps,
             },
-            temperature: 1.0,
+            temperature: 0.2,
             seed,
         }
     }
@@ -230,6 +247,7 @@ pub fn distill(
             loss: LossSpec::KlDistill {
                 teacher_probs: sharpen_to_probs(logits, cfg.temperature),
             },
+            prefix: None,
         }
     };
     train_loop(draft, opt, &schedule, cfg.steps, &mut make)
@@ -275,6 +293,7 @@ mod tests {
         let ex = Example {
             inputs,
             loss: LossSpec::CrossEntropy { targets },
+            prefix: None,
         };
         let mut model = micro(7);
         let sched = Schedule::Constant(2e-2);
@@ -298,6 +317,7 @@ mod tests {
             loss: LossSpec::KlDistill {
                 teacher_probs: probs,
             },
+            prefix: None,
         };
         let mut opt = Adam::new();
         let sched = Schedule::Constant(1e-2);
@@ -317,7 +337,16 @@ mod tests {
         let target = micro(21);
         let mut draft = micro(22);
         let mut opt = Adam::new();
-        let cfg = DistillConfig::smoke(24, 0xD15);
+        let cfg = DistillConfig {
+            gen_len: 12,
+            schedule: Schedule::Cosine {
+                base: 3e-2,
+                floor: 3e-3,
+                total: 24,
+            },
+            temperature: 1.0,
+            ..DistillConfig::smoke(24, 0xD15)
+        };
         let losses = distill(&mut draft, &target, &mut opt, &cfg);
         assert_eq!(losses.len(), 24);
         let head = mean(&losses[..6]);

@@ -99,7 +99,10 @@ fn trained_projector_stays_lossless() {
         cfg.n_img(),
         cfg.k_slots(),
     );
-    let tcfg = HybridDistillConfig::smoke(16, 0x36);
+    let tcfg = HybridDistillConfig {
+        gen_len: 14,
+        ..HybridDistillConfig::smoke(16, 0x36)
+    };
     distill_hybrid(
         &model,
         &mut draft,
