@@ -445,9 +445,7 @@ mod tests {
     /// FNV-1a over the bits of every per-step loss: the recipe's training
     /// fingerprint, one constant for both kernel tiers.
     fn loss_bits(losses: &[f32]) -> u64 {
-        losses.iter().fold(0xcbf2_9ce4_8422_2325, |h, l| {
-            (h ^ l.to_bits() as u64).wrapping_mul(0x1000_0000_01b3)
-        })
+        aasd_tensor::fnv1a(losses.iter().map(|l| l.to_bits() as u64))
     }
 
     #[test]
@@ -463,7 +461,7 @@ mod tests {
         );
         assert_eq!(
             loss_bits(&losses),
-            0x8c2c_62f4_1478_6263,
+            0xc7cf_e2f4_1478_6263,
             "training bits moved"
         );
     }
@@ -479,7 +477,7 @@ mod tests {
         );
         assert_eq!(
             loss_bits(&losses),
-            0x7422_c6e0_3b1d_03b1,
+            0x3d7c_4fe0_3b1d_03b1,
             "training bits moved"
         );
     }
@@ -497,7 +495,7 @@ mod tests {
         let both = [l1, l2].concat();
         assert_eq!(
             loss_bits(&both),
-            0x6c09_a533_b1df_adbd,
+            0xd9b7_9333_b1df_adbd,
             "training bits moved"
         );
     }

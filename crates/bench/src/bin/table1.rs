@@ -150,20 +150,15 @@ fn cell_json(c: &Cell) -> String {
     ])
 }
 
-/// 64-bit FNV-1a (prime `0x100_0000_01b3`) over every cell's `blocks`,
+/// 64-bit FNV-1a ([`aasd_tensor::fnv1a`]) over every cell's `blocks`,
 /// `drafted`, `accepted` and `generated`, in grid order: one constant for
 /// the whole grid's counts, which depend on no clock, so `ci.sh` can pin
 /// the smoke grid exactly.
 fn counts_fingerprint(cells: &[Cell]) -> u64 {
-    cells
-        .iter()
-        .flat_map(|c| {
-            let s = &c.eval.stats;
-            [s.blocks, s.drafted, s.accepted, s.generated]
-        })
-        .fold(0xcbf2_9ce4_8422_2325, |h, x| {
-            (h ^ x as u64).wrapping_mul(0x100_0000_01b3)
-        })
+    aasd_tensor::fnv1a(cells.iter().flat_map(|c| {
+        let s = &c.eval.stats;
+        [s.blocks, s.drafted, s.accepted, s.generated].map(|x| x as u64)
+    }))
 }
 
 fn main() {

@@ -137,23 +137,14 @@ impl Workload {
 /// FNV-1a over a token stream plus each image's content hash — the golden
 /// stream fingerprint the cross-tier determinism test pins.
 pub fn stream_hash(samples: &[Sample]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut mix = |v: u64| {
-        h ^= v;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    };
-    for s in samples {
-        mix(s.image.content_hash());
-        mix(s.prompt.len() as u64);
-        for &t in &s.prompt {
-            mix(t as u64);
-        }
-        mix(s.reference.len() as u64);
-        for &t in &s.reference {
-            mix(t as u64);
-        }
+    fn tokens(ts: &[u32]) -> impl Iterator<Item = u64> + '_ {
+        std::iter::once(ts.len() as u64).chain(ts.iter().map(|&t| t as u64))
     }
-    h
+    aasd_tensor::fnv1a(samples.iter().flat_map(|s| {
+        std::iter::once(s.image.content_hash())
+            .chain(tokens(&s.prompt))
+            .chain(tokens(&s.reference))
+    }))
 }
 
 #[cfg(test)]

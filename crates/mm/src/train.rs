@@ -346,9 +346,7 @@ mod tests {
     /// FNV-1a over the bits of every per-step loss: the recipe's training
     /// fingerprint, one constant for both kernel tiers.
     fn loss_bits(losses: &[f32]) -> u64 {
-        losses.iter().fold(0xcbf2_9ce4_8422_2325, |h, l| {
-            (h ^ l.to_bits() as u64).wrapping_mul(0x1000_0000_01b3)
-        })
+        aasd_tensor::fnv1a(losses.iter().map(|l| l.to_bits() as u64))
     }
 
     /// THE consistency test: for every ablation, the tape-built student
@@ -450,7 +448,7 @@ mod tests {
         );
         assert_eq!(
             loss_bits(&losses),
-            0x44c2_7b4e_cf79_c806,
+            0xed3b_9c4e_cf79_c806,
             "training bits moved"
         );
     }

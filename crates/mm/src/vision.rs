@@ -51,17 +51,9 @@ impl Image {
     /// a deterministic function of the patch bits. The serving vision
     /// cache keys on this.
     pub fn content_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x1000_0000_01b3);
-        };
-        mix(self.patches.rows as u64);
-        mix(self.patches.cols as u64);
-        for &v in &self.patches.data {
-            mix(v.to_bits() as u64);
-        }
-        h
+        let shape = [self.patches.rows as u64, self.patches.cols as u64];
+        let bits = self.patches.data.iter().map(|v| v.to_bits() as u64);
+        aasd_tensor::fnv1a(shape.into_iter().chain(bits))
     }
 }
 

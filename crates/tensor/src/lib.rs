@@ -20,7 +20,9 @@
 //!   zero-allocation fused decode path;
 //! * [`profile`] — the per-op decode profiler carried by the workspace;
 //! * [`Tensor`] — a thin row-major 2-D matrix wrapper used at module
-//!   boundaries where shapes need to travel with the data.
+//!   boundaries where shapes need to travel with the data;
+//! * [`fnv1a`] — the one 64-bit FNV-1a fold behind every fingerprint
+//!   (loss and vision pins, image content keys, stream hashes).
 
 pub mod matmul;
 pub mod ops;
@@ -135,9 +137,32 @@ impl Tensor {
     }
 }
 
+/// 64-bit FNV-1a over a sequence of words: from the offset basis
+/// `0xcbf2_9ce4_8422_2325`, each word is xored in whole and the state is
+/// multiplied by the FNV prime `0x100_0000_01b3` (2⁴⁰ + 0x1b3). A word below
+/// 256 hashes as the byte-wise FNV-1a of that byte would.
+pub fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
+    words.into_iter().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        (h ^ w).wrapping_mul(0x100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The published 64-bit FNV-1a vectors: the empty input is the offset
+    /// basis, and `"a"` / `"foobar"` fed one byte per word give their
+    /// byte-wise hashes, which a wrong prime cannot.
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        assert_eq!(fnv1a([]), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a([b'a' as u64]), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(
+            fnv1a(b"foobar".iter().map(|&b| b as u64)),
+            0x8594_4171_f739_67e8
+        );
+    }
 
     #[test]
     fn matmul_transposed_matches_explicit_transpose() {

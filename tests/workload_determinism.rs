@@ -24,20 +24,20 @@ fn wl(kind: WorkloadKind) -> Workload {
 #[test]
 fn stream_hashes_match_golden_values() {
     const GOLDEN: [(WorkloadKind, Split, u64); 6] = [
-        (WorkloadKind::WildSim, Split::Train, 0xb65a_8d15_0f05_f5e1),
-        (WorkloadKind::WildSim, Split::Heldout, 0xe2b7_b1a7_de81_2cd8),
+        (WorkloadKind::WildSim, Split::Train, 0xc6d9_1715_0f05_f5e1),
+        (WorkloadKind::WildSim, Split::Heldout, 0xa117_0ba7_de81_2cd8),
         (
             WorkloadKind::CocoCapSim,
             Split::Train,
-            0xac93_9537_001a_17ee,
+            0x8da9_d037_001a_17ee,
         ),
         (
             WorkloadKind::CocoCapSim,
             Split::Heldout,
-            0x89b9_acd1_68a0_1af8,
+            0xf8bb_70d1_68a0_1af8,
         ),
-        (WorkloadKind::SqaSim, Split::Train, 0x9515_35ca_9464_6431),
-        (WorkloadKind::SqaSim, Split::Heldout, 0xf74d_f35f_fd81_352f),
+        (WorkloadKind::SqaSim, Split::Train, 0xd19f_39ca_9464_6431),
+        (WorkloadKind::SqaSim, Split::Heldout, 0x244a_595f_fd81_352f),
     ];
     for (kind, split, want) in GOLDEN {
         let got = stream_hash(&wl(kind).take(split, 8));
