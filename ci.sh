@@ -93,12 +93,12 @@ if [[ "${1:-}" != "--quick" ]]; then
     # it unoptimized) with the process-global tier pinned to scalar and left
     # to the host's best, which also moves the Linear-level and
     # naive-reference checks across tiers.
-    # Each leg must run at least the 53 aasd-tensor tests a release build
+    # Each leg must run at least the 54 aasd-tensor tests a release build
     # has (the 7 `tile_` ones among them) and the 12 `linear_` tests it
     # selects today.
-    ran -ge 53 env AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor
+    ran -ge 54 env AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor
     ran -ge 12 env AASD_KERNEL=scalar cargo test -q --release -p aasd-nn linear_
-    ran -ge 53 cargo test -q --release -p aasd-tensor
+    ran -ge 54 cargo test -q --release -p aasd-tensor
     ran -ge 12 cargo test -q --release -p aasd-nn linear_
 
     echo "==> table1 smoke gate: draft-zoo ordering + per-stream losslessness + pinned counts"
