@@ -8,11 +8,13 @@
 //!    included, is the tiled `matmul_blocked_into` — the tile `Linear` runs
 //!    at every row count (`vecmat_into` is that tile at one row).
 //! 2. **The footprint sweep** (ROADMAP 1(d), out-of-L2 end): one pass over
-//!    the *whole* LM weight set of Sim7B (2.0 MB) and Sim13B (7.4 MB) at
+//!    the *whole* LM weight set of Sim7B (2.0 MB), Sim13B (7.4 MB) and Sim13B
+//!    widened four times (dim 768, ff 1536: 118 MB, more than the L3) at
 //!    rows ∈ {1, 2, 6, 32}, row-major (what section 1 times) against the
 //!    tile-major panels `Linear` runs on. A single L2-resident matrix hides
 //!    what the stride of a row-major strip costs once the weights no longer
-//!    fit; this is where the two layouts part.
+//!    fit; this is where the two layouts part, and the widened set is where
+//!    a pass is the weight stream.
 //! 3. **The int8 tile** (ROADMAP 3(a)): one pass over the whole weight set
 //!    of each Sim target and of its *draft* (2 layers, `ff = dim` — what
 //!    `draft_for_depth` builds and every speculative block sweeps γ times)
@@ -125,15 +127,19 @@ fn lm_weight_set(
 
 /// One pass over a whole LM weight set, row-major against packed.
 fn footprint_sweep() {
-    println!("footprint sweep: one pass over a whole LM weight set, min of 15 (CoV)\n");
-    for (name, dim, ff, layers) in [
+    println!(
+        "footprint sweep: one pass over a whole LM weight set, min of 15 (5 on the widened set) (CoV)\n"
+    );
+    for (name, dim, ff, layers, samples) in [
         (
             "Sim7B  3 layers, dim 128, ff 256",
             128usize,
             256usize,
             3usize,
+            15usize,
         ),
-        ("Sim13B 5 layers, dim 192, ff 384", 192, 384, 5),
+        ("Sim13B 5 layers, dim 192, ff 384", 192, 384, 5, 15),
+        ("Sim13B x4 5 layers, dim 768, ff 1536", 768, 1536, 5, 5),
     ] {
         let mut rng = Rng::new((dim * ff) as u64);
         let weights = lm_weight_set(&mut rng, dim, ff, layers);
@@ -159,14 +165,14 @@ fn footprint_sweep() {
                     (macs * 4) as f64 / (us * 1e3)
                 );
             };
-            let (us, cov) = min_cov_us(15, 4, || {
+            let (us, cov) = min_cov_us(samples, 4, || {
                 for (k, n, w) in &weights {
                     matmul_blocked_into(&mut y[..m * n], &x[..m * k], w, m, *k, *n);
                 }
                 black_box(&mut y);
             });
             line("row-major", us, cov);
-            let (us, cov) = min_cov_us(15, 4, || {
+            let (us, cov) = min_cov_us(samples, 4, || {
                 for ((k, n, _), p) in weights.iter().zip(&panels) {
                     matmul_packed_into(&mut y[..m * n], &x[..m * k], p, m, *k, *n);
                 }
