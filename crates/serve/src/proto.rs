@@ -9,8 +9,8 @@
 //! Commands (client → server):
 //!
 //! ```text
-//! SUB mode=spec gamma=4 budget=32 prompt=3,7,1,9 [img=SEED]
-//! SUB mode=ar budget=32 prompt=3,7,1,9 [img=SEED]
+//! SUB mode=spec gamma=4 budget=32 prompt=3,7,1,9 img=SEED
+//! SUB mode=ar budget=32 prompt=3,7,1,9 img=SEED
 //! POLL <id>
 //! CANCEL <id>
 //! METRICS          # Prometheus-style text
@@ -23,7 +23,7 @@
 //! ```text
 //! OK <id>                     # SUB accepted
 //! BUSY                        # admission control rejected (retry later)
-//! ERR <message>               # invalid request / unknown id / parse error
+//! ERR <message>               # invalid request / unknown id / parse error / shut down
 //! TOK <status> <n> t1,t2,..   # POLL: status ∈ queued|running|done|cancelled
 //! ```
 

@@ -27,9 +27,9 @@ pub struct Request {
     /// budget left by the context window after prefill.
     pub max_new: usize,
     pub mode: DecodeMode,
-    /// Multimodal engines only: deterministic seed for the request's
-    /// synthetic image (the offline stand-in for an image payload). Must be
-    /// `None` on text engines.
+    /// Deterministic seed for the request's synthetic image (the offline
+    /// stand-in for an image payload). Required: the engine refuses a
+    /// request without one as [`Rejection::Invalid`](crate::Rejection).
     pub image_seed: Option<u64>,
 }
 

@@ -1,20 +1,68 @@
 //! End-to-end smoke test of the TCP server: ephemeral port, concurrent
 //! clients speaking the length-prefixed protocol, losslessness asserted
-//! against the single-request fused loop, cancellation, and both metrics
-//! endpoints.
+//! against the single-request fused loop, cancellation, both metrics
+//! endpoints, and submits after shutdown.
 
 use std::sync::Arc;
 
-use aasd::nn::{Decoder, DecoderConfig};
+use aasd::mm::{
+    draft_for, mm_speculative_ws, Ablation, Image, KvProjector, LlavaSim, LlavaSimConfig,
+};
 use aasd::serve::{Client, Engine, EngineConfig, EngineModel, Server};
-use aasd::specdec::speculative_greedy_with_budget_ws;
-use aasd::tensor::Workspace;
+use aasd::tensor::{Rng, Workspace};
+
+/// The image seed every `SUB` below sends (`img=5`).
+const IMG: u64 = 5;
+
+/// The tiny served bundle: a LlavaSim target, its AASD draft and a KV
+/// projector. Built from fixed seeds, so every call returns the same
+/// models.
+fn bundle() -> EngineModel {
+    let cfg = LlavaSimConfig::tiny(40, 96);
+    let draft = draft_for(&cfg, 0xB1);
+    EngineModel::Multimodal {
+        projector: Arc::new(KvProjector::new(
+            0xB2,
+            draft.cfg.n_layers,
+            cfg.lm.n_layers,
+            cfg.n_img(),
+            cfg.k_slots(),
+        )),
+        model: Arc::new(LlavaSim::new(cfg, 0xB0)),
+        draft: Arc::new(draft),
+        ablation: Ablation::projector(),
+    }
+}
+
+/// `mm_speculative_ws` on the bundle for `prompt` and image [`IMG`]: the
+/// stream a served `SUB mode=spec` must reproduce.
+fn one_shot(prompt: &[u32], budget: usize, gamma: usize) -> Vec<u32> {
+    let EngineModel::Multimodal {
+        model,
+        draft,
+        projector,
+        ablation,
+    } = bundle();
+    let vision = &model.cfg.vision;
+    let img = Image::synthetic(&mut Rng::new(IMG), vision.n_patches, vision.patch_dim);
+    let mut ws = Workspace::new();
+    let (tokens, _) = mm_speculative_ws(
+        &model,
+        &draft,
+        Some(&projector),
+        ablation,
+        &img,
+        prompt,
+        budget,
+        gamma,
+        &mut ws,
+    );
+    tokens
+}
 
 fn start_server() -> Server {
-    let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-    let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
     let engine = Engine::new(
-        EngineModel::Text { target, draft },
+        bundle(),
         EngineConfig {
             slots: 2,
             max_queue: 16,
@@ -44,7 +92,9 @@ fn concurrent_clients_get_lossless_completions() {
                         .collect::<Vec<_>>()
                         .join(",");
                     let id = c
-                        .submit(&format!("SUB mode=spec gamma=4 budget=20 prompt={plist}"))
+                        .submit(&format!(
+                            "SUB mode=spec gamma=4 budget=20 prompt={plist} img={IMG}"
+                        ))
                         .expect("io")
                         .expect("admitted");
                     let (status, tokens) = c.wait_done(id).expect("poll");
@@ -56,11 +106,8 @@ fn concurrent_clients_get_lossless_completions() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    let target = Decoder::new(DecoderConfig::tiny(40), 10);
-    let draft = Decoder::new(DecoderConfig::tiny(40), 20);
-    let mut ws = Workspace::new();
     for (prompt, got) in &streams {
-        let (want, _) = speculative_greedy_with_budget_ws(&target, &draft, prompt, 20, 4, &mut ws);
+        let want = one_shot(prompt, 20, 4);
         assert_eq!(*got, want, "served stream for {prompt:?} != fused loop");
     }
 }
@@ -75,17 +122,25 @@ fn protocol_errors_cancel_and_metrics() {
     // Parse and validation errors keep the connection alive.
     assert!(c.roundtrip("GIBBERISH").unwrap().starts_with("ERR "));
     assert!(
-        c.roundtrip("SUB mode=spec budget=8 prompt=1")
+        c.roundtrip("SUB mode=spec budget=8 prompt=1 img=5")
             .unwrap()
             .starts_with("ERR "),
         "spec without gamma"
     );
     assert!(
-        c.roundtrip("SUB mode=spec gamma=3 budget=8 prompt=999")
+        c.roundtrip("SUB mode=spec gamma=3 budget=8 prompt=999 img=5")
             .unwrap()
             .starts_with("ERR "),
         "token outside vocab"
     );
+    for mode in ["mode=spec gamma=3", "mode=ar"] {
+        assert!(
+            c.roundtrip(&format!("SUB {mode} budget=8 prompt=1,2,3"))
+                .unwrap()
+                .starts_with("ERR "),
+            "{mode} without img="
+        );
+    }
     assert!(c.roundtrip("POLL 424242").unwrap().starts_with("ERR "));
     assert!(c.roundtrip("CANCEL 424242").unwrap().starts_with("ERR "));
 
@@ -97,7 +152,7 @@ fn protocol_errors_cancel_and_metrics() {
     // finishes first must report ERR on cancel and "done" on poll.
     use aasd::serve::proto::{read_frame, write_frame};
     let warm = c
-        .submit("SUB mode=spec gamma=3 budget=2 prompt=5")
+        .submit("SUB mode=spec gamma=3 budget=2 prompt=5 img=5")
         .expect("io")
         .expect("admitted");
     let _ = c.wait_done(warm).expect("poll");
@@ -106,7 +161,7 @@ fn protocol_errors_cancel_and_metrics() {
     for next in warm + 1..=warm + 20 {
         write_frame(
             &mut stream,
-            "SUB mode=spec gamma=3 budget=120 prompt=3,7,1,9",
+            "SUB mode=spec gamma=3 budget=120 prompt=3,7,1,9 img=5",
         )
         .unwrap();
         write_frame(&mut stream, &format!("CANCEL {next}")).unwrap();
@@ -130,7 +185,7 @@ fn protocol_errors_cancel_and_metrics() {
 
     // A fresh request still completes after the cancel.
     let id2 = c
-        .submit("SUB mode=spec gamma=3 budget=10 prompt=5,2")
+        .submit("SUB mode=spec gamma=3 budget=10 prompt=5,2 img=5")
         .expect("io")
         .expect("admitted");
     let (status2, tokens2) = c.wait_done(id2).expect("poll");
@@ -160,10 +215,8 @@ fn protocol_errors_cancel_and_metrics() {
 /// server answers BUSY, and the client can retry later successfully.
 #[test]
 fn busy_then_retry() {
-    let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-    let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
     let engine = Engine::new(
-        EngineModel::Text { target, draft },
+        bundle(),
         EngineConfig {
             slots: 1,
             workers: 1,
@@ -181,7 +234,11 @@ fn busy_then_retry() {
     let mut stream = std::net::TcpStream::connect(server.addr()).expect("connect");
     const BURST: usize = 30;
     for _ in 0..BURST {
-        write_frame(&mut stream, "SUB mode=spec gamma=3 budget=100 prompt=1,2,3").unwrap();
+        write_frame(
+            &mut stream,
+            "SUB mode=spec gamma=3 budget=100 prompt=1,2,3 img=5",
+        )
+        .unwrap();
     }
     let mut ids = Vec::new();
     let mut busy = 0usize;
@@ -204,7 +261,7 @@ fn busy_then_retry() {
         assert_eq!(status, "done");
     }
     let id = c
-        .submit("SUB mode=spec gamma=3 budget=5 prompt=4")
+        .submit("SUB mode=spec gamma=3 budget=5 prompt=4 img=5")
         .unwrap()
         .expect("retry after drain should be admitted");
     let (status, tokens) = c.wait_done(id).unwrap();
@@ -219,7 +276,7 @@ fn shutdown_drains_in_flight_requests() {
     let server = start_server();
     let mut c = Client::connect(server.addr()).expect("connect");
     let id = c
-        .submit("SUB mode=spec gamma=3 budget=60 prompt=3,7,1,9")
+        .submit("SUB mode=spec gamma=3 budget=60 prompt=3,7,1,9 img=5")
         .expect("io")
         .expect("admitted");
     let engine = Arc::clone(server.engine());
@@ -247,24 +304,23 @@ fn shutdown_mid_load_drains_within_bound() {
     // traffic and matches the fused loop.
     let mut c = Client::connect(addr).expect("connect");
     let id = c
-        .submit("SUB mode=spec gamma=4 budget=20 prompt=3,7,1,9")
+        .submit("SUB mode=spec gamma=4 budget=20 prompt=3,7,1,9 img=5")
         .expect("io")
         .expect("admitted");
     let (status, tokens) = c.wait_done(id).expect("poll");
     assert_eq!(status, "done");
-    let target = Decoder::new(DecoderConfig::tiny(40), 10);
-    let draft = Decoder::new(DecoderConfig::tiny(40), 20);
-    let mut ws = Workspace::new();
-    let (want, _) =
-        speculative_greedy_with_budget_ws(&target, &draft, &[3, 7, 1, 9], 20, 4, &mut ws);
-    assert_eq!(tokens, want, "served stream != fused loop");
+    assert_eq!(
+        tokens,
+        one_shot(&[3, 7, 1, 9], 20, 4),
+        "served stream != fused loop"
+    );
 
     // Load the server with long-budget requests so SHUTDOWN arrives while
     // sessions are mid-speculation.
     let ids: Vec<u64> = (0..4)
         .map(|i| {
             c.submit(&format!(
-                "SUB mode=spec gamma=3 budget=120 prompt={},7,1,9",
+                "SUB mode=spec gamma=3 budget=120 prompt={},7,1,9 img=5",
                 3 + i
             ))
             .expect("io")
@@ -290,4 +346,27 @@ fn shutdown_mid_load_drains_within_bound() {
             "request {id} left non-terminal: {status:?}"
         );
     }
+}
+
+/// A connection that outlives the server's shutdown: its handler thread is
+/// still reading, but no scheduler will tick again, so a submit on it is
+/// refused with ERR (not BUSY, which would invite a retry) instead of being
+/// queued and stranded, and nothing is left queued.
+#[test]
+fn submit_after_shutdown_is_refused() {
+    let mut server = start_server();
+    let mut c = Client::connect(server.addr()).expect("connect");
+    // One roundtrip first, so the connection's handler thread is running.
+    assert!(c
+        .roundtrip("METRICS")
+        .unwrap()
+        .contains("aasd_requests_submitted_total 0"));
+    let engine = Arc::clone(server.engine());
+    server.shutdown();
+    let reply = c
+        .roundtrip("SUB mode=spec gamma=3 budget=8 prompt=1,2,3 img=5")
+        .expect("the connection outlives the server");
+    assert_eq!(reply, "ERR engine is shut down");
+    assert_eq!(engine.metrics().requests_submitted.get(), 0);
+    assert_eq!(engine.metrics().queue_depth.get(), 0);
 }

@@ -11,13 +11,104 @@
 
 use std::sync::Arc;
 
-use aasd::mm::{draft_for, Ablation, Image, KvProjector, LlavaSim, LlavaSimConfig};
-use aasd::nn::{Decoder, DecoderConfig};
+use aasd::mm::{
+    draft_for, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, KvProjector, LlavaSim,
+    LlavaSimConfig,
+};
+use aasd::nn::Decoder;
 use aasd::serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
-use aasd::specdec::speculative_greedy_with_budget_ws;
 use aasd::tensor::{Rng, Workspace};
 
-/// A mixed workload: varying prompts, budgets, γ, and decode modes.
+/// Every request's final status and tokens, in submission order.
+type Streams = Vec<(Status, Vec<u32>)>;
+
+/// The served bundle, tiny: a LlavaSim target, its standard AASD draft and
+/// a KV projector.
+struct Bundle {
+    model: Arc<LlavaSim>,
+    draft: Arc<Decoder>,
+    projector: Arc<KvProjector>,
+}
+
+impl Bundle {
+    fn new() -> Self {
+        let cfg = LlavaSimConfig::tiny(40, 96);
+        let model = Arc::new(LlavaSim::new(cfg.clone(), 0xC0));
+        let draft = Arc::new(draft_for(&cfg, 0xC1));
+        let projector = Arc::new(KvProjector::new(
+            0xC2,
+            draft.cfg.n_layers,
+            cfg.lm.n_layers,
+            cfg.n_img(),
+            cfg.k_slots(),
+        ));
+        Self {
+            model,
+            draft,
+            projector,
+        }
+    }
+
+    /// Serve `reqs` in order on `slots` slots and `workers` threads; returns
+    /// every request's final snapshot and the vision cache's (hits, misses).
+    fn serve(&self, slots: usize, workers: usize, reqs: &[Request]) -> (Streams, (u64, u64)) {
+        let engine = Engine::new(
+            EngineModel::Multimodal {
+                model: Arc::clone(&self.model),
+                draft: Arc::clone(&self.draft),
+                projector: Arc::clone(&self.projector),
+                ablation: Ablation::projector(),
+            },
+            EngineConfig {
+                slots,
+                workers,
+                max_queue: 64,
+                ..EngineConfig::default()
+            },
+        );
+        let handles: Vec<_> = reqs
+            .iter()
+            .map(|r| engine.submit(r.clone()).expect("admitted"))
+            .collect();
+        engine.run_until_idle();
+        let m = engine.metrics();
+        let vision = (m.vision_cache_hits.get(), m.vision_cache_misses.get());
+        (handles.iter().map(|h| h.snapshot()).collect(), vision)
+    }
+
+    /// The one-shot fused loop `req` must reproduce on its image.
+    fn one_shot(&self, req: &Request, ws: &mut Workspace) -> Vec<u32> {
+        let vision = &self.model.cfg.vision;
+        let img = Image::synthetic(
+            &mut Rng::new(req.image_seed.expect("served requests carry an image")),
+            vision.n_patches,
+            vision.patch_dim,
+        );
+        match req.mode {
+            DecodeMode::Speculative { gamma } => {
+                mm_speculative_ws(
+                    &self.model,
+                    &self.draft,
+                    Some(&self.projector),
+                    Ablation::projector(),
+                    &img,
+                    &req.prompt,
+                    req.max_new,
+                    gamma,
+                    ws,
+                )
+                .0
+            }
+            DecodeMode::Autoregressive => {
+                mm_autoregressive_ws(&self.model, &img, &req.prompt, req.max_new, ws)
+            }
+        }
+    }
+}
+
+/// A mixed workload: varying prompts and budgets, speculative at γ 2–5 and
+/// autoregressive, over three images that repeat, so the vision cache both
+/// misses (the first sight of each) and hits (every later one).
 fn workload(n: usize) -> Vec<Request> {
     (0..n)
         .map(|i| {
@@ -26,64 +117,50 @@ fn workload(n: usize) -> Vec<Request> {
             Request {
                 prompt,
                 max_new: 8 + (i * 5) % 20,
-                mode: if i % 4 == 3 {
+                mode: if i % 5 == 4 {
                     DecodeMode::Autoregressive
                 } else {
                     DecodeMode::Speculative { gamma: 2 + i % 4 }
                 },
-                image_seed: None,
+                image_seed: Some(100 + (i % 3) as u64),
             }
         })
         .collect()
 }
 
-fn run_text_engine(workers: usize, reqs: &[Request]) -> Vec<(Status, Vec<u32>)> {
-    let target = Arc::new(Decoder::new(DecoderConfig::tiny(40), 10));
-    let draft = Arc::new(Decoder::new(DecoderConfig::tiny(40), 20));
-    let engine = Engine::new(
-        EngineModel::Text { target, draft },
-        EngineConfig {
-            slots: 3,
-            workers,
-            max_queue: 64,
-            ..EngineConfig::default()
-        },
-    );
-    let handles: Vec<_> = reqs
-        .iter()
-        .map(|r| engine.submit(r.clone()).expect("admitted"))
-        .collect();
-    engine.run_until_idle();
-    handles.iter().map(|h| h.snapshot()).collect()
+/// Serve the mixed workload at 1 worker and at `workers`: byte-identical
+/// streams for every request, every one done, and both vision-cache paths
+/// taken on each run.
+fn assert_worker_independent(bundle: &Bundle, workers: usize) -> Streams {
+    let reqs = workload(10);
+    let (one, one_vision) = bundle.serve(3, 1, &reqs);
+    let (many, many_vision) = bundle.serve(3, workers, &reqs);
+    assert_eq!(one.len(), many.len());
+    for (i, (a, b)) in one.iter().zip(&many).enumerate() {
+        assert_eq!(
+            b.0,
+            Status::Done,
+            "request {i} not done at {workers} workers"
+        );
+        assert_eq!(a, b, "request {i} diverged between 1 and {workers} workers");
+    }
+    for (hits, misses) in [one_vision, many_vision] {
+        assert!(hits >= 1, "no vision-cache hit");
+        assert!(misses >= 1, "no vision-cache miss");
+    }
+    one
 }
 
-/// 1 worker vs 4 workers: byte-identical streams for every request.
+/// 1 worker vs 4 workers: byte-identical streams for every request, and
+/// both match the single-request fused loops (ground truth).
 #[test]
 fn worker_count_never_changes_token_streams() {
-    let reqs = workload(10);
-    let one = run_text_engine(1, &reqs);
-    let four = run_text_engine(4, &reqs);
-    assert_eq!(one.len(), four.len());
-    for (i, (a, b)) in one.iter().zip(&four).enumerate() {
-        assert_eq!(a.0, Status::Done, "request {i} not done");
-        assert_eq!(a, b, "request {i} diverged between 1 and 4 workers");
-    }
-    // And both match the single-request fused loop (ground truth).
-    let target = Decoder::new(DecoderConfig::tiny(40), 10);
-    let draft = Decoder::new(DecoderConfig::tiny(40), 20);
+    let bundle = Bundle::new();
+    let one = assert_worker_independent(&bundle, 4);
     let mut ws = Workspace::new();
-    for (i, req) in reqs.iter().enumerate() {
-        if let DecodeMode::Speculative { gamma } = req.mode {
-            let (want, _) = speculative_greedy_with_budget_ws(
-                &target,
-                &draft,
-                &req.prompt,
-                req.max_new,
-                gamma,
-                &mut ws,
-            );
-            assert_eq!(one[i].1, want, "request {i} != fused loop");
-        }
+    for (i, req) in workload(10).iter().enumerate() {
+        let want = bundle.one_shot(req, &mut ws);
+        assert_eq!(one[i].1, want, "request {i} != fused loop");
     }
 }
 
@@ -93,44 +170,25 @@ fn worker_count_never_changes_token_streams() {
 /// byte-identical to the one-worker run.
 #[test]
 fn two_worker_streams_match_one_worker() {
-    let reqs = workload(10);
-    let workers = EngineConfig::default().workers;
-    let one = run_text_engine(1, &reqs);
-    let shipped = run_text_engine(workers, &reqs);
-    assert_eq!(one.len(), shipped.len());
-    for (i, (a, b)) in one.iter().zip(&shipped).enumerate() {
-        assert_eq!(
-            b.0,
-            Status::Done,
-            "request {i} not done at {workers} workers"
-        );
-        assert_eq!(a, b, "request {i} diverged between 1 and {workers} workers");
-    }
+    assert_worker_independent(&Bundle::new(), EngineConfig::default().workers);
 }
 
-/// Re-running the same submission order reproduces the same streams
-/// (no hidden clock/thread-id dependence anywhere in the decode path).
+/// Re-running the same submission order reproduces the same streams and
+/// the same vision-cache accounting (no hidden clock/thread-id dependence
+/// anywhere in the decode or admission path).
 #[test]
 fn rerun_is_reproducible() {
+    let bundle = Bundle::new();
     let reqs = workload(6);
-    assert_eq!(run_text_engine(2, &reqs), run_text_engine(2, &reqs));
+    assert_eq!(bundle.serve(3, 2, &reqs), bundle.serve(3, 2, &reqs));
 }
 
-/// Multimodal sessions are equally scheduler-independent: hybrid-cache
-/// speculative requests served at 4 workers match `mm_speculative_ws`.
+/// Speculative requests on distinct images are equally
+/// scheduler-independent: served at 4 workers they match the one-worker
+/// run and `mm_speculative_ws`.
 #[test]
 fn multimodal_streams_are_worker_independent() {
-    use aasd::mm::mm_speculative_ws;
-    let cfg = LlavaSimConfig::tiny(40, 96);
-    let model = Arc::new(LlavaSim::new(cfg.clone(), 0xC0));
-    let draft = Arc::new(draft_for(&cfg, 0xC1));
-    let projector = Arc::new(KvProjector::new(
-        0xC2,
-        draft.cfg.n_layers,
-        cfg.lm.n_layers,
-        cfg.n_img(),
-        cfg.k_slots(),
-    ));
+    let bundle = Bundle::new();
     let reqs: Vec<Request> = (0..4u64)
         .map(|i| Request {
             prompt: vec![3 + i as u32, 11, (5 + i * 3) as u32 % 40],
@@ -139,50 +197,13 @@ fn multimodal_streams_are_worker_independent() {
             image_seed: Some(100 + i),
         })
         .collect();
-    let run = |workers: usize| {
-        let engine = Engine::new(
-            EngineModel::Multimodal {
-                model: Arc::clone(&model),
-                draft: Arc::clone(&draft),
-                projector: Arc::clone(&projector),
-                ablation: Ablation::projector(),
-            },
-            EngineConfig {
-                slots: 2,
-                workers,
-                max_queue: 16,
-                ..EngineConfig::default()
-            },
-        );
-        let handles: Vec<_> = reqs
-            .iter()
-            .map(|r| engine.submit(r.clone()).expect("admitted"))
-            .collect();
-        engine.run_until_idle();
-        handles.iter().map(|h| h.snapshot()).collect::<Vec<_>>()
-    };
-    let one = run(1);
-    let four = run(4);
+    let (one, _) = bundle.serve(2, 1, &reqs);
+    let (four, _) = bundle.serve(2, 4, &reqs);
     assert_eq!(one, four);
     let mut ws = Workspace::new();
     for (req, (status, tokens)) in reqs.iter().zip(&one) {
         assert_eq!(*status, Status::Done);
-        let img = Image::synthetic(
-            &mut Rng::new(req.image_seed.unwrap()),
-            cfg.vision.n_patches,
-            cfg.vision.patch_dim,
-        );
-        let (want, _) = mm_speculative_ws(
-            &model,
-            &draft,
-            Some(&projector),
-            Ablation::projector(),
-            &img,
-            &req.prompt,
-            req.max_new,
-            3,
-            &mut ws,
-        );
+        let want = bundle.one_shot(req, &mut ws);
         assert_eq!(*tokens, want, "served mm stream != fused mm loop");
     }
 }
