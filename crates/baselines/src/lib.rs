@@ -31,7 +31,7 @@ use aasd_mm::{
 use aasd_nn::{Decoder, DecoderConfig, KvCache};
 use aasd_specdec::{ArSession, Session, SpecSession, SpecStats};
 use aasd_tensor::Workspace;
-use aasd_train::{train_loop, Adam, Example, LossSpec, Schedule};
+use aasd_train::{train_loop, Adam, Example, LossSpec};
 use std::time::Instant;
 
 /// The zoo trainers' run configuration: the one trainer config. Step `i`
@@ -250,18 +250,9 @@ pub fn train_aasd_draft(
     td: TdAlignConfig,
 ) -> (Decoder, KvProjector) {
     let mut draft = draft_for_depth(&target.cfg, 2, cfg.seed ^ 0xA5D);
-    // Width-aware LR: the shared zoo schedule is tuned for the dim-64
-    // baselines; the width-shared draft inherits the target's dim, and Adam
-    // at 2e-2 oscillates on the wider models. Scale by 64/dim (≤ 1).
-    let width_scale = (64.0 / target.cfg.lm.dim as f32).min(1.0);
-    let schedule = match cfg.schedule {
-        Schedule::Constant(lr) => Schedule::Constant(lr * width_scale),
-        Schedule::Cosine { base, floor, total } => Schedule::Cosine {
-            base: base * width_scale,
-            floor: floor * width_scale,
-            total,
-        },
-    };
+    // Width-aware LR: the width-shared draft inherits the target's dim,
+    // wider than the dim-64 baselines the zoo schedule is tuned for.
+    let schedule = cfg.schedule.width_scaled(target.cfg.lm.dim);
     let mut projector = KvProjector::new(
         cfg.seed ^ 0x9D0,
         draft.cfg.n_layers,

@@ -192,17 +192,12 @@ fn main() {
             "== target {tname}: grounding LM on WildSim train ({} steps)",
             scale.ground_steps
         );
-        // Width-aware grounding LR: the zoo schedule is tuned for dim-64
-        // drafts; Adam at 2e-2 oscillates on the wider target LMs and
-        // leaves their rollouts image-agnostic, which flatters blind
-        // baselines and deflates the whole comparison.
+        // Width-aware grounding LR: at the zoo's dim-64 rates Adam
+        // oscillates on the wider target LMs and leaves their rollouts
+        // image-agnostic, which flatters blind baselines and deflates the
+        // whole comparison.
         let mut ground = ZooTrainConfig::smoke(scale.ground_steps, 0x960D ^ salt);
-        let width_scale = 64.0 / target.cfg.lm.dim as f32;
-        ground.schedule = aasd_train::Schedule::Cosine {
-            base: 2e-2 * width_scale,
-            floor: 2e-3 * width_scale,
-            total: scale.ground_steps,
-        };
+        ground.schedule = ground.schedule.width_scaled(target.cfg.lm.dim);
         finetune_vlm(&mut target, &train, &ground);
         let zoo = build_zoo(&target, &train, &scale, 0x5EED ^ salt);
         for kind in WorkloadKind::ALL {

@@ -23,6 +23,22 @@ impl Schedule {
             }
         }
     }
+
+    /// This schedule for a model of width `dim`: every rate scaled by
+    /// `(64 / dim).min(1.0)`. The zoo schedule is tuned for dim-64 models,
+    /// and Adam at its 2e-2 oscillates on the wider Sim LMs; a model at
+    /// most 64 wide keeps the rates as they are.
+    pub fn width_scaled(&self, dim: usize) -> Schedule {
+        let scale = (64.0 / dim as f32).min(1.0);
+        match *self {
+            Schedule::Constant(lr) => Schedule::Constant(lr * scale),
+            Schedule::Cosine { base, floor, total } => Schedule::Cosine {
+                base: base * scale,
+                floor: floor * scale,
+                total,
+            },
+        }
+    }
 }
 
 #[cfg(test)]
@@ -53,6 +69,28 @@ mod tests {
             assert!(lr <= prev + 1e-7, "not monotone at step {step}");
             prev = lr;
         }
+    }
+
+    #[test]
+    fn width_scaling_divides_by_dim_over_64_and_never_raises() {
+        let cosine = Schedule::Cosine {
+            base: 2e-2,
+            floor: 2e-3,
+            total: 10,
+        };
+        assert_eq!(
+            cosine.width_scaled(128),
+            Schedule::Cosine {
+                base: 2e-2 * 0.5,
+                floor: 2e-3 * 0.5,
+                total: 10,
+            }
+        );
+        assert_eq!(cosine.width_scaled(32), cosine);
+        assert_eq!(
+            Schedule::Constant(0.3).width_scaled(256),
+            Schedule::Constant(0.3 * 0.25)
+        );
     }
 
     #[test]
