@@ -63,7 +63,8 @@ if [[ "${1:-}" != "--quick" ]]; then
     for tier in scalar default; do
         (
             if [[ $tier != default ]]; then export AASD_KERNEL=$tier; fi
-            cargo test -q -p aasd --test serving_determinism --test mm_lossless \
+            # All 22 tests of the six suites, on each tier.
+            ran -ge 22 cargo test -q -p aasd --test serving_determinism --test mm_lossless \
                 --test server_smoke --test int8_equivalence --test workload_determinism \
                 --test fused_equivalence
             cargo test -q -p aasd-tensor
