@@ -5,13 +5,16 @@
 //!    Sim13B × `dim×dim`, `dim×ff_hidden`) on the public row-major kernels.
 //!    Speculative decoding pays when a γ+1-row verify costs about one 1-row
 //!    decode step; this is that ratio, kernel only. Every row count, one
-//!    included, is the tiled `matmul_blocked_into` — the tile `Linear` runs
-//!    at every row count (`vecmat_into` is that tile at one row).
+//!    included, is the tile `Linear` runs at every row count (`vecmat_into`
+//!    is that tile at one row), timed on the avx2 and avx512 tiers side by
+//!    side through the explicit `matmul_acc_with` entry, batches
+//!    interleaved.
 //! 2. **The footprint sweep** (ROADMAP 1(d), out-of-L2 end): one pass over
 //!    the *whole* LM weight set of Sim7B (2.0 MB), Sim13B (7.4 MB) and Sim13B
 //!    widened four times (dim 768, ff 1536: 118 MB, more than the L3) at
-//!    rows ∈ {1, 2, 6, 32}, row-major (what section 1 times) against the
-//!    tile-major panels `Linear` runs on. A single L2-resident matrix hides
+//!    rows ∈ {1, 2, 4, 6, 16, 32}, row-major (what section 1 times) against
+//!    the tile-major panels `Linear` runs on, per tier as in section 1 with
+//!    the avx512 ÷ avx2 time ratio. A single L2-resident matrix hides
 //!    what the stride of a row-major strip costs once the weights no longer
 //!    fit; this is where the two layouts part, and the widened set is where
 //!    a pass is the weight stream.
@@ -30,10 +33,13 @@
 //!    Sim13B) at 1, 5, 16 and 100 cached positions, softmax over those score
 //!    rows, and `dot`, SwiGLU and the quantizer over rows of 128, 192, 256
 //!    and 384 floats (the two models' `dim` and `ff_hidden`).
+//!
+//! Name sections after `--` to run only those: `rows`, `footprint`, `int8`,
+//! `square`, `lanes`.
 
 use aasd_tensor::simd::{
-    attn_mix_with, attn_scores_with, dot_with, quantize_row_i8_with, silu_mul_with,
-    softmax_row_with,
+    attn_mix_with, attn_scores_with, dot_with, matmul_acc_with, matmul_packed_acc_with,
+    quantize_row_i8_with, silu_mul_with, softmax_row_with,
 };
 use aasd_tensor::{
     backend, matmul_blocked_into, matmul_naive_into, matmul_packed_into, matmul_q8_into,
@@ -49,26 +55,100 @@ const ROWS: [usize; 7] = [1, 2, 4, 6, 8, 16, 32];
 /// untimed batches). The machine's noise is one-sided, so the minimum is the
 /// figure to compare; the CoV says how much to trust it.
 fn min_cov_us(samples: usize, inner: usize, mut f: impl FnMut()) -> (f64, f64) {
-    let mut times = Vec::with_capacity(samples);
+    min_cov_us_tiers(samples, inner, &[backend()], |_| f())[0]
+}
+
+/// [`min_cov_us`] for one closure per tier, their batches interleaved so a
+/// slow spell of the machine lands on every tier alike.
+fn min_cov_us_tiers(
+    samples: usize,
+    inner: usize,
+    tiers: &[Backend],
+    mut f: impl FnMut(Backend),
+) -> Vec<(f64, f64)> {
+    let mut times = vec![Vec::with_capacity(samples); tiers.len()];
     for s in 0..samples + 2 {
-        let t = Instant::now();
-        for _ in 0..inner {
-            f();
-        }
-        if s >= 2 {
-            times.push(t.elapsed().as_nanos() as f64 / 1e3 / inner as f64);
+        for (&bk, times) in tiers.iter().zip(&mut times) {
+            let t = Instant::now();
+            for _ in 0..inner {
+                f(bk);
+            }
+            if s >= 2 {
+                times.push(t.elapsed().as_nanos() as f64 / 1e3 / inner as f64);
+            }
         }
     }
-    let mean = times.iter().sum::<f64>() / times.len() as f64;
-    let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
-    let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-    (min, var.sqrt() / mean)
+    times
+        .iter()
+        .map(|times| {
+            let mean = times.iter().sum::<f64>() / times.len() as f64;
+            let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
+            let min = times.iter().copied().fold(f64::INFINITY, f64::min);
+            (min, var.sqrt() / mean)
+        })
+        .collect()
+}
+
+/// The SIMD tiers the f32 tile runs on this host (the avx2 and avx512 ones),
+/// or the process tier where neither runs.
+fn tile_tiers() -> Vec<Backend> {
+    let tiers: Vec<Backend> = [Backend::Avx2, Backend::Avx512]
+        .into_iter()
+        .filter(|b| b.is_supported())
+        .collect();
+    if tiers.is_empty() {
+        vec![backend()]
+    } else {
+        tiers
+    }
+}
+
+/// `C = A·B` on tier `bk`, over `B` row-major or packed.
+#[allow(clippy::too_many_arguments)]
+fn product(
+    bk: Backend,
+    packed: bool,
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    c.fill(0.0);
+    if packed {
+        matmul_packed_acc_with(bk, c, a, b, m, k, n);
+    } else {
+        matmul_acc_with(bk, c, a, b, m, k, n);
+    }
+}
+
+/// One line of per-tier times: each tier's time (CoV) and MAC/ns, then
+/// every later tier's time over the first's.
+fn tier_line(label: &str, tiers: &[Backend], times: &[(f64, f64)], macs: usize) {
+    print!("  {label:<18}:");
+    for (bk, (us, cov)) in tiers.iter().zip(times) {
+        print!(
+            "  {} {us:>8.1} us (CoV {cov:.3}) {:>5.2} MAC/ns",
+            bk.name(),
+            macs as f64 / (us * 1e3)
+        );
+    }
+    for (bk, (us, _)) in tiers.iter().zip(times).skip(1) {
+        print!("  {}/{} {:.2}", bk.name(), tiers[0].name(), us / times[0].0);
+    }
+    println!();
 }
 
 fn rows_curve() {
+    let tiers = tile_tiers();
     println!(
-        "rows curve: cost(rows)/cost(1), min of 31 batches (CoV), backend {}\n",
-        backend().name()
+        "rows curve: cost(rows)/cost(1) per tier, min of 31 interleaved batches (CoV), tiers {}\n",
+        tiers
+            .iter()
+            .map(|b| b.name())
+            .collect::<Vec<_>>()
+            .join(" | ")
     );
     for (name, k, n) in [
         ("Sim7B  dim×dim       128×128", 128usize, 128usize),
@@ -82,20 +162,25 @@ fn rows_curve() {
         let x: Vec<f32> = (0..max_rows * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
         let mut y = vec![0.0f32; max_rows * n];
         println!("{name}");
-        let mut one = 0.0;
+        let mut one = Vec::new();
         for m in ROWS {
-            let (us, cov) = min_cov_us(31, 16, || {
-                matmul_blocked_into(&mut y[..m * n], &x[..m * k], &w, m, k, n);
+            let times = min_cov_us_tiers(31, 16, &tiers, |bk| {
+                product(bk, false, &mut y[..m * n], &x[..m * k], &w, m, k, n);
                 black_box(&mut y);
             });
             if m == 1 {
-                one = us;
+                one = times.iter().map(|t| t.0).collect();
             }
-            println!(
-                "  rows {m:>2}       : {us:>8.2} us (CoV {cov:.3})  x{:>5.2} of rows 1  {:>5.2} MAC/ns",
-                us / one,
-                (m * k * n) as f64 / (us * 1e3)
-            );
+            print!("  rows {m:>2}:");
+            for ((bk, (us, cov)), one) in tiers.iter().zip(&times).zip(&one) {
+                print!(
+                    "  {} {us:>8.2} us (CoV {cov:.3}) x{:>5.2} of rows 1 {:>5.2} MAC/ns",
+                    bk.name(),
+                    us / one,
+                    (m * k * n) as f64 / (us * 1e3)
+                );
+            }
+            println!();
         }
         println!();
     }
@@ -125,10 +210,12 @@ fn lm_weight_set(
         .collect()
 }
 
-/// One pass over a whole LM weight set, row-major against packed.
+/// One pass over a whole LM weight set, row-major against packed, on every
+/// tile tier.
 fn footprint_sweep() {
+    let tiers = tile_tiers();
     println!(
-        "footprint sweep: one pass over a whole LM weight set, min of 15 (5 on the widened set) (CoV)\n"
+        "footprint sweep: one pass over a whole LM weight set per tier, min of 15 (5 on the widened set) interleaved batches (CoV)\n"
     );
     for (name, dim, ff, layers, samples) in [
         (
@@ -157,28 +244,18 @@ fn footprint_sweep() {
             weights.len(),
             (macs * 4) as f64 / 1e6
         );
-        for m in [1usize, 2, 6, 32] {
-            let line = |label: &str, us: f64, cov: f64| {
-                println!(
-                    "  rows {m:>2} {label:<9}: {us:>8.1} us (CoV {cov:.3})  {:>5.2} MAC/ns  {:>5.1} GB/s of weights",
-                    (m * macs) as f64 / (us * 1e3),
-                    (macs * 4) as f64 / (us * 1e3)
-                );
-            };
-            let (us, cov) = min_cov_us(samples, 4, || {
-                for (k, n, w) in &weights {
-                    matmul_blocked_into(&mut y[..m * n], &x[..m * k], w, m, *k, *n);
-                }
-                black_box(&mut y);
-            });
-            line("row-major", us, cov);
-            let (us, cov) = min_cov_us(samples, 4, || {
-                for ((k, n, _), p) in weights.iter().zip(&panels) {
-                    matmul_packed_into(&mut y[..m * n], &x[..m * k], p, m, *k, *n);
-                }
-                black_box(&mut y);
-            });
-            line("packed", us, cov);
+        for m in [1usize, 2, 4, 6, 16, 32] {
+            for packed in [false, true] {
+                let times = min_cov_us_tiers(samples, 4, &tiers, |bk| {
+                    for ((k, n, w), p) in weights.iter().zip(&panels) {
+                        let b = if packed { p } else { w };
+                        product(bk, packed, &mut y[..m * n], &x[..m * k], b, m, *k, *n);
+                    }
+                    black_box(&mut y);
+                });
+                let layout = if packed { "packed" } else { "row-major" };
+                tier_line(&format!("rows {m:>2} {layout}"), &tiers, &times, m * macs);
+            }
         }
         println!();
     }
@@ -344,10 +421,23 @@ fn lane_kernels() {
     println!();
 }
 
+/// Every section, or only those named on the command line (`cargo bench -p
+/// aasd-bench --bench matmul -- rows footprint`).
 fn main() {
-    rows_curve();
-    footprint_sweep();
-    int8_sweep();
-    square_sizes();
-    lane_kernels();
+    let wanted: Vec<String> = std::env::args()
+        .skip(1)
+        .filter(|a| !a.starts_with("--"))
+        .collect();
+    let sections: [(&str, fn()); 5] = [
+        ("rows", rows_curve),
+        ("footprint", footprint_sweep),
+        ("int8", int8_sweep),
+        ("square", square_sizes),
+        ("lanes", lane_kernels),
+    ];
+    for (name, run) in sections {
+        if wanted.is_empty() || wanted.iter().any(|w| w == name) {
+            run();
+        }
+    }
 }

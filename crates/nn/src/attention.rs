@@ -1,8 +1,9 @@
 //! Multi-head self-attention: three entries over two implementations.
 //!
-//! * One **cached sweep** — RoPE + append, then per query head one
-//!   `attn_scores_with` / `softmax_row_with` / `attn_mix_with` pass per cache
-//!   chunk — under both incremental entries: [`Attention::forward_infer_ws`],
+//! * One **cached sweep** — RoPE + append, then every (row, head)'s
+//!   `attn_scores_with` / `softmax_row_with` pass, then every (row, head)'s
+//!   `attn_mix_with` pass, each one call per cache chunk — under both
+//!   incremental entries: [`Attention::forward_infer_ws`],
 //!   the inference hot path (workspace scratch, packed projections, `·Wo`
 //!   folded into the residual; one call, one weight pass, serves prefill,
 //!   decode and the γ + 1-row verify), and [`Attention::forward_infer`], the
@@ -72,14 +73,17 @@ impl Attention {
     /// The cached sweep. The block's `t` query rows (already appended, so
     /// row `i` sits at position `cache.len() - t + i`) attend causally over
     /// the cache; `ctx` (zeroed, `[t, dim]`, which sets `t`) receives each
-    /// head's mix.
+    /// head's mix. `scores` is `[t · heads, stride]` scratch, one row per
+    /// (row, head) in that order, with `stride ≥ cache.len()`.
     ///
-    /// Each query head is ONE kernel sweep, one call per cache chunk.
-    /// `attn_scores_with` computes an independent dot per position and
-    /// `attn_mix_with` accumulates element-wise in strict position order on
-    /// every dispatch tier, so splitting the sweep at cache-block boundaries
-    /// is bit-identical to one call over the contiguous sequence: paging
-    /// costs nothing numerically. `scores` holds at least `cache.len()`.
+    /// Two phases, one profiler span each: every (row, head)'s scores and
+    /// softmax, then every (row, head)'s mix. Each is one kernel call per
+    /// cache chunk. `attn_scores_with` computes an independent dot per
+    /// position and `attn_mix_with` accumulates element-wise in strict
+    /// position order on every dispatch tier, so splitting the sweep at
+    /// cache-block boundaries is bit-identical to one call over the
+    /// contiguous sequence: paging costs nothing numerically. The phase
+    /// split only moves when a (row, head)'s mix runs, never what it reads.
     fn sweep(
         &self,
         q: &[f32],
@@ -88,46 +92,43 @@ impl Attention {
         ctx: &mut [f32],
         prof: &mut Profiler,
     ) {
-        let dim = self.n_heads * self.head_dim;
+        let (hd, heads) = (self.head_dim, self.n_heads);
+        let dim = heads * hd;
         let t = ctx.len() / dim;
+        if t == 0 {
+            return;
+        }
+        let stride = scores.len() / (t * heads);
+        debug_assert!(stride >= cache.len(), "score rows must hold the context");
         let pos0 = cache.len() - t;
-        let scale = 1.0 / (self.head_dim as f32).sqrt();
+        let scale = 1.0 / (hd as f32).sqrt();
         // Resolve the SIMD backend once per call instead of per score row.
         let bk = aasd_tensor::backend();
-        for i in 0..t {
-            let ctx_len = pos0 + i + 1; // causal: positions 0..=pos0+i
-            for h in 0..self.n_heads {
-                let hs = h * self.head_dim..(h + 1) * self.head_dim;
-                let q_head = &q[i * dim..][hs.clone()];
-                let span = prof.begin();
-                for (start, keys, _values) in cache.chunks(ctx_len) {
-                    let len = keys.len() / dim;
-                    attn_scores_with(
-                        bk,
-                        &mut scores[start..start + len],
-                        q_head,
-                        &keys[hs.start..],
-                        dim,
-                        scale,
-                    );
-                }
-                softmax_row_with(bk, &mut scores[..ctx_len]);
-                prof.end(span, Op::AttnScore);
-                let span = prof.begin();
-                let out_head = &mut ctx[i * dim..][hs.clone()];
-                for (start, _keys, values) in cache.chunks(ctx_len) {
-                    let len = values.len() / dim;
-                    attn_mix_with(
-                        bk,
-                        out_head,
-                        &scores[start..start + len],
-                        &values[hs.start..],
-                        dim,
-                    );
-                }
-                prof.end(span, Op::AttnMix);
+        // Row `r` of `scores` belongs to query row `r / heads`, head
+        // `r % heads`, and spans its causal context: positions 0..=pos0+i.
+        let at = |r: usize| (r / heads, r % heads * hd, pos0 + r / heads + 1);
+        let span = prof.begin();
+        for (r, row) in scores.chunks_exact_mut(stride).enumerate() {
+            let (i, h0, ctx_len) = at(r);
+            let q_head = &q[i * dim + h0..][..hd];
+            for (start, keys, _values) in cache.chunks(ctx_len) {
+                let len = keys.len() / dim;
+                let out = &mut row[start..start + len];
+                attn_scores_with(bk, out, q_head, &keys[h0..], dim, scale);
+            }
+            softmax_row_with(bk, &mut row[..ctx_len]);
+        }
+        prof.end(span, Op::AttnScore);
+        let span = prof.begin();
+        for (r, row) in scores.chunks_exact(stride).enumerate() {
+            let (i, h0, ctx_len) = at(r);
+            let out_head = &mut ctx[i * dim + h0..][..hd];
+            for (start, _keys, values) in cache.chunks(ctx_len) {
+                let len = values.len() / dim;
+                attn_mix_with(bk, out_head, &row[start..start + len], &values[h0..], dim);
             }
         }
+        prof.end(span, Op::AttnMix);
     }
 
     /// Allocating incremental path. `x: [t, dim]` is the block of new token
@@ -141,7 +142,8 @@ impl Attention {
         let v = self.wv.forward(x);
         self.rope_append(&mut q.data, &mut k.data, &v.data, rope, &mut cache);
         let mut ctx = Tensor::zeros(x.rows, x.cols);
-        let (mut scores, mut prof) = (vec![0.0f32; cache.len()], Profiler::new());
+        let scores_len = self.n_heads * x.rows * cache.len();
+        let (mut scores, mut prof) = (vec![0.0f32; scores_len], Profiler::new());
         self.sweep(&q.data, &cache, &mut scores, &mut ctx.data, &mut prof);
         self.wo.forward(&ctx)
     }
@@ -153,8 +155,9 @@ impl Attention {
     /// allocator zero times. `norm_x` is the already-normed block `[t, dim]`,
     /// positioned as in [`Attention::forward_infer`].
     ///
-    /// The score scratch is sized to the cache **capacity**, not the current
-    /// context, so the workspace sees an identical request size every step.
+    /// The score scratch, one row per (row, head), is sized to the cache
+    /// **capacity**, not the current context, so the workspace sees an
+    /// identical request size every step of a given block size.
     pub fn forward_infer_ws(
         &self,
         norm_x: &[f32],
@@ -179,7 +182,7 @@ impl Attention {
         ws.prof.end(span, Op::Qkv);
 
         let mut ctx = ws.take(t * dim);
-        let mut scores = ws.take(cache.capacity());
+        let mut scores = ws.take(self.n_heads * t * cache.capacity());
         self.sweep(&q, &cache, &mut scores, &mut ctx, &mut ws.prof);
 
         let span = ws.prof.begin();

@@ -5,33 +5,40 @@
 //!
 //! * the **scheduler thread**, which runs [`Engine::serve`] — the
 //!   scheduler loop, then the shutdown drain — and
-//! * the **accept thread**, which spawns a short-lived handler per
-//!   connection.
+//! * the **accept thread**, which spawns a handler per connection and
+//!   registers it (its join handle and a clone of its socket), pruning the
+//!   handlers that have finished.
 //!
 //! Handler threads never block decode: submissions go through
 //! [`Engine::submit`] (queue mutex only) and polls read the per-request
 //! handle. Shutdown is cooperative — a flag plus a self-connect to unblock
-//! `accept` — so tests can start and stop servers on ephemeral ports
-//! without leaking threads.
+//! `accept`, then a socket shutdown that ends every registered handler's
+//! blocking read — so tests can start and stop servers on ephemeral ports
+//! without leaking threads, and no idle client keeps the engine alive.
 
 use std::io::{self};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use crate::engine::{Engine, Rejection};
 use crate::proto::{format_poll, parse_command, read_frame, write_frame, Command};
 
+/// The live connection handlers: each one's thread and a clone of its
+/// socket, through which shutdown ends the handler's blocking read.
+type Handlers = Arc<Mutex<Vec<(JoinHandle<()>, TcpStream)>>>;
+
 /// A running server; dropping it (or calling [`Server::shutdown`]) stops
-/// both background threads.
+/// both background threads and every connection handler.
 pub struct Server {
     addr: SocketAddr,
     engine: Arc<Engine>,
     stop: Arc<AtomicBool>,
     accept_thread: Option<JoinHandle<()>>,
     sched_thread: Option<JoinHandle<()>>,
+    handlers: Handlers,
 }
 
 impl Server {
@@ -50,6 +57,8 @@ impl Server {
 
         let accept_engine = Arc::clone(&engine);
         let accept_stop = Arc::clone(&stop);
+        let handlers = Handlers::default();
+        let accept_handlers = Arc::clone(&handlers);
         let accept_thread = std::thread::Builder::new()
             .name("aasd-accept".into())
             .spawn(move || {
@@ -58,14 +67,21 @@ impl Server {
                         break;
                     }
                     let Ok(stream) = conn else { continue };
+                    // Without a clone shutdown could not reach the handler.
+                    let Ok(control) = stream.try_clone() else {
+                        continue;
+                    };
                     let engine = Arc::clone(&accept_engine);
                     let stop = Arc::clone(&accept_stop);
-                    // Handler threads are detached; they exit when their
-                    // client disconnects (or on SHUTDOWN), and the sockets
-                    // close with them.
-                    let _ = std::thread::Builder::new()
+                    let spawned = std::thread::Builder::new()
                         .name("aasd-conn".into())
                         .spawn(move || handle_connection(stream, &engine, &stop));
+                    let Ok(handler) = spawned else { continue };
+                    let mut live = accept_handlers
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner);
+                    live.retain(|(h, _)| !h.is_finished());
+                    live.push((handler, control));
                 }
             })?;
 
@@ -75,6 +91,7 @@ impl Server {
             stop,
             accept_thread: Some(accept_thread),
             sched_thread: Some(sched_thread),
+            handlers,
         })
     }
 
@@ -87,16 +104,24 @@ impl Server {
         &self.engine
     }
 
-    /// Stop accepting, cancel in-flight work, and join both threads.
-    /// Idempotent.
+    /// Stop accepting, close every client connection, cancel in-flight
+    /// work, and join every thread: the accept loop, each connection
+    /// handler and the scheduler. Idempotent, and complete after a wire
+    /// `SHUTDOWN` too (which only sets the flag).
     pub fn shutdown(&mut self) {
-        if self.stop.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Unblock the accept loop with a throwaway self-connection.
-        let _ = TcpStream::connect(self.addr);
+        self.stop.store(true, Ordering::Release);
         if let Some(t) = self.accept_thread.take() {
+            // Unblock the accept loop with a throwaway self-connection.
+            let _ = TcpStream::connect(self.addr);
             let _ = t.join();
+        }
+        // The accept loop has stopped, so the list is complete: a closed
+        // socket ends each handler's blocking read (or its next write).
+        let handlers =
+            std::mem::take(&mut *self.handlers.lock().unwrap_or_else(PoisonError::into_inner));
+        for (handler, socket) in handlers {
+            let _ = socket.shutdown(Shutdown::Both);
+            let _ = handler.join();
         }
         if let Some(t) = self.sched_thread.take() {
             let _ = t.join();

@@ -8,10 +8,10 @@
 //!   naive reference they are property-tested against; the one-row
 //!   [`vecmat_into`] is that tile at one row;
 //! * [`ops`] — fused softmax, argmax, SiLU, dot primitives;
-//! * [`simd`] — the runtime-dispatched AVX2 and scalar kernel tiers behind
-//!   the hot-path primitives (`AASD_KERNEL=scalar|avx2` overrides, any
-//!   other value is a hard error; every kernel gives the same bits on both
-//!   tiers);
+//! * [`simd`] — the runtime-dispatched AVX-512, AVX2 and scalar kernel
+//!   tiers behind the hot-path primitives (`AASD_KERNEL=scalar|avx2|avx512`
+//!   overrides, any other value is a hard error; every kernel gives the
+//!   same bits on every tier);
 //! * [`quant`] — int8 per-output absmax weight quantization into int8
 //!   panels and the exact i32-accumulating register tile over them
 //!   ([`matmul_q8_into`]);

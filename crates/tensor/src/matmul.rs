@@ -4,7 +4,8 @@
 //! * [`matmul_naive_into`] — the textbook triple loop. It is the semantic
 //!   reference the kernels are property-tested against. Never "optimize" it.
 //! * [`matmul_blocked_into`] / [`matmul_blocked_acc_into`] — the multi-row
-//!   kernel: a register tile of `C` (up to 6 rows × two SIMD vectors) stays
+//!   kernel: a register tile of `C` (up to 6 rows × two 8-lane vectors, or
+//!   on the avx512 tier 8 rows × two 16-lane vectors) stays
 //!   in registers for the whole `k` loop, every `B` vector is loaded once
 //!   per tile and shared by all its rows, `A` values are broadcast (see
 //!   `simd::matmul_tile`). This is what verify, prefill, the vision tower

@@ -1,15 +1,17 @@
-//! Runtime-dispatched SIMD kernels (AVX2 / scalar) for the decode hot path.
+//! Runtime-dispatched SIMD kernels (AVX-512 / AVX2 / scalar) for the decode
+//! hot path.
 //!
 //! One [`Backend`] is selected process-wide the first time [`backend`] is
-//! queried: the `AASD_KERNEL` env var (`scalar` | `avx2`) when set, otherwise
-//! the best path the CPU reports. A value that names no tier, or a tier the
-//! host cannot run, is a hard error (a panic on that first query) — a typo
-//! must not run one tier under another's label. The choice then holds for
-//! the life of the process; code that must run a given tier (the cross-tier
-//! tests) calls the explicit `*_with` entries instead.
+//! queried: the `AASD_KERNEL` env var (`scalar` | `avx2` | `avx512`) when
+//! set, otherwise the best path the CPU reports. A value that names no tier,
+//! or a tier the host cannot run, is a hard error (a panic on that first
+//! query) — a typo must not run one tier under another's label. The choice
+//! then holds for the life of the process; code that must run a given tier
+//! (the cross-tier tests, `--bench matmul`) calls the explicit `*_with`
+//! entries instead.
 //!
-//! Determinism contract: every kernel gives the same bits on both tiers,
-//! because every kernel is one source compiled for both; the tier a process
+//! Determinism contract: every kernel gives the same bits on every tier,
+//! because every kernel is one source compiled for each; the tier a process
 //! runs on moves no output bit.
 //!
 //! The f32 multi-row tile (`matmul_tile`) vectorizes across the *output*
@@ -19,13 +21,16 @@
 //! of a multi-row product is bit-identical to the one-row product of that
 //! row (`vecmat` is the tile at one row): a row gets the same bits in a
 //! block of any size. A fused multiply-add is correctly rounded wherever it
-//! runs — `vfmadd` on the avx2 tier (compiled `avx2,fma`, selected only on
-//! hosts reporting both), `f32::mul_add` on the scalar tier — so the tiers
-//! agree as long as the k-order does. The tile is one generic source
-//! compiled plainly (scalar tier: 6 rows × 8 columns) and under `avx2,fma`
-//! (6 × 16), over `B` stored row-major or as tile-major panels
-//! ([`pack_panels`]); a one-row product takes four strips per tile instead
-//! (1 × 32 on the scalar tier, 1 × 64 under `avx2,fma`: eight accumulator
+//! runs — `vfmadd` on the avx2 and avx512 tiers (compiled `avx2,fma` and
+//! `avx512f,avx2,fma`, selected only on hosts reporting those features),
+//! `f32::mul_add` on the scalar tier — so the tiers agree as long as the
+//! k-order does. The tile is one generic source compiled plainly (scalar
+//! tier: 6 rows × 8 columns), under `avx2,fma` (6 × 16) and, for products of
+//! two or more rows on the avx512 tier, under `avx512f,avx2,fma` (8 × 32: two
+//! adjacent 16-column strips, one `zmm` per row and strip), over `B` stored
+//! row-major or as tile-major panels ([`pack_panels`]); a one-row product
+//! takes four strips per tile instead (1 × 32 on the scalar tier, 1 × 64
+//! under `avx2,fma` — the avx512 tier's one-row code too: eight accumulator
 //! chains, not two), and every tile prefetches its stream of `B` a fixed
 //! distance ahead of its loads. Its shape, the layout and the prefetch
 //! change which elements share a register, where an operand is loaded from
@@ -36,15 +41,17 @@
 //! of [`quantize_row_i8_with`]) are one source each, generic over an
 //! eight-lane type (`lanes`): `[f32; 8]`, whose methods do lane by lane what
 //! the AVX2 instructions do, NaN included, and an `__m256` newtype compiled
-//! `avx2,fma`. Reductions keep eight lane sums, each term one multiply then
-//! one add, combined in one fixed tree, then the tail in sequence; `exp` is a
-//! Cephes polynomial on full 8-blocks and libm `exp` on the tail.
+//! `avx2,fma`, which the avx512 tier runs too. Reductions keep eight lane
+//! sums, each term one multiply then one add, combined in one fixed tree,
+//! then the tail in sequence; `exp` is a Cephes polynomial on full 8-blocks
+//! and libm `exp` on the tail.
 //!
 //! The int8 kernels accumulate in `i32`, which is exact and associative, so
 //! the int8 register tile (`matmul_q8_tile`, over int8 panels — see
-//! [`crate::quant`]) is bit-identical on both tiers, at every row count and
+//! [`crate::quant`]) is bit-identical on every tier, at every row count and
 //! under any tiling, to the scalar i32 dot loop that
-//! `tile_q8_bitwise_equals_scalar_dot_on_every_tier` holds it to.
+//! `tile_q8_bitwise_equals_scalar_dot_on_every_tier` holds it to; the
+//! avx512 tier runs the avx2 tier's int8 tile.
 //!
 //! There is no hand-written 128-bit tier: rustc already vectorises the
 //! scalar kernels with the x86_64 baseline's 4-lane instructions, and a tier
@@ -66,17 +73,21 @@ pub enum Backend {
     /// 8-lane `__m256` kernels with fused multiply-add (runtime-detected:
     /// needs both `avx2` and `fma`).
     Avx2,
+    /// The avx2 tier with its multi-row f32 tile on 16-lane `__m512`
+    /// registers (runtime-detected: needs `avx512f`, `avx2` and `fma`).
+    Avx512,
 }
 
 impl Backend {
     /// Every tier, slowest first.
-    pub const ALL: [Backend; 2] = [Backend::Scalar, Backend::Avx2];
+    pub const ALL: [Backend; 3] = [Backend::Scalar, Backend::Avx2, Backend::Avx512];
 
     /// Stable lowercase name (also the accepted `AASD_KERNEL` values).
     pub fn name(self) -> &'static str {
         match self {
             Backend::Scalar => "scalar",
             Backend::Avx2 => "avx2",
+            Backend::Avx512 => "avx512",
         }
     }
 
@@ -85,6 +96,7 @@ impl Backend {
         match name.trim().to_ascii_lowercase().as_str() {
             "scalar" => Some(Backend::Scalar),
             "avx2" => Some(Backend::Avx2),
+            "avx512" => Some(Backend::Avx512),
             _ => None,
         }
     }
@@ -100,6 +112,7 @@ impl Backend {
 struct HostFeatures {
     avx2: bool,
     fma: bool,
+    avx512f: bool,
 }
 
 impl HostFeatures {
@@ -109,6 +122,7 @@ impl HostFeatures {
             HostFeatures {
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 fma: std::arch::is_x86_feature_detected!("fma"),
+                avx512f: std::arch::is_x86_feature_detected!("avx512f"),
             }
         }
         #[cfg(not(target_arch = "x86_64"))]
@@ -116,6 +130,7 @@ impl HostFeatures {
             HostFeatures {
                 avx2: false,
                 fma: false,
+                avx512f: false,
             }
         }
     }
@@ -123,22 +138,21 @@ impl HostFeatures {
     /// Whether these features run `b`. The avx2 tier's kernels are compiled
     /// `avx2,fma` — its f32 tile and vecmat are `vfmadd` — so a host that
     /// reports AVX2 without FMA (some VMs mask it) must not select it: it
-    /// would die of SIGILL on the first projection. Pure so the rule is
-    /// unit-testable on any host.
+    /// would die of SIGILL on the first projection. The avx512 tier runs the
+    /// avx2 tier's kernels beside its own `avx512f` tile, so it needs all
+    /// three. Pure so the rule is unit-testable on any host.
     fn runs(self, b: Backend) -> bool {
         match b {
             Backend::Scalar => true,
             Backend::Avx2 => self.avx2 && self.fma,
+            Backend::Avx512 => self.avx512f && self.avx2 && self.fma,
         }
     }
 
     /// The fastest backend these features run.
     fn best(self) -> Backend {
-        if self.runs(Backend::Avx2) {
-            Backend::Avx2
-        } else {
-            Backend::Scalar
-        }
+        let mut tiers = Backend::ALL.into_iter().rev();
+        tiers.find(|&b| self.runs(b)).unwrap_or(Backend::Scalar)
     }
 }
 
@@ -160,7 +174,7 @@ fn backend_from_env(raw: Option<&str>, host: HostFeatures) -> Result<Backend, St
             b.name()
         )),
         None => Err(format!(
-            "AASD_KERNEL={raw}: unknown backend (expected scalar|avx2)"
+            "AASD_KERNEL={raw}: unknown backend (expected scalar|avx2|avx512)"
         )),
     }
 }
@@ -196,7 +210,10 @@ fn select_backend() -> Backend {
 /// backend: the kernel behind [`crate::matmul_blocked_into`] and, at one
 /// row, [`crate::vecmat_into`]. Every row has the bits of the one-row
 /// product of that row, on every backend (see module docs).
-pub(crate) fn matmul_acc_with(
+///
+/// # Panics
+/// When a slice's length does not match its shape.
+pub fn matmul_acc_with(
     bk: Backend,
     c: &mut [f32],
     a: &[f32],
@@ -212,15 +229,20 @@ pub(crate) fn matmul_acc_with(
         // SAFETY: callers pass a tier the host supports — `backend()` yields
         // no other, and the tests filter `Backend::ALL` on `is_supported`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { matmul_acc_avx2::<false>(c, a, b, m, k, n) },
+        Backend::Avx512 if m > 1 => unsafe { matmul_acc_avx512::<false>(c, a, b, m, k, n) },
+        // One row stays on the 256-bit four-strip tile on the avx512 tier,
+        // so one-row steps run the avx2 tier's code unchanged.
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 | Backend::Avx512 => unsafe { matmul_acc_avx2::<false>(c, a, b, m, k, n) },
         // Two 4-lane vectors per row on the x86_64 baseline: six rows fill
         // 12 of the 16 xmm registers.
         _ => matmul_acc_tiled::<8, false>(c, a, b, m, k, n),
     }
 }
 
-/// Output columns per packed panel: the widest tile's strip (AVX2, two
-/// 8-lane vectors). The scalar tier's 8-wide tile reads half panels.
+/// Output columns per packed panel: the widest strip (AVX2 two 8-lane
+/// vectors, AVX-512 one 16-lane vector). The scalar tier's 8-wide tile reads
+/// half panels; the avx512 tier's tile reads two panels side by side.
 const PANEL: usize = 16;
 
 /// Floats [`pack_panels`] produces for a `k × n` matrix.
@@ -250,7 +272,10 @@ pub fn pack_panels(b: &[f32], k: usize, n: usize) -> Vec<f32> {
 /// matrix: the same tile as [`crate::matmul_blocked_acc_into`] at every
 /// `m` (one row included), so every row is bit-identical to the one-row
 /// product over the row-major matrix, on every backend.
-pub(crate) fn matmul_packed_acc_with(
+///
+/// # Panics
+/// When a slice's length does not match its shape.
+pub fn matmul_packed_acc_with(
     bk: Backend,
     c: &mut [f32],
     a: &[f32],
@@ -265,7 +290,11 @@ pub(crate) fn matmul_packed_acc_with(
     match bk {
         // SAFETY: as in `matmul_acc_with`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { matmul_acc_avx2::<true>(c, a, panels, m, k, n) },
+        Backend::Avx512 if m > 1 => unsafe { matmul_acc_avx512::<true>(c, a, panels, m, k, n) },
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 | Backend::Avx512 => unsafe {
+            matmul_acc_avx2::<true>(c, a, panels, m, k, n)
+        },
         _ => matmul_acc_tiled::<8, true>(c, a, panels, m, k, n),
     }
 }
@@ -285,6 +314,21 @@ unsafe fn matmul_acc_avx2<const PACKED: bool>(
     matmul_acc_tiled::<16, PACKED>(c, a, b, m, k, n)
 }
 
+/// # Safety
+/// The host must support AVX-512F, AVX2 and FMA.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f,avx2,fma")]
+unsafe fn matmul_acc_avx512<const PACKED: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    matmul_acc_wide::<PACKED>(c, a, b, m, k, n)
+}
+
 /// Rows of `C` per register tile: with `NR` = two vectors, 6 rows keep 12
 /// accumulators live and leave registers for the two shared `B` vectors and
 /// the broadcast `A` value out of 16.
@@ -295,6 +339,17 @@ const TILE_ROWS: usize = 6;
 /// 4-cycle latency, four strips keep eight (four on the scalar tier's 8-wide
 /// strips).
 const ROW_STRIPS: usize = 4;
+
+/// Adjacent full 16-column strips a tile of the avx512 tier takes at once:
+/// with [`WIDE_ROWS`], 16 accumulators of 16 lanes, one `zmm` each, of the
+/// 32. Tuned against 3 strips and 6 rows on the footprint sweep (see the
+/// `avx512` kernel tier in EXPERIMENTS.md): 3 strips leave a leftover strip
+/// on every Sim7B `dim` projection and lose at 4–6 rows, 6 rows lose at 16
+/// and 32.
+const WIDE_STRIPS: usize = 2;
+
+/// Most rows of an avx512 tile.
+const WIDE_ROWS: usize = 8;
 
 /// How many `k` steps ahead of its loads the tile prefetches each strip's
 /// stream of `B`: 2 KiB ahead in a panel (64 bytes a step). Tuned over
@@ -333,6 +388,52 @@ fn matmul_acc_tiled<const NR: usize, const PACKED: bool>(
             j0 += ROW_STRIPS * NR;
         }
     }
+    matmul_strips_from::<NR, PACKED>(c, a, b, m, k, n, j0);
+}
+
+/// The avx512 tier's multi-row loop nest (`#[inline(always)]` into its
+/// `avx512f` wrapper): the full 16-column strips [`WIDE_STRIPS`] at a time,
+/// every row tile of up to [`WIDE_ROWS`] rows over each group — so one
+/// tile row spans `WIDE_STRIPS` `zmm` vectors — then the leftover full
+/// strips and the partial strip on the strip path.
+#[inline(always)]
+fn matmul_acc_wide<const PACKED: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    const NR: usize = PANEL;
+    let n_full = n - n % NR;
+    let (_, stride) = strip_at::<NR, PACKED>(0, k, n);
+    let mut j0 = 0;
+    while j0 + WIDE_STRIPS * NR <= n_full {
+        let mut offs = [0; WIDE_STRIPS];
+        for (s, off) in offs.iter_mut().enumerate() {
+            *off = strip_at::<NR, PACKED>(j0 + s * NR, k, n).0;
+        }
+        row_tiles::<NR, WIDE_STRIPS, WIDE_ROWS>(&mut c[j0..], a, b, m, k, n, NR, offs, stride);
+        j0 += WIDE_STRIPS * NR;
+    }
+    matmul_strips_from::<NR, PACKED>(c, a, b, m, k, n, j0);
+}
+
+/// The strip path for the columns from `j0` on: one full strip at a time,
+/// then the partial one.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn matmul_strips_from<const NR: usize, const PACKED: bool>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    mut j0: usize,
+) {
+    let n_full = n - n % NR;
     while j0 < n_full {
         // The literal width lets the full-strip copy of the tile drop its
         // partial-width loads.
@@ -371,23 +472,43 @@ fn matmul_strip<const NR: usize, const PACKED: bool>(
     w: usize,
 ) {
     let (off, stride) = strip_at::<NR, PACKED>(j0, k, n);
-    let offs = [off];
-    // Rows split evenly over the fewest tiles (7 → 4 + 3, not 6 + 1): a
-    // one- or two-row tile has too few independent accumulators to hide the
-    // multiply-add latency.
-    let mut tiles = m.div_ceil(TILE_ROWS);
+    row_tiles::<NR, 1, TILE_ROWS>(&mut c[j0..], a, b, m, k, n, w, [off], stride);
+}
+
+/// Every row of `A` against the `S` strips at `offs`, tile by tile (`c`
+/// starts at the strips' first column). Rows split evenly over the fewest
+/// tiles of at most `MAX_MR` rows (7 → 4 + 3, not 6 + 1): a one- or two-row
+/// tile has too few independent accumulators to hide the multiply-add
+/// latency.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+fn row_tiles<const NR: usize, const S: usize, const MAX_MR: usize>(
+    c: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+    w: usize,
+    offs: [usize; S],
+    stride: usize,
+) {
+    let mut tiles = m.div_ceil(MAX_MR);
     let mut i0 = 0;
     while i0 < m {
         let mr = (m - i0).div_ceil(tiles);
-        let c_t = &mut c[i0 * n + j0..];
+        let c_t = &mut c[i0 * n..];
         let a_t = &a[i0 * k..(i0 + mr) * k];
+        // The guarded arms exist only where `MAX_MR` admits their count.
         match mr {
-            1 => matmul_tile::<1, NR, 1>(c_t, n, w, a_t, k, b, offs, stride),
-            2 => matmul_tile::<2, NR, 1>(c_t, n, w, a_t, k, b, offs, stride),
-            3 => matmul_tile::<3, NR, 1>(c_t, n, w, a_t, k, b, offs, stride),
-            4 => matmul_tile::<4, NR, 1>(c_t, n, w, a_t, k, b, offs, stride),
-            5 => matmul_tile::<5, NR, 1>(c_t, n, w, a_t, k, b, offs, stride),
-            _ => matmul_tile::<TILE_ROWS, NR, 1>(c_t, n, w, a_t, k, b, offs, stride),
+            1 => matmul_tile::<1, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            2 => matmul_tile::<2, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            3 => matmul_tile::<3, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            4 => matmul_tile::<4, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            5 => matmul_tile::<5, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            6 if MAX_MR > 6 => matmul_tile::<6, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            7 if MAX_MR > 7 => matmul_tile::<7, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
+            _ => matmul_tile::<MAX_MR, NR, S>(c_t, n, w, a_t, k, b, offs, stride),
         }
         i0 += mr;
         tiles -= 1;
@@ -479,13 +600,14 @@ fn prefetch(b: &[f32], at: usize) {
 }
 
 /// What every f32 lane entry does once its operands are checked: lane kernel
-/// `$k` over `lanes::Avx2` in its `avx2,fma` wrapper, or over `[f32; 8]`.
+/// `$k` over `lanes::Avx2` in its `avx2,fma` wrapper (on the avx2 and avx512
+/// tiers alike), or over `[f32; 8]`.
 macro_rules! dispatch {
     ($bk:expr, $k:ident($($arg:expr),*)) => {
         match $bk {
             // SAFETY: as in `matmul_acc_with`.
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => unsafe { avx2::$k($($arg),*) },
+            Backend::Avx2 | Backend::Avx512 => unsafe { avx2::$k($($arg),*) },
             _ => outlined(|| $k::<[f32; 8]>($($arg),*)),
         }
     };
@@ -892,7 +1014,9 @@ pub(crate) fn matmul_q8_acc_with(
     match bk {
         // SAFETY: as in `matmul_acc_with`.
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => unsafe { matmul_q8_acc_avx2(c, qa, sa, panels, scales, m, k, n) },
+        Backend::Avx2 | Backend::Avx512 => unsafe {
+            matmul_q8_acc_avx2(c, qa, sa, panels, scales, m, k, n)
+        },
         _ => matmul_q8_acc_tiled::<false>(c, qa, sa, panels, scales, m, k, n),
     }
 }
@@ -918,7 +1042,7 @@ unsafe fn matmul_q8_acc_avx2(
 /// The int8 loop nest, one source for both tiers (`#[inline(always)]`: it
 /// is compiled with the caller's target features). Panels are the outer
 /// loop, so a panel (`k × 16` bytes) stays in L1 while every row tile passes
-/// over it; rows split over tiles as in [`matmul_strip`].
+/// over it; rows split over tiles as in [`row_tiles`].
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn matmul_q8_acc_tiled<const AVX2: bool>(
@@ -1157,7 +1281,8 @@ mod tests {
             assert_eq!(Backend::from_name(&b.name().to_uppercase()), Some(b));
         }
         assert_eq!(Backend::from_name(" avx2 "), Some(Backend::Avx2));
-        assert_eq!(Backend::from_name("avx512"), None);
+        assert_eq!(Backend::from_name("AVX512"), Some(Backend::Avx512));
+        assert_eq!(Backend::from_name("avx-512"), None);
         assert_eq!(Backend::from_name(""), None);
     }
 
@@ -1170,11 +1295,13 @@ mod tests {
         let host = HostFeatures::detect();
         assert_eq!(backend_from_env(None, host), Ok(host.best()));
         assert_eq!(backend_from_env(Some("scalar"), host), Ok(Backend::Scalar));
-        let avx2 = backend_from_env(Some("AVX2 "), host);
-        if Backend::Avx2.is_supported() {
-            assert_eq!(avx2, Ok(Backend::Avx2));
-        } else {
-            assert!(avx2.unwrap_err().contains("not supported"));
+        for (raw, b) in [("AVX2 ", Backend::Avx2), (" avx512", Backend::Avx512)] {
+            let got = backend_from_env(Some(raw), host);
+            if b.is_supported() {
+                assert_eq!(got, Ok(b));
+            } else {
+                assert!(got.unwrap_err().contains("not supported"));
+            }
         }
         for bad in ["sse2", "scalr", "", "avx2,scalar"] {
             let err = backend_from_env(Some(bad), host).unwrap_err();
@@ -1188,7 +1315,11 @@ mod tests {
     /// SIGILL on the first `vfmadd`.
     #[test]
     fn avx2_tier_requires_fma() {
-        let feats = |avx2, fma| HostFeatures { avx2, fma };
+        let feats = |avx2, fma| HostFeatures {
+            avx2,
+            fma,
+            avx512f: false,
+        };
         assert_eq!(feats(true, true).best(), Backend::Avx2);
         for (avx2, fma) in [(true, false), (false, true), (false, false)] {
             let host = feats(avx2, fma);
@@ -1198,6 +1329,46 @@ mod tests {
             assert_eq!(backend_from_env(None, host), Ok(Backend::Scalar));
             let err = backend_from_env(Some("avx2"), host).unwrap_err();
             assert_eq!(err, "AASD_KERNEL=avx2: backend not supported on this host");
+        }
+    }
+
+    /// The avx512 tier runs the avx2 tier's kernels beside its `avx512f`
+    /// tile, so it needs AVX-512F, AVX2 and FMA: only such a host picks it
+    /// by default (and keeps `AASD_KERNEL=avx2` for A/B runs); any other
+    /// keeps its avx2-or-scalar default, and a forced `AASD_KERNEL=avx512`
+    /// there fails closed.
+    #[test]
+    fn avx512_tier_requires_avx512f_avx2_and_fma() {
+        let all = HostFeatures {
+            avx2: true,
+            fma: true,
+            avx512f: true,
+        };
+        assert!(all.runs(Backend::Avx512));
+        assert_eq!(all.best(), Backend::Avx512);
+        assert_eq!(backend_from_env(None, all), Ok(Backend::Avx512));
+        assert_eq!(backend_from_env(Some("avx2"), all), Ok(Backend::Avx2));
+        for (avx2, fma, avx512f) in [
+            (true, true, false),
+            (true, false, true),
+            (false, true, true),
+            (false, false, true),
+        ] {
+            let host = HostFeatures { avx2, fma, avx512f };
+            let what = format!("avx2={avx2} fma={fma} avx512f={avx512f}");
+            assert!(!host.runs(Backend::Avx512), "{what}");
+            let default = if avx2 && fma {
+                Backend::Avx2
+            } else {
+                Backend::Scalar
+            };
+            assert_eq!(host.best(), default, "{what}");
+            assert_eq!(backend_from_env(None, host), Ok(default), "{what}");
+            let err = backend_from_env(Some("avx512"), host).unwrap_err();
+            assert_eq!(
+                err,
+                "AASD_KERNEL=avx512: backend not supported on this host"
+            );
         }
     }
 
@@ -1264,9 +1435,11 @@ mod tests {
         }
         // A one-row product's four-strip groups with leftover full strips
         // and a partial strip behind them, on both tile widths (16: 4 + 1,
-        // 4 + 2 + partial, 4 + 3; 8: 8 + 2, 12 + partial, 12 + 2).
+        // 4 + 2 + partial, 4 + 3; 8: 8 + 2, 12 + partial, 12 + 2); and the
+        // avx512 tier's strip pairs with one leftover strip (48, 80, 112:
+        // 1, 2, 3 pairs + 1) or a partial strip (100: 3 pairs + partial).
         for k in [3, 192] {
-            for n in [80, 100, 112] {
+            for n in [48, 80, 100, 112] {
                 shapes.push((k, n));
             }
         }
@@ -1276,7 +1449,7 @@ mod tests {
             let ms: Vec<usize> = if k * n <= 192 * 192 {
                 (1..=MAX_M).collect()
             } else {
-                vec![1, 2, 4, 6, 7, 13, 32, 33]
+                vec![1, 2, 4, 6, 7, 8, 9, 13, 16, 17, 32, 33]
             };
             for acc in [false, true] {
                 let start = |m: usize| {
@@ -1324,12 +1497,15 @@ mod tests {
     /// `h·h = 1 + 2⁻¹¹ + 2⁻²⁴` exactly, and against `c = −(1 + 2⁻¹¹)` a
     /// fused multiply-add keeps the `2⁻²⁴` that multiply-then-add rounds
     /// away (the product's last bit is a tie that goes to even). On every
-    /// tier, every f32 product path — the tile at m 1..=7 over the row-major
-    /// matrix and over its panels (m = 1 is vecmat), and the naive loop; `_acc` from
-    /// `C = c`, `_into` with the `c` term at `k = 0` — must return exactly
-    /// `2⁻²⁴`, wherever the `h·h` term sits in `k` (unrolled body or tail)
-    /// and `j` (full strip, partial strip, SIMD tail, a one-row tile's
-    /// four-strip group at `n` 64 and 100). Every bitwise test
+    /// tier, every f32 product path — the tile at m 1..=9, 16 and 17 over
+    /// the row-major matrix and over its panels (m = 1 is vecmat; 8, 9, 16
+    /// and 17 are the avx512 tier's full and split 8-row tiles), and the
+    /// naive loop; `_acc` from `C = c`, `_into` with the `c` term at `k = 0`
+    /// — must return exactly `2⁻²⁴`, wherever the `h·h` term sits in `k`
+    /// (unrolled body or tail) and `j` (full strip, partial strip, SIMD tail,
+    /// a one-row tile's four-strip group at `n` 64 and 100, the avx512 tile's
+    /// strip pairs and their leftover strip at `n` 48, 80 and 112). Every
+    /// bitwise test
     /// above also passes if all paths regress to multiply-then-add
     /// together; this one does not.
     #[test]
@@ -1346,7 +1522,7 @@ mod tests {
         };
         for k in 1..=6 {
             for p in 0..k {
-                for n in [1, 7, 8, 9, 16, 17, 33, 64, 100] {
+                for n in [1, 7, 8, 9, 16, 17, 33, 48, 64, 80, 100, 112] {
                     // One row of A and the matrix B: `h` at `k = p`, and for
                     // the `_into` form (`lead`) the `c·1` term at `k = 0`.
                     let operands = |lead: bool| {
@@ -1375,7 +1551,7 @@ mod tests {
                             check(&naive, &what("naive", "-", 7));
                         }
                         for bk in supported() {
-                            for m in 1..=7 {
+                            for m in (1..=9).chain([16, 17]) {
                                 let a = x.repeat(m);
                                 let mut cm = start(m * n);
                                 matmul_acc_with(bk, &mut cm, &a, &b, m, k, n);

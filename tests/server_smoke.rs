@@ -1,7 +1,7 @@
 //! End-to-end smoke test of the TCP server: ephemeral port, concurrent
 //! clients speaking the length-prefixed protocol, losslessness asserted
 //! against the single-request fused loop, cancellation, both metrics
-//! endpoints, and submits after shutdown.
+//! endpoints, and connections closed by shutdown.
 
 use std::sync::Arc;
 
@@ -348,10 +348,10 @@ fn shutdown_mid_load_drains_within_bound() {
     }
 }
 
-/// A connection that outlives the server's shutdown: its handler thread is
-/// still reading, but no scheduler will tick again, so a submit on it is
-/// refused with ERR (not BUSY, which would invite a retry) instead of being
-/// queued and stranded, and nothing is left queued.
+/// A connection open across the server's shutdown: shutdown closes it and
+/// joins its handler, so a submit on it gets no reply and nothing is
+/// queued. (The engine-level refusal, `ERR engine is shut down`, is
+/// `serve_drain_finishes_in_flight_sessions`'s.)
 #[test]
 fn submit_after_shutdown_is_refused() {
     let mut server = start_server();
@@ -363,10 +363,31 @@ fn submit_after_shutdown_is_refused() {
         .contains("aasd_requests_submitted_total 0"));
     let engine = Arc::clone(server.engine());
     server.shutdown();
-    let reply = c
-        .roundtrip("SUB mode=spec gamma=3 budget=8 prompt=1,2,3 img=5")
-        .expect("the connection outlives the server");
-    assert_eq!(reply, "ERR engine is shut down");
+    let reply = c.roundtrip("SUB mode=spec gamma=3 budget=8 prompt=1,2,3 img=5");
+    assert!(reply.is_err(), "a closed connection answered {reply:?}");
     assert_eq!(engine.metrics().requests_submitted.get(), 0);
     assert_eq!(engine.metrics().queue_depth.get(), 0);
+}
+
+/// An idle client does not outlive shutdown, and neither does the engine:
+/// the client reads EOF, and once the server and the test's own `Arc` are
+/// gone nothing holds the engine (its KV pools, models and scheduler crew)
+/// alive.
+#[test]
+fn shutdown_closes_idle_connections_and_frees_the_engine() {
+    let mut server = start_server();
+    let mut idle = std::net::TcpStream::connect(server.addr()).expect("connect");
+    let mut c = Client::connect(server.addr()).expect("connect");
+    // A roundtrip on a later connection: the accept loop has registered
+    // the idle one by now.
+    assert!(c.roundtrip("METRICS").unwrap().contains("aasd_"));
+    let engine = Arc::downgrade(server.engine());
+    server.shutdown();
+    idle.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .unwrap();
+    let mut buf = [0u8; 1];
+    let read = std::io::Read::read(&mut idle, &mut buf);
+    assert_eq!(read.ok(), Some(0), "the idle client must read EOF");
+    drop(server);
+    assert!(engine.upgrade().is_none(), "the engine outlived its server");
 }
