@@ -20,7 +20,7 @@ use crate::layers::Linear;
 use crate::rope::Rope;
 use aasd_autograd::{attention, Visible};
 use aasd_tensor::simd::{attn_mix_with, attn_scores_with, softmax_row_with};
-use aasd_tensor::{Op, Profiler, Rng, Tensor, Workspace};
+use aasd_tensor::{Rng, Tensor, Workspace};
 
 #[derive(Debug, Clone)]
 pub struct Attention {
@@ -76,22 +76,15 @@ impl Attention {
     /// head's mix. `scores` is `[t · heads, stride]` scratch, one row per
     /// (row, head) in that order, with `stride ≥ cache.len()`.
     ///
-    /// Two phases, one profiler span each: every (row, head)'s scores and
-    /// softmax, then every (row, head)'s mix. Each is one kernel call per
-    /// cache chunk. `attn_scores_with` computes an independent dot per
-    /// position and `attn_mix_with` accumulates element-wise in strict
-    /// position order on every dispatch tier, so splitting the sweep at
-    /// cache-block boundaries is bit-identical to one call over the
-    /// contiguous sequence: paging costs nothing numerically. The phase
-    /// split only moves when a (row, head)'s mix runs, never what it reads.
-    fn sweep(
-        &self,
-        q: &[f32],
-        cache: &KvLayerMut<'_>,
-        scores: &mut [f32],
-        ctx: &mut [f32],
-        prof: &mut Profiler,
-    ) {
+    /// Two phases: every (row, head)'s scores and softmax, then every
+    /// (row, head)'s mix. Each is one kernel call per cache chunk.
+    /// `attn_scores_with` computes an independent dot per position and
+    /// `attn_mix_with` accumulates element-wise in strict position order on
+    /// every dispatch tier, so splitting the sweep at cache-block boundaries
+    /// is bit-identical to one call over the contiguous sequence: paging
+    /// costs nothing numerically. The phase split only moves when a
+    /// (row, head)'s mix runs, never what it reads.
+    fn sweep(&self, q: &[f32], cache: &KvLayerMut<'_>, scores: &mut [f32], ctx: &mut [f32]) {
         let (hd, heads) = (self.head_dim, self.n_heads);
         let dim = heads * hd;
         let t = ctx.len() / dim;
@@ -107,7 +100,6 @@ impl Attention {
         // Row `r` of `scores` belongs to query row `r / heads`, head
         // `r % heads`, and spans its causal context: positions 0..=pos0+i.
         let at = |r: usize| (r / heads, r % heads * hd, pos0 + r / heads + 1);
-        let span = prof.begin();
         for (r, row) in scores.chunks_exact_mut(stride).enumerate() {
             let (i, h0, ctx_len) = at(r);
             let q_head = &q[i * dim + h0..][..hd];
@@ -118,8 +110,6 @@ impl Attention {
             }
             softmax_row_with(bk, &mut row[..ctx_len]);
         }
-        prof.end(span, Op::AttnScore);
-        let span = prof.begin();
         for (r, row) in scores.chunks_exact(stride).enumerate() {
             let (i, h0, ctx_len) = at(r);
             let out_head = &mut ctx[i * dim + h0..][..hd];
@@ -128,7 +118,6 @@ impl Attention {
                 attn_mix_with(bk, out_head, &row[start..start + len], &values[h0..], dim);
             }
         }
-        prof.end(span, Op::AttnMix);
     }
 
     /// Allocating incremental path. `x: [t, dim]` is the block of new token
@@ -143,8 +132,8 @@ impl Attention {
         self.rope_append(&mut q.data, &mut k.data, &v.data, rope, &mut cache);
         let mut ctx = Tensor::zeros(x.rows, x.cols);
         let scores_len = self.n_heads * x.rows * cache.len();
-        let (mut scores, mut prof) = (vec![0.0f32; scores_len], Profiler::new());
-        self.sweep(&q.data, &cache, &mut scores, &mut ctx.data, &mut prof);
+        let mut scores = vec![0.0f32; scores_len];
+        self.sweep(&q.data, &cache, &mut scores, &mut ctx.data);
         self.wo.forward(&ctx)
     }
 
@@ -171,7 +160,6 @@ impl Attention {
         debug_assert_eq!(norm_x.len(), t * dim);
         debug_assert_eq!(resid.len(), t * dim);
 
-        let span = ws.prof.begin();
         let mut q = ws.take(t * dim);
         let mut k = ws.take(t * dim);
         let mut v = ws.take(t * dim);
@@ -179,15 +167,12 @@ impl Attention {
         self.wk.forward_rows_into_ws(norm_x, t, ws, &mut k);
         self.wv.forward_rows_into_ws(norm_x, t, ws, &mut v);
         self.rope_append(&mut q, &mut k, &v, rope, &mut cache);
-        ws.prof.end(span, Op::Qkv);
 
         let mut ctx = ws.take(t * dim);
         let mut scores = ws.take(self.n_heads * t * cache.capacity());
-        self.sweep(&q, &cache, &mut scores, &mut ctx, &mut ws.prof);
+        self.sweep(&q, &cache, &mut scores, &mut ctx);
 
-        let span = ws.prof.begin();
         self.wo.forward_rows_acc_ws(&ctx, t, ws, resid);
-        ws.prof.end(span, Op::OProj);
 
         ws.give(q);
         ws.give(k);

@@ -50,17 +50,20 @@ impl PoolInner {
         self.n_layers * 2 * self.block_size * self.dim
     }
 
-    /// Pop a free buffer, or allocate a fresh one if the arena is exhausted
-    /// (reachable only from `reset`/copy-on-write, never from `append` on a
-    /// uniquely-owned lease).
-    fn acquire_or_alloc(&self) -> Vec<f32> {
-        match self.free.lock().unwrap().pop() {
-            Some(mut buf) => {
-                buf.fill(0.0);
-                buf
-            }
-            None => vec![0.0; self.block_f32s()],
-        }
+    /// Pop a free buffer, zeroed, for `reset` or a copy-on-write. A lease
+    /// on a shared prefix never drew the shared blocks, so detaching one
+    /// needs a block nobody reserved: panics when the arena has none left
+    /// rather than growing it past `total_blocks`.
+    fn acquire(&self) -> Vec<f32> {
+        let popped = self.free.lock().unwrap().pop();
+        let mut buf = popped.unwrap_or_else(|| {
+            panic!(
+                "KV pool exhausted: all {} blocks leased, none left to detach a shared block",
+                self.total_blocks
+            )
+        });
+        buf.fill(0.0);
+        buf
     }
 }
 
@@ -286,13 +289,13 @@ impl KvCache {
 
     /// Empty the cache and rezero its storage so a reused lease is
     /// bit-identical to a fresh one. Shared (copy-on-write) blocks are
-    /// released back to their other owner and replaced with fresh zeroed
-    /// blocks.
+    /// released back to their other owner and replaced with zeroed blocks
+    /// drawn from the pool.
     pub fn reset(&mut self) {
         for block in &mut self.blocks {
             match Arc::get_mut(block) {
                 Some(buf) => buf.fill(0.0),
-                None => *block = Arc::new(self.pool.acquire_or_alloc()),
+                None => *block = Arc::new(self.pool.acquire()),
             }
         }
         self.lens.fill(0);
@@ -303,7 +306,7 @@ impl KvCache {
         if Arc::get_mut(&mut self.blocks[b]).is_some() {
             return;
         }
-        let mut buf = self.pool.acquire_or_alloc();
+        let mut buf = self.pool.acquire();
         buf.copy_from_slice(&self.blocks[b]);
         self.blocks[b] = Arc::new(buf);
     }
@@ -464,6 +467,7 @@ impl<'a> Iterator for KvChunks<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn fill_rows(cache: &mut KvCache, n: usize, tag: f32) {
         let dim = cache.dim();
@@ -699,6 +703,7 @@ mod tests {
         let after: Vec<u32> = prefix.block_raw(0).iter().map(|v| v.to_bits()).collect();
         assert_eq!(golden, after, "prefix corrupted by a CoW writer");
         assert_eq!(prefix.layer(0).key(2), &[2.0, 2.0]);
+        assert_arena_conserved(&pool, prefix, session);
     }
 
     /// `reset` on a lease holding shared blocks detaches them (they stay
@@ -713,5 +718,44 @@ mod tests {
         assert!(!session.block_is_shared(0));
         assert!(session.block_raw(0).iter().all(|&v| v == 0.0));
         assert_eq!(prefix.layer(0).key(0), &[5.0, 5.0], "prefix untouched");
+        assert_arena_conserved(&pool, prefix, session);
+    }
+
+    /// The copy a detach makes came out of the arena: free + leased is
+    /// `total_blocks` before the leases drop and free alone is after.
+    fn assert_arena_conserved(pool: &KvPool, prefix: KvCache, session: KvCache) {
+        let leased = prefix.n_blocks() + session.n_blocks();
+        assert_eq!(pool.free_blocks() + leased, pool.total_blocks());
+        drop((prefix, session));
+        assert_eq!(pool.free_blocks(), pool.total_blocks());
+    }
+
+    fn write_below_prefix(cache: &mut KvCache) {
+        cache.truncate(0);
+        fill_rows(cache, 1, 9.0);
+    }
+
+    /// With every block leased, detaching a shared block (a write below
+    /// the prefix, or `reset`) has nothing to draw from: it panics, naming
+    /// the exhausted pool, instead of allocating past the arena, and once
+    /// the leases drop the free list holds exactly `total_blocks` again.
+    #[test]
+    fn detaching_on_an_exhausted_pool_panics_and_grows_nothing() {
+        for detach in [write_below_prefix as fn(&mut KvCache), KvCache::reset] {
+            let pool = KvPool::new(1, 2, 4, 2);
+            let mut prefix = pool.try_lease(4).unwrap();
+            fill_rows(&mut prefix, 4, 5.0);
+            let mut session = pool.try_lease_with_prefix(&prefix, 8).unwrap();
+            assert_eq!(pool.free_blocks(), 0);
+            let err = catch_unwind(AssertUnwindSafe(|| detach(&mut session)))
+                .expect_err("detaching must not allocate past the arena");
+            let msg = err.downcast_ref::<String>().unwrap();
+            assert!(
+                msg.starts_with("KV pool exhausted: all 2 blocks leased"),
+                "{msg}"
+            );
+            drop((prefix, session));
+            assert_eq!(pool.free_blocks(), pool.total_blocks());
+        }
     }
 }

@@ -16,7 +16,7 @@ use crate::layers::{Embedding, Linear, RmsNorm};
 use crate::quant::KernelPolicy;
 use crate::rope::Rope;
 use aasd_autograd::{Tape, VarId, Visible};
-use aasd_tensor::{add_assign, argmax, silu, silu_mul, Op, Rng, Tensor, Workspace};
+use aasd_tensor::{add_assign, argmax, silu, silu_mul, Rng, Tensor, Workspace};
 
 /// Hyperparameters for a decoder-only transformer.
 #[derive(Debug, Clone)]
@@ -81,14 +81,12 @@ impl Mlp {
     /// (`resid += mlp(norm_x)`). No intermediate tensors, no allocation.
     pub fn forward_ws(&self, norm_x: &[f32], t: usize, ws: &mut Workspace, resid: &mut [f32]) {
         let hidden = self.w1.w().cols;
-        let span = ws.prof.begin();
         let mut gate = ws.take(t * hidden);
         let mut up = ws.take(t * hidden);
         self.w1.forward_rows_into_ws(norm_x, t, ws, &mut gate);
         self.w3.forward_rows_into_ws(norm_x, t, ws, &mut up);
         silu_mul(&mut gate, &up);
         self.w2.forward_rows_acc_ws(&gate, t, ws, resid);
-        ws.prof.end(span, Op::Mlp);
         ws.give(gate);
         ws.give(up);
     }
@@ -147,14 +145,10 @@ impl DecoderBlock {
         let dim = self.attn_norm.gain.len();
         let mut h = ws.take(t * dim);
 
-        let span = ws.prof.begin();
         self.attn_norm.forward_into(x, t, &mut h);
-        ws.prof.end(span, Op::RmsNorm);
         self.attn.forward_infer_ws(&h, t, rope, cache, ws, x);
 
-        let span = ws.prof.begin();
         self.mlp_norm.forward_into(x, t, &mut h);
-        ws.prof.end(span, Op::RmsNorm);
         self.mlp.forward_ws(&h, t, ws, x);
 
         ws.give(h);
@@ -272,9 +266,7 @@ impl Decoder {
         let t = tokens.len();
         assert!(!tokens.is_empty(), "empty token block");
         let mut x = ws.take(t * self.cfg.dim);
-        let span = ws.prof.begin();
         self.embed.forward_into(tokens, &mut x);
-        ws.prof.end(span, Op::Embed);
         self.infer_tail_ws(x, t, cache, ws, logits);
     }
 
@@ -333,13 +325,9 @@ impl Decoder {
         }
 
         let mut xn = ws.take(t * self.cfg.dim);
-        let span = ws.prof.begin();
         self.final_norm.forward_into(&x, t, &mut xn);
-        ws.prof.end(span, Op::RmsNorm);
 
-        let span = ws.prof.begin();
         self.lm_head.forward_rows_into_ws(&xn, t, ws, logits);
-        ws.prof.end(span, Op::LmHead);
 
         ws.give(x);
         ws.give(xn);
@@ -581,34 +569,6 @@ mod tests {
         assert_eq!(ws.fresh_allocs(), after_warmup, "steady state allocated");
     }
 
-    /// The per-op profiler carried by the workspace must attribute time to
-    /// every pipeline stage with the expected call counts.
-    #[test]
-    fn profiler_covers_every_op() {
-        let model = Decoder::new(DecoderConfig::tiny(50), 1);
-        let mut ws = Workspace::new();
-        let mut cache = model.new_cache();
-        let mut logits = vec![0.0f32; model.cfg.vocab];
-        ws.prof.enable();
-        let steps = 4u64;
-        for t in 0..steps {
-            model.forward_infer_ws(&[t as u32], &mut cache, &mut ws, &mut logits);
-        }
-        use aasd_tensor::Op;
-        assert_eq!(ws.prof.calls(Op::Embed), steps);
-        assert_eq!(ws.prof.calls(Op::LmHead), steps);
-        let layers = model.cfg.n_layers as u64;
-        assert_eq!(ws.prof.calls(Op::Qkv), steps * layers);
-        assert_eq!(ws.prof.calls(Op::OProj), steps * layers);
-        assert_eq!(ws.prof.calls(Op::Mlp), steps * layers);
-        // Two per-block norms + the final norm.
-        assert_eq!(ws.prof.calls(Op::RmsNorm), steps * (2 * layers + 1));
-        // One score and one mix scope per layer call, whatever its rows
-        // and heads.
-        assert_eq!(ws.prof.calls(Op::AttnScore), steps * layers);
-        assert_eq!(ws.prof.calls(Op::AttnMix), steps * layers);
-    }
-
     /// Feeding a token's embedding row through the embeds path must produce
     /// the same logits and cache state as feeding the token id — both in
     /// the allocating and the fused variants, and across a prefix/text
@@ -676,12 +636,11 @@ mod tests {
     }
 
     /// Switching to the int8 policy must keep the fused logits close to the
-    /// f32 path (per-row absmax quantization error only), attribute time to
-    /// the nested quant profiler ops with the expected counts, and stay
+    /// f32 path (per-row absmax quantization error only) and stay
     /// zero-allocation in steady state; switching back to f32 restores
     /// bit-identical logits.
     #[test]
-    fn int8_policy_tracks_f32_and_profiles_quant_ops() {
+    fn int8_policy_tracks_f32() {
         let f32_model = Decoder::new(DecoderConfig::tiny(50), 0x18);
         let mut q_model = f32_model.clone();
         assert_eq!(q_model.kernel_policy(), KernelPolicy::F32);
@@ -698,7 +657,6 @@ mod tests {
         let mut cache_b = q_model.new_cache();
         let mut la = vec![0.0f32; vocab];
         let mut lb = vec![0.0f32; vocab];
-        ws_b.prof.enable();
         let mut drift = 0.0f32;
         for &tok in &tokens {
             f32_model.forward_infer_ws(&[tok], &mut cache_a, &mut ws_a, &mut la);
@@ -707,22 +665,6 @@ mod tests {
         }
         assert!(drift > 0.0, "int8 path suspiciously identical to f32");
         assert!(drift < 0.5, "int8 logits drifted too far: {drift}");
-
-        // 7 projections per block + the LM head, one row each per step.
-        let steps = tokens.len() as u64;
-        let expect = steps * (7 * q_model.cfg.n_layers as u64 + 1);
-        assert_eq!(ws_b.prof.calls(Op::Quantize), expect);
-        assert_eq!(ws_b.prof.calls(Op::Q8Vecmat), expect);
-        assert!(ws_b.prof.pipeline_total_ns() >= ws_b.prof.total_ns(Op::Q8Vecmat));
-
-        // A multi-row block opens one span pair per projection, not one per
-        // row.
-        let mut block_logits = vec![0.0f32; 6 * vocab];
-        let mut cache_blk = q_model.new_cache();
-        q_model.forward_infer_ws(&tokens[..6], &mut cache_blk, &mut ws_b, &mut block_logits);
-        let expect = expect + 7 * q_model.cfg.n_layers as u64 + 1;
-        assert_eq!(ws_b.prof.calls(Op::Quantize), expect);
-        assert_eq!(ws_b.prof.calls(Op::Q8Vecmat), expect);
 
         // Steady state stays allocation-free on the int8 path too.
         let after_warmup = ws_b.fresh_allocs();

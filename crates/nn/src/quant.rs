@@ -17,7 +17,7 @@
 //! the standard draft runs `Int8` under an `F32` target.
 
 use aasd_tensor::quant::{matmul_q8_acc_into, quantize_rows_i8, QuantMatrix};
-use aasd_tensor::{Op, Tensor, Workspace};
+use aasd_tensor::{Tensor, Workspace};
 
 /// Which kernel family a model's projections run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,12 +71,8 @@ impl QuantLinear {
         let k = self.qm.k();
         let mut qx = ws.take_i8(rows * k);
         let mut sx = ws.take(rows);
-        let span = ws.prof.begin();
         quantize_rows_i8(x, k, &mut qx, &mut sx);
-        ws.prof.end(span, Op::Quantize);
-        let span = ws.prof.begin();
         matmul_q8_acc_into(out, &qx, &sx, &self.qm, rows);
-        ws.prof.end(span, Op::Q8Vecmat);
         ws.give_i8(qx);
         ws.give(sx);
     }

@@ -18,7 +18,6 @@
 //! * [`rng`] — deterministic SplitMix64 RNG (std-only `rand` stand-in);
 //! * [`workspace`] — the grow-once scratch arena behind the
 //!   zero-allocation fused decode path;
-//! * [`profile`] — the per-op decode profiler carried by the workspace;
 //! * [`Tensor`] — a thin row-major 2-D matrix wrapper used at module
 //!   boundaries where shapes need to travel with the data;
 //! * [`fnv1a`] — the one 64-bit FNV-1a fold behind every fingerprint
@@ -26,7 +25,6 @@
 
 pub mod matmul;
 pub mod ops;
-pub mod profile;
 pub mod quant;
 pub mod rng;
 pub mod simd;
@@ -39,7 +37,6 @@ pub use matmul::{
 pub use ops::{
     add_assign, argmax, dot, log_softmax_row, log_softmax_rows, silu, softmax_row, softmax_rows,
 };
-pub use profile::{Op, ProfSpan, Profiler};
 pub use quant::{
     matmul_q8_acc_into, matmul_q8_into, quantize_row_i8, quantize_rows_i8, QuantMatrix,
 };

@@ -15,13 +15,8 @@
 //! the pool, so two live scratch buffers can never alias; `give` moves it
 //! back when the caller is done. A buffer that is never given back is not
 //! unsafe — the pool simply re-grows once on the next request.
-//!
-//! The workspace also carries the decode [`Profiler`] so the fused forward
-//! passes need only one context parameter threaded through every layer.
 
-use crate::profile::Profiler;
-
-/// Grow-once scratch-buffer pool + decode profiler.
+/// Grow-once scratch-buffer pool.
 #[derive(Debug, Default)]
 pub struct Workspace {
     free: Pool<f32>,
@@ -29,8 +24,6 @@ pub struct Workspace {
     /// same best-fit discipline, so int8 decode stays zero-allocation too.
     free_i8: Pool<i8>,
     fresh_allocs: usize,
-    /// Per-op decode profiler (disabled by default; see [`Profiler`]).
-    pub prof: Profiler,
 }
 
 /// The best-fit free list of one element type.

@@ -82,9 +82,6 @@ fn steady_state_decode_step_performs_zero_heap_allocations() {
     let model = Decoder::new(DecoderConfig::tiny(50), 0x2E80);
     let mut cache = model.new_cache();
     let mut ws = Workspace::new();
-    // The profiler's fixed arrays make it heap-free even when enabled; keep
-    // it on to pin that property at the allocator level too.
-    ws.prof.enable();
     // Prefill + a few warm-up decode steps populate the pool with every
     // scratch size a single-token step requests, and the first fused forward
     // packs every projection's weight into panels — the one allocation a
