@@ -32,7 +32,7 @@ cargo test -q
 
 if [[ "${1:-}" != "--quick" ]]; then
     # Tier-1 above has just run every suite once, unoptimized, on the host's
-    # best kernel tier — the gradient checks, the distillation smoke, the
+    # best kernel tier — the gradient checks, the AASD α claim, the
     # zero-allocation proof, and the nn / specdec / mm / serve crates
     # included. Nothing below repeats a (suite, tier, profile) it covered
     # except the default leg of the kernel-tier loop, kept so that one
@@ -48,13 +48,10 @@ if [[ "${1:-}" != "--quick" ]]; then
     # again on the host's best backend, so a bug that only reproduces under
     # one tier cannot slip through on a machine where the other is the
     # default. Every kernel gives the same bits on both tiers, so each pin
-    # holds one constant that both legs must meet: the five training
-    # recipes (text distillation, FT/DT-LLaMA, FT/DT-LLaVA, the TD-aligned
-    # hybrid distillation) pin an FNV-1a hash of their per-step loss bits,
-    # so a training-stack change that moves one float fails on either tier
-    # (the text-distillation pin was re-based, from 0x905f_0791_94ca_dc56,
-    # when its teacher moved from the full-sequence oracle onto the fused
-    # path);
+    # holds one constant that both legs must meet: the four training pins
+    # (FT-LLaMA, FT-LLaVA, DT-LLaMA + DT-LLaVA, the TD-aligned hybrid
+    # distillation) hash their per-step loss bits with FNV-1a, so a
+    # training-stack change that moves one float fails on either tier;
     # `encode_image_lands_in_lm_space` pins the same kind of hash over the
     # `sim_7b` vision tower's output, so a change to the tower or its
     # attention does too. The scalar leg is the slower one: its f32 tile
@@ -68,11 +65,11 @@ if [[ "${1:-}" != "--quick" ]]; then
                 --test server_smoke --test int8_equivalence --test workload_determinism \
                 --test fused_equivalence
             cargo test -q -p aasd-tensor
-            # Exactly the six pins, on each tier.
-            ran -eq 6 cargo test -q -p aasd-train -p aasd-mm -p aasd-baselines -- \
-                distill_smoke_run_lowers_mean_loss finetune_text_lowers_loss_on_grammar \
-                finetune_vlm_lowers_loss_on_grammar distillation_recipes_run_and_stay_finite \
-                distill_hybrid_with_td_alignment_trains encode_image_lands_in_lm_space
+            # Exactly the five pins, on each tier.
+            ran -eq 5 cargo test -q -p aasd-mm -p aasd-baselines -- \
+                finetune_text_lowers_loss_on_grammar finetune_vlm_lowers_loss_on_grammar \
+                distillation_recipes_run_and_stay_finite distill_hybrid_with_td_alignment_trains \
+                encode_image_lands_in_lm_space
         )
     done
 

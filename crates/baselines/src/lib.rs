@@ -372,7 +372,13 @@ impl EvalCell {
 /// reference and the timed speculative loop from identical prefills, assert
 /// the streams token-identical (greedy speculative decoding is lossless by
 /// construction — any divergence is a bug, not a quality tradeoff), and
-/// merge the per-sample [`SpecStats`].
+/// merge the per-sample [`SpecStats`]. `cell.stats.acceptance_rate()` is
+/// the α that draft alignment is meant to raise.
+///
+/// One pooled α hides distribution shift — PR 5 measured α spanning
+/// 0.06–1.0 across prompt families while the pooled number looked healthy.
+/// Call this once per workload and report each one's α; the cells
+/// [`EvalCell::merge`] to the pooled call's counts, so nothing is lost.
 pub fn eval_system(
     target: &LlavaSim,
     system: &DraftSystem,
@@ -489,6 +495,43 @@ mod tests {
             0xd9b7_9333_b1df_adbd,
             "training bits moved"
         );
+    }
+
+    /// One call per workload keeps each group's counts to its own samples
+    /// (the workspace one call shares across samples leaks nothing between
+    /// them), and the groups' cells merge to the pooled call's counts:
+    /// measuring per workload loses nothing, it only refuses to average
+    /// away per-workload α differences.
+    #[test]
+    fn eval_system_per_group_cells_merge_to_the_pooled_call() {
+        let tgt = target();
+        let (lm_layers, n_img, k) = (tgt.cfg.lm.n_layers, tgt.cfg.n_img(), tgt.cfg.k_slots());
+        let system = DraftSystem::Aasd {
+            draft: draft_for_depth(&tgt.cfg, 2, 0xBC),
+            projector: KvProjector::new(0xBD, 2, lm_layers, n_img, k),
+        };
+        let wild = workload().take(Split::Heldout, 3);
+        let sqa = Workload::new(WorkloadKind::SqaSim, 0xBA5E, 8, 12).take(Split::Heldout, 2);
+        let (budget, gamma) = (10, 3);
+        let alone = |group: &[Sample]| {
+            let mut total = SpecStats::default();
+            for s in group {
+                total.merge(
+                    &eval_system(&tgt, &system, std::slice::from_ref(s), budget, gamma).stats,
+                );
+            }
+            total
+        };
+        let per_wild = eval_system(&tgt, &system, &wild, budget, gamma);
+        let per_sqa = eval_system(&tgt, &system, &sqa, budget, gamma);
+        assert_eq!(per_wild.stats.generated, 3 * budget);
+        assert_eq!(per_sqa.stats.generated, 2 * budget);
+        assert_eq!(per_wild.stats, alone(&wild));
+        assert_eq!(per_sqa.stats, alone(&sqa));
+        let mut merged = per_wild.clone();
+        merged.merge(&per_sqa);
+        let pooled = eval_system(&tgt, &system, &[wild, sqa].concat(), budget, gamma);
+        assert_eq!(merged.stats, pooled.stats);
     }
 
     /// Every draft system must decode losslessly (spec ≡ AR) even when the

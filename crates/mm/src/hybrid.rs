@@ -74,28 +74,20 @@ impl Default for Ablation {
 /// verify must reproduce its own decode steps.)
 pub const DRAFT_POLICY: KernelPolicy = KernelPolicy::Int8;
 
-/// The standard draft for a LlavaSim target: same vocabulary, width, head
-/// count, and context window as the target LM, but a single layer with a
-/// dim-sized FFN, on [`DRAFT_POLICY`]. Sharing the width is what lets the
-/// KV projector be a pure row compression — and what keeps the draft from
-/// being cheap: the benchmark's two-layer draft measured c = 0.18 of a
-/// target decode step in f32 (EXPERIMENTS.md § PR 22 has the int8 figure),
-/// an order of magnitude above the paper's 0.016.
-pub fn draft_for(cfg: &LlavaSimConfig, seed: u64) -> Decoder {
-    draft_for_depth(cfg, 1, seed)
-}
-
-/// [`draft_for`] with an explicit depth: still width-shared (the projector
-/// requirement) with a dim-sized FFN, but `n_layers` blocks. Depth ≥ 2
-/// matters on structured grammars — copying a token seen earlier in the
-/// stream (an induction head) needs two attention layers, and a draft that
-/// cannot copy caps its own α on any workload with self-referencing text.
-/// [`crate::projector::layer_map`] spreads the draft layers over the
-/// target's for KV seeding.
+/// The one constructor of an AASD draft for a LlavaSim target: same
+/// vocabulary, width, head count and context window as the target LM, a
+/// dim-sized FFN and `n_layers` blocks, on [`DRAFT_POLICY`]. Sharing the
+/// width is what lets the KV projector be a pure row compression — and
+/// what keeps the draft from being cheap: the benchmark's two-layer draft
+/// measured c = 0.18 of a target decode step in f32 (EXPERIMENTS.md § PR
+/// 22 has the int8 figure), an order of magnitude above the paper's 0.016.
 ///
-/// The one recipe every AASD draft is built through. It is born on
-/// [`DRAFT_POLICY`]: training reads the f32 weights through the tapes, and
-/// the first fused forward after it quantizes them.
+/// Every draft that runs has two layers: copying a token seen earlier in
+/// the stream (an induction head) needs two attention layers, and a draft
+/// that cannot copy caps its own α on any workload with self-referencing
+/// text. [`crate::projector::layer_map`] spreads the draft layers over the
+/// target's for KV seeding. Training reads the f32 weights through the
+/// tapes, and the first fused forward after it quantizes them.
 pub fn draft_for_depth(cfg: &LlavaSimConfig, n_layers: usize, seed: u64) -> Decoder {
     assert!(n_layers >= 1 && n_layers <= cfg.lm.n_layers);
     let mut draft = Decoder::new(
@@ -228,7 +220,7 @@ mod tests {
     fn setup() -> (LlavaSim, Decoder, KvProjector, Image, Vec<u32>) {
         let cfg = LlavaSimConfig::tiny(40, 96);
         let model = LlavaSim::new(cfg.clone(), 0xB0);
-        let draft = draft_for(&cfg, 0xB1);
+        let draft = draft_for_depth(&cfg, 1, 0xB1);
         let proj = KvProjector::new(
             0xB2,
             draft.cfg.n_layers,

@@ -40,8 +40,8 @@ pub mod train;
 pub mod vision;
 
 pub use hybrid::{
-    draft_for, draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, request_draft_len,
-    seed_draft_prefix, seed_request_draft, Ablation, DRAFT_POLICY,
+    draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, request_draft_len, seed_draft_prefix,
+    seed_request_draft, Ablation, DRAFT_POLICY,
 };
 pub use llava::{LlavaSim, LlavaSimConfig};
 pub use projector::{layer_map, seed_raw_vision, KvProjector};

@@ -306,7 +306,7 @@ fn td_align_loss(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hybrid::{draft_for, mm_autoregressive_ws, seed_draft_prefix};
+    use crate::hybrid::{draft_for_depth, mm_autoregressive_ws, seed_draft_prefix};
     use crate::llava::LlavaSimConfig;
 
     /// The hybrid tests' run: the canonical smoke run at rollout length 14.
@@ -320,7 +320,7 @@ mod tests {
     fn setup() -> (LlavaSim, Decoder, KvProjector, Image, Vec<u32>, KvCache) {
         let cfg = LlavaSimConfig::tiny(30, 96);
         let model = LlavaSim::new(cfg.clone(), 0xC0);
-        let draft = draft_for(&cfg, 0xC1);
+        let draft = draft_for_depth(&cfg, 1, 0xC1);
         let proj = KvProjector::new(
             0xC2,
             draft.cfg.n_layers,

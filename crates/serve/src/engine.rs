@@ -1060,7 +1060,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aasd_mm::{draft_for, mm_autoregressive_ws, mm_speculative_ws, LlavaSimConfig};
+    use aasd_mm::{draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, LlavaSimConfig};
     use aasd_nn::KernelPolicy;
     use aasd_specdec::SpecStats;
 
@@ -1118,7 +1118,7 @@ mod tests {
         let sim = LlavaSimConfig::tiny(40, 96);
         let mut model = LlavaSim::new(sim.clone(), 0xB0);
         model.set_kernel_policy(target_policy);
-        let mut draft = draft_for(&sim, 0xB1);
+        let mut draft = draft_for_depth(&sim, 1, 0xB1);
         draft.set_kernel_policy(draft_policy);
         let projector = KvProjector::new(
             0xB2,
@@ -1202,7 +1202,7 @@ mod tests {
     #[should_panic(expected = "vocabularies differ")]
     fn draft_with_another_vocab_is_refused() {
         let (model, _, projector) = models(KernelPolicy::F32, KernelPolicy::F32);
-        let draft = draft_for(&LlavaSimConfig::tiny(48, 96), 0xB1);
+        let draft = draft_for_depth(&LlavaSimConfig::tiny(48, 96), 1, 0xB1);
         serve((model, draft, projector), EngineConfig::default());
     }
 

@@ -174,7 +174,8 @@ fn handle_connection(mut stream: TcpStream, engine: &Engine, stop: &AtomicBool) 
     }
 }
 
-/// Minimal blocking client for tests, benches, and the demo binary.
+/// Minimal blocking client of the wire protocol: what `tests/server_smoke.rs`
+/// and the README's serving example drive the server with.
 pub struct Client {
     stream: TcpStream,
 }

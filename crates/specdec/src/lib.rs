@@ -48,33 +48,6 @@ use aasd_tensor::Workspace;
 /// below this.
 pub const MAX_GAMMA: usize = 64;
 
-/// Empirical acceptance-rate harness: run
-/// [`speculative_greedy_with_budget_ws`] over a set of prompts, `budget`
-/// tokens each, and merge the per-run [`SpecStats`] into dataset-level
-/// counters. `stats.acceptance_rate()` on the result is the α that the
-/// training stack's distillation is meant to raise.
-///
-/// A single global merge hides distribution shift — PR 5 measured α spanning
-/// 0.06–1.0 across prompt families while the pooled number looked healthy.
-/// When the prompt set mixes workloads, call this once per workload and
-/// report each one's α separately.
-pub fn measure_acceptance(
-    target: &Decoder,
-    draft: &Decoder,
-    prompts: &[Vec<u32>],
-    budget: usize,
-    gamma: usize,
-) -> SpecStats {
-    let mut ws = Workspace::new();
-    let mut total = SpecStats::default();
-    for p in prompts {
-        let (_, stats) =
-            speculative_greedy_with_budget_ws(target, draft, p, budget, gamma, &mut ws);
-        total.merge(&stats);
-    }
-    total
-}
-
 /// Greedy autoregressive decoding of `budget` tokens from a text prompt:
 /// prefill, then an [`ArSession`] run to completion. The feasible budget is
 /// `max_seq + 1 − prompt.len()`: the final token is emitted without ever
@@ -343,57 +316,6 @@ mod tests {
             assert_eq!(stats.generated, budget);
             assert!(stats.block_efficiency() <= (gamma + 1) as f64 + 1e-12);
         }
-    }
-
-    /// Dataset-level α: merging runs over several prompts keeps every
-    /// counter invariant intact.
-    #[test]
-    fn measure_acceptance_merges_runs() {
-        let target = tiny(60);
-        let draft = tiny(61);
-        let mut rng = Rng::new(9);
-        let prompts: Vec<Vec<u32>> = (0..4).map(|_| prompt(&mut rng, 5, 40)).collect();
-        let stats = measure_acceptance(&target, &draft, &prompts, 20, 4);
-        assert_eq!(stats.generated, 4 * 20);
-        assert!(stats.accepted <= stats.drafted);
-        assert!(stats.acceptance_rate() <= 1.0);
-        // Self-draft α must dominate a mismatched draft's α.
-        let self_stats = measure_acceptance(&target, &target, &prompts, 20, 4);
-        assert!(self_stats.acceptance_rate() >= stats.acceptance_rate());
-    }
-
-    /// One call per workload keeps each group's stats to its own prompts
-    /// (the shared workspace leaks nothing between runs), and the groups
-    /// merge to the pooled call — measuring per workload loses nothing, it
-    /// only refuses to average away per-workload α differences.
-    #[test]
-    fn measure_acceptance_grouped_keeps_groups_separate() {
-        let target = tiny(60);
-        let draft = tiny(61);
-        let mut rng = Rng::new(17);
-        let a: Vec<Vec<u32>> = (0..3).map(|_| prompt(&mut rng, 4, 40)).collect();
-        let b: Vec<Vec<u32>> = (0..2).map(|_| prompt(&mut rng, 7, 40)).collect();
-        let alone = |group: &[Vec<u32>]| {
-            let mut total = SpecStats::default();
-            for p in group {
-                let mut ws = Workspace::new();
-                let (_, stats) =
-                    speculative_greedy_with_budget_ws(&target, &draft, p, 16, 3, &mut ws);
-                total.merge(&stats);
-            }
-            total
-        };
-        let per_a = measure_acceptance(&target, &draft, &a, 16, 3);
-        let per_b = measure_acceptance(&target, &draft, &b, 16, 3);
-        assert_eq!(per_a.generated, 3 * 16);
-        assert_eq!(per_b.generated, 2 * 16);
-        assert_eq!(per_a, alone(&a));
-        assert_eq!(per_b, alone(&b));
-        let mut pooled = per_a.clone();
-        pooled.merge(&per_b);
-        let mut all = a.clone();
-        all.extend(b.iter().cloned());
-        assert_eq!(pooled, measure_acceptance(&target, &draft, &all, 16, 3));
     }
 
     #[test]

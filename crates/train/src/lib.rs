@@ -16,14 +16,11 @@
 //!   backward and Adam step per example, for every decoder trained alone:
 //!   a text model, or a VLM's language model behind the frozen K/V rows of
 //!   its own vision embeddings ([`Example::prefix`], through [`kv_leaves`]);
-//! * [`DistillConfig`] — the one run configuration of every trainer;
-//! * [`distill`] — self-data distillation: the target greedily generates
-//!   continuations of seeded random prompts, and the draft is trained to
-//!   match the target's full next-token distribution on those sequences.
+//! * [`DistillConfig`] — the one run configuration of every trainer.
 //!
-//! Everything is deterministic (SplitMix64 seeds, no external crates), so
-//! the root integration test can assert that a distilled draft's empirical
-//! acceptance rate α strictly beats the untrained draft's.
+//! The one teacher (`aasd_mm::teacher_sample`) and the recipes that draw
+//! from it live in `aasd-mm` and `aasd-baselines`. Everything is
+//! deterministic (SplitMix64 seeds, no external crates).
 
 mod optim;
 mod schedule;
@@ -33,7 +30,7 @@ pub use schedule::Schedule;
 
 use aasd_autograd::{Tape, VarId};
 use aasd_nn::{Decoder, KvCache};
-use aasd_tensor::{argmax, softmax_rows, Rng, Tensor, Workspace};
+use aasd_tensor::{softmax_rows, Rng, Tensor};
 use std::ops::Range;
 
 /// What loss to attach to the `[t, vocab]` logits node of one example.
@@ -126,8 +123,8 @@ pub fn train_loop(
     losses
 }
 
-/// Sample a seeded uniform random prompt — the synthetic prompt stream every
-/// self-data distillation loop draws from.
+/// Sample a seeded uniform random prompt — the synthetic prompt stream of
+/// `aasd_mm::distill_hybrid`.
 pub fn random_prompt(rng: &mut Rng, len: usize, vocab: usize) -> Vec<u32> {
     (0..len).map(|_| rng.below(vocab) as u32).collect()
 }
@@ -147,11 +144,11 @@ pub fn sharpen_to_probs(mut logits: Tensor, temperature: f32) -> Tensor {
     logits
 }
 
-/// The one run configuration of every trainer: [`distill`], the hybrid
-/// distillation of `aasd-mm` (which names it `HybridDistillConfig`) and the
-/// baseline zoo of `aasd-baselines` (`ZooTrainConfig`). A recipe that
-/// draws its prompts from a sample source ignores `prompt_len`, and a
-/// supervised one `gen_len` and `temperature`.
+/// The one run configuration of every trainer: the hybrid distillation of
+/// `aasd-mm` (which names it `HybridDistillConfig`) and the baseline zoo of
+/// `aasd-baselines` (`ZooTrainConfig`). A recipe that draws its prompts
+/// from a sample source ignores `prompt_len`, and a supervised one
+/// `gen_len` and `temperature`.
 #[derive(Debug, Clone)]
 pub struct DistillConfig {
     /// Optimisation steps (one example each; the zoo's step `i` consumes
@@ -191,68 +188,6 @@ impl DistillConfig {
     }
 }
 
-/// Self-data distillation (the AASD alignment recipe, greedy flavour): per
-/// step, draw a seeded random prompt, let the frozen `target` greedily
-/// continue it, and train `draft` to match the target's next-token
-/// distribution over the whole sequence via sequence-level KL. Uses `opt`
-/// for the updates and returns per-step losses.
-///
-/// Training on the target's *own* greedy rollouts concentrates the
-/// student's capacity exactly where speculative decoding will interrogate
-/// it, which is what makes the post-distillation acceptance rate α rise.
-pub fn distill(
-    draft: &mut Decoder,
-    target: &Decoder,
-    opt: &mut Adam,
-    cfg: &DistillConfig,
-) -> Vec<f32> {
-    let vocab = target.cfg.vocab;
-    assert_eq!(draft.cfg.vocab, vocab, "draft/target vocab mismatch");
-    let max_seq = draft.cfg.max_seq.min(target.cfg.max_seq);
-    assert!(cfg.prompt_len >= 1 && cfg.prompt_len < max_seq);
-    let mut rng = Rng::new(cfg.seed);
-    let schedule = cfg.schedule.clone();
-    // The teacher's rollout dominates each step's wall-clock; run it on the
-    // fused zero-allocation path.
-    let mut ws = Workspace::new();
-    let len = cfg.prompt_len + cfg.gen_len.min(max_seq - cfg.prompt_len);
-    let mut make = |_step: usize| -> Example {
-        let mut inputs = random_prompt(&mut rng, cfg.prompt_len, vocab);
-        let mut cache = target.new_cache();
-        // The rollout's own logits are the teacher rows: row `i` is the
-        // target's distribution after `inputs[..=i]`, and its argmax is the
-        // greedy token `i + 1`. A row's bits do not depend on the block it
-        // is computed in, so the prompt's rows come from one forward and
-        // each generated token's (the last one's included) from its own.
-        let mut logits = Tensor::zeros(len, vocab);
-        let rows = &mut logits.data;
-        target.forward_infer_ws(
-            &inputs,
-            &mut cache,
-            &mut ws,
-            &mut rows[..inputs.len() * vocab],
-        );
-        for i in inputs.len()..len {
-            let next = argmax(&rows[(i - 1) * vocab..i * vocab]) as u32;
-            inputs.push(next);
-            target.forward_infer_ws(
-                &[next],
-                &mut cache,
-                &mut ws,
-                &mut rows[i * vocab..][..vocab],
-            );
-        }
-        Example {
-            inputs,
-            loss: LossSpec::KlDistill {
-                teacher_probs: sharpen_to_probs(logits, cfg.temperature),
-            },
-            prefix: None,
-        }
-    };
-    train_loop(draft, opt, &schedule, cfg.steps, &mut make)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,16 +206,6 @@ mod tests {
             },
             seed,
         )
-    }
-
-    fn mean(xs: &[f32]) -> f32 {
-        xs.iter().sum::<f32>() / xs.len() as f32
-    }
-
-    /// FNV-1a over the bits of every per-step loss: the recipe's training
-    /// fingerprint, one constant for both kernel tiers.
-    fn loss_bits(losses: &[f32]) -> u64 {
-        aasd_tensor::fnv1a(losses.iter().map(|l| l.to_bits() as u64))
     }
 
     /// Adam fits a fixed cross-entropy batch through `train_loop`.
@@ -327,36 +252,6 @@ mod tests {
             "KL failed to shrink: {} -> {}",
             losses[0],
             losses.last().unwrap()
-        );
-    }
-
-    #[test]
-    fn distill_smoke_run_lowers_mean_loss() {
-        let target = micro(21);
-        let mut draft = micro(22);
-        let mut opt = Adam::new();
-        let cfg = DistillConfig {
-            gen_len: 12,
-            schedule: Schedule::Cosine {
-                base: 3e-2,
-                floor: 3e-3,
-                total: 24,
-            },
-            temperature: 1.0,
-            ..DistillConfig::smoke(24, 0xD15)
-        };
-        let losses = distill(&mut draft, &target, &mut opt, &cfg);
-        assert_eq!(losses.len(), 24);
-        let head = mean(&losses[..6]);
-        let tail = mean(&losses[losses.len() - 6..]);
-        assert!(
-            tail < head * 0.8,
-            "distillation loss did not trend down: head {head} tail {tail}"
-        );
-        assert_eq!(
-            loss_bits(&losses),
-            0xefbb_fdd8_e9da_02b0,
-            "training bits moved"
         );
     }
 

@@ -12,8 +12,8 @@
 //!   finite-difference gradient checks for every op;
 //! * [`specdec`] — speculative decoding: batched γ-token verify, the greedy
 //!   draft-then-verify loop, autoregressive reference, α/τ metrics;
-//! * [`train`] — optimizers, LR schedules, CE/KL losses, and the
-//!   self-data distillation loop that aligns a draft to its target;
+//! * [`train`] — the optimizer, LR schedules, CE/KL losses, the one
+//!   trainer config and the decoder training loop every recipe runs;
 //! * [`mm`] — the multimodal core: LlavaSim (ViT + connector + LM), the
 //!   learned KV projector, hybrid-cache speculative decoding with ablation
 //!   switches, and joint draft+projector distillation;

@@ -9,8 +9,8 @@
 //! route it can take.
 
 use aasd::mm::{
-    draft_for, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, KvProjector, LlavaSim,
-    LlavaSimConfig,
+    draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, KvProjector,
+    LlavaSim, LlavaSimConfig,
 };
 use aasd::nn::{Decoder, DecoderConfig, KernelPolicy};
 use aasd::specdec::{autoregressive_greedy_with_budget_ws, speculative_greedy_with_budget_ws};
@@ -136,7 +136,7 @@ fn spec_equals_ar_under_int8_multimodal() {
     let mut mm_model = LlavaSim::new(cfg.clone(), 0x178);
     mm_model.set_kernel_policy(KernelPolicy::Int8);
     assert_eq!(mm_model.kernel_policy(), KernelPolicy::Int8);
-    let draft = draft_for(&cfg, 0xBEE);
+    let draft = draft_for_depth(&cfg, 1, 0xBEE);
     assert_eq!(draft.kernel_policy(), KernelPolicy::Int8);
     let proj = KvProjector::new(
         0xC0,

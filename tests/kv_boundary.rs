@@ -6,7 +6,8 @@
 //! multimodal case where vision prefix + prompt leave almost no room.
 
 use aasd::mm::{
-    draft_for, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, LlavaSim, LlavaSimConfig,
+    draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, LlavaSim,
+    LlavaSimConfig,
 };
 use aasd::nn::{Decoder, DecoderConfig};
 use aasd::specdec::{
@@ -72,7 +73,7 @@ fn rollback_at_cache_frontier_is_lossless() {
 fn vision_prefix_plus_prompt_exactly_filling_cache_allows_budget_one() {
     let cfg = LlavaSimConfig::tiny(32, 48);
     let model = LlavaSim::new(cfg.clone(), 0x94);
-    let draft = draft_for(&cfg, 0x95);
+    let draft = draft_for_depth(&cfg, 1, 0x95);
     let mut rng = Rng::new(3);
     let p = prompt(&mut rng, cfg.lm.max_seq - cfg.n_img(), 32); // fills to max_seq
     let mut ws = Workspace::new();
@@ -101,7 +102,7 @@ fn vision_prefix_plus_prompt_exactly_filling_cache_allows_budget_one() {
 fn hybrid_cache_boundary_sweep_is_lossless() {
     let cfg = LlavaSimConfig::tiny(32, 48);
     let model = LlavaSim::new(cfg.clone(), 0x96);
-    let draft = draft_for(&cfg, 0x97);
+    let draft = draft_for_depth(&cfg, 1, 0x97);
     let mut rng = Rng::new(4);
     let mut ws = Workspace::new();
     for slack in [2usize, 4, 7] {

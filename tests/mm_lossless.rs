@@ -5,7 +5,7 @@
 //! text-only guarantee of `speculative_lossless.rs` to the `aasd-mm` stack.
 
 use aasd::mm::{
-    distill_hybrid, draft_for, mm_autoregressive_ws, mm_speculative_ws, Ablation,
+    distill_hybrid, draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, Ablation,
     HybridDistillConfig, Image, KvProjector, LlavaSim, LlavaSimConfig,
 };
 use aasd::nn::KernelPolicy;
@@ -25,7 +25,7 @@ fn llava_speculative_is_lossless_across_gammas_seeds_and_ablations() {
     for model_seed in [0x11u64, 0x22] {
         let cfg = LlavaSimConfig::tiny(36, 96);
         let model = LlavaSim::new(cfg.clone(), model_seed);
-        let int8_draft = draft_for(&cfg, model_seed ^ 0xFF);
+        let int8_draft = draft_for_depth(&cfg, 1, model_seed ^ 0xFF);
         assert_eq!(int8_draft.kernel_policy(), KernelPolicy::Int8);
         let mut f32_draft = int8_draft.clone();
         f32_draft.set_kernel_policy(KernelPolicy::F32);
@@ -90,7 +90,7 @@ fn llava_speculative_is_lossless_across_gammas_seeds_and_ablations() {
 fn trained_projector_stays_lossless() {
     let cfg = LlavaSimConfig::tiny(30, 96);
     let model = LlavaSim::new(cfg.clone(), 0x33);
-    let mut draft = draft_for(&cfg, 0x34);
+    let mut draft = draft_for_depth(&cfg, 1, 0x34);
     assert_eq!(draft.kernel_policy(), KernelPolicy::Int8);
     let mut proj = KvProjector::new(
         0x35,

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use aasd::mm::{
-    draft_for, mm_speculative_ws, Ablation, Image, KvProjector, LlavaSim, LlavaSimConfig,
+    draft_for_depth, mm_speculative_ws, Ablation, Image, KvProjector, LlavaSim, LlavaSimConfig,
 };
 use aasd::serve::{Client, Engine, EngineConfig, EngineModel, Server};
 use aasd::tensor::{Rng, Workspace};
@@ -19,7 +19,7 @@ const IMG: u64 = 5;
 /// models.
 fn bundle() -> EngineModel {
     let cfg = LlavaSimConfig::tiny(40, 96);
-    let draft = draft_for(&cfg, 0xB1);
+    let draft = draft_for_depth(&cfg, 1, 0xB1);
     EngineModel::Multimodal {
         projector: Arc::new(KvProjector::new(
             0xB2,

@@ -12,8 +12,8 @@
 use std::sync::Arc;
 
 use aasd::mm::{
-    draft_for, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, KvProjector, LlavaSim,
-    LlavaSimConfig,
+    draft_for_depth, mm_autoregressive_ws, mm_speculative_ws, Ablation, Image, KvProjector,
+    LlavaSim, LlavaSimConfig,
 };
 use aasd::nn::Decoder;
 use aasd::serve::{DecodeMode, Engine, EngineConfig, EngineModel, Request, Status};
@@ -34,7 +34,7 @@ impl Bundle {
     fn new() -> Self {
         let cfg = LlavaSimConfig::tiny(40, 96);
         let model = Arc::new(LlavaSim::new(cfg.clone(), 0xC0));
-        let draft = Arc::new(draft_for(&cfg, 0xC1));
+        let draft = Arc::new(draft_for_depth(&cfg, 1, 0xC1));
         let projector = Arc::new(KvProjector::new(
             0xC2,
             draft.cfg.n_layers,
