@@ -12,11 +12,15 @@ cd "$(dirname "$0")"
 # prints and fails unless that sum is OP (`-eq`, `-ge`) N. A name filter
 # that matches nothing exits 0 (the doc-test harnesses even print their own
 # `0 passed`), so without the count a renamed test would turn its leg into
-# a silent no-op.
+# a silent no-op. The leg's output goes to stderr through the inherited
+# descriptor (tee's stdout) and to the capture pipe (fd 3): reopening
+# `/dev/stderr` would write from offset 0 and clobber a log that stdout and
+# stderr share (`./ci.sh > ci.log 2>&1`). tee is in the pipeline, so the
+# copy is complete before the gate's own error line.
 ran() {
     local op=$1 want=$2 out n
     shift 2
-    out=$("$@" 2>&1 | tee /dev/stderr)
+    out=$({ "$@" 2>&1 | tee /dev/fd/3 >&2; } 3>&1)
     n=$(grep -oE '[0-9]+ passed' <<<"$out" | awk '{ s += $1 } END { print s + 0 }')
     if ! [ "$n" "$op" "$want" ]; then
         echo "'$*' ran $n tests; the gate wants $op $want" >&2

@@ -23,10 +23,13 @@
 //! the AR decode time over the speculative decode time of the same cell
 //! (prefill excluded), both measured as CPU walltime in one sitting.
 //!
-//! The binary **hard-asserts** the paper's qualitative result: AASD's α is
+//! The binary **gates on** the paper's qualitative result: AASD's α is
 //! strictly above every baseline's on every workload (merged over targets
-//! and γ). `--smoke` shrinks training/eval and drops γ=5 so `ci.sh` can
-//! gate on the ordering cheaply. It also prints one FNV-1a fingerprint of
+//! and γ). It writes the grid first, with a per-workload `ordering_ok` in
+//! the summary, and then exits non-zero naming every violation, so a
+//! broken ordering still leaves every trained cell on disk. `--smoke`
+//! shrinks training/eval and drops γ=5 so `ci.sh` can gate on the ordering
+//! cheaply. It also prints one FNV-1a fingerprint of
 //! every cell's counts (`blocks`, `drafted`, `accepted`, `generated`), which
 //! `ci.sh` pins for the smoke grid.
 //!
@@ -161,6 +164,54 @@ fn counts_fingerprint(cells: &[Cell]) -> u64 {
     }))
 }
 
+/// The paper's qualitative claim, per workload (merged over targets and
+/// γ): AASD's α strictly above every baseline's. Returns the summary's JSON
+/// items, each with its `ordering_ok`, and one line per baseline that AASD
+/// does not strictly beat.
+fn summarize(cells: &[Cell]) -> (Vec<String>, Vec<String>) {
+    let mut items = Vec::new();
+    let mut violations = Vec::new();
+    for kind in WorkloadKind::ALL {
+        let merged = |system: &str| -> EvalCell {
+            let mut acc = EvalCell::default();
+            for c in cells
+                .iter()
+                .filter(|c| c.system == system && c.workload == kind.name())
+            {
+                acc.merge(&c.eval);
+            }
+            acc
+        };
+        let aasd_alpha = merged("AASD").stats.acceptance_rate();
+        let mut fields = vec![
+            json::field("workload", &json::string(kind.name())),
+            json::field("aasd_alpha", &json::num(aasd_alpha)),
+        ];
+        let mut ordering_ok = true;
+        for &baseline in SYSTEMS.iter().filter(|s| **s != "AASD") {
+            let alpha = merged(baseline).stats.acceptance_rate();
+            println!(
+                "{:<10} AASD alpha {aasd_alpha:.3} vs {baseline:<8} {alpha:.3}",
+                kind.name()
+            );
+            if aasd_alpha <= alpha {
+                ordering_ok = false;
+                violations.push(format!(
+                    "ordering violated on {}: AASD alpha {aasd_alpha:.4} !> {baseline} {alpha:.4}",
+                    kind.name()
+                ));
+            }
+            fields.push(json::field(
+                &format!("{}_alpha", baseline.to_lowercase().replace('-', "_")),
+                &json::num(alpha),
+            ));
+        }
+        fields.push(json::field("ordering_ok", &ordering_ok.to_string()));
+        items.push(json::object(&fields));
+    }
+    (items, violations)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -225,44 +276,12 @@ fn main() {
         }
     }
 
-    // The paper's qualitative claim, hard-asserted: per workload (merged
-    // over targets and γ), AASD's α is strictly above every baseline's.
-    let mut summary_items = Vec::new();
-    for kind in WorkloadKind::ALL {
-        let merged = |system: &str| -> EvalCell {
-            let mut acc = EvalCell::default();
-            for c in cells
-                .iter()
-                .filter(|c| c.system == system && c.workload == kind.name())
-            {
-                acc.merge(&c.eval);
-            }
-            acc
-        };
-        let aasd_alpha = merged("AASD").stats.acceptance_rate();
-        let mut fields = vec![
-            json::field("workload", &json::string(kind.name())),
-            json::field("aasd_alpha", &json::num(aasd_alpha)),
-        ];
-        for &baseline in SYSTEMS.iter().filter(|s| **s != "AASD") {
-            let alpha = merged(baseline).stats.acceptance_rate();
-            println!(
-                "{:<10} AASD alpha {aasd_alpha:.3} vs {baseline:<8} {alpha:.3}",
-                kind.name()
-            );
-            assert!(
-                aasd_alpha > alpha,
-                "ordering violated on {}: AASD alpha {aasd_alpha:.4} !> {baseline} {alpha:.4}",
-                kind.name()
-            );
-            fields.push(json::field(
-                &format!("{}_alpha", baseline.to_lowercase().replace('-', "_")),
-                &json::num(alpha),
-            ));
-        }
-        summary_items.push(json::object(&fields));
+    let (summary_items, violations) = summarize(&cells);
+    if violations.is_empty() {
+        println!(
+            "ordering OK: AASD alpha strictly highest on every workload; all streams lossless"
+        );
     }
-    println!("ordering OK: AASD alpha strictly highest on every workload; all streams lossless");
     println!("counts fingerprint: {:#018x}", counts_fingerprint(&cells));
 
     let meta = json::object(&[
@@ -285,4 +304,46 @@ fn main() {
     )]);
     std::fs::write(out_path, doc + "\n").expect("write snapshot");
     println!("wrote {out_path} ({} cells)", cells.len());
+    if !violations.is_empty() {
+        eprintln!("{}", violations.join("\n"));
+        std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Hand-built cells where AASD accepts 60 of 100 drafts and every
+    /// baseline 50, except DT-LLaVA on CocoCapSim, which ties AASD: that tie
+    /// is the one violation, and only CocoCapSim's summary says so.
+    #[test]
+    fn a_tie_on_one_workload_is_exactly_that_violation() {
+        let mut cells = Vec::new();
+        for kind in WorkloadKind::ALL {
+            for system in SYSTEMS {
+                let tie = kind == WorkloadKind::CocoCapSim && system == "DT-LLaVA";
+                let mut eval = EvalCell::default();
+                eval.stats.drafted = 100;
+                eval.stats.accepted = if system == "AASD" || tie { 60 } else { 50 };
+                cells.push(Cell {
+                    target: "Sim7B",
+                    system,
+                    workload: kind.name(),
+                    gamma: 3,
+                    eval,
+                });
+            }
+        }
+        let (items, violations) = summarize(&cells);
+        assert_eq!(
+            violations,
+            ["ordering violated on CocoCapSim: AASD alpha 0.6000 !> DT-LLaVA 0.6000"]
+        );
+        let ok: Vec<bool> = items
+            .iter()
+            .map(|item| item.contains("\"ordering_ok\": true"))
+            .collect();
+        assert_eq!(ok, [true, false, true]);
+    }
 }

@@ -233,22 +233,19 @@ mod tests {
         (model, draft, proj, img, prompt)
     }
 
-    fn every_ablation() -> [Ablation; 5] {
-        [
+    /// The six draft contexts: vision ∈ {projected, raw, none} × text KV ∈
+    /// {on, off}.
+    fn every_ablation() -> Vec<Ablation> {
+        let vision = [
             Ablation::projector(),
             Ablation::raw_vision(),
             Ablation::no_vision(),
-            Ablation {
-                use_vision_projector: true,
-                drop_vision_kv: false,
-                drop_text_kv: true,
-            },
-            Ablation {
-                use_vision_projector: false,
-                drop_vision_kv: true,
-                drop_text_kv: true,
-            },
-        ]
+        ];
+        let text_off = |a| Ablation {
+            drop_text_kv: true,
+            ..a
+        };
+        vision.into_iter().flat_map(|a| [a, text_off(a)]).collect()
     }
 
     /// Every ablation combination must be lossless: the speculative output

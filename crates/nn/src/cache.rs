@@ -10,11 +10,13 @@
 //!   `[layer][K|V][pos][dim]`), so one block table serves the whole cache
 //!   and admission control can reason in free blocks instead of slots.
 //! * [`KvCache`] — a view over a block table leased from a pool:
-//!   `append`/`truncate`/`reset` keep their exact pre-paging contracts. Dropping a cache returns its blocks to the pool.
-//! * Copy-on-write sharing: [`KvPool::try_lease_with_prefix`] maps another
-//!   cache's fully-filled prefix blocks into a new lease by `Arc`-cloning
-//!   them — zero copy. A writer that would mutate a shared block first
-//!   copies it out of the pool (the vision prefix cache rides on this).
+//!   `append`/`truncate` keep their exact pre-paging contracts. Dropping a
+//!   cache returns its blocks to the pool.
+//!
+//! A block has one owner: the lease it was drawn into or the pool's free
+//! list, never both and never two leases. A cache that wants another
+//! cache's rows copies them, so free blocks plus every lease's
+//! [`KvCache::n_blocks`] is always [`KvPool::total_blocks`].
 //!
 //! Numerics are unchanged: the attention kernels sweep the cache in
 //! per-block chunks, and both `attn_scores_with` (independent dot per
@@ -25,9 +27,8 @@
 //! one contiguous slab per layer and pay nothing for paging.
 //!
 //! Zero steady-state allocation survives: all blocks are acquired up front
-//! at lease time, appends write in place (`Arc::get_mut` — no lock), and
-//! `capacity()` is fixed per lease so workspace scratch requests stay
-//! constant-size.
+//! at lease time, appends write in place (no lock), and `capacity()` is
+//! fixed per lease so workspace scratch requests stay constant-size.
 
 use std::sync::{Arc, Mutex};
 
@@ -40,30 +41,14 @@ struct PoolInner {
     dim: usize,
     block_size: usize,
     total_blocks: usize,
-    /// Returned block buffers, ready to re-lease. Locked only at lease /
-    /// drop / copy-on-write time — never on the append or read hot path.
+    /// Returned block buffers, ready to re-lease. Locked only at lease and
+    /// drop time — never on the append or read hot path.
     free: Mutex<Vec<Vec<f32>>>,
 }
 
 impl PoolInner {
     fn block_f32s(&self) -> usize {
         self.n_layers * 2 * self.block_size * self.dim
-    }
-
-    /// Pop a free buffer, zeroed, for `reset` or a copy-on-write. A lease
-    /// on a shared prefix never drew the shared blocks, so detaching one
-    /// needs a block nobody reserved: panics when the arena has none left
-    /// rather than growing it past `total_blocks`.
-    fn acquire(&self) -> Vec<f32> {
-        let popped = self.free.lock().unwrap().pop();
-        let mut buf = popped.unwrap_or_else(|| {
-            panic!(
-                "KV pool exhausted: all {} blocks leased, none left to detach a shared block",
-                self.total_blocks
-            )
-        });
-        buf.fill(0.0);
-        buf
     }
 }
 
@@ -131,79 +116,18 @@ impl KvPool {
     /// the admission-control signal.
     pub fn try_lease(&self, capacity: usize) -> Option<KvCache> {
         let n = self.blocks_for(capacity);
-        let blocks = {
+        let mut blocks = {
             let mut free = self.inner.free.lock().unwrap();
-            if free.len() < n {
-                return None;
-            }
-            (0..n)
-                .map(|_| {
-                    let mut buf = free.pop().unwrap();
-                    buf.fill(0.0);
-                    Arc::new(buf)
-                })
-                .collect()
+            let rest = free.len().checked_sub(n)?;
+            free.split_off(rest)
         };
-        Some(KvCache {
-            pool: Arc::clone(&self.inner),
-            blocks,
-            lens: vec![0; self.inner.n_layers],
-            capacity,
-        })
-    }
-
-    /// Lease a cache of `capacity` positions whose first `prefix.len()`
-    /// positions are `prefix`'s contents: fully-filled prefix blocks are
-    /// shared copy-on-write (`Arc`-cloned, zero copy); a partially-filled
-    /// tail block is copied eagerly so the new lease can append without
-    /// ever mutating the prefix. Only the non-shared blocks are drawn from
-    /// the pool. `None` if the pool lacks the blocks.
-    pub fn try_lease_with_prefix(&self, prefix: &KvCache, capacity: usize) -> Option<KvCache> {
-        assert!(
-            Arc::ptr_eq(&self.inner, &prefix.pool),
-            "prefix must be leased from the same pool"
-        );
-        let plen = prefix.len();
-        assert!(
-            prefix.lens.iter().all(|&l| l == plen),
-            "prefix layers must be in lockstep"
-        );
-        assert!(plen <= capacity, "prefix longer than the requested lease");
-        let bs = self.inner.block_size;
-        let dim = self.inner.dim;
-        let n = self.blocks_for(capacity);
-        let n_shared = plen / bs;
-        let mut blocks: Vec<Arc<Vec<f32>>> = {
-            let mut free = self.inner.free.lock().unwrap();
-            if free.len() < n - n_shared {
-                return None;
-            }
-            let mut blocks: Vec<Arc<Vec<f32>>> =
-                prefix.blocks[..n_shared].iter().map(Arc::clone).collect();
-            blocks.extend((n_shared..n).map(|_| {
-                let mut buf = free.pop().unwrap();
-                buf.fill(0.0);
-                Arc::new(buf)
-            }));
-            blocks
-        };
-        // Copy the partial tail rows (per layer, K and V independently) so
-        // positions `n_shared*bs..plen` land in the fresh block.
-        let rem = plen % bs;
-        if rem > 0 {
-            let src = Arc::clone(&prefix.blocks[n_shared]);
-            let dst = Arc::get_mut(&mut blocks[n_shared]).expect("fresh block is unique");
-            for l in 0..self.inner.n_layers {
-                let k0 = l * 2 * bs * dim;
-                let v0 = k0 + bs * dim;
-                dst[k0..k0 + rem * dim].copy_from_slice(&src[k0..k0 + rem * dim]);
-                dst[v0..v0 + rem * dim].copy_from_slice(&src[v0..v0 + rem * dim]);
-            }
+        for buf in &mut blocks {
+            buf.fill(0.0);
         }
         Some(KvCache {
             pool: Arc::clone(&self.inner),
             blocks,
-            lens: vec![plen; self.inner.n_layers],
+            lens: vec![0; self.inner.n_layers],
             capacity,
         })
     }
@@ -218,7 +142,7 @@ impl KvPool {
 #[derive(Debug)]
 pub struct KvCache {
     pool: Arc<PoolInner>,
-    blocks: Vec<Arc<Vec<f32>>>,
+    blocks: Vec<Vec<f32>>,
     lens: Vec<usize>,
     capacity: usize,
 }
@@ -287,36 +211,6 @@ impl KvCache {
         }
     }
 
-    /// Empty the cache and rezero its storage so a reused lease is
-    /// bit-identical to a fresh one. Shared (copy-on-write) blocks are
-    /// released back to their other owner and replaced with zeroed blocks
-    /// drawn from the pool.
-    pub fn reset(&mut self) {
-        for block in &mut self.blocks {
-            match Arc::get_mut(block) {
-                Some(buf) => buf.fill(0.0),
-                None => *block = Arc::new(self.pool.acquire()),
-            }
-        }
-        self.lens.fill(0);
-    }
-
-    /// Make block `b` uniquely owned, copying it out of a share if needed.
-    fn ensure_unique(&mut self, b: usize) {
-        if Arc::get_mut(&mut self.blocks[b]).is_some() {
-            return;
-        }
-        let mut buf = self.pool.acquire();
-        buf.copy_from_slice(&self.blocks[b]);
-        self.blocks[b] = Arc::new(buf);
-    }
-
-    /// Whether block `b` is currently shared with another lease (tests /
-    /// diagnostics).
-    pub fn block_is_shared(&self, b: usize) -> bool {
-        Arc::strong_count(&self.blocks[b]) > 1
-    }
-
     /// Raw storage of block `b` (tests / diagnostics: bit-identity checks).
     pub fn block_raw(&self, b: usize) -> &[f32] {
         &self.blocks[b]
@@ -325,14 +219,7 @@ impl KvCache {
 
 impl Drop for KvCache {
     fn drop(&mut self) {
-        let mut free = self.pool.free.lock().unwrap();
-        for block in self.blocks.drain(..) {
-            // A block still shared with another lease flows back when its
-            // last owner drops.
-            if let Ok(buf) = Arc::try_unwrap(block) {
-                free.push(buf);
-            }
-        }
+        self.pool.free.lock().unwrap().append(&mut self.blocks);
     }
 }
 
@@ -410,8 +297,7 @@ impl KvLayerMut<'_> {
     layer_read_api!();
 
     /// Append one `(key, value)` row pair at the next position. Writes in
-    /// place through `Arc::get_mut` (no lock, no allocation); a block
-    /// shared copy-on-write is first copied out of the pool.
+    /// place (no lock, no allocation).
     pub fn append(&mut self, k_row: &[f32], v_row: &[f32]) {
         let (dim, bs) = (self.cache.pool.dim, self.cache.pool.block_size);
         assert_eq!(k_row.len(), dim, "key row width mismatch");
@@ -422,9 +308,7 @@ impl KvLayerMut<'_> {
             "KV cache overflow: capacity = {}",
             self.cache.capacity
         );
-        let b = pos / bs;
-        self.cache.ensure_unique(b);
-        let buf = Arc::get_mut(&mut self.cache.blocks[b]).expect("block just made unique");
+        let buf = &mut self.cache.blocks[pos / bs];
         let k_off = self.l * 2 * bs * dim + (pos % bs) * dim;
         let v_off = k_off + bs * dim;
         buf[k_off..k_off + dim].copy_from_slice(k_row);
@@ -467,7 +351,6 @@ impl<'a> Iterator for KvChunks<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn fill_rows(cache: &mut KvCache, n: usize, tag: f32) {
         let dim = cache.dim();
@@ -525,12 +408,12 @@ mod tests {
         fill_rows(&mut cache, 16, 1.0);
         cache.truncate(3);
         fill_rows(&mut cache, 4, 2.0);
-        cache.reset();
+        cache.truncate(0);
         fill_rows(&mut cache, 8, 3.0);
         assert_eq!(
             cache.block_raw(0).as_ptr(),
             p0,
-            "unique block storage must be stable across append/truncate/reset"
+            "block storage must be stable across append/truncate"
         );
     }
 
@@ -560,23 +443,8 @@ mod tests {
         cache.truncate(2);
     }
 
-    #[test]
-    fn reset_is_bit_identical_to_fresh() {
-        let mut cache = KvCache::new(2, 6, 3);
-        fill_rows(&mut cache, 6, 7.0);
-        cache.reset();
-        let fresh = KvCache::new(2, 6, 3);
-        assert_eq!(cache.len(), 0);
-        for b in 0..cache.n_blocks() {
-            let a: Vec<u32> = cache.block_raw(b).iter().map(|v| v.to_bits()).collect();
-            let f: Vec<u32> = fresh.block_raw(b).iter().map(|v| v.to_bits()).collect();
-            assert_eq!(a, f, "reset storage must be bit-identical to fresh");
-        }
-    }
-
-    /// The paged extension of reset-equivalence: a pool block that served a
-    /// previous lease and flowed back must come out bit-identical to a
-    /// never-used one.
+    /// A pool block that served a previous lease and flowed back must come
+    /// out bit-identical to a never-used one.
     #[test]
     fn reused_pool_lease_is_bit_identical_to_fresh() {
         let pool = KvPool::new(2, 3, 4, 3);
@@ -593,18 +461,6 @@ mod tests {
             let f: Vec<u32> = fresh.block_raw(b).iter().map(|v| v.to_bits()).collect();
             assert_eq!(a, f, "reused block {b} differs from a fresh pool's");
         }
-    }
-
-    #[test]
-    fn cache_reset_covers_all_layers() {
-        let mut cache = KvCache::new(3, 4, 2);
-        fill_rows(&mut cache, 2, 1.0);
-        cache.reset();
-        for l in 0..3 {
-            assert_eq!(cache.layer(l).len(), 0);
-        }
-        fill_rows(&mut cache, 1, 9.0);
-        assert_eq!(cache.layer(2).key(0), &[9.0, 9.0]);
     }
 
     #[test]
@@ -665,97 +521,5 @@ mod tests {
         }
         drop(sessions);
         assert_eq!(pool.free_blocks(), pool.total_blocks());
-    }
-
-    #[test]
-    fn prefix_lease_shares_full_blocks_and_copies_the_tail() {
-        let pool = KvPool::new(2, 3, 4, 8);
-        let mut prefix = pool.try_lease(8).unwrap();
-        fill_rows(&mut prefix, 6, 100.0); // block 0 full, block 1 half
-        let free_before = pool.free_blocks();
-        let session = pool.try_lease_with_prefix(&prefix, 14).unwrap();
-        // 14 positions = 4 blocks; 1 shared with the prefix, 3 from the pool.
-        assert_eq!(free_before - pool.free_blocks(), 3);
-        assert!(session.block_is_shared(0), "full prefix block is shared");
-        assert!(!session.block_is_shared(1), "partial tail must be copied");
-        assert_eq!(session.len(), 6);
-        for l in 0..2 {
-            for p in 0..6 {
-                assert_eq!(session.layer(l).key(p), prefix.layer(l).key(p));
-                assert_eq!(session.layer(l).value(p), prefix.layer(l).value(p));
-            }
-        }
-    }
-
-    /// Copy-on-write: a session that rolls back into a shared block and
-    /// overwrites it must not disturb the prefix it was leased from.
-    #[test]
-    fn writing_into_a_shared_block_copies_instead_of_corrupting() {
-        let pool = KvPool::new(1, 2, 4, 8);
-        let mut prefix = pool.try_lease(4).unwrap();
-        fill_rows(&mut prefix, 4, 0.0);
-        let golden: Vec<u32> = prefix.block_raw(0).iter().map(|v| v.to_bits()).collect();
-        let mut session = pool.try_lease_with_prefix(&prefix, 8).unwrap();
-        session.truncate(2);
-        fill_rows(&mut session, 2, 777.0);
-        assert!(!session.block_is_shared(0), "write must have copied");
-        assert_eq!(session.layer(0).key(2), &[779.0, 779.0]);
-        let after: Vec<u32> = prefix.block_raw(0).iter().map(|v| v.to_bits()).collect();
-        assert_eq!(golden, after, "prefix corrupted by a CoW writer");
-        assert_eq!(prefix.layer(0).key(2), &[2.0, 2.0]);
-        assert_arena_conserved(&pool, prefix, session);
-    }
-
-    /// `reset` on a lease holding shared blocks detaches them (they stay
-    /// valid for the other owner) and leaves this lease bit-fresh.
-    #[test]
-    fn reset_detaches_shared_blocks() {
-        let pool = KvPool::new(1, 2, 4, 8);
-        let mut prefix = pool.try_lease(4).unwrap();
-        fill_rows(&mut prefix, 4, 5.0);
-        let mut session = pool.try_lease_with_prefix(&prefix, 8).unwrap();
-        session.reset();
-        assert!(!session.block_is_shared(0));
-        assert!(session.block_raw(0).iter().all(|&v| v == 0.0));
-        assert_eq!(prefix.layer(0).key(0), &[5.0, 5.0], "prefix untouched");
-        assert_arena_conserved(&pool, prefix, session);
-    }
-
-    /// The copy a detach makes came out of the arena: free + leased is
-    /// `total_blocks` before the leases drop and free alone is after.
-    fn assert_arena_conserved(pool: &KvPool, prefix: KvCache, session: KvCache) {
-        let leased = prefix.n_blocks() + session.n_blocks();
-        assert_eq!(pool.free_blocks() + leased, pool.total_blocks());
-        drop((prefix, session));
-        assert_eq!(pool.free_blocks(), pool.total_blocks());
-    }
-
-    fn write_below_prefix(cache: &mut KvCache) {
-        cache.truncate(0);
-        fill_rows(cache, 1, 9.0);
-    }
-
-    /// With every block leased, detaching a shared block (a write below
-    /// the prefix, or `reset`) has nothing to draw from: it panics, naming
-    /// the exhausted pool, instead of allocating past the arena, and once
-    /// the leases drop the free list holds exactly `total_blocks` again.
-    #[test]
-    fn detaching_on_an_exhausted_pool_panics_and_grows_nothing() {
-        for detach in [write_below_prefix as fn(&mut KvCache), KvCache::reset] {
-            let pool = KvPool::new(1, 2, 4, 2);
-            let mut prefix = pool.try_lease(4).unwrap();
-            fill_rows(&mut prefix, 4, 5.0);
-            let mut session = pool.try_lease_with_prefix(&prefix, 8).unwrap();
-            assert_eq!(pool.free_blocks(), 0);
-            let err = catch_unwind(AssertUnwindSafe(|| detach(&mut session)))
-                .expect_err("detaching must not allocate past the arena");
-            let msg = err.downcast_ref::<String>().unwrap();
-            assert!(
-                msg.starts_with("KV pool exhausted: all 2 blocks leased"),
-                "{msg}"
-            );
-            drop((prefix, session));
-            assert_eq!(pool.free_blocks(), pool.total_blocks());
-        }
     }
 }

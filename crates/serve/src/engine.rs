@@ -1,5 +1,5 @@
 //! The serving engine: a block-paged KV pool, FIFO admission in units of
-//! free blocks, a shared-prefix vision cache, and the block-granular
+//! free blocks, a vision-prefix cache, and the block-granular
 //! continuous-batching scheduler, serving one multimodal bundle — a
 //! [`LlavaSim`] target and an AASD draft seeded from its vision KV.
 //!
@@ -19,16 +19,17 @@
 //!   **both pools can lease its plan**; otherwise it waits head-of-line
 //!   (FIFO order is what makes served streams worker-count-independent),
 //!   evicting cold vision-cache entries first if those would free enough
-//!   blocks. Every request carries an image seed; once [`Engine::serve`]
+//!   blocks; the head's own image is evicted last, and then it runs as a
+//!   miss. Every request carries an image seed; once [`Engine::serve`]
 //!   starts its shutdown drain, submits are refused.
 //! * **Vision cache** — an LRU map from image *content hash* to the
-//!   target's vision-prefix KV blocks. A hit leases
-//!   the session's target cache *on top of* the cached prefix
-//!   (copy-on-write block sharing — full blocks are shared zero-copy, a
-//!   partial tail is copied) and skips the vision tower and connector; a
-//!   speculative session then seeds its draft from that shared prefix
-//!   exactly as a miss does. Hit and miss produce bit-identical session
-//!   state, so caching can never change a token stream, only its latency.
+//!   target's vision-prefix KV rows, held in blocks of their own. A hit
+//!   leases the session's full target cache, copies the cached rows into
+//!   it and skips the vision tower and connector; a speculative session
+//!   then seeds its draft from those rows exactly as a miss does. Hit and
+//!   miss produce bit-identical session state, so caching can never change
+//!   a token stream, only its latency. Every block has one owner, so
+//!   evicting an entry returns its blocks to the pool at once.
 //! * **Scheduler** — [`Engine::tick`] refills free slots from the queue,
 //!   then advances every active session one step: prefill on its first
 //!   turn, afterwards one speculative block (or one AR token). Every slot
@@ -107,7 +108,7 @@ pub struct EngineConfig {
     /// reproduces the old slot-owns-its-cache memory envelope exactly. The
     /// draft pool is always auto-sized: `slots` full-length sessions.
     pub t_pool_blocks: usize,
-    /// Max distinct images the shared-prefix vision cache retains (LRU
+    /// Max distinct images the vision-prefix cache retains (LRU
     /// beyond that). 0 disables caching.
     pub vision_cache_entries: usize,
 }
@@ -177,7 +178,7 @@ enum VisionPlan {
     /// No cached prefix existed at admission: run the full vision prefill,
     /// then (best-effort) populate the cache for future sessions.
     Miss { image: Image, hash: u64 },
-    /// The session's target lease was built on the cached prefix blocks —
+    /// The session's target lease holds a copy of the cached prefix rows —
     /// prefill skips the vision tower and connector.
     Hit,
 }
@@ -233,8 +234,8 @@ impl QueueState {
     }
 }
 
-/// One cached image: the target's vision-prefix blocks, shared CoW into
-/// sessions.
+/// One cached image: the target's vision-prefix rows, which a hit copies
+/// into its session's lease.
 struct VisionEntry {
     t_prefix: KvCache,
     last_used: u64,
@@ -247,30 +248,13 @@ struct VisionCache {
 }
 
 impl VisionCache {
-    /// Evict the least-recently-used entry, skipping `keep`. Returns false
-    /// if nothing was evictable.
-    ///
-    /// Entries whose prefix blocks are currently CoW-shared into a live
-    /// session's lease are skipped: dropping such an entry returns **zero**
-    /// blocks to the pool (the session still pins them via `Arc`), so
-    /// evicting it under block pressure would destroy a reusable prefix
-    /// without helping the failed lease at all — the admission loop would
-    /// strip the whole cache and still come up empty-handed.
-    fn evict_coldest(&mut self, keep: Option<u64>) -> bool {
-        let victim = self
-            .entries
-            .iter()
-            .filter(|(h, _)| Some(**h) != keep)
-            .filter(|(_, e)| !(0..e.t_prefix.n_blocks()).any(|b| e.t_prefix.block_is_shared(b)))
+    /// Evict the least-recently-used entry; its blocks go back to the pool
+    /// at once. Returns false if the cache was empty.
+    fn evict_coldest(&mut self) -> bool {
+        let victim = (self.entries.iter())
             .min_by_key(|(_, e)| e.last_used)
             .map(|(h, _)| *h);
-        match victim {
-            Some(h) => {
-                self.entries.remove(&h);
-                true
-            }
-            None => false,
-        }
+        victim.is_some_and(|h| self.entries.remove(&h).is_some())
     }
 }
 
@@ -817,36 +801,36 @@ impl Engine {
         let vision = &self.target.cfg.vision;
         let image = Image::synthetic(&mut Rng::new(seed), vision.n_patches, vision.patch_dim);
         let hash = image.content_hash();
+        let mut vc = self.vision_cache.lock().unwrap();
+        vc.clock += 1;
+        let clock = vc.clock;
+        if let Some(entry) = vc.entries.get_mut(&hash) {
+            entry.last_used = clock;
+        }
         // Eviction loop: each failed lease attempt frees the coldest cached
         // prefix and retries, until the cache is empty — at which point the
-        // pool is genuinely full.
-        loop {
-            let mut vc = self.vision_cache.lock().unwrap();
-            let hit = vc.entries.contains_key(&hash);
-            let t_cache = if hit {
-                vc.clock += 1;
-                let clock = vc.clock;
-                let entry = vc.entries.get_mut(&hash).unwrap();
-                entry.last_used = clock;
-                self.t_pool
-                    .try_lease_with_prefix(&entry.t_prefix, plan.t_capacity)
-            } else {
-                self.t_pool.try_lease(plan.t_capacity)
-            };
-            if let Some((t_cache, d_cache)) = t_cache.and_then(with_draft) {
-                let vision = if hit {
-                    self.metrics.vision_cache_hits.inc();
-                    VisionPlan::Hit
-                } else {
-                    self.metrics.vision_cache_misses.inc();
-                    VisionPlan::Miss { image, hash }
-                };
-                return Some((t_cache, d_cache, vision));
+        // pool is genuinely full. The image's own entry was just touched, so
+        // it goes last, and then the request is served as a miss.
+        let (mut t_cache, d_cache) = loop {
+            if let Some(leases) = self.t_pool.try_lease(plan.t_capacity).and_then(with_draft) {
+                break leases;
             }
-            if !vc.evict_coldest(Some(hash)) {
+            if !vc.evict_coldest() {
                 return None;
             }
-        }
+        };
+        let vision = match vc.entries.get(&hash) {
+            Some(entry) => {
+                copy_rows(&entry.t_prefix, &mut t_cache, self.target.n_img());
+                self.metrics.vision_cache_hits.inc();
+                VisionPlan::Hit
+            }
+            None => {
+                self.metrics.vision_cache_misses.inc();
+                VisionPlan::Miss { image, hash }
+            }
+        };
+        Some((t_cache, d_cache, vision))
     }
 
     /// Advance one slot by one unit of work — prefill on the session's first
@@ -970,9 +954,8 @@ impl Engine {
     /// after a miss prefill; the rows are copied out of the session's
     /// target cache, so the entry is bit-identical to what a fresh vision
     /// prefill would produce. Skipped when caching is disabled, the entry
-    /// raced into existence, every entry of a full cache is in use, or the
-    /// pool has no spare blocks (the session itself always wins over the
-    /// cache).
+    /// raced into existence, or the pool has no spare blocks (the session
+    /// itself always wins over the cache).
     fn populate_vision_cache(&self, hash: u64, t_cache: &KvCache) {
         if self.cfg.vision_cache_entries == 0 {
             return;
@@ -984,22 +967,14 @@ impl Engine {
         }
         // Make room first: the pool is sized for `vision_cache_entries`
         // prefixes, so an entry past the cap would lease blocks meant for
-        // sessions. When every entry is pinned by a live session, skip.
+        // sessions.
         while vc.entries.len() >= self.cfg.vision_cache_entries {
-            if !vc.evict_coldest(None) {
-                return;
-            }
+            vc.evict_coldest();
         }
         let Some(mut t_prefix) = self.t_pool.try_lease(n_img) else {
             return;
         };
-        for l in 0..t_cache.n_layers() {
-            let src = t_cache.layer(l);
-            let mut dst = t_prefix.layer_mut(l);
-            for pos in 0..n_img {
-                dst.append(src.key(pos), src.value(pos));
-            }
-        }
+        copy_rows(t_cache, &mut t_prefix, n_img);
         vc.clock += 1;
         let clock = vc.clock;
         vc.entries.insert(
@@ -1037,6 +1012,19 @@ impl Engine {
         self.active.fetch_sub(1, Ordering::Release);
         // A slot freed: wake an idle scheduler so refill runs promptly.
         self.work_cv.notify_all();
+    }
+}
+
+/// Append the first `rows` positions of every layer of `src` to `dst`: how a
+/// miss fills a vision-cache entry from its session's lease, and how a hit
+/// fills its session's lease from the entry.
+fn copy_rows(src: &KvCache, dst: &mut KvCache, rows: usize) {
+    for l in 0..src.n_layers() {
+        let src = src.layer(l);
+        let mut dst = dst.layer_mut(l);
+        for pos in 0..rows {
+            dst.append(src.key(pos), src.value(pos));
+        }
     }
 }
 
@@ -1185,15 +1173,32 @@ mod tests {
         }
     }
 
-    /// Every session lease is back in its pool: only the vision cache's
-    /// prefixes still hold target blocks.
-    fn assert_leases_back(engine: &Engine) {
+    /// Every block of each pool is free, in one live session's lease or in
+    /// one cached vision prefix.
+    fn assert_blocks_conserved(engine: &Engine) {
+        let (mut t_leased, mut d_leased) = (0, 0);
+        for slot in &engine.slots {
+            if let Some(a) = &slot.lock().unwrap().active {
+                t_leased += a.t_cache.n_blocks();
+                d_leased += a.d_cache.as_ref().map_or(0, KvCache::n_blocks);
+            }
+        }
         let cached: usize = (engine.vision_cache.lock().unwrap().entries.values())
             .map(|e| e.t_prefix.n_blocks())
             .sum();
         let (t_pool, d_pool) = (&engine.t_pool, &engine.d_pool);
-        assert_eq!(t_pool.free_blocks() + cached, t_pool.total_blocks());
-        assert_eq!(d_pool.free_blocks(), d_pool.total_blocks());
+        assert_eq!(
+            t_pool.free_blocks() + t_leased + cached,
+            t_pool.total_blocks()
+        );
+        assert_eq!(d_pool.free_blocks() + d_leased, d_pool.total_blocks());
+    }
+
+    /// Every session lease is back in its pool: only the vision cache's
+    /// prefixes still hold target blocks.
+    fn assert_leases_back(engine: &Engine) {
+        assert_eq!(engine.active.load(Ordering::Acquire), 0);
+        assert_blocks_conserved(engine);
     }
 
     /// `validate` checks prompts against the target's vocabulary only, so
@@ -1715,8 +1720,10 @@ mod tests {
                 "round {round}"
             );
         }
-        let slot = engine.slots[0].lock().unwrap();
-        assert!(slot.active.is_none(), "slot should be idle after drain");
+        assert!(
+            engine.slots[0].lock().unwrap().active.is_none(),
+            "slot should be idle after drain"
+        );
         assert_eq!(engine.metrics.requests_completed.get(), 3);
         assert_leases_back(engine);
     }
@@ -1777,89 +1784,121 @@ mod tests {
         assert_eq!(engine0.metrics().vision_cache_hits.get(), 0);
     }
 
-    /// Eviction under block pressure must skip entries whose prefix blocks
-    /// are CoW-leased by a live session: dropping them frees nothing (the
-    /// session pins the blocks), so the colder-but-leased entry survives
-    /// and the unleased one goes. Once the session drops its lease, the
-    /// entry becomes evictable again.
-    #[test]
-    fn eviction_skips_prefixes_leased_by_active_sessions() {
-        let pool = KvPool::new(2, 8, 4, 12);
-        let mut cache = VisionCache::default();
-        let mut seed_entry = |rows: usize, last_used: u64, hash: u64| {
-            let mut prefix = pool.try_lease(rows).unwrap();
-            for l in 0..2 {
-                let mut layer = prefix.layer_mut(l);
-                for _ in 0..rows {
-                    layer.append(&[1.0; 8], &[2.0; 8]);
-                }
-            }
-            cache.entries.insert(
-                hash,
-                VisionEntry {
-                    t_prefix: prefix,
-                    last_used,
-                },
-            );
-        };
-        seed_entry(8, 1, 0xA); // coldest — but about to be leased
-        seed_entry(8, 2, 0xB);
-
-        // A live session leases on top of entry A's prefix (CoW shares its
-        // full blocks).
-        let session_lease = pool
-            .try_lease_with_prefix(&cache.entries[&0xA].t_prefix, 10)
-            .unwrap();
-        assert!(cache.evict_coldest(None), "B must be evictable");
-        assert!(
-            cache.entries.contains_key(&0xA),
-            "leased entry A must survive eviction despite being coldest"
-        );
-        assert!(!cache.entries.contains_key(&0xB));
-        // Nothing else is evictable while the session holds the lease.
-        assert!(!cache.evict_coldest(None));
-        assert!(cache.entries.contains_key(&0xA));
-
-        // Session ends: A is evictable again, and its blocks actually
-        // return to the pool.
-        drop(session_lease);
-        let free_before = pool.free_blocks();
-        assert!(cache.evict_coldest(None));
-        assert!(cache.entries.is_empty());
-        assert!(
-            pool.free_blocks() > free_before,
-            "eviction must free blocks"
-        );
+    /// A request on `seed`'s image with the vision-cache tests' prompt.
+    fn img_req(seed: u64, max_new: usize) -> Request {
+        Request {
+            image_seed: Some(seed),
+            ..spec_req(vec![3, 11, 25, 7], max_new, 3)
+        }
     }
 
-    /// A miss whose only eviction candidate is pinned by a live session
-    /// skips its insert: the cache never holds more than
-    /// `vision_cache_entries` prefixes, because the auto-sized target pool
-    /// only has blocks for that many besides the sessions'.
-    #[test]
-    fn full_cache_of_pinned_entries_skips_the_insert() {
-        let Fixture { engine, .. } = fixture(EngineConfig {
+    /// `block_size` 4: the tiny bundle's 8 image rows fill two whole blocks,
+    /// so an entry and every session that hits it hold whole prefix blocks.
+    fn whole_block_cfg(vision_cache_entries: usize) -> EngineConfig {
+        EngineConfig {
             workers: 1,
             block_size: 4,
-            ..mm_cfg(1)
-        });
-        let req = |seed: u64, max_new: usize| Request {
-            prompt: vec![3, 11, 25, 7],
-            max_new,
-            mode: DecodeMode::Speculative { gamma: 3 },
-            image_seed: Some(seed),
-        };
-        engine.submit(req(5, 4)).unwrap();
+            ..mm_cfg(vision_cache_entries)
+        }
+    }
+
+    /// The vision-cache key of `seed`'s image.
+    fn image_hash(f: &Fixture, seed: u64) -> u64 {
+        let vision = &f.model.cfg.vision;
+        Image::synthetic(&mut Rng::new(seed), vision.n_patches, vision.patch_dim).content_hash()
+    }
+
+    /// A full vision cache evicts its LRU entry to insert a new image, and
+    /// the pool has that entry's blocks back at once, while a session that
+    /// hit the entry is still decoding from its own copy of the rows; that
+    /// session's stream still equals the one-shot loop's.
+    #[test]
+    fn evicting_a_hit_entry_returns_its_blocks_while_the_hit_decodes() {
+        let f = fixture(whole_block_cfg(1));
+        let engine = &f.engine;
+        engine.submit(img_req(5, 4)).unwrap();
         engine.run_until_idle();
-        // A long hit on seed 5 pins its entry; a short miss on seed 9 finds
-        // the cache full and nothing evictable.
-        engine.submit(req(5, 40)).unwrap();
-        engine.submit(req(9, 4)).unwrap();
+        // A long hit on seed 5 and a short miss on seed 9 prefill in one
+        // tick; the miss's insert evicts seed 5's entry.
+        let long = img_req(5, 40);
+        let h = engine.submit(long.clone()).unwrap();
+        engine.submit(img_req(9, 4)).unwrap();
         engine.tick();
-        assert_eq!(engine.metrics().vision_cache_misses.get(), 2);
-        let cached = engine.vision_cache.lock().unwrap().entries.len();
-        assert!(cached <= 1, "{cached} cached prefixes against a cap of 1");
+        assert_eq!(engine.metrics().vision_cache_hits.get(), 1);
+        assert_eq!(h.snapshot().0, Status::Running);
+        {
+            let vc = engine.vision_cache.lock().unwrap();
+            let cached: Vec<u64> = vc.entries.keys().copied().collect();
+            assert_eq!(cached, [image_hash(&f, 9)], "seed 5 evicted for seed 9");
+        }
+        assert_blocks_conserved(engine);
         engine.run_until_idle();
+        assert_eq!(h.snapshot(), (Status::Done, f.one_shot(&long).0));
+        assert_leases_back(engine);
+    }
+
+    /// Under a hand-set pool, a hit whose full lease fits only once its own
+    /// entry's blocks are free evicts that entry and runs as a miss: any
+    /// request `validate` accepts is admitted on an idle engine, never
+    /// wedged at the queue head.
+    #[test]
+    fn a_hit_that_needs_its_entrys_blocks_evicts_it_and_runs_as_a_miss() {
+        let f = fixture(EngineConfig {
+            t_pool_blocks: 15,
+            ..whole_block_cfg(1)
+        });
+        let engine = &f.engine;
+        engine.submit(img_req(5, 4)).unwrap();
+        engine.run_until_idle();
+        assert_eq!(engine.t_pool.free_blocks(), 13, "entry holds 2 blocks");
+        // 8 image + 4 prompt + 49 − 1 = 60 positions: the whole pool.
+        let long = img_req(5, 49);
+        let t_capacity = engine.lease_plan(&long).t_capacity;
+        assert_eq!(engine.t_pool.blocks_for(t_capacity), 15);
+        let h = engine.submit(long.clone()).unwrap();
+        assert!(engine.tick(), "an idle engine must admit the hit");
+        engine.run_until_idle();
+        assert_eq!(h.snapshot(), (Status::Done, f.one_shot(&long).0));
+        let m = engine.metrics();
+        assert_eq!(m.vision_cache_hits.get(), 0);
+        assert_eq!(m.vision_cache_misses.get(), 2);
+        assert_leases_back(engine);
+    }
+
+    /// Blocks are conserved through a served mix of hits and misses: after
+    /// every tick, free blocks plus every live lease plus every cached
+    /// entry make up each pool, and every stream is lossless.
+    #[test]
+    fn kv_blocks_are_conserved_through_a_served_run() {
+        let f = fixture(whole_block_cfg(2));
+        let engine = &f.engine;
+        let reqs: Vec<_> = [
+            (5, 30),
+            (5, 12),
+            (9, 20),
+            (5, 8),
+            (11, 16),
+            (9, 24),
+            (13, 6),
+            (5, 10),
+        ]
+        .into_iter()
+        .map(|(seed, max_new)| img_req(seed, max_new))
+        .collect();
+        let handles: Vec<_> = reqs
+            .iter()
+            .map(|r| engine.submit(r.clone()).unwrap())
+            .collect();
+        assert_blocks_conserved(engine);
+        while engine.tick() {
+            assert_blocks_conserved(engine);
+        }
+        for (h, req) in handles.iter().zip(&reqs) {
+            assert_eq!(h.snapshot(), (Status::Done, f.one_shot(req).0));
+        }
+        let m = engine.metrics();
+        assert!(m.vision_cache_hits.get() > 0 && m.vision_cache_misses.get() > 0);
+        assert_leases_back(engine);
     }
 
     /// `serve` returning after its stop flag was raised mid-speculation has

@@ -11,9 +11,9 @@
 //! * [`engine`] — a block-paged KV pool per model (sessions lease exactly
 //!   the blocks their prompt + budget needs from one pre-allocated arena,
 //!   and return them on completion), a FIFO admission queue that reasons
-//!   in free blocks, an LRU shared-prefix vision cache keyed by image
-//!   content hash (a hit maps the cached vision KV into the session
-//!   copy-on-write and skips the ViT + connector), and a
+//!   in free blocks, an LRU vision-prefix cache keyed by image content
+//!   hash (a hit copies the cached vision KV rows into the session's lease
+//!   and skips the ViT + connector), and a
 //!   continuous-batching scheduler that advances every active session one
 //!   speculative block per tick. Because each slot runs the *same*
 //!   [`aasd_specdec::SpecSession`] state machine as the one-shot fused

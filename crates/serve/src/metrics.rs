@@ -203,7 +203,7 @@ pub struct Metrics {
     pub spec_accepted: Counter,
     spec_generated: Counter,
     pub spec_prefill_tokens: Counter,
-    // Shared-prefix vision cache (multimodal engines; always 0 on text).
+    // Vision-prefix cache.
     pub vision_cache_hits: Counter,
     pub vision_cache_misses: Counter,
     // Live state.
