@@ -42,7 +42,7 @@ if [[ "${1:-}" != "--quick" ]]; then
     # except the default leg of the kernel-tier loop, kept so that one
     # labelled gate states the both-tiers contract on its own.
 
-    echo "==> kernel-tier gate: losslessness + determinism suites, the forward-oracle suite, training loss pins and the vision-tower pin on the forced-scalar and host-best tiers"
+    echo "==> kernel-tier gate: losslessness + determinism suites, the engine suite, the forward-oracle suite, training loss pins and the vision-tower pin on the forced-scalar and host-best tiers"
     # None of the paged KV pool, the vision cache, the
     # scheduler at 1 / 2 / 4 workers (SHUTDOWN draining every in-flight
     # request), the int8 kernels or the synthetic workloads' golden stream
@@ -69,6 +69,9 @@ if [[ "${1:-}" != "--quick" ]]; then
                 --test server_smoke --test int8_equivalence --test workload_determinism \
                 --test fused_equivalence
             cargo test -q -p aasd-tensor
+            # The engine's own suite: hit ≡ miss bit identity, the lossless
+            # cell matrix, block conservation and the worst-case arena (38).
+            ran -ge 38 cargo test -q -p aasd-serve
             # Exactly the five pins, on each tier.
             ran -eq 5 cargo test -q -p aasd-mm -p aasd-baselines -- \
                 finetune_text_lowers_loss_on_grammar finetune_vlm_lowers_loss_on_grammar \

@@ -181,11 +181,20 @@ impl LlavaSim {
     /// The vision leg of [`LlavaSim::prefill_ws`] alone: tower + connector +
     /// the `n_img`-position embeds pass into an **empty** cache. Split out
     /// so the serving vision cache can run it once per distinct image and
-    /// share the resulting KV prefix across sessions.
+    /// copy the resulting KV prefix into later sessions.
     pub fn prefill_vision_ws(&self, image: &Image, cache: &mut KvCache, ws: &mut Workspace) {
+        self.prefill_embeds_ws(&self.encode_image(image), cache, ws);
+    }
+
+    /// [`LlavaSim::prefill_vision_ws`] from the image's `encode_image` rows.
+    pub(crate) fn prefill_embeds_ws(
+        &self,
+        embeds: &Tensor,
+        cache: &mut KvCache,
+        ws: &mut Workspace,
+    ) {
         assert!(cache.is_empty(), "vision prefix must be at position 0");
         let n = self.n_img();
-        let embeds = self.encode_image(image);
         let mut img_logits = ws.take(n * self.cfg.lm.vocab);
         self.lm
             .forward_infer_embeds_ws(&embeds.data, n, cache, ws, &mut img_logits);

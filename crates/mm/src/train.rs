@@ -101,8 +101,11 @@ pub fn teacher_sample(
     ws: &mut Workspace,
 ) -> TeacherSample {
     let lm = &model.lm;
+    // One tower pass feeds both the rollout's vision leg and the scoring pass.
+    let embeds = model.encode_image(image);
     let mut rollout = lm.new_cache();
-    let pending = model.prefill_ws(image, prompt, &mut rollout, ws);
+    model.prefill_embeds_ws(&embeds, &mut rollout, ws);
+    let pending = model.prefill_text_ws(prompt, &mut rollout, ws);
     // The session feeds back all but the final committed token, so the
     // feasible budget is the remaining room plus one (`ArSession` asserts).
     let room = lm.cfg.max_seq.min(rollout.capacity()) + 1 - rollout.len();
@@ -112,7 +115,7 @@ pub fn teacher_sample(
     tokens.truncate(max_len);
 
     let mut scored = lm.new_cache();
-    lm.forward_infer_embeds(&model.encode_image(image), &mut scored);
+    lm.forward_infer_embeds(&embeds, &mut scored);
     let probs = sharpen_to_probs(lm.forward_infer(&tokens, &mut scored), temperature);
     TeacherSample {
         tokens,

@@ -1,14 +1,16 @@
 //! Block-paged KV cache (PagedAttention-style).
 //!
-//! PR 5's serving engine gave every slot two full-`max_seq` [`KvCache`]s —
-//! right for a fixed slot pool, wrong at scale: a request that decodes 30
-//! tokens holds the memory of 1024. This module replaces the contiguous
-//! per-layer slab with a **paged** design:
+//! A contiguous per-layer slab sized to `max_seq` makes a request that
+//! decodes 30 tokens hold the memory of the whole window. This module
+//! replaces it with a **paged** design, so a cache holds only the blocks
+//! its lease asked for:
 //!
 //! * [`KvPool`] — one pre-allocated arena of fixed-size *blocks*. A block
 //!   holds `block_size` consecutive positions for **every** layer (layout
-//!   `[layer][K|V][pos][dim]`), so one block table serves the whole cache
-//!   and admission control can reason in free blocks instead of slots.
+//!   `[layer][K|V][pos][dim]`), so one block table serves the whole cache.
+//!   The serving engine sizes its pools for every slot's longest lease, so
+//!   its leases never wait for blocks; what paging gives it is a lease per
+//!   request of exactly the positions that request can reach.
 //! * [`KvCache`] — a view over a block table leased from a pool:
 //!   `append`/`truncate` keep their exact pre-paging contracts. Dropping a
 //!   cache returns its blocks to the pool.

@@ -1,27 +1,24 @@
-//! The serving engine: a block-paged KV pool, FIFO admission in units of
-//! free blocks, a vision-prefix cache, and the block-granular
-//! continuous-batching scheduler, serving one multimodal bundle — a
-//! [`LlavaSim`] target and an AASD draft seeded from its vision KV.
+//! The serving engine: a block-paged KV pool, FIFO admission into free
+//! slots, a vision-prefix cache, and the block-granular continuous-batching
+//! scheduler, serving one multimodal bundle — a [`LlavaSim`] target and an
+//! AASD draft seeded from its vision KV.
 //!
 //! ## Architecture
 //!
-//! * **Paged KV pool** — the engine owns one pre-allocated
-//!   [`KvPool`] per model (target, draft). A session no
-//!   longer owns a `max_seq`-sized cache pair for its whole life: at
-//!   admission it leases exactly the blocks its `prompt + budget` needs
-//!   (`prefix + budget − 1` positions — the last emitted token is never fed
-//!   back), and the blocks return to the pool the moment it finishes. Short
-//!   requests stop paying for long-request memory, which is what lets the
-//!   same arena serve several times the old slot count (the pool test in
-//!   `aasd-nn` pins ≥ 4×).
+//! * **Paged KV pool** — the engine owns one pre-allocated [`KvPool`] per
+//!   model (target, draft), sized for every slot's longest lease (`max_seq`
+//!   positions) and, on the target, every cached vision prefix. At
+//!   admission a session leases exactly the blocks its `prompt + budget`
+//!   needs (`prefix + budget − 1` positions — the last emitted token is
+//!   never fed back), and the blocks return to the pool the moment it
+//!   finishes.
 //! * **Admission** — requests wait in a FIFO behind a small mutex with a
-//!   hard cap (`cfg.max_queue`). A queue head only moves into a slot when
-//!   **both pools can lease its plan**; otherwise it waits head-of-line
-//!   (FIFO order is what makes served streams worker-count-independent),
-//!   evicting cold vision-cache entries first if those would free enough
-//!   blocks; the head's own image is evicted last, and then it runs as a
-//!   miss. Every request carries an image seed; once [`Engine::serve`]
-//!   starts its shutdown drain, submits are refused.
+//!   hard cap (`cfg.max_queue`). A queue head moves into the first free
+//!   slot and leases from both pools at once: at most `slots` sessions and
+//!   `vision_cache_entries` entries hold blocks, so a lease always fits.
+//!   FIFO order is what makes served streams worker-count-independent.
+//!   Every request carries an image seed; once [`Engine::serve`] starts its
+//!   shutdown drain, submits are refused.
 //! * **Vision cache** — an LRU map from image *content hash* to the
 //!   target's vision-prefix KV rows, held in blocks of their own. A hit
 //!   leases the session's full target cache, copies the cached rows into
@@ -71,6 +68,11 @@ use crate::request::{DecodeMode, Request, RequestHandle, RequestId, Status};
 /// answer as unknown. Non-terminal handles are always kept.
 const RETAINED_FINISHED: usize = 1024;
 
+/// The invariant a refused lease would break: `Engine::new` sizes each pool
+/// for every slot's longest lease plus, on the target, every cached prefix.
+const POOLS_FIT: &str = "a KV pool sized for every slot's longest lease and every cached \
+                         vision prefix refused a lease";
+
 /// The model bundle an engine serves: a LlavaSim target with a
 /// hybrid-cache draft whose vision prefix is seeded per `ablation` (learned
 /// [`KvProjector`] rows by default) before the text prefill, exactly like
@@ -87,9 +89,8 @@ pub enum EngineModel {
 /// Scheduler/admission knobs.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Concurrent sessions the scheduler will step per tick. Memory no
-    /// longer scales with this alone — sessions lease KV blocks from the
-    /// shared pools, so many short requests fit where few long ones would.
+    /// Concurrent sessions the scheduler will step per tick. Each KV pool
+    /// holds `slots` leases of its model's `max_seq` positions.
     pub slots: usize,
     /// Scheduler threads, the ticking one included: `Engine::new` spawns
     /// `workers − 1` persistent helpers (at most `slots − 1`), and a tick
@@ -103,13 +104,9 @@ pub struct EngineConfig {
     pub max_queue: usize,
     /// Positions per KV block in both pools.
     pub block_size: usize,
-    /// Target-pool arena size in blocks; 0 = auto (`slots` full-length
-    /// sessions plus room for `vision_cache_entries` cached prefixes), which
-    /// reproduces the old slot-owns-its-cache memory envelope exactly. The
-    /// draft pool is always auto-sized: `slots` full-length sessions.
-    pub t_pool_blocks: usize,
     /// Max distinct images the vision-prefix cache retains (LRU
-    /// beyond that). 0 disables caching.
+    /// beyond that). 0 disables caching. The target pool holds this many
+    /// `n_img`-position prefixes on top of the sessions' leases.
     pub vision_cache_entries: usize,
 }
 
@@ -121,7 +118,6 @@ impl Default for EngineConfig {
             workers: std::thread::available_parallelism().map_or(1, |n| n.get().min(slots)),
             max_queue: 64,
             block_size: 16,
-            t_pool_blocks: 0,
             vision_cache_entries: 8,
         }
     }
@@ -176,7 +172,7 @@ impl Phase {
 /// How the session's vision prefix gets into its target cache.
 enum VisionPlan {
     /// No cached prefix existed at admission: run the full vision prefill,
-    /// then (best-effort) populate the cache for future sessions.
+    /// then populate the cache for future sessions.
     Miss { image: Image, hash: u64 },
     /// The session's target lease holds a copy of the cached prefix rows —
     /// prefill skips the vision tower and connector.
@@ -203,7 +199,7 @@ struct Slot {
     active: Option<Active>,
 }
 
-/// A request waiting for blocks: no leases held while queued.
+/// A request waiting for a slot: no leases held while queued.
 struct Queued {
     handle: Arc<RequestHandle>,
     req: Request,
@@ -248,18 +244,20 @@ struct VisionCache {
 }
 
 impl VisionCache {
-    /// Evict the least-recently-used entry; its blocks go back to the pool
-    /// at once. Returns false if the cache was empty.
-    fn evict_coldest(&mut self) -> bool {
+    /// Evict the least-recently-used entry, if any; its blocks go back to
+    /// the pool at once.
+    fn evict_coldest(&mut self) {
         let victim = (self.entries.iter())
             .min_by_key(|(_, e)| e.last_used)
             .map(|(h, _)| *h);
-        victim.is_some_and(|h| self.entries.remove(&h).is_some())
+        if let Some(h) = victim {
+            self.entries.remove(&h);
+        }
     }
 }
 
 /// The lease a request needs, computed from the request alone (before any
-/// forward runs) so admission can reason in blocks.
+/// forward runs).
 struct LeasePlan {
     /// Committed positions the target cache will hold after prefill.
     t_prefix: usize,
@@ -406,14 +404,13 @@ impl Engine {
             "draft and target vocabularies differ"
         );
         let bs = cfg.block_size;
+        // Every lease is at most `max_seq` positions, and at most `slots`
+        // sessions and `vision_cache_entries` entries hold blocks at once,
+        // so no lease is ever refused (`POOLS_FIT`).
+        let sessions = |max_seq: usize| cfg.slots * max_seq.div_ceil(bs).max(1);
         let vision_blocks = cfg.vision_cache_entries * target.n_img().div_ceil(bs).max(1);
-        let auto = |max_seq: usize| cfg.slots * max_seq.div_ceil(bs).max(1);
-        let t_blocks = if cfg.t_pool_blocks == 0 {
-            auto(lm.cfg.max_seq) + vision_blocks
-        } else {
-            cfg.t_pool_blocks
-        };
-        let d_blocks = auto(draft.cfg.max_seq);
+        let t_blocks = sessions(lm.cfg.max_seq) + vision_blocks;
+        let d_blocks = sessions(draft.cfg.max_seq);
         // No request pays for packing: the first fused forward of a model
         // would build the shadow its policy reads (f32 panels, or the int8
         // image the standard draft runs on), so build them here. (A vision
@@ -566,18 +563,6 @@ impl Engine {
         }
         if matches!(req.mode, DecodeMode::Speculative { .. }) && prefix > self.draft.cfg.max_seq {
             return Err("prompt exceeds draft context window".into());
-        }
-        // Admission reasons in blocks: a request whose lease can never be
-        // satisfied even by an empty pool must be refused up front, or it
-        // would wedge the queue head forever.
-        let plan = self.lease_plan(req);
-        if self.t_pool.blocks_for(plan.t_capacity) > self.t_pool.total_blocks() {
-            return Err("request KV footprint exceeds the target pool".into());
-        }
-        if let Some(dc) = plan.d_capacity {
-            if self.d_pool.blocks_for(dc) > self.d_pool.total_blocks() {
-                return Err("request KV footprint exceeds the draft pool".into());
-            }
         }
         Ok(())
     }
@@ -741,9 +726,7 @@ impl Engine {
     /// state at the next tick even when every slot is busy. Runs at the top
     /// of every tick, so a slot freed by a completion in round N is serving
     /// the next queued request in round N+1 — no slot ever idles while the
-    /// queue is non-empty *and* the pools can cover its lease. When they
-    /// cannot, the head waits — skipping ahead would break the FIFO order
-    /// that makes served streams independent of worker count.
+    /// queue is non-empty.
     fn refill(&self) {
         let mut q = self.qstate.lock().expect("queue lock poisoned");
         let mut i = 0;
@@ -756,7 +739,9 @@ impl Engine {
             }
         }
         for slot in &self.slots {
-            let Some(head) = q.queue.front() else { break };
+            if q.queue.is_empty() {
+                break;
+            }
             // A slot locked elsewhere (`cancel_all`) is skipped this round.
             let Ok(mut slot) = slot.try_lock() else {
                 continue;
@@ -764,12 +749,8 @@ impl Engine {
             if slot.active.is_some() {
                 continue;
             }
-            // Not enough free blocks even after eviction: the head waits
-            // for a running session to finish.
-            let Some((t_cache, d_cache, vision)) = self.admit(&head.req) else {
-                break;
-            };
-            let Queued { handle, req } = q.queue.pop_front().expect("head peeked above");
+            let Queued { handle, req } = q.queue.pop_front().expect("queue checked above");
+            let (t_cache, d_cache, vision) = self.admit(&req);
             handle.mark_running();
             slot.active = Some(Active {
                 handle,
@@ -788,15 +769,14 @@ impl Engine {
         self.publish_pool_gauges();
     }
 
-    /// Try to lease everything `req` needs. On success the caches are live
-    /// (blocks deducted); on failure everything acquired is returned and
-    /// the caller leaves the request queued.
-    fn admit(&self, req: &Request) -> Option<(KvCache, Option<KvCache>, VisionPlan)> {
+    /// Lease everything `req` needs for a free slot, and copy its image's
+    /// cached vision prefix into the target lease on a hit.
+    fn admit(&self, req: &Request) -> (KvCache, Option<KvCache>, VisionPlan) {
         let plan = self.lease_plan(req);
-        let with_draft = |t: KvCache| match plan.d_capacity {
-            Some(dc) => self.d_pool.try_lease(dc).map(|d| (t, Some(d))),
-            None => Some((t, None)),
-        };
+        let mut t_cache = self.t_pool.try_lease(plan.t_capacity).expect(POOLS_FIT);
+        let d_cache = plan
+            .d_capacity
+            .map(|dc| self.d_pool.try_lease(dc).expect(POOLS_FIT));
         let seed = req.image_seed.expect("validated at submit");
         let vision = &self.target.cfg.vision;
         let image = Image::synthetic(&mut Rng::new(seed), vision.n_patches, vision.patch_dim);
@@ -804,23 +784,9 @@ impl Engine {
         let mut vc = self.vision_cache.lock().unwrap();
         vc.clock += 1;
         let clock = vc.clock;
-        if let Some(entry) = vc.entries.get_mut(&hash) {
-            entry.last_used = clock;
-        }
-        // Eviction loop: each failed lease attempt frees the coldest cached
-        // prefix and retries, until the cache is empty — at which point the
-        // pool is genuinely full. The image's own entry was just touched, so
-        // it goes last, and then the request is served as a miss.
-        let (mut t_cache, d_cache) = loop {
-            if let Some(leases) = self.t_pool.try_lease(plan.t_capacity).and_then(with_draft) {
-                break leases;
-            }
-            if !vc.evict_coldest() {
-                return None;
-            }
-        };
-        let vision = match vc.entries.get(&hash) {
+        let vision = match vc.entries.get_mut(&hash) {
             Some(entry) => {
+                entry.last_used = clock;
                 copy_rows(&entry.t_prefix, &mut t_cache, self.target.n_img());
                 self.metrics.vision_cache_hits.inc();
                 VisionPlan::Hit
@@ -830,7 +796,7 @@ impl Engine {
                 VisionPlan::Miss { image, hash }
             }
         };
-        Some((t_cache, d_cache, vision))
+        (t_cache, d_cache, vision)
     }
 
     /// Advance one slot by one unit of work — prefill on the session's first
@@ -932,7 +898,7 @@ impl Engine {
                 target, t_cache, pending, budget,
             )));
         };
-        // The draft reads the target's vision prefix, fresh or shared alike.
+        // The draft reads the target's vision prefix, fresh or copied alike.
         let d_lease = d_cache.expect("spec admission leases a draft");
         seed_request_draft(
             &self.target,
@@ -950,12 +916,11 @@ impl Engine {
         )))
     }
 
-    /// Best-effort: install `hash`'s vision prefix into the cache. Runs
-    /// after a miss prefill; the rows are copied out of the session's
-    /// target cache, so the entry is bit-identical to what a fresh vision
-    /// prefill would produce. Skipped when caching is disabled, the entry
-    /// raced into existence, or the pool has no spare blocks (the session
-    /// itself always wins over the cache).
+    /// Install `hash`'s vision prefix into the cache. Runs after a miss
+    /// prefill; the rows are copied out of the session's target cache, so
+    /// the entry is bit-identical to what a fresh vision prefill would
+    /// produce. Skipped when caching is disabled or the entry raced into
+    /// existence.
     fn populate_vision_cache(&self, hash: u64, t_cache: &KvCache) {
         if self.cfg.vision_cache_entries == 0 {
             return;
@@ -971,9 +936,7 @@ impl Engine {
         while vc.entries.len() >= self.cfg.vision_cache_entries {
             vc.evict_coldest();
         }
-        let Some(mut t_prefix) = self.t_pool.try_lease(n_img) else {
-            return;
-        };
+        let mut t_prefix = self.t_pool.try_lease(n_img).expect(POOLS_FIT);
         copy_rows(t_cache, &mut t_prefix, n_img);
         vc.clock += 1;
         let clock = vc.clock;
@@ -1486,53 +1449,6 @@ mod tests {
         assert_eq!(engine.metrics().requests_completed.get(), 2);
     }
 
-    /// Block-granular admission: a pool sized for one long session at a
-    /// time forces the second request to wait head-of-line, but both must
-    /// still complete losslessly — continuous batching degrades to serial
-    /// execution, never to deadlock or corruption.
-    #[test]
-    fn block_admission_serializes_when_pool_is_tight() {
-        let f = fixture(EngineConfig {
-            slots: 2,
-            block_size: 16,
-            // 64 target positions total: one 48-token session's lease
-            // (8 image + 4 prompt + 48 − 1 = 59 positions → 4 blocks) takes
-            // all of them, and leaves none for a cached prefix.
-            t_pool_blocks: 4,
-            ..EngineConfig::default()
-        });
-        let engine = &f.engine;
-        let reqs = [
-            spec_req(vec![3, 7, 1, 9], 48, 3),
-            spec_req(vec![5, 2, 4, 6], 48, 3),
-        ];
-        let handles: Vec<_> = reqs
-            .iter()
-            .map(|r| engine.submit(r.clone()).unwrap())
-            .collect();
-        engine.tick();
-        assert_eq!(
-            engine.active.load(Ordering::Acquire),
-            1,
-            "second session must wait for blocks"
-        );
-        engine.run_until_idle();
-        for (h, req) in handles.iter().zip(&reqs) {
-            assert_eq!(h.snapshot(), (Status::Done, f.one_shot(req).0));
-        }
-        // A request whose lease exceeds the whole pool (8 + 4 + 62 − 1 = 73
-        // positions → 5 blocks > 4) is rejected up front, not wedged.
-        assert!(matches!(
-            engine.submit(Request {
-                prompt: vec![1, 2, 3, 4],
-                max_new: 62,
-                mode: DecodeMode::Autoregressive,
-                image_seed: Some(IMG),
-            }),
-            Err(Rejection::Invalid(_))
-        ));
-    }
-
     /// The queue-depth gauge must track every transition: growth on submit,
     /// decay through refill, and an immediate drop to zero on `cancel_all`
     /// — the shutdown path previously left it stale at its last value.
@@ -1837,34 +1753,6 @@ mod tests {
         assert_leases_back(engine);
     }
 
-    /// Under a hand-set pool, a hit whose full lease fits only once its own
-    /// entry's blocks are free evicts that entry and runs as a miss: any
-    /// request `validate` accepts is admitted on an idle engine, never
-    /// wedged at the queue head.
-    #[test]
-    fn a_hit_that_needs_its_entrys_blocks_evicts_it_and_runs_as_a_miss() {
-        let f = fixture(EngineConfig {
-            t_pool_blocks: 15,
-            ..whole_block_cfg(1)
-        });
-        let engine = &f.engine;
-        engine.submit(img_req(5, 4)).unwrap();
-        engine.run_until_idle();
-        assert_eq!(engine.t_pool.free_blocks(), 13, "entry holds 2 blocks");
-        // 8 image + 4 prompt + 49 − 1 = 60 positions: the whole pool.
-        let long = img_req(5, 49);
-        let t_capacity = engine.lease_plan(&long).t_capacity;
-        assert_eq!(engine.t_pool.blocks_for(t_capacity), 15);
-        let h = engine.submit(long.clone()).unwrap();
-        assert!(engine.tick(), "an idle engine must admit the hit");
-        engine.run_until_idle();
-        assert_eq!(h.snapshot(), (Status::Done, f.one_shot(&long).0));
-        let m = engine.metrics();
-        assert_eq!(m.vision_cache_hits.get(), 0);
-        assert_eq!(m.vision_cache_misses.get(), 2);
-        assert_leases_back(engine);
-    }
-
     /// Blocks are conserved through a served mix of hits and misses: after
     /// every tick, free blocks plus every live lease plus every cached
     /// entry make up each pool, and every stream is lossless.
@@ -1898,6 +1786,71 @@ mod tests {
         }
         let m = engine.metrics();
         assert!(m.vision_cache_hits.get() > 0 && m.vision_cache_misses.get() > 0);
+        assert_leases_back(engine);
+    }
+
+    /// The pools' worst case: every slot runs a request at the longest lease
+    /// the target allows, each on an image of its own, beside a full vision
+    /// cache. Every refill still fills every free slot while the queue is
+    /// non-empty, every admitted session holds exactly the blocks its plan
+    /// sizes, hit or miss, blocks are conserved after every tick, and the
+    /// target arena is used to its last block.
+    #[test]
+    fn the_worst_case_fills_every_slot_and_the_whole_target_arena() {
+        let slots = 3;
+        let f = fixture(EngineConfig {
+            slots,
+            ..whole_block_cfg(2)
+        });
+        let engine = &f.engine;
+        // Seeds 1 and 2 fill the cache.
+        for seed in [1, 2] {
+            engine.submit(img_req(seed, 4)).unwrap();
+        }
+        engine.run_until_idle();
+        // 8 image + 4 prompt + 85 − 1 = 96 positions: the target's max_seq.
+        let reqs = [1, 3, 2, 4, 5, 6, 7].map(|seed| img_req(seed, 85));
+        let plan = engine.lease_plan(&reqs[0]);
+        assert_eq!(plan.t_capacity, f.model.cfg.lm.max_seq);
+        let t_blocks = engine.t_pool.blocks_for(plan.t_capacity);
+        let d_blocks = plan.d_capacity.map(|dc| engine.d_pool.blocks_for(dc));
+        let handles: Vec<_> = reqs
+            .iter()
+            .map(|r| engine.submit(r.clone()).unwrap())
+            .collect();
+        let mut least_free = usize::MAX;
+        loop {
+            engine.refill();
+            let queued = engine.qstate.lock().unwrap().queue.len();
+            let mut running = 0;
+            for slot in &engine.slots {
+                if let Some(a) = &slot.lock().unwrap().active {
+                    running += 1;
+                    assert_eq!(a.t_cache.n_blocks(), t_blocks);
+                    assert_eq!(a.d_cache.as_ref().map(KvCache::n_blocks), d_blocks);
+                }
+            }
+            assert!(
+                queued == 0 || running == slots,
+                "a slot idled beside the queue"
+            );
+            least_free = least_free.min(engine.t_pool.free_blocks());
+            if !engine.tick() {
+                break;
+            }
+            assert_blocks_conserved(engine);
+        }
+        assert_eq!(
+            least_free, 0,
+            "the worst case leases the whole target arena"
+        );
+        for (h, req) in handles.iter().zip(&reqs) {
+            assert_eq!(h.snapshot(), (Status::Done, f.one_shot(req).0));
+        }
+        // Seeds 1 and 2 hit at the first refill; every later image misses.
+        let m = engine.metrics();
+        assert_eq!(m.vision_cache_hits.get(), 2);
+        assert_eq!(m.vision_cache_misses.get(), 7);
         assert_leases_back(engine);
     }
 
