@@ -98,12 +98,13 @@ if [[ "${1:-}" != "--quick" ]]; then
     # it unoptimized) with the process-global tier pinned to scalar and left
     # to the host's best, which also moves the Linear-level and
     # naive-reference checks across tiers.
-    # Each leg must run at least the 52 aasd-tensor tests a release build
-    # has (the 7 `tile_` ones among them) and the 12 `linear_` tests it
-    # selects today.
-    ran -ge 52 env AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor
+    # Each leg must run at least the 55 aasd-tensor tests a release build
+    # has (the 7 `tile_` ones and the two `matmul_nt_` ones — the A·Bᵀ
+    # score kernel bitwise ≡ one dot per output — among them) and the 12
+    # `linear_` tests it selects today.
+    ran -ge 55 env AASD_KERNEL=scalar cargo test -q --release -p aasd-tensor
     ran -ge 12 env AASD_KERNEL=scalar cargo test -q --release -p aasd-nn linear_
-    ran -ge 52 cargo test -q --release -p aasd-tensor
+    ran -ge 55 cargo test -q --release -p aasd-tensor
     ran -ge 12 cargo test -q --release -p aasd-nn linear_
 
     echo "==> avx512 tier gate: the tensor suite, the forward-oracle suite and the int8 target's suite with the process on the 512-bit tile"
@@ -113,11 +114,11 @@ if [[ "${1:-}" != "--quick" ]]; then
     # entries on any host that runs it; this leg also runs the process on
     # it, so `Linear`, the fused decoder against the tape oracle and an int8
     # target's verify ≡ decode see its bits. The floors are the legs' above:
-    # 52 aasd-tensor tests, and the 6 of `fused_equivalence` (2) and
+    # 55 aasd-tensor tests, and the 6 of `fused_equivalence` (2) and
     # `int8_equivalence` (4). A host that does not list avx512f cannot run
     # the tier (forcing it there is the hard error the tensor suite tests).
     if grep -qw avx512f /proc/cpuinfo; then
-        ran -ge 52 env AASD_KERNEL=avx512 cargo test -q --release -p aasd-tensor
+        ran -ge 55 env AASD_KERNEL=avx512 cargo test -q --release -p aasd-tensor
         ran -ge 6 env AASD_KERNEL=avx512 cargo test -q -p aasd \
             --test fused_equivalence --test int8_equivalence
     else

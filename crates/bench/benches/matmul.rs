@@ -34,17 +34,27 @@
 //!    rows, and `dot`, SwiGLU and the quantizer over rows of 128, 192, 256
 //!    and 384 floats (the two models' `dim` and `ff_hidden`).
 //!
+//! 6. **The trainer's loops** per tier (ROADMAP 21): the `A·Bᵀ` product
+//!    (`matmul_nt_with`, what `Tensor::matmul_transposed` runs) at the
+//!    training tape's shapes — a product's `dA = G·Wᵀ` over 32 rows for
+//!    the Sim7B and Sim13B projections, and attention's `Q·Kᵀ` over 32 rows
+//!    at head dims 16 and 24 — beside the one-`dot_with`-per-output loop it
+//!    replaced, and one `Adam` step over a Sim13B-sized parameter set (its
+//!    five layers' projections, one slot per matrix).
+//!
 //! Name sections after `--` to run only those: `rows`, `footprint`, `int8`,
-//! `square`, `lanes`.
+//! `square`, `lanes`, `train`.
 
+use aasd_autograd::Tape;
 use aasd_tensor::simd::{
-    attn_mix_with, attn_scores_with, dot_with, matmul_acc_with, matmul_packed_acc_with,
-    quantize_row_i8_with, silu_mul_with, softmax_row_with,
+    attn_mix_with, attn_scores_with, dot_with, matmul_acc_with, matmul_nt_with,
+    matmul_packed_acc_with, quantize_row_i8_with, silu_mul_with, softmax_row_with,
 };
 use aasd_tensor::{
     backend, matmul_blocked_into, matmul_naive_into, matmul_packed_into, matmul_q8_into,
-    pack_panels, quantize_rows_i8, Backend, QuantMatrix, Rng,
+    pack_panels, quantize_rows_i8, Backend, QuantMatrix, Rng, Tensor,
 };
+use aasd_train::Adam;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -421,6 +431,92 @@ fn lane_kernels() {
     println!();
 }
 
+/// The trainer's `A·Bᵀ` product and Adam step, as the module docs list.
+fn train_loops() {
+    println!(
+        "train: A·Bᵀ per tier, µs per call, min of 31 batches (CoV): one dot_with per output | the blocked kernel\n"
+    );
+    let tiers: Vec<Backend> = Backend::ALL
+        .into_iter()
+        .filter(|b| b.is_supported())
+        .collect();
+    let mut rng = Rng::new(0x7A1);
+    let mut random =
+        |len: usize| -> Vec<f32> { (0..len).map(|_| rng.uniform(-1.0, 1.0)).collect() };
+    // `(label, m, k, n)`: `out[m×n] = A[m×k]·B[n×k]ᵀ`. For `Y = X·W` with
+    // `W: in×out`, `dA = G·Wᵀ` has `k = out` and `n = in`.
+    for (label, m, k, n) in [
+        ("dA Sim7B  dim×dim 128×128", 32usize, 128usize, 128usize),
+        ("dA Sim7B  dim×ff  128×256", 32, 256, 128),
+        ("dA Sim7B  ff×dim  256×128", 32, 128, 256),
+        ("dA Sim13B dim×dim 192×192", 32, 192, 192),
+        ("dA Sim13B dim×ff  192×384", 32, 384, 192),
+        ("dA Sim13B ff×dim  384×192", 32, 192, 384),
+        ("Q·Kᵀ head dim 16, 32 rows", 32, 16, 32),
+        ("Q·Kᵀ head dim 24, 32 rows", 32, 24, 32),
+    ] {
+        let (a, b, mut out) = (random(m * k), random(n * k), vec![0.0f32; m * n]);
+        print!("  {label:<26}");
+        for &bk in &tiers {
+            let dots = min_cov_us(31, 16, || {
+                for (o, a) in out.chunks_exact_mut(n).zip(a.chunks_exact(k)) {
+                    for (o, b) in o.iter_mut().zip(b.chunks_exact(k)) {
+                        *o = dot_with(bk, a, b);
+                    }
+                }
+                black_box(&mut out);
+            });
+            let blocked = min_cov_us(31, 16, || {
+                matmul_nt_with(bk, &mut out, &a, &b, m, k, n);
+                black_box(&mut out);
+            });
+            print!(
+                "  {} {:>7.2} (CoV {:.3}) | {:>7.2} (CoV {:.3}) x{:.2}",
+                bk.name(),
+                dots.0,
+                dots.1,
+                blocked.0,
+                blocked.1,
+                dots.0 / blocked.0
+            );
+        }
+        println!();
+    }
+    // One slot per projection of Sim13B's five layers, as `train_loop`
+    // updates them: gradients from `Σ x²` so every element differs.
+    let (dim, ff) = (192usize, 384usize);
+    let weights = lm_weight_set(&mut Rng::new(0xADA), dim, ff, 5);
+    let mut params: Vec<Vec<f32>> = weights.into_iter().map(|(.., w)| w).collect();
+    let mut tape = Tape::new();
+    let leaves: Vec<_> = params
+        .iter()
+        .map(|p| tape.leaf(Tensor::from_vec(p.clone(), 1, p.len())))
+        .collect();
+    let mut root = None;
+    for &x in &leaves {
+        let sq = tape.mul(x, x);
+        let s = tape.sum(sq);
+        root = Some(root.map_or(s, |r| tape.add(r, s)));
+    }
+    let grads = tape.backward(root.expect("at least one slot"));
+    let mut opt = Adam::new();
+    let floats: usize = params.iter().map(Vec::len).sum();
+    let (us, cov) = min_cov_us(15, 4, || {
+        opt.step(1e-6, &grads, &leaves, 0, |f| {
+            for p in &mut params {
+                f("w", p);
+            }
+        });
+        black_box(&mut params);
+    });
+    println!(
+        "  Adam step, Sim13B projections: {} slots, {:.2} M floats: {us:>8.1} us (CoV {cov:.3}) {:>5.2} floats/ns\n",
+        leaves.len(),
+        floats as f64 / 1e6,
+        floats as f64 / (us * 1e3)
+    );
+}
+
 /// Every section, or only those named on the command line (`cargo bench -p
 /// aasd-bench --bench matmul -- rows footprint`).
 fn main() {
@@ -428,12 +524,13 @@ fn main() {
         .skip(1)
         .filter(|a| !a.starts_with("--"))
         .collect();
-    let sections: [(&str, fn()); 5] = [
+    let sections: [(&str, fn()); 6] = [
         ("rows", rows_curve),
         ("footprint", footprint_sweep),
         ("int8", int8_sweep),
         ("square", square_sizes),
         ("lanes", lane_kernels),
+        ("train", train_loops),
     ];
     for (name, run) in sections {
         if wanted.is_empty() || wanted.iter().any(|w| w == name) {

@@ -146,7 +146,9 @@ impl Attention {
     ///
     /// The score scratch, one row per (row, head), is sized to the cache
     /// **capacity**, not the current context, so the workspace sees an
-    /// identical request size every step of a given block size.
+    /// identical request size every step of a given block size. It is taken
+    /// unzeroed ([`Workspace::take_stale`]): the sweep writes every score
+    /// it reads.
     pub fn forward_infer_ws(
         &self,
         norm_x: &[f32],
@@ -169,7 +171,7 @@ impl Attention {
         self.rope_append(&mut q, &mut k, &v, rope, &mut cache);
 
         let mut ctx = ws.take(t * dim);
-        let mut scores = ws.take(self.n_heads * t * cache.capacity());
+        let mut scores = ws.take_stale(self.n_heads * t * cache.capacity());
         self.sweep(&q, &cache, &mut scores, &mut ctx);
 
         self.wo.forward_rows_acc_ws(&ctx, t, ws, resid);
@@ -307,6 +309,42 @@ mod tests {
             attn.forward_infer_ws(x.row(i), 1, &rope, cache.layer_mut(0), &mut ws, &mut resid);
         }
         assert_eq!(ws.fresh_allocs(), after_warmup, "steady state allocated");
+    }
+
+    /// The unzeroed score scratch moves no bit: with every pooled buffer
+    /// filled with NaN, a prefill, a decode step and a verify block give
+    /// the outputs of a fresh (all-zero) workspace, and none allocates, so
+    /// the score scratch each took was one of the NaN buffers.
+    #[test]
+    fn stale_score_scratch_moves_no_bit() {
+        let mut rng = Rng::new(11);
+        let (dim, heads, prefix) = (32, 4, 7);
+        let attn = Attention::new(&mut rng, dim, heads);
+        let rope = Rope::new(64, dim / heads, 10_000.0);
+        let x = Tensor::randn(&mut rng, prefix + 1 + 6, dim, 1.0);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let (mut clean, mut dirty) = (KvCache::new(1, 64, dim), KvCache::new(1, 64, dim));
+        let mut ws_dirty = Workspace::new();
+        let mut at = 0;
+        for t in [prefix, 1, 6] {
+            let xs = &x.data[at * dim..(at + t) * dim];
+            let mut want = vec![0.0f32; t * dim];
+            // A fresh workspace allocates every buffer, zeroed.
+            let ws = &mut Workspace::new();
+            attn.forward_infer_ws(xs, t, &rope, clean.layer_mut(0), ws, &mut want);
+            // More NaN buffers than the call takes, each as large as its
+            // score scratch, which is its largest request.
+            let nan: Vec<Vec<f32>> = (0..8).map(|_| vec![f32::NAN; heads * t * 64]).collect();
+            for buf in nan {
+                ws_dirty.give(buf);
+            }
+            let fresh = ws_dirty.fresh_allocs();
+            let mut got = vec![0.0f32; t * dim];
+            attn.forward_infer_ws(xs, t, &rope, dirty.layer_mut(0), &mut ws_dirty, &mut got);
+            assert_eq!(ws_dirty.fresh_allocs(), fresh, "t={t} allocated");
+            assert_eq!(bits(&got), bits(&want), "t={t}");
+            at += t;
+        }
     }
 
     /// Causality: the output at position i must not change when the suffix

@@ -107,19 +107,16 @@ impl Tensor {
         out
     }
 
-    /// `self · otherᵀ` without materializing the transpose: rows of both
-    /// operands are contiguous, so this is a pure dot-product sweep. Used by
-    /// attention scores (`Q·Kᵀ`) where `K` is stored row-per-position.
+    /// `self · otherᵀ` without materializing the transpose, on the
+    /// process tier's [`simd::matmul_nt_with`]: element `(i, j)` has the
+    /// bits of [`dot`]`(self.row(i), other.row(j))`. The training tape runs
+    /// it for a product's `dA = G·Bᵀ` and, in its attention, for `Q·Kᵀ` and
+    /// `G·Vᵀ`.
     pub fn matmul_transposed(&self, other: &Tensor) -> Tensor {
         assert_eq!(self.cols, other.cols, "inner dimensions must agree");
         let mut out = Tensor::zeros(self.rows, other.rows);
-        for i in 0..self.rows {
-            let a_row = self.row(i);
-            let o_row = out.row_mut(i);
-            for (j, ov) in o_row.iter_mut().enumerate() {
-                *ov = dot(a_row, other.row(j));
-            }
-        }
+        let (m, k, n) = (self.rows, self.cols, other.rows);
+        simd::matmul_nt_with(backend(), &mut out.data, &self.data, &other.data, m, k, n);
         out
     }
 

@@ -37,14 +37,18 @@
 //! and when its line arrives, never an element's arithmetic.
 //!
 //! The f32 lane kernels ([`dot_with`], [`attn_scores_with`],
-//! [`attn_mix_with`], [`softmax_row_with`], [`silu_mul_with`], the f32 side
-//! of [`quantize_row_i8_with`]) are one source each, generic over an
-//! eight-lane type (`lanes`): `[f32; 8]`, whose methods do lane by lane what
-//! the AVX2 instructions do, NaN included, and an `__m256` newtype compiled
-//! `avx2,fma`, which the avx512 tier runs too. Reductions keep eight lane
-//! sums, each term one multiply then one add, combined in one fixed tree,
-//! then the tail in sequence; `exp` is a Cephes polynomial on full 8-blocks
-//! and libm `exp` on the tail.
+//! [`matmul_nt_with`], [`attn_mix_with`], [`softmax_row_with`],
+//! [`silu_mul_with`], the f32 side of [`quantize_row_i8_with`]) are one
+//! source each, generic over an eight-lane type (`lanes`): `[f32; 8]`, whose
+//! methods do lane by lane what the AVX2 instructions do, NaN included, and
+//! an `__m256` newtype compiled `avx2,fma`, which the avx512 tier runs too.
+//! Reductions keep eight lane sums, each term one multiply then one add,
+//! combined in one fixed tree, then the tail in sequence; `exp` is a Cephes
+//! polynomial on full 8-blocks and libm `exp` on the tail. The two score
+//! entries share one register-blocked kernel (`score_block`): `MR` rows of
+//! one operand against `R` rows of the other, `MR × R` such reductions side
+//! by side — 1 × 8 for a query against its keys, 4 × 3 for `A·Bᵀ` — each
+//! with [`dot_with`]'s bits.
 //!
 //! The int8 kernels accumulate in `i32`, which is exact and associative, so
 //! the int8 register tile (`matmul_q8_tile`, over int8 panels — see
@@ -656,6 +660,29 @@ pub fn attn_scores_with(
     dispatch!(bk, attn_scores(scores, q, keys, stride, scale))
 }
 
+/// `out = A·Bᵀ` (`A: m×k`, `B: n×k`, `out: m×n`, row-major) through an
+/// explicit backend: `out[i·n + j]` has the bits of [`dot_with`]`(bk, a_i,
+/// b_j)` on every tier. Rows of both operands are contiguous, so no
+/// transpose is built; the register-blocked score kernel that runs
+/// [`attn_scores_with`] computes four rows against three at a time.
+///
+/// # Panics
+/// When a slice's length does not match its shape.
+pub fn matmul_nt_with(
+    bk: Backend,
+    out: &mut [f32],
+    a: &[f32],
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert_eq!(a.len(), m * k, "A must be m×k");
+    assert_eq!(b.len(), n * k, "B must be n×k");
+    assert_eq!(out.len(), m * n, "out must be m×n");
+    dispatch!(bk, matmul_nt(out, a, b, m, k, n))
+}
+
 /// `out[e] += Σ_j weights[j] · values[j·stride + e]` with the j-sum taken in
 /// index order, each term one multiply then one add.
 pub fn attn_mix_with(bk: Backend, out: &mut [f32], weights: &[f32], values: &[f32], stride: usize) {
@@ -736,47 +763,95 @@ fn dot<V: F32x8>(a: &[f32], b: &[f32]) -> f32 {
 /// `dot(q, row) * scale`.
 #[inline(always)]
 fn attn_scores<V: F32x8>(scores: &mut [f32], q: &[f32], keys: &[f32], stride: usize, scale: f32) {
-    let j = score_rows::<V, 8>(scores, 0, q, keys, stride, scale);
-    score_rows::<V, 1>(scores, j, q, keys, stride, scale);
+    let (d, q, keys) = (q.len(), [q.as_ptr()], keys.as_ptr());
+    // SAFETY: the entry asserted that `keys` holds `d` floats at every
+    // score's row offset.
+    unsafe {
+        let j = score_block::<V, 1, 8>(scores, 0, q, keys, stride, d, scale);
+        score_block::<V, 1, 1>(scores, j, q, keys, stride, d, scale);
+    }
 }
 
-/// The scores from position `j` on in groups of `R` interleaved dot
-/// products, each `q` chunk loaded once per group; returns where they stop.
+/// Four rows of `A` at a time against three rows of `B`, then one; the last
+/// `m % 4` rows as [`attn_scores`] runs one query. Every output is
+/// `dot(a_i, b_j)`: the block kernel's `× 1.0` is exact.
 #[inline(always)]
-fn score_rows<V: F32x8, const R: usize>(
-    scores: &mut [f32],
+fn matmul_nt<V: F32x8>(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize) {
+    let mut i = 0;
+    while m - i >= 4 {
+        let rows: [*const f32; 4] = std::array::from_fn(|r| a[(i + r) * k..].as_ptr());
+        let block = &mut out[i * n..(i + 4) * n];
+        // SAFETY: `rows` are the `k`-float rows `i .. i + 4` of `A`, and
+        // the entry asserted that `B` holds `n` rows of `k` floats.
+        unsafe {
+            let j = score_block::<V, 4, 3>(block, 0, rows, b.as_ptr(), k, k, 1.0);
+            score_block::<V, 4, 1>(block, j, rows, b.as_ptr(), k, k, 1.0);
+        }
+        i += 4;
+    }
+    for r in i..m {
+        attn_scores::<V>(&mut out[r * n..][..n], &a[r * k..][..k], b, k, 1.0);
+    }
+}
+
+/// The block kernel behind every score: `out` holds `MR` rows of `n =
+/// out.len() / MR` outputs, and from column `j` on, in groups of `R`,
+/// output `(r, c)` becomes `dot(a[r][..d], B_c) · scale`, where row `c` of
+/// `B` is the `d` floats at `b + c·stride`. A group keeps `MR × R` eight-lane
+/// chains; each chunk of an `a` row and of a `B` row is loaded once per
+/// group. Every output has [`dot`]'s bits (the `a` operand first in every
+/// product, chunks in order, `hsum`, then the tail in sequence) and then
+/// one `× scale`. Returns where the groups stop.
+///
+/// # Safety
+/// Every `a[r]` must be valid for reading `d` floats, and so must `b +
+/// c·stride` for every column `c < n`.
+#[inline(always)]
+unsafe fn score_block<V: F32x8, const MR: usize, const R: usize>(
+    out: &mut [f32],
     mut j: usize,
-    q: &[f32],
-    keys: &[f32],
+    a: [*const f32; MR],
+    b: *const f32,
     stride: usize,
+    d: usize,
     scale: f32,
 ) -> usize {
-    let full = q.len() - q.len() % 8;
-    while scores.len() - j >= R {
-        // SAFETY: `j + r` indexes a score, and the entry asserted that
-        // `keys` holds `d` floats at every score's row offset.
-        let rows: [*const f32; R] =
-            std::array::from_fn(|r| unsafe { keys.as_ptr().add((j + r) * stride) });
-        let mut acc = [V::splat(0.0); R];
-        for (c, qc) in q.chunks_exact(8).enumerate() {
-            let vq = V::read(qc);
-            for (a, row) in acc.iter_mut().zip(rows) {
-                // SAFETY: floats `8c .. 8c + 8 <= d` of an asserted row.
-                *a = a.add(vq.mul(unsafe { V::load(row.add(8 * c)) }));
+    let n = out.len() / MR;
+    let full = d - d % 8;
+    while n - j >= R {
+        let rows: [*const f32; R] = std::array::from_fn(|c| b.wrapping_add((j + c) * stride));
+        let mut acc = [[V::splat(0.0); R]; MR];
+        for c in 0..full / 8 {
+            let t = 8 * c;
+            let mut vb = [V::splat(0.0); R];
+            for (v, row) in vb.iter_mut().zip(rows) {
+                *v = V::load(row.add(t));
+            }
+            for (acc, row) in acc.iter_mut().zip(a) {
+                let va = V::load(row.add(t));
+                for (s, v) in acc.iter_mut().zip(&vb) {
+                    *s = s.add(va.mul(*v));
+                }
             }
         }
-        let mut sums = [0.0f32; R];
-        for (s, a) in sums.iter_mut().zip(acc) {
-            *s = a.hsum();
-        }
-        for (t, &qt) in q.iter().enumerate().skip(full) {
-            for (s, row) in sums.iter_mut().zip(rows) {
-                // SAFETY: float `t < d` of an asserted row.
-                *s += qt * unsafe { *row.add(t) };
+        let mut sums = [[0.0f32; R]; MR];
+        for (sums, acc) in sums.iter_mut().zip(&acc) {
+            for (s, v) in sums.iter_mut().zip(acc) {
+                *s = v.hsum();
             }
         }
-        for (o, s) in scores[j..j + R].iter_mut().zip(sums) {
-            *o = s * scale;
+        for t in full..d {
+            for (sums, row) in sums.iter_mut().zip(a) {
+                let x = *row.add(t);
+                for (s, col) in sums.iter_mut().zip(rows) {
+                    *s += x * *col.add(t);
+                }
+            }
+        }
+        for (r, sums) in sums.iter().enumerate() {
+            for (o, s) in out[r * n + j..][..R].iter_mut().zip(sums) {
+                *o = s * scale;
+            }
         }
         j += R;
     }
@@ -943,6 +1018,7 @@ mod avx2 {
     on_avx2! {
         dot(a: &[f32], b: &[f32]) -> f32;
         attn_scores(scores: &mut [f32], q: &[f32], keys: &[f32], stride: usize, scale: f32);
+        matmul_nt(out: &mut [f32], a: &[f32], b: &[f32], m: usize, k: usize, n: usize);
         attn_mix(out: &mut [f32], weights: &[f32], values: &[f32], stride: usize);
         softmax(row: &mut [f32]);
         swiglu(gate: &mut [f32], up: &[f32]);
@@ -1642,6 +1718,52 @@ mod tests {
                     attn_mix_with(bk, &mut out, &w, &slab, stride)
                 });
                 assert!(r.is_err(), "{} mix l={l} stride={stride}", bk.name());
+            }
+        }
+    }
+
+    /// `A·Bᵀ` gives every output the bits of its own `dot_with` on every
+    /// tier: row counts on and off the 4-row block, column counts on and
+    /// off the 3-column group, `k` below, at and past the lane width with
+    /// and without a tail, and empty shapes (`k = 0` is all zeros).
+    #[test]
+    fn matmul_nt_bitwise_equals_per_element_dot_on_every_tier() {
+        let mut rng = Rng::new(0x0A7B);
+        for &m in &[0usize, 1, 3, 4, 5, 8, 11] {
+            for &n in &[0usize, 1, 2, 3, 4, 7, 9, 13] {
+                for &k in &[0usize, 1, 5, 8, 12, 16, 23, 40] {
+                    let a: Vec<f32> = (0..m * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                    let b: Vec<f32> = (0..n * k).map(|_| rng.uniform(-1.0, 1.0)).collect();
+                    for bk in supported() {
+                        let mut out = vec![f32::NAN; m * n];
+                        matmul_nt_with(bk, &mut out, &a, &b, m, k, n);
+                        for (i, row) in out.chunks(n.max(1)).enumerate().take(m) {
+                            for (j, &got) in row.iter().enumerate() {
+                                let want = dot_with(bk, &a[i * k..][..k], &b[j * k..][..k]);
+                                assert_eq!(
+                                    got.to_bits(),
+                                    want.to_bits(),
+                                    "{} m={m} n={n} k={k} ({i}, {j})",
+                                    bk.name()
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `matmul_nt_with` refuses operands whose lengths do not match the
+    /// shape on every tier: its rows are read by pointer.
+    #[test]
+    fn matmul_nt_rejects_mismatched_shapes_on_every_tier() {
+        for (a, b, out) in [(11, 12, 9), (12, 11, 9), (12, 12, 8)] {
+            for bk in supported() {
+                let (a, b, mut out) = (vec![0.0f32; a], vec![0.0f32; b], vec![0.0f32; out]);
+                let r =
+                    std::panic::catch_unwind(move || matmul_nt_with(bk, &mut out, &a, &b, 3, 4, 3));
+                assert!(r.is_err(), "{}", bk.name());
             }
         }
     }

@@ -31,9 +31,10 @@ pub struct Workspace {
 struct Pool<T>(Vec<Vec<T>>);
 
 impl<T: Copy + Default> Pool<T> {
-    /// A zeroed buffer of exactly `len` elements: the smallest pooled one
-    /// whose capacity covers `len`, else a fresh one (counted in `fresh`).
-    fn take(&mut self, len: usize, fresh: &mut usize) -> Vec<T> {
+    /// A buffer of exactly `len` elements, zeroed or keeping what it held
+    /// (`stale`; zero only where it grew): the smallest pooled one whose
+    /// capacity covers `len`, else a fresh one (counted in `fresh`).
+    fn take(&mut self, len: usize, fresh: &mut usize, stale: bool) -> Vec<T> {
         let free = &mut self.0;
         let mut best: Option<usize> = None;
         for (i, buf) in free.iter().enumerate() {
@@ -48,7 +49,9 @@ impl<T: Copy + Default> Pool<T> {
                 Vec::with_capacity(len)
             }
         };
-        buf.clear();
+        if !stale {
+            buf.clear();
+        }
         buf.resize(len, T::default());
         buf
     }
@@ -72,7 +75,15 @@ impl Workspace {
     /// pool; allocates (and counts it in [`Workspace::fresh_allocs`]) only
     /// when no pooled buffer has the capacity.
     pub fn take(&mut self, len: usize) -> Vec<f32> {
-        self.free.take(len, &mut self.fresh_allocs)
+        self.free.take(len, &mut self.fresh_allocs, false)
+    }
+
+    /// [`Workspace::take`] without the zero fill: the buffer keeps the
+    /// floats its last user left, and only elements past its old length
+    /// are initialized (to zero). For scratch whose every element the
+    /// caller writes before it reads it.
+    pub fn take_stale(&mut self, len: usize) -> Vec<f32> {
+        self.free.take(len, &mut self.fresh_allocs, true)
     }
 
     /// Return a buffer to the pool for reuse.
@@ -84,7 +95,7 @@ impl Workspace {
     /// contract as [`Workspace::take`]); used by the int8 path for per-call
     /// activation quantization scratch.
     pub fn take_i8(&mut self, len: usize) -> Vec<i8> {
-        self.free_i8.take(len, &mut self.fresh_allocs)
+        self.free_i8.take(len, &mut self.fresh_allocs, false)
     }
 
     /// Return an i8 buffer to the pool for reuse.
@@ -119,6 +130,20 @@ mod tests {
         ws.give(a);
         let b = ws.take(8);
         assert!(b.iter().all(|&v| v == 0.0), "reused buffer must be zeroed");
+    }
+
+    #[test]
+    fn take_stale_keeps_contents_and_zeroes_only_growth() {
+        let mut ws = Workspace::new();
+        let mut a = ws.take(16);
+        a.truncate(4);
+        a.fill(3.0);
+        ws.give(a);
+        let b = ws.take_stale(8);
+        assert_eq!(b, [3.0, 3.0, 3.0, 3.0, 0.0, 0.0, 0.0, 0.0]);
+        ws.give(b);
+        assert_eq!(ws.take_stale(2), [3.0, 3.0]);
+        assert_eq!(ws.fresh_allocs(), 1);
     }
 
     #[test]

@@ -82,14 +82,22 @@ impl Adam {
         let (m, v) = self.state[slot]
             .get_or_insert_with(|| (vec![0.0; param.len()], vec![0.0; param.len()]));
         debug_assert_eq!(m.len(), param.len(), "slot {slot} changed size");
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
-        for i in 0..param.len() {
-            m[i] = self.beta1 * m[i] + (1.0 - self.beta1) * grad[i];
-            v[i] = self.beta2 * v[i] + (1.0 - self.beta2) * grad[i] * grad[i];
-            let m_hat = m[i] / bc1;
-            let v_hat = v[i] / bc2;
-            param[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+        let (beta1, beta2, lr, eps) = (self.beta1, self.beta2, self.lr, self.eps);
+        let bc1 = 1.0 - beta1.powi(self.t as i32);
+        let bc2 = 1.0 - beta2.powi(self.t as i32);
+        // One `zip` over the four slices, the hyper-parameters in locals:
+        // with no index to bounds-check and no field to re-read through
+        // `self`, the loop vectorizes. Every operation is still one
+        // correctly rounded multiply, add, divide or `sqrt` in the order
+        // written (Rust never contracts into a fused multiply-add), so
+        // each element gets the bits it got one at a time.
+        let moments = m.iter_mut().zip(v.iter_mut());
+        for ((p, &g), (m, v)) in param.iter_mut().zip(grad).zip(moments) {
+            *m = beta1 * *m + (1.0 - beta1) * g;
+            *v = beta2 * *v + (1.0 - beta2) * g * g;
+            let m_hat = *m / bc1;
+            let v_hat = *v / bc2;
+            *p -= lr * m_hat / (v_hat.sqrt() + eps);
         }
     }
 }
@@ -129,6 +137,56 @@ mod tests {
             opt.step(0.02, &grads, &ids[..1], 0, |f| f("x", &mut x));
         }
         assert!(x[0].abs() < 1e-2 && x[1].abs() < 1e-2, "{x:?}");
+    }
+
+    /// `Adam::update` as an indexed loop, one element at a time: the
+    /// reference the vectorized `zip` is held to.
+    fn indexed_update(opt: &Adam, m: &mut [f32], v: &mut [f32], param: &mut [f32], grad: &[f32]) {
+        let bc1 = 1.0 - opt.beta1.powi(opt.t as i32);
+        let bc2 = 1.0 - opt.beta2.powi(opt.t as i32);
+        for i in 0..param.len() {
+            m[i] = opt.beta1 * m[i] + (1.0 - opt.beta1) * grad[i];
+            v[i] = opt.beta2 * v[i] + (1.0 - opt.beta2) * grad[i] * grad[i];
+            let m_hat = m[i] / bc1;
+            let v_hat = v[i] / bc2;
+            param[i] -= opt.lr * m_hat / (v_hat.sqrt() + opt.eps);
+        }
+    }
+
+    /// Several steps over two slots whose lengths are off the lane width
+    /// give the parameters and moments of the indexed loop, bit for bit.
+    #[test]
+    fn adam_step_bitwise_equals_indexed_loop() {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut rng = aasd_tensor::Rng::new(0xADA);
+        let mut init = |n: usize| (0..n).map(|_| rng.normal()).collect::<Vec<f32>>();
+        let (mut a, mut b) = (init(37), init(13));
+        let (mut ref_params, weights) = ([a.clone(), b.clone()], [init(37), init(13)]);
+        let mut ref_moments: [(Vec<f32>, Vec<f32>); 2] =
+            [37, 13].map(|n| (vec![0.0; n], vec![0.0; n]));
+        let mut opt = Adam::new();
+        for step in 0..5 {
+            // Loss Σ w·x², so each gradient 2·w·x depends on the step.
+            let (grads, ids) = grads_of(&[&a, &b, &weights[0], &weights[1]], |tape, ids| {
+                let sq = [tape.mul(ids[0], ids[0]), tape.mul(ids[1], ids[1])];
+                let wa = tape.mul(sq[0], ids[2]);
+                let wb = tape.mul(sq[1], ids[3]);
+                let (sa, sb) = (tape.sum(wa), tape.sum(wb));
+                tape.add(sa, sb)
+            });
+            let lr = 0.05 / (step + 1) as f32;
+            opt.step(lr, &grads, &ids[..1], 0, |f| f("a", &mut a));
+            opt.step(lr, &grads, &ids[1..2], 1, |f| f("b", &mut b));
+            for (slot, (p, (m, v))) in ref_params.iter_mut().zip(&mut ref_moments).enumerate() {
+                let g = &grads.get(ids[slot]).expect("reached").data;
+                indexed_update(&opt, m, v, p, g);
+                let (om, ov) = opt.state[slot].as_ref().unwrap();
+                assert_eq!(bits(om), bits(m), "step {step} slot {slot} m");
+                assert_eq!(bits(ov), bits(v), "step {step} slot {slot} v");
+            }
+            assert_eq!(bits(&a), bits(&ref_params[0]), "step {step} slot 0");
+            assert_eq!(bits(&b), bits(&ref_params[1]), "step {step} slot 1");
+        }
     }
 
     #[test]
